@@ -4,11 +4,9 @@
 #include <chrono>
 #include <iomanip>
 #include <iostream>
-#include <vector>
 
 #include "cache/solve_cache.hpp"
 #include "core/library.hpp"
-#include "core/sweep.hpp"
 #include "markov/steady_state.hpp"
 #include "obs/bench_json.hpp"
 #include "mg/generator.hpp"
@@ -43,36 +41,6 @@ rascad::spec::BlockSpec deep_block(unsigned n, unsigned k) {
   b.repair = rascad::spec::Transparency::kNontransparent;
   b.reintegration_min = 8.0;
   return b;
-}
-
-/// One 64-point structure-sharing sweep over a deep Type 4 block: every
-/// point mutates the MTBF (rates only), so all 64 dirty chains share one
-/// sparsity pattern — exactly the shape the batched dispatch exists for —
-/// and with hundreds of states the SOR solve dominates each point. No
-/// memo cache, so both paths do the full per-point solve work.
-double sweep_ms(const rascad::spec::ModelSpec& model, bool batch,
-                std::vector<rascad::core::SweepPoint>& out) {
-  rascad::core::SweepOptions opts;
-  opts.model.cache = nullptr;
-  opts.model.steady.method = rascad::markov::SteadyStateMethod::kSor;
-  opts.parallel.threads = 1;
-  opts.batch = batch;
-  const auto t0 = Clock::now();
-  out = rascad::core::sweep_block_parameter(
-      model, "deep", "deep",
-      [](rascad::spec::BlockSpec& b, double v) { b.mtbf_h = v; },
-      rascad::core::linspace(60'000.0, 140'000.0, 64), opts);
-  return ms_since(t0);
-}
-
-rascad::spec::ModelSpec deep_sweep_model() {
-  rascad::spec::ModelSpec spec;
-  spec.title = "deep sweep";
-  rascad::spec::DiagramSpec d;
-  d.name = "deep";
-  d.blocks.push_back(deep_block(48, 1));
-  spec.diagrams.push_back(d);
-  return spec;
 }
 
 }  // namespace
@@ -178,41 +146,6 @@ int main(int argc, char** argv) {
                "identical copies collapse to one solve + W-1 memo hits when\n"
                "a solve cache is attached.\n";
 
-  // Batched vs unbatched structure-sharing sweep: 64 points of one SOR
-  // ladder, best-of-3 each. The batched path sweeps all 64 lanes through
-  // one matrix traversal per iteration, so falling below the unbatched
-  // throughput is a kernel/dispatch regression — exit nonzero for CI.
-  std::cout << "\n64-point batched vs unbatched MTBF sweep (Type 4 block, "
-               "N=48, SOR, no cache, 1 thread):\n";
-  const auto dc = deep_sweep_model();
-  std::vector<rascad::core::SweepPoint> unbatched_pts;
-  std::vector<rascad::core::SweepPoint> batched_pts;
-  double unbatched_ms = 0.0;
-  double batched_ms = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const double u = sweep_ms(dc, false, unbatched_pts);
-    const double b = sweep_ms(dc, true, batched_pts);
-    if (rep == 0 || u < unbatched_ms) unbatched_ms = u;
-    if (rep == 0 || b < batched_ms) batched_ms = b;
-  }
-  bool batched_identical = unbatched_pts.size() == batched_pts.size();
-  for (std::size_t i = 0; batched_identical && i < batched_pts.size(); ++i) {
-    batched_identical =
-        unbatched_pts[i].availability == batched_pts[i].availability &&
-        unbatched_pts[i].yearly_downtime_min ==
-            batched_pts[i].yearly_downtime_min &&
-        unbatched_pts[i].eq_failure_rate == batched_pts[i].eq_failure_rate;
-  }
-  const double batched_speedup =
-      batched_ms > 0.0 ? unbatched_ms / batched_ms : 0.0;
-  const bool batched_faster = batched_ms <= unbatched_ms;
-  std::cout << std::fixed << std::setprecision(2)
-            << "  unbatched: " << unbatched_ms << " ms\n"
-            << "  batched  : " << batched_ms << " ms  (" << batched_speedup
-            << "x, series bit-identical: "
-            << (batched_identical ? "yes" : "NO") << ")\n";
-  std::cout.unsetf(std::ios::fixed);
-
   json.restore();
   rascad::obs::BenchMetricsLine("scalability")
       .metric("deep_n128_states", deep_max_states)
@@ -222,16 +155,6 @@ int main(int argc, char** argv) {
       .metric("wide_w100_states", wide_max_states)
       .metric("wide_w100_build_ms", wide_max_ms)
       .metric("wide_w100_cache_hits", wide_cache_hits)
-      .metric("batched_sweep_ms", batched_ms)
-      .metric("unbatched_sweep_ms", unbatched_ms)
-      .metric("batched_sweep_speedup", batched_speedup)
-      .metric("batched_sweep_identical", batched_identical)
       .write(std::cout);
-  if (!batched_identical) return 1;
-  if (!batched_faster) {
-    std::cerr << "FAIL: batched sweep slower than unbatched ("
-              << batched_ms << " ms vs " << unbatched_ms << " ms)\n";
-    return 1;
-  }
   return 0;
 }

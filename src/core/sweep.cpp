@@ -96,7 +96,7 @@ std::vector<SweepPoint> run_sweep(
     model_opts.parallel.cancel = stop;
   }
 
-  /// Baseline build for the incremental paths. In degraded mode a failed /
+  /// Baseline build for the incremental path. In degraded mode a failed /
   /// cancelled baseline marks every point instead of throwing.
   const auto build_baseline = [&]() -> std::optional<mg::SystemModel> {
     if (!degrade) return mg::SystemModel::build(base, model_opts);
@@ -153,43 +153,6 @@ std::vector<SweepPoint> run_sweep(
         }
       };
 
-  if (opts.incremental && opts.batch) {
-    // Batched dispatch: one baseline build, then every point's dirty
-    // blocks are deduplicated and structure-sharing chains solved as one
-    // lane-interleaved batch inside rebuild_batch.
-    obs::Span batch_span("sweep.batch");
-    std::optional<mg::SystemModel> baseline = build_baseline();
-    if (!baseline) return points;
-    std::vector<spec::ModelSpec> specs;
-    specs.reserve(values.size());
-    for (double value : values) {
-      spec::ModelSpec model = base;
-      mutate_model(model, value);
-      specs.push_back(std::move(model));
-    }
-    if (degrade) {
-      std::vector<mg::BatchPointResult> results =
-          mg::SystemModel::rebuild_batch_robust(*baseline, std::move(specs),
-                                                model_opts);
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        observe_point(i, [&] {
-          if (results[i].ok()) {
-            points[i] = summarize(*results[i].model, values[i]);
-          } else {
-            points[i] = degraded_point(values[i], results[i].status,
-                                       std::move(results[i].detail));
-          }
-        });
-      }
-      return points;
-    }
-    std::vector<mg::SystemModel> systems = mg::SystemModel::rebuild_batch(
-        *baseline, std::move(specs), model_opts);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      observe_point(i, [&] { points[i] = summarize(systems[i], values[i]); });
-    }
-    return points;
-  }
   if (opts.incremental) {
     // One full solve of the base spec; every point then re-solves only the
     // blocks its mutation dirties (signature diff inside rebuild). The

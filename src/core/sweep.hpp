@@ -58,14 +58,6 @@ struct SweepOptions {
   exec::ParallelOptions parallel;
   mg::SystemModel::Options model;
   bool incremental = true;
-  /// Batched dispatch on the incremental path: sweep points whose dirty
-  /// blocks generate chains with one shared sparsity pattern (the common
-  /// case — a rate sweep never changes chain structure) are solved as ONE
-  /// lane-interleaved batched solve via SystemModel::rebuild_batch instead
-  /// of independent rebuilds. The series, per-point provenance counts, and
-  /// memo-cache keys are identical to the unbatched incremental path;
-  /// only the solve schedule changes. Ignored when `incremental` is false.
-  bool batch = false;
 };
 
 /// Mutator applied to the targeted block for each sweep value.

@@ -1,10 +1,8 @@
 // 64-byte-aligned storage for the SoA numerical core.
 //
-// The CSR arrays (row pointers, column indices, values) and the batched
-// solve panels are held in AlignedVector so the SIMD kernels can assume
-// cache-line-aligned bases. Alignment is a performance property only:
-// every kernel uses unaligned loads, so a plain std::vector would still be
-// correct — which is what keeps the scalar fallback trivially testable.
+// The CSR arrays (row pointers, column indices, values) and the assembly
+// arena's chunks are held on cache-line-aligned bases. Alignment is a
+// performance property only: a plain std::vector would still be correct.
 #pragma once
 
 #include <cstddef>

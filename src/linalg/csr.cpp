@@ -202,11 +202,6 @@ Vector CsrMatrix::row_sums() const {
   return s;
 }
 
-bool CsrMatrix::same_pattern(const CsrMatrix& other) const noexcept {
-  return rows_ == other.rows_ && cols_ == other.cols_ &&
-         row_ptr_ == other.row_ptr_ && col_idx_ == other.col_idx_;
-}
-
 std::ostream& operator<<(std::ostream& os, const CsrMatrix& m) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const auto row = m.row(r);

@@ -2,14 +2,13 @@
 // numerical core.
 //
 // Generated Markov chains are sparse (a handful of outgoing arcs per
-// state), so the iterative steady-state solvers, the uniformization
-// transient solver, and the batched multi-RHS kernels all operate on CSR.
-// Storage is structure-of-arrays: three flat, 64-byte-aligned arrays
-// (row pointers, column indices, values) with 32-bit indices, which halves
-// index bandwidth and lets the SIMD kernels gather columns with one vector
-// load. Matrices are assembled through CsrBuilder, which stages triplets
-// and builds via an arena-backed counting sort (see docs/numerics.md);
-// duplicates are summed in insertion order.
+// state), so the iterative steady-state solvers and the uniformization
+// transient solver operate on CSR. Storage is structure-of-arrays: three
+// flat, 64-byte-aligned arrays (row pointers, column indices, values) with
+// 32-bit indices, which halves index bandwidth. Matrices are assembled
+// through CsrBuilder, which stages triplets and builds via an
+// arena-backed counting sort (see docs/numerics.md); duplicates are
+// summed in insertion order.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +60,7 @@ class CsrMatrix {
   std::size_t nnz() const noexcept { return values_.size(); }
 
   /// y = A * x. Throws std::invalid_argument on shape mismatch.
-  /// Scalar row-major accumulation — the bitwise-stable reference path;
-  /// the runtime-dispatched SIMD variant lives in linalg/simd.hpp.
+  /// Scalar row-major accumulation, so results do not depend on the host.
   Vector mul(const Vector& x) const;
 
   /// y = A^T * x. Throws std::invalid_argument on shape mismatch.
@@ -94,21 +92,6 @@ class CsrMatrix {
 
   /// Sum of each row's entries (for generator-matrix conservation checks).
   Vector row_sums() const;
-
-  /// Raw SoA views for the SIMD / batched kernels. row_ptr has rows()+1
-  /// entries; col_idx and values have nnz() entries, 64-byte aligned.
-  const std::uint32_t* row_ptr_data() const noexcept {
-    return row_ptr_.data();
-  }
-  const std::uint32_t* col_idx_data() const noexcept {
-    return col_idx_.data();
-  }
-  const double* values_data() const noexcept { return values_.data(); }
-
-  /// True iff `other` has identical shape and sparsity pattern (row
-  /// pointers and column indices) — the precondition for batching several
-  /// matrices through one traversal.
-  bool same_pattern(const CsrMatrix& other) const noexcept;
 
  private:
   friend class CsrBuilder;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/simd.hpp"
 #include "resilience/solve_error.hpp"
 
 namespace rascad::linalg {
@@ -187,12 +186,11 @@ IterativeResult power_stationary(const CsrMatrix& p,
     throw std::invalid_argument("power_stationary: start size mismatch");
   }
   IterativeResult result;
-  // Transpose once, then every iteration is a forward SpMV through the
-  // dispatched (scalar/AVX2) kernel.
+  // Transpose once, then every iteration is a forward SpMV.
   const CsrMatrix pt = p.transposed();
   for (std::size_t it = 1; it <= opts.max_iterations; ++it) {
     checkpoint(opts, it, "power_stationary", result.residual);
-    Vector next = simd::spmv(pt, pi);
+    Vector next = pt.mul(pi);
     normalize_sum(next);
     const double change = max_abs_diff(next, pi);
     pi = std::move(next);

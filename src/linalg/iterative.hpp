@@ -60,28 +60,4 @@ IterativeResult power_stationary(const CsrMatrix& p,
                                  const IterativeOptions& opts = {},
                                  std::optional<Vector> start = std::nullopt);
 
-// ---------------------------------------------------------------------------
-// Batched multi-RHS solves: k right-hand sides swept through one traversal
-// of the matrix per iteration (lane-interleaved panels; see
-// linalg/batch.hpp and docs/numerics.md). Element bs[j] is the j-th
-// right-hand side; entry j of the returned vector is bitwise identical —
-// solution, iteration count, residual, convergence flag — to calling the
-// scalar solver on (a, bs[j]) alone. Columns that converge (or break
-// down) early are frozen while the remaining columns continue iterating.
-// Error semantics (zero diagonal, size mismatch) match the scalar
-// functions.
-// ---------------------------------------------------------------------------
-
-std::vector<IterativeResult> jacobi_solve_batched(
-    const CsrMatrix& a, const std::vector<Vector>& bs,
-    const IterativeOptions& opts = {});
-
-std::vector<IterativeResult> sor_solve_batched(
-    const CsrMatrix& a, const std::vector<Vector>& bs,
-    const IterativeOptions& opts = {});
-
-std::vector<IterativeResult> bicgstab_solve_batched(
-    const CsrMatrix& a, const std::vector<Vector>& bs,
-    const IterativeOptions& opts = {});
-
 }  // namespace rascad::linalg

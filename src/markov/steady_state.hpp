@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "linalg/dense.hpp"
@@ -63,20 +62,6 @@ struct SteadyStateResult {
 /// resilience::solve_steady_state_resilient.
 SteadyStateResult solve_steady_state(const Ctmc& chain,
                                      const SteadyStateOptions& opts = {});
-
-/// Batched steady-state solve of chains whose generators share one
-/// sparsity pattern (structure-sharing sweep points: same chain shape,
-/// different rates). Supported for kSor and kBiCgStab; the k chains are
-/// swept through one lane-interleaved matrix traversal per iteration
-/// (linalg/batch.hpp). Entry j is bitwise identical to
-/// solve_steady_state(*chains[j], opts) when the batched path can solve
-/// that lane, and nullopt when it cannot — lane structurally ineligible
-/// (pattern mismatch, absorbing state), failed mid-solve, or the method is
-/// not batchable. Callers must fall back to the scalar path for nullopt
-/// lanes, which reproduces the exact scalar result or exception.
-std::vector<std::optional<SteadyStateResult>> solve_steady_state_batched(
-    const std::vector<const Ctmc*>& chains,
-    const SteadyStateOptions& opts = {});
 
 /// Expected steady-state reward rate: sum_i pi_i * reward_i. For a 0/1
 /// reward structure this is the steady-state availability.

@@ -1,6 +1,5 @@
 #include "markov/transient.hpp"
 
-#include "linalg/simd.hpp"
 #include "resilience/solve_error.hpp"
 
 #include <cmath>
@@ -78,8 +77,8 @@ linalg::Vector transient_distribution(const Ctmc& chain,
     }
   }
   const double a = q * t;
-  // Transpose P once so every series term is a forward SpMV through the
-  // vectorized kernel instead of a scattered mul_transpose.
+  // Transpose P once so every series term is a forward SpMV instead of a
+  // scattered mul_transpose.
   const linalg::CsrMatrix pt = p.transposed();
   linalg::Vector v = pi0;  // v_k = pi0 P^k
   linalg::Vector pit(chain.size(), 0.0);
@@ -98,7 +97,7 @@ linalg::Vector transient_distribution(const Ctmc& chain,
       linalg::axpy(1.0 - cumulative, v, pit);
       return pit;
     }
-    v = linalg::simd::spmv(pt, v);
+    v = pt.mul(v);
   }
   throw resilience::SolveError(
       resilience::SolveCause::kBudgetExceeded, "transient_distribution",
@@ -167,7 +166,7 @@ double integrate_rate(const Ctmc& chain, const linalg::Vector& pi0, double t,
       acc += (t - weight_sum) * linalg::dot(r, v);
       return acc;
     }
-    v = linalg::simd::spmv(pt, v);
+    v = pt.mul(v);
   }
   throw resilience::SolveError(
       resilience::SolveCause::kBudgetExceeded, "accumulated_reward",

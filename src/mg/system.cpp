@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "markov/absorbing.hpp"
@@ -275,6 +273,52 @@ SystemModel::BlockEntry solve_block_cached(
   return entry;
 }
 
+namespace {
+
+using PendingBlocks =
+    std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>;
+
+/// Solves the blocks at `indices` into `out` through solve_block_cached.
+/// With a cache, the first block of each chain signature is solved before
+/// any repeat of it, so the repeats are cache hits whatever the thread
+/// count — the same provenance the serial visit order gives. Two
+/// concurrent first lookups of one signature would otherwise both miss.
+void solve_blocks(const std::vector<std::size_t>& indices,
+                  const PendingBlocks& pending,
+                  const spec::GlobalParams& globals,
+                  const resilience::ResilienceConfig& config,
+                  const cache::Signature& solver_sig,
+                  const SystemModel::Options& opts,
+                  std::vector<SystemModel::BlockEntry>& out) {
+  const auto solve_all = [&](const std::vector<std::size_t>& which) {
+    exec::parallel_for(
+        which.size(),
+        [&](std::size_t j) {
+          const std::size_t i = which[j];
+          out[i] = solve_block_cached(pending[i].first->name,
+                                      *pending[i].second, globals, config,
+                                      solver_sig, opts.cache);
+        },
+        opts.parallel);
+  };
+  if (!opts.cache) {
+    solve_all(indices);
+    return;
+  }
+  std::unordered_set<cache::Signature, cache::SignatureHash> seen;
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> repeats;
+  for (std::size_t i : indices) {
+    const bool first =
+        seen.insert(chain_signature(*pending[i].second, globals)).second;
+    (first ? firsts : repeats).push_back(i);
+  }
+  solve_all(firsts);
+  if (!repeats.empty()) solve_all(repeats);
+}
+
+}  // namespace
+
 SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   obs::Span build_span("system.build");
   if (obs::enabled()) {
@@ -294,21 +338,16 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   // by visit index, so the block table — and each entry's SolveTrace —
   // is identical to the serial build's. Parameter-identical blocks share
   // one memo entry (and one Ctmc) through opts.cache.
-  std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>
-      pending;
+  PendingBlocks pending;
   collect_chain_blocks(sm.spec_, sm.spec_.root(), pending);
   if (build_span.active()) {
     build_span.set_detail("blocks=" + std::to_string(pending.size()));
   }
   sm.blocks_.resize(pending.size());
-  exec::parallel_for(
-      pending.size(),
-      [&](std::size_t i) {
-        sm.blocks_[i] = solve_block_cached(
-            pending[i].first->name, *pending[i].second, sm.spec_.globals,
-            solve_config, sm.solver_sig_, opts.cache);
-      },
-      opts.parallel);
+  std::vector<std::size_t> all(pending.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  solve_blocks(all, pending, sm.spec_.globals, solve_config, sm.solver_sig_,
+               opts, sm.blocks_);
 
   sm.root_ = compose_tree(sm.spec_, sm.blocks_);
   return sm;
@@ -329,8 +368,7 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
   // The diff pairs blocks by visit index, so the hierarchy must match the
   // baseline block-for-block (and the solver settings must match, or the
   // baseline's numbers would vouch for a different configuration).
-  std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>
-      pending;
+  PendingBlocks pending;
   collect_chain_blocks(sm.spec_, sm.spec_.root(), pending);
   bool compatible = pending.size() == base.blocks_.size() &&
                     solver_sig == base.solver_sig_;
@@ -388,387 +426,11 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
     dirty_blocks.inc(dirty.size());
     reused_blocks.inc(pending.size() - dirty.size());
   }
-  exec::parallel_for(
-      dirty.size(),
-      [&](std::size_t j) {
-        const std::size_t i = dirty[j];
-        sm.blocks_[i] = solve_block_cached(
-            pending[i].first->name, *pending[i].second, sm.spec_.globals,
-            solve_config, sm.solver_sig_, opts.cache);
-      },
-      opts.parallel);
+  solve_blocks(dirty, pending, sm.spec_.globals, solve_config,
+               sm.solver_sig_, opts, sm.blocks_);
 
   sm.root_ = compose_tree(sm.spec_, sm.blocks_);
   return sm;
-}
-
-std::vector<SystemModel> SystemModel::rebuild_batch(
-    const SystemModel& base, std::vector<spec::ModelSpec> specs,
-    const Options& opts) {
-  std::vector<BatchPointResult> results =
-      rebuild_batch_impl(base, std::move(specs), opts, /*degrade=*/false);
-  std::vector<SystemModel> out;
-  out.reserve(results.size());
-  for (BatchPointResult& r : results) out.push_back(std::move(*r.model));
-  return out;
-}
-
-std::vector<BatchPointResult> SystemModel::rebuild_batch_robust(
-    const SystemModel& base, std::vector<spec::ModelSpec> specs,
-    const Options& opts) {
-  return rebuild_batch_impl(base, std::move(specs), opts, /*degrade=*/true);
-}
-
-std::vector<BatchPointResult> SystemModel::rebuild_batch_impl(
-    const SystemModel& base, std::vector<spec::ModelSpec> specs,
-    const Options& opts, bool degrade) {
-  obs::Span batch_span("system.rebuild_batch");
-  const resilience::ResilienceConfig solve_config = resolve_config(opts);
-  const cache::Signature solver_sig = solver_signature(solve_config);
-  // Degraded runs watch the request token (resolve_config already folded
-  // opts.parallel.cancel in); strict runs keep the historical throw-through
-  // behaviour, so the batch-level token stays inert here.
-  const robust::CancelToken stop =
-      degrade ? solve_config.cancel : robust::CancelToken{};
-
-  // Per-point scaffolding. `specs` is never resized below, so the pending
-  // pointers into it stay valid.
-  struct Point {
-    bool full_build = false;  // structure/solver incompatible with base
-    std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>
-        pending;
-    std::vector<BlockEntry> blocks;
-    robust::PointStatus status = robust::PointStatus::kOk;
-    std::string detail;
-  };
-  std::vector<Point> points(specs.size());
-
-  // One deduplicated solve job per distinct dirty chain signature.
-  struct Job {
-    cache::Signature chain_sig;
-    cache::Signature key;  // chain_sig + solver words: the memo key
-    const spec::BlockSpec* block = nullptr;  // first consumer's spec
-    const spec::GlobalParams* globals = nullptr;
-    std::vector<std::pair<std::size_t, std::size_t>> sites;  // (point, slot)
-    GeneratedModel generated;
-    bool from_cache = false;
-    BlockEntry entry;  // diagram/block fields overwritten per site
-    std::optional<resilience::ResilientResult> solved;
-    bool fresh_consumed = false;  // first consumer gets kFresh
-    bool generated_ok = false;
-    robust::PointStatus status = robust::PointStatus::kOk;
-    std::string detail;
-  };
-  std::vector<Job> jobs;
-
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    Point& point = points[p];
-    if (degrade) {
-      try {
-        spec::validate_or_throw(specs[p]);
-      } catch (const std::exception& e) {
-        point.status = robust::PointStatus::kFailed;
-        point.detail = e.what();
-        continue;
-      }
-    } else {
-      spec::validate_or_throw(specs[p]);
-    }
-    collect_chain_blocks(specs[p], specs[p].root(), point.pending);
-    bool compatible = point.pending.size() == base.blocks_.size() &&
-                      solver_sig == base.solver_sig_;
-    for (std::size_t i = 0; compatible && i < point.pending.size(); ++i) {
-      compatible =
-          point.pending[i].first->name == base.blocks_[i].diagram &&
-          point.pending[i].second->name == base.blocks_[i].block.name;
-    }
-    if (!compatible) {
-      point.full_build = true;
-      continue;
-    }
-    point.blocks.resize(point.pending.size());
-    const bool globals_same = specs[p].globals == base.spec_.globals;
-    for (std::size_t i = 0; i < point.pending.size(); ++i) {
-      const spec::BlockSpec& blk = *point.pending[i].second;
-      cache::Signature sig;
-      bool clean = globals_same && blk == base.blocks_[i].block;
-      if (!clean) {
-        sig = chain_signature(blk, specs[p].globals);
-        clean = sig == base.blocks_[i].signature;
-      }
-      if (clean) {
-        BlockEntry entry = base.blocks_[i];
-        entry.block = blk;
-        entry.solve_trace.source = resilience::SolveSource::kBaselineReuse;
-        point.blocks[i] = std::move(entry);
-        continue;
-      }
-      Job* job = nullptr;
-      for (Job& j : jobs) {
-        if (j.chain_sig == sig) {
-          job = &j;
-          break;
-        }
-      }
-      if (!job) {
-        Job j;
-        j.chain_sig = sig;
-        j.key = sig;
-        j.key.append(solver_sig);
-        j.block = &blk;
-        j.globals = &specs[p].globals;
-        jobs.push_back(std::move(j));
-        job = &jobs.back();
-      }
-      job->sites.emplace_back(p, i);
-    }
-  }
-
-  // Memo lookups first: a hit serves every site of the job as kCacheHit.
-  std::vector<std::size_t> fresh;  // indices into jobs
-  for (std::size_t f = 0; f < jobs.size(); ++f) {
-    Job& job = jobs[f];
-    if (opts.cache) {
-      if (std::optional<cache::CachedBlockSolve> hit =
-              opts.cache->find_block(job.key)) {
-        job.from_cache = true;
-        job.entry.chain = std::move(hit->chain);
-        job.entry.type = classify(*job.block);
-        job.entry.initial = hit->initial;
-        job.entry.availability = hit->availability;
-        job.entry.yearly_downtime_min =
-            yearly_downtime_minutes(hit->availability);
-        job.entry.eq_failure_rate = hit->eq_failure_rate;
-        job.entry.solve_trace = std::move(hit->trace);
-        job.entry.solve_trace.source = resilience::SolveSource::kCacheHit;
-        job.entry.signature = job.chain_sig;
-        continue;
-      }
-    }
-    fresh.push_back(f);
-  }
-
-  // Generate the remaining chains in parallel, then group them by
-  // generator sparsity pattern: structure-sharing groups go through one
-  // lane-interleaved batched ladder solve, singleton (or fallback) lanes
-  // through the scalar ladder.
-  const auto generate_job = [&](std::size_t j) {
-    Job& job = jobs[fresh[j]];
-    obs::Span gen_span("mg.generate");
-    if (gen_span.active()) gen_span.set_detail(job.block->name);
-    job.generated = generate(*job.block, *job.globals);
-    job.generated_ok = true;
-  };
-  if (degrade) {
-    exec::ParallelOptions gen_par = opts.parallel;
-    gen_par.cancel = stop;
-    exec::parallel_for_status(
-        fresh.size(),
-        [&](std::size_t j) {
-          try {
-            generate_job(j);
-          } catch (...) {
-            Job& job = jobs[fresh[j]];
-            std::tie(job.status, job.detail) =
-                robust::point_status_from_exception(std::current_exception());
-          }
-        },
-        gen_par);
-    for (std::size_t f : fresh) {
-      Job& job = jobs[f];
-      if (job.generated_ok || job.status != robust::PointStatus::kOk) continue;
-      const robust::StopReason r = stop.reason();
-      job.status = r == robust::StopReason::kNone
-                       ? robust::PointStatus::kFailed
-                       : robust::point_status_from(r);
-      job.detail = std::string("generation skipped (") + robust::to_string(r) +
-                   ")";
-    }
-  } else {
-    exec::parallel_for(fresh.size(), generate_job, opts.parallel);
-  }
-
-  std::vector<std::vector<std::size_t>> groups;  // indices into jobs
-  for (std::size_t f : fresh) {
-    if (!jobs[f].generated_ok) continue;
-    bool placed = false;
-    for (auto& group : groups) {
-      const auto& rep = jobs[group.front()].generated.chain.generator();
-      if (rep.same_pattern(jobs[f].generated.chain.generator())) {
-        group.push_back(f);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) groups.push_back({f});
-  }
-  for (const auto& group : groups) {
-    if (group.size() >= 2 && !(degrade && stop.valid() &&
-                               stop.stop_requested())) {
-      std::vector<const markov::Ctmc*> chains;
-      chains.reserve(group.size());
-      for (std::size_t f : group) {
-        chains.push_back(&jobs[f].generated.chain);
-      }
-      const auto run_batched = [&] {
-        std::vector<std::optional<resilience::ResilientResult>> solved =
-            resilience::solve_steady_state_resilient_batched(chains,
-                                                             solve_config);
-        for (std::size_t l = 0; l < group.size(); ++l) {
-          jobs[group[l]].solved = std::move(solved[l]);
-        }
-      };
-      if (degrade) {
-        try {
-          run_batched();
-        } catch (...) {
-          // A stop (or failure) mid-batch leaves every lane unsolved; the
-          // per-lane scalar fallback below classifies each one.
-        }
-      } else {
-        run_batched();
-      }
-    }
-    for (std::size_t f : group) {
-      Job& job = jobs[f];
-      if (job.solved) continue;
-      if (degrade) {
-        try {
-          job.solved = resilience::solve_steady_state_resilient(
-              job.generated.chain, solve_config);
-        } catch (...) {
-          std::tie(job.status, job.detail) =
-              robust::point_status_from_exception(std::current_exception());
-        }
-      } else {
-        job.solved = resilience::solve_steady_state_resilient(
-            job.generated.chain, solve_config);
-      }
-    }
-  }
-  for (std::size_t f : fresh) {
-    Job& job = jobs[f];
-    if (!job.solved) continue;
-    const markov::SteadyStateResult& steady = job.solved->result;
-    job.entry.solve_trace = std::move(job.solved->trace);
-    job.entry.solve_trace.source = resilience::SolveSource::kFresh;
-    job.entry.type = job.generated.type;
-    job.entry.initial = job.generated.initial;
-    job.entry.availability =
-        markov::expected_reward(job.generated.chain, steady.pi);
-    job.entry.yearly_downtime_min =
-        yearly_downtime_minutes(job.entry.availability);
-    job.entry.eq_failure_rate =
-        markov::equivalent_failure_rate(job.generated.chain, steady.pi);
-    job.entry.chain =
-        std::make_shared<const markov::Ctmc>(std::move(job.generated.chain));
-    job.entry.signature = job.chain_sig;
-    if (opts.cache) {
-      cache::CachedBlockSolve value;
-      value.chain = job.entry.chain;
-      value.initial = job.entry.initial;
-      value.pi = std::make_shared<const linalg::Vector>(steady.pi);
-      value.availability = job.entry.availability;
-      value.eq_failure_rate = job.entry.eq_failure_rate;
-      value.trace = job.entry.solve_trace;
-      opts.cache->put_block(job.key, value);
-    }
-  }
-
-  if (batch_span.active()) {
-    std::size_t batched = 0;
-    for (const auto& group : groups) {
-      if (group.size() >= 2) batched += group.size();
-    }
-    batch_span.set_detail("points=" + std::to_string(specs.size()) +
-                          " jobs=" + std::to_string(jobs.size()) +
-                          " batched=" + std::to_string(batched));
-  }
-
-  // Assemble the per-point models in order, so kFresh lands on each job's
-  // lowest-index consumer exactly as sequential rebuilds through the memo
-  // cache would record it (without a cache every consumer solves fresh in
-  // the sequential path, so every consumer stays kFresh).
-  std::vector<BatchPointResult> out;
-  out.reserve(specs.size());
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    Point& point = points[p];
-    BatchPointResult result;
-    if (degrade && point.status != robust::PointStatus::kOk) {
-      result.status = point.status;
-      result.detail = std::move(point.detail);
-      out.push_back(std::move(result));
-      continue;
-    }
-    if (point.full_build) {
-      if (!degrade) {
-        result.model.emplace(build(std::move(specs[p]), opts));
-      } else if (stop.valid() && stop.stop_requested()) {
-        result.status = robust::point_status_from(stop.reason());
-        result.detail = std::string("full build skipped (") +
-                        robust::to_string(stop.reason()) + ")";
-      } else {
-        try {
-          result.model.emplace(build(std::move(specs[p]), opts));
-        } catch (...) {
-          std::tie(result.status, result.detail) =
-              robust::point_status_from_exception(std::current_exception());
-        }
-      }
-      out.push_back(std::move(result));
-      continue;
-    }
-    if (degrade) {
-      // The point completes only if every job feeding it finished; the
-      // lowest bad slot's status is the point's provenance (deterministic
-      // regardless of solve scheduling).
-      std::size_t bad_slot = std::numeric_limits<std::size_t>::max();
-      for (const Job& job : jobs) {
-        if (job.status == robust::PointStatus::kOk && job.solved) continue;
-        if (job.from_cache) continue;
-        for (const auto& [jp, slot] : job.sites) {
-          if (jp == p && slot < bad_slot) {
-            bad_slot = slot;
-            result.status = job.status != robust::PointStatus::kOk
-                                ? job.status
-                                : robust::PointStatus::kFailed;
-            result.detail =
-                job.detail.empty() ? "solve did not run" : job.detail;
-          }
-        }
-      }
-      if (result.status != robust::PointStatus::kOk) {
-        out.push_back(std::move(result));
-        continue;
-      }
-    }
-    SystemModel sm;
-    sm.opts_ = opts;
-    sm.solver_sig_ = solver_sig;
-    sm.blocks_ = std::move(point.blocks);
-    for (Job& job : jobs) {
-      for (const auto& [jp, slot] : job.sites) {
-        if (jp != p) continue;
-        BlockEntry entry = job.entry;
-        entry.diagram = point.pending[slot].first->name;
-        entry.block = *point.pending[slot].second;
-        if (!job.from_cache) {
-          if (!job.fresh_consumed || !opts.cache) {
-            entry.solve_trace.source = resilience::SolveSource::kFresh;
-            job.fresh_consumed = true;
-          } else {
-            entry.solve_trace.source = resilience::SolveSource::kCacheHit;
-          }
-        }
-        sm.blocks_[slot] = std::move(entry);
-      }
-    }
-    sm.spec_ = std::move(specs[p]);
-    sm.root_ = compose_tree(sm.spec_, sm.blocks_);
-    result.model.emplace(std::move(sm));
-    out.push_back(std::move(result));
-  }
-  return out;
 }
 
 double SystemModel::eq_failure_rate() const {

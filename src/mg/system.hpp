@@ -21,12 +21,9 @@
 #include "mg/measures.hpp"
 #include "rbd/rbd.hpp"
 #include "resilience/resilience.hpp"
-#include "robust/cancel.hpp"
 #include "spec/ast.hpp"
 
 namespace rascad::mg {
-
-struct BatchPointResult;
 
 /// A fully generated and solved system model.
 class SystemModel {
@@ -94,35 +91,6 @@ class SystemModel {
     return rebuild(base, std::move(changed), base.opts_);
   }
 
-  /// Batched incremental rebuild: many spec variants against one baseline
-  /// (the shape of a parameter sweep). Dirty blocks are deduplicated by
-  /// chain signature across all variants, and distinct chains sharing one
-  /// generator sparsity pattern — sweep points that differ only in rates —
-  /// are dispatched as ONE lane-interleaved batched solve
-  /// (resilience::solve_steady_state_resilient_batched) when the ladder's
-  /// first rung is iterative; everything else takes the scalar ladder.
-  /// Entry i corresponds to specs[i] and is bit-identical to
-  /// rebuild(base, specs[i], opts) — numbers, traces, and memo-cache keys
-  /// are unchanged; only the solve schedule differs. Provenance per point:
-  /// clean blocks are kBaselineReuse, memo hits kCacheHit, and each
-  /// deduplicated fresh solve is kFresh at its first (lowest point index)
-  /// consumer and kCacheHit at the rest, exactly as sequential rebuilds
-  /// through the shared memo cache would record.
-  static std::vector<SystemModel> rebuild_batch(const SystemModel& base,
-                                                std::vector<spec::ModelSpec> specs,
-                                                const Options& opts);
-
-  /// Degradation-aware rebuild_batch: never throws for per-point trouble.
-  /// Each entry carries either the finished model (status kOk, bit-identical
-  /// to rebuild_batch's) or the reason the point was not finished — the
-  /// request token fired (kCancelled / kDeadlineExceeded, carried in
-  /// `opts.parallel.cancel` or the resilience config) or the point's own
-  /// solve failed (kFailed, with the error text). A deadline-bounded batch
-  /// therefore returns the completed prefix plus provenance for the rest.
-  static std::vector<BatchPointResult> rebuild_batch_robust(
-      const SystemModel& base, std::vector<spec::ModelSpec> specs,
-      const Options& opts);
-
   /// Steady-state system availability (product over the serial hierarchy).
   double availability() const { return root_->availability(); }
   double yearly_downtime_min() const {
@@ -168,13 +136,6 @@ class SystemModel {
  private:
   SystemModel() = default;
 
-  /// Shared engine behind rebuild_batch / rebuild_batch_robust. In strict
-  /// mode every error propagates (the historical contract); in degrade mode
-  /// errors and cooperative stops are folded into per-point statuses.
-  static std::vector<BatchPointResult> rebuild_batch_impl(
-      const SystemModel& base, std::vector<spec::ModelSpec> specs,
-      const Options& opts, bool degrade);
-
   spec::ModelSpec spec_;
   Options opts_;
   rbd::RbdNodePtr root_;
@@ -182,18 +143,6 @@ class SystemModel {
   /// Signature of the solver configuration the block solves ran under;
   /// part of every memo key and the rebuild compatibility check.
   cache::Signature solver_sig_;
-};
-
-/// One point of a degradation-aware batched rebuild
-/// (SystemModel::rebuild_batch_robust): the model when the point completed,
-/// otherwise why it did not.
-struct BatchPointResult {
-  std::optional<SystemModel> model;  // engaged iff status == kOk
-  robust::PointStatus status = robust::PointStatus::kOk;
-  /// Cancellation / failure detail; empty when ok.
-  std::string detail;
-
-  bool ok() const noexcept { return status == robust::PointStatus::kOk; }
 };
 
 /// Signature words of a resilience configuration. Appended to a chain

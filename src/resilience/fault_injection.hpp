@@ -50,7 +50,7 @@ enum class FaultKind {
 /// carries a consumable budget: fail_times(rung, kind, n) injects at most
 /// n times, after which the rung behaves healthily — that is what lets a
 /// transient-retry loop eventually succeed. The budget is shared state, so
-/// copies of a plan (per-lane configs, per-thread configs) draw from one
+/// copies of a plan (per-point configs, per-thread configs) draw from one
 /// count.
 struct FaultPlan {
   struct Entry {

@@ -420,86 +420,6 @@ ResilientResult solve_steady_state_resilient(const markov::Ctmc& chain,
   return out;
 }
 
-std::vector<std::optional<ResilientResult>> solve_steady_state_resilient_batched(
-    const std::vector<const markov::Ctmc*>& chains,
-    const ResilienceConfig& config) {
-  std::vector<std::optional<ResilientResult>> out(chains.size());
-  if (chains.empty() || config.rungs.empty()) return out;
-  const Rung first = config.rungs.front();
-  if (first != Rung::kSor && first != Rung::kBiCgStab) {
-    return out;  // only iterative first rungs batch; all lanes fall back
-  }
-
-  obs::Span episode_span("ladder.batch_episode");
-  const auto start = Clock::now();
-  std::vector<const markov::Ctmc*> eligible(chains.size(), nullptr);
-  std::size_t eligible_count = 0;
-  for (std::size_t j = 0; j < chains.size(); ++j) {
-    const markov::Ctmc* chain = chains[j];
-    // Size-1 and over-budget chains take the individual path, which owns
-    // the trivial trace / kBudgetExceeded throw.
-    if (chain == nullptr || chain->size() < 2 ||
-        chain->size() > config.max_states) {
-      continue;
-    }
-    eligible[j] = chain;
-    ++eligible_count;
-  }
-  if (eligible_count == 0) return out;
-
-  markov::SteadyStateOptions opts = config.base;
-  opts.method = first == Rung::kSor ? markov::SteadyStateMethod::kSor
-                                    : markov::SteadyStateMethod::kBiCgStab;
-  // The batched stage runs as one rung attempt under the episode token
-  // (plus the per-rung budget); a stop mid-batch raises SolveError out of
-  // this entry, exactly as the scalar ladder's terminal abort would.
-  opts.cancel = attempt_token_for(episode_token(config), config);
-  opts.cancel_check_interval = config.cancel_check_interval;
-  std::vector<std::optional<markov::SteadyStateResult>> solved =
-      markov::solve_steady_state_batched(eligible, opts);
-
-  const double batch_ms = ms_since(start);
-  const double per_lane_ms =
-      batch_ms / static_cast<double>(eligible_count);
-  if (episode_span.active()) {
-    episode_span.set_detail(std::string(to_string(first)) + " x" +
-                            std::to_string(eligible_count));
-  }
-
-  for (std::size_t j = 0; j < chains.size(); ++j) {
-    if (!solved[j]) continue;
-    const markov::Ctmc& chain = *chains[j];
-    ResilientResult rr;
-    rr.result = std::move(*solved[j]);
-    RungAttempt attempt;
-    attempt.rung = first;
-    attempt.iterations = rr.result.iterations;
-    attempt.residual = rr.result.residual;
-    attempt.duration_ms = per_lane_ms;
-    if (config.fault_plan.fault_for(first) != FaultKind::kNone) {
-      // A fault is scheduled on the batched rung: hand the lane to the
-      // scalar ladder, which injects it (consuming budget) exactly as a
-      // non-batched solve would — same faults per lane in the same lane
-      // order, rather than a batch-only approximation that would charge
-      // the budget twice (once here, once in the fallback).
-      continue;
-    }
-    const HealthReport health = check_stationary(
-        chain, rr.result.pi, config.health, config.base.tolerance);
-    if (!health.ok) continue;  // fall back to the full ladder
-    attempt.clamped_mass = health.clamped_mass;
-    attempt.residual_check = health.residual_inf;
-    attempt.success = true;
-    rr.result.residual = stationarity_residual(chain, rr.result.pi);
-    rr.trace.attempts.push_back(std::move(attempt));
-    rr.trace.success = true;
-    rr.trace.final_rung = first;
-    rr.trace.total_ms = per_lane_ms;
-    out[j] = std::move(rr);
-  }
-  return out;
-}
-
 ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
                                      const ResilienceConfig& config) {
   ResilientResult out;

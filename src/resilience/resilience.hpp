@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -153,21 +152,6 @@ struct ResilientResult {
 /// only if every configured rung fails.
 ResilientResult solve_steady_state_resilient(
     const markov::Ctmc& chain, const ResilienceConfig& config = {});
-
-/// Batched steady-state ladder entry for chains sharing one generator
-/// sparsity pattern (structure-sharing sweep points). When the first
-/// configured rung is iterative (kSor / kBiCgStab), all lanes are swept
-/// through one lane-interleaved solve (markov::solve_steady_state_batched)
-/// and each successful lane gets a single-attempt SolveTrace whose numbers
-/// are bitwise identical to running that rung on the lane alone. Entry j is
-/// nullopt when the batched path could not finish lane j — ineligible chain
-/// (size 1, over budget, absorbing state, pattern mismatch), rung failure,
-/// or failed health check; callers fall back to
-/// solve_steady_state_resilient per nullopt lane, which reproduces the
-/// full-ladder behaviour (escalation or exception) exactly.
-std::vector<std::optional<ResilientResult>> solve_steady_state_resilient_batched(
-    const std::vector<const markov::Ctmc*>& chains,
-    const ResilienceConfig& config = {});
 
 /// DTMC stationary distribution through a Direct -> Power -> GTH ladder
 /// (rungs without a DTMC meaning are skipped from config.rungs).

@@ -242,8 +242,8 @@ inline void throw_if_stopped(const CancelToken& token, const char* who,
       residual);
 }
 
-/// Outcome of one unit of degradable work (a sweep point, a batch-rebuild
-/// point, a replication run). kOk entries carry results; the rest carry a
+/// Outcome of one unit of degradable work (a sweep point, an importance
+/// row, a replication run). kOk entries carry results; the rest carry a
 /// reason and, for kFailed, the failure detail/trace.
 enum class PointStatus : std::uint8_t {
   kOk = 0,
@@ -296,8 +296,8 @@ inline PointStatus point_status_from(resilience::SolveCause cause) {
 /// Folds a caught exception into a degradation (status, detail) pair:
 /// SolveError keeps its cancellation taxonomy, anything else is kFailed
 /// with the error text as provenance. The shared classifier behind every
-/// graceful-degradation surface (batched rebuilds, sweeps, importance,
-/// simulator replications).
+/// graceful-degradation surface (sweeps, importance, simulator
+/// replications).
 inline std::pair<PointStatus, std::string> point_status_from_exception(
     std::exception_ptr err) {
   try {

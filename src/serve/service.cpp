@@ -100,6 +100,19 @@ std::vector<std::string> take_header(std::string_view& text,
   return lines;
 }
 
+/// Request text after the u32 deadline prefix of a solve/sweep/simulate
+/// body. A body shorter than the prefix is malformed: reject it instead of
+/// reading past its end.
+std::string_view request_text(const Frame& req, const char* verb) {
+  if (req.body.size() < 4) {
+    throw std::invalid_argument(
+        std::string("serve: ") + verb + " body is " +
+        std::to_string(req.body.size()) +
+        " bytes, short of the 4-byte deadline prefix");
+  }
+  return std::string_view(req.body).substr(4);
+}
+
 /// Sweepable block parameters. A fixed whitelist, not reflection: each
 /// name maps to one double field of spec::BlockSpec.
 core::BlockMutator mutator_for(const std::string& param) {
@@ -613,8 +626,7 @@ Frame Service::do_ping(const Frame& req, const robust::CancelToken& token) {
 }
 
 Frame Service::do_solve(const Frame& req, const robust::CancelToken& token) {
-  const std::string_view text(req.body.data() + 4, req.body.size() - 4);
-  spec::ModelSpec model = spec::parse_model(text);
+  spec::ModelSpec model = spec::parse_model(request_text(req, "solve"));
 
   mg::SystemModel::Options opts;
   opts.cache = &cache_;
@@ -640,7 +652,7 @@ Frame Service::do_solve(const Frame& req, const robust::CancelToken& token) {
 
 Frame Service::do_sweep(const std::shared_ptr<Session>& session,
                         const Frame& req, const robust::CancelToken& token) {
-  std::string_view text(req.body.data() + 4, req.body.size() - 4);
+  std::string_view text = request_text(req, "sweep");
   const std::vector<std::string> head = take_header(text, 6);
   const std::string& diagram = head[0];
   const std::string& block = head[1];
@@ -702,7 +714,7 @@ Frame Service::do_sweep(const std::shared_ptr<Session>& session,
 
 Frame Service::do_simulate(const Frame& req,
                            const robust::CancelToken& token) {
-  std::string_view text(req.body.data() + 4, req.body.size() - 4);
+  std::string_view text = request_text(req, "simulate");
   const std::vector<std::string> head = take_header(text, 3);
   const double horizon = parse_double_field(head[0], "simulate horizon_h");
   const std::size_t reps =

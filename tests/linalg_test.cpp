@@ -2,7 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <thread>
 
+#include "linalg/aligned.hpp"
+#include "linalg/arena.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/iterative.hpp"
@@ -11,6 +17,8 @@
 
 namespace {
 
+using rascad::linalg::AlignedVector;
+using rascad::linalg::Arena;
 using rascad::linalg::CsrBuilder;
 using rascad::linalg::CsrMatrix;
 using rascad::linalg::DenseMatrix;
@@ -268,6 +276,106 @@ TEST(Iterative, PowerStationaryTwoState) {
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.solution[0], 5.0 / 6.0, 1e-9);
   EXPECT_NEAR(result.solution[1], 1.0 / 6.0, 1e-9);
+}
+
+TEST(Aligned, VectorDataIsSimdAligned) {
+  for (std::size_t n : {1u, 7u, 64u, 1000u}) {
+    AlignedVector<double> v(n, 1.0);
+    EXPECT_TRUE(rascad::linalg::is_simd_aligned(v.data()));
+  }
+  AlignedVector<std::uint32_t> idx(33, 0);
+  EXPECT_TRUE(rascad::linalg::is_simd_aligned(idx.data()));
+}
+
+TEST(Arena, AllocationsAreAlignedAndReusable) {
+  Arena arena;
+  double* a = arena.allocate<double>(100);
+  std::uint32_t* b = arena.allocate<std::uint32_t>(17);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_TRUE(rascad::linalg::is_simd_aligned(a));
+  EXPECT_TRUE(rascad::linalg::is_simd_aligned(b));
+  a[99] = 3.5;
+  b[16] = 7;
+  const std::size_t grown = arena.capacity_bytes();
+  EXPECT_GT(grown, 0u);
+  arena.reset();
+  // Reset keeps the largest chunk: the next round allocates without growth.
+  double* c = arena.allocate<double>(100);
+  EXPECT_TRUE(rascad::linalg::is_simd_aligned(c));
+  EXPECT_EQ(arena.capacity_bytes(), grown);
+}
+
+TEST(Arena, ThreadArenaIsDistinctPerThread) {
+  Arena* main_arena = &rascad::linalg::thread_arena();
+  Arena* other = nullptr;
+  std::thread([&] { other = &rascad::linalg::thread_arena(); }).join();
+  EXPECT_NE(main_arena, nullptr);
+  EXPECT_NE(other, nullptr);
+  EXPECT_NE(main_arena, other);
+}
+
+/// Dense oracle: y = A x computed row-by-row off to_dense().
+Vector dense_mul(const CsrMatrix& a, const Vector& x) {
+  const auto d = a.to_dense();
+  Vector y(a.rows(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) y[r] += d(r, c) * x[c];
+  }
+  return y;
+}
+
+CsrMatrix random_csr(std::size_t n, double density, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> value(-2.0, 2.0);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  CsrBuilder b(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (r % 11 == 5) continue;  // leave some rows empty
+    for (std::size_t c = 0; c < n; ++c) {
+      if (r % 7 == 3 && c == r) continue;  // some diagonal-free rows
+      if (coin(rng) < density) b.add(r, c, value(rng));
+    }
+  }
+  return b.build();
+}
+
+TEST(Spmv, MatchesDenseOracleOnRandomMatrices) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    const CsrMatrix a = random_csr(37, 0.15, seed);
+    std::mt19937 rng(seed + 100);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    Vector x(a.cols());
+    for (double& v : x) v = dist(rng);
+    const Vector oracle = dense_mul(a, x);
+    const Vector y = a.mul(x);
+    ASSERT_EQ(y.size(), oracle.size());
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      EXPECT_NEAR(y[i], oracle[i], 1e-12) << "seed=" << seed;
+    }
+  }
+}
+
+TEST(Spmv, EmptyRowsOneByOneAndDiagonalFreeRows) {
+  // 1x1 with a single entry.
+  CsrBuilder one(1, 1);
+  one.add(0, 0, 2.5);
+  const CsrMatrix m1 = one.build();
+  EXPECT_EQ(m1.mul(Vector{2.0})[0], 5.0);
+  // 1x1 empty.
+  const CsrMatrix m0 = CsrBuilder(1, 1).build();
+  EXPECT_EQ(m0.mul(Vector{3.0})[0], 0.0);
+  // Empty rows and diagonal-free rows against the dense oracle.
+  CsrBuilder b(4, 4);
+  b.add(0, 1, 1.0);   // row 0: diagonal-free
+  b.add(0, 3, -2.0);
+  b.add(2, 2, 4.0);   // rows 1 and 3: empty
+  const CsrMatrix a = b.build();
+  const Vector x = {1.0, 2.0, 3.0, 4.0};
+  const Vector oracle = dense_mul(a, x);
+  const Vector y = a.mul(x);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(y[i], oracle[i]);
+  EXPECT_THROW(a.mul(Vector(3, 1.0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Robustness layer: cooperative cancel/deadline tokens, the graceful-
-// degradation surfaces built on them (partial sweeps, batch rebuilds,
-// replication runs), fault-plan parity between the scalar and batched
-// ladder entries, parallel-loop failure accounting, the stall watchdog,
+// degradation surfaces built on them (partial sweeps, importance rankings,
+// replication runs), parallel-loop failure accounting, the stall watchdog,
 // and the status columns of the CSV round-trip.
 #include <atomic>
 #include <chrono>
@@ -280,80 +279,6 @@ TEST(Ladder, TransientRetriesExhaustedEscalates) {
   EXPECT_EQ(r.trace.final_rung, Rung::kGth);
 }
 
-// ----------------------------------------------- batched fault parity ----
-
-TEST(BatchedLadder, FaultPlanAppliedIdenticallyToScalarLadder) {
-  // Three structure-sharing chains through the batched entry under an
-  // injected SOR fault: every lane must land on exactly the numbers the
-  // scalar ladder produces for it under the same (re-armed) plan.
-  std::vector<Ctmc> chains;
-  for (double scale : {1.0, 1.5, 2.25}) {
-    CtmcBuilder b;
-    const auto up = b.add_state("up", 1.0);
-    const auto down = b.add_state("down", 0.0);
-    b.add_transition(up, down, 2.0 * scale);
-    b.add_transition(down, up, 11.0);
-    const auto deg = b.add_state("deg", 1.0);
-    b.add_transition(up, deg, 1.0 * scale);
-    b.add_transition(deg, up, 7.0);
-    chains.push_back(b.build());
-  }
-  std::vector<const Ctmc*> ptrs;
-  for (const auto& c : chains) ptrs.push_back(&c);
-
-  const auto faulted_config = [] {
-    ResilienceConfig config;
-    config.rungs = {Rung::kSor, Rung::kGth};
-    config.fault_plan.fail(Rung::kSor, FaultKind::kThrowSingular);
-    return config;
-  };
-
-  const auto batched =
-      solve_steady_state_resilient_batched(ptrs, faulted_config());
-  ASSERT_EQ(batched.size(), ptrs.size());
-  for (std::size_t lane = 0; lane < ptrs.size(); ++lane) {
-    // A faulted first rung makes the lane ineligible for the batched
-    // sweep; the caller-visible contract is the scalar fallback result.
-    const ResilientResult scalar =
-        solve_steady_state_resilient(chains[lane], faulted_config());
-    const ResilientResult& got =
-        batched[lane] ? *batched[lane] : solve_steady_state_resilient(
-                                             chains[lane], faulted_config());
-    ASSERT_EQ(got.result.pi.size(), scalar.result.pi.size());
-    for (std::size_t i = 0; i < scalar.result.pi.size(); ++i) {
-      EXPECT_EQ(got.result.pi[i], scalar.result.pi[i])
-          << "lane " << lane << " state " << i;
-    }
-    EXPECT_EQ(got.trace.final_rung, scalar.trace.final_rung) << lane;
-    EXPECT_EQ(got.trace.attempts.size(), scalar.trace.attempts.size()) << lane;
-  }
-}
-
-TEST(BatchedLadder, HealthyBatchMatchesScalarWithoutFaults) {
-  std::vector<Ctmc> chains;
-  for (double scale : {1.0, 2.0}) {
-    CtmcBuilder b;
-    const auto up = b.add_state("up", 1.0);
-    const auto down = b.add_state("down", 0.0);
-    b.add_transition(up, down, 3.0 * scale);
-    b.add_transition(down, up, 13.0);
-    chains.push_back(b.build());
-  }
-  std::vector<const Ctmc*> ptrs{&chains[0], &chains[1]};
-  ResilienceConfig config;
-  config.rungs = {Rung::kSor, Rung::kGth};
-  const auto batched = solve_steady_state_resilient_batched(ptrs, config);
-  ASSERT_EQ(batched.size(), 2u);
-  for (std::size_t lane = 0; lane < 2; ++lane) {
-    ASSERT_TRUE(batched[lane].has_value()) << lane;
-    const ResilientResult scalar =
-        solve_steady_state_resilient(chains[lane], config);
-    for (std::size_t i = 0; i < scalar.result.pi.size(); ++i) {
-      EXPECT_EQ(batched[lane]->result.pi[i], scalar.result.pi[i]);
-    }
-  }
-}
-
 // ----------------------------------------------------- parallel loops ----
 
 TEST(ParallelStatusLoop, CountsEveryFailedIndex) {
@@ -483,55 +408,6 @@ TEST(DegradedSweep, UncancelledTokenSweepMatchesTokenFreeSweep) {
     EXPECT_EQ(bare[i].yearly_downtime_min, armed[i].yearly_downtime_min) << i;
     EXPECT_EQ(bare[i].solve_iterations, armed[i].solve_iterations) << i;
     EXPECT_TRUE(armed[i].ok()) << i;
-  }
-}
-
-TEST(DegradedBatchRebuild, CancelledBatchKeepsPerPointProvenance) {
-  const rascad::spec::ModelSpec spec = rascad::core::library::entry_server();
-  rascad::cache::SolveCache cache;
-  rascad::mg::SystemModel::Options opts;
-  opts.cache = &cache;
-  opts.parallel.threads = 1;
-  const rascad::mg::SystemModel base =
-      rascad::mg::SystemModel::build(spec, opts);
-
-  std::vector<rascad::spec::ModelSpec> specs;
-  for (int i = 0; i < 4; ++i) {
-    rascad::spec::ModelSpec s = spec;
-    for (auto& d : s.diagrams) {
-      for (auto& blk : d.blocks) {
-        // Values chosen to collide with no other library block's chain, so
-        // the memo cache (warmed by the base build) cannot serve any point.
-        if (blk.name == "Boot Disk") blk.mtbf_h = 311'000.0 + 7'000.0 * i;
-      }
-    }
-    specs.push_back(std::move(s));
-  }
-
-  // Already-stopped token: every point must degrade, none may throw.
-  rascad::mg::SystemModel::Options cancelled = opts;
-  cancelled.parallel.cancel = CancelToken::manual();
-  cancelled.parallel.cancel.request_cancel();
-  const std::vector<rascad::mg::BatchPointResult> results =
-      rascad::mg::SystemModel::rebuild_batch_robust(base, specs, cancelled);
-  ASSERT_EQ(results.size(), specs.size());
-  for (const auto& r : results) {
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.status, PointStatus::kCancelled);
-    EXPECT_FALSE(r.model.has_value());
-    EXPECT_FALSE(r.detail.empty());
-  }
-
-  // Healthy robust batch: every point ok and bit-identical to the strict
-  // rebuild_batch path.
-  const std::vector<rascad::mg::BatchPointResult> healthy =
-      rascad::mg::SystemModel::rebuild_batch_robust(base, specs, opts);
-  const std::vector<rascad::mg::SystemModel> strict =
-      rascad::mg::SystemModel::rebuild_batch(base, specs, opts);
-  ASSERT_EQ(healthy.size(), strict.size());
-  for (std::size_t i = 0; i < strict.size(); ++i) {
-    ASSERT_TRUE(healthy[i].ok()) << healthy[i].detail;
-    EXPECT_EQ(healthy[i].model->availability(), strict[i].availability()) << i;
   }
 }
 

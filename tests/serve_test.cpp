@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "cache/solve_cache.hpp"
@@ -253,8 +254,14 @@ TEST(ServeEndToEnd, AdmissionRejectsWithRetryAfterWhenFull) {
   // Occupy the single slot with a parked ping...
   Client occupant;
   occupant.connect_retry(path, 2000.0);
+  // The prober's first pings can race it for the slot, so a rejected
+  // occupant retries until it is admitted.
   std::thread parked([&occupant] {
-    const Reply r = occupant.ping(0, 400);
+    Reply r = occupant.ping(0, 400);
+    for (int i = 0; i < 200 && r.rejected(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      r = occupant.ping(0, 400);
+    }
     EXPECT_TRUE(r.ok());
   });
 
@@ -445,6 +452,68 @@ TEST(ServeEndToEnd, MalformedModelAnswersErrorNotDisconnect) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GE(failed, 1u);
+}
+
+/// Raw protocol connection, for frames the typed Client never builds.
+int raw_connect(const std::string& path) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  for (;;) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    if (std::chrono::steady_clock::now() >= deadline) return -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+TEST(ServeEndToEnd, ShortBodyAnswersErrorNotOverread) {
+  // solve/sweep/simulate bodies lead with a u32 deadline; a body shorter
+  // than that prefix must be rejected as such, not parsed past its end.
+  ServerFixture server(base_config("shortbody"));
+  const int fd = raw_connect(server.service.config().socket_path);
+  ASSERT_GE(fd, 0);
+  std::uint64_t id = 0;
+  for (FrameType verb :
+       {FrameType::kSolve, FrameType::kSweep, FrameType::kSimulate}) {
+    for (std::size_t len : {0u, 1u, 3u}) {
+      Frame req;
+      req.type = verb;
+      req.request_id = ++id;
+      req.body.assign(len, '\n');
+      rascad::serve::write_frame(fd, req);
+      Frame reply;
+      ASSERT_TRUE(rascad::serve::read_frame(fd, reply));
+      EXPECT_EQ(reply.request_id, id);
+      ASSERT_EQ(reply.type, FrameType::kError)
+          << rascad::serve::to_string(verb) << " len=" << len;
+      ASSERT_FALSE(reply.body.empty());
+      EXPECT_EQ(static_cast<PointStatus>(reply.body[0]), PointStatus::kFailed);
+      const std::string detail = reply.body.substr(1);
+      EXPECT_NE(detail.find(" body is " + std::to_string(len) + " bytes"),
+                std::string::npos)
+          << detail;
+      EXPECT_NE(detail.find("deadline prefix"), std::string::npos) << detail;
+
+      // The connection survives: a ping on it still gets its pong.
+      Frame ping;
+      ping.type = FrameType::kPing;
+      ping.request_id = ++id;
+      rascad::serve::write_frame(fd, ping);
+      Frame pong;
+      ASSERT_TRUE(rascad::serve::read_frame(fd, pong));
+      EXPECT_EQ(pong.type, FrameType::kPong);
+      EXPECT_EQ(pong.request_id, id);
+    }
+  }
+  ::close(fd);
 }
 
 TEST(ServeEndToEnd, ConcurrentClientsAllServed) {

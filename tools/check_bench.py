@@ -50,16 +50,11 @@ from pathlib import Path
 # several entries from the new machine state have landed in history.
 GATES = {
     "scalability": [
-        ("batched_sweep_speedup", "higher", 0.35),
         ("deep_n128_solve_ms", "lower", 40.0),
     ],
     "cache": [
         ("speedup_warm_vs_full", "higher", 1.5),
         ("block_hit_rate", "higher", 0.05),
-    ],
-    "simd": [
-        ("spmv_gflops_avx2", "higher", 0.8),
-        ("batched_speedup_k8", "higher", 0.9),
     ],
     "robust": [
         ("ns_per_poll", "lower", 25.0),

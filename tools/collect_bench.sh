@@ -4,8 +4,8 @@
 # Runs the JSON-emitting benches with --json (human tables suppressed; the
 # binary's entire stdout is its one metrics line, see obs/bench_json.hpp)
 # and writes BENCH_<name>.json next to this repo's README. Each bench also
-# enforces its own regression gate (cache speedup floor, batched-sweep
-# throughput floor, batched bitwise agreement, streaming-sim flat memory).
+# enforces its own regression gate (cache speedup floor, healthy-path
+# robustness overhead, streaming-sim flat memory).
 # Every bench runs and every snapshot is written even when a gate trips —
 # a full snapshot is what you need to diagnose the failure — but the
 # script still exits nonzero listing the failed gates.
@@ -33,7 +33,7 @@ ts="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 commit="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
 failed=()
-for name in scalability cache simd robust obs serve sim; do
+for name in scalability cache robust obs serve sim; do
   bin="$build/bench/bench_$name"
   if [[ ! -x "$bin" ]]; then
     echo "missing $bin — build the benches first (cmake --build $build)" >&2
