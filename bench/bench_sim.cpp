@@ -1,33 +1,25 @@
 // Event-engine simulator gates: million-replication throughput, flat
 // streaming memory, and bitwise determinism.
 //
-// Sections, three of them hard gates (nonzero exit on violation):
+// Sections, two of them hard gates (nonzero exit on violation):
 //
-//   1. Flat memory (gate). Peak RSS is sampled after a 100k-replication
-//      streaming run and again after the 1M-replication run: the growth
-//      must stay under 32 MB, i.e. streaming statistics hold O(batch)
-//      state no matter how many replications flow through. (ru_maxrss is
-//      a monotone high-water mark, so both samples are taken BEFORE any
-//      legacy run — the legacy replayer's per-replication arrays would
-//      poison the peak.)
+//   1. Flat memory (gate) and throughput (report). Peak RSS is sampled
+//      after a 100k-replication streaming run and again after the
+//      1M-replication run: the growth must stay under 32 MB, i.e.
+//      streaming statistics hold O(batch) state no matter how many
+//      replications flow through. (ru_maxrss is a monotone high-water
+//      mark, so both samples are taken before any other section runs.)
+//      The 1M-replication run also reports replications/sec and simulated
+//      events/sec on the failure-heavy model; tools/check_bench.py gates
+//      their trajectory.
 //
-//   2. Bitwise determinism (gate). (a) The event engine must reproduce
-//      the legacy replayer exactly — same seed, same availability /
-//      downtime / outage / tally values — across several seeds, with
-//      exponential and non-exponential sampling. (b) The streaming fold
-//      must be bitwise identical across thread counts {1, 2, 8},
-//      including the P² marker states (quantile values) and event counts.
+//   2. Bitwise determinism (gate). The streaming fold must be bitwise
+//      identical across thread counts {1, 2, 8}, including the P² marker
+//      states (quantile values) and event counts. The engine's agreement
+//      with an independent sort+merge union and its golden values are
+//      ctest's job (sim_stream_test).
 //
-//   3. Throughput (gate + report). The 1M-replication streaming run
-//      reports replications/sec and simulated events/sec on the
-//      failure-heavy model; then an interleaved A/B (alternating 50k
-//      chunks, >=100k replications per side, robust to CPU-frequency
-//      drift on shared boxes) on the high-availability reference model
-//      requires the streaming engine to beat the legacy replayer's
-//      replications/sec in the rare-failure regime that million-
-//      replication runs exist for.
-//
-//   4. CI early exit (report only): a stop_when_ci_below run shows how
+//   3. CI early exit (report only): a stop_when_ci_below run shows how
 //      many replications a target half-width actually needs.
 #include <sys/resource.h>
 
@@ -36,19 +28,14 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
-#include <string>
-#include <vector>
 
 #include "obs/bench_json.hpp"
-#include "sim/event_engine.hpp"
 #include "sim/streaming.hpp"
-#include "sim/system_sim.hpp"
 #include "spec/parser.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using rascad::sim::BlockSimOptions;
 using rascad::sim::StreamingOptions;
 using rascad::sim::StreamingReplicationResult;
 
@@ -95,74 +82,8 @@ diagram "Node" {
 )");
 }
 
-/// High-availability reference system for the throughput A/B: twelve
-/// block chains with server-grade failure rates (MTBFs of 100k-1M hours,
-/// transient rates of a few hundred FIT), so a replication schedules only
-/// a handful of events across the whole year. This is the regime that
-/// actually needs a million replications — failures are rare, so the
-/// estimator starves without them — and it is where the engines differ:
-/// per-replication work is dominated by fixed overhead (validation,
-/// block collection, interval vectors, the sort+merge pass), all of
-/// which the event engine hoists out of the hot loop. On failure-heavy
-/// models like bench_model() the shared block-stepping code dominates
-/// both engines and they tie; section 1 reports that regime's absolute
-/// events/sec instead.
-rascad::spec::ModelSpec ha_model() {
-  return rascad::spec::parse_model(R"(
-globals { reboot_time = 10 min mttm = 12 h mttrfid = 4 h mission_time = 8760 h }
-diagram "Server" {
-  block "Board" { mtbf = 150000 mttr_corrective = 120 service_response = 4
-                  p_correct_diagnosis = 0.9 transient_rate = 1200 fit }
-  block "CPU" { quantity = 4 min_quantity = 3 mtbf = 400000 transient_rate = 800 fit
-    mttr_corrective = 60 service_response = 4 p_correct_diagnosis = 0.95
-    recovery = nontransparent ar_time = 5 p_spf = 0.02 t_spf = 20
-    repair = nontransparent reintegration_time = 8 }
-  block "DIMM" { quantity = 16 min_quantity = 15 mtbf = 1000000 transient_rate = 500 fit
-    mttr_corrective = 30 service_response = 4 p_correct_diagnosis = 0.95
-    recovery = transparent repair = nontransparent reintegration_time = 6 }
-  block "PSU" { quantity = 2 min_quantity = 1 mtbf = 100000
-    mttr_corrective = 60 service_response = 4
-    recovery = transparent repair = transparent }
-  block "Fan" { quantity = 6 min_quantity = 5 mtbf = 250000
-    mttr_corrective = 20 service_response = 4
-    recovery = transparent repair = transparent }
-  block "Disk" { quantity = 8 min_quantity = 6 mtbf = 200000
-    mttr_corrective = 45 service_response = 4 p_latent_fault = 0.15 mttdlf = 48
-    p_correct_diagnosis = 0.9
-    recovery = transparent repair = nontransparent reintegration_time = 12 }
-  block "NIC" { quantity = 2 min_quantity = 1 mtbf = 300000 transient_rate = 600 fit
-    mttr_corrective = 40 service_response = 4
-    recovery = nontransparent ar_time = 4
-    repair = nontransparent reintegration_time = 5 }
-  block "IOB" { quantity = 2 min_quantity = 1 mtbf = 125000 transient_rate = 1600 fit
-    mttr_corrective = 90 service_response = 4
-    p_correct_diagnosis = 0.9 p_latent_fault = 0.1 mttdlf = 24
-    recovery = nontransparent ar_time = 6 p_spf = 0.05 t_spf = 30
-    repair = nontransparent reintegration_time = 10 }
-  block "Switch" { quantity = 2 min_quantity = 1 mtbf = 350000 transient_rate = 400 fit
-    mttr_corrective = 75 service_response = 4
-    recovery = transparent repair = transparent }
-  block "Controller" { mtbf = 450000 mttr_corrective = 100 service_response = 4
-    p_correct_diagnosis = 0.9 transient_rate = 700 fit }
-  block "Software" { transient_rate = 2400 fit }
-  block "Cluster" { quantity = 2 min_quantity = 1 mode = primary_standby mtbf = 175000
-    transient_rate = 1000 fit mttr_corrective = 90 service_response = 4
-    failover_time = 4 min p_failover = 0.95 t_spf = 45 min
-    repair = transparent }
-}
-)");
-}
-
 constexpr double kHorizonH = 8760.0;
 constexpr std::uint64_t kSeed = 20'260'807;
-
-bool bitwise_equal(const rascad::sim::SystemSimResult& a,
-                   const rascad::sim::SystemSimResult& b) {
-  return a.down_time == b.down_time && a.outages == b.outages &&
-         a.permanent_faults == b.permanent_faults &&
-         a.transient_faults == b.transient_faults &&
-         a.service_errors == b.service_errors && a.events == b.events;
-}
 
 bool streaming_equal(const StreamingReplicationResult& a,
                      const StreamingReplicationResult& b) {
@@ -234,38 +155,7 @@ int main(int argc, char** argv) {
     pass = false;
   }
 
-  // -- 2a. Event engine vs legacy replayer, bitwise -------------------------
-  bool engines_bitwise = true;
-  for (std::uint64_t seed = kSeed; seed < kSeed + 8; ++seed) {
-    const auto legacy = rascad::sim::simulate_system(model, kHorizonH, seed);
-    const auto event =
-        rascad::sim::simulate_system_events(model, kHorizonH, seed);
-    if (!bitwise_equal(legacy, event)) {
-      std::cout << "FAIL: engine drift at seed " << seed << " (legacy down "
-                << legacy.down_time << " h vs event " << event.down_time
-                << " h)\n";
-      engines_bitwise = false;
-      pass = false;
-    }
-  }
-  {
-    BlockSimOptions nonexp;
-    nonexp.exponential_everything = false;
-    nonexp.repair_cv = 0.35;
-    const auto legacy =
-        rascad::sim::simulate_system(model, kHorizonH, kSeed + 99, nonexp);
-    const auto event = rascad::sim::simulate_system_events(model, kHorizonH,
-                                                           kSeed + 99, nonexp);
-    if (!bitwise_equal(legacy, event)) {
-      std::cout << "FAIL: engine drift under non-exponential sampling\n";
-      engines_bitwise = false;
-      pass = false;
-    }
-  }
-  std::cout << "event engine vs legacy replayer: "
-            << (engines_bitwise ? "bitwise identical" : "DRIFT") << "\n";
-
-  // -- 2b. Thread-count determinism of the streaming fold -------------------
+  // -- 2. Thread-count determinism of the streaming fold --------------------
   bool threads_bitwise = true;
   StreamingOptions base;
   base.batch = 1024;
@@ -285,62 +175,9 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "streaming fold across 1/2/8 threads: "
-            << (threads_bitwise ? "bitwise identical" : "DRIFT") << "\n\n";
+            << (threads_bitwise ? "bitwise identical" : "DRIFT") << "\n";
 
-  // -- 3. Throughput vs the legacy replayer ---------------------------------
-  // Run AFTER both RSS samples: the legacy path's per-replication result
-  // array would contaminate the monotone peak-RSS high-water mark.
-  //
-  // Measured on the high-availability reference model (see ha_model) in
-  // tightly interleaved alternating chunks: CPU-frequency drift on a
-  // shared box swings one-shot timings by ±25%, but adjacent ~half-second
-  // chunks see the same clock, so summing each side over many alternations
-  // cancels the drift. Each side simulates kAbPairs * kAbChunk >= 100k
-  // replications total.
-  const auto ha = ha_model();
-  constexpr std::size_t kAbChunk = 50'000;
-  constexpr int kAbPairs = 4;
-  double stream_total_s = 0.0;
-  double legacy_total_s = 0.0;
-  bool ab_means_equal = true;
-  for (int pair = 0; pair < kAbPairs; ++pair) {
-    const std::uint64_t pair_seed = kSeed + 7'000'000ULL * pair;
-    const Clock::time_point ts = Clock::now();
-    const auto sr = rascad::sim::replicate_system_streaming(
-        ha, kHorizonH, kAbChunk, pair_seed, sopts);
-    stream_total_s += sec_since(ts);
-
-    const Clock::time_point tl = Clock::now();
-    const auto lr =
-        rascad::sim::replicate_system(ha, kHorizonH, kAbChunk, pair_seed);
-    legacy_total_s += sec_since(tl);
-    if (sr.availability.mean() != lr.availability.mean()) {
-      ab_means_equal = false;
-    }
-  }
-  constexpr std::size_t kAbReps = kAbChunk * kAbPairs;
-  const double ab_stream_rps = static_cast<double>(kAbReps) / stream_total_s;
-  const double legacy_rps = static_cast<double>(kAbReps) / legacy_total_s;
-
-  std::cout << "A/B interleaved " << kAbPairs << "x" << kAbChunk
-            << " replications (high-availability model):\n"
-            << std::setprecision(0) << "  streaming: " << ab_stream_rps
-            << " reps/s   legacy: " << legacy_rps << " reps/s\n";
-  std::cout << "streaming/legacy speedup: " << std::setprecision(2)
-            << ab_stream_rps / legacy_rps << "x\n";
-  if (ab_stream_rps <= legacy_rps) {
-    std::cout << "FAIL: streaming engine (" << ab_stream_rps
-              << " reps/s) did not beat the legacy replayer (" << legacy_rps
-              << " reps/s)\n";
-    pass = false;
-  }
-  if (!ab_means_equal) {
-    std::cout << "FAIL: streaming and legacy availability means drifted on "
-                 "the high-availability model\n";
-    pass = false;
-  }
-
-  // -- 4. CI early exit (report) --------------------------------------------
+  // -- 3. CI early exit (report) --------------------------------------------
   StreamingOptions ci;
   ci.stop_when_ci_below = 5e-5;
   const auto rci = rascad::sim::replicate_system_streaming(
@@ -367,10 +204,6 @@ int main(int argc, char** argv) {
       .metric("rss_100k_mb", rss_100k_mb)
       .metric("rss_1m_mb", rss_1m_mb)
       .metric("rss_growth_mb", rss_growth_mb)
-      .metric("ab_streaming_rps", ab_stream_rps)
-      .metric("legacy_rps", legacy_rps)
-      .metric("speedup_vs_legacy", ab_stream_rps / legacy_rps)
-      .metric("engines_bitwise", engines_bitwise)
       .metric("threads_bitwise", threads_bitwise)
       .metric("ci_early_exit_reps", rci.completed)
       .metric("pass", pass);

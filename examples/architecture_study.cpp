@@ -9,7 +9,7 @@
 #include "core/importance.hpp"
 #include "core/library.hpp"
 #include "mg/system.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 
 int main() {
   using rascad::mg::SystemModel;
@@ -61,7 +61,8 @@ int main() {
 
   // Step 5: verify the winner against the independent simulator.
   const auto winner_spec = rascad::core::library::two_node_cluster();
-  const auto rep = rascad::sim::replicate_system(winner_spec, 87'600.0, 60, 7);
+  const auto rep =
+      rascad::sim::replicate_system_streaming(winner_spec, 87'600.0, 60, 7);
   const auto ci = rep.availability.confidence_interval();
   std::cout << "step 5 - simulator check on candidate B (60 x 10 years):\n"
             << std::setprecision(7) << "  analytic  "

@@ -6,10 +6,15 @@
 //   rascad_cli check <model.rsc>               validate and list issues
 //   rascad_cli dot <model.rsc>                 Graphviz of generated chains
 //   rascad_cli importance <model.rsc>          block importance ranking
-//   rascad_cli simulate <model.rsc> <hours> <reps>  Monte-Carlo estimate
+//   rascad_cli explain <model.rsc>             generator decisions per block
+//   rascad_cli compare <a.rsc> <b.rsc>         side-by-side downtime diff
+//   rascad_cli simulate <model.rsc> [hours] [reps]  Monte-Carlo estimate
 //   rascad_cli library                         list built-in models
 //   rascad_cli library <name>                  dump a built-in model as .rsc
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -23,7 +28,7 @@
 #include "core/project.hpp"
 #include "core/report.hpp"
 #include "obs/jsonl.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 #include "spec/parser.hpp"
 #include "spec/validate.hpp"
 #include "spec/writer.hpp"
@@ -32,9 +37,20 @@ namespace {
 
 int usage() {
   std::cerr << "usage: rascad_cli solve|report <model.rsc> [parts.csv]\n"
-               "       rascad_cli check|dot|importance <model.rsc>\n"
+               "       rascad_cli check|dot|importance|explain <model.rsc>\n"
+               "       rascad_cli compare <a.rsc> <b.rsc>\n"
+               "       rascad_cli simulate <model.rsc> [hours] [reps]\n"
                "       rascad_cli library [name]\n";
   return 2;
+}
+
+/// Parses all of `text` as a number of type T; false on any leftover
+/// character, sign the type cannot hold, or out-of-range value.
+template <typename T>
+bool parse_whole(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Loads the model, optionally enriching it from a parts-database CSV.
@@ -142,13 +158,23 @@ int cmd_explain(const std::string& path) {
 }
 
 int cmd_simulate(const std::string& path, int argc, char** argv) {
-  const double horizon = argc > 3 ? std::atof(argv[3]) : 8760.0;
-  const std::size_t reps = argc > 4
-                               ? static_cast<std::size_t>(std::atoll(argv[4]))
-                               : 50;
+  double horizon = 8760.0;
+  std::size_t reps = 50;
+  if (argc > 3 && !(parse_whole(argv[3], horizon) && std::isfinite(horizon) &&
+                    horizon > 0.0)) {
+    std::cerr << "simulate: hours must be a positive number, got '" << argv[3]
+              << "'\n";
+    return usage();
+  }
+  if (argc > 4 && !(parse_whole(argv[4], reps) && reps >= 1)) {
+    std::cerr << "simulate: reps must be a positive integer, got '" << argv[4]
+              << "'\n";
+    return usage();
+  }
   const auto model = rascad::spec::parse_model_file(path);
   const auto project = rascad::core::Project::from_spec(model);
-  const auto rep = rascad::sim::replicate_system(model, horizon, reps, 1);
+  const auto rep = rascad::sim::replicate_system_streaming(model, horizon,
+                                                           reps, 1);
   const auto ci = rep.availability.confidence_interval();
   std::cout << std::setprecision(8);
   std::cout << "analytic availability : " << project.availability() << '\n';

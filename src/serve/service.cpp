@@ -735,7 +735,6 @@ Frame Service::do_simulate(const Frame& req,
   out += "requested=" + std::to_string(rep.requested) + "\n";
   out += "completed=" + std::to_string(rep.completed) + "\n";
   out += std::string("status=") + robust::to_string(rep.status) + "\n";
-  out += std::string("engine=") + sim::to_string(sopts.engine) + "\n";
   out += "availability_mean=" + fmt_double(rep.availability.mean()) + "\n";
   out += "availability_ci_lo=" + fmt_double(ci.lo) + "\n";
   out += "availability_ci_hi=" + fmt_double(ci.hi) + "\n";

@@ -1,18 +1,17 @@
 // Resumable, event-stepped replay of one MG block's semantics.
 //
-// The original simulator ran each block as a closed `while (t < horizon)`
-// loop that pushed down windows into a per-replication vector. The event
-// engine needs the same semantics as a *schedulable process* (the gacspp
+// The block semantics run as a *schedulable process* (the gacspp
 // CScheduleable idiom): advance one scheduled event at a time and yield
-// each down window as it is produced, so the system-level engine can run
-// a streaming k-way sweep over all blocks without ever materializing
-// per-block interval vectors.
+// each down window as it is produced, so the system-level event engine
+// can run a streaming k-way sweep over all blocks without ever
+// materializing per-block interval vectors. simulate_block drains the
+// same process into a vector for single-block inspection.
 //
-// Determinism contract: the stepwise form consumes RNG draws in exactly
-// the order the legacy loop did, so per-block down windows — and
-// therefore every per-replication availability sample — are bitwise
-// identical between the legacy replayer and the event engine for the same
-// (seed, options). sim_test and bench_sim both assert this.
+// Determinism contract: a process's RNG draws are a pure function of its
+// stream, so the windows simulate_block materializes are exactly the
+// windows the event engine consumes for the same (seed, stream, options).
+// sim_stream_test checks the engine's union against the sort+merge union
+// of those windows.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +66,7 @@ struct BlockTallies {
 class BlockEventProcess {
  public:
   /// Throws std::invalid_argument when the horizon is not positive (same
-  /// precondition as the legacy simulate_block entry point).
+  /// precondition as simulate_block).
   BlockEventProcess(const spec::BlockSpec& block,
                     const spec::GlobalParams& globals, double horizon,
                     dist::RandomSource& rng, const BlockSimOptions& opts);
@@ -97,7 +96,7 @@ class BlockEventProcess {
   };
   enum class PsMode : std::uint8_t { kOk, kDegraded, kStandbyDown };
 
-  // One scheduled event: exactly one iteration of the legacy family loop.
+  // One scheduled event: exactly one iteration of the family's loop.
   void step();
   void step_type0();
   void step_transient_only();

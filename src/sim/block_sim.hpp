@@ -10,9 +10,9 @@
 // distributions it quantifies how much the exponential assumption matters.
 //
 // The block semantics themselves live in sim/block_process.hpp as a
-// resumable event process; this header is the legacy materializing entry
-// point (full interval vectors per run), kept for single-run inspection
-// and as the reference the event engine is checked against.
+// resumable event process; this header is the materializing entry point
+// (full interval vectors per run), for single-block inspection and as the
+// input to the sort+merge oracle the event engine is checked against.
 #pragma once
 
 #include <cstdint>

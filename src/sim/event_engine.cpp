@@ -3,21 +3,11 @@
 #include <algorithm>
 #include <memory>
 #include <new>
-#include <stdexcept>
 
 #include "sim/block_process.hpp"
 #include "sim/rng.hpp"
-#include "spec/validate.hpp"
 
 namespace rascad::sim {
-
-const char* to_string(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::kEvent: return "event";
-    case SimEngine::kReplay: return "replay";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -120,10 +110,10 @@ SystemSimResult simulate_replication_events(
   heap.clear();
   heap.reserve(blocks.size());
 
-  // Processes are constructed in block order so stream seeding matches the
-  // legacy replayer exactly. When the workspace was last built against the
-  // same model (the streaming driver replays one model a million times),
-  // the schedulables are rewound in place — no rate derivation, no family
+  // Processes are constructed in block order, so block i always draws from
+  // stream i + 1. When the workspace was last built against the same
+  // model (the streaming driver replays one model a million times), the
+  // schedulables are rewound in place — no rate derivation, no family
   // classification, no allocation.
   const bool reusable =
       scratch.built_globals == &globals && scratch.built_opts == &opts &&
@@ -154,7 +144,7 @@ SystemSimResult simulate_replication_events(
   std::make_heap(heap.begin(), heap.end(), HeapLater{});
 
   // Live union sweep: the window currently open, extended while pops
-  // overlap it. Identical arithmetic to the legacy sort+merge — same
+  // overlap it. Identical arithmetic to merged_length's sort+merge — same
   // visit order (sorted starts), same max-of-ends extension, same
   // accumulation order of closed windows into down_time.
   bool open = false;
@@ -203,17 +193,6 @@ SystemSimResult simulate_replication_events(
     result.events += t.events;
   }
   return result;
-}
-
-SystemSimResult simulate_system_events(const spec::ModelSpec& model,
-                                       double horizon, std::uint64_t seed,
-                                       const BlockSimOptions& opts) {
-  spec::validate_or_throw(model);
-  if (!(horizon > 0.0)) {
-    throw std::invalid_argument("simulate_system: horizon must be positive");
-  }
-  return simulate_replication_events(collect_failing_blocks(model),
-                                     model.globals, horizon, seed, opts);
 }
 
 }  // namespace rascad::sim

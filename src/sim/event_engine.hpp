@@ -1,21 +1,20 @@
 // Schedulable event engine for system-level Monte-Carlo replications.
 //
-// The legacy replayer (system_sim.cpp) materializes every block's down
-// intervals, concatenates them, sorts, and merges — O(total windows)
-// memory and an O(W log W) pass per replication. The event engine runs
-// the same block processes (sim/block_process.hpp) as schedulables behind
-// a binary-heap event queue keyed on monotone simulated time: the heap
-// holds each block's next pending down window; popping the earliest one
-// advances that block just far enough to produce its next window, while a
-// live open-window sweep accumulates system downtime directly. Memory is
-// O(blocks) per replication and there is no merge pass.
+// The engine runs each block's process (sim/block_process.hpp) as a
+// schedulable behind a binary-heap event queue keyed on monotone
+// simulated time: the heap holds each block's next pending down window;
+// popping the earliest one advances that block just far enough to produce
+// its next window, while a live open-window sweep accumulates system
+// downtime directly. Memory is O(blocks) per replication and no block's
+// down intervals are ever materialized.
 //
 // Determinism contract: the heap pops windows in globally sorted
-// (start, block index) order — the same order the legacy sort visits them
-// — and the block processes consume RNG draws in the legacy order, so
-// availability, downtime, outage counts, and fault tallies are bitwise
-// identical between the two engines for the same (model, horizon, seed,
-// options). sim_test and bench_sim both enforce this.
+// (start, block index) order and each block draws from its own
+// (seed, position + 1) RNG stream, so a replication is a pure function of
+// (model, horizon, seed, options). Its downtime equals, bitwise, the
+// sort+merge union (merged_length) of the windows simulate_block produces
+// for the same streams; sim_stream_test checks that oracle and pins golden
+// values.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +24,6 @@
 #include "sim/system_sim.hpp"
 
 namespace rascad::sim {
-
-/// Which simulator core runs each replication.
-enum class SimEngine : std::uint8_t {
-  /// Heap-scheduled event engine with streaming window union (default).
-  kEvent,
-  /// Legacy materializing replayer (per-block interval vectors + sort +
-  /// merge). Kept for one release as the reference implementation the
-  /// event engine is checked against.
-  kReplay,
-};
-
-const char* to_string(SimEngine engine);
 
 /// Reusable per-caller scratch for simulate_replication_events: the
 /// schedulable slots and the event heap survive across replications, so
@@ -64,22 +51,15 @@ class EventWorkspace {
 /// One replication over pre-collected failing blocks — validation and
 /// block collection hoisted out of the hot loop (the streaming driver
 /// calls this a million times per run). Per-block RNG streams are seeded
-/// (seed, block position + 1), identical to the legacy replayer. When
-/// `window_minutes` is non-null, every merged system down window's length
-/// (minutes) is appended in time order — the feed for streaming
-/// outage-duration quantiles. Passing the same `ws` across calls reuses
-/// its buffers (identical results, no per-replication allocation).
+/// (seed, block position + 1). When `window_minutes` is non-null, every
+/// merged system down window's length (minutes) is appended in time
+/// order — the feed for streaming outage-duration quantiles. Passing the
+/// same `ws` across calls reuses its buffers (identical results, no
+/// per-replication allocation).
 SystemSimResult simulate_replication_events(
     const std::vector<const spec::BlockSpec*>& blocks,
     const spec::GlobalParams& globals, double horizon, std::uint64_t seed,
     const BlockSimOptions& opts, std::vector<double>* window_minutes = nullptr,
     EventWorkspace* ws = nullptr);
-
-/// Validating single-run entry point, the event-engine counterpart of
-/// simulate_system (same checks, same exceptions, bitwise-identical
-/// result).
-SystemSimResult simulate_system_events(const spec::ModelSpec& model,
-                                       double horizon, std::uint64_t seed,
-                                       const BlockSimOptions& opts = {});
 
 }  // namespace rascad::sim

@@ -141,6 +141,10 @@ StreamingReplicationResult replicate_system_streaming(
     throw std::invalid_argument(
         "replicate_system_streaming: horizon must be positive");
   }
+  if (replications == 0) {
+    throw std::invalid_argument(
+        "replicate_system_streaming: replications must be positive");
+  }
   const std::vector<const spec::BlockSpec*> blocks =
       collect_failing_blocks(model);
 
@@ -149,8 +153,7 @@ StreamingReplicationResult replicate_system_streaming(
 
   obs::Span run_span("sim.replicate");
   if (run_span.active()) {
-    run_span.set_detail("engine=" + std::string(to_string(opts.engine)) +
-                        " reps=" + std::to_string(replications) +
+    run_span.set_detail("reps=" + std::to_string(replications) +
                         " blocks=" + std::to_string(blocks.size()));
   }
 
@@ -161,8 +164,7 @@ StreamingReplicationResult replicate_system_streaming(
   }
 
   const std::size_t batch = std::max<std::size_t>(1, opts.batch);
-  std::vector<Slot> slots(std::min(batch, std::max<std::size_t>(
-                                              replications, 1)));
+  std::vector<Slot> slots(std::min(batch, replications));
 
   // The outer loop owns cancellation: the token is polled between batches
   // so a cut lands on a batch boundary and the folded prefix stays a
@@ -189,16 +191,13 @@ StreamingReplicationResult replicate_system_streaming(
         [&](std::size_t i) {
           Slot& s = slots[i];
           s.outage_min.clear();
-          // Same per-replication seeding as replicate_system, so the
-          // folded samples are bitwise identical to the legacy path.
+          // Seeded by replication index alone, so the folded samples do
+          // not depend on batch size or thread count.
           const std::uint64_t seed =
               base_seed + 0x1000 * static_cast<std::uint64_t>(next + i + 1);
-          SystemSimResult one =
-              opts.engine == SimEngine::kEvent
-                  ? simulate_replication_events(blocks, model.globals,
-                                                horizon, seed, opts.block,
-                                                &s.outage_min, &s.workspace)
-                  : simulate_system(model, horizon, seed, opts.block);
+          const SystemSimResult one = simulate_replication_events(
+              blocks, model.globals, horizon, seed, opts.block,
+              &s.outage_min, &s.workspace);
           s.availability = one.availability();
           s.downtime_min = one.downtime_minutes();
           s.outages = static_cast<double>(one.outages);

@@ -1,9 +1,9 @@
 // Streaming statistics for million-replication Monte-Carlo runs.
 //
-// The legacy replicate_system materializes one SystemSimResult per
-// replication before folding, so memory grows linearly with the
-// replication count and a million-replication five-nines cross-check is
-// out of reach. This layer never keeps more than one bounded batch of
+// Every system-level replication runs on the event engine
+// (sim/event_engine.hpp). Memory must not grow with the replication
+// count, or a million-replication five-nines cross-check is out of
+// reach, so this layer never keeps more than one bounded batch of
 // per-replication samples alive:
 //
 //   * Welford moments (SampleStats) for mean / variance / CI,
@@ -62,10 +62,6 @@ class P2Quantile {
 /// How replicate_system_streaming runs and when it stops early.
 struct StreamingOptions {
   BlockSimOptions block;
-  /// Simulator core per replication; kReplay is the legacy materializing
-  /// path (for cross-checking — it still folds streamingly, but cannot
-  /// feed outage-duration quantiles).
-  SimEngine engine = SimEngine::kEvent;
   /// Replications generated (in parallel) per fold batch; also the
   /// cancellation grain and the memory high-water mark.
   std::size_t batch = 4096;
@@ -95,8 +91,8 @@ struct StreamingReplicationResult {
   P2Quantile availability_p99{0.99};
   P2Quantile availability_p999{0.999};
   /// Individual merged system outage durations (minutes), streamed in
-  /// time order within each replication. Only the event engine feeds
-  /// these; under kReplay they stay empty (value() is NaN).
+  /// time order within each replication; empty (value() is NaN) until a
+  /// replication has an outage.
   P2Quantile outage_minutes_p50{0.50};
   P2Quantile outage_minutes_p99{0.99};
 
@@ -116,10 +112,11 @@ struct StreamingReplicationResult {
 };
 
 /// Monte-Carlo system availability with streaming statistics: peak memory
-/// is O(batch), independent of `replications`. Seeding matches
-/// replicate_system exactly (replication r uses system seed
-/// base_seed + 0x1000 * (r + 1)), so for a fixed seed the folded samples
-/// are bitwise identical to the legacy path, across every thread count.
+/// is O(batch), independent of `replications`. Replication r is
+/// simulate_system with seed base_seed + 0x1000 * (r + 1), so for a fixed
+/// seed the folded samples are bitwise identical across every thread
+/// count and batch size. Throws std::invalid_argument on validation
+/// failures, a non-positive horizon, or zero replications.
 StreamingReplicationResult replicate_system_streaming(
     const spec::ModelSpec& model, double horizon, std::size_t replications,
     std::uint64_t base_seed, const StreamingOptions& opts = {});

@@ -1,9 +1,9 @@
 #include "sim/system_sim.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/event_engine.hpp"
 #include "sim/rng.hpp"
 #include "spec/validate.hpp"
 
@@ -72,100 +72,8 @@ SystemSimResult simulate_system(const spec::ModelSpec& model, double horizon,
   if (!(horizon > 0.0)) {
     throw std::invalid_argument("simulate_system: horizon must be positive");
   }
-  const std::vector<const spec::BlockSpec*> blocks =
-      collect_failing_blocks(model);
-
-  SystemSimResult result;
-  result.horizon = horizon;
-  std::vector<Interval> all_down;
-  std::uint64_t stream = 0;
-  for (const spec::BlockSpec* block : blocks) {
-    // Account for block quantity at the diagram level being inside the
-    // block chain already; one process per block type.
-    Xoshiro256 rng(seed, ++stream);
-    BlockSimResult r = simulate_block(*block, model.globals, horizon, rng, opts);
-    result.permanent_faults += r.permanent_faults;
-    result.transient_faults += r.transient_faults;
-    result.service_errors += r.service_errors;
-    result.events += r.events;
-    all_down.insert(all_down.end(), r.down_intervals.begin(),
-                    r.down_intervals.end());
-  }
-  // The union of down intervals: merged total plus the merged-window count.
-  if (!all_down.empty()) {
-    std::vector<Interval> sorted = all_down;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Interval& a, const Interval& b) {
-                return a.start < b.start;
-              });
-    double cur_start = sorted.front().start;
-    double cur_end = sorted.front().end;
-    std::size_t windows = 1;
-    double total = 0.0;
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i].start <= cur_end) {
-        cur_end = std::max(cur_end, sorted[i].end);
-      } else {
-        total += cur_end - cur_start;
-        cur_start = sorted[i].start;
-        cur_end = sorted[i].end;
-        ++windows;
-      }
-    }
-    total += cur_end - cur_start;
-    result.down_time = total;
-    result.outages = windows;
-  }
-  return result;
-}
-
-ReplicatedSystemResult replicate_system(const spec::ModelSpec& model,
-                                        double horizon,
-                                        std::size_t replications,
-                                        std::uint64_t base_seed,
-                                        const BlockSimOptions& opts,
-                                        const exec::ParallelOptions& par) {
-  std::vector<SystemSimResult> results(replications);
-  ReplicatedSystemResult out;
-  out.requested = replications;
-  const auto replicate_one = [&](std::size_t r) {
-    results[r] =
-        simulate_system(model, horizon, base_seed + 0x1000 * (r + 1), opts);
-  };
-  if (par.cancel.valid()) {
-    // Degraded mode: fold in whatever replications finished before the
-    // token fired. Each replication is seeded by its index, so the stats
-    // for a given completed set match a smaller straight run over it.
-    std::vector<char> done(replications, 0);
-    const exec::ParallelStatus loop = exec::parallel_for_status(
-        replications,
-        [&](std::size_t r) {
-          replicate_one(r);
-          done[r] = 1;
-        },
-        par);
-    for (std::size_t r = 0; r < replications; ++r) {
-      if (!done[r]) continue;
-      ++out.completed;
-      out.availability.add(results[r].availability());
-      out.downtime_minutes.add(results[r].downtime_minutes());
-      out.outages.add(static_cast<double>(results[r].outages));
-    }
-    if (out.completed != out.requested) {
-      out.status = loop.stop != robust::StopReason::kNone
-                       ? robust::point_status_from(loop.stop)
-                       : robust::PointStatus::kFailed;
-    }
-    return out;
-  }
-  exec::parallel_for(replications, replicate_one, par);
-  out.completed = replications;
-  for (const SystemSimResult& one : results) {
-    out.availability.add(one.availability());
-    out.downtime_minutes.add(one.downtime_minutes());
-    out.outages.add(static_cast<double>(one.outages));
-  }
-  return out;
+  return simulate_replication_events(collect_failing_blocks(model),
+                                     model.globals, horizon, seed, opts);
 }
 
 }  // namespace rascad::sim

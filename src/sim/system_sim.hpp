@@ -11,10 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/parallel.hpp"
-#include "robust/cancel.hpp"
 #include "sim/block_sim.hpp"
-#include "sim/stats.hpp"
 #include "spec/ast.hpp"
 
 namespace rascad::sim {
@@ -35,15 +32,17 @@ struct SystemSimResult {
 };
 
 /// Depth-first collection of every failing block reachable from the root
-/// diagram, in the deterministic order both engines seed their
+/// diagram, in the deterministic order the event engine seeds its
 /// per-block RNG streams (stream = position + 1). Throws
 /// std::invalid_argument on dangling subdiagram references.
 std::vector<const spec::BlockSpec*> collect_failing_blocks(
     const spec::ModelSpec& model);
 
 /// Simulates every failing block reachable from the root diagram over
-/// [0, horizon] hours and merges the down intervals. Throws on validation
-/// failures (same checks as the analytic path).
+/// [0, horizon] hours on the event engine (sim/event_engine.hpp) and
+/// returns the union of their down windows. Throws std::invalid_argument
+/// on validation failures (same checks as the analytic path) and on a
+/// non-positive horizon.
 SystemSimResult simulate_system(const spec::ModelSpec& model, double horizon,
                                 std::uint64_t seed,
                                 const BlockSimOptions& opts = {});
@@ -58,33 +57,5 @@ SystemSimResult simulate_system_common_cause(
     const spec::ModelSpec& model, double horizon, std::uint64_t seed,
     double shock_rate_per_hour, double p_component_fault,
     const BlockSimOptions& base = {});
-
-struct ReplicatedSystemResult {
-  SampleStats availability;
-  SampleStats downtime_minutes;
-  SampleStats outages;
-  /// Replications asked for vs. actually folded into the statistics. They
-  /// differ only when a cancel/deadline token stopped the run early; the
-  /// statistics then cover the completed replications (accumulated in
-  /// replication-index order, so a given completed set is deterministic).
-  std::size_t requested = 0;
-  std::size_t completed = 0;
-  /// kOk when every replication ran; otherwise why the run was cut short.
-  robust::PointStatus status = robust::PointStatus::kOk;
-
-  bool complete() const noexcept { return completed == requested; }
-};
-
-/// Replications run in parallel (`par`) with deterministic per-replication
-/// seeding and index-ordered accumulation: bit-identical statistics for
-/// every thread count. A token in `par.cancel` degrades instead of
-/// throwing — the result covers the replications that finished, with
-/// `status` recording why the rest never ran.
-ReplicatedSystemResult replicate_system(const spec::ModelSpec& model,
-                                        double horizon,
-                                        std::size_t replications,
-                                        std::uint64_t base_seed,
-                                        const BlockSimOptions& opts = {},
-                                        const exec::ParallelOptions& par = {});
 
 }  // namespace rascad::sim

@@ -12,7 +12,7 @@
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "mg/system.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 #include "spec/parser.hpp"
 #include "spec/validate.hpp"
 #include "spec/writer.hpp"
@@ -106,7 +106,8 @@ diagram "Box" {
 }
 )");
   const double analytic = SystemModel::build(model).availability();
-  const auto rep = rascad::sim::replicate_system(model, 80'000.0, 60, 11);
+  const auto rep =
+      rascad::sim::replicate_system_streaming(model, 80'000.0, 60, 11);
   EXPECT_TRUE(rep.availability.confidence_interval(4.0).contains(analytic))
       << "sim " << rep.availability.mean() << " vs analytic " << analytic;
 }

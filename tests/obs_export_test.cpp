@@ -182,9 +182,12 @@ TEST_F(ObsExportTest, ConcurrentScrapersSeeIndependentConsistentDeltas) {
   // every scrape sees a cumulative value that never goes backwards, and
   // after the writers quiesce one more scrape lands each cursor on the
   // exact total — neither cursor can steal updates from the other.
+  // The writers start only once both scrapers have scraped, so the two
+  // really overlap even when the scheduler starts the threads late.
   std::atomic<bool> stop{false};
-  auto scraper = [&reg, &stop](std::uint64_t* last_seen,
-                               std::uint64_t* scrapes) {
+  std::atomic<int> scrapers_running{0};
+  auto scraper = [&reg, &stop, &scrapers_running](std::uint64_t* last_seen,
+                                                  std::uint64_t* scrapes) {
     MetricsCursor cursor(reg);
     while (!stop.load(std::memory_order_acquire)) {
       const MetricsSnapshot delta = cursor.collect();
@@ -192,7 +195,7 @@ TEST_F(ObsExportTest, ConcurrentScrapersSeeIndependentConsistentDeltas) {
         EXPECT_GE(c.value, *last_seen);  // monotone under concurrent inc
         *last_seen = c.value;
       }
-      ++*scrapes;
+      if (++*scrapes == 1) scrapers_running.fetch_add(1);
     }
   };
   std::uint64_t seen_a = 0, seen_b = 0, scrapes_a = 0, scrapes_b = 0;
@@ -201,7 +204,8 @@ TEST_F(ObsExportTest, ConcurrentScrapersSeeIndependentConsistentDeltas) {
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&counter] {
+    writers.emplace_back([&counter, &scrapers_running] {
+      while (scrapers_running.load() < 2) std::this_thread::yield();
       for (int i = 0; i < kIncrementsPerWriter; ++i) counter.inc();
     });
   }

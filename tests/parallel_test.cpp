@@ -17,7 +17,6 @@
 #include "sim/block_sim.hpp"
 #include "sim/chain_sim.hpp"
 #include "sim/stats.hpp"
-#include "sim/system_sim.hpp"
 #include "spec/parser.hpp"
 
 namespace {
@@ -214,19 +213,6 @@ TEST(Determinism, BlockReplicationsBitIdenticalAcrossThreadCounts) {
     const auto stats = rascad::sim::replicate_block_availability(
         b, g, 50'000.0, 24, 7, {}, threads(t));
     expect_identical_stats(stats, serial);
-  }
-}
-
-TEST(Determinism, SystemReplicationsBitIdenticalAcrossThreadCounts) {
-  const auto model = parallel_test_model();
-  const auto serial =
-      rascad::sim::replicate_system(model, 30'000.0, 24, 7, {}, threads(1));
-  for (std::size_t t : kThreadCounts) {
-    const auto rep =
-        rascad::sim::replicate_system(model, 30'000.0, 24, 7, {}, threads(t));
-    expect_identical_stats(rep.availability, serial.availability);
-    expect_identical_stats(rep.downtime_minutes, serial.downtime_minutes);
-    expect_identical_stats(rep.outages, serial.outages);
   }
 }
 

@@ -25,7 +25,7 @@
 #include "resilience/resilience.hpp"
 #include "robust/cancel.hpp"
 #include "robust/watchdog.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 
 namespace {
 
@@ -434,28 +434,18 @@ TEST(DegradedImportance, CancelledRankingKeepsRowIdentity) {
   }
 }
 
-TEST(DegradedReplication, CancelledRunReportsCompletedCount) {
+TEST(DegradedReplication, UnfiredTokenMatchesTokenFreeRun) {
+  // A healthy run under a valid-but-unfired token is complete and matches
+  // a token-free run exactly. (A token that fires first is covered by
+  // sim_stream_test's StreamingSim.PreCancelledTokenCompletesNothing.)
   const rascad::spec::ModelSpec spec = rascad::core::library::entry_server();
-  rascad::exec::ParallelOptions par;
-  par.threads = 1;
-  par.cancel = CancelToken::manual();
-  par.cancel.request_cancel();
-  const rascad::sim::ReplicatedSystemResult r =
-      rascad::sim::replicate_system(spec, 1000.0, 8, 42, {}, par);
-  EXPECT_EQ(r.requested, 8u);
-  EXPECT_EQ(r.completed, 0u);
-  EXPECT_FALSE(r.complete());
-  EXPECT_EQ(r.status, PointStatus::kCancelled);
-
-  // Healthy run under a valid-but-unfired token is complete and matches a
-  // token-free run exactly.
-  rascad::exec::ParallelOptions healthy;
-  healthy.threads = 1;
-  healthy.cancel = CancelToken::with_deadline_ms(1e9);
-  const rascad::sim::ReplicatedSystemResult a =
-      rascad::sim::replicate_system(spec, 1000.0, 8, 42, {}, healthy);
-  const rascad::sim::ReplicatedSystemResult b =
-      rascad::sim::replicate_system(spec, 1000.0, 8, 42, {});
+  rascad::sim::StreamingOptions healthy;
+  healthy.parallel.threads = 1;
+  healthy.parallel.cancel = CancelToken::with_deadline_ms(1e9);
+  const rascad::sim::StreamingReplicationResult a =
+      rascad::sim::replicate_system_streaming(spec, 1000.0, 8, 42, healthy);
+  const rascad::sim::StreamingReplicationResult b =
+      rascad::sim::replicate_system_streaming(spec, 1000.0, 8, 42);
   EXPECT_TRUE(a.complete());
   EXPECT_EQ(a.status, PointStatus::kOk);
   EXPECT_EQ(a.availability.mean(), b.availability.mean());

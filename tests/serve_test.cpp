@@ -432,6 +432,22 @@ TEST(ServeEndToEnd, SimulatePartialUnderDeadlineKeepsCompletedStats) {
   }
 }
 
+TEST(ServeEndToEnd, SimulateZeroReplicationsAnswersError) {
+  // Zero replications have no statistics; an ok reply with availability 0
+  // would read as a real answer.
+  ServerFixture server(base_config("simzero"));
+  Client client;
+  client.connect_retry(server.service.config().socket_path, 2000.0);
+  const std::string text = datacenter_text();
+  const Reply zero = client.simulate(text, 1000.0, 0, 42);
+  EXPECT_EQ(zero.type, FrameType::kError) << zero.text;
+  EXPECT_EQ(zero.status, PointStatus::kFailed);
+  EXPECT_NE(zero.text.find("replications"), std::string::npos) << zero.text;
+  const Reply no_horizon = client.simulate(text, 0.0, 10, 42);
+  EXPECT_EQ(no_horizon.type, FrameType::kError) << no_horizon.text;
+  EXPECT_TRUE(client.ping().ok());
+}
+
 TEST(ServeEndToEnd, MalformedModelAnswersErrorNotDisconnect) {
   ServerFixture server(base_config("badmodel"));
   Client client;

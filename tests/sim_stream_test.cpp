@@ -1,8 +1,9 @@
 // Tests for the event-engine simulator and the streaming statistics layer:
-// P² quantile accuracy against exact sorted-sample quantiles, bitwise
-// agreement between the event engine and the legacy replayer, thread-count
-// determinism of the streaming fold, CI early exit, cancellation
-// degradation, and the async JSONL replication sink.
+// P² quantile accuracy against exact sorted-sample quantiles, the event
+// engine against a sort+merge union of independently simulated block
+// windows, golden values, thread-count and batch-size determinism of the
+// streaming fold, CI early exit, cancellation degradation, and the async
+// JSONL replication sink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_engine.hpp"
+#include "core/library.hpp"
+#include "sim/block_sim.hpp"
 #include "sim/rng.hpp"
 #include "sim/sink.hpp"
 #include "sim/stats.hpp"
@@ -25,7 +27,6 @@ namespace {
 using rascad::sim::BlockSimOptions;
 using rascad::sim::P2Quantile;
 using rascad::sim::SampleStats;
-using rascad::sim::SimEngine;
 using rascad::sim::StreamingOptions;
 using rascad::sim::SystemSimResult;
 using rascad::sim::Xoshiro256;
@@ -129,7 +130,7 @@ TEST(P2Quantile, OrderIsDeterministic) {
   EXPECT_EQ(a.count(), b.count());
 }
 
-// ---- Event engine vs legacy replayer ---------------------------------------
+// ---- Event engine ------------------------------------------------------------
 
 rascad::spec::ModelSpec test_model() {
   return rascad::spec::parse_model(R"(
@@ -152,138 +153,178 @@ diagram "Sys" {
 )");
 }
 
-void expect_bitwise_equal(const SystemSimResult& a, const SystemSimResult& b,
-                          std::uint64_t seed) {
-  EXPECT_EQ(a.down_time, b.down_time) << "seed " << seed;
-  EXPECT_EQ(a.outages, b.outages) << "seed " << seed;
-  EXPECT_EQ(a.permanent_faults, b.permanent_faults) << "seed " << seed;
-  EXPECT_EQ(a.transient_faults, b.transient_faults) << "seed " << seed;
-  EXPECT_EQ(a.service_errors, b.service_errors) << "seed " << seed;
-  EXPECT_EQ(a.events, b.events) << "seed " << seed;
-  EXPECT_EQ(a.availability(), b.availability()) << "seed " << seed;
-}
-
-TEST(EventEngine, BitwiseMatchesLegacyExponential) {
+TEST(EventEngine, MatchesSortMergeUnionOfBlockWindows) {
+  // Oracle: simulate each block on its own stream, materialize its down
+  // windows, and take their union by sort+merge. The heap-scheduled sweep
+  // must produce the same downtime to the bit and the same tallies.
   const auto model = test_model();
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto legacy = rascad::sim::simulate_system(model, 50'000.0, seed);
-    const auto event =
-        rascad::sim::simulate_system_events(model, 50'000.0, seed);
-    expect_bitwise_equal(legacy, event, seed);
-    EXPECT_GT(event.events, 0u);
-  }
-}
-
-TEST(EventEngine, BitwiseMatchesLegacyNonExponential) {
-  const auto model = test_model();
-  BlockSimOptions opts;
-  opts.exponential_everything = false;
-  opts.repair_cv = 0.4;
-  for (std::uint64_t seed = 11; seed <= 16; ++seed) {
-    const auto legacy =
-        rascad::sim::simulate_system(model, 50'000.0, seed, opts);
-    const auto event =
-        rascad::sim::simulate_system_events(model, 50'000.0, seed, opts);
-    expect_bitwise_equal(legacy, event, seed);
-  }
-}
-
-TEST(EventEngine, BitwiseMatchesLegacyWithCommonCauseShocks) {
-  const auto model = test_model();
+  const double horizon = 50'000.0;
   const std::vector<double> shocks{500.0, 12'000.0, 30'000.0, 44'000.0};
-  BlockSimOptions opts;
-  opts.common_cause_times = &shocks;
-  opts.p_common_cause = 0.5;
-  for (std::uint64_t seed = 21; seed <= 24; ++seed) {
-    const auto legacy =
-        rascad::sim::simulate_system(model, 50'000.0, seed, opts);
-    const auto event =
-        rascad::sim::simulate_system_events(model, 50'000.0, seed, opts);
-    expect_bitwise_equal(legacy, event, seed);
+  BlockSimOptions exponential;
+  BlockSimOptions lognormal;
+  lognormal.exponential_everything = false;
+  lognormal.repair_cv = 0.4;
+  BlockSimOptions common_cause;
+  common_cause.common_cause_times = &shocks;
+  common_cause.p_common_cause = 0.5;
+
+  const auto blocks = rascad::sim::collect_failing_blocks(model);
+  ASSERT_EQ(blocks.size(), 3u);
+  for (const BlockSimOptions* opts : {&exponential, &lognormal, &common_cause}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      std::vector<rascad::sim::Interval> windows;
+      SystemSimResult oracle;
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        Xoshiro256 rng(seed, i + 1);
+        const auto b = rascad::sim::simulate_block(*blocks[i], model.globals,
+                                                   horizon, rng, *opts);
+        windows.insert(windows.end(), b.down_intervals.begin(),
+                       b.down_intervals.end());
+        oracle.events += b.events;
+        oracle.permanent_faults += b.permanent_faults;
+        oracle.transient_faults += b.transient_faults;
+        oracle.service_errors += b.service_errors;
+      }
+      const auto sys = rascad::sim::simulate_system(model, horizon, seed, *opts);
+      EXPECT_EQ(sys.down_time, rascad::sim::merged_length(windows))
+          << "seed " << seed;
+      EXPECT_EQ(sys.events, oracle.events) << "seed " << seed;
+      EXPECT_EQ(sys.permanent_faults, oracle.permanent_faults)
+          << "seed " << seed;
+      EXPECT_EQ(sys.transient_faults, oracle.transient_faults)
+          << "seed " << seed;
+      EXPECT_EQ(sys.service_errors, oracle.service_errors) << "seed " << seed;
+      EXPECT_GT(sys.events, 0u);
+    }
   }
 }
 
-TEST(EventEngine, RejectsBadHorizon) {
+TEST(EventEngine, GoldenValues) {
+  // Pinned outputs of the simulator for fixed seeds. A change here means
+  // every published simulation number moves: the RNG draw order, the
+  // block semantics or the union arithmetic changed.
+  struct Golden {
+    bool exponential;
+    std::uint64_t seed;
+    double down_time;
+    std::size_t outages;
+    std::uint64_t events;
+    std::size_t permanent_faults;
+    std::size_t transient_faults;
+    std::size_t service_errors;
+  };
+  const Golden golden[] = {
+      {true, 1, 0x1.78e86b6b88978p+6, 101, 170, 83, 14, 3},
+      {true, 2, 0x1.5e0b0f65617ep+6, 114, 177, 87, 11, 4},
+      {false, 1, 0x1.a135fedd3999p+6, 101, 186, 92, 8, 5},
+      {false, 2, 0x1.d32dc02f4222p+6, 94, 148, 74, 9, 5},
+  };
   const auto model = test_model();
-  EXPECT_THROW(rascad::sim::simulate_system_events(model, 0.0, 1),
-               std::invalid_argument);
+  for (const Golden& g : golden) {
+    BlockSimOptions opts;
+    if (!g.exponential) {
+      opts.exponential_everything = false;
+      opts.repair_cv = 0.4;
+    }
+    const auto r = rascad::sim::simulate_system(model, 50'000.0, g.seed, opts);
+    const std::string what = std::string(g.exponential ? "exp" : "non-exp") +
+                             " seed " + std::to_string(g.seed);
+    EXPECT_DOUBLE_EQ(r.down_time, g.down_time) << what;
+    EXPECT_EQ(r.outages, g.outages) << what;
+    EXPECT_EQ(r.events, g.events) << what;
+    EXPECT_EQ(r.permanent_faults, g.permanent_faults) << what;
+    EXPECT_EQ(r.transient_faults, g.transient_faults) << what;
+    EXPECT_EQ(r.service_errors, g.service_errors) << what;
+  }
 }
 
 // ---- Streaming replication driver ------------------------------------------
 
-TEST(StreamingSim, BitwiseMatchesLegacyReplicate) {
+TEST(StreamingSim, BatchSizeDoesNotChangeStatistics) {
   const auto model = test_model();
-  const auto legacy = rascad::sim::replicate_system(model, 20'000.0, 50, 7);
+  StreamingOptions small;
+  small.batch = 7;  // deliberately misaligned with 50 to cross boundaries
+  const auto a =
+      rascad::sim::replicate_system_streaming(model, 20'000.0, 50, 7, small);
+  const auto b =
+      rascad::sim::replicate_system_streaming(model, 20'000.0, 50, 7, {});
 
-  StreamingOptions sopts;
-  sopts.batch = 7;  // deliberately misaligned with 50 to cross boundaries
-  const auto streaming =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 50, 7, sopts);
-
-  EXPECT_EQ(streaming.completed, 50u);
-  EXPECT_TRUE(streaming.complete());
-  EXPECT_EQ(streaming.availability.mean(), legacy.availability.mean());
-  EXPECT_EQ(streaming.availability.variance(), legacy.availability.variance());
-  EXPECT_EQ(streaming.availability.min(), legacy.availability.min());
-  EXPECT_EQ(streaming.availability.max(), legacy.availability.max());
-  EXPECT_EQ(streaming.downtime_minutes.mean(), legacy.downtime_minutes.mean());
-  EXPECT_EQ(streaming.outages.mean(), legacy.outages.mean());
-  EXPECT_GT(streaming.events, 0u);
+  EXPECT_EQ(a.completed, 50u);
+  EXPECT_TRUE(a.complete());
+  EXPECT_EQ(a.availability.mean(), b.availability.mean());
+  EXPECT_EQ(a.availability.variance(), b.availability.variance());
+  EXPECT_EQ(a.availability.min(), b.availability.min());
+  EXPECT_EQ(a.availability.max(), b.availability.max());
+  EXPECT_EQ(a.downtime_minutes.mean(), b.downtime_minutes.mean());
+  EXPECT_EQ(a.outages.mean(), b.outages.mean());
+  EXPECT_EQ(a.availability_p99.value(), b.availability_p99.value());
+  EXPECT_EQ(a.outage_minutes_p50.value(), b.outage_minutes_p50.value());
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_GT(a.events, 0u);
 }
 
-TEST(StreamingSim, ReplayEngineMatchesEventEngine) {
-  const auto model = test_model();
-  StreamingOptions event_opts;
-  event_opts.batch = 16;
-  StreamingOptions replay_opts = event_opts;
-  replay_opts.engine = SimEngine::kReplay;
-
-  const auto ev =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 40, 3, event_opts);
-  const auto rp = rascad::sim::replicate_system_streaming(model, 20'000.0, 40,
-                                                          3, replay_opts);
-  EXPECT_EQ(ev.availability.mean(), rp.availability.mean());
-  EXPECT_EQ(ev.availability.variance(), rp.availability.variance());
-  EXPECT_EQ(ev.downtime_minutes.mean(), rp.downtime_minutes.mean());
-  EXPECT_EQ(ev.outages.mean(), rp.outages.mean());
-  EXPECT_EQ(ev.events, rp.events);
-  // Only the event engine feeds outage-duration quantiles.
-  EXPECT_GT(ev.outage_minutes_p50.count(), 0u);
-  EXPECT_EQ(rp.outage_minutes_p50.count(), 0u);
-  EXPECT_TRUE(std::isnan(rp.outage_minutes_p50.value()));
+/// Three independent blocks with no latent faults or SPF windows.
+rascad::spec::ModelSpec simple_model() {
+  return rascad::spec::parse_model(R"(
+globals { reboot_time = 10 min mttm = 12 h mttrfid = 4 h mission_time = 8760 h }
+diagram "Sys" {
+  block "A" { mtbf = 4000 mttr_corrective = 120 service_response = 4 }
+  block "B" {
+    quantity = 2 min_quantity = 1 mtbf = 3000
+    mttr_corrective = 60 service_response = 4
+    recovery = transparent repair = transparent
+  }
+  block "C" { mtbf = 9000 mttr_corrective = 45 service_response = 2 }
+}
+)");
 }
 
 TEST(StreamingSim, DeterministicAcrossThreadCounts) {
-  const auto model = test_model();
-  std::vector<rascad::sim::StreamingReplicationResult> runs;
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    StreamingOptions sopts;
-    sopts.batch = 32;
-    sopts.parallel.threads = threads;
-    runs.push_back(rascad::sim::replicate_system_streaming(model, 20'000.0,
-                                                           200, 99, sopts));
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[0].availability.mean(), runs[i].availability.mean());
-    EXPECT_EQ(runs[0].availability.variance(),
-              runs[i].availability.variance());
-    EXPECT_EQ(runs[0].availability.min(), runs[i].availability.min());
-    EXPECT_EQ(runs[0].availability.max(), runs[i].availability.max());
-    EXPECT_EQ(runs[0].downtime_minutes.mean(),
-              runs[i].downtime_minutes.mean());
-    EXPECT_EQ(runs[0].outages.mean(), runs[i].outages.mean());
-    EXPECT_EQ(runs[0].availability_p50.value(),
-              runs[i].availability_p50.value());
-    EXPECT_EQ(runs[0].availability_p99.value(),
-              runs[i].availability_p99.value());
-    EXPECT_EQ(runs[0].availability_p999.value(),
-              runs[i].availability_p999.value());
-    EXPECT_EQ(runs[0].outage_minutes_p50.value(),
-              runs[i].outage_minutes_p50.value());
-    EXPECT_EQ(runs[0].outage_minutes_p99.value(),
-              runs[i].outage_minutes_p99.value());
-    EXPECT_EQ(runs[0].events, runs[i].events);
-    EXPECT_EQ(runs[0].completed, runs[i].completed);
+  struct Input {
+    rascad::spec::ModelSpec model;
+    double horizon;
+    std::size_t replications;
+    std::uint64_t seed;
+    std::size_t batch;
+  };
+  const Input inputs[] = {
+      {test_model(), 20'000.0, 200, 99, 32},
+      {simple_model(), 30'000.0, 24, 7, StreamingOptions{}.batch},
+  };
+  for (const Input& in : inputs) {
+    std::vector<rascad::sim::StreamingReplicationResult> runs;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      StreamingOptions sopts;
+      sopts.batch = in.batch;
+      sopts.parallel.threads = threads;
+      runs.push_back(rascad::sim::replicate_system_streaming(
+          in.model, in.horizon, in.replications, in.seed, sopts));
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[0].availability.mean(), runs[i].availability.mean());
+      EXPECT_EQ(runs[0].availability.variance(),
+                runs[i].availability.variance());
+      EXPECT_EQ(runs[0].availability.min(), runs[i].availability.min());
+      EXPECT_EQ(runs[0].availability.max(), runs[i].availability.max());
+      EXPECT_EQ(runs[0].downtime_minutes.mean(),
+                runs[i].downtime_minutes.mean());
+      EXPECT_EQ(runs[0].downtime_minutes.variance(),
+                runs[i].downtime_minutes.variance());
+      EXPECT_EQ(runs[0].outages.mean(), runs[i].outages.mean());
+      EXPECT_EQ(runs[0].outages.variance(), runs[i].outages.variance());
+      EXPECT_EQ(runs[0].availability_p50.value(),
+                runs[i].availability_p50.value());
+      EXPECT_EQ(runs[0].availability_p99.value(),
+                runs[i].availability_p99.value());
+      EXPECT_EQ(runs[0].availability_p999.value(),
+                runs[i].availability_p999.value());
+      EXPECT_EQ(runs[0].outage_minutes_p50.value(),
+                runs[i].outage_minutes_p50.value());
+      EXPECT_EQ(runs[0].outage_minutes_p99.value(),
+                runs[i].outage_minutes_p99.value());
+      EXPECT_EQ(runs[0].events, runs[i].events);
+      EXPECT_EQ(runs[0].completed, runs[i].completed);
+    }
   }
 }
 
@@ -303,25 +344,34 @@ TEST(StreamingSim, EarlyExitOnTightCi) {
 }
 
 TEST(StreamingSim, PreCancelledTokenCompletesNothing) {
-  const auto model = test_model();
-  StreamingOptions sopts;
-  sopts.batch = 8;
-  sopts.parallel.cancel = rascad::robust::CancelToken::manual();
-  sopts.parallel.cancel.request_cancel();
-  const auto r =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 100, 5, sopts);
-  EXPECT_EQ(r.completed, 0u);
-  EXPECT_EQ(r.requested, 100u);
-  EXPECT_FALSE(r.early_exit);
-  EXPECT_EQ(r.status, rascad::robust::PointStatus::kCancelled);
-  EXPECT_TRUE(std::isnan(r.availability_p50.value()));
+  const rascad::spec::ModelSpec models[] = {
+      test_model(), rascad::core::library::entry_server()};
+  for (const auto& model : models) {
+    StreamingOptions sopts;
+    sopts.batch = 8;
+    sopts.parallel.threads = 1;
+    sopts.parallel.cancel = rascad::robust::CancelToken::manual();
+    sopts.parallel.cancel.request_cancel();
+    const auto r =
+        rascad::sim::replicate_system_streaming(model, 1'000.0, 100, 5, sopts);
+    EXPECT_EQ(r.completed, 0u);
+    EXPECT_EQ(r.requested, 100u);
+    EXPECT_FALSE(r.complete());
+    EXPECT_FALSE(r.early_exit);
+    EXPECT_EQ(r.status, rascad::robust::PointStatus::kCancelled);
+    EXPECT_TRUE(std::isnan(r.availability_p50.value()));
+  }
 }
 
-TEST(StreamingSim, RejectsBadHorizon) {
+TEST(StreamingSim, RejectsBadInput) {
   const auto model = test_model();
   EXPECT_THROW(
       rascad::sim::replicate_system_streaming(model, -1.0, 10, 1, {}),
       std::invalid_argument);
+  // Zero replications have no statistics; an ok result with availability
+  // 0 would read as a real answer.
+  EXPECT_THROW(rascad::sim::replicate_system_streaming(model, 1'000.0, 0, 1),
+               std::invalid_argument);
 }
 
 // ---- JSONL replication sink -------------------------------------------------

@@ -13,6 +13,7 @@
 #include "sim/chain_sim.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "sim/streaming.hpp"
 #include "sim/system_sim.hpp"
 #include "spec/parser.hpp"
 
@@ -349,7 +350,8 @@ diagram "Sys" {
 )");
   const auto system = rascad::mg::SystemModel::build(model);
   const double analytic = system.availability();
-  const auto rep = rascad::sim::replicate_system(model, 100'000.0, 80, 7);
+  const auto rep =
+      rascad::sim::replicate_system_streaming(model, 100'000.0, 80, 7);
   const auto ci = rep.availability.confidence_interval(4.0);
   EXPECT_TRUE(ci.contains(analytic))
       << "sim " << rep.availability.mean() << " vs analytic " << analytic;
@@ -360,6 +362,8 @@ TEST(SystemSim, RejectsBadInput) {
   const auto model = rascad::spec::parse_model(
       R"(diagram "D" { block "B" { mtbf = 100 mttr_corrective = 30 } })");
   EXPECT_THROW(rascad::sim::simulate_system(model, -1.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(rascad::sim::simulate_system(model, 0.0, 1),
                std::invalid_argument);
 }
 
