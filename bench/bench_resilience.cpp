@@ -1,10 +1,10 @@
 // Resilience-ladder overhead and recovery latency.
 //
 // The healthy-path comparison (bare direct solve vs the full ladder with
-// health checks and a condition estimate) is the cost every MG block solve
-// now pays; the target is < 2% on generated availability chains. The
-// recovery benchmarks measure the wall-clock price of escalating when the
-// first rung fails.
+// health checks) is the fixed cost every MG block solve pays on top of the
+// banded elimination: a residual re-check, the health scan and the trace
+// bookkeeping, all O(n). The recovery benchmarks measure the wall-clock
+// price of escalating when the first rung fails.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -55,10 +55,8 @@ void BM_LadderHealthyPath(benchmark::State& state) {
 }
 BENCHMARK(BM_LadderHealthyPath);
 
-/// Healthy path at a size where the O(n^3) factorization dominates the
-/// ladder's fixed bookkeeping — this is where the < 2% target applies.
-/// (On ~10-state generated chains the absolute overhead is sub-microsecond
-/// but a larger fraction of the tiny baseline.)
+/// Healthy path on a 201-state chain. The elimination is O(n b^2) with
+/// b = 1 here, so the ladder's O(n) checks are a visible fraction of it.
 void BM_DirectBareLarge(benchmark::State& state) {
   const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
   for (auto _ : state) {
@@ -78,7 +76,7 @@ void BM_LadderHealthyPathLarge(benchmark::State& state) {
 BENCHMARK(BM_LadderHealthyPathLarge);
 
 /// Recovery latency: the direct rung is forced to fail, so every solve
-/// pays one wasted factorization plus the BiCGStab recovery.
+/// pays one wasted elimination plus the BiCGStab recovery.
 void BM_LadderRecoveryAfterDirectFault(benchmark::State& state) {
   const markov::Ctmc chain = block_chain();
   resilience::ResilienceConfig config;
@@ -91,13 +89,13 @@ void BM_LadderRecoveryAfterDirectFault(benchmark::State& state) {
 }
 BENCHMARK(BM_LadderRecoveryAfterDirectFault);
 
-/// Worst-case recovery: everything but GTH fails.
-void BM_LadderRecoveryAtGth(benchmark::State& state) {
+/// Worst-case recovery: everything but the last rung (Power) fails.
+void BM_LadderRecoveryAtPower(benchmark::State& state) {
   const markov::Ctmc chain = block_chain();
   resilience::ResilienceConfig config;
   for (const resilience::Rung rung :
        {resilience::Rung::kDirect, resilience::Rung::kBiCgStab,
-        resilience::Rung::kSor, resilience::Rung::kPower}) {
+        resilience::Rung::kSor}) {
     config.fault_plan.fail(rung, resilience::FaultKind::kThrowNonConverged);
   }
   for (auto _ : state) {
@@ -105,15 +103,15 @@ void BM_LadderRecoveryAtGth(benchmark::State& state) {
         resilience::solve_steady_state_resilient(chain, config));
   }
 }
-BENCHMARK(BM_LadderRecoveryAtGth);
+BENCHMARK(BM_LadderRecoveryAtPower);
 
 /// Genuinely sick input: a stiff chain under a capped iteration budget,
-/// where SOR and Power fail for real before GTH recovers.
+/// where SOR and Power fail for real before the direct rung recovers.
 void BM_LadderStiffChainEscalation(benchmark::State& state) {
   const markov::Ctmc chain = resilience::ill_conditioned_chain(8, 1e9);
   resilience::ResilienceConfig config;
   config.rungs = {resilience::Rung::kSor, resilience::Rung::kPower,
-                  resilience::Rung::kGth};
+                  resilience::Rung::kDirect};
   config.base.max_iterations = 300;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -134,7 +132,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   // Direct timing of the headline comparison — bare solve vs full ladder
-  // on the 100-state chain where the < 2% healthy-path target applies.
+  // on the 201-state chain.
   using Clock = std::chrono::steady_clock;
   const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
   const resilience::ResilienceConfig config;

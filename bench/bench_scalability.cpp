@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
     deep_max_solve_ms = solve_ms;
   }
 
-  std::cout << "\niterative solver on the largest chain (direct LU above is "
-               "O(n^3)):\n";
+  std::cout << "\niterative solver on the largest chain (the direct GTH "
+               "above is O(n b^2) at bandwidth b):\n";
   {
     const auto model = rascad::mg::generate(deep_block(128, 1), g);
     rascad::markov::SteadyStateOptions opts;
@@ -141,10 +141,10 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nexpected shape: states grow linearly in N-K; generation is\n"
-               "microseconds; the dense direct solve grows cubically, which\n"
-               "is where the iterative path takes over. The width table's\n"
-               "identical copies collapse to one solve + W-1 memo hits when\n"
-               "a solve cache is attached.\n";
+               "microseconds; the banded direct solve grows linearly too\n"
+               "(the RCM bandwidth stays ~9 at every depth) and beats SOR\n"
+               "at every size. The width table's identical copies collapse\n"
+               "to one solve + W-1 memo hits when a solve cache is attached.\n";
 
   json.restore();
   rascad::obs::BenchMetricsLine("scalability")

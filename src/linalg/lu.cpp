@@ -108,17 +108,6 @@ double LuFactorization::determinant() const noexcept {
   return det;
 }
 
-std::pair<double, double> LuFactorization::pivot_extremes() const noexcept {
-  double lo = 0.0;
-  double hi = 0.0;
-  for (std::size_t i = 0; i < size(); ++i) {
-    const double mag = std::abs(lu_(i, i));
-    if (i == 0 || mag < lo) lo = mag;
-    if (mag > hi) hi = mag;
-  }
-  return {lo, hi};
-}
-
 Vector lu_solve(DenseMatrix a, const Vector& b) {
   return LuFactorization(std::move(a)).solve(b);
 }

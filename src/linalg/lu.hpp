@@ -1,9 +1,9 @@
 // LU factorization with partial pivoting — the direct linear solver behind
-// steady-state and MTTF analysis of generated Markov chains.
+// MTTF and absorption analysis of generated Markov chains (steady state
+// uses the GTH elimination in markov/steady_state.hpp).
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "linalg/dense.hpp"
@@ -33,10 +33,6 @@ class LuFactorization {
 
   /// Number of row exchanges performed during factorization.
   std::size_t swap_count() const noexcept { return swaps_; }
-
-  /// (min, max) of |U(k,k)| over the pivots. Their ratio is a free O(n)
-  /// lower-bound proxy for the condition number of A.
-  std::pair<double, double> pivot_extremes() const noexcept;
 
  private:
   DenseMatrix lu_;               // L (unit lower, below diag) and U (upper)

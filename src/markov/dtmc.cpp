@@ -7,6 +7,7 @@
 
 #include "linalg/iterative.hpp"
 #include "linalg/lu.hpp"
+#include "markov/steady_state.hpp"
 
 namespace rascad::markov {
 
@@ -63,22 +64,8 @@ std::optional<std::size_t> Dtmc::find_state(const std::string& name) const {
 }
 
 linalg::Vector Dtmc::stationary(bool direct) const {
-  const std::size_t n = size();
-  if (n == 1) return {1.0};
-  if (direct) {
-    // pi (P - I) = 0 with a replaced normalization row, like the CTMC case.
-    linalg::DenseMatrix a = p_.transposed().to_dense();
-    for (std::size_t i = 0; i < n; ++i) a(i, i) -= 1.0;
-    for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-    linalg::Vector b(n, 0.0);
-    b[n - 1] = 1.0;
-    linalg::Vector pi = linalg::lu_solve(std::move(a), b);
-    for (double& x : pi) {
-      if (x < 0.0 && x > -1e-12) x = 0.0;
-    }
-    linalg::normalize_sum(pi);
-    return pi;
-  }
+  if (size() == 1) return {1.0};
+  if (direct) return gth_stationary(p_);
   linalg::IterativeOptions opts;
   const linalg::IterativeResult r = linalg::power_stationary(p_, opts);
   if (!r.converged) {

@@ -46,10 +46,11 @@ class Dtmc {
   std::optional<std::size_t> find_state(const std::string& name) const;
 
   /// Stationary distribution pi = pi P.
-  /// `direct` solves the replaced-row linear system (exact); otherwise
-  /// power iteration is used. Throws resilience::SolveError on
-  /// reducible/periodic non-convergence (kNonConverged) or a singular
-  /// replaced-row system (kSingular).
+  /// `direct` runs the exact banded GTH elimination (gth_stationary in
+  /// steady_state.hpp; self-loops are ignored, as pi P = pi iff
+  /// pi (P - I) = 0); otherwise power iteration is used. Throws
+  /// resilience::SolveError on a reducible chain (kInvalidInput, direct)
+  /// or periodic/reducible non-convergence (kNonConverged, power).
   linalg::Vector stationary(bool direct = true) const;
 
   /// n-step distribution from `start`.

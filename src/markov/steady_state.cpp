@@ -1,10 +1,13 @@
 #include "markov/steady_state.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <new>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
 #include "resilience/solve_error.hpp"
 
 namespace rascad::markov {
@@ -42,24 +45,53 @@ linalg::IterativeOptions iterative_options_from(
   return iopts;
 }
 
-SteadyStateResult solve_direct(const Ctmc& chain) {
-  const std::size_t n = chain.size();
-  // pi Q = 0  <=>  Q^T pi^T = 0; replace the last equation with the
-  // normalization sum(pi) = 1 to obtain a nonsingular system.
-  linalg::DenseMatrix a = chain.generator().transposed().to_dense();
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  linalg::Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  SteadyStateResult result;
-  result.pi = linalg::lu_solve(std::move(a), b);
-  // Clamp the tiny negative round-off values that can appear for states
-  // with probability near machine epsilon.
-  for (double& x : result.pi) {
-    if (x < 0.0 && x > -1e-12) x = 0.0;
+/// Reverse Cuthill-McKee order of the symmetrized pattern of `w`:
+/// order[k] is the state placed at position k. Each connected component is
+/// swept breadth-first, neighbours by increasing degree, from the far end
+/// of a first sweep, so a level-structured chain comes out with a
+/// bandwidth of about one level's width.
+std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w) {
+  const std::size_t n = w.rows();
+  const linalg::CsrMatrix wt = w.transposed();
+  // Arcs in either direction; repeats and the diagonal are harmless.
+  const auto degree = [&](std::uint32_t v) {
+    return w.row(v).size + wt.row(v).size;
+  };
+  std::vector<std::uint32_t> mark(n, 0);  // last sweep to reach a state
+  std::uint32_t epoch = 0;
+  const auto sweep = [&](std::uint32_t root, std::vector<std::uint32_t>& out) {
+    const std::size_t begin = out.size();
+    out.push_back(root);
+    mark[root] = ++epoch;
+    for (std::size_t h = begin; h < out.size(); ++h) {
+      const std::size_t first = out.size();
+      for (const linalg::CsrMatrix* m : {&w, &wt}) {
+        const auto row = m->row(out[h]);
+        for (std::size_t k = 0; k < row.size; ++k) {
+          if (mark[row.cols[k]] != epoch) {
+            mark[row.cols[k]] = epoch;
+            out.push_back(row.cols[k]);
+          }
+        }
+      }
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return degree(a) != degree(b) ? degree(a) < degree(b)
+                                                : a < b;
+                });
+    }
+  };
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> probe;
+  order.reserve(n);
+  for (std::uint32_t seed = 0; seed < n; ++seed) {
+    if (mark[seed] != 0) continue;
+    probe.clear();
+    sweep(seed, probe);
+    sweep(probe.back(), order);
   }
-  linalg::normalize_sum(result.pi);
-  result.residual = stationarity_residual(chain, result.pi);
-  return result;
+  std::reverse(order.begin(), order.end());
+  return order;
 }
 
 SteadyStateResult solve_sor(const Ctmc& chain, const SteadyStateOptions& opts) {
@@ -177,8 +209,12 @@ SteadyStateResult solve_steady_state(const Ctmc& chain,
     return r;
   }
   switch (opts.method) {
-    case SteadyStateMethod::kDirect:
-      return solve_direct(chain);
+    case SteadyStateMethod::kDirect: {
+      SteadyStateResult r;
+      r.pi = gth_stationary(chain.generator(), opts);
+      r.residual = stationarity_residual(chain, r.pi);
+      return r;
+    }
     case SteadyStateMethod::kSor:
       return solve_sor(chain, opts);
     case SteadyStateMethod::kPower:
@@ -187,6 +223,128 @@ SteadyStateResult solve_steady_state(const Ctmc& chain,
       return solve_bicgstab(chain, opts);
   }
   throw std::logic_error("solve_steady_state: unknown method");
+}
+
+linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
+                              const SteadyStateOptions& opts,
+                              std::size_t* bandwidth) {
+  static constexpr const char* kWho = "solve_steady_state(direct)";
+  const std::size_t n = weights.rows();
+  if (n == 0) {
+    throw SolveError(SolveCause::kInvalidInput, kWho, "empty chain");
+  }
+  const std::vector<std::uint32_t> order = rcm_order(weights);
+  std::vector<std::uint32_t> pos(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    pos[order[k]] = static_cast<std::uint32_t>(k);
+  }
+  std::size_t b = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = weights.row(r);
+    bool exits = false;
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] == r || row.values[k] == 0.0) continue;
+      exits = true;
+      const std::size_t p = pos[r];
+      const std::size_t q = pos[row.cols[k]];
+      b = std::max(b, p > q ? p - q : q - p);
+    }
+    // Whether elimination would reach an absorbing state with others
+    // still alive depends on the order; refuse it up front instead.
+    if (!exits && n > 1) {
+      throw SolveError(SolveCause::kInvalidInput, kWho,
+                       "absorbing state " + std::to_string(r) + " in chain");
+    }
+  }
+  if (bandwidth) *bandwidth = b;
+  if (n == 1) return {1.0};
+
+  // Band storage: w(i, j) for |i - j| <= b, in RCM positions, lives at
+  // band[2b i + b + j]. Eliminating a state only touches the states within
+  // b of it, so fill-in never leaves the band.
+  std::vector<double> band;
+  try {
+    band.assign(n * (2 * b + 1), 0.0);
+  } catch (const std::bad_alloc&) {
+    throw SolveError(SolveCause::kBudgetExceeded, kWho,
+                     "banded workspace for " + std::to_string(n) +
+                         " states at bandwidth " + std::to_string(b) +
+                         " does not fit in memory");
+  }
+  const auto at = [&](std::size_t i, std::size_t j) -> double& {
+    return band[2 * b * i + b + j];
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = weights.row(r);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] != r) at(pos[r], pos[row.cols[k]]) += row.values[k];
+    }
+  }
+
+  // Forward elimination of positions n-1 .. 1 (position 0 is kept).
+  // Eliminating m censors the chain to the surviving states: the weight
+  // from i to j becomes w(i, j) + w(i, m) * w(m, j) / out(m), where out(m)
+  // is m's total outflow to the survivors. The division is folded into
+  // column m, so the back-substitution identity
+  //   pi(m) = sum_{i < m} pi(i) * w(i, m)
+  // holds directly. Only non-negative terms are ever added, which is the
+  // whole point of GTH. The diagonal accumulates junk that is never read.
+  for (std::size_t m = n - 1; m >= 1; --m) {
+    checkpoint(opts, n - m, kWho);
+    const std::size_t lo = m > b ? m - b : 0;
+    double out = 0.0;
+    for (std::size_t j = lo; j < m; ++j) out += at(m, j);
+    if (!(out > 0.0) || !std::isfinite(out)) {
+      throw SolveError(SolveCause::kInvalidInput, kWho,
+                       "state " + std::to_string(order[m]) +
+                           " has no outflow to surviving states "
+                           "(reducible chain)");
+    }
+    for (std::size_t i = lo; i < m; ++i) at(i, m) /= out;
+    const double* wm = &at(m, lo);
+    for (std::size_t i = lo; i < m; ++i) {
+      const double into_m = at(i, m);
+      if (into_m == 0.0) continue;
+      double* wi = &at(i, lo);
+      for (std::size_t j = 0; j < m - lo; ++j) wi[j] += into_m * wm[j];
+    }
+  }
+
+  // Back-substitution from an unnormalized mass(0) = 1. The true masses
+  // can span more than the double range (deep levels of a long chain), so
+  // the mass at position k is mass[k] * 2^shift[k], and the window the
+  // next step reads is rescaled whenever its newest entry drifts far from 1.
+  linalg::Vector mass(n, 0.0);
+  std::vector<int> shift(n, 0);
+  mass[0] = 1.0;
+  int scale = 0;
+  for (std::size_t m = 1; m < n; ++m) {
+    const std::size_t lo = m > b ? m - b : 0;
+    double acc = 0.0;
+    for (std::size_t i = lo; i < m; ++i) acc += mass[i] * at(i, m);
+    mass[m] = acc;
+    shift[m] = scale;
+    if (acc > 0x1p400 || (acc > 0.0 && acc < 0x1p-400)) {
+      const int e = std::ilogb(acc);
+      for (std::size_t k = m + 1 > b ? m + 1 - b : 0; k <= m; ++k) {
+        mass[k] = std::ldexp(mass[k], -e);
+        shift[k] += e;
+      }
+      scale += e;
+    }
+  }
+  int top = 0;  // mass[0] * 2^shift[0] stays exactly 1
+  for (std::size_t k = 0; k < n; ++k) {
+    if (mass[k] > 0.0) top = std::max(top, std::ilogb(mass[k]) + shift[k]);
+  }
+  linalg::Vector pi(n);
+  double total = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    pi[order[k]] = std::ldexp(mass[k], shift[k] - top);
+    total += pi[order[k]];
+  }
+  for (double& x : pi) x /= total;
+  return pi;
 }
 
 double expected_reward(const Ctmc& chain, const linalg::Vector& pi) {

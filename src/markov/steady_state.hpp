@@ -1,8 +1,9 @@
 // Steady-state solution of CTMCs: pi Q = 0, sum(pi) = 1.
 //
-// Four methods are provided; Direct (dense LU on the normalized system) is
-// the default for generated availability chains, the iterative methods are
-// the large-chain path and the subject of the solver-ablation bench (E10).
+// Four methods are provided; Direct (banded GTH elimination, exact and
+// subtraction-free) is the default for generated availability chains, the
+// iterative methods are the fallbacks of the resilience ladder and the
+// subject of the solver-ablation bench (E10).
 #pragma once
 
 #include <cstddef>
@@ -15,7 +16,7 @@
 namespace rascad::markov {
 
 enum class SteadyStateMethod {
-  kDirect,    // dense LU on Q^T with a replaced normalization row
+  kDirect,    // banded GTH elimination after an RCM reordering
   kSor,       // Gauss-Seidel/SOR sweeps on pi Q = 0 with renormalization
   kPower,     // power iteration on the uniformized DTMC
   kBiCgStab,  // Krylov solve of the replaced-row system
@@ -26,11 +27,11 @@ struct SteadyStateOptions {
   double tolerance = 1e-13;
   std::size_t max_iterations = 500'000;
   double relaxation = 1.0;  // SOR omega
-  /// Cooperative stop, forwarded into every iterative loop (checked every
-  /// cancel_check_interval iterations; see linalg::IterativeOptions). A
-  /// stopped token raises SolveError(kCancelled / kDeadlineExceeded); an
-  /// uncancelled run is bitwise identical to one without a token. The
-  /// direct method has no loop and completes regardless.
+  /// Cooperative stop, forwarded into every solver loop (checked every
+  /// cancel_check_interval iterations, or eliminated states for the direct
+  /// method; see linalg::IterativeOptions). A stopped token raises
+  /// SolveError(kCancelled / kDeadlineExceeded); an uncancelled run is
+  /// bitwise identical to one without a token.
   robust::CancelToken cancel;
   std::size_t cancel_check_interval = 64;
 };
@@ -46,9 +47,10 @@ struct SteadyStateResult {
 /// resilience::SolveError (is-a std::runtime_error) with a cause code,
 /// per method:
 ///
-///   kDirect    kSingular       singular replaced-row system (reducible /
-///                              numerically degenerate chain); thrown by
-///                              the underlying LU factorization
+///   kDirect    kInvalidInput   absorbing state, or a state with no
+///                              outflow left during elimination
+///                              (reducible chain)
+///              kBudgetExceeded banded workspace does not fit in memory
 ///   kSor       kInvalidInput   absorbing state (no exit rate)
 ///              kNonConverged   iteration budget exhausted
 ///   kPower     kNonConverged   iteration budget exhausted
@@ -62,6 +64,18 @@ struct SteadyStateResult {
 /// resilience::solve_steady_state_resilient.
 SteadyStateResult solve_steady_state(const Ctmc& chain,
                                      const SteadyStateOptions& opts = {});
+
+/// The one exact stationary solver (kDirect, Dtmc::stationary, the ladders'
+/// direct rung): Grassmann-Taksar-Heyman elimination on the non-negative
+/// off-diagonal `weights` (rates or probabilities; diagonal ignored). It
+/// never subtracts, so every mass is accurate componentwise however many
+/// decades the masses span. States go in reverse Cuthill-McKee order and
+/// the weights in a band of half-width b: O(n b^2) time, O(n b) memory.
+/// Polls opts.cancel every cancel_check_interval eliminated states; errors
+/// as for kDirect above. `bandwidth`, if given, receives b.
+linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
+                              const SteadyStateOptions& opts = {},
+                              std::size_t* bandwidth = nullptr);
 
 /// Expected steady-state reward rate: sum_i pi_i * reward_i. For a 0/1
 /// reward structure this is the steady-state availability.

@@ -133,8 +133,8 @@ markov::Ctmc ill_conditioned_chain(std::size_t pairs, double spread) {
   // reverse. Detailed balance makes the stationary masses oscillate across
   // a dynamic range of `spread`, the uniformization constant is ~spread
   // while the slowest transitions have rate 1 (so power iteration needs
-  // O(spread) steps), and the replaced-row direct system's conditioning
-  // degrades with `spread`.
+  // O(spread) steps), and the replaced-row system's conditioning degrades
+  // with `spread`.
   for (std::size_t i = 0; i + 1 < n; ++i) {
     if (i % 2 == 0) {
       builder.add_transition(i, i + 1, spread);

@@ -126,7 +126,7 @@ void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi,
 
 /// Copy of `chain` with every transition rate multiplied by `factor`
 /// (> 0). Scaling is availability-neutral in exact arithmetic but drives
-/// the replaced-row direct system toward singularity as factor -> 0.
+/// the replaced-row system (BiCGStab's) toward singularity as factor -> 0.
 markov::Ctmc with_scaled_rates(const markov::Ctmc& chain, double factor);
 
 /// Copy of `chain` with the (from, to) transition removed. Zeroing the only
@@ -140,7 +140,7 @@ markov::Ctmc with_transition_zeroed(const markov::Ctmc& chain,
 /// A stiff birth-death availability chain of 2 * `pairs` + 1 states whose
 /// adjacent rates alternate between 1 and `spread` (e.g. 1e12): its
 /// uniformized DTMC mixes at rate ~1/spread, so power iteration and SOR
-/// need O(spread) sweeps while direct elimination and GTH solve it exactly.
+/// need O(spread) sweeps while the direct (GTH) rung solves it exactly.
 markov::Ctmc ill_conditioned_chain(std::size_t pairs, double spread);
 
 }  // namespace rascad::resilience

@@ -3,10 +3,11 @@
 // Every ladder rung's result passes through these checks before it is
 // accepted: a NaN/Inf scan, negative-probability clamping with tolerance
 // accounting, and a residual re-check computed independently of whatever
-// metric the solver itself reported. The direct rung additionally gets a
-// cheap 1-norm condition estimate (Hager/Higham) from its LU factors, so
+// metric the solver itself reported. The MTTF direct rung additionally gets
+// a cheap 1-norm condition estimate (Hager/Higham) from its LU factors, so
 // silently inaccurate solves on ill-conditioned systems are caught instead
-// of propagated into availability numbers.
+// of propagated into availability numbers. (The stationary direct rung is
+// GTH elimination, accurate componentwise, so it needs no estimate.)
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,8 @@ struct HealthCheckConfig {
   /// the rate scaling keeps the bound meaningful for stiff chains whose
   /// generator entries span many orders of magnitude.
   double residual_factor = 1e4;
-  /// Direct-path conditioning threshold: a 1-norm condition estimate above
-  /// this fails the rung with kBadConditioning.
+  /// MTTF direct-rung conditioning threshold: a 1-norm condition estimate
+  /// above this fails the rung with kBadConditioning.
   double max_condition = 1e14;
 };
 

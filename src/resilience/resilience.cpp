@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -14,7 +12,6 @@
 #include "markov/ode.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "resilience/gth.hpp"
 #include "robust/robust.hpp"
 #include "robust/watchdog.hpp"
 
@@ -154,7 +151,9 @@ Result run_ladder(const std::vector<Rung>& rungs,
         trace.total_ms = elapsed_ms;
         if (obs::enabled()) {
           if (attempt_span.active()) {
-            attempt_span.set_detail(std::string(to_string(rung)) + " ok");
+            std::string detail = std::string(to_string(rung)) + " ok";
+            if (!attempt.message.empty()) detail += " " + attempt.message;
+            attempt_span.set_detail(std::move(detail));
           }
           static obs::Counter& attempts_total =
               obs::Registry::global().counter("ladder.attempts");
@@ -237,83 +236,27 @@ struct Candidate {
   double residual = 0.0;
 };
 
-/// ||A||_1 of the replaced-row system, computed off the sparse generator
-/// in O(nnz): column j of A = (Q^T with a ones row) holds Q(j, i) for
-/// i < n-1 plus the 1 contributed by the normalization row.
-double replaced_row_norm_1(const markov::Ctmc& chain) {
-  const linalg::CsrMatrix& q = chain.generator();
-  const std::size_t n = chain.size();
-  double best = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    double col = 1.0;
-    const auto row = q.row(j);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] != n - 1) col += std::abs(row.values[k]);
-    }
-    best = std::max(best, col);
-  }
-  return best;
-}
-
-/// The direct rung, re-implemented from the markov layer so the LU factors
-/// can feed the condition estimate (markov::solve_steady_state discards
-/// them). Fails with kBadConditioning when the estimate crosses the
-/// configured threshold — a silently inaccurate answer is treated exactly
-/// like an error.
-Candidate direct_rung(const markov::Ctmc& chain,
-                      const ResilienceConfig& config, RungAttempt& attempt) {
-  const std::size_t n = chain.size();
-  linalg::DenseMatrix a = chain.generator().transposed().to_dense();
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  const linalg::LuFactorization lu(std::move(a));
-  linalg::Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  Candidate candidate;
-  candidate.pi = lu.solve(b);
-  // Two-tier conditioning check. The pivot-ratio scan is O(n) and free on
-  // the healthy path; the Hager estimate costs a handful of O(n^2)
-  // triangular solves and runs only when the scan puts the factors within
-  // reach of the threshold (the ratio underestimates cond_1, hence the
-  // four-orders-of-magnitude margin).
-  const auto [pivot_min, pivot_max] = lu.pivot_extremes();
-  double estimate = pivot_min > 0.0
-                        ? pivot_max / pivot_min
-                        : std::numeric_limits<double>::infinity();
-  if (estimate > config.health.max_condition * 1e-4) {
-    estimate = condition_estimate_1(lu, replaced_row_norm_1(chain));
-  }
-  attempt.condition_estimate = estimate;
-  if (estimate > config.health.max_condition) {
-    std::ostringstream os;
-    os << "condition estimate " << estimate << " exceeds threshold "
-       << config.health.max_condition;
-    throw SolveError(SolveCause::kBadConditioning, "direct", os.str());
-  }
-  return candidate;
-}
-
-Candidate iterative_rung(const markov::Ctmc& chain, Rung rung,
-                         const ResilienceConfig& config,
-                         const robust::CancelToken& token) {
+/// Options of one rung attempt: the shared base plus the attempt's token.
+markov::SteadyStateOptions rung_options(const ResilienceConfig& config,
+                                        const robust::CancelToken& token) {
   markov::SteadyStateOptions opts = config.base;
   opts.cancel = token;
   opts.cancel_check_interval = config.cancel_check_interval;
-  switch (rung) {
-    case Rung::kBiCgStab:
-      opts.method = markov::SteadyStateMethod::kBiCgStab;
-      break;
-    case Rung::kSor:
-      opts.method = markov::SteadyStateMethod::kSor;
-      break;
-    case Rung::kPower:
-      opts.method = markov::SteadyStateMethod::kPower;
-      break;
-    default:
-      throw SolveError(SolveCause::kInvalidInput, "ladder",
-                       "rung has no steady-state meaning");
-  }
-  const markov::SteadyStateResult r = markov::solve_steady_state(chain, opts);
-  return {r.pi, r.iterations, r.residual};
+  return opts;
+}
+
+/// The direct rung of both stationary ladders: banded GTH on the chain's
+/// off-diagonal weights. Notes the chain size and bandwidth on the attempt
+/// for the ladder.attempt span.
+Candidate direct_stationary(const linalg::CsrMatrix& weights,
+                            const markov::SteadyStateOptions& opts,
+                            RungAttempt& attempt) {
+  std::size_t bandwidth = 0;
+  Candidate candidate{markov::gth_stationary(weights, opts, &bandwidth), 0,
+                      0.0};
+  attempt.message = "n=" + std::to_string(weights.rows()) +
+                    " bw=" + std::to_string(bandwidth);
+  return candidate;
 }
 
 std::vector<Rung> filter_rungs(const std::vector<Rung>& rungs,
@@ -393,20 +336,23 @@ ResilientResult solve_steady_state_resilient(const markov::Ctmc& chain,
   }
 
   const std::vector<Rung> rungs =
-      filter_rungs(config.rungs, {Rung::kDirect, Rung::kBiCgStab, Rung::kSor,
-                                  Rung::kPower, Rung::kGth});
+      filter_rungs(config.rungs,
+                   {Rung::kDirect, Rung::kBiCgStab, Rung::kSor, Rung::kPower});
   const Candidate solved = run_ladder<Candidate>(
       rungs, config, "solve_steady_state_resilient", out.trace,
       [&](Rung rung, RungAttempt& attempt,
           const robust::CancelToken& token) -> Candidate {
-        switch (rung) {
-          case Rung::kDirect:
-            return direct_rung(chain, config, attempt);
-          case Rung::kGth:
-            return {gth_stationary(chain), 0, 0.0};
-          default:
-            return iterative_rung(chain, rung, config, token);
+        markov::SteadyStateOptions opts = rung_options(config, token);
+        if (rung == Rung::kDirect) {
+          return direct_stationary(chain.generator(), opts, attempt);
         }
+        using Method = markov::SteadyStateMethod;
+        opts.method = rung == Rung::kBiCgStab ? Method::kBiCgStab
+                      : rung == Rung::kSor    ? Method::kSor
+                                              : Method::kPower;
+        const markov::SteadyStateResult r =
+            markov::solve_steady_state(chain, opts);
+        return {r.pi, r.iterations, r.residual};
       },
       [&](Rung, Candidate& candidate, RungAttempt& attempt) -> HealthReport {
         attempt.iterations = candidate.iterations;
@@ -430,19 +376,17 @@ ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
                          std::to_string(config.max_states));
   }
   std::vector<Rung> rungs =
-      filter_rungs(config.rungs, {Rung::kDirect, Rung::kPower, Rung::kGth});
-  if (rungs.empty()) rungs = {Rung::kDirect, Rung::kPower, Rung::kGth};
+      filter_rungs(config.rungs, {Rung::kDirect, Rung::kPower});
+  if (rungs.empty()) rungs = {Rung::kDirect, Rung::kPower};
   const Candidate solved = run_ladder<Candidate>(
       rungs, config, "stationary_resilient", out.trace,
-      [&](Rung rung, RungAttempt&, const robust::CancelToken&) -> Candidate {
-        switch (rung) {
-          case Rung::kDirect:
-            return {dtmc.stationary(/*direct=*/true), 0, 0.0};
-          case Rung::kGth:
-            return {gth_stationary(dtmc), 0, 0.0};
-          default:
-            return {dtmc.stationary(/*direct=*/false), 0, 0.0};
+      [&](Rung rung, RungAttempt& attempt,
+          const robust::CancelToken& token) -> Candidate {
+        if (rung == Rung::kDirect) {
+          return direct_stationary(dtmc.transition_matrix(),
+                                   rung_options(config, token), attempt);
         }
+        return {dtmc.stationary(/*direct=*/false), 0, 0.0};
       },
       [&](Rung, Candidate& candidate, RungAttempt& attempt) -> HealthReport {
         HealthReport report = check_distribution(candidate.pi, config.health);

@@ -3,15 +3,16 @@
 // Every numerical entry point of the analysis stack gets a resilient
 // wrapper here. The flagship is the steady-state ladder
 //
-//   Direct -> BiCGStab -> SOR -> Power -> GTH
+//   Direct -> BiCGStab -> SOR -> Power
 //
 // where each rung's output passes the health checks of health.hpp (NaN/Inf
-// scan, negative-mass clamping, independent residual re-check, condition
-// estimate on the direct path) before it is accepted; a rung that throws or
-// fails verification escalates to the next one, and the whole episode is
-// recorded in a SolveTrace that callers and reports can inspect. The final
-// GTH rung is subtraction-free and numerically exact, so the ladder only
-// fails outright on structurally unusable input or an exhausted budget.
+// scan, negative-mass clamping, independent residual re-check) before it is
+// accepted; a rung that throws or fails verification escalates to the next
+// one, and the whole episode is recorded in a SolveTrace that callers and
+// reports can inspect. The direct rung is banded GTH elimination
+// (markov::gth_stationary): subtraction-free and exact, so the iterative
+// rungs behind it only run when it is cancelled, out of memory, refused by
+// a fault plan, or handed a reducible chain.
 //
 // Budgets (state count, iterations, wall-clock deadline) live in
 // ResilienceConfig; the FaultPlan member is the test hook that forces rung
@@ -35,14 +36,15 @@
 namespace rascad::resilience {
 
 struct ResilienceConfig {
-  /// Rungs tried in order. The default ladder starts with the cheap exact
-  /// method and ends with the subtraction-free exact one.
+  /// Rungs tried in order. The default ladder starts with the exact
+  /// method and falls back to the iterative ones.
   std::vector<Rung> rungs = {Rung::kDirect, Rung::kBiCgStab, Rung::kSor,
-                             Rung::kPower, Rung::kGth};
+                             Rung::kPower};
   /// Tolerance / iteration budget / relaxation shared by the rungs.
   markov::SteadyStateOptions base;
   /// State-space budget: chains larger than this are refused up front with
-  /// SolveError(kBudgetExceeded) instead of attempting an O(n^3) rung.
+  /// SolveError(kBudgetExceeded). The direct rung needs O(n b) memory at
+  /// bandwidth b, so generated chains solve exactly up to the budget.
   std::size_t max_states = 200'000;
   /// Wall-clock deadline over the whole ladder in milliseconds; realized
   /// as a deadline child token of `cancel`, so it is also observed *inside*
@@ -89,11 +91,13 @@ struct RungAttempt {
   Rung rung = Rung::kDirect;
   bool success = false;
   SolveCause cause = SolveCause::kNonConverged;  // valid when !success
-  std::string message;                           // failure detail
+  /// Failure detail, or a successful direct stationary attempt's size and
+  /// bandwidth ("n=333 bw=8", also in its ladder.attempt span detail).
+  std::string message;
   std::size_t iterations = 0;
   double residual = 0.0;            // solver-reported metric
   double residual_check = 0.0;      // independent ||pi Q||_inf re-check
-  double condition_estimate = 0.0;  // direct rung only; 0 = not computed
+  double condition_estimate = 0.0;  // MTTF direct rung only; 0 = not computed
   double clamped_mass = 0.0;        // negative mass clamped by health layer
   double duration_ms = 0.0;
 };
@@ -153,8 +157,8 @@ struct ResilientResult {
 ResilientResult solve_steady_state_resilient(
     const markov::Ctmc& chain, const ResilienceConfig& config = {});
 
-/// DTMC stationary distribution through a Direct -> Power -> GTH ladder
-/// (rungs without a DTMC meaning are skipped from config.rungs).
+/// DTMC stationary distribution through a Direct -> Power ladder (rungs
+/// without a DTMC meaning are skipped from config.rungs).
 ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
                                      const ResilienceConfig& config = {});
 

@@ -27,9 +27,10 @@ enum class SolveCause {
   kNanOrInf,          // non-finite values or invalid probability mass
   kBudgetExceeded,    // state-space / term / step budget exceeded
   kBadConditioning,   // condition estimate above the configured threshold
+                      // (the MTTF direct rung)
   kDeadlineExceeded,  // deadline token expired (request or rung budget)
   kInvalidInput,      // structurally unusable input (e.g. absorbing state
-                      // handed to an irreducible-chain solver)
+                      // or reducible chain handed to a stationary solver)
   kCancelled,         // cooperative cancel token observed mid-solve
   kTransient,         // transient fault worth retrying on the same rung
 };
@@ -50,14 +51,14 @@ inline const char* to_string(SolveCause cause) {
 }
 
 /// Identity of a solver rung across the resilience ladders. The
-/// steady-state ladder uses the first five; the transient ladder uses the
+/// steady-state ladder uses the first four; the transient ladder uses the
 /// uniformization/ODE rungs.
 enum class Rung {
-  kDirect,     // dense LU on the replaced-row system
+  kDirect,     // exact elimination: banded GTH for stationary vectors,
+               // dense LU for MTTF
   kBiCgStab,   // preconditioned Krylov solve
   kSor,        // Gauss-Seidel / SOR sweeps
   kPower,      // power iteration on the uniformized DTMC
-  kGth,        // Grassmann-Taksar-Heyman elimination (subtraction-free)
   kUniformization,         // Jensen's method, strict tolerance
   kUniformizationRelaxed,  // Jensen's method, relaxed truncation budget
   kOde,        // adaptive RKF45 integration
@@ -69,7 +70,6 @@ inline const char* to_string(Rung rung) {
     case Rung::kBiCgStab: return "bicgstab";
     case Rung::kSor: return "sor";
     case Rung::kPower: return "power";
-    case Rung::kGth: return "gth";
     case Rung::kUniformization: return "uniformization";
     case Rung::kUniformizationRelaxed: return "uniformization-relaxed";
     case Rung::kOde: return "ode";

@@ -82,7 +82,7 @@ TEST(FaultPrimitives, ZeroedTransitionMakesStateAbsorbing) {
 TEST(RungTransitions, EveryEscalationStepFires) {
   const Ctmc chain = repair_chain();
   const ResilienceConfig defaults;
-  ASSERT_EQ(defaults.rungs.size(), 5u);
+  ASSERT_EQ(defaults.rungs.size(), 4u);
   for (std::size_t k = 0; k + 1 < defaults.rungs.size(); ++k) {
     ResilienceConfig config;
     for (std::size_t j = 0; j <= k; ++j) {

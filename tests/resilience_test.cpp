@@ -1,4 +1,4 @@
-// Solver resilience layer: GTH correctness, health checks, ladder
+// Solver resilience layer: exact GTH solver, health checks, ladder
 // behaviour (budgets, deadlines, escalation on genuinely sick inputs),
 // and the documented per-method SolveError causes.
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
 #include "resilience/fault_injection.hpp"
-#include "resilience/gth.hpp"
 #include "resilience/health.hpp"
 #include "resilience/resilience.hpp"
 #include "semimarkov/smp.hpp"
@@ -21,6 +20,7 @@ namespace {
 using rascad::linalg::Vector;
 using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
+using rascad::markov::gth_stationary;
 using rascad::markov::SteadyStateMethod;
 using rascad::markov::SteadyStateOptions;
 using namespace rascad::resilience;
@@ -49,8 +49,7 @@ Ctmc repair_chain() {
   return b.build();
 }
 
-/// Two disconnected 2-cycles: no unique stationary distribution, so the
-/// replaced-row direct system is singular.
+/// Two disconnected 2-cycles: no unique stationary distribution.
 Ctmc disconnected_chain() {
   CtmcBuilder b;
   const auto a0 = b.add_state("a0", 1.0);
@@ -82,23 +81,42 @@ double max_rel_err(const Vector& got, const Vector& want) {
   return worst;
 }
 
+/// Stationary vector of ill_conditioned_chain(pairs, spread) from detailed
+/// balance: pi_{i+1} = pi_i * rate(i->i+1) / rate(i+1->i).
+Vector ill_conditioned_exact(std::size_t pairs, double spread) {
+  const std::size_t n = 2 * pairs + 1;
+  std::vector<long double> raw(n);
+  raw[0] = 1.0L;
+  long double mass = 1.0L;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const long double ratio = (i % 2 == 0) ? spread : 1.0L / spread;
+    raw[i + 1] = raw[i] * ratio;
+    mass += raw[i + 1];
+  }
+  Vector exact(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    exact[i] = static_cast<double>(raw[i] / mass);
+  }
+  return exact;
+}
+
 // ---------------------------------------------------------------- GTH ----
 
 TEST(Gth, MatchesAnalyticTwoState) {
-  const Vector pi = gth_stationary(up_down_chain(1.0, 9.0));
+  const Vector pi = gth_stationary(up_down_chain(1.0, 9.0).generator());
   ASSERT_EQ(pi.size(), 2u);
   EXPECT_NEAR(pi[0], 0.9, 1e-14);
   EXPECT_NEAR(pi[1], 0.1, 1e-14);
 }
 
-TEST(Gth, MatchesDirectOnRepairChain) {
-  const Ctmc chain = repair_chain();
-  const Vector direct = rascad::markov::solve_steady_state(chain).pi;
-  const Vector gth = gth_stationary(chain);
-  EXPECT_LT(max_rel_err(gth, direct), 1e-12);
+TEST(Gth, MatchesAnalyticRepairChain) {
+  // Balance: pi_deg = pi_ok / 3, pi_down = pi_deg / 10.
+  const Vector exact{30.0 / 41.0, 10.0 / 41.0, 1.0 / 41.0};
+  EXPECT_LT(max_rel_err(gth_stationary(repair_chain().generator()), exact),
+            1e-14);
 }
 
-TEST(Gth, DtmcStationaryMatchesDirect) {
+TEST(Gth, DtmcStationaryMatchesAnalytic) {
   rascad::markov::DtmcBuilder b;
   b.add_state("a");
   b.add_state("b");
@@ -109,12 +127,16 @@ TEST(Gth, DtmcStationaryMatchesDirect) {
   b.add_transition(1, 2, 0.6);
   b.add_transition(2, 0, 1.0);
   const rascad::markov::Dtmc dtmc = b.build();
-  EXPECT_LT(max_rel_err(gth_stationary(dtmc), dtmc.stationary()), 1e-12);
+  // Balance: pi_b = 0.7 pi_a, pi_c = 0.3 pi_a + 0.6 pi_b = 0.72 pi_a.
+  const Vector exact{1.0 / 2.42, 0.7 / 2.42, 0.72 / 2.42};
+  EXPECT_LT(max_rel_err(gth_stationary(dtmc.transition_matrix()), exact),
+            1e-14);
+  EXPECT_LT(max_rel_err(dtmc.stationary(), exact), 1e-14);
 }
 
 TEST(Gth, ReducibleChainThrowsInvalidInput) {
   try {
-    gth_stationary(absorbing_chain());
+    gth_stationary(absorbing_chain().generator());
     FAIL() << "expected SolveError";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
@@ -125,26 +147,11 @@ TEST(Gth, ReducibleChainThrowsInvalidInput) {
 // chain whose stationary masses span `spread` orders of magnitude. The
 // analytic reference comes from detailed balance.
 TEST(Gth, ComponentwiseAccurateOnIllConditionedChain) {
-  const double spread = 1e6;
-  const Ctmc chain = ill_conditioned_chain(3, spread);
-  Vector exact(chain.size(), 0.0);
-  // Detailed balance: pi_{i+1} = pi_i * rate(i->i+1) / rate(i+1->i).
-  long double mass = 1.0L;
-  std::vector<long double> raw(chain.size());
-  raw[0] = 1.0L;
-  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    const long double ratio = (i % 2 == 0) ? spread : 1.0L / spread;
-    raw[i + 1] = raw[i] * ratio;
-    mass += raw[i + 1];
-  }
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    exact[i] = static_cast<double>(raw[i] / mass);
-  }
-  const Vector gth = gth_stationary(chain);
-  EXPECT_LT(max_rel_err(gth, exact), 1e-12);
-
-  const Vector direct = rascad::markov::solve_steady_state(chain).pi;
-  EXPECT_LT(max_rel_err(gth, direct), 1e-10);
+  const Ctmc chain = ill_conditioned_chain(3, 1e6);
+  const Vector exact = ill_conditioned_exact(3, 1e6);
+  EXPECT_LT(max_rel_err(gth_stationary(chain.generator()), exact), 1e-12);
+  EXPECT_LT(max_rel_err(rascad::markov::solve_steady_state(chain).pi, exact),
+            1e-12);
 }
 
 // ------------------------------------------------------- health checks ----
@@ -217,7 +224,8 @@ TEST(Ladder, HealthyPathIsSingleDirectAttempt) {
   EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
   ASSERT_EQ(r.trace.attempts.size(), 1u);
   EXPECT_EQ(r.trace.escalations(), 0u);
-  EXPECT_GT(r.trace.attempts[0].condition_estimate, 0.0);
+  EXPECT_EQ(r.trace.attempts[0].condition_estimate, 0.0);
+  EXPECT_EQ(r.trace.attempts[0].message, "n=2 bw=1");
   EXPECT_NEAR(r.result.pi[0], 0.9, 1e-12);
   EXPECT_NE(r.trace.summary().find("direct ok"), std::string::npos);
 }
@@ -225,15 +233,15 @@ TEST(Ladder, HealthyPathIsSingleDirectAttempt) {
 // The tentpole acceptance scenario: under a capped iteration budget both
 // SOR (needs ~590 sweeps on this 17-state chain) and Power (step size
 // ~1/spread on the uniformized DTMC) genuinely fail to converge; GTH
-// recovers with the exact answer.
+// recovers on the direct rung with the exact answer.
 TEST(Ladder, IterativeRungsFailOnStiffChainGthRecovers) {
   const Ctmc chain = ill_conditioned_chain(8, 1e9);
   ResilienceConfig config;
-  config.rungs = {Rung::kSor, Rung::kPower, Rung::kGth};
+  config.rungs = {Rung::kSor, Rung::kPower, Rung::kDirect};
   config.base.max_iterations = 300;
   const ResilientResult r = solve_steady_state_resilient(chain, config);
   EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kGth);
+  EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
   ASSERT_EQ(r.trace.attempts.size(), 3u);
   EXPECT_FALSE(r.trace.attempts[0].success);
   EXPECT_FALSE(r.trace.attempts[1].success);
@@ -241,16 +249,15 @@ TEST(Ladder, IterativeRungsFailOnStiffChainGthRecovers) {
   EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kNonConverged);
   EXPECT_EQ(r.trace.attempts[1].cause, SolveCause::kNonConverged);
 
-  const Vector direct = rascad::markov::solve_steady_state(chain).pi;
-  EXPECT_LT(max_rel_err(r.result.pi, direct), 1e-10);
+  EXPECT_LT(max_rel_err(r.result.pi, ill_conditioned_exact(8, 1e9)), 1e-12);
 }
 
 TEST(Ladder, StructurallyUnusableInputFailsAllRungs) {
   // A chain with an absorbing state has no unique stationary distribution;
-  // GTH detects the missing outflow, so a GTH-only ladder fails outright
+  // GTH detects the missing outflow, so a direct-only ladder fails outright
   // with a structured error that embeds the episode.
   ResilienceConfig config;
-  config.rungs = {Rung::kGth};
+  config.rungs = {Rung::kDirect};
   try {
     solve_steady_state_resilient(absorbing_chain(), config);
     FAIL() << "expected SolveError";
@@ -290,9 +297,9 @@ TEST(Ladder, ConfigFromPutsRequestedMethodFirst) {
   const ResilienceConfig config = config_from(opts);
   ASSERT_FALSE(config.rungs.empty());
   EXPECT_EQ(config.rungs.front(), Rung::kSor);
-  // The remaining default rungs are still behind it, ending in GTH.
-  EXPECT_EQ(config.rungs.back(), Rung::kGth);
-  EXPECT_EQ(config.rungs.size(), 5u);
+  // The remaining default rungs are still behind it, ending in Power.
+  EXPECT_EQ(config.rungs.back(), Rung::kPower);
+  EXPECT_EQ(config.rungs.size(), 4u);
 }
 
 TEST(Ladder, SingleStateChainTrivialEpisode) {
@@ -307,11 +314,12 @@ TEST(Ladder, SingleStateChainTrivialEpisode) {
 // ------------------------------------------- documented method causes ----
 
 TEST(SteadyStateCauses, DirectSingularOnDisconnectedChain) {
+  // GTH runs out of outflow when it reaches the first state of a component.
   try {
     rascad::markov::solve_steady_state(disconnected_chain());
     FAIL() << "expected SolveError";
   } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kSingular);
+    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
   }
 }
 

@@ -222,7 +222,7 @@ TEST(Ladder, DeadlineExpiryMidLadderAbortsWithDeadlineCause) {
   // instead of escalating to the remaining rungs.
   const Ctmc chain = ill_conditioned_chain(100, 1e7);
   ResilienceConfig config;
-  config.rungs = {Rung::kPower, Rung::kGth};
+  config.rungs = {Rung::kPower, Rung::kDirect};
   config.base.tolerance = 1e-16;
   config.base.max_iterations = 500'000'000;
   config.deadline_ms = 10.0;
@@ -239,12 +239,12 @@ TEST(Ladder, RungBudgetExpiryEscalatesInsteadOfAborting) {
   // plenty of deadline left, so the ladder escalates and succeeds.
   const Ctmc chain = repair_chain();
   ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kGth};
+  config.rungs = {Rung::kDirect, Rung::kSor};
   config.fault_plan.fail(Rung::kDirect, FaultKind::kTimeout);
   config.rung_deadline_ms = 2.0;
   const ResilientResult r = solve_steady_state_resilient(chain, config);
   EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kGth);
+  EXPECT_EQ(r.trace.final_rung, Rung::kSor);
   ASSERT_EQ(r.trace.attempts.size(), 2u);
   EXPECT_FALSE(r.trace.attempts[0].success);
   EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kDeadlineExceeded);
@@ -253,7 +253,7 @@ TEST(Ladder, RungBudgetExpiryEscalatesInsteadOfAborting) {
 TEST(Ladder, TransientFaultRetriedOnSameRung) {
   const Ctmc chain = repair_chain();
   ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kGth};
+  config.rungs = {Rung::kDirect, Rung::kSor};
   config.fault_plan.fail_times(Rung::kDirect, FaultKind::kThrowTransient, 2);
   config.transient_retries = 3;
   config.retry_backoff_ms = 0.01;
@@ -270,13 +270,13 @@ TEST(Ladder, TransientFaultRetriedOnSameRung) {
 TEST(Ladder, TransientRetriesExhaustedEscalates) {
   const Ctmc chain = repair_chain();
   ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kGth};
+  config.rungs = {Rung::kDirect, Rung::kSor};
   config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowTransient);
   config.transient_retries = 1;
   config.retry_backoff_ms = 0.01;
   const ResilientResult r = solve_steady_state_resilient(chain, config);
   EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kGth);
+  EXPECT_EQ(r.trace.final_rung, Rung::kSor);
 }
 
 // ----------------------------------------------------- parallel loops ----

@@ -1,0 +1,381 @@
+// The exact stationary solver (the kDirect method, the direct rung of the
+// resilience ladders and Dtmc::stationary) against independent oracles:
+// closed-form birth-death and K-of-N solutions per state, a dense LU on
+// the replaced-row system for every generated chain family, and itself on
+// a randomly relabelled copy of a chain. Also the scale and cancellation
+// contract on a ~50k-state generated block.
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <random>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "baselines/baselines.hpp"
+#include "linalg/lu.hpp"
+#include "markov/ctmc.hpp"
+#include "markov/dtmc.hpp"
+#include "markov/steady_state.hpp"
+#include "mg/generator.hpp"
+#include "obs/obs.hpp"
+#include "obs/trace.hpp"
+#include "resilience/resilience.hpp"
+#include "robust/cancel.hpp"
+#include "spec/ast.hpp"
+
+namespace {
+
+using rascad::linalg::Vector;
+using rascad::markov::Ctmc;
+using rascad::markov::CtmcBuilder;
+using rascad::spec::BlockSpec;
+using rascad::spec::GlobalParams;
+using rascad::spec::Transparency;
+
+double rel_err(double got, double want) {
+  return std::abs(got - want) / std::abs(want);
+}
+
+double max_rel_err(const Vector& got, const std::vector<double>& want) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    worst = std::max(worst, rel_err(got[i], want[i]));
+  }
+  return worst;
+}
+
+/// Birth-death CTMC: birth[i] is i -> i+1, death[i] is i+1 -> i.
+Ctmc birth_death_chain(const std::vector<double>& birth,
+                       const std::vector<double>& death) {
+  CtmcBuilder b;
+  for (std::size_t i = 0; i <= birth.size(); ++i) {
+    b.add_state("L" + std::to_string(i), i == birth.size() ? 0.0 : 1.0);
+  }
+  for (std::size_t i = 0; i < birth.size(); ++i) {
+    b.add_transition(i, i + 1, birth[i]);
+    b.add_transition(i + 1, i, death[i]);
+  }
+  return b.build();
+}
+
+/// 250 levels, each 10x less likely than the one before, with rates
+/// cycling over six orders of magnitude: the last mass is ~1e-250.
+void deep_birth_death(std::vector<double>& birth, std::vector<double>& death) {
+  for (int i = 0; i < 250; ++i) {
+    const double scale = std::pow(10.0, i % 7 - 3);
+    birth.push_back(0.1 * scale);
+    death.push_back(scale);
+  }
+}
+
+/// Summed mass of the down states, not 1 - A, so it keeps its digits.
+double unavailability(const Ctmc& chain, const Vector& pi) {
+  double down = 0.0;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    if (chain.reward(i) <= 0.0) down += pi[i];
+  }
+  return down;
+}
+
+/// Test-local reference: dense LU on Q^T with the last equation replaced
+/// by the normalization sum(pi) = 1.
+Vector dense_lu_stationary(const Ctmc& chain) {
+  const std::size_t n = chain.size();
+  rascad::linalg::DenseMatrix a = chain.generator().transposed().to_dense();
+  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
+  Vector rhs(n, 0.0);
+  rhs[n - 1] = 1.0;
+  return rascad::linalg::lu_solve(std::move(a), rhs);
+}
+
+GlobalParams globals() {
+  GlobalParams g;
+  g.reboot_time_h = 10.0 / 60.0;
+  g.mttm_h = 48.0;
+  g.mttrfid_h = 4.0;
+  return g;
+}
+
+/// A block with every fault path on: permanent and transient faults,
+/// imperfect diagnosis, latent faults, SPF, AR and reintegration times.
+BlockSpec full_block(unsigned n, unsigned k, Transparency recovery,
+                     Transparency repair) {
+  BlockSpec b;
+  b.name = "deep";
+  b.quantity = n;
+  b.min_quantity = k;
+  b.mtbf_h = 100'000.0;
+  b.transient_fit = 2'000.0;
+  b.mttr_diagnosis_min = 15.0;
+  b.mttr_corrective_min = 45.0;
+  b.service_response_h = 4.0;
+  b.p_correct_diagnosis = 0.95;
+  b.p_latent_fault = 0.05;
+  b.mttdlf_h = 48.0;
+  b.recovery = recovery;
+  b.ar_time_min = 6.0;
+  b.p_spf = 0.01;
+  b.t_spf_min = 30.0;
+  b.repair = repair;
+  b.reintegration_min = 8.0;
+  return b;
+}
+
+BlockSpec type4_block(unsigned n) {
+  return full_block(n, 1, Transparency::kNontransparent,
+                    Transparency::kNontransparent);
+}
+
+// ------------------------------------------------- closed-form oracles ----
+
+TEST(ExactOracle, BirthDeathPerStateAcross250Decades) {
+  std::vector<double> birth;
+  std::vector<double> death;
+  deep_birth_death(birth, death);
+  const std::vector<double> want =
+      rascad::baselines::birth_death_stationary(birth, death);
+  ASSERT_LT(want.back(), 1e-249);
+  ASSERT_GT(want.back(), 1e-252);
+  const Ctmc chain = birth_death_chain(birth, death);
+  EXPECT_LT(max_rel_err(rascad::markov::solve_steady_state(chain).pi, want),
+            1e-12);
+  const rascad::resilience::ResilientResult r =
+      rascad::resilience::solve_steady_state_resilient(chain);
+  EXPECT_EQ(r.trace.attempts.size(), 1u);
+  EXPECT_LT(max_rel_err(r.result.pi, want), 1e-12);
+}
+
+TEST(ExactOracle, BirthDeathOscillatingMasses) {
+  // 300 levels whose mass ratios cycle through 0.02, 3 and 0.5, with the
+  // absolute rates spread over eight orders of magnitude.
+  std::vector<double> birth;
+  std::vector<double> death;
+  const double ratios[] = {0.02, 3.0, 0.5};
+  for (int i = 0; i < 300; ++i) {
+    const double scale = std::pow(10.0, (i * 5) % 9 - 4);
+    birth.push_back(ratios[i % 3] * scale);
+    death.push_back(scale);
+  }
+  const std::vector<double> want =
+      rascad::baselines::birth_death_stationary(birth, death);
+  ASSERT_LT(*std::min_element(want.begin(), want.end()), 1e-140);
+  const Ctmc chain = birth_death_chain(birth, death);
+  EXPECT_LT(max_rel_err(rascad::markov::solve_steady_state(chain).pi, want),
+            1e-12);
+}
+
+TEST(ExactOracle, DtmcPerStateOnUniformizedBirthDeath) {
+  // P = I + Q / q has the stationary vector of Q; the self-loops carry the
+  // leftover mass and are ignored by the elimination.
+  std::vector<double> birth;
+  std::vector<double> death;
+  deep_birth_death(birth, death);
+  const std::size_t n = birth.size() + 1;
+  double q = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double out = (i < birth.size() ? birth[i] : 0.0) +
+                       (i > 0 ? death[i - 1] : 0.0);
+    q = std::max(q, out);
+  }
+  q *= 1.5;
+  rascad::markov::DtmcBuilder b;
+  for (std::size_t i = 0; i < n; ++i) b.add_state("L" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    double stay = 1.0;
+    if (i < birth.size()) {
+      b.add_transition(i, i + 1, birth[i] / q);
+      stay -= birth[i] / q;
+    }
+    if (i > 0) {
+      b.add_transition(i, i - 1, death[i - 1] / q);
+      stay -= death[i - 1] / q;
+    }
+    b.add_transition(i, i, stay);
+  }
+  const rascad::markov::Dtmc dtmc = b.build();
+  EXPECT_LT(max_rel_err(dtmc.stationary(),
+                        rascad::baselines::birth_death_stationary(birth,
+                                                                  death)),
+            1e-12);
+}
+
+TEST(ExactOracle, GeneratedType1KOfNMatchesClosedForm) {
+  // Permanent faults only, perfect diagnosis, no deferral: the generated
+  // Type 1 chain is the 1-of-8 birth-death chain with one repairman.
+  BlockSpec b = full_block(8, 1, Transparency::kTransparent,
+                           Transparency::kTransparent);
+  b.mtbf_h = 1'000.0;
+  b.transient_fit = 0.0;
+  b.mttr_diagnosis_min = 0.0;
+  b.mttr_corrective_min = 60.0;
+  b.service_response_h = 2.0;
+  b.p_correct_diagnosis = 1.0;
+  b.p_latent_fault = 0.0;
+  b.p_spf = 0.0;
+  GlobalParams g = globals();
+  g.mttm_h = 0.0;
+  const rascad::mg::GeneratedModel model = rascad::mg::generate(b, g);
+  ASSERT_EQ(model.type, rascad::mg::MarkovModelType::kType1);
+  ASSERT_EQ(model.chain.size(), 9u);
+  const double lambda = 1.0 / b.mtbf_h;
+  const double mu = 1.0 / 3.0;
+  const Vector pi = rascad::markov::solve_steady_state(model.chain).pi;
+
+  const double want_a =
+      rascad::baselines::k_of_n_availability(8, 1, lambda, mu, 1);
+  EXPECT_LT(rel_err(rascad::markov::expected_reward(model.chain, pi), want_a),
+            1e-13);
+  // The down mass (~2.6e-16) straight from the birth-death solution, not
+  // as 1 - A.
+  std::vector<double> birth;
+  std::vector<double> death;
+  for (unsigned i = 0; i < 8; ++i) {
+    birth.push_back((8.0 - i) * lambda);
+    death.push_back(mu);
+  }
+  const double want_u =
+      rascad::baselines::birth_death_stationary(birth, death).back();
+  EXPECT_LT(rel_err(unavailability(model.chain, pi), want_u), 1e-12);
+}
+
+// ------------------------------------------------------ dense oracle ----
+
+TEST(ExactOracle, EveryGeneratedFamilyMatchesDenseLu) {
+  std::vector<BlockSpec> blocks;
+  for (const unsigned n : {1u, 2u, 8u, 48u, 128u}) {
+    blocks.push_back(full_block(n, n, Transparency::kNontransparent,
+                                Transparency::kNontransparent));
+    if (n == 1) continue;
+    for (const Transparency recovery :
+         {Transparency::kTransparent, Transparency::kNontransparent}) {
+      for (const Transparency repair :
+           {Transparency::kTransparent, Transparency::kNontransparent}) {
+        blocks.push_back(full_block(n, 1, recovery, repair));
+      }
+    }
+  }
+  for (const Transparency repair :
+       {Transparency::kTransparent, Transparency::kNontransparent}) {
+    BlockSpec b = full_block(2, 1, Transparency::kNontransparent, repair);
+    b.mode = rascad::spec::RedundancyMode::kPrimaryStandby;
+    b.failover_time_min = 3.0;
+    b.p_failover = 0.98;
+    blocks.push_back(b);
+  }
+  for (const BlockSpec& b : blocks) {
+    const rascad::mg::GeneratedModel model = rascad::mg::generate(b, globals());
+    const std::string what = rascad::mg::to_string(model.type) +
+                             " N=" + std::to_string(b.quantity) +
+                             " K=" + std::to_string(b.min_quantity);
+    const Vector pi = rascad::markov::solve_steady_state(model.chain).pi;
+    const Vector ref = dense_lu_stationary(model.chain);
+    EXPECT_LT(rel_err(rascad::markov::expected_reward(model.chain, pi),
+                      rascad::markov::expected_reward(model.chain, ref)),
+              1e-13)
+        << what;
+    EXPECT_LT(rel_err(unavailability(model.chain, pi),
+                      unavailability(model.chain, ref)),
+              1e-12)
+        << what;
+  }
+}
+
+TEST(ExactOracle, PermutedChainGivesSameAnswer) {
+  std::vector<double> birth;
+  std::vector<double> death;
+  deep_birth_death(birth, death);
+  const Ctmc chains[] = {rascad::mg::generate(type4_block(48), globals()).chain,
+                         birth_death_chain(birth, death)};
+  std::mt19937 rng(20020623);
+  for (const Ctmc& chain : chains) {
+    const std::size_t n = chain.size();
+    // Old state i becomes new state label[i].
+    std::vector<std::size_t> label(n);
+    std::iota(label.begin(), label.end(), std::size_t{0});
+    std::shuffle(label.begin(), label.end(), rng);
+    std::vector<std::size_t> at(n);
+    for (std::size_t i = 0; i < n; ++i) at[label[i]] = i;
+    CtmcBuilder b;
+    for (std::size_t k = 0; k < n; ++k) {
+      b.add_state(chain.state_name(at[k]), chain.reward(at[k]));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto row = chain.generator().row(i);
+      for (std::size_t k = 0; k < row.size; ++k) {
+        if (row.cols[k] != i) {
+          b.add_transition(label[i], label[row.cols[k]], row.values[k]);
+        }
+      }
+    }
+    const Vector pi = rascad::markov::solve_steady_state(chain).pi;
+    const Vector permuted = rascad::markov::solve_steady_state(b.build()).pi;
+    double worst = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      worst = std::max(worst, rel_err(permuted[label[i]], pi[i]));
+    }
+    EXPECT_LT(worst, 1e-12) << n << " states";
+  }
+}
+
+// ------------------------------------------------- scale and stopping ----
+
+/// Type 4, N = 7200, K = 1: ~50k states, generated once for the binary.
+const Ctmc& chain_50k() {
+  static const Ctmc chain =
+      rascad::mg::generate(type4_block(7200), globals()).chain;
+  return chain;
+}
+
+TEST(ExactScale, Type4BlockWith50kStatesIsOneDirectAttempt) {
+  const Ctmc& chain = chain_50k();
+  ASSERT_GT(chain.size(), 50'000u);
+  const rascad::resilience::ResilientResult r =
+      rascad::resilience::solve_steady_state_resilient(chain);
+  ASSERT_TRUE(r.trace.success);
+  ASSERT_EQ(r.trace.attempts.size(), 1u) << r.trace.summary();
+  EXPECT_EQ(r.trace.final_rung, rascad::resilience::Rung::kDirect);
+  const double a = rascad::markov::expected_reward(chain, r.result.pi);
+  EXPECT_GT(a, 0.99);
+  EXPECT_LT(a, 1.0);
+}
+
+TEST(ExactScale, PreCancelledTokenStopsDirectRung) {
+  const Ctmc& chain = chain_50k();
+  rascad::markov::SteadyStateOptions opts;
+  opts.cancel = rascad::robust::CancelToken::manual();
+  opts.cancel.request_cancel();
+  try {
+    (void)rascad::markov::solve_steady_state(chain, opts);
+    FAIL() << "expected SolveError(kCancelled)";
+  } catch (const rascad::resilience::SolveError& e) {
+    EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kCancelled);
+  }
+}
+
+TEST(ExactScale, AttemptSpanRecordsSizeAndBandwidth) {
+  const Ctmc chain = rascad::mg::generate(type4_block(48), globals()).chain;
+  rascad::obs::set_enabled(true);
+  rascad::obs::clear_trace();
+  (void)rascad::resilience::solve_steady_state_resilient(chain);
+  const rascad::obs::TraceDump dump = rascad::obs::drain_trace();
+  rascad::obs::set_enabled(false);
+  std::vector<std::string> details;
+  for (const auto& span : dump.spans) {
+    if (std::string(span.name) == "ladder.attempt") {
+      details.push_back(span.detail);
+    }
+  }
+  ASSERT_EQ(details.size(), 1u);
+  const std::string prefix = "direct ok n=" + std::to_string(chain.size()) +
+                             " bw=";
+  ASSERT_EQ(details[0].rfind(prefix, 0), 0u) << details[0];
+  // A level holds about seven states; RCM keeps the band near that width,
+  // where the generator's own order spans hundreds of states.
+  const int bandwidth = std::stoi(details[0].substr(prefix.size()));
+  EXPECT_GE(bandwidth, 1);
+  EXPECT_LE(bandwidth, 14);
+}
+
+}  // namespace
