@@ -72,9 +72,6 @@ int main() {
               << std::setprecision(6) << system.reliability(t) << '\n';
     std::cout.unsetf(std::ios::fixed);
   }
-  std::cout << "  numeric system MTTF (integrating R to 2e5 h): "
-            << std::setprecision(1) << std::fixed
-            << system.mttf_numeric_h(200'000.0) << " h\n";
 
   std::cout << "\nexpected shape: A(0,T) starts at 1, decreases toward the\n"
                "steady-state availability from above; R(T) decays; the\n"

@@ -11,6 +11,7 @@
 #include "obs/bench_json.hpp"
 #include "mg/generator.hpp"
 #include "mg/system.hpp"
+#include "resilience/resilience.hpp"
 #include "spec/ast.hpp"
 
 namespace {
@@ -54,6 +55,7 @@ int main(int argc, char** argv) {
   double deep_max_gen_ms = 0.0;
   double deep_max_solve_ms = 0.0;
   std::size_t sor_iterations = 0;
+  double deep_n2400_mttf_ms = 0.0;
   std::size_t wide_max_states = 0;
   double wide_max_ms = 0.0;
   std::uint64_t wide_cache_hits = 0;
@@ -100,6 +102,23 @@ int main(int argc, char** argv) {
     sor_iterations = r.iterations;
     std::cout.unsetf(std::ios::fixed);
     std::cout.unsetf(std::ios::scientific);
+  }
+
+  std::cout << "\nMTTF (down states absorbing) of a deeper block, through "
+               "the resilience ladder\n(banded GTH, the same elimination as "
+               "the stationary solve):\n";
+  {
+    const auto model = rascad::mg::generate(deep_block(2400, 1), g);
+    rascad::resilience::SolveTrace trace;
+    const auto t0 = Clock::now();
+    const double mttf = rascad::resilience::mttf_resilient(
+        model.chain, model.initial, {}, &trace);
+    deep_n2400_mttf_ms = ms_since(t0);
+    std::cout << "  N=2400, " << model.chain.size() << " states: "
+              << std::fixed << std::setprecision(3) << deep_n2400_mttf_ms
+              << " ms, MTTF " << std::setprecision(4) << mttf << " h, "
+              << trace.summary() << '\n';
+    std::cout.unsetf(std::ios::fixed);
   }
 
   std::cout << "\nhierarchy width: flat system of W copies of a Type 3 "
@@ -152,6 +171,7 @@ int main(int argc, char** argv) {
       .metric("deep_n128_gen_ms", deep_max_gen_ms)
       .metric("deep_n128_solve_ms", deep_max_solve_ms)
       .metric("sor_n128_iterations", sor_iterations)
+      .metric("deep_n2400_mttf_ms", deep_n2400_mttf_ms)
       .metric("wide_w100_states", wide_max_states)
       .metric("wide_w100_build_ms", wide_max_ms)
       .metric("wide_w100_cache_hits", wide_cache_hits)

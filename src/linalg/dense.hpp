@@ -1,9 +1,9 @@
 // Dense matrix and vector primitives used by the Markov and RBD engines.
 //
-// The matrices arising from generated availability models are small-to-medium
-// (tens to a few thousand states), so a cache-friendly row-major dense matrix
-// plus LU factorization covers the direct-solve path; the CSR type in
-// csr.hpp covers the iterative/transient path for larger chains.
+// Vector is the numeric core's vector type. DenseMatrix is a row-major
+// dense matrix for small inspection and test-oracle uses (CsrMatrix::
+// to_dense); every solver works on the CSR type in csr.hpp, and the exact
+// solvers are banded GTH elimination in markov/steady_state.hpp.
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/lu.hpp"
+#include "markov/steady_state.hpp"
 
 namespace rascad::markov {
 
@@ -40,52 +40,49 @@ Ctmc make_down_states_absorbing(const Ctmc& chain) {
   return make_absorbing(chain, chain.down_states());
 }
 
-AbsorbingAnalysis::AbsorbingAnalysis(const Ctmc& chain) : chain_(chain) {
-  for (StateIndex i = 0; i < chain.size(); ++i) {
-    if (chain.exit_rate(i) == 0.0) {
-      absorbing_.push_back(i);
-    } else {
-      transient_.push_back(i);
+TransientSplit split_transient(const linalg::CsrMatrix& weights,
+                               const std::vector<bool>& absorbing) {
+  TransientSplit split;
+  split.position.assign(weights.rows(), -1);
+  for (StateIndex i = 0; i < weights.rows(); ++i) {
+    if (absorbing[i]) continue;
+    split.position[i] = static_cast<std::ptrdiff_t>(split.states.size());
+    split.states.push_back(i);
+  }
+  const std::size_t m = split.states.size();
+  linalg::CsrBuilder builder(m, m);
+  split.exits.assign(m, 0.0);
+  for (std::size_t r = 0; r < m; ++r) {
+    const auto row = weights.row(split.states[r]);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] == split.states[r]) continue;
+      const std::ptrdiff_t c = split.position[row.cols[k]];
+      if (c < 0) {
+        split.exits[r] += row.values[k];
+      } else {
+        builder.add(r, static_cast<std::size_t>(c), row.values[k]);
+      }
     }
+  }
+  split.weights = builder.build();
+  return split;
+}
+
+AbsorbingAnalysis::AbsorbingAnalysis(const Ctmc& chain) : chain_(chain) {
+  std::vector<bool> absorbing(chain.size());
+  for (StateIndex i = 0; i < chain.size(); ++i) {
+    absorbing[i] = chain.exit_rate(i) == 0.0;
+    if (absorbing[i]) absorbing_.push_back(i);
   }
   if (absorbing_.empty()) {
     throw std::invalid_argument("AbsorbingAnalysis: no absorbing states");
   }
-  if (transient_.empty()) {
+  if (absorbing_.size() == chain.size()) {
     throw std::invalid_argument("AbsorbingAnalysis: no transient states");
   }
-  transient_pos_.assign(chain.size(), -1);
-  for (std::size_t k = 0; k < transient_.size(); ++k) {
-    transient_pos_[transient_[k]] = static_cast<std::ptrdiff_t>(k);
-  }
-
-  // Fundamental matrix N = (-Q_TT)^{-1}; N[i][j] is the expected total time
-  // in transient state j starting from transient state i.
-  const std::size_t m = transient_.size();
-  linalg::DenseMatrix neg_qtt(m, m);
-  const auto& q = chain.generator();
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto row = q.row(transient_[r]);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t pos = transient_pos_[row.cols[k]];
-      if (pos >= 0) {
-        neg_qtt(r, static_cast<std::size_t>(pos)) -= row.values[k];
-      }
-    }
-  }
-  linalg::LuFactorization lu(neg_qtt);
-  fundamental_ = linalg::DenseMatrix(m, m);
-  linalg::Vector unit(m, 0.0);
-  for (std::size_t c = 0; c < m; ++c) {
-    unit[c] = 1.0;
-    const linalg::Vector col = lu.solve(unit);
-    unit[c] = 0.0;
-    for (std::size_t r = 0; r < m; ++r) fundamental_(r, c) = col[r];
-  }
-  tau_.assign(m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t c = 0; c < m; ++c) tau_[r] += fundamental_(r, c);
-  }
+  split_ = split_transient(chain.generator(), absorbing);
+  tau_ = gth_absorption_times(split_.weights, split_.exits,
+                              linalg::Vector(split_.states.size(), 1.0));
 }
 
 double AbsorbingAnalysis::mean_time_to_absorption(
@@ -95,8 +92,8 @@ double AbsorbingAnalysis::mean_time_to_absorption(
         "mean_time_to_absorption: initial size mismatch");
   }
   double acc = 0.0;
-  for (std::size_t k = 0; k < transient_.size(); ++k) {
-    acc += initial[transient_[k]] * tau_[k];
+  for (std::size_t k = 0; k < split_.states.size(); ++k) {
+    acc += initial[split_.states[k]] * tau_[k];
   }
   return acc;
 }
@@ -105,7 +102,7 @@ double AbsorbingAnalysis::mean_time_to_absorption(StateIndex start) const {
   if (start >= chain_.size()) {
     throw std::out_of_range("mean_time_to_absorption: state out of range");
   }
-  const std::ptrdiff_t pos = transient_pos_[start];
+  const std::ptrdiff_t pos = split_.position[start];
   if (pos < 0) return 0.0;  // already absorbed
   return tau_[static_cast<std::size_t>(pos)];
 }
@@ -119,18 +116,16 @@ double AbsorbingAnalysis::absorption_probability(StateIndex start,
     throw std::invalid_argument(
         "absorption_probability: target is not absorbing");
   }
-  const std::ptrdiff_t spos = transient_pos_[start];
+  const std::ptrdiff_t spos = split_.position[start];
   if (spos < 0) return start == target ? 1.0 : 0.0;
-  // B = N * R with R[j][a] = q(transient_j -> a).
-  double acc = 0.0;
-  const auto& q = chain_.generator();
-  for (std::size_t j = 0; j < transient_.size(); ++j) {
-    const double rate = q.at(transient_[j], target);
-    if (rate > 0.0) {
-      acc += fundamental_(static_cast<std::size_t>(spos), j) * rate;
-    }
+  // Cost rate of transient state k: its rate into `target`. Accrued until
+  // absorption, it adds up to the probability of landing there.
+  linalg::Vector into_target(split_.states.size());
+  for (std::size_t k = 0; k < split_.states.size(); ++k) {
+    into_target[k] = chain_.generator().at(split_.states[k], target);
   }
-  return acc;
+  return gth_absorption_times(split_.weights, split_.exits,
+                              into_target)[static_cast<std::size_t>(spos)];
 }
 
 double AbsorbingAnalysis::expected_visit_time(StateIndex start,
@@ -138,11 +133,14 @@ double AbsorbingAnalysis::expected_visit_time(StateIndex start,
   if (start >= chain_.size() || j >= chain_.size()) {
     throw std::out_of_range("expected_visit_time: state out of range");
   }
-  const std::ptrdiff_t spos = transient_pos_[start];
-  const std::ptrdiff_t jpos = transient_pos_[j];
+  const std::ptrdiff_t spos = split_.position[start];
+  const std::ptrdiff_t jpos = split_.position[j];
   if (spos < 0 || jpos < 0) return 0.0;
-  return fundamental_(static_cast<std::size_t>(spos),
-                      static_cast<std::size_t>(jpos));
+  // Cost rate 1 in j and 0 elsewhere accrues the time spent in j.
+  linalg::Vector in_j(split_.states.size(), 0.0);
+  in_j[static_cast<std::size_t>(jpos)] = 1.0;
+  return gth_absorption_times(split_.weights, split_.exits,
+                              in_j)[static_cast<std::size_t>(spos)];
 }
 
 double reliability_at(const Ctmc& absorbing_chain,

@@ -9,7 +9,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "linalg/dense.hpp"
+#include "linalg/csr.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/transient.hpp"
 
@@ -24,12 +24,29 @@ Ctmc make_absorbing(const Ctmc& chain, const std::vector<StateIndex>& absorbing)
 /// availability-model -> reliability-model conversion.
 Ctmc make_down_states_absorbing(const Ctmc& chain);
 
+/// A chain's weights (rates or probabilities, diagonal ignored) split at
+/// an absorbing set, in the form markov::gth_absorption_times takes.
+struct TransientSplit {
+  std::vector<StateIndex> states;         // transient index -> state
+  std::vector<std::ptrdiff_t> position;   // state -> transient index, or -1
+  linalg::CsrMatrix weights;              // between transient states
+  linalg::Vector exits;                   // into the absorbing set
+};
+
+/// Splits `weights` at the states marked in `absorbing`.
+TransientSplit split_transient(const linalg::CsrMatrix& weights,
+                               const std::vector<bool>& absorbing);
+
 /// Analysis of a chain that has at least one absorbing state reachable from
-/// the transient class.
+/// the transient class. Every query is one banded GTH solve
+/// (gth_absorption_times) with its own cost vector; only the mean times to
+/// absorption are kept.
 class AbsorbingAnalysis {
  public:
   /// Identifies absorbing states as those with zero exit rate. Throws
-  /// std::invalid_argument if there are none, or if none is reachable.
+  /// std::invalid_argument if there are none, and
+  /// resilience::SolveError(kInvalidInput) if a transient state cannot
+  /// reach one.
   explicit AbsorbingAnalysis(const Ctmc& chain);
 
   /// Mean time to absorption starting from `initial` (a distribution over
@@ -52,19 +69,15 @@ class AbsorbingAnalysis {
     return absorbing_;
   }
   const std::vector<StateIndex>& transient_states() const noexcept {
-    return transient_;
+    return split_.states;
   }
 
  private:
   Ctmc chain_;  // owned copy: the analysis outlives the caller's chain
   std::vector<StateIndex> absorbing_;
-  std::vector<StateIndex> transient_;
-  std::vector<std::ptrdiff_t> transient_pos_;  // state -> position or -1
-  // tau_[k] = expected time to absorption from transient_[k].
+  TransientSplit split_;
+  // tau_[k] = expected time to absorption from split_.states[k].
   linalg::Vector tau_;
-  // Dense factor data for absorption probabilities / visit times:
-  // fundamental = (-Q_TT)^{-1}, stored explicitly (transient class is small).
-  linalg::DenseMatrix fundamental_;
 };
 
 /// Reliability R(t): probability the chain (with absorbing failure states)

@@ -11,7 +11,7 @@ StateIndex CtmcBuilder::add_state(std::string name, double reward) {
   if (reward < 0.0) {
     throw std::invalid_argument("CtmcBuilder: reward must be non-negative");
   }
-  if (find_state(name)) {
+  if (!index_.emplace(name, states_.size()).second) {
     throw std::invalid_argument("CtmcBuilder: duplicate state name '" + name +
                                 "'");
   }
@@ -34,10 +34,9 @@ void CtmcBuilder::add_transition(StateIndex from, StateIndex to, double rate) {
 
 std::optional<StateIndex> CtmcBuilder::find_state(
     const std::string& name) const {
-  for (StateIndex i = 0; i < states_.size(); ++i) {
-    if (states_[i].name == name) return i;
-  }
-  return std::nullopt;
+  const auto it = index_.find(name);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 Ctmc CtmcBuilder::build() const {

@@ -11,6 +11,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "linalg/csr.hpp"
@@ -52,6 +53,7 @@ class CtmcBuilder {
     double rate;
   };
   std::vector<StateInfo> states_;
+  std::unordered_map<std::string, StateIndex> index_;  // name -> state
   std::vector<Arc> arcs_;
 };
 

@@ -2,11 +2,12 @@
 
 #include "resilience/solve_error.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
+#include "markov/absorbing.hpp"
 #include "markov/steady_state.hpp"
 
 namespace rascad::markov {
@@ -89,34 +90,19 @@ double Dtmc::expected_steps_to_absorption(std::size_t start) const {
     throw std::out_of_range(
         "Dtmc::expected_steps_to_absorption: index out of range");
   }
-  std::vector<std::size_t> transient;
-  std::vector<std::ptrdiff_t> position(size(), -1);
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (!is_absorbing(i)) {
-      position[i] = static_cast<std::ptrdiff_t>(transient.size());
-      transient.push_back(i);
-    }
-  }
-  if (transient.size() == size()) {
+  std::vector<bool> absorbing(size());
+  for (std::size_t i = 0; i < size(); ++i) absorbing[i] = is_absorbing(i);
+  if (std::find(absorbing.begin(), absorbing.end(), true) ==
+      absorbing.end()) {
     throw std::invalid_argument(
         "Dtmc::expected_steps_to_absorption: no absorbing states");
   }
-  if (is_absorbing(start)) return 0.0;
-
-  // (I - P_TT) t = 1.
-  const std::size_t m = transient.size();
-  linalg::DenseMatrix a(m, m);
-  linalg::Vector ones(m, 1.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    a(r, r) = 1.0;
-    const auto row = p_.row(transient[r]);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t c = position[row.cols[k]];
-      if (c >= 0) a(r, static_cast<std::size_t>(c)) -= row.values[k];
-    }
-  }
-  const linalg::Vector t = linalg::lu_solve(std::move(a), ones);
-  return t[static_cast<std::size_t>(position[start])];
+  if (absorbing[start]) return 0.0;
+  // One step per stay: tau_i = 1 + sum_j P_ij tau_j over transient states.
+  const TransientSplit split = split_transient(p_, absorbing);
+  const linalg::Vector tau = gth_absorption_times(
+      split.weights, split.exits, linalg::Vector(split.states.size(), 1.0));
+  return tau[static_cast<std::size_t>(split.position[start])];
 }
 
 linalg::Vector Dtmc::evolve(const linalg::Vector& start,

@@ -94,6 +94,102 @@ std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w) {
   return order;
 }
 
+/// A chain's off-diagonal weights in reverse Cuthill-McKee positions,
+/// stored as a band: w(i, j) for |i - j| <= b lives at w[2b i + b + j].
+/// Eliminating a state only touches the states within b of it, so fill-in
+/// never leaves the band.
+struct Band {
+  std::vector<std::uint32_t> order;  // order[k] is the state at position k
+  std::size_t b = 0;
+  std::vector<double> w;
+  double& at(std::size_t i, std::size_t j) { return w[2 * b * i + b + j]; }
+};
+
+Band band_of(const linalg::CsrMatrix& weights, const char* who) {
+  const std::size_t n = weights.rows();
+  if (n == 0) {
+    throw SolveError(SolveCause::kInvalidInput, who, "empty chain");
+  }
+  Band band;
+  band.order = rcm_order(weights);
+  std::vector<std::uint32_t> pos(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    pos[band.order[k]] = static_cast<std::uint32_t>(k);
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = weights.row(r);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] == r || row.values[k] == 0.0) continue;
+      const std::size_t p = pos[r];
+      const std::size_t q = pos[row.cols[k]];
+      band.b = std::max(band.b, p > q ? p - q : q - p);
+    }
+  }
+  try {
+    band.w.assign(n * (2 * band.b + 1), 0.0);
+  } catch (const std::bad_alloc&) {
+    throw SolveError(SolveCause::kBudgetExceeded, who,
+                     "banded workspace for " + std::to_string(n) +
+                         " states at bandwidth " + std::to_string(band.b) +
+                         " does not fit in memory");
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = weights.row(r);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] != r) band.at(pos[r], pos[row.cols[k]]) += row.values[k];
+    }
+  }
+  return band;
+}
+
+/// The one GTH elimination loop, shared by the stationary and the
+/// absorbing back-substitution. Eliminates positions n-1 down to `last`.
+/// Eliminating m censors the chain to the surviving states: the weight
+/// from i to j becomes w(i, j) + w(i, m) * w(m, j) / out(m), where out(m)
+/// is m's total outflow to the survivors plus its exit (absorbing chains
+/// only). An exit and a cost fold like any other weight,
+///   e(i) += w(i, m) / out(m) * e(m),  c(i) += w(i, m) / out(m) * c(m),
+/// so only non-negative terms are ever added, which is the whole point of
+/// GTH. The division is folded into column m, row m is kept as it was, and
+/// out(m) is returned, so both back-substitution identities hold:
+///   pi(m)  = sum_{i < m} pi(i) * w(i, m)                    (stationary)
+///   tau(m) = (c(m) + sum_{j < m} w(m, j) * tau(j)) / out(m)  (absorbing)
+/// `exits` and `costs` are indexed by position, and empty for a stationary
+/// solve. The diagonal accumulates junk that is never read.
+std::vector<double> gth_eliminate(Band& band, std::size_t last,
+                                  std::vector<double>& exits,
+                                  std::vector<double>& costs,
+                                  const SteadyStateOptions& opts,
+                                  const char* who, const char* stuck) {
+  const std::size_t n = band.order.size();
+  const std::size_t b = band.b;
+  std::vector<double> out(n, 0.0);
+  for (std::size_t m = n; m-- > last;) {
+    checkpoint(opts, n - m, who);
+    const std::size_t lo = m > b ? m - b : 0;
+    double total = exits.empty() ? 0.0 : exits[m];
+    for (std::size_t j = lo; j < m; ++j) total += band.at(m, j);
+    if (!(total > 0.0) || !std::isfinite(total)) {
+      throw SolveError(SolveCause::kInvalidInput, who,
+                       "state " + std::to_string(band.order[m]) + stuck);
+    }
+    out[m] = total;
+    for (std::size_t i = lo; i < m; ++i) band.at(i, m) /= total;
+    const double* wm = &band.at(m, lo);
+    for (std::size_t i = lo; i < m; ++i) {
+      const double into_m = band.at(i, m);
+      if (into_m == 0.0) continue;
+      double* wi = &band.at(i, lo);
+      for (std::size_t j = 0; j < m - lo; ++j) wi[j] += into_m * wm[j];
+      if (!exits.empty()) {
+        exits[i] += into_m * exits[m];
+        costs[i] += into_m * costs[m];
+      }
+    }
+  }
+  return out;
+}
+
 SteadyStateResult solve_sor(const Ctmc& chain, const SteadyStateOptions& opts) {
   // Gauss-Seidel on the fixed point pi_i = sum_{j != i} pi_j q_ji / (-q_ii),
   // renormalizing each sweep. Requires every state to have an exit rate.
@@ -230,90 +326,31 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
                               std::size_t* bandwidth) {
   static constexpr const char* kWho = "solve_steady_state(direct)";
   const std::size_t n = weights.rows();
-  if (n == 0) {
-    throw SolveError(SolveCause::kInvalidInput, kWho, "empty chain");
-  }
-  const std::vector<std::uint32_t> order = rcm_order(weights);
-  std::vector<std::uint32_t> pos(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    pos[order[k]] = static_cast<std::uint32_t>(k);
-  }
-  std::size_t b = 0;
-  for (std::size_t r = 0; r < n; ++r) {
+  // Whether elimination would reach an absorbing state with others still
+  // alive depends on the order; refuse it up front instead.
+  for (std::size_t r = 0; r < n && n > 1; ++r) {
     const auto row = weights.row(r);
     bool exits = false;
     for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] == r || row.values[k] == 0.0) continue;
-      exits = true;
-      const std::size_t p = pos[r];
-      const std::size_t q = pos[row.cols[k]];
-      b = std::max(b, p > q ? p - q : q - p);
+      exits = exits || (row.cols[k] != r && row.values[k] != 0.0);
     }
-    // Whether elimination would reach an absorbing state with others
-    // still alive depends on the order; refuse it up front instead.
-    if (!exits && n > 1) {
+    if (!exits) {
       throw SolveError(SolveCause::kInvalidInput, kWho,
                        "absorbing state " + std::to_string(r) + " in chain");
     }
   }
-  if (bandwidth) *bandwidth = b;
+  Band band = band_of(weights, kWho);
+  if (bandwidth) *bandwidth = band.b;
   if (n == 1) return {1.0};
-
-  // Band storage: w(i, j) for |i - j| <= b, in RCM positions, lives at
-  // band[2b i + b + j]. Eliminating a state only touches the states within
-  // b of it, so fill-in never leaves the band.
-  std::vector<double> band;
-  try {
-    band.assign(n * (2 * b + 1), 0.0);
-  } catch (const std::bad_alloc&) {
-    throw SolveError(SolveCause::kBudgetExceeded, kWho,
-                     "banded workspace for " + std::to_string(n) +
-                         " states at bandwidth " + std::to_string(b) +
-                         " does not fit in memory");
-  }
-  const auto at = [&](std::size_t i, std::size_t j) -> double& {
-    return band[2 * b * i + b + j];
-  };
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto row = weights.row(r);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] != r) at(pos[r], pos[row.cols[k]]) += row.values[k];
-    }
-  }
-
-  // Forward elimination of positions n-1 .. 1 (position 0 is kept).
-  // Eliminating m censors the chain to the surviving states: the weight
-  // from i to j becomes w(i, j) + w(i, m) * w(m, j) / out(m), where out(m)
-  // is m's total outflow to the survivors. The division is folded into
-  // column m, so the back-substitution identity
-  //   pi(m) = sum_{i < m} pi(i) * w(i, m)
-  // holds directly. Only non-negative terms are ever added, which is the
-  // whole point of GTH. The diagonal accumulates junk that is never read.
-  for (std::size_t m = n - 1; m >= 1; --m) {
-    checkpoint(opts, n - m, kWho);
-    const std::size_t lo = m > b ? m - b : 0;
-    double out = 0.0;
-    for (std::size_t j = lo; j < m; ++j) out += at(m, j);
-    if (!(out > 0.0) || !std::isfinite(out)) {
-      throw SolveError(SolveCause::kInvalidInput, kWho,
-                       "state " + std::to_string(order[m]) +
-                           " has no outflow to surviving states "
-                           "(reducible chain)");
-    }
-    for (std::size_t i = lo; i < m; ++i) at(i, m) /= out;
-    const double* wm = &at(m, lo);
-    for (std::size_t i = lo; i < m; ++i) {
-      const double into_m = at(i, m);
-      if (into_m == 0.0) continue;
-      double* wi = &at(i, lo);
-      for (std::size_t j = 0; j < m - lo; ++j) wi[j] += into_m * wm[j];
-    }
-  }
+  std::vector<double> none;
+  (void)gth_eliminate(band, 1, none, none, opts, kWho,
+                      " has no outflow to surviving states (reducible chain)");
 
   // Back-substitution from an unnormalized mass(0) = 1. The true masses
   // can span more than the double range (deep levels of a long chain), so
   // the mass at position k is mass[k] * 2^shift[k], and the window the
   // next step reads is rescaled whenever its newest entry drifts far from 1.
+  const std::size_t b = band.b;
   linalg::Vector mass(n, 0.0);
   std::vector<int> shift(n, 0);
   mass[0] = 1.0;
@@ -321,7 +358,7 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
   for (std::size_t m = 1; m < n; ++m) {
     const std::size_t lo = m > b ? m - b : 0;
     double acc = 0.0;
-    for (std::size_t i = lo; i < m; ++i) acc += mass[i] * at(i, m);
+    for (std::size_t i = lo; i < m; ++i) acc += mass[i] * band.at(i, m);
     mass[m] = acc;
     shift[m] = scale;
     if (acc > 0x1p400 || (acc > 0.0 && acc < 0x1p-400)) {
@@ -340,11 +377,46 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
   linalg::Vector pi(n);
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    pi[order[k]] = std::ldexp(mass[k], shift[k] - top);
-    total += pi[order[k]];
+    pi[band.order[k]] = std::ldexp(mass[k], shift[k] - top);
+    total += pi[band.order[k]];
   }
   for (double& x : pi) x /= total;
   return pi;
+}
+
+linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
+                                    const linalg::Vector& exits,
+                                    const linalg::Vector& costs,
+                                    const SteadyStateOptions& opts,
+                                    std::size_t* bandwidth) {
+  static constexpr const char* kWho = "gth_absorption_times";
+  const std::size_t n = weights.rows();
+  if (exits.size() != n || costs.size() != n) {
+    throw SolveError(SolveCause::kInvalidInput, kWho,
+                     "exit and cost vectors must match the weights");
+  }
+  Band band = band_of(weights, kWho);
+  if (bandwidth) *bandwidth = band.b;
+  std::vector<double> e(n);
+  std::vector<double> c(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    e[k] = exits[band.order[k]];
+    c[k] = costs[band.order[k]];
+  }
+  const std::vector<double> out =
+      gth_eliminate(band, 0, e, c, opts, kWho, " cannot reach absorption");
+  // Position 0 was eliminated last, against its exit alone; each later
+  // position reads the times already known below it.
+  std::vector<double> tau_pos(n);
+  linalg::Vector tau(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const std::size_t lo = m > band.b ? m - band.b : 0;
+    double acc = c[m];
+    for (std::size_t j = lo; j < m; ++j) acc += band.at(m, j) * tau_pos[j];
+    tau_pos[m] = acc / out[m];
+    tau[band.order[m]] = tau_pos[m];
+  }
+  return tau;
 }
 
 double expected_reward(const Ctmc& chain, const linalg::Vector& pi) {

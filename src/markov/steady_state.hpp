@@ -3,7 +3,8 @@
 // Four methods are provided; Direct (banded GTH elimination, exact and
 // subtraction-free) is the default for generated availability chains, the
 // iterative methods are the fallbacks of the resilience ladder and the
-// subject of the solver-ablation bench (E10).
+// subject of the solver-ablation bench (E10). The same GTH elimination
+// also solves mean times to absorption (gth_absorption_times).
 #pragma once
 
 #include <cstddef>
@@ -76,6 +77,28 @@ SteadyStateResult solve_steady_state(const Ctmc& chain,
 linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
                               const SteadyStateOptions& opts = {},
                               std::size_t* bandwidth = nullptr);
+
+/// The one exact absorbing solver (mttf_resilient's direct rung,
+/// AbsorbingAnalysis, Dtmc::expected_steps_to_absorption and
+/// SemiMarkovProcess::mean_time_to_absorption): the same banded GTH
+/// elimination, with a second back-substitution. Over the transient states
+/// it solves
+///   tau_i = (c_i + sum_j w_ij tau_j) / (sum_j w_ij + e_i)
+/// where `weights` holds the non-negative weights w between transient
+/// states (diagonal ignored), `exits` each state's weight e into the
+/// absorbing set and `costs` the cost c per unit time (rates) or per step
+/// (probabilities). With rates and unit costs, tau is the mean time to
+/// absorption. An eliminated state's exit
+/// folds into the survivors' exits like any other weight, so every pivot
+/// is a sum of non-negative terms and nothing is ever subtracted.
+/// Ordering, cost, cancellation and kBudgetExceeded as for gth_stationary;
+/// throws SolveError(kInvalidInput) when a transient state cannot reach
+/// absorption.
+linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
+                                    const linalg::Vector& exits,
+                                    const linalg::Vector& costs,
+                                    const SteadyStateOptions& opts = {},
+                                    std::size_t* bandwidth = nullptr);
 
 /// Expected steady-state reward rate: sum_i pi_i * reward_i. For a 0/1
 /// reward structure this is the steady-state availability.

@@ -195,7 +195,6 @@ cache::Signature solver_signature(const resilience::ResilienceConfig& config) {
   s.append_word(config.transient_retries);
   s.append_double(config.health.clamp_tolerance);
   s.append_double(config.health.residual_factor);
-  s.append_double(config.health.max_condition);
   // Injected faults change results by design; keying on the plan keeps
   // fault-injection runs from contaminating (or consuming) healthy entries.
   for (const auto& [rung, entry] : config.fault_plan.faults) {
@@ -547,17 +546,6 @@ double SystemModel::reliability(double horizon) const {
   return reliability_tree(spec_, blocks_, horizon, opts_.curve_steps,
                           opts_.parallel, opts_.cache)
       ->reliability(horizon);
-}
-
-double SystemModel::mttf_numeric_h(double horizon) const {
-  if (!(horizon > 0.0)) {
-    throw std::invalid_argument(
-        "SystemModel::mttf_numeric_h: horizon must be positive");
-  }
-  const std::size_t steps = std::max<std::size_t>(opts_.curve_steps, 1024);
-  return reliability_tree(spec_, blocks_, horizon, steps, opts_.parallel,
-                          opts_.cache)
-      ->mttf_numeric(horizon, steps);
 }
 
 double SystemModel::availability_with_override(const std::string& diagram,

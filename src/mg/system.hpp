@@ -112,10 +112,6 @@ class SystemModel {
   /// curves composed through the RBD.
   double reliability(double horizon) const;
 
-  /// System MTTF by numeric integration of the composed reliability curve
-  /// over (0, horizon); pick horizon >> expected MTTF for accuracy.
-  double mttf_numeric_h(double horizon) const;
-
   /// System availability with one block's availability forced to `value`
   /// (the rest of the tree unchanged) — the primitive behind Birnbaum /
   /// RAW / RRW importance measures. Throws std::invalid_argument if the

@@ -165,22 +165,6 @@ double RbdNode::interval_availability(double horizon,
   return acc * h / 3.0 / horizon;
 }
 
-double RbdNode::mttf_numeric(double horizon, std::size_t intervals) const {
-  if (!(horizon > 0.0)) {
-    throw std::invalid_argument(
-        "RbdNode::mttf_numeric: horizon must be positive");
-  }
-  if (intervals < 2) intervals = 2;
-  if (intervals % 2 != 0) ++intervals;
-  const double h = horizon / static_cast<double>(intervals);
-  double acc = reliability(0.0) + reliability(horizon);
-  for (std::size_t i = 1; i < intervals; ++i) {
-    const double t = h * static_cast<double>(i);
-    acc += reliability(t) * (i % 2 == 1 ? 4.0 : 2.0);
-  }
-  return acc * h / 3.0;
-}
-
 std::size_t RbdNode::leaf_count() const {
   if (kind_ == RbdKind::kLeaf) return 1;
   std::size_t acc = 0;

@@ -69,10 +69,6 @@ class RbdNode {
   /// (composite Simpson) of the composed point availability.
   double interval_availability(double horizon, std::size_t intervals = 512) const;
 
-  /// MTTF = integral of R(t): adaptive truncated integration. `horizon`
-  /// bounds the integration range; the tail beyond it is dropped.
-  double mttf_numeric(double horizon, std::size_t intervals = 4096) const;
-
   /// Total number of leaves in the subtree.
   std::size_t leaf_count() const;
 

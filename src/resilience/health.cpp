@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 namespace rascad::resilience {
@@ -86,54 +85,53 @@ HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
   return report;
 }
 
-double dense_norm_1(const linalg::DenseMatrix& a) {
-  // Row-major traversal with per-column accumulators (a column-by-column
-  // walk strides the whole matrix and thrashes the cache).
-  std::vector<double> col_sums(a.cols(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      col_sums[c] += std::abs(a(r, c));
+HealthReport check_absorption_times(const linalg::CsrMatrix& a,
+                                    const linalg::Vector& tau,
+                                    const HealthCheckConfig& config,
+                                    double tolerance) {
+  HealthReport report;
+  if (tau.size() != a.rows()) {
+    report.ok = false;
+    report.failure = SolveCause::kInvalidInput;
+    report.detail = "absorption time vector size mismatch";
+    return report;
+  }
+  if (!all_finite(tau)) {
+    report.ok = false;
+    report.failure = SolveCause::kNanOrInf;
+    report.detail = "non-finite mean times to absorption";
+    return report;
+  }
+  for (double x : tau) {
+    if (x < 0.0) {
+      report.ok = false;
+      report.failure = SolveCause::kNanOrInf;
+      report.detail = "negative mean time to absorption";
+      return report;
     }
   }
-  double best = 0.0;
-  for (const double s : col_sums) best = std::max(best, s);
-  return best;
-}
-
-double condition_estimate_1(const linalg::LuFactorization& lu,
-                            double a_norm_1) {
-  // Hager's algorithm: maximize ||A^{-1} x||_1 over ||x||_1 = 1 by a few
-  // steps of a subgradient ascent that alternates solves with A and A^T.
-  const std::size_t n = lu.size();
-  if (n == 0) return 0.0;
-  linalg::Vector x(n, 1.0 / static_cast<double>(n));
-  double estimate = 0.0;
-  for (int iter = 0; iter < 5; ++iter) {
-    const linalg::Vector y = lu.solve(x);
-    const double y_norm = linalg::norm1(y);
-    if (!std::isfinite(y_norm)) {
-      return std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const auto row = a.row(i);
+    double residual = -1.0;
+    double scale = 1.0;
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const double term = row.values[k] * tau[row.cols[k]];
+      residual += term;
+      scale += std::abs(term);
     }
-    estimate = std::max(estimate, y_norm);
-    // xi = sign(y)
-    linalg::Vector xi(n);
-    for (std::size_t i = 0; i < n; ++i) xi[i] = y[i] >= 0.0 ? 1.0 : -1.0;
-    const linalg::Vector z = lu.solve_transpose(xi);
-    // Next ascent direction: the unit vector of the largest |z| component.
-    std::size_t j = 0;
-    double z_max = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (std::abs(z[i]) > z_max) {
-        z_max = std::abs(z[i]);
-        j = i;
-      }
-    }
-    // Converged when no component beats the current functional value.
-    if (z_max <= std::abs(linalg::dot(z, x))) break;
-    std::fill(x.begin(), x.end(), 0.0);
-    x[j] = 1.0;
+    report.residual_inf =
+        std::max(report.residual_inf, std::abs(residual) / scale);
   }
-  return estimate * a_norm_1;
+  const double bound = config.residual_factor * tolerance;
+  if (!(report.residual_inf <= bound)) {
+    report.ok = false;
+    report.failure = SolveCause::kNonConverged;
+    std::ostringstream os;
+    os << "backward error " << report.residual_inf << " exceeds bound "
+       << bound;
+    report.detail = os.str();
+  }
+  return report;
 }
 
 }  // namespace rascad::resilience

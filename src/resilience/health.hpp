@@ -3,19 +3,16 @@
 // Every ladder rung's result passes through these checks before it is
 // accepted: a NaN/Inf scan, negative-probability clamping with tolerance
 // accounting, and a residual re-check computed independently of whatever
-// metric the solver itself reported. The MTTF direct rung additionally gets
-// a cheap 1-norm condition estimate (Hager/Higham) from its LU factors, so
-// silently inaccurate solves on ill-conditioned systems are caught instead
-// of propagated into availability numbers. (The stationary direct rung is
-// GTH elimination, accurate componentwise, so it needs no estimate.)
+// metric the solver itself reported. Stationary vectors are judged by
+// ||pi Q||; mean times to absorption by their componentwise backward
+// error, which stays meaningful however large the times get.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
 
-#include "linalg/dense.hpp"
-#include "linalg/lu.hpp"
+#include "linalg/csr.hpp"
 #include "markov/ctmc.hpp"
 #include "resilience/solve_error.hpp"
 
@@ -31,18 +28,16 @@ struct HealthCheckConfig {
   /// the rate scaling keeps the bound meaningful for stiff chains whose
   /// generator entries span many orders of magnitude.
   double residual_factor = 1e4;
-  /// MTTF direct-rung conditioning threshold: a 1-norm condition estimate
-  /// above this fails the rung with kBadConditioning.
-  double max_condition = 1e14;
 };
 
-/// Outcome of verifying one candidate stationary vector.
+/// Outcome of verifying one candidate vector.
 struct HealthReport {
   bool ok = true;
   std::optional<SolveCause> failure;  // set when !ok
   std::string detail;
   double clamped_mass = 0.0;   // negative mass clamped (absolute value)
   double residual_inf = 0.0;   // independently recomputed ||pi Q||_inf
+                               // (backward error for absorption times)
   double residual_l1 = 0.0;    // independently recomputed ||pi Q||_1
 };
 
@@ -65,14 +60,16 @@ HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
                               const HealthCheckConfig& config,
                               double tolerance);
 
-/// 1-norm of a dense matrix (max absolute column sum).
-double dense_norm_1(const linalg::DenseMatrix& a);
-
-/// Hager/Higham estimate of cond_1(A) = ||A||_1 * ||A^{-1}||_1 using the
-/// already-computed LU factors (a handful of solves, O(n^2) each — cheap
-/// next to the O(n^3) factorization it piggybacks on). `a_norm_1` is the
-/// 1-norm of the original matrix.
-double condition_estimate_1(const linalg::LuFactorization& lu,
-                            double a_norm_1);
+/// Verifies candidate mean times to absorption `tau` against the
+/// fundamental system a tau = 1, where a = -Q_TT is the generator
+/// restricted to the transient states: NaN/Inf and negative-value scans,
+/// then the componentwise backward error
+///   max_i |a tau - 1|_i / (|a| |tau| + 1)_i <= residual_factor * tolerance.
+/// Round-off in a tau grows with |a| |tau|, so an absolute bound on
+/// ||a tau - 1|| would reject exact answers once tau reaches ~1e9.
+HealthReport check_absorption_times(const linalg::CsrMatrix& a,
+                                    const linalg::Vector& tau,
+                                    const HealthCheckConfig& config,
+                                    double tolerance);
 
 }  // namespace rascad::resilience

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/ode.hpp"
 #include "obs/metrics.hpp"
@@ -245,17 +244,21 @@ markov::SteadyStateOptions rung_options(const ResilienceConfig& config,
   return opts;
 }
 
+/// Notes a direct attempt's size and bandwidth for the ladder.attempt span.
+void note_band(RungAttempt& attempt, std::size_t n, std::size_t bandwidth) {
+  attempt.message =
+      "n=" + std::to_string(n) + " bw=" + std::to_string(bandwidth);
+}
+
 /// The direct rung of both stationary ladders: banded GTH on the chain's
-/// off-diagonal weights. Notes the chain size and bandwidth on the attempt
-/// for the ladder.attempt span.
+/// off-diagonal weights.
 Candidate direct_stationary(const linalg::CsrMatrix& weights,
                             const markov::SteadyStateOptions& opts,
                             RungAttempt& attempt) {
   std::size_t bandwidth = 0;
   Candidate candidate{markov::gth_stationary(weights, opts, &bandwidth), 0,
                       0.0};
-  attempt.message = "n=" + std::to_string(weights.rows()) +
-                    " bw=" + std::to_string(bandwidth);
+  note_band(attempt, weights.rows(), bandwidth);
   return candidate;
 }
 
@@ -494,34 +497,30 @@ ResilientTransientResult transient_distribution_resilient(
 
 double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
                       const ResilienceConfig& config, SolveTrace* trace) {
-  if (chain.down_states().empty()) return 0.0;
-  const markov::Ctmc rel = markov::make_down_states_absorbing(chain);
+  const std::vector<markov::StateIndex> down = chain.down_states();
+  if (down.empty() || chain.reward(initial) <= 0.0) return 0.0;
 
-  // Transient states of the reliability chain and their local indices.
-  std::vector<markov::StateIndex> transient;
-  std::vector<std::ptrdiff_t> pos(rel.size(), -1);
-  for (markov::StateIndex i = 0; i < rel.size(); ++i) {
-    if (rel.exit_rate(i) > 0.0) {
-      pos[i] = static_cast<std::ptrdiff_t>(transient.size());
-      transient.push_back(i);
-    }
-  }
-  if (transient.empty() || pos[initial] < 0) return 0.0;
-  const std::size_t m = transient.size();
+  // Up states are transient and every arc into a down state is an exit:
+  // the direct rung's weights come straight from the generator.
+  std::vector<bool> absorbing(chain.size(), false);
+  for (markov::StateIndex i : down) absorbing[i] = true;
+  const markov::TransientSplit split =
+      markov::split_transient(chain.generator(), absorbing);
+  const std::size_t m = split.states.size();
+  const linalg::Vector ones(m, 1.0);
 
-  // (-Q_TT) tau = 1, assembled once in sparse form (densified on demand by
-  // the direct rung).
+  // (-Q_TT) tau = 1 in sparse form, for the iterative rungs and the check.
   linalg::CsrBuilder builder(m, m);
   for (std::size_t r = 0; r < m; ++r) {
-    const auto row = rel.generator().row(transient[r]);
+    double out = split.exits[r];
+    const auto row = split.weights.row(r);
     for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t c = pos[row.cols[k]];
-      if (c >= 0) builder.add(r, static_cast<std::size_t>(c),
-                              -row.values[k]);
+      builder.add(r, row.cols[k], -row.values[k]);
+      out += row.values[k];
     }
+    builder.add(r, r, out);
   }
   const linalg::CsrMatrix a = builder.build();
-  const linalg::Vector ones(m, 1.0);
 
   std::vector<Rung> rungs = filter_rungs(
       config.rungs, {Rung::kDirect, Rung::kBiCgStab, Rung::kSor});
@@ -532,90 +531,38 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
       rungs, config, "mttf_resilient", tr,
       [&](Rung rung, RungAttempt& attempt,
           const robust::CancelToken& token) -> Candidate {
-        switch (rung) {
-          case Rung::kDirect: {
-            linalg::DenseMatrix dense = a.to_dense();
-            const double a_norm_1 = dense_norm_1(dense);
-            const linalg::LuFactorization lu(std::move(dense));
-            Candidate candidate{lu.solve(ones), 0, 0.0};
-            attempt.condition_estimate = condition_estimate_1(lu, a_norm_1);
-            if (attempt.condition_estimate > config.health.max_condition) {
-              std::ostringstream os;
-              os << "condition estimate " << attempt.condition_estimate
-                 << " exceeds threshold " << config.health.max_condition;
-              throw SolveError(SolveCause::kBadConditioning, "direct",
-                               os.str());
-            }
-            return candidate;
-          }
-          case Rung::kBiCgStab: {
-            linalg::IterativeOptions iopts;
-            iopts.tolerance = config.base.tolerance;
-            iopts.max_iterations = config.base.max_iterations;
-            iopts.cancel = token;
-            iopts.cancel_check_interval = config.cancel_check_interval;
-            const linalg::IterativeResult r =
-                linalg::bicgstab_solve(a, ones, iopts);
-            if (!r.converged) {
-              throw SolveError(SolveCause::kNonConverged, "bicgstab",
-                               "did not converge", r.iterations, r.residual);
-            }
-            return {r.solution, r.iterations, r.residual};
-          }
-          default: {
-            linalg::IterativeOptions iopts;
-            iopts.tolerance = config.base.tolerance;
-            iopts.max_iterations = config.base.max_iterations;
-            iopts.relaxation = config.base.relaxation;
-            iopts.cancel = token;
-            iopts.cancel_check_interval = config.cancel_check_interval;
-            const linalg::IterativeResult r = linalg::sor_solve(a, ones, iopts);
-            if (!r.converged) {
-              throw SolveError(SolveCause::kNonConverged, "sor",
-                               "did not converge", r.iterations, r.residual);
-            }
-            return {r.solution, r.iterations, r.residual};
-          }
+        if (rung == Rung::kDirect) {
+          std::size_t bandwidth = 0;
+          Candidate candidate{
+              markov::gth_absorption_times(split.weights, split.exits, ones,
+                                           rung_options(config, token),
+                                           &bandwidth),
+              0, 0.0};
+          note_band(attempt, m, bandwidth);
+          return candidate;
         }
+        linalg::IterativeOptions iopts;
+        iopts.tolerance = config.base.tolerance;
+        iopts.max_iterations = config.base.max_iterations;
+        iopts.relaxation = config.base.relaxation;
+        iopts.cancel = token;
+        iopts.cancel_check_interval = config.cancel_check_interval;
+        const linalg::IterativeResult r =
+            rung == Rung::kBiCgStab ? linalg::bicgstab_solve(a, ones, iopts)
+                                    : linalg::sor_solve(a, ones, iopts);
+        if (!r.converged) {
+          throw SolveError(SolveCause::kNonConverged, to_string(rung),
+                           "did not converge", r.iterations, r.residual);
+        }
+        return {r.solution, r.iterations, r.residual};
       },
       [&](Rung, Candidate& candidate, RungAttempt& attempt) -> HealthReport {
         attempt.iterations = candidate.iterations;
         attempt.residual = candidate.residual;
-        HealthReport report;
-        if (!all_finite(candidate.pi)) {
-          report.ok = false;
-          report.failure = SolveCause::kNanOrInf;
-          report.detail = "non-finite mean times to absorption";
-          return report;
-        }
-        for (double x : candidate.pi) {
-          if (x < 0.0) {
-            report.ok = false;
-            report.failure = SolveCause::kNanOrInf;
-            report.detail = "negative mean time to absorption";
-            return report;
-          }
-        }
-        // Independent residual: ||A tau - 1||_inf against the rate scale.
-        linalg::Vector r = a.mul(candidate.pi);
-        for (double& x : r) x -= 1.0;
-        report.residual_inf = linalg::norm_inf(r);
-        attempt.residual_check = report.residual_inf;
-        const double scale =
-            std::max(1.0, rel.generator().max_abs_diagonal());
-        const double bound =
-            config.health.residual_factor * config.base.tolerance * scale;
-        if (!(report.residual_inf <= bound)) {
-          report.ok = false;
-          report.failure = SolveCause::kNonConverged;
-          std::ostringstream os;
-          os << "independent residual " << report.residual_inf
-             << " exceeds bound " << bound;
-          report.detail = os.str();
-        }
-        return report;
+        return check_absorption_times(a, candidate.pi, config.health,
+                                      config.base.tolerance);
       });
-  return solved.pi[static_cast<std::size_t>(pos[initial])];
+  return solved.pi[static_cast<std::size_t>(split.position[initial])];
 }
 
 }  // namespace rascad::resilience

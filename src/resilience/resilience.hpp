@@ -91,13 +91,13 @@ struct RungAttempt {
   Rung rung = Rung::kDirect;
   bool success = false;
   SolveCause cause = SolveCause::kNonConverged;  // valid when !success
-  /// Failure detail, or a successful direct stationary attempt's size and
-  /// bandwidth ("n=333 bw=8", also in its ladder.attempt span detail).
+  /// Failure detail, or a successful direct attempt's size and bandwidth
+  /// ("n=333 bw=8", also in its ladder.attempt span detail).
   std::string message;
   std::size_t iterations = 0;
   double residual = 0.0;            // solver-reported metric
   double residual_check = 0.0;      // independent ||pi Q||_inf re-check
-  double condition_estimate = 0.0;  // MTTF direct rung only; 0 = not computed
+                                    // (MTTF: componentwise backward error)
   double clamped_mass = 0.0;        // negative mass clamped by health layer
   double duration_ms = 0.0;
 };
@@ -140,7 +140,7 @@ struct SolveTrace {
     return acc;
   }
   /// One-line human-readable summary, e.g.
-  /// "direct failed (bad-conditioning) -> bicgstab ok [2 attempts, 0.41 ms]";
+  /// "direct failed (deadline-exceeded) -> bicgstab ok [2 attempts, 0.41 ms]";
   /// non-fresh traces are prefixed with their provenance, e.g.
   /// "[cache-hit] direct ok [1 attempt, 0.08 ms]".
   std::string summary() const;
@@ -180,8 +180,10 @@ ResilientTransientResult transient_distribution_resilient(
     const ResilienceConfig& config = {});
 
 /// Mean time to failure (down states absorbing) with a Direct -> BiCGStab
-/// -> SOR ladder on the fundamental system (-Q_TT) tau = 1. Returns 0 for
-/// chains that cannot fail. `trace` (optional) receives the episode.
+/// -> SOR ladder on the fundamental system (-Q_TT) tau = 1 over the up
+/// states. The direct rung is banded GTH (markov::gth_absorption_times);
+/// every rung's answer passes check_absorption_times. Returns 0 for chains
+/// that cannot fail. `trace` (optional) receives the episode.
 double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
                       const ResilienceConfig& config = {},
                       SolveTrace* trace = nullptr);

@@ -26,11 +26,10 @@ enum class SolveCause {
   kNonConverged,      // iteration budget exhausted before the tolerance
   kNanOrInf,          // non-finite values or invalid probability mass
   kBudgetExceeded,    // state-space / term / step budget exceeded
-  kBadConditioning,   // condition estimate above the configured threshold
-                      // (the MTTF direct rung)
   kDeadlineExceeded,  // deadline token expired (request or rung budget)
   kInvalidInput,      // structurally unusable input (e.g. absorbing state
-                      // or reducible chain handed to a stationary solver)
+                      // or reducible chain handed to a stationary solver,
+                      // or a transient state that cannot reach absorption)
   kCancelled,         // cooperative cancel token observed mid-solve
   kTransient,         // transient fault worth retrying on the same rung
 };
@@ -41,7 +40,6 @@ inline const char* to_string(SolveCause cause) {
     case SolveCause::kNonConverged: return "non-converged";
     case SolveCause::kNanOrInf: return "nan-or-inf";
     case SolveCause::kBudgetExceeded: return "budget-exceeded";
-    case SolveCause::kBadConditioning: return "bad-conditioning";
     case SolveCause::kDeadlineExceeded: return "deadline-exceeded";
     case SolveCause::kInvalidInput: return "invalid-input";
     case SolveCause::kCancelled: return "cancelled";
@@ -54,8 +52,8 @@ inline const char* to_string(SolveCause cause) {
 /// steady-state ladder uses the first four; the transient ladder uses the
 /// uniformization/ODE rungs.
 enum class Rung {
-  kDirect,     // exact elimination: banded GTH for stationary vectors,
-               // dense LU for MTTF
+  kDirect,     // exact banded GTH elimination (stationary vectors and
+               // mean times to absorption)
   kBiCgStab,   // preconditioned Krylov solve
   kSor,        // Gauss-Seidel / SOR sweeps
   kPower,      // power iteration on the uniformized DTMC

@@ -2,10 +2,12 @@
 
 #include "resilience/solve_error.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/lu.hpp"
+#include "markov/absorbing.hpp"
+#include "markov/steady_state.hpp"
 
 namespace rascad::semimarkov {
 
@@ -152,36 +154,22 @@ double SemiMarkovProcess::mean_time_to_absorption(std::size_t start) const {
     throw std::out_of_range(
         "SemiMarkovProcess::mean_time_to_absorption: out of range");
   }
-  std::vector<std::size_t> transient;
-  std::vector<std::ptrdiff_t> position(states_.size(), -1);
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (!is_absorbing(i)) {
-      position[i] = static_cast<std::ptrdiff_t>(transient.size());
-      transient.push_back(i);
-    }
-  }
-  if (transient.size() == states_.size()) {
+  if (std::find(absorbing_.begin(), absorbing_.end(), true) ==
+      absorbing_.end()) {
     throw std::invalid_argument(
         "SemiMarkovProcess::mean_time_to_absorption: no absorbing states");
   }
   if (is_absorbing(start)) return 0.0;
-
-  // Solve (I - P_TT) t = h_T.
-  const std::size_t m = transient.size();
-  linalg::DenseMatrix a(m, m);
-  linalg::Vector h(m);
-  const auto& p = embedded_.transition_matrix();
-  for (std::size_t r = 0; r < m; ++r) {
-    a(r, r) = 1.0;
-    const auto row = p.row(transient[r]);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t c = position[row.cols[k]];
-      if (c >= 0) a(r, static_cast<std::size_t>(c)) -= row.values[k];
-    }
-    h[r] = states_[transient[r]].sojourn->mean();
+  // Markov-renewal first passage: t_i = h_i + sum_j P_ij t_j.
+  const markov::TransientSplit split =
+      markov::split_transient(embedded_.transition_matrix(), absorbing_);
+  linalg::Vector h(split.states.size());
+  for (std::size_t k = 0; k < h.size(); ++k) {
+    h[k] = states_[split.states[k]].sojourn->mean();
   }
-  const linalg::Vector t = linalg::lu_solve(std::move(a), h);
-  return t[static_cast<std::size_t>(position[start])];
+  const linalg::Vector t =
+      markov::gth_absorption_times(split.weights, split.exits, h);
+  return t[static_cast<std::size_t>(split.position[start])];
 }
 
 linalg::Vector SemiMarkovProcess::steady_state() const {

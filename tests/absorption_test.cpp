@@ -1,15 +1,44 @@
-// Tests for first-passage analysis on DTMCs and semi-Markov processes —
-// the GMB engine's reliability-model counterpart.
+// Tests for first-passage analysis on DTMCs, semi-Markov processes and
+// absorbing CTMCs — the GMB engine's reliability-model counterpart. All of
+// it runs on the banded GTH absorbing solver; the oracles are closed forms
+// and the probability identities of an absorbing chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "baselines/baselines.hpp"
+#include "markov/absorbing.hpp"
+#include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
+#include "mg/generator.hpp"
 #include "resilience/solve_error.hpp"
 #include "semimarkov/smp.hpp"
+#include "spec/ast.hpp"
 
 namespace {
+
+double rel_err(double got, double want) {
+  return std::abs(got - want) / std::abs(want);
+}
+
+/// Birth-death rates over `levels` levels spanning four decades (1e-4 to
+/// 1): each level is 10 to 1e4 times likelier to fall back than to climb,
+/// so the first passage to the top takes up to ~1e102 time units.
+void stiff_birth_death(std::size_t levels, std::vector<double>& birth,
+                       std::vector<double>& death) {
+  for (std::size_t i = 0; i < levels; ++i) {
+    birth.push_back(std::pow(10.0, static_cast<double>(i % 3) - 4.0));
+    death.push_back(std::pow(10.0, -static_cast<double>(i % 2)));
+  }
+}
+
+/// Total outflow of birth-death level i (death[i - 1] leads back to i-1).
+double level_out(const std::vector<double>& birth,
+                 const std::vector<double>& death, std::size_t i) {
+  return birth[i] + (i > 0 ? death[i - 1] : 0.0);
+}
 
 TEST(DtmcAbsorption, GamblersRuinStepCount) {
   // States 0..3; 3 absorbing; from i move to i+1 w.p. 1 (a pure counter):
@@ -48,6 +77,63 @@ TEST(DtmcAbsorption, NoAbsorbingThrows) {
   b.add_transition(1, 0, 1.0);
   EXPECT_THROW(b.build().expected_steps_to_absorption(0),
                std::invalid_argument);
+}
+
+TEST(DtmcAbsorption, EmbeddedBirthDeathMatchesClosedForm) {
+  // The jump chain of a birth-death CTMC. Steps to absorption equal the
+  // first passage of a CTMC with the jump probabilities as rates: every
+  // state then leaves at rate 1, so time counts jumps.
+  for (const std::size_t levels : {5u, 10u, 20u, 40u}) {
+    std::vector<double> birth;
+    std::vector<double> death;
+    stiff_birth_death(levels, birth, death);
+    std::vector<double> up(levels);
+    std::vector<double> back(levels);
+    rascad::markov::DtmcBuilder b;
+    for (std::size_t i = 0; i <= levels; ++i) {
+      b.add_state("L" + std::to_string(i));
+    }
+    for (std::size_t i = 0; i < levels; ++i) {
+      up[i] = birth[i] / level_out(birth, death, i);
+      b.add_transition(i, i + 1, up[i]);
+      if (i > 0) {
+        back[i - 1] = death[i - 1] / level_out(birth, death, i);
+        b.add_transition(i, i - 1, back[i - 1]);
+      }
+    }
+    b.add_transition(levels, levels, 1.0);
+    const double want = rascad::baselines::birth_death_mttf(up, back);
+    EXPECT_LT(rel_err(b.build().expected_steps_to_absorption(0), want),
+              1e-12)
+        << levels << " levels";
+  }
+}
+
+TEST(SmpAbsorption, BirthDeathWithDeterministicSojournsMatchesClosedForm) {
+  // Deterministic stays with the CTMC's mean sojourns and jump
+  // probabilities: the mean first passage only sees the means.
+  for (const std::size_t levels : {5u, 10u, 20u, 40u}) {
+    std::vector<double> birth;
+    std::vector<double> death;
+    stiff_birth_death(levels, birth, death);
+    rascad::semimarkov::SmpBuilder sb;
+    for (std::size_t i = 0; i <= levels; ++i) {
+      sb.add_state("L" + std::to_string(i), i < levels ? 1.0 : 0.0,
+                   i < levels ? rascad::dist::deterministic(
+                                    1.0 / level_out(birth, death, i))
+                              : nullptr);
+    }
+    for (std::size_t i = 0; i < levels; ++i) {
+      const double out = level_out(birth, death, i);
+      sb.add_transition(i, i + 1, birth[i] / out);
+      if (i > 0) sb.add_transition(i, i - 1, death[i - 1] / out);
+    }
+    const double want = rascad::baselines::birth_death_mttf(birth, death);
+    EXPECT_LT(rel_err(sb.build_with_absorbing().mean_time_to_absorption(0),
+                      want),
+              1e-12)
+        << levels << " levels";
+  }
 }
 
 TEST(SmpAbsorption, MatchesCtmcMttfForExponentialSojourns) {
@@ -118,6 +204,71 @@ TEST(SmpAbsorption, RegularBuildHasNoAbsorbingStates) {
   EXPECT_FALSE(smp.is_absorbing(up));
   EXPECT_FALSE(smp.is_absorbing(down));
   EXPECT_THROW(smp.mean_time_to_absorption(up), std::invalid_argument);
+}
+
+// ------------------------------------------------ AbsorbingAnalysis ----
+
+TEST(CtmcAbsorption, ProbabilitiesAndVisitTimesAddUp) {
+  // A generated Type 4 block with its down states absorbing: from the
+  // fully-up state, absorption lands somewhere with probability 1, and the
+  // expected times spent in the transient states add up to the MTTF.
+  rascad::spec::BlockSpec b;
+  b.name = "cpu";
+  b.quantity = 8;
+  b.min_quantity = 1;
+  b.mtbf_h = 100'000.0;
+  b.transient_fit = 2'000.0;
+  b.mttr_diagnosis_min = 15.0;
+  b.mttr_corrective_min = 45.0;
+  b.service_response_h = 4.0;
+  b.p_correct_diagnosis = 0.95;
+  b.p_latent_fault = 0.05;
+  b.mttdlf_h = 48.0;
+  b.recovery = rascad::spec::Transparency::kNontransparent;
+  b.ar_time_min = 6.0;
+  b.p_spf = 0.01;
+  b.t_spf_min = 30.0;
+  b.repair = rascad::spec::Transparency::kNontransparent;
+  b.reintegration_min = 8.0;
+  rascad::spec::GlobalParams g;
+  g.reboot_time_h = 10.0 / 60.0;
+  g.mttm_h = 48.0;
+  g.mttrfid_h = 4.0;
+  const rascad::mg::GeneratedModel model = rascad::mg::generate(b, g);
+  const rascad::markov::AbsorbingAnalysis analysis(
+      rascad::markov::make_down_states_absorbing(model.chain));
+  ASSERT_GT(analysis.absorbing_states().size(), 1u);
+  double absorbed = 0.0;
+  for (const std::size_t target : analysis.absorbing_states()) {
+    absorbed += analysis.absorption_probability(model.initial, target);
+  }
+  EXPECT_NEAR(absorbed, 1.0, 1e-12);
+  double visits = 0.0;
+  for (const std::size_t j : analysis.transient_states()) {
+    visits += analysis.expected_visit_time(model.initial, j);
+  }
+  const double tau = analysis.mean_time_to_absorption(model.initial);
+  EXPECT_LT(rel_err(visits, tau), 1e-12);
+}
+
+TEST(CtmcAbsorption, TrappedTransientStateIsInvalidInput) {
+  // "loop" can never reach "dead": its mean time to absorption is
+  // infinite, which the solver reports instead of a number.
+  rascad::markov::CtmcBuilder b;
+  const auto start = b.add_state("start", 1.0);
+  const auto loop_a = b.add_state("loop_a", 1.0);
+  const auto loop_b = b.add_state("loop_b", 1.0);
+  const auto dead = b.add_state("dead", 0.0);
+  b.add_transition(start, dead, 1.0);
+  b.add_transition(start, loop_a, 1.0);
+  b.add_transition(loop_a, loop_b, 1.0);
+  b.add_transition(loop_b, loop_a, 1.0);
+  try {
+    const rascad::markov::AbsorbingAnalysis analysis(b.build());
+    FAIL() << "expected SolveError(kInvalidInput)";
+  } catch (const rascad::resilience::SolveError& e) {
+    EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kInvalidInput);
+  }
 }
 
 }  // namespace

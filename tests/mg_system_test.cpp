@@ -100,15 +100,6 @@ TEST(SystemModel, ReliabilityDecreasesWithHorizon) {
   }
 }
 
-TEST(SystemModel, MttfNumericPositiveAndBounded) {
-  const SystemModel system =
-      SystemModel::build(parse_model(kTwoLevelModel));
-  const double mttf = system.mttf_numeric_h(500'000.0);
-  EXPECT_GT(mttf, 100.0);
-  // Series of blocks cannot beat its weakest block's MTTF scale.
-  EXPECT_LT(mttf, 200'000.0);
-}
-
 TEST(SystemModel, RejectsInvalidSpec) {
   ModelSpec m = parse_model(kTwoLevelModel);
   m.diagrams[0].blocks[1].min_quantity = 9;

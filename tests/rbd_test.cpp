@@ -111,15 +111,6 @@ TEST(RbdNode, IntervalAvailabilityIntegratesCorrectly) {
   EXPECT_NEAR(tree->interval_availability(2.0, 512), expected, 1e-8);
 }
 
-TEST(RbdNode, MttfNumericMatchesExponential) {
-  // R(t) = exp(-t/10): MTTF = 10 (truncated at 200, error ~ 1e-8 relative).
-  const auto tree =
-      RbdNode::series("sys", {RbdNode::leaf("a", 1.0, nullptr, [](double t) {
-                        return std::exp(-t / 10.0);
-                      })});
-  EXPECT_NEAR(tree->mttf_numeric(200.0, 8192), 10.0, 1e-4);
-}
-
 TEST(RbdNode, ReliabilityDefaultsToPerfect) {
   const auto tree = RbdNode::series("sys", {RbdNode::leaf("a", 0.9)});
   EXPECT_DOUBLE_EQ(tree->reliability(1000.0), 1.0);

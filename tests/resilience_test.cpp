@@ -2,10 +2,12 @@
 // behaviour (budgets, deadlines, escalation on genuinely sick inputs),
 // and the documented per-method SolveError causes.
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/baselines.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
@@ -206,13 +208,73 @@ TEST(Health, ResidualRecheckAcceptsTrueStationary) {
   EXPECT_TRUE(r.ok) << r.detail;
 }
 
-TEST(Health, ConditionEstimateNearOneForIdentity) {
-  rascad::linalg::DenseMatrix eye(3, 3, 0.0);
-  for (std::size_t i = 0; i < 3; ++i) eye(i, i) = 1.0;
-  const double norm = dense_norm_1(eye);
-  const rascad::linalg::LuFactorization lu(eye);
-  const double cond = condition_estimate_1(lu, norm);
-  EXPECT_NEAR(cond, 1.0, 1e-12);
+/// Mean times to failure of a 1-of-4 birth-death block (MTBF 1,000 h,
+/// 3 h repair, one repairman), with the fundamental matrix a = -Q_TT over
+/// its up states. The MTTF is ~1.6e9 h.
+struct OneOfFour {
+  rascad::linalg::CsrMatrix a;
+  Vector tau;
+};
+
+OneOfFour one_of_four() {
+  CtmcBuilder b;
+  for (int i = 0; i <= 4; ++i) {
+    b.add_state("L" + std::to_string(i), i < 4 ? 1.0 : 0.0);
+  }
+  for (int i = 0; i < 4; ++i) {
+    b.add_transition(i, i + 1, (4 - i) * 1e-3);
+    b.add_transition(i + 1, i, 1.0 / 3.0);
+  }
+  const Ctmc chain = b.build();
+  std::vector<bool> absorbing(5, false);
+  absorbing[4] = true;
+  const rascad::markov::TransientSplit split =
+      rascad::markov::split_transient(chain.generator(), absorbing);
+  rascad::linalg::CsrBuilder ab(4, 4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const auto row = chain.generator().row(r);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] < 4) ab.add(r, row.cols[k], -row.values[k]);
+    }
+  }
+  return {ab.build(), rascad::markov::gth_absorption_times(
+                          split.weights, split.exits, Vector(4, 1.0))};
+}
+
+TEST(Health, AbsorptionCheckAcceptsExactLargeTimes) {
+  // An absolute bound on ||a tau - 1|| rejects these exact times: the
+  // round-off in a tau alone is ~eps * |a| |tau| ~ 1e-9.
+  const OneOfFour sys = one_of_four();
+  ASSERT_GT(sys.tau[0], 1e9);
+  const HealthReport r = check_absorption_times(sys.a, sys.tau,
+                                                HealthCheckConfig{}, 1e-13);
+  EXPECT_TRUE(r.ok) << r.detail;
+  EXPECT_LT(r.residual_inf, 1e-15);
+}
+
+TEST(Health, AbsorptionCheckRejectsPerturbedTimes) {
+  OneOfFour sys = one_of_four();
+  const double signs[] = {1.0, -1.0, -1.0, 1.0};
+  for (std::size_t i = 0; i < 4; ++i) sys.tau[i] *= 1.0 + 1e-6 * signs[i];
+  const HealthReport r = check_absorption_times(sys.a, sys.tau,
+                                                HealthCheckConfig{}, 1e-13);
+  EXPECT_FALSE(r.ok);
+  ASSERT_TRUE(r.failure.has_value());
+  EXPECT_EQ(*r.failure, SolveCause::kNonConverged);
+  EXPECT_GT(r.residual_inf, 1e-7);
+}
+
+TEST(Health, AbsorptionCheckRejectsNanAndNegative) {
+  OneOfFour sys = one_of_four();
+  Vector nan_tau = sys.tau;
+  nan_tau[2] = std::nan("");
+  EXPECT_EQ(check_absorption_times(sys.a, nan_tau, HealthCheckConfig{}, 1e-13)
+                .failure,
+            SolveCause::kNanOrInf);
+  sys.tau[1] = -1.0;
+  EXPECT_EQ(check_absorption_times(sys.a, sys.tau, HealthCheckConfig{}, 1e-13)
+                .failure,
+            SolveCause::kNanOrInf);
 }
 
 // --------------------------------------------------------------- ladder ----
@@ -224,7 +286,6 @@ TEST(Ladder, HealthyPathIsSingleDirectAttempt) {
   EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
   ASSERT_EQ(r.trace.attempts.size(), 1u);
   EXPECT_EQ(r.trace.escalations(), 0u);
-  EXPECT_EQ(r.trace.attempts[0].condition_estimate, 0.0);
   EXPECT_EQ(r.trace.attempts[0].message, "n=2 bw=1");
   EXPECT_NEAR(r.result.pi[0], 0.9, 1e-12);
   EXPECT_NE(r.trace.summary().find("direct ok"), std::string::npos);
@@ -440,13 +501,13 @@ TEST(Wrappers, MttfResilientMatchesAnalytic) {
   EXPECT_NEAR(mttf, 1.0 / lambda, 1e-9);
 }
 
-TEST(Wrappers, MttfResilientMatchesAbsorbingAnalysis) {
-  const Ctmc chain = repair_chain();
-  const rascad::markov::Ctmc rel =
-      rascad::markov::make_down_states_absorbing(chain);
-  const rascad::markov::AbsorbingAnalysis analysis(rel);
-  const double want = analysis.mean_time_to_absorption(0);
-  EXPECT_NEAR(mttf_resilient(chain, 0), want, 1e-9 * want);
+TEST(Wrappers, MttfResilientMatchesClosedForm) {
+  // ok -(2)-> degraded -(1)-> down, degraded -(5)-> ok: a birth-death
+  // first passage, MTTF = 1/2 + (1 + 5 * 1/2) = 4.
+  const double want = rascad::baselines::birth_death_mttf({2.0, 1.0},
+                                                          {5.0, 10.0});
+  EXPECT_DOUBLE_EQ(want, 4.0);
+  EXPECT_NEAR(mttf_resilient(repair_chain(), 0), want, 1e-14 * want);
 }
 
 TEST(Wrappers, MttfZeroWhenChainCannotFail) {

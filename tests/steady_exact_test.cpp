@@ -1,7 +1,8 @@
-// The exact stationary solver (the kDirect method, the direct rung of the
-// resilience ladders and Dtmc::stationary) against independent oracles:
-// closed-form birth-death and K-of-N solutions per state, a dense LU on
-// the replaced-row system for every generated chain family, and itself on
+// The exact solvers (banded GTH: the kDirect method, the direct rungs of
+// the resilience ladders, Dtmc::stationary and the mean times to
+// absorption behind mttf_resilient and AbsorbingAnalysis) against
+// independent oracles: closed-form birth-death and K-of-N solutions, a
+// test-local dense LU for every generated chain family, and themselves on
 // a randomly relabelled copy of a chain. Also the scale and cancellation
 // contract on a ~50k-state generated block.
 #include <algorithm>
@@ -14,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.hpp"
-#include "linalg/lu.hpp"
+#include "markov/absorbing.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
@@ -24,6 +25,7 @@
 #include "resilience/resilience.hpp"
 #include "robust/cancel.hpp"
 #include "spec/ast.hpp"
+#include "dense_lu.hpp"
 
 namespace {
 
@@ -87,7 +89,74 @@ Vector dense_lu_stationary(const Ctmc& chain) {
   for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
   Vector rhs(n, 0.0);
   rhs[n - 1] = 1.0;
-  return rascad::linalg::lu_solve(std::move(a), rhs);
+  return rascad::testing::dense_lu_solve(std::move(a), rhs);
+}
+
+/// Test-local reference: mean times to failure of every up state, by dense
+/// LU on -Q_TT tau = 1 over the up states. Down states get 0.
+Vector dense_lu_mttf(const Ctmc& chain) {
+  std::vector<std::size_t> up;
+  std::vector<std::ptrdiff_t> at(chain.size(), -1);
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    if (chain.reward(i) > 0.0) {
+      at[i] = static_cast<std::ptrdiff_t>(up.size());
+      up.push_back(i);
+    }
+  }
+  rascad::linalg::DenseMatrix a(up.size(), up.size());
+  for (std::size_t r = 0; r < up.size(); ++r) {
+    const auto row = chain.generator().row(up[r]);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (at[row.cols[k]] >= 0) {
+        a(r, static_cast<std::size_t>(at[row.cols[k]])) = -row.values[k];
+      }
+    }
+  }
+  const Vector tau =
+      rascad::testing::dense_lu_solve(std::move(a), Vector(up.size(), 1.0));
+  Vector out(chain.size(), 0.0);
+  for (std::size_t r = 0; r < up.size(); ++r) out[up[r]] = tau[r];
+  return out;
+}
+
+/// Mean times to failure of every state, through AbsorbingAnalysis.
+Vector gth_mttf(const Ctmc& chain) {
+  const rascad::markov::AbsorbingAnalysis analysis(
+      rascad::markov::make_down_states_absorbing(chain));
+  Vector out(chain.size());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    out[i] = analysis.mean_time_to_absorption(i);
+  }
+  return out;
+}
+
+/// Copy of `chain` in which old state i is new state label[i].
+Ctmc relabelled(const Ctmc& chain, const std::vector<std::size_t>& label) {
+  const std::size_t n = chain.size();
+  std::vector<std::size_t> at(n);
+  for (std::size_t i = 0; i < n; ++i) at[label[i]] = i;
+  CtmcBuilder b;
+  for (std::size_t k = 0; k < n; ++k) {
+    b.add_state(chain.state_name(at[k]), chain.reward(at[k]));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = chain.generator().row(i);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] != i) {
+        b.add_transition(label[i], label[row.cols[k]], row.values[k]);
+      }
+    }
+  }
+  return b.build();
+}
+
+/// Birth-death rates over `levels` levels, cycling over four decades.
+void stiff_birth_death(std::size_t levels, std::vector<double>& birth,
+                       std::vector<double>& death) {
+  for (std::size_t i = 0; i < levels; ++i) {
+    birth.push_back(std::pow(10.0, static_cast<double>(i % 3) - 4.0));
+    death.push_back(std::pow(10.0, -static_cast<double>(i % 2)));
+  }
 }
 
 GlobalParams globals() {
@@ -201,10 +270,11 @@ TEST(ExactOracle, DtmcPerStateOnUniformizedBirthDeath) {
             1e-12);
 }
 
-TEST(ExactOracle, GeneratedType1KOfNMatchesClosedForm) {
-  // Permanent faults only, perfect diagnosis, no deferral: the generated
-  // Type 1 chain is the 1-of-8 birth-death chain with one repairman.
-  BlockSpec b = full_block(8, 1, Transparency::kTransparent,
+/// Permanent faults only, perfect diagnosis, no deferral: the generated
+/// Type 1 chain is the 1-of-n birth-death chain with one repairman,
+/// lambda = 1e-3 / h and mu = 1/3 per hour.
+rascad::mg::GeneratedModel type1_one_of(unsigned n) {
+  BlockSpec b = full_block(n, 1, Transparency::kTransparent,
                            Transparency::kTransparent);
   b.mtbf_h = 1'000.0;
   b.transient_fit = 0.0;
@@ -216,10 +286,14 @@ TEST(ExactOracle, GeneratedType1KOfNMatchesClosedForm) {
   b.p_spf = 0.0;
   GlobalParams g = globals();
   g.mttm_h = 0.0;
-  const rascad::mg::GeneratedModel model = rascad::mg::generate(b, g);
+  return rascad::mg::generate(b, g);
+}
+
+TEST(ExactOracle, GeneratedType1KOfNMatchesClosedForm) {
+  const rascad::mg::GeneratedModel model = type1_one_of(8);
   ASSERT_EQ(model.type, rascad::mg::MarkovModelType::kType1);
   ASSERT_EQ(model.chain.size(), 9u);
-  const double lambda = 1.0 / b.mtbf_h;
+  const double lambda = 1e-3;
   const double mu = 1.0 / 3.0;
   const Vector pi = rascad::markov::solve_steady_state(model.chain).pi;
 
@@ -291,31 +365,104 @@ TEST(ExactOracle, PermutedChainGivesSameAnswer) {
   std::mt19937 rng(20020623);
   for (const Ctmc& chain : chains) {
     const std::size_t n = chain.size();
-    // Old state i becomes new state label[i].
     std::vector<std::size_t> label(n);
     std::iota(label.begin(), label.end(), std::size_t{0});
     std::shuffle(label.begin(), label.end(), rng);
-    std::vector<std::size_t> at(n);
-    for (std::size_t i = 0; i < n; ++i) at[label[i]] = i;
-    CtmcBuilder b;
-    for (std::size_t k = 0; k < n; ++k) {
-      b.add_state(chain.state_name(at[k]), chain.reward(at[k]));
-    }
+    const Ctmc permuted = relabelled(chain, label);
+    const Vector pi = rascad::markov::solve_steady_state(chain).pi;
+    const Vector pi_p = rascad::markov::solve_steady_state(permuted).pi;
+    const Vector tau = gth_mttf(chain);
+    const Vector tau_p = gth_mttf(permuted);
+    double worst_pi = 0.0;
+    double worst_tau = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const auto row = chain.generator().row(i);
-      for (std::size_t k = 0; k < row.size; ++k) {
-        if (row.cols[k] != i) {
-          b.add_transition(label[i], label[row.cols[k]], row.values[k]);
-        }
+      worst_pi = std::max(worst_pi, rel_err(pi_p[label[i]], pi[i]));
+      if (tau[i] > 0.0) {
+        worst_tau = std::max(worst_tau, rel_err(tau_p[label[i]], tau[i]));
       }
     }
-    const Vector pi = rascad::markov::solve_steady_state(chain).pi;
-    const Vector permuted = rascad::markov::solve_steady_state(b.build()).pi;
-    double worst = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      worst = std::max(worst, rel_err(permuted[label[i]], pi[i]));
+    EXPECT_LT(worst_pi, 1e-12) << n << " states";
+    EXPECT_LT(worst_tau, 1e-12) << n << " states";
+  }
+}
+
+// ---------------------------------------------- mean time to absorption ----
+
+TEST(ExactAbsorbing, GeneratedType1OneOfNMatchesClosedForm) {
+  // The 1-of-4 block has an MTTF of ~1.6e9 h, the 1-of-8 one ~1.2e16 h.
+  for (unsigned n = 2; n <= 8; ++n) {
+    const rascad::mg::GeneratedModel model = type1_one_of(n);
+    ASSERT_EQ(model.chain.size(), n + 1u);
+    const double want =
+        rascad::baselines::k_of_n_mttf_with_repair(n, 1, 1e-3, 1.0 / 3.0, 1);
+    rascad::resilience::SolveTrace trace;
+    const double got = rascad::resilience::mttf_resilient(
+        model.chain, model.initial, {}, &trace);
+    EXPECT_LT(rel_err(got, want), 1e-13) << "1-of-" << n;
+    ASSERT_EQ(trace.attempts.size(), 1u) << trace.summary();
+    EXPECT_EQ(trace.final_rung, rascad::resilience::Rung::kDirect);
+  }
+}
+
+TEST(ExactAbsorbing, BirthDeathMttfAcrossFourDecades) {
+  for (const std::size_t levels : {5u, 10u, 20u, 40u}) {
+    std::vector<double> birth;
+    std::vector<double> death;
+    stiff_birth_death(levels, birth, death);
+    const double want = rascad::baselines::birth_death_mttf(birth, death);
+    rascad::resilience::SolveTrace trace;
+    const double got = rascad::resilience::mttf_resilient(
+        birth_death_chain(birth, death), 0, {}, &trace);
+    EXPECT_LT(rel_err(got, want), 1e-12) << levels << " levels";
+    EXPECT_EQ(trace.attempts.size(), 1u) << trace.summary();
+  }
+}
+
+TEST(ExactAbsorbing, BirthDeathMttfNear1e200) {
+  // Each level is 10x likelier to fall back than to climb: 200 levels put
+  // the MTTF near 1e200 h.
+  const std::vector<double> birth(200, 0.1);
+  const std::vector<double> death(200, 1.0);
+  const double want = rascad::baselines::birth_death_mttf(birth, death);
+  ASSERT_GT(want, 1e195);
+  rascad::resilience::SolveTrace trace;
+  const double got = rascad::resilience::mttf_resilient(
+      birth_death_chain(birth, death), 0, {}, &trace);
+  EXPECT_LT(rel_err(got, want), 1e-12);
+  EXPECT_EQ(trace.attempts.size(), 1u) << trace.summary();
+}
+
+TEST(ExactAbsorbing, EveryGeneratedFamilyMatchesDenseLu) {
+  std::vector<BlockSpec> blocks;
+  for (const unsigned n : {1u, 2u, 8u, 48u, 128u}) {
+    blocks.push_back(full_block(n, n, Transparency::kNontransparent,
+                                Transparency::kNontransparent));
+    if (n == 1) continue;
+    for (const Transparency recovery :
+         {Transparency::kTransparent, Transparency::kNontransparent}) {
+      for (const Transparency repair :
+           {Transparency::kTransparent, Transparency::kNontransparent}) {
+        blocks.push_back(full_block(n, 1, recovery, repair));
+      }
     }
-    EXPECT_LT(worst, 1e-12) << n << " states";
+  }
+  for (const BlockSpec& b : blocks) {
+    const rascad::mg::GeneratedModel model = rascad::mg::generate(b, globals());
+    const std::string what = rascad::mg::to_string(model.type) +
+                             " N=" + std::to_string(b.quantity) +
+                             " K=" + std::to_string(b.min_quantity);
+    const Vector ref = dense_lu_mttf(model.chain);
+    const Vector tau = gth_mttf(model.chain);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (ref[i] != 0.0) worst = std::max(worst, rel_err(tau[i], ref[i]));
+    }
+    EXPECT_LT(worst, 1e-10) << what;
+    EXPECT_LT(rel_err(rascad::resilience::mttf_resilient(model.chain,
+                                                         model.initial),
+                      ref[model.initial]),
+              1e-10)
+        << what;
   }
 }
 
@@ -348,6 +495,42 @@ TEST(ExactScale, PreCancelledTokenStopsDirectRung) {
   opts.cancel.request_cancel();
   try {
     (void)rascad::markov::solve_steady_state(chain, opts);
+    FAIL() << "expected SolveError(kCancelled)";
+  } catch (const rascad::resilience::SolveError& e) {
+    EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kCancelled);
+  }
+}
+
+TEST(ExactScale, Type4BlockWith50kStatesMttfIsOneDirectAttempt) {
+  const Ctmc& chain = chain_50k();
+  rascad::resilience::SolveTrace trace;
+  const double mttf =
+      rascad::resilience::mttf_resilient(chain, 0, {}, &trace);
+  ASSERT_TRUE(trace.success);
+  ASSERT_EQ(trace.attempts.size(), 1u) << trace.summary();
+  EXPECT_EQ(trace.final_rung, rascad::resilience::Rung::kDirect);
+  EXPECT_LT(trace.attempts[0].residual_check, 1e-14);
+  // Too large for a dense oracle; BiCGStab alone is an independent one.
+  rascad::resilience::ResilienceConfig krylov;
+  krylov.rungs = {rascad::resilience::Rung::kBiCgStab};
+  EXPECT_LT(rel_err(mttf, rascad::resilience::mttf_resilient(chain, 0, krylov)),
+            1e-10);
+}
+
+TEST(ExactScale, PreCancelledTokenStopsAbsorbingSolve) {
+  const Ctmc& chain = chain_50k();
+  std::vector<bool> down(chain.size());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    down[i] = chain.reward(i) <= 0.0;
+  }
+  const rascad::markov::TransientSplit split =
+      rascad::markov::split_transient(chain.generator(), down);
+  rascad::markov::SteadyStateOptions opts;
+  opts.cancel = rascad::robust::CancelToken::manual();
+  opts.cancel.request_cancel();
+  try {
+    (void)rascad::markov::gth_absorption_times(
+        split.weights, split.exits, Vector(split.states.size(), 1.0), opts);
     FAIL() << "expected SolveError(kCancelled)";
   } catch (const rascad::resilience::SolveError& e) {
     EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kCancelled);
