@@ -5,7 +5,6 @@
 // binary measures cost.
 #include <benchmark/benchmark.h>
 
-#include "markov/ode.hpp"
 #include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
 #include "mg/generator.hpp"
@@ -96,24 +95,6 @@ void BM_Uniformization(benchmark::State& state) {
   state.counters["horizon_h"] = horizon;
 }
 BENCHMARK(BM_Uniformization)->Arg(24)->Arg(720)->Arg(8760);
-
-// Transient ablation: uniformization vs the explicit RKF45 integrator on
-// the same stiff generated chain. The step counter shows why analytic
-// availability tools standardize on uniformization.
-void BM_TransientOde(benchmark::State& state) {
-  const auto model = chain_of_depth(4);
-  const auto pi0 = rascad::markov::point_mass(model.chain, model.initial);
-  const double horizon = static_cast<double>(state.range(0));
-  std::size_t steps = 0;
-  for (auto _ : state) {
-    const auto r = rascad::markov::transient_distribution_ode(model.chain,
-                                                              pi0, horizon);
-    steps = r.steps;
-    benchmark::DoNotOptimize(r.distribution.data());
-  }
-  state.counters["rk_steps"] = static_cast<double>(steps);
-}
-BENCHMARK(BM_TransientOde)->Arg(24)->Arg(720);
 
 void BM_TransientUniformization(benchmark::State& state) {
   const auto model = chain_of_depth(4);

@@ -117,10 +117,16 @@ CsrMatrix CsrBuilder::build() const {
 }
 
 Vector CsrMatrix::mul(const Vector& x) const {
+  Vector y;
+  mul(x, y);
+  return y;
+}
+
+void CsrMatrix::mul(const Vector& x, Vector& y) const {
   if (x.size() != cols_) {
     throw std::invalid_argument("CsrMatrix::mul: shape mismatch");
   }
-  Vector y(rows_, 0.0);
+  y.resize(rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
@@ -128,7 +134,6 @@ Vector CsrMatrix::mul(const Vector& x) const {
     }
     y[r] = acc;
   }
-  return y;
 }
 
 Vector CsrMatrix::mul_transpose(const Vector& x) const {

@@ -62,6 +62,9 @@ class CsrMatrix {
   /// y = A * x. Throws std::invalid_argument on shape mismatch.
   /// Scalar row-major accumulation, so results do not depend on the host.
   Vector mul(const Vector& x) const;
+  /// The same product into `y` (resized to rows(), must not alias `x`),
+  /// reusing its storage.
+  void mul(const Vector& x, Vector& y) const;
 
   /// y = A^T * x. Throws std::invalid_argument on shape mismatch.
   Vector mul_transpose(const Vector& x) const;

@@ -143,16 +143,25 @@ double AbsorbingAnalysis::expected_visit_time(StateIndex start,
                               in_j)[static_cast<std::size_t>(spos)];
 }
 
+namespace {
+
+/// Probability mass on the states that can still move (not yet absorbed).
+double surviving_mass(const Ctmc& absorbing_chain, const linalg::Vector& pi) {
+  double alive = 0.0;
+  for (StateIndex i = 0; i < absorbing_chain.size(); ++i) {
+    if (absorbing_chain.exit_rate(i) > 0.0) alive += pi[i];
+  }
+  return alive;
+}
+
+}  // namespace
+
 double reliability_at(const Ctmc& absorbing_chain,
                       const linalg::Vector& initial, double t,
                       const TransientOptions& opts) {
-  const linalg::Vector pit =
-      transient_distribution(absorbing_chain, initial, t, opts);
-  double alive = 0.0;
-  for (StateIndex i = 0; i < absorbing_chain.size(); ++i) {
-    if (absorbing_chain.exit_rate(i) > 0.0) alive += pit[i];
-  }
-  return alive;
+  return surviving_mass(
+      absorbing_chain,
+      transient_distribution(absorbing_chain, initial, t, opts));
 }
 
 double hazard_rate(const Ctmc& absorbing_chain, const linalg::Vector& initial,
@@ -160,8 +169,12 @@ double hazard_rate(const Ctmc& absorbing_chain, const linalg::Vector& initial,
   if (!(dt > 0.0)) {
     throw std::invalid_argument("hazard_rate: dt must be positive");
   }
-  const double r0 = reliability_at(absorbing_chain, initial, t, opts);
-  const double r1 = reliability_at(absorbing_chain, initial, t + dt, opts);
+  // pi(t + dt) steps on from pi(t).
+  const linalg::Vector pi_t =
+      transient_distribution(absorbing_chain, initial, t, opts);
+  const double r0 = surviving_mass(absorbing_chain, pi_t);
+  const double r1 = surviving_mass(
+      absorbing_chain, transient_distribution(absorbing_chain, pi_t, dt, opts));
   if (r0 <= 0.0 || r1 <= 0.0) return 0.0;
   return -(std::log(r1) - std::log(r0)) / dt;
 }

@@ -1,9 +1,15 @@
 #include "markov/transient.hpp"
 
-#include "resilience/solve_error.hpp"
-
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+#include "resilience/solve_error.hpp"
 
 namespace rascad::markov {
 
@@ -47,141 +53,167 @@ std::size_t poisson_cutoff(double a) {
   return static_cast<std::size_t>(a + 12.0 * std::sqrt(a) + 64.0);
 }
 
-/// Stationarity check: ||pi Q||_inf scaled by the uniformization rate.
-bool is_stationary(const Ctmc& chain, const linalg::Vector& pi, double q) {
-  const linalg::Vector flow = chain.generator().mul_transpose(pi);
-  return linalg::norm_inf(flow) < 1e-10 * std::max(q, 1.0);
-}
+/// Largest Poisson mean q * h one engine step covers. A longer step is
+/// split into equal substeps, which bounds the weight tables and lets the
+/// stationarity stop fire inside a long horizon.
+constexpr double kMaxStepMean = 4096.0;
 
-}  // namespace
+/// The request token is polled at the start of every substep and then
+/// every this many terms within it.
+constexpr std::size_t kCancelPollTerms = 64;
 
-linalg::Vector transient_distribution(const Ctmc& chain,
-                                      const linalg::Vector& pi0, double t,
-                                      const TransientOptions& opts) {
-  check_inputs(chain, pi0, t);
-  if (t == 0.0) return pi0;
-  const auto [p, q] = chain.uniformized();
-  // Steady-state detection: for horizons beyond the term budget, find a
-  // shorter window after which the distribution is stationary; it is then
-  // the distribution at t as well.
-  if (q * t > 0.4 * static_cast<double>(opts.max_terms)) {
-    double window = 512.0 / q;
-    const double window_cap =
-        0.2 * static_cast<double>(opts.max_terms) / q;
-    while (window < t) {
-      const linalg::Vector pi_w =
-          transient_distribution(chain, pi0, window, opts);
-      if (is_stationary(chain, pi_w, q)) return pi_w;
-      if (window >= window_cap) break;
-      window = std::min(window * 16.0, window_cap);
-    }
-  }
-  const double a = q * t;
-  // Transpose P once so every series term is a forward SpMV instead of a
-  // scattered mul_transpose.
-  const linalg::CsrMatrix pt = p.transposed();
-  linalg::Vector v = pi0;  // v_k = pi0 P^k
-  linalg::Vector pit(chain.size(), 0.0);
-  double cumulative = 0.0;
-  const std::size_t cutoff = poisson_cutoff(a);
-  for (std::size_t k = 0; k < opts.max_terms; ++k) {
-    const double w = poisson_pmf(a, k);
-    if (w > 0.0) linalg::axpy(w, v, pit);
-    cumulative += w;
-    if ((cumulative >= 1.0 - opts.tolerance &&
-         static_cast<double>(k) >= a) ||
-        k >= cutoff) {
-      // The dropped tail has mass < tolerance (or below the double-sum
-      // noise floor past the cutoff); fold it into the current vector so
-      // probabilities still sum to ~1.
-      linalg::axpy(1.0 - cumulative, v, pit);
-      return pit;
-    }
-    v = pt.mul(v);
-  }
-  throw resilience::SolveError(
-      resilience::SolveCause::kBudgetExceeded, "transient_distribution",
-      "Poisson truncation did not converge (increase max_terms or reduce "
-      "the horizon)");
-}
-
-namespace {
-
-/// Integral of r . pi(u) du over (0, t) for an arbitrary rate vector r —
-/// shared by accumulated reward and the crossing-flow integrals.
-double integrate_rate(const Ctmc& chain, const linalg::Vector& pi0, double t,
-                      const linalg::Vector& r, const TransientOptions& opts);
-
-}  // namespace
-
-double accumulated_reward(const Ctmc& chain, const linalg::Vector& pi0,
-                          double t, const TransientOptions& opts) {
-  check_inputs(chain, pi0, t);
-  if (t == 0.0) return 0.0;
-  return integrate_rate(chain, pi0, t, chain.reward_vector(), opts);
-}
-
-namespace {
-
-double integrate_rate(const Ctmc& chain, const linalg::Vector& pi0, double t,
-                      const linalg::Vector& r, const TransientOptions& opts) {
-  const auto [p, q] = chain.uniformized();
-  // Steady-state detection for long horizons: when q*t would blow the term
-  // budget, look for a much shorter window after which the chain has
-  // mixed, integrate that window exactly, and extend with the stationary
-  // rate r . pi_ss over the remainder.
-  if (q * t > 0.4 * static_cast<double>(opts.max_terms)) {
-    double window = 512.0 / q;
-    const double window_cap =
-        0.2 * static_cast<double>(opts.max_terms) / q;
-    while (window < t) {
-      const linalg::Vector pi_w =
-          transient_distribution(chain, pi0, window, opts);
-      if (is_stationary(chain, pi_w, q)) {
-        const double head = integrate_rate(chain, pi0, window, r, opts);
-        return head + linalg::dot(r, pi_w) * (t - window);
+/// The one uniformization engine. For a chain and a step length h it
+/// builds P^T and the Poisson weights of a = q h once; step() then
+/// advances pi by h as often as asked, reusing its buffers, and integrates
+/// any rate vectors it is given over the step. Once one substep moves pi
+/// by at most `tolerance` in the 1-norm (and no more than the substep
+/// before), pi is taken as stationary and stepping costs no more terms.
+class Engine {
+ public:
+  Engine(const Ctmc& chain, double h, const TransientOptions& opts,
+         const char* who)
+      : opts_(opts), who_(who) {
+    const auto [p, q] = chain.uniformized();
+    pt_ = p.transposed();
+    substeps_ = std::max(1.0, std::ceil(q * h / kMaxStepMean));
+    h_ = h / substeps_;
+    const double a = q * h_;
+    // Weights of pi(h) = sum_k pmf_k v_k and of the integral
+    // int_0^h r . pi(u) du = sum_k (1 - CDF_k) / q * r . v_k, each
+    // truncated by its own tolerance test; the dropped tail is folded into
+    // the last kept vector.
+    const std::size_t cutoff = poisson_cutoff(a);
+    double cumulative = 0.0;
+    double weight_sum = 0.0;
+    bool pmf_done = false;
+    bool integral_done = false;
+    for (std::size_t k = 0; !(pmf_done && integral_done); ++k) {
+      const double w = poisson_pmf(a, k);
+      cumulative += w;
+      const bool past_mean = static_cast<double>(k) >= a;
+      if (!pmf_done) {
+        pmf_.push_back(w);
+        if ((cumulative >= 1.0 - opts.tolerance && past_mean) ||
+            k >= cutoff) {
+          pmf_fold_ = 1.0 - cumulative;
+          pmf_done = true;
+        }
       }
-      if (window >= window_cap) break;  // never mixes: fall through
-      window = std::min(window * 16.0, window_cap);
+      if (!integral_done) {
+        const double iw = (1.0 - cumulative) / q;
+        integral_.push_back(iw);
+        if (iw > 0.0) weight_sum += iw;
+        if ((h_ - weight_sum <= opts.tolerance * h_ && past_mean) ||
+            k >= cutoff) {
+          integral_fold_ = h_ - weight_sum;
+          integral_done = true;
+        }
+      }
     }
   }
-  const double a = q * t;
-  const linalg::CsrMatrix pt = p.transposed();
-  linalg::Vector v = pi0;
-  double acc = 0.0;
-  double cumulative = 0.0;   // Poisson CDF up to the current term
-  double weight_sum = 0.0;   // sum of integral weights, converges to t
-  const std::size_t cutoff = poisson_cutoff(a);
-  for (std::size_t k = 0; k < opts.max_terms; ++k) {
-    cumulative += poisson_pmf(a, k);
-    const double w = (1.0 - cumulative) / q;  // weight of v_k in the integral
-    if (w > 0.0) {
-      acc += w * linalg::dot(r, v);
-      weight_sum += w;
+
+  /// pi <- pi(h). With `rates`, also adds int_0^h rates[j] . pi(u) du to
+  /// acc[j].
+  void step(linalg::Vector& pi, const std::vector<linalg::Vector>& rates = {},
+            double* acc = nullptr) {
+    for (double s = 0.0; s < substeps_; ++s) {
+      if (stationary_) {
+        const double rest = h_ * (substeps_ - s);
+        for (std::size_t j = 0; j < rates.size(); ++j) {
+          acc[j] += linalg::dot(rates[j], pi) * rest;
+        }
+        return;
+      }
+      substep(pi, rates, acc);
     }
-    if ((t - weight_sum <= opts.tolerance * t &&
-         static_cast<double>(k) >= a) ||
-        k >= cutoff) {
-      // Attribute the residual integral mass to the current vector.
-      acc += (t - weight_sum) * linalg::dot(r, v);
-      return acc;
-    }
-    v = pt.mul(v);
   }
-  throw resilience::SolveError(
-      resilience::SolveCause::kBudgetExceeded, "accumulated_reward",
-      "Poisson truncation did not converge (increase max_terms or reduce "
-      "the horizon)");
+
+  bool stationary() const noexcept { return stationary_; }
+
+ private:
+  void substep(linalg::Vector& pi, const std::vector<linalg::Vector>& rates,
+               double* acc) {
+    const std::size_t last_pmf = pmf_.size() - 1;
+    const std::size_t last_integral = integral_.size() - 1;
+    const std::size_t last =
+        rates.empty() ? last_pmf : std::max(last_pmf, last_integral);
+    if (terms_ + last > opts_.max_terms) {
+      throw resilience::SolveError(
+          resilience::SolveCause::kBudgetExceeded, who_,
+          "term budget of " + std::to_string(opts_.max_terms) +
+              " spent before the distribution became stationary (increase "
+              "max_terms or reduce the horizon)",
+          terms_);
+    }
+    v_ = pi;  // v_k = pi P^k
+    out_.assign(pi.size(), 0.0);
+    sums_.assign(rates.size(), 0.0);
+    for (std::size_t k = 0;; ++k) {
+      if (k % kCancelPollTerms == 0) {
+        robust::throw_if_stopped(opts_.cancel, who_, terms_);
+      }
+      if (k <= last_pmf) {
+        if (pmf_[k] > 0.0) linalg::axpy(pmf_[k], v_, out_);
+        if (k == last_pmf) linalg::axpy(pmf_fold_, v_, out_);
+      }
+      if (k <= last_integral) {
+        for (std::size_t j = 0; j < rates.size(); ++j) {
+          const double rv = linalg::dot(rates[j], v_);
+          if (integral_[k] > 0.0) sums_[j] += integral_[k] * rv;
+          if (k == last_integral) sums_[j] += integral_fold_ * rv;
+        }
+      }
+      if (k == last) break;
+      pt_.mul(v_, next_);
+      v_.swap(next_);
+      ++terms_;
+    }
+    if (obs::enabled()) {
+      static obs::Counter& spmvs =
+          obs::Registry::global().counter("transient.terms");
+      spmvs.inc(last);
+    }
+    for (std::size_t j = 0; j < rates.size(); ++j) acc[j] += sums_[j];
+    double change = 0.0;
+    for (std::size_t i = 0; i < pi.size(); ++i) {
+      change += std::abs(out_[i] - pi[i]);
+    }
+    stationary_ = change <= opts_.tolerance && change <= last_change_;
+    last_change_ = change;
+    pi.swap(out_);
+  }
+
+  const TransientOptions& opts_;
+  const char* who_;
+  linalg::CsrMatrix pt_;
+  double substeps_ = 1.0;  // equal substeps per step, each of length h_
+  double h_ = 0.0;
+  std::vector<double> pmf_;       // Poisson(q h_) pmf up to its truncation
+  double pmf_fold_ = 0.0;         // tail mass folded into the last term
+  std::vector<double> integral_;  // (1 - CDF_k) / q up to its truncation
+  double integral_fold_ = 0.0;    // residual integral weight, last term
+  linalg::Vector v_, next_, out_, sums_;
+  std::size_t terms_ = 0;  // SpMVs applied so far
+  double last_change_ = std::numeric_limits<double>::infinity();
+  bool stationary_ = false;
+};
+
+/// Integrals over (0, t) of rates[j] . pi(u) du, in one engine pass.
+linalg::Vector integrate_rates(const Ctmc& chain, const linalg::Vector& pi0,
+                               double t,
+                               const std::vector<linalg::Vector>& rates,
+                               const TransientOptions& opts, const char* who) {
+  linalg::Vector acc(rates.size(), 0.0);
+  if (t == 0.0) return acc;
+  Engine engine(chain, t, opts, who);
+  linalg::Vector pi = pi0;
+  engine.step(pi, rates, acc.data());
+  return acc;
 }
 
-}  // namespace
-
-double expected_crossings(const Ctmc& chain, const linalg::Vector& pi0,
-                          double t, bool up_to_down,
-                          const TransientOptions& opts) {
-  check_inputs(chain, pi0, t);
-  if (t == 0.0) return 0.0;
-  // Flow rate out of each source-class state into the other class.
+/// Flow rate out of each source-class state into the other class: the
+/// integrand of the expected up->down (or down->up) crossings.
+linalg::Vector crossing_flow(const Ctmc& chain, bool up_to_down) {
   linalg::Vector flow(chain.size(), 0.0);
   const auto& q = chain.generator();
   for (StateIndex i = 0; i < chain.size(); ++i) {
@@ -195,22 +227,66 @@ double expected_crossings(const Ctmc& chain, const linalg::Vector& pi0,
       if (j_up != i_up) flow[i] += row.values[k];
     }
   }
-  return integrate_rate(chain, pi0, t, flow, opts);
+  return flow;
+}
+
+}  // namespace
+
+linalg::Vector transient_distribution(const Ctmc& chain,
+                                      const linalg::Vector& pi0, double t,
+                                      const TransientOptions& opts) {
+  check_inputs(chain, pi0, t);
+  linalg::Vector pi = pi0;
+  if (t == 0.0) return pi;
+  Engine engine(chain, t, opts, "transient_distribution");
+  engine.step(pi);
+  return pi;
+}
+
+double accumulated_reward(const Ctmc& chain, const linalg::Vector& pi0,
+                          double t, const TransientOptions& opts) {
+  check_inputs(chain, pi0, t);
+  return integrate_rates(chain, pi0, t, {chain.reward_vector()}, opts,
+                         "accumulated_reward")[0];
+}
+
+double expected_crossings(const Ctmc& chain, const linalg::Vector& pi0,
+                          double t, bool up_to_down,
+                          const TransientOptions& opts) {
+  check_inputs(chain, pi0, t);
+  return integrate_rates(chain, pi0, t, {crossing_flow(chain, up_to_down)},
+                         opts, "expected_crossings")[0];
+}
+
+IntervalMeasures interval_measures(const Ctmc& chain,
+                                   const linalg::Vector& pi0, double t,
+                                   const TransientOptions& opts) {
+  if (!(t > 0.0)) {
+    throw std::invalid_argument("interval_measures: t must be positive");
+  }
+  check_inputs(chain, pi0, t);
+  const linalg::Vector acc = integrate_rates(
+      chain, pi0, t,
+      {chain.reward_vector(), crossing_flow(chain, true),
+       crossing_flow(chain, false)},
+      opts, "interval_measures");
+  const double up_time = acc[0];
+  const double down_time = t - up_time;
+  IntervalMeasures m;
+  m.availability = up_time / t;
+  m.failure_rate = up_time > 0.0 ? acc[1] / up_time : 0.0;
+  m.recovery_rate = down_time > 0.0 ? acc[2] / down_time : 0.0;
+  return m;
 }
 
 double interval_failure_rate(const Ctmc& chain, const linalg::Vector& pi0,
                              double t, const TransientOptions& opts) {
-  const double up_time = accumulated_reward(chain, pi0, t, opts);
-  if (up_time <= 0.0) return 0.0;
-  return expected_crossings(chain, pi0, t, true, opts) / up_time;
+  return interval_measures(chain, pi0, t, opts).failure_rate;
 }
 
 double interval_recovery_rate(const Ctmc& chain, const linalg::Vector& pi0,
                               double t, const TransientOptions& opts) {
-  const double up_time = accumulated_reward(chain, pi0, t, opts);
-  const double down_time = t - up_time;
-  if (down_time <= 0.0) return 0.0;
-  return expected_crossings(chain, pi0, t, false, opts) / down_time;
+  return interval_measures(chain, pi0, t, opts).recovery_rate;
 }
 
 double interval_availability(const Ctmc& chain, const linalg::Vector& pi0,
@@ -233,19 +309,31 @@ double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
 
 linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
                             double horizon, std::size_t steps,
-                            const TransientOptions& opts) {
+                            const TransientOptions& opts,
+                            std::size_t* stop_step) {
   check_inputs(chain, pi0, horizon);
   if (!(horizon > 0.0) || steps == 0) {
     throw std::invalid_argument("reward_curve: need positive horizon/steps");
   }
-  const double h = horizon / static_cast<double>(steps);
+  Engine engine(chain, horizon / static_cast<double>(steps), opts,
+                "reward_curve");
   const linalg::Vector r = chain.reward_vector();
   linalg::Vector curve(steps + 1);
   linalg::Vector pi = pi0;
   curve[0] = linalg::dot(r, pi);
-  for (std::size_t k = 1; k <= steps; ++k) {
-    pi = transient_distribution(chain, pi, h, opts);
-    curve[k] = linalg::dot(r, pi);
+  std::size_t k = 0;
+  while (k < steps && !engine.stationary()) {
+    engine.step(pi);
+    curve[++k] = linalg::dot(r, pi);
+  }
+  // Stationary from grid point k on: every later point repeats it.
+  std::fill(curve.begin() + static_cast<std::ptrdiff_t>(k) + 1, curve.end(),
+            curve[k]);
+  if (stop_step) *stop_step = k;
+  if (obs::enabled() && k < steps) {
+    static obs::Counter& skipped =
+        obs::Registry::global().counter("transient.steps_skipped");
+    skipped.inc(steps - k);
   }
   return curve;
 }

@@ -35,20 +35,22 @@ BlockMeasures compute_measures(const GeneratedModel& model,
   const double mission = globals.mission_time_h;
   const linalg::Vector pi0 = markov::point_mass(chain, model.initial);
 
+  markov::TransientOptions transient;
+  transient.cancel = config.cancel;
   if (opts.include_transient && can_fail && mission > 0.0) {
-    m.interval_availability =
-        markov::interval_availability(chain, pi0, mission);
-    m.interval_eq_failure_rate =
-        markov::interval_failure_rate(chain, pi0, mission);
-    m.interval_eq_recovery_rate =
-        markov::interval_recovery_rate(chain, pi0, mission);
+    const markov::IntervalMeasures interval =
+        markov::interval_measures(chain, pi0, mission, transient);
+    m.interval_availability = interval.availability;
+    m.interval_eq_failure_rate = interval.failure_rate;
+    m.interval_eq_recovery_rate = interval.recovery_rate;
   }
 
   if (opts.include_reliability && can_fail) {
     const markov::Ctmc rel = markov::make_down_states_absorbing(chain);
     m.mttf_h = resilience::mttf_resilient(chain, model.initial, config);
     if (mission > 0.0) {
-      m.reliability_at_mission = markov::reliability_at(rel, pi0, mission);
+      m.reliability_at_mission =
+          markov::reliability_at(rel, pi0, mission, transient);
       if (m.reliability_at_mission > 0.0) {
         m.interval_failure_rate =
             -std::log(m.reliability_at_mission) / mission;
@@ -56,8 +58,8 @@ BlockMeasures compute_measures(const GeneratedModel& model,
         m.interval_failure_rate =
             m.mttf_h > 0.0 ? 1.0 / m.mttf_h : 0.0;
       }
-      m.hazard_rate_at_mission =
-          markov::hazard_rate(rel, pi0, mission, opts.hazard_dt_h);
+      m.hazard_rate_at_mission = markov::hazard_rate(
+          rel, pi0, mission, opts.hazard_dt_h, transient);
     }
   }
   return m;

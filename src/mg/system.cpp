@@ -148,7 +148,9 @@ cache::Signature curve_key(const cache::Signature& block_sig,
 }
 
 /// Memoized sampling of one block curve: consult `cache` (may be null),
-/// otherwise run `sample` and insert the result.
+/// otherwise run `sample(stop_step)` and insert the result. The span
+/// detail of a sampled curve names the grid step where it became
+/// stationary (`stop=<steps>` when it never did).
 template <typename SampleFn>
 std::shared_ptr<const linalg::Vector> sample_curve_cached(
     const SystemModel::BlockEntry& block, std::uint64_t kind, double horizon,
@@ -164,10 +166,12 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
       return hit;
     }
   }
+  std::size_t stop_step = steps;
+  auto curve = std::make_shared<const linalg::Vector>(sample(stop_step));
   if (span.active()) {
-    span.set_detail(block.diagram + "/" + block.block.name + " sampled");
+    span.set_detail(block.diagram + "/" + block.block.name +
+                    " sampled stop=" + std::to_string(stop_step));
   }
-  auto curve = std::make_shared<const linalg::Vector>(sample());
   if (cache) cache->put_curve(key, curve);
   return curve;
 }
@@ -452,17 +456,20 @@ double SystemModel::interval_availability(double horizon) const {
   // Precompute each block's point-availability curve on a shared grid; the
   // transient solves are independent, so they run in parallel by index.
   std::vector<std::shared_ptr<const linalg::Vector>> sampled(blocks_.size());
+  markov::TransientOptions transient;
+  transient.cancel = opts_.parallel.cancel;
   exec::parallel_for(
       blocks_.size(),
       [&](std::size_t i) {
         const auto& b = blocks_[i];
         sampled[i] = sample_curve_cached(
             b, kCurveAvailability, horizon, opts_.curve_steps, opts_.cache,
-            [&] {
+            [&](std::size_t& stop_step) {
               const linalg::Vector pi0 =
                   markov::point_mass(*b.chain, b.initial);
               return markov::reward_curve(*b.chain, pi0, horizon,
-                                          opts_.curve_steps);
+                                          opts_.curve_steps, transient,
+                                          &stop_step);
             });
       },
       opts_.parallel);
@@ -496,12 +503,15 @@ rbd::RbdNodePtr reliability_tree(
     std::size_t steps, const exec::ParallelOptions& par,
     cache::SolveCache* cache) {
   std::vector<std::shared_ptr<const linalg::Vector>> sampled(blocks.size());
+  markov::TransientOptions transient;
+  transient.cancel = par.cancel;
   exec::parallel_for(
       blocks.size(),
       [&](std::size_t i) {
         const auto& b = blocks[i];
         sampled[i] = sample_curve_cached(
-            b, kCurveReliability, horizon, steps, cache, [&] {
+            b, kCurveReliability, horizon, steps, cache,
+            [&](std::size_t& stop_step) {
               const markov::Ctmc rel =
                   markov::make_down_states_absorbing(*b.chain);
               if (rel.down_states().empty()) {
@@ -512,7 +522,8 @@ rbd::RbdNodePtr reliability_tree(
               // Survival = probability mass on transient states; reward 1 on
               // up transient states equals survival because absorbed states
               // are down.
-              return markov::reward_curve(rel, pi0, horizon, steps);
+              return markov::reward_curve(rel, pi0, horizon, steps,
+                                          transient, &stop_step);
             });
       },
       par);

@@ -8,7 +8,6 @@
 
 #include "linalg/iterative.hpp"
 #include "markov/absorbing.hpp"
-#include "markov/ode.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "robust/robust.hpp"
@@ -442,56 +441,6 @@ ResilientResult smp_steady_state_resilient(
     throw SolveError(report.failure.value_or(SolveCause::kNanOrInf),
                      "smp_steady_state_resilient", report.detail);
   }
-  return out;
-}
-
-ResilientTransientResult transient_distribution_resilient(
-    const markov::Ctmc& chain, const linalg::Vector& pi0, double t,
-    const markov::TransientOptions& opts, const ResilienceConfig& config) {
-  ResilientTransientResult out;
-  if (chain.size() > config.max_states) {
-    throw SolveError(SolveCause::kBudgetExceeded,
-                     "transient_distribution_resilient",
-                     "chain has " + std::to_string(chain.size()) +
-                         " states, budget is " +
-                         std::to_string(config.max_states));
-  }
-  std::vector<Rung> rungs = filter_rungs(
-      config.rungs,
-      {Rung::kUniformization, Rung::kUniformizationRelaxed, Rung::kOde});
-  if (rungs.empty()) {
-    rungs = {Rung::kUniformization, Rung::kUniformizationRelaxed, Rung::kOde};
-  }
-  const Candidate solved = run_ladder<Candidate>(
-      rungs, config, "transient_distribution_resilient", out.trace,
-      [&](Rung rung, RungAttempt& attempt,
-          const robust::CancelToken&) -> Candidate {
-        switch (rung) {
-          case Rung::kUniformization:
-            return {markov::transient_distribution(chain, pi0, t, opts), 0,
-                    0.0};
-          case Rung::kUniformizationRelaxed: {
-            // Loosen the truncation tolerance and raise the term budget:
-            // a slightly coarser answer beats no answer.
-            markov::TransientOptions relaxed = opts;
-            relaxed.tolerance = std::max(opts.tolerance * 1e3, 1e-9);
-            relaxed.max_terms = opts.max_terms * 8;
-            return {markov::transient_distribution(chain, pi0, t, relaxed),
-                    0, 0.0};
-          }
-          default: {
-            markov::OdeOptions ode;
-            const markov::OdeResult r =
-                markov::transient_distribution_ode(chain, pi0, t, ode);
-            attempt.iterations = r.steps;
-            return {r.distribution, r.steps, 0.0};
-          }
-        }
-      },
-      [&](Rung, Candidate& candidate, RungAttempt&) -> HealthReport {
-        return check_distribution(candidate.pi, config.health);
-      });
-  out.distribution = std::move(solved.pi);
   return out;
 }
 

@@ -27,7 +27,6 @@
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
-#include "markov/transient.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/health.hpp"
 #include "resilience/solve_error.hpp"
@@ -166,17 +165,6 @@ ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
 /// then the sojourn-time ratio formula is applied and health-checked.
 ResilientResult smp_steady_state_resilient(
     const semimarkov::SemiMarkovProcess& process,
-    const ResilienceConfig& config = {});
-
-/// Transient distribution with a uniformization -> relaxed-budget
-/// uniformization -> RKF45 ODE ladder, NaN/Inf-scanned at every rung.
-struct ResilientTransientResult {
-  linalg::Vector distribution;
-  SolveTrace trace;
-};
-ResilientTransientResult transient_distribution_resilient(
-    const markov::Ctmc& chain, const linalg::Vector& pi0, double t,
-    const markov::TransientOptions& opts = {},
     const ResilienceConfig& config = {});
 
 /// Mean time to failure (down states absorbing) with a Direct -> BiCGStab

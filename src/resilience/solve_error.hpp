@@ -48,18 +48,14 @@ inline const char* to_string(SolveCause cause) {
   return "unknown";
 }
 
-/// Identity of a solver rung across the resilience ladders. The
-/// steady-state ladder uses the first four; the transient ladder uses the
-/// uniformization/ODE rungs.
+/// Identity of a solver rung across the resilience ladders (steady state,
+/// DTMC stationary, MTTF).
 enum class Rung {
   kDirect,     // exact banded GTH elimination (stationary vectors and
                // mean times to absorption)
   kBiCgStab,   // preconditioned Krylov solve
   kSor,        // Gauss-Seidel / SOR sweeps
   kPower,      // power iteration on the uniformized DTMC
-  kUniformization,         // Jensen's method, strict tolerance
-  kUniformizationRelaxed,  // Jensen's method, relaxed truncation budget
-  kOde,        // adaptive RKF45 integration
 };
 
 inline const char* to_string(Rung rung) {
@@ -68,9 +64,6 @@ inline const char* to_string(Rung rung) {
     case Rung::kBiCgStab: return "bicgstab";
     case Rung::kSor: return "sor";
     case Rung::kPower: return "power";
-    case Rung::kUniformization: return "uniformization";
-    case Rung::kUniformizationRelaxed: return "uniformization-relaxed";
-    case Rung::kOde: return "ode";
   }
   return "unknown";
 }

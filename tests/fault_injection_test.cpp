@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "markov/transient.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/resilience.hpp"
 
@@ -163,33 +162,6 @@ TEST(RungTransitions, DtmcLadderEscalates) {
   EXPECT_TRUE(r.trace.success);
   EXPECT_NE(r.trace.final_rung, Rung::kDirect);
   EXPECT_NEAR(r.result.pi[0] + r.result.pi[1], 1.0, 1e-12);
-}
-
-TEST(RungTransitions, TransientLadderEscalatesToRelaxedThenOde) {
-  const Ctmc chain = repair_chain();
-  const Vector pi0 = rascad::markov::point_mass(chain, 0);
-
-  ResilienceConfig one;
-  one.fault_plan.fail(Rung::kUniformization, FaultKind::kThrowNonConverged);
-  const ResilientTransientResult r1 = transient_distribution_resilient(
-      chain, pi0, 0.5, rascad::markov::TransientOptions{}, one);
-  EXPECT_TRUE(r1.trace.success);
-  EXPECT_EQ(r1.trace.final_rung, Rung::kUniformizationRelaxed);
-
-  ResilienceConfig two = one;
-  two.fault_plan.fail(Rung::kUniformizationRelaxed, FaultKind::kNanResult);
-  const ResilientTransientResult r2 = transient_distribution_resilient(
-      chain, pi0, 0.5, rascad::markov::TransientOptions{}, two);
-  EXPECT_TRUE(r2.trace.success);
-  EXPECT_EQ(r2.trace.final_rung, Rung::kOde);
-  EXPECT_EQ(r2.trace.attempts[1].cause, SolveCause::kNanOrInf);
-
-  // All three rungs agree on the answer.
-  const ResilientTransientResult clean =
-      transient_distribution_resilient(chain, pi0, 0.5);
-  for (std::size_t i = 0; i < clean.distribution.size(); ++i) {
-    EXPECT_NEAR(r2.distribution[i], clean.distribution[i], 1e-6);
-  }
 }
 
 TEST(RungTransitions, MttfLadderEscalates) {

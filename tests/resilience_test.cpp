@@ -11,7 +11,6 @@
 #include "markov/absorbing.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
-#include "markov/transient.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/health.hpp"
 #include "resilience/resilience.hpp"
@@ -477,18 +476,6 @@ TEST(Wrappers, SmpSteadyStateResilient) {
   EXPECT_TRUE(r.trace.success);
   EXPECT_NEAR(r.result.pi[0], smp.steady_state_reward(), 1e-12);
   EXPECT_NEAR(r.result.pi[0] + r.result.pi[1], 1.0, 1e-12);
-}
-
-TEST(Wrappers, TransientResilientMatchesUniformization) {
-  const Ctmc chain = repair_chain();
-  const Vector pi0 = rascad::markov::point_mass(chain, 0);
-  const Vector plain =
-      rascad::markov::transient_distribution(chain, pi0, 0.7);
-  const ResilientTransientResult r =
-      transient_distribution_resilient(chain, pi0, 0.7);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kUniformization);
-  EXPECT_LT(max_rel_err(r.distribution, plain), 1e-10);
 }
 
 TEST(Wrappers, MttfResilientMatchesAnalytic) {

@@ -336,6 +336,45 @@ TEST(ServeEndToEnd, ClientDeadlineCutsRequestShort) {
   EXPECT_LT(elapsed_ms, 1500.0) << "deadline did not cut the park short";
 }
 
+TEST(ServeEndToEnd, SolveDeadlineReachesTheBlockCurves) {
+  // One Type 4 block of 480 units (3,357 states): its availability curve
+  // runs for seconds, so a 200 ms deadline has to stop it mid-curve.
+  rascad::spec::BlockSpec b;
+  b.name = "deep";
+  b.quantity = 480;
+  b.min_quantity = 1;
+  b.mtbf_h = 100'000.0;
+  b.transient_fit = 2'000.0;
+  b.mttr_corrective_min = 45.0;
+  b.service_response_h = 4.0;
+  b.p_correct_diagnosis = 0.95;
+  b.p_latent_fault = 0.05;
+  b.mttdlf_h = 48.0;
+  b.recovery = rascad::spec::Transparency::kNontransparent;
+  b.ar_time_min = 6.0;
+  b.p_spf = 0.01;
+  b.t_spf_min = 30.0;
+  b.repair = rascad::spec::Transparency::kNontransparent;
+  b.reintegration_min = 8.0;
+  rascad::spec::ModelSpec model;
+  model.title = "deep";
+  model.diagrams.push_back({"deep", {b}});
+  const std::string text = rascad::spec::to_rsc_string(model);
+
+  ServerFixture server(base_config("curve_deadline"));
+  Client client;
+  client.connect_retry(server.service.config().socket_path, 2000.0);
+  const auto start = std::chrono::steady_clock::now();
+  const Reply reply = client.solve(text, /*deadline_ms=*/200);
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(reply.type, FrameType::kError) << reply.text;
+  EXPECT_EQ(reply.status, PointStatus::kDeadlineExceeded) << reply.text;
+  EXPECT_LT(elapsed_ms, 400.0) << "the curve did not poll the deadline";
+}
+
 TEST(ServeEndToEnd, SweepStreamsChunksAndParsesBack) {
   const std::string text = datacenter_text();
   ServerFixture server(base_config("sweep"));

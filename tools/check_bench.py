@@ -51,6 +51,7 @@ from pathlib import Path
 GATES = {
     "scalability": [
         ("deep_n128_solve_ms", "lower", 40.0),
+        ("web_shop_interval_ms", "lower", 1.0),
     ],
     "cache": [
         ("speedup_warm_vs_full", "higher", 1.5),
