@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
-
-#include "linalg/arena.hpp"
 
 namespace rascad::linalg {
 
@@ -45,74 +42,87 @@ void CsrBuilder::reserve(std::size_t nnz) {
 }
 
 CsrMatrix CsrBuilder::build() const {
+  // Stable counting sort by row: one count pass, one prefix pass, one
+  // scatter pass. Within a row the scatter preserves insertion order,
+  // which from_rows keeps for equal columns.
   const std::size_t n = t_vals_.size();
-  CsrMatrix m;
-  m.rows_ = rows_;
-  m.cols_ = cols_;
-  m.row_ptr_.assign(rows_ + 1, 0);
-  m.col_idx_.reserve(n);
-  m.values_.reserve(n);
-
-  // Stable counting sort by row on arena scratch: one count pass, one
-  // prefix pass, one scatter pass. Within a row the scatter preserves
-  // insertion order, so after the (stable) per-row column sort, duplicate
-  // entries are summed in insertion order — deterministic regardless of
-  // how many entries the builder saw.
-  Arena& arena = thread_arena();
-  arena.reset();
-  std::uint32_t* start = arena.allocate<std::uint32_t>(rows_ + 1);
-  std::uint32_t* scratch_cols = arena.allocate<std::uint32_t>(n);
-  double* scratch_vals = arena.allocate<double>(n);
-
-  std::memset(start, 0, (rows_ + 1) * sizeof(std::uint32_t));
-  for (std::size_t t = 0; t < n; ++t) ++start[t_rows_[t] + 1];
-  for (std::size_t r = 0; r < rows_; ++r) start[r + 1] += start[r];
+  std::vector<std::uint32_t> row_ptr(rows_ + 1, 0);
+  for (std::size_t t = 0; t < n; ++t) ++row_ptr[t_rows_[t] + 1];
+  for (std::size_t r = 0; r < rows_; ++r) row_ptr[r + 1] += row_ptr[r];
+  std::vector<std::uint32_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  std::vector<std::uint32_t> cols(n);
+  std::vector<double> vals(n);
   for (std::size_t t = 0; t < n; ++t) {
-    const std::uint32_t pos = start[t_rows_[t]]++;
-    scratch_cols[pos] = t_cols_[t];
-    scratch_vals[pos] = t_vals_[t];
+    const std::uint32_t pos = next[t_rows_[t]]++;
+    cols[pos] = t_cols_[t];
+    vals[pos] = t_vals_[t];
   }
-  // `start` has shifted one row forward: start[r] is now the END of row r
-  // (and row 0 begins at 0).
+  return CsrMatrix::from_rows(cols_, std::move(row_ptr), std::move(cols),
+                              std::move(vals));
+}
 
-  std::size_t begin = 0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::size_t end = start[r];
+CsrMatrix CsrMatrix::from_rows(std::size_t cols,
+                               std::vector<std::uint32_t> row_ptr,
+                               std::vector<std::uint32_t> col_idx,
+                               std::vector<double> values) {
+  if (row_ptr.empty() || row_ptr.front() != 0 ||
+      row_ptr.back() != col_idx.size() || col_idx.size() != values.size()) {
+    throw std::invalid_argument("CsrMatrix::from_rows: inconsistent arrays");
+  }
+  if (row_ptr.size() - 1 > kMaxIndex || cols > kMaxIndex) {
+    throw std::length_error("CsrMatrix: dimensions exceed 32-bit index");
+  }
+  CsrMatrix m;
+  m.rows_ = row_ptr.size() - 1;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  std::uint32_t* cs = m.col_idx_.data();
+  double* vs = m.values_.data();
+  std::size_t out = 0;  // merged entries so far; never passes `begin`
+  for (std::size_t r = 0; r < m.rows_; ++r) {
+    const std::size_t begin = m.row_ptr_[r];
+    const std::size_t end = m.row_ptr_[r + 1];
+    if (begin > end) {
+      throw std::invalid_argument("CsrMatrix::from_rows: row_ptr decreases");
+    }
     // Stable insertion sort by column: generated rows hold a handful of
     // arcs, where this beats a general sort and keeps equal columns in
     // insertion order.
     for (std::size_t i = begin + 1; i < end; ++i) {
-      const std::uint32_t c = scratch_cols[i];
-      const double v = scratch_vals[i];
+      const std::uint32_t c = cs[i];
+      const double v = vs[i];
       std::size_t j = i;
-      while (j > begin && scratch_cols[j - 1] > c) {
-        scratch_cols[j] = scratch_cols[j - 1];
-        scratch_vals[j] = scratch_vals[j - 1];
+      while (j > begin && cs[j - 1] > c) {
+        cs[j] = cs[j - 1];
+        vs[j] = vs[j - 1];
         --j;
       }
-      scratch_cols[j] = c;
-      scratch_vals[j] = v;
+      cs[j] = c;
+      vs[j] = v;
     }
-    // Merge duplicates; entries whose merged value is exactly zero are
-    // dropped (same rule the triplet path always applied).
-    m.row_ptr_[r] = static_cast<std::uint32_t>(m.values_.size());
-    std::size_t i = begin;
-    while (i < end) {
-      const std::uint32_t c = scratch_cols[i];
+    if (end > begin && cs[end - 1] >= cols) {
+      throw std::out_of_range("CsrMatrix::from_rows: column out of range");
+    }
+    // Merge duplicates in place, summing in insertion order; entries whose
+    // merged value is exactly zero are dropped (same rule the triplet path
+    // always applied).
+    m.row_ptr_[r] = static_cast<std::uint32_t>(out);
+    for (std::size_t i = begin; i < end;) {
+      const std::uint32_t c = cs[i];
       double v = 0.0;
-      while (i < end && scratch_cols[i] == c) {
-        v += scratch_vals[i];
-        ++i;
-      }
+      for (; i < end && cs[i] == c; ++i) v += vs[i];
       if (v != 0.0) {
-        m.col_idx_.push_back(c);
-        m.values_.push_back(v);
+        cs[out] = c;
+        vs[out] = v;
+        ++out;
       }
     }
-    begin = end;
   }
-  m.row_ptr_[rows_] = static_cast<std::uint32_t>(m.values_.size());
-  arena.reset();
+  m.row_ptr_[m.rows_] = static_cast<std::uint32_t>(out);
+  m.col_idx_.resize(out);
+  m.values_.resize(out);
   return m;
 }
 
@@ -177,14 +187,27 @@ double CsrMatrix::max_abs_diagonal() const noexcept {
 }
 
 CsrMatrix CsrMatrix::transposed() const {
-  CsrBuilder b(cols_, rows_);
-  b.reserve(nnz());
+  CsrMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_ptr_.assign(cols_ + 1, 0);
+  t.col_idx_.resize(nnz());
+  t.values_.resize(nnz());
+  for (const std::uint32_t c : col_idx_) ++t.row_ptr_[c + 1];
+  for (std::size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
+  // row_ptr_[c] is output row c's cursor; visiting the input rows in order
+  // fills every output row in increasing column order.
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      b.add(col_idx_[k], r, values_[k]);
+      const std::uint32_t pos = t.row_ptr_[col_idx_[k]]++;
+      t.col_idx_[pos] = static_cast<std::uint32_t>(r);
+      t.values_[pos] = values_[k];
     }
   }
-  return b.build();
+  // Each cursor now sits at its row's end, the next row's start.
+  for (std::size_t c = cols_; c > 0; --c) t.row_ptr_[c] = t.row_ptr_[c - 1];
+  t.row_ptr_[0] = 0;
+  return t;
 }
 
 DenseMatrix CsrMatrix::to_dense() const {

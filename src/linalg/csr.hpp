@@ -4,29 +4,29 @@
 // Generated Markov chains are sparse (a handful of outgoing arcs per
 // state), so the iterative steady-state solvers and the uniformization
 // transient solver operate on CSR. Storage is structure-of-arrays: three
-// flat, 64-byte-aligned arrays (row pointers, column indices, values) with
+// flat std::vector arrays (row pointers, column indices, values) with
 // 32-bit indices, which halves index bandwidth. Matrices are assembled
-// through CsrBuilder, which stages triplets and builds via an
-// arena-backed counting sort (see docs/numerics.md); duplicates are
-// summed in insertion order.
+// through CsrBuilder, which stages triplets and scatters them by a
+// counting sort into row buckets, or straight from row buckets with
+// CsrMatrix::from_rows (see docs/numerics.md); duplicates are summed in
+// insertion order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <vector>
 
-#include "linalg/aligned.hpp"
 #include "linalg/dense.hpp"
 
 namespace rascad::linalg {
 
-class Arena;
 class CsrMatrix;
 
 /// Accumulates (row, col, value) triplets; duplicates are summed.
-/// Staging is structure-of-arrays; build() runs a stable two-pass counting
-/// sort whose scratch comes from the per-thread assembly arena, so chain
-/// generation emits CSR directly with no allocation churn.
+/// Staging is structure-of-arrays; build() scatters the triplets into row
+/// buckets by a stable counting sort and hands them to
+/// CsrMatrix::from_rows.
 class CsrBuilder {
  public:
   CsrBuilder(std::size_t rows, std::size_t cols);
@@ -55,6 +55,17 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
+  /// Adopts rows given as buckets: row r's entries are
+  /// col_idx/values[row_ptr[r] .. row_ptr[r + 1]) in any column order,
+  /// and may repeat a column. Each row is sorted by column (stably),
+  /// repeats are summed in their given order, and exact zeros are dropped,
+  /// in place. Throws std::invalid_argument for inconsistent arrays and
+  /// std::out_of_range for a column >= `cols`.
+  static CsrMatrix from_rows(std::size_t cols,
+                             std::vector<std::uint32_t> row_ptr,
+                             std::vector<std::uint32_t> col_idx,
+                             std::vector<double> values);
+
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t nnz() const noexcept { return values_.size(); }
@@ -79,6 +90,8 @@ class CsrMatrix {
   /// generator matrix.
   double max_abs_diagonal() const noexcept;
 
+  /// A^T by a counting transpose: rows are visited in order, so every
+  /// output row comes out sorted by column.
   CsrMatrix transposed() const;
   DenseMatrix to_dense() const;
 
@@ -96,13 +109,21 @@ class CsrMatrix {
   /// Sum of each row's entries (for generator-matrix conservation checks).
   Vector row_sums() const;
 
+  /// The sparsity pattern: row r's columns are col_idx()[row_ptr()[r] ..
+  /// row_ptr()[r + 1]), sorted and distinct.
+  const std::vector<std::uint32_t>& row_ptr() const noexcept {
+    return row_ptr_;
+  }
+  const std::vector<std::uint32_t>& col_idx() const noexcept {
+    return col_idx_;
+  }
+
  private:
-  friend class CsrBuilder;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  AlignedVector<std::uint32_t> row_ptr_;  // rows_ + 1 entries
-  AlignedVector<std::uint32_t> col_idx_;  // nnz entries
-  AlignedVector<double> values_;          // nnz entries
+  std::vector<std::uint32_t> row_ptr_;  // rows_ + 1 entries
+  std::vector<std::uint32_t> col_idx_;  // nnz entries
+  std::vector<double> values_;          // nnz entries
 };
 
 std::ostream& operator<<(std::ostream& os, const CsrMatrix& m);

@@ -1,6 +1,7 @@
 #include "markov/ctmc.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -11,7 +12,9 @@ StateIndex CtmcBuilder::add_state(std::string name, double reward) {
   if (reward < 0.0) {
     throw std::invalid_argument("CtmcBuilder: reward must be non-negative");
   }
-  if (!index_.emplace(name, states_.size()).second) {
+  if (!names_.insert(name, states_.size(), [&](StateIndex i) -> auto& {
+        return states_[i].name;
+      })) {
     throw std::invalid_argument("CtmcBuilder: duplicate state name '" + name +
                                 "'");
   }
@@ -34,28 +37,46 @@ void CtmcBuilder::add_transition(StateIndex from, StateIndex to, double rate) {
 
 std::optional<StateIndex> CtmcBuilder::find_state(
     const std::string& name) const {
-  const auto it = index_.find(name);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return names_.find(name, [&](StateIndex i) -> auto& {
+    return states_[i].name;
+  });
 }
 
 Ctmc CtmcBuilder::build() const {
   if (states_.empty()) {
     throw std::invalid_argument("CtmcBuilder: chain has no states");
   }
+  // Q in one pass over the arcs, straight into its row buckets: the arcs
+  // of a row in insertion order, then its diagonal. from_rows sorts each
+  // row and sums duplicate arcs in insertion order.
   const std::size_t n = states_.size();
-  linalg::CsrBuilder qb(n, n);
   std::vector<double> exit(n, 0.0);
+  std::vector<std::uint32_t> row_ptr(n + 1, 0);
   for (const Arc& a : arcs_) {
-    qb.add(a.from, a.to, a.rate);
     exit[a.from] += a.rate;
+    ++row_ptr[a.from + 1];
   }
   for (StateIndex i = 0; i < n; ++i) {
-    if (exit[i] > 0.0) qb.add(i, i, -exit[i]);
+    row_ptr[i + 1] += row_ptr[i] + (exit[i] > 0.0 ? 1 : 0);
+  }
+  std::vector<std::uint32_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  std::vector<std::uint32_t> cols(row_ptr[n]);
+  std::vector<double> vals(row_ptr[n]);
+  for (const Arc& a : arcs_) {
+    const std::uint32_t pos = next[a.from]++;
+    cols[pos] = static_cast<std::uint32_t>(a.to);
+    vals[pos] = a.rate;
+  }
+  for (StateIndex i = 0; i < n; ++i) {
+    if (!(exit[i] > 0.0)) continue;
+    cols[next[i]] = static_cast<std::uint32_t>(i);
+    vals[next[i]] = -exit[i];
   }
   Ctmc chain;
   chain.states_ = states_;
-  chain.q_ = qb.build();
+  chain.names_ = names_;
+  chain.q_ = linalg::CsrMatrix::from_rows(n, std::move(row_ptr),
+                                          std::move(cols), std::move(vals));
   // Duplicate arcs merged in CSR; count distinct off-diagonal entries.
   std::size_t count = 0;
   for (StateIndex i = 0; i < n; ++i) {
@@ -91,10 +112,9 @@ std::vector<StateIndex> Ctmc::down_states() const {
 }
 
 std::optional<StateIndex> Ctmc::find_state(const std::string& name) const {
-  for (StateIndex i = 0; i < states_.size(); ++i) {
-    if (states_[i].name == name) return i;
-  }
-  return std::nullopt;
+  return names_.find(name, [&](StateIndex i) -> auto& {
+    return states_[i].name;
+  });
 }
 
 double Ctmc::exit_rate(StateIndex i) const {
@@ -113,6 +133,7 @@ std::pair<linalg::CsrMatrix, double> Ctmc::uniformized(
   if (q <= 0.0) q = 1.0;  // absorbing-only chain: P = I
   const std::size_t n = size();
   linalg::CsrBuilder pb(n, n);
+  pb.reserve(q_.nnz() + n);
   for (StateIndex i = 0; i < n; ++i) {
     const auto row = q_.row(i);
     double diag = 1.0;

@@ -11,10 +11,10 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "linalg/csr.hpp"
+#include "markov/name_index.hpp"
 
 namespace rascad::markov {
 
@@ -53,7 +53,7 @@ class CtmcBuilder {
     double rate;
   };
   std::vector<StateInfo> states_;
-  std::unordered_map<std::string, StateIndex> index_;  // name -> state
+  NameIndex names_;
   std::vector<Arc> arcs_;
 };
 
@@ -95,6 +95,7 @@ class Ctmc {
  private:
   friend class CtmcBuilder;
   std::vector<StateInfo> states_;
+  NameIndex names_;
   linalg::CsrMatrix q_;
   std::size_t transition_count_ = 0;
 };

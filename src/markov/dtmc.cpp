@@ -13,11 +13,10 @@
 namespace rascad::markov {
 
 std::size_t DtmcBuilder::add_state(std::string name) {
-  for (const auto& existing : names_) {
-    if (existing == name) {
-      throw std::invalid_argument("DtmcBuilder: duplicate state name '" +
-                                  name + "'");
-    }
+  if (!index_.insert(name, names_.size(),
+                     [&](std::size_t i) -> auto& { return names_[i]; })) {
+    throw std::invalid_argument("DtmcBuilder: duplicate state name '" +
+                                name + "'");
   }
   names_.push_back(std::move(name));
   return names_.size() - 1;
@@ -40,6 +39,7 @@ Dtmc DtmcBuilder::build(double row_sum_tolerance) const {
   }
   const std::size_t n = names_.size();
   linalg::CsrBuilder pb(n, n);
+  pb.reserve(arcs_.size());
   std::vector<double> row_sum(n, 0.0);
   for (const Arc& a : arcs_) {
     pb.add(a.from, a.to, a.p);
@@ -53,15 +53,14 @@ Dtmc DtmcBuilder::build(double row_sum_tolerance) const {
   }
   Dtmc chain;
   chain.names_ = names_;
+  chain.index_ = index_;
   chain.p_ = pb.build();
   return chain;
 }
 
 std::optional<std::size_t> Dtmc::find_state(const std::string& name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return i;
-  }
-  return std::nullopt;
+  return index_.find(name,
+                     [&](std::size_t i) -> auto& { return names_[i]; });
 }
 
 linalg::Vector Dtmc::stationary(bool direct) const {

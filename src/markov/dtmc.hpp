@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "linalg/csr.hpp"
+#include "markov/name_index.hpp"
 
 namespace rascad::markov {
 
@@ -35,6 +36,7 @@ class DtmcBuilder {
     double p;
   };
   std::vector<std::string> names_;
+  NameIndex index_;
   std::vector<Arc> arcs_;
 };
 
@@ -66,6 +68,7 @@ class Dtmc {
  private:
   friend class DtmcBuilder;
   std::vector<std::string> names_;
+  NameIndex index_;
   linalg::CsrMatrix p_;
 };
 

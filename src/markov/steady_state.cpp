@@ -94,6 +94,34 @@ std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w) {
   return order;
 }
 
+/// rcm_order(w), remembered per thread for the last sparsity pattern it
+/// was asked for. A sweep re-solves one pattern with new values at every
+/// point, and the order depends on the pattern alone, so only the first
+/// point pays for it. The key is the pattern itself, compared element by
+/// element (no hash), so a reused order is exactly the order rcm_order
+/// would return. The memo holds one pattern: O(n + nnz) indices a thread.
+std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w) {
+  struct Memo {
+    std::size_t cols = 0;
+    std::vector<std::uint32_t> row_ptr;
+    std::vector<std::uint32_t> col_idx;
+    std::vector<std::uint32_t> order;  // empty while invalid
+  };
+  thread_local Memo memo;
+  if (memo.order.empty() || memo.cols != w.cols() ||
+      memo.row_ptr != w.row_ptr() || memo.col_idx != w.col_idx()) {
+    // Invalidate first: a throw below must not pair an old pattern with
+    // a new order or the other way round.
+    memo.order.clear();
+    std::vector<std::uint32_t> order = rcm_order(w);
+    memo.cols = w.cols();
+    memo.row_ptr = w.row_ptr();
+    memo.col_idx = w.col_idx();
+    memo.order = std::move(order);
+  }
+  return memo.order;
+}
+
 /// A chain's off-diagonal weights in reverse Cuthill-McKee positions,
 /// stored as a band: w(i, j) for |i - j| <= b lives at w[2b i + b + j].
 /// Eliminating a state only touches the states within b of it, so fill-in
@@ -111,7 +139,7 @@ Band band_of(const linalg::CsrMatrix& weights, const char* who) {
     throw SolveError(SolveCause::kInvalidInput, who, "empty chain");
   }
   Band band;
-  band.order = rcm_order(weights);
+  band.order = memo_rcm_order(weights);
   std::vector<std::uint32_t> pos(n);
   for (std::size_t k = 0; k < n; ++k) {
     pos[band.order[k]] = static_cast<std::uint32_t>(k);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -265,13 +266,17 @@ IntervalMeasures interval_measures(const Ctmc& chain,
     throw std::invalid_argument("interval_measures: t must be positive");
   }
   check_inputs(chain, pi0, t);
+  // The down time is integrated as its own rate, not taken as t minus the
+  // up time: when 1 - A is small that difference cancels most digits.
+  linalg::Vector down(chain.size(), 0.0);
+  for (const StateIndex i : chain.down_states()) down[i] = 1.0;
   const linalg::Vector acc = integrate_rates(
       chain, pi0, t,
       {chain.reward_vector(), crossing_flow(chain, true),
-       crossing_flow(chain, false)},
+       crossing_flow(chain, false), std::move(down)},
       opts, "interval_measures");
   const double up_time = acc[0];
-  const double down_time = t - up_time;
+  const double down_time = acc[3];
   IntervalMeasures m;
   m.availability = up_time / t;
   m.failure_rate = up_time > 0.0 ? acc[1] / up_time : 0.0;

@@ -54,7 +54,9 @@ double expected_crossings(const Ctmc& chain, const linalg::Vector& pi0,
                           const TransientOptions& opts = {});
 
 /// The paper's Section 4 interval measures over (0, t), from one pass that
-/// integrates the reward and both crossing flows together.
+/// integrates the reward, both crossing flows and the down time together.
+/// The down time is integrated directly (down states: reward <= 0), so the
+/// recovery rate keeps its digits when 1 - A is small.
 struct IntervalMeasures {
   double availability = 1.0;   // accumulated reward / t
   double failure_rate = 0.0;   // up->down crossings / expected up time

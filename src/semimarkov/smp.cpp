@@ -16,11 +16,11 @@ std::size_t SmpBuilder::add_state(std::string name, double reward,
   if (reward < 0.0) {
     throw std::invalid_argument("SmpBuilder: reward must be non-negative");
   }
-  for (const State& s : states_) {
-    if (s.name == name) {
-      throw std::invalid_argument("SmpBuilder: duplicate state name '" + name +
-                                  "'");
-    }
+  if (!index_.insert(name, states_.size(), [&](std::size_t i) -> auto& {
+        return states_[i].name;
+      })) {
+    throw std::invalid_argument("SmpBuilder: duplicate state name '" + name +
+                                "'");
   }
   states_.push_back({std::move(name), reward, std::move(sojourn)});
   return states_.size() - 1;
@@ -136,10 +136,8 @@ SemiMarkovProcess SmpBuilder::build_with_absorbing() const {
 
 std::optional<std::size_t> SemiMarkovProcess::find_state(
     const std::string& name) const {
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (states_[i].name == name) return i;
-  }
-  return std::nullopt;
+  // The embedded chain carries the same names in the same order.
+  return embedded_.find_state(name);
 }
 
 bool SemiMarkovProcess::is_absorbing(std::size_t i) const {

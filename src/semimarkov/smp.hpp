@@ -17,6 +17,7 @@
 #include "dist/distribution.hpp"
 #include "linalg/dense.hpp"
 #include "markov/dtmc.hpp"
+#include "markov/name_index.hpp"
 
 namespace rascad::semimarkov {
 
@@ -65,6 +66,7 @@ class SmpBuilder {
     double p;
   };
   std::vector<State> states_;
+  markov::NameIndex index_;
   std::vector<Arc> arcs_;
 };
 

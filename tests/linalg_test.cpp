@@ -5,10 +5,7 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
-#include <thread>
 
-#include "linalg/aligned.hpp"
-#include "linalg/arena.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/iterative.hpp"
@@ -17,8 +14,6 @@
 
 namespace {
 
-using rascad::linalg::AlignedVector;
-using rascad::linalg::Arena;
 using rascad::linalg::CsrBuilder;
 using rascad::linalg::CsrMatrix;
 using rascad::linalg::DenseMatrix;
@@ -144,6 +139,51 @@ TEST(CsrMatrix, MulAndTranspose) {
   EXPECT_DOUBLE_EQ(t.at(2, 0), 2.0);
 }
 
+TEST(CsrMatrix, TransposeMatchesTripletTranspose) {
+  for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<std::size_t> dim(1, 40);
+    std::uniform_real_distribution<double> value(-2.0, 2.0);
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    const std::size_t rows = dim(rng);
+    const std::size_t cols = dim(rng);
+    CsrBuilder b(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (r % 5 == 2) continue;  // empty rows
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (c % 6 == 1) continue;  // empty columns
+        if (coin(rng) < 0.2) b.add(r, c, value(rng));
+      }
+    }
+    const CsrMatrix a = b.build();
+    CsrBuilder tb(cols, rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto row = a.row(r);
+      for (std::size_t k = 0; k < row.size; ++k) {
+        tb.add(row.cols[k], r, row.values[k]);
+      }
+    }
+    const CsrMatrix oracle = tb.build();
+    const CsrMatrix t = a.transposed();
+    ASSERT_EQ(t.rows(), cols) << "seed=" << seed;
+    ASSERT_EQ(t.cols(), rows) << "seed=" << seed;
+    EXPECT_EQ(t.row_ptr(), oracle.row_ptr()) << "seed=" << seed;
+    EXPECT_EQ(t.col_idx(), oracle.col_idx()) << "seed=" << seed;
+    for (std::size_t r = 0; r < t.rows(); ++r) {
+      const auto got = t.row(r);
+      const auto want = oracle.row(r);
+      for (std::size_t k = 0; k < got.size && k < want.size; ++k) {
+        EXPECT_EQ(got.values[k], want.values[k]) << "seed=" << seed;
+      }
+    }
+  }
+  // The empty matrix transposes to an empty matrix of the swapped shape.
+  const CsrMatrix empty = CsrBuilder(3, 0).build().transposed();
+  EXPECT_EQ(empty.rows(), 0u);
+  EXPECT_EQ(empty.cols(), 3u);
+  EXPECT_EQ(empty.nnz(), 0u);
+}
+
 TEST(CsrMatrix, RowSumsAndDense) {
   CsrBuilder b(2, 2);
   b.add(0, 0, -1.0);
@@ -241,43 +281,6 @@ TEST(Iterative, PowerStationaryTwoState) {
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.solution[0], 5.0 / 6.0, 1e-9);
   EXPECT_NEAR(result.solution[1], 1.0 / 6.0, 1e-9);
-}
-
-TEST(Aligned, VectorDataIsSimdAligned) {
-  for (std::size_t n : {1u, 7u, 64u, 1000u}) {
-    AlignedVector<double> v(n, 1.0);
-    EXPECT_TRUE(rascad::linalg::is_simd_aligned(v.data()));
-  }
-  AlignedVector<std::uint32_t> idx(33, 0);
-  EXPECT_TRUE(rascad::linalg::is_simd_aligned(idx.data()));
-}
-
-TEST(Arena, AllocationsAreAlignedAndReusable) {
-  Arena arena;
-  double* a = arena.allocate<double>(100);
-  std::uint32_t* b = arena.allocate<std::uint32_t>(17);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_TRUE(rascad::linalg::is_simd_aligned(a));
-  EXPECT_TRUE(rascad::linalg::is_simd_aligned(b));
-  a[99] = 3.5;
-  b[16] = 7;
-  const std::size_t grown = arena.capacity_bytes();
-  EXPECT_GT(grown, 0u);
-  arena.reset();
-  // Reset keeps the largest chunk: the next round allocates without growth.
-  double* c = arena.allocate<double>(100);
-  EXPECT_TRUE(rascad::linalg::is_simd_aligned(c));
-  EXPECT_EQ(arena.capacity_bytes(), grown);
-}
-
-TEST(Arena, ThreadArenaIsDistinctPerThread) {
-  Arena* main_arena = &rascad::linalg::thread_arena();
-  Arena* other = nullptr;
-  std::thread([&] { other = &rascad::linalg::thread_arena(); }).join();
-  EXPECT_NE(main_arena, nullptr);
-  EXPECT_NE(other, nullptr);
-  EXPECT_NE(main_arena, other);
 }
 
 /// Dense oracle: y = A x computed row-by-row off to_dense().

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "baselines/baselines.hpp"
 #include "markov/absorbing.hpp"
@@ -11,6 +12,7 @@
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
+#include "semimarkov/smp.hpp"
 
 namespace {
 
@@ -57,6 +59,52 @@ TEST(CtmcBuilder, RejectsBadInput) {
   EXPECT_THROW(b.add_transition(s0, s1, 0.0), std::invalid_argument);
   EXPECT_THROW(b.add_transition(s0, 7, 1.0), std::out_of_range);
   EXPECT_THROW(CtmcBuilder{}.build(), std::invalid_argument);
+}
+
+TEST(CtmcBuilder, NameIndexAtScale) {
+  constexpr std::size_t kStates = 50'000;
+  CtmcBuilder b;
+  for (std::size_t i = 0; i < kStates; ++i) {
+    ASSERT_EQ(b.add_state("S" + std::to_string(i), 1.0), i);
+  }
+  for (std::size_t i = 0; i + 1 < kStates; ++i) {
+    b.add_transition(i, i + 1, 1.0);
+  }
+  b.add_transition(kStates - 1, 0, 1.0);
+  for (std::size_t i = 0; i < kStates; ++i) {
+    ASSERT_EQ(b.find_state("S" + std::to_string(i)), i);
+  }
+  EXPECT_FALSE(b.find_state("S" + std::to_string(kStates)).has_value());
+  const Ctmc chain = b.build();
+  for (std::size_t i = 0; i < kStates; ++i) {
+    ASSERT_EQ(chain.find_state("S" + std::to_string(i)), i);
+  }
+  EXPECT_FALSE(chain.find_state("S").has_value());
+  EXPECT_THROW(b.add_state("S" + std::to_string(kStates - 1), 1.0),
+               std::invalid_argument);
+  EXPECT_EQ(b.state_count(), kStates);
+}
+
+TEST(NameIndex, DtmcAndSmpBuildersRejectDuplicatesAndFindStates) {
+  rascad::markov::DtmcBuilder d;
+  rascad::semimarkov::SmpBuilder s;
+  for (std::size_t i = 0; i < 100; ++i) {
+    const std::string name = "S" + std::to_string(i);
+    EXPECT_EQ(d.add_state(name), i);
+    EXPECT_EQ(s.add_state(name, 1.0, rascad::dist::exponential(1.0)), i);
+  }
+  EXPECT_THROW(d.add_state("S42"), std::invalid_argument);
+  EXPECT_THROW(s.add_state("S42", 1.0), std::invalid_argument);
+  for (std::size_t i = 0; i < 100; ++i) {
+    d.add_transition(i, (i + 1) % 100, 1.0);
+    s.add_transition(i, (i + 1) % 100, 1.0);
+  }
+  const auto dtmc = d.build();
+  const auto smp = s.build();
+  EXPECT_EQ(dtmc.find_state("S7"), 7u);
+  EXPECT_EQ(smp.find_state("S99"), 99u);
+  EXPECT_FALSE(dtmc.find_state("S100").has_value());
+  EXPECT_FALSE(smp.find_state("").has_value());
 }
 
 TEST(Ctmc, GeneratorRowsSumToZero) {

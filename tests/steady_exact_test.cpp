@@ -10,6 +10,8 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -384,6 +386,88 @@ TEST(ExactOracle, PermutedChainGivesSameAnswer) {
     EXPECT_LT(worst_pi, 1e-12) << n << " states";
     EXPECT_LT(worst_tau, 1e-12) << n << " states";
   }
+}
+
+/// `chain` with one arc i -> j moved to i -> j + 1, where j has another
+/// way in and i had no arc to j + 1: the pattern changes, but every state
+/// stays reachable.
+Ctmc with_one_arc_moved(const Ctmc& chain) {
+  const std::size_t n = chain.size();
+  const auto& q = chain.generator();
+  std::vector<std::size_t> in(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = q.row(i);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] != i) ++in[row.cols[k]];
+    }
+  }
+  std::size_t from = n;
+  std::size_t to = n;
+  for (std::size_t i = 0; i < n && from == n; ++i) {
+    const auto row = q.row(i);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const std::size_t j = row.cols[k];
+      if (j == i || in[j] < 2 || j + 1 >= n || j + 1 == i ||
+          q.at(i, j + 1) != 0.0) {
+        continue;
+      }
+      from = i;
+      to = j;
+      break;
+    }
+  }
+  CtmcBuilder b;
+  for (std::size_t i = 0; i < n; ++i) {
+    b.add_state(chain.state_name(i), chain.reward(i));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = q.row(i);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const std::size_t j = row.cols[k];
+      if (j == i) continue;
+      b.add_transition(i, i == from && j == to ? j + 1 : j, row.values[k]);
+    }
+  }
+  return b.build();
+}
+
+TEST(SteadyExact, OrderReuseIsBitIdentical) {
+  // B has A's sparsity pattern and other rates; C is B with one arc moved.
+  BlockSpec other = type4_block(48);
+  other.mtbf_h = 70'000.0;
+  other.transient_fit = 3'000.0;
+  other.service_response_h = 2.0;
+  const Ctmc a = rascad::mg::generate(type4_block(48), globals()).chain;
+  const Ctmc b = rascad::mg::generate(other, globals()).chain;
+  ASSERT_EQ(a.generator().row_ptr(), b.generator().row_ptr());
+  ASSERT_EQ(a.generator().col_idx(), b.generator().col_idx());
+  const Ctmc c = with_one_arc_moved(b);
+  ASSERT_NE(c.generator().col_idx(), b.generator().col_idx());
+
+  // Every solve sequence runs on its own new thread, which starts with
+  // no remembered order.
+  const auto solve_on_fresh_thread = [](std::vector<const Ctmc*> chains) {
+    std::vector<Vector> pis;
+    std::vector<std::size_t> bandwidths;
+    std::thread([&] {
+      for (const Ctmc* chain : chains) {
+        std::size_t bw = 0;
+        pis.push_back(
+            rascad::markov::gth_stationary(chain->generator(), {}, &bw));
+        bandwidths.push_back(bw);
+      }
+    }).join();
+    return std::make_pair(pis, bandwidths);
+  };
+  const auto b_fresh = solve_on_fresh_thread({&b});
+  const auto c_fresh = solve_on_fresh_thread({&c});
+  const auto in_turn = solve_on_fresh_thread({&a, &b, &c});
+  EXPECT_EQ(in_turn.first[1], b_fresh.first[0]);
+  EXPECT_EQ(in_turn.second[1], b_fresh.second[0]);
+  EXPECT_EQ(in_turn.first[2], c_fresh.first[0]);
+  EXPECT_EQ(in_turn.second[2], c_fresh.second[0]);
+  EXPECT_NE(in_turn.first[0], in_turn.first[1]);
+  for (const double p : c_fresh.first[0]) ASSERT_GT(p, 0.0);
 }
 
 // ---------------------------------------------- mean time to absorption ----

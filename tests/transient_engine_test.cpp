@@ -241,23 +241,66 @@ TEST(TransientEngine, CancelTokenStopsTheEngine) {
             rascad::markov::reward_curve(chain, pi0, 100.0, 50));
 }
 
+/// `chain` rebuilt arc by arc with state i's reward set to reward(i). Two
+/// replays of one chain insert the same arcs in the same order, so their
+/// generators are bit-identical whatever the rewards.
+template <typename Reward>
+Ctmc replay(const Ctmc& chain, const Reward& reward) {
+  CtmcBuilder b;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    b.add_state(chain.state_name(i), reward(i));
+  }
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const auto row = chain.generator().row(i);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] != i) b.add_transition(i, row.cols[k], row.values[k]);
+    }
+  }
+  return b.build();
+}
+
 TEST(TransientEngine, IntervalMeasuresAreOnePassOfTheSeparateIntegrals) {
   const auto model = rascad::mg::generate(
       full_block(4, 1, Transparency::kNontransparent,
                  Transparency::kTransparent),
       rascad::spec::GlobalParams{});
-  const Ctmc& chain = model.chain;
+  const Ctmc chain =
+      replay(model.chain, [&](std::size_t i) { return model.chain.reward(i); });
+  // The down time is its own integral: the accumulated reward of the
+  // down indicator on the same generator.
+  const Ctmc down_indicator = replay(model.chain, [&](std::size_t i) {
+    return model.chain.reward(i) > 0.0 ? 0.0 : 1.0;
+  });
   const Vector pi0 = rascad::markov::point_mass(chain, model.initial);
   for (const double t : {24.0, kHorizon}) {
     const auto m = rascad::markov::interval_measures(chain, pi0, t);
     const double up = rascad::markov::accumulated_reward(chain, pi0, t);
+    const double down =
+        rascad::markov::accumulated_reward(down_indicator, pi0, t);
     EXPECT_EQ(m.availability, up / t) << t;
     EXPECT_EQ(m.failure_rate,
               rascad::markov::expected_crossings(chain, pi0, t, true) / up)
         << t;
     EXPECT_EQ(m.recovery_rate,
-              rascad::markov::expected_crossings(chain, pi0, t, false) /
-                  (t - up))
+              rascad::markov::expected_crossings(chain, pi0, t, false) / down)
+        << t;
+  }
+}
+
+TEST(TransientEngine, IntervalRecoveryRateKeepsItsDigits) {
+  // A two-state unit with 1 - A ~ 1e-6: down->up crossings over down time
+  // is exactly mu. Down time taken as t - up time loses ~6 digits here.
+  const double lambda = 1e-6;
+  const double mu = 1.0;
+  const Ctmc chain = two_state_chain(lambda, mu);
+  const Vector pi0 = rascad::markov::point_mass(chain, 0);
+  for (const double t : {24.0, kHorizon}) {
+    const auto m = rascad::markov::interval_measures(chain, pi0, t);
+    EXPECT_GT(1.0 - m.availability, 1e-7) << t;
+    EXPECT_LT(1.0 - m.availability, 1e-6) << t;
+    EXPECT_NEAR(m.recovery_rate, mu, 1e-12 * mu) << t;
+    EXPECT_EQ(rascad::markov::interval_recovery_rate(chain, pi0, t),
+              m.recovery_rate)
         << t;
   }
 }
