@@ -1,10 +1,10 @@
-// Resilience-ladder overhead and recovery latency.
+// Overhead of the checked solve episode.
 //
-// The healthy-path comparison (bare direct solve vs the full ladder with
+// The healthy-path comparison (bare GTH solve vs the full episode with
 // health checks) is the fixed cost every MG block solve pays on top of the
 // banded elimination: a residual re-check, the health scan and the trace
-// bookkeeping, all O(n). The recovery benchmarks measure the wall-clock
-// price of escalating when the first rung fails.
+// bookkeeping, all O(n). The failure benchmark measures what a refused
+// answer costs: the elimination, the failed check and the thrown error.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -45,7 +45,7 @@ void BM_DirectBare(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectBare);
 
-void BM_LadderHealthyPath(benchmark::State& state) {
+void BM_EpisodeHealthyPath(benchmark::State& state) {
   const markov::Ctmc chain = block_chain();
   const resilience::ResilienceConfig config;
   for (auto _ : state) {
@@ -53,10 +53,10 @@ void BM_LadderHealthyPath(benchmark::State& state) {
         resilience::solve_steady_state_resilient(chain, config));
   }
 }
-BENCHMARK(BM_LadderHealthyPath);
+BENCHMARK(BM_EpisodeHealthyPath);
 
 /// Healthy path on a 201-state chain. The elimination is O(n b^2) with
-/// b = 1 here, so the ladder's O(n) checks are a visible fraction of it.
+/// b = 1 here, so the episode's O(n) checks are a visible fraction of it.
 void BM_DirectBareLarge(benchmark::State& state) {
   const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
   for (auto _ : state) {
@@ -65,7 +65,7 @@ void BM_DirectBareLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectBareLarge);
 
-void BM_LadderHealthyPathLarge(benchmark::State& state) {
+void BM_EpisodeHealthyPathLarge(benchmark::State& state) {
   const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
   const resilience::ResilienceConfig config;
   for (auto _ : state) {
@@ -73,52 +73,24 @@ void BM_LadderHealthyPathLarge(benchmark::State& state) {
         resilience::solve_steady_state_resilient(chain, config));
   }
 }
-BENCHMARK(BM_LadderHealthyPathLarge);
+BENCHMARK(BM_EpisodeHealthyPathLarge);
 
-/// Recovery latency: the direct rung is forced to fail, so every solve
-/// pays one wasted elimination plus the BiCGStab recovery.
-void BM_LadderRecoveryAfterDirectFault(benchmark::State& state) {
+/// Failure latency: a health-check failure on every solve (a NaN seeded
+/// into the answer), caught and reported as SolveError(kNanOrInf).
+void BM_EpisodeRefusedAnswer(benchmark::State& state) {
   const markov::Ctmc chain = block_chain();
   resilience::ResilienceConfig config;
-  config.fault_plan.fail(resilience::Rung::kDirect,
-                         resilience::FaultKind::kThrowSingular);
+  config.fault_plan.fail(resilience::FaultKind::kNanResult);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resilience::solve_steady_state_resilient(chain, config));
+    try {
+      benchmark::DoNotOptimize(
+          resilience::solve_steady_state_resilient(chain, config));
+    } catch (const resilience::SolveError& e) {
+      benchmark::DoNotOptimize(e.cause());
+    }
   }
 }
-BENCHMARK(BM_LadderRecoveryAfterDirectFault);
-
-/// Worst-case recovery: everything but the last rung (Power) fails.
-void BM_LadderRecoveryAtPower(benchmark::State& state) {
-  const markov::Ctmc chain = block_chain();
-  resilience::ResilienceConfig config;
-  for (const resilience::Rung rung :
-       {resilience::Rung::kDirect, resilience::Rung::kBiCgStab,
-        resilience::Rung::kSor}) {
-    config.fault_plan.fail(rung, resilience::FaultKind::kThrowNonConverged);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resilience::solve_steady_state_resilient(chain, config));
-  }
-}
-BENCHMARK(BM_LadderRecoveryAtPower);
-
-/// Genuinely sick input: a stiff chain under a capped iteration budget,
-/// where SOR and Power fail for real before the direct rung recovers.
-void BM_LadderStiffChainEscalation(benchmark::State& state) {
-  const markov::Ctmc chain = resilience::ill_conditioned_chain(8, 1e9);
-  resilience::ResilienceConfig config;
-  config.rungs = {resilience::Rung::kSor, resilience::Rung::kPower,
-                  resilience::Rung::kDirect};
-  config.base.max_iterations = 300;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resilience::solve_steady_state_resilient(chain, config));
-  }
-}
-BENCHMARK(BM_LadderStiffChainEscalation);
+BENCHMARK(BM_EpisodeRefusedAnswer);
 
 }  // namespace
 
@@ -131,7 +103,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Direct timing of the headline comparison — bare solve vs full ladder
+  // Direct timing of the headline comparison — bare solve vs full episode
   // on the 201-state chain.
   using Clock = std::chrono::steady_clock;
   const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
@@ -149,14 +121,14 @@ int main(int argc, char** argv) {
   const auto t2 = Clock::now();
   const double bare_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count() / kIters;
-  const double ladder_ms =
+  const double episode_ms =
       std::chrono::duration<double, std::milli>(t2 - t1).count() / kIters;
   const double overhead_pct =
-      bare_ms > 0.0 ? (ladder_ms - bare_ms) / bare_ms * 100.0 : 0.0;
+      bare_ms > 0.0 ? (episode_ms - bare_ms) / bare_ms * 100.0 : 0.0;
 
   rascad::obs::BenchMetricsLine("resilience")
       .metric("direct_bare_ms", bare_ms)
-      .metric("ladder_healthy_ms", ladder_ms)
+      .metric("episode_healthy_ms", episode_ms)
       .metric("healthy_overhead_pct", overhead_pct)
       .write(std::cout);
   return 0;

@@ -3,28 +3,37 @@
 // Three sections, two of them hard gates (nonzero exit on violation):
 //
 //   1. Healthy-path overhead (< 2%) and bitwise identity (gate). The
-//      overhead is measured where the polls actually live: a long power
-//      solve on a stiff chain, run once with no token (the pre-robust
-//      configuration) and once under a far-future deadline token. The gate
-//      is estimate-based like bench_obs — measured cost of one armed-token
-//      poll x a generous overcount of the polls the workload executes
-//      (iterations / checkpoint cadence, plus episode checks), as a
-//      fraction of the baseline solve time; wall-clock deltas of sub-10ms
-//      workloads are scheduler noise. Bitwise identity is checked on both
-//      the solve (pi, iterations) and a full token-threaded sweep series,
-//      because a checkpoint may only ever throw, never perturb arithmetic.
+//      overhead is measured where the polls actually live: the GTH solve of
+//      a generated Type 4 block of ~50k states, run once with no token (the
+//      pre-robust configuration) and once under a far-future deadline
+//      token. The gate is estimate-based like bench_obs — measured cost of
+//      one armed-token poll x a generous overcount of the polls the
+//      workload executes (eliminated states / checkpoint cadence, plus
+//      episode checks), as a fraction of the baseline solve time;
+//      wall-clock deltas of ms-scale workloads are scheduler noise. Bitwise
+//      identity is checked on both the solve (pi, residual) and a full
+//      token-threaded sweep series, because a checkpoint may only ever
+//      throw, never perturb arithmetic.
 //
 //   2. Graceful degradation under a deadline (gate). A 64-point
-//      single-threaded sweep runs with an injected kTimeout fault on the
-//      ladder's first rung (each fresh solve burns its per-rung budget,
-//      escalates, then succeeds) under a request deadline sized so only a
-//      prefix of the points can finish. The gate: at least one point
-//      completes, at least one does not, the completed points form a
-//      prefix, and every unfinished point reports kDeadlineExceeded.
+//      single-threaded sweep runs with an injected kStall fault (each fresh
+//      solve sleeps 2 ms, ignoring its token, then succeeds) under a
+//      request deadline sized so only a prefix of the points can finish.
+//      The gate: at least one point completes, at least one does not, the
+//      completed points form a prefix, and every unfinished point reports
+//      kDeadlineExceeded.
 //
-//   3. Cancellation latency (report only): ~20 episodes of a long power
-//      solve cancelled from another thread; p99 of the checkpoint-observed
-//      latency lands in the JSON metrics line.
+//   3. Cancellation latency (report only): ~20 episodes of a GTH solve on
+//      an 80 x 80 grid chain, cancelled from another thread; p99 of the
+//      checkpoint-observed latency lands in the JSON metrics line. The
+//      grid's RCM band is ~80 wide, so the polled elimination is nearly
+//      all of a ~20 ms solve: a cancel lands inside it even when the
+//      canceller's 2 ms sleep overshoots by several milliseconds, which it
+//      does on busy hosts. (On the Type 4 block above, the elimination is
+//      only about half of a 5 ms episode.) One uncancelled solve runs
+//      first: the first solve of a pattern computes its RCM order and
+//      touches a fresh 8 MB band, whose page faults delay the first
+//      checkpoint by 1-3 ms, a one-off cost the cadence metric leaves out.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -32,12 +41,14 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/solve_cache.hpp"
 #include "core/library.hpp"
 #include "core/sweep.hpp"
+#include "mg/generator.hpp"
 #include "mg/system.hpp"
 #include "obs/bench_json.hpp"
 #include "resilience/fault_injection.hpp"
@@ -57,11 +68,63 @@ double ms_since(Clock::time_point t0) {
 
 constexpr std::size_t kOverheadPoints = 32;
 
-/// The healthy-path workload: an incremental single-threaded MTBF sweep of
-/// the Entry Server model against a fresh memo cache, solved through the
-/// power rung so the iteration-loop checkpoints (the hot polls) actually
-/// run. `cancel` is inert for the baseline run and a never-firing deadline
-/// token for the token run.
+/// A generated Type 4 block of N = 7200 disks, one of which must work
+/// (~50k states, RCM bandwidth 9): a GTH solve of tens of milliseconds
+/// that passes a cancellation checkpoint every 64 eliminated states.
+rascad::markov::Ctmc large_type4_chain() {
+  rascad::spec::BlockSpec b;
+  b.name = "deep";
+  b.quantity = 7200;
+  b.min_quantity = 1;
+  b.mtbf_h = 100'000.0;
+  b.transient_fit = 2'000.0;
+  b.mttr_diagnosis_min = 15.0;
+  b.mttr_corrective_min = 45.0;
+  b.service_response_h = 4.0;
+  b.p_correct_diagnosis = 0.95;
+  b.p_latent_fault = 0.05;
+  b.mttdlf_h = 48.0;
+  b.recovery = rascad::spec::Transparency::kNontransparent;
+  b.ar_time_min = 6.0;
+  b.p_spf = 0.01;
+  b.t_spf_min = 30.0;
+  b.repair = rascad::spec::Transparency::kNontransparent;
+  b.reintegration_min = 8.0;
+  rascad::spec::GlobalParams g;
+  g.reboot_time_h = 10.0 / 60.0;
+  g.mttm_h = 48.0;
+  g.mttrfid_h = 4.0;
+  return rascad::mg::generate(b, g).chain;
+}
+
+/// A rows x cols grid availability chain (moves right/down at rate 1,
+/// back at rate 2). Its RCM band is about `rows` wide, so the elimination
+/// costs O(cols rows^3) and dominates the O(cols rows^2) setup and
+/// back-substitution.
+rascad::markov::Ctmc grid_chain(std::size_t rows, std::size_t cols) {
+  rascad::markov::CtmcBuilder b;
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    b.add_state("g" + std::to_string(i), (i / cols + i % cols) % 2 ? 0.0 : 1.0);
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t at = r * cols + c;
+      if (c + 1 < cols) {
+        b.add_transition(at, at + 1, 1.0);
+        b.add_transition(at + 1, at, 2.0);
+      }
+      if (r + 1 < rows) {
+        b.add_transition(at, at + cols, 1.0);
+        b.add_transition(at + cols, at, 2.0);
+      }
+    }
+  }
+  return b.build();
+}
+
+/// The sweep workload: an incremental single-threaded MTBF sweep of the
+/// Entry Server model against a fresh memo cache. `cancel` is inert for
+/// the baseline run and a never-firing deadline token for the token run.
 std::vector<rascad::core::SweepPoint> overhead_sweep(
     const rascad::spec::ModelSpec& spec, const CancelToken& cancel,
     double* out_ms) {
@@ -71,9 +134,6 @@ std::vector<rascad::core::SweepPoint> overhead_sweep(
   opts.parallel.cancel = cancel;
   opts.model.parallel.threads = 1;
   opts.model.cache = &cache;
-  rascad::resilience::ResilienceConfig iterative;
-  iterative.rungs = {rascad::resilience::Rung::kPower};
-  opts.model.resilience = iterative;
   const auto t0 = Clock::now();
   auto points = rascad::core::sweep_block_parameter(
       spec, "Entry Server", "Boot Disk",
@@ -92,8 +152,7 @@ bool bitwise_equal(const std::vector<rascad::core::SweepPoint>& a,
         a[i].eq_failure_rate != b[i].eq_failure_rate ||
         a[i].fresh_blocks != b[i].fresh_blocks ||
         a[i].cached_blocks != b[i].cached_blocks ||
-        a[i].reused_blocks != b[i].reused_blocks ||
-        a[i].solve_iterations != b[i].solve_iterations) {
+        a[i].reused_blocks != b[i].reused_blocks) {
       return false;
     }
   }
@@ -113,19 +172,15 @@ int main(int argc, char** argv) {
   // deadline-check path, the most expensive healthy case) but never fires.
   const CancelToken far_deadline = CancelToken::with_deadline_ms(1e9);
 
-  // The overhead workload: a power solve on a stiff chain, thousands of
-  // iterations with a cancellation checkpoint every 64 of them.
-  const rascad::markov::Ctmc stiff =
-      rascad::resilience::ill_conditioned_chain(100, 1e2);
+  // The overhead workload: a GTH solve of ~50k states with a cancellation
+  // checkpoint every 64 eliminated states.
+  const rascad::markov::Ctmc large = large_type4_chain();
   rascad::resilience::ResilienceConfig solve_cfg;
-  solve_cfg.rungs = {rascad::resilience::Rung::kPower};
-  solve_cfg.base.tolerance = 1e-12;
-  solve_cfg.base.max_iterations = 50'000'000;
   double baseline_ms = 0.0;
   rascad::resilience::ResilientResult base_solve;
   for (int run = 0; run < 3; ++run) {  // best of 3 against scheduler noise
     const auto t0 = Clock::now();
-    base_solve = rascad::resilience::solve_steady_state_resilient(stiff,
+    base_solve = rascad::resilience::solve_steady_state_resilient(large,
                                                                   solve_cfg);
     const double ms = ms_since(t0);
     if (run == 0 || ms < baseline_ms) baseline_ms = ms;
@@ -133,17 +188,17 @@ int main(int argc, char** argv) {
   solve_cfg.cancel = far_deadline;
   const auto t1 = Clock::now();
   const rascad::resilience::ResilientResult token_solve =
-      rascad::resilience::solve_steady_state_resilient(stiff, solve_cfg);
+      rascad::resilience::solve_steady_state_resilient(large, solve_cfg);
   const double token_ms = ms_since(t1);
 
   bool identical =
-      base_solve.result.iterations == token_solve.result.iterations &&
+      base_solve.result.residual == token_solve.result.residual &&
       base_solve.result.pi.size() == token_solve.result.pi.size();
   for (std::size_t i = 0; identical && i < base_solve.result.pi.size(); ++i) {
     identical = base_solve.result.pi[i] == token_solve.result.pi[i];
   }
 
-  // The same token threaded through a full sweep (build + ladder + memo
+  // The same token threaded through a full sweep (build + solve + memo
   // cache) must also leave the series untouched.
   double sweep_base_ms = 0.0;
   double sweep_token_ms = 0.0;
@@ -167,10 +222,10 @@ int main(int argc, char** argv) {
                               .count()) /
       static_cast<double>(kProbes);
 
-  // Generous poll overcount: one poll per 64 solver iterations (the
-  // checkpoint cadence, rounded up) plus 16 for episode/attempt/watchdog
-  // checks around the solve (the actual count is ~4).
-  const std::uint64_t polls = base_solve.result.iterations / 64 + 17;
+  // Generous poll overcount: one poll per 64 eliminated states (the
+  // checkpoint cadence, rounded up) plus 16 for episode/watchdog checks
+  // around the solve (the actual count is ~2).
+  const std::uint64_t polls = large.size() / 64 + 17;
   const double overhead_ms = static_cast<double>(polls) * per_poll_ns * 1e-6;
   const double overhead_pct =
       baseline_ms > 0.0 ? overhead_ms / baseline_ms * 100.0 : 0.0;
@@ -178,7 +233,7 @@ int main(int argc, char** argv) {
 
   std::cout << std::fixed << std::setprecision(3);
   std::cout << "  baseline solve (no token): " << baseline_ms << " ms ("
-            << base_solve.result.iterations << " iterations)\n";
+            << large.size() << " states)\n";
   std::cout << "  solve under armed token  : " << token_ms << " ms\n";
   std::cout << "  cost per token poll      : " << per_poll_ns << " ns\n";
   std::cout << "  polls (overcount)        : " << polls << "\n";
@@ -191,20 +246,15 @@ int main(int argc, char** argv) {
   // --- 2. deadline-bounded sweep returns a completed prefix -------------
   constexpr std::size_t kDeadlinePoints = 64;
   rascad::cache::SolveCache deadline_cache;
-  rascad::resilience::ResilienceConfig faulted;
-  // Every fresh solve's first rung burns its 2 ms budget on an injected
-  // timeout, escalates, and succeeds on the next rung — charging real
-  // wall-clock against the request deadline.
-  faulted.fault_plan.fail(rascad::resilience::Rung::kDirect,
-                          rascad::resilience::FaultKind::kTimeout);
-  faulted.rung_deadline_ms = 2.0;
-
   rascad::mg::SystemModel::Options warm_opts;
-  warm_opts.resilience = faulted;
+  // Every fresh solve stalls 2 ms without polling its token and then
+  // succeeds, charging real wall-clock against the request deadline.
+  warm_opts.resilience.fault_plan.fail(rascad::resilience::FaultKind::kStall);
+  warm_opts.resilience.fault_plan.stall_ms = 2.0;
   warm_opts.cache = &deadline_cache;
   warm_opts.parallel.threads = 1;
   // Warm the memo cache so the sweep's baseline build is cheap and every
-  // point costs about one injected-timeout solve: the prefix length then
+  // point costs about one stalled solve: the prefix length then
   // tracks the deadline instead of the first point swallowing it whole.
   (void)rascad::mg::SystemModel::build(spec, warm_opts);
 
@@ -247,15 +297,12 @@ int main(int argc, char** argv) {
             << (statuses_deadline ? "yes" : "NO") << "\n\n";
 
   // --- 3. cancellation latency (report only) ----------------------------
-  const rascad::markov::Ctmc slow_chain =
-      rascad::resilience::ill_conditioned_chain(300, 1e7);
+  const rascad::markov::Ctmc grid = grid_chain(80, 80);
+  (void)rascad::resilience::solve_steady_state_resilient(grid);
   std::vector<double> latencies;
   for (int episode = 0; episode < 20; ++episode) {
     const CancelToken token = CancelToken::manual();
     rascad::resilience::ResilienceConfig config;
-    config.rungs = {rascad::resilience::Rung::kPower};
-    config.base.tolerance = 1e-16;
-    config.base.max_iterations = 500'000'000;
     config.cancel = token;
     std::thread canceller([&token] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -263,8 +310,7 @@ int main(int argc, char** argv) {
     });
     bool cancelled = false;
     try {
-      (void)rascad::resilience::solve_steady_state_resilient(slow_chain,
-                                                             config);
+      (void)rascad::resilience::solve_steady_state_resilient(grid, config);
     } catch (const rascad::resilience::SolveError&) {
       cancelled = true;
     }
@@ -299,7 +345,7 @@ int main(int argc, char** argv) {
   rascad::obs::BenchMetricsLine("robust")
       .metric("baseline_solve_ms", baseline_ms)
       .metric("token_solve_ms", token_ms)
-      .metric("solve_iterations", base_solve.result.iterations)
+      .metric("solve_states", large.size())
       .metric("baseline_sweep_ms", sweep_base_ms)
       .metric("token_sweep_ms", sweep_token_ms)
       .metric("ns_per_poll", per_poll_ns)

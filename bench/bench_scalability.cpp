@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   std::size_t deep_max_states = 0;
   double deep_max_gen_ms = 0.0;
   double deep_max_solve_ms = 0.0;
-  std::size_t sor_iterations = 0;
   double deep_n2400_mttf_ms = 0.0;
   std::size_t wide_max_states = 0;
   double wide_max_ms = 0.0;
@@ -128,26 +127,8 @@ int main(int argc, char** argv) {
     deep_max_solve_ms = solve_ms;
   }
 
-  std::cout << "\niterative solver on the largest chain (the direct GTH "
-               "above is O(n b^2) at bandwidth b):\n";
-  {
-    const auto model = rascad::mg::generate(deep_block(128, 1), g);
-    rascad::markov::SteadyStateOptions opts;
-    opts.method = rascad::markov::SteadyStateMethod::kSor;
-    opts.tolerance = 1e-13;
-    const auto t0 = Clock::now();
-    const auto r = rascad::markov::solve_steady_state(model.chain, opts);
-    std::cout << "  SOR: " << std::fixed << std::setprecision(3)
-              << ms_since(t0) << " ms, " << r.iterations
-              << " sweeps, residual " << std::scientific << r.residual
-              << '\n';
-    sor_iterations = r.iterations;
-    std::cout.unsetf(std::ios::fixed);
-    std::cout.unsetf(std::ios::scientific);
-  }
-
-  std::cout << "\nMTTF (down states absorbing) of a deeper block, through "
-               "the resilience ladder\n(banded GTH, the same elimination as "
+  std::cout << "\nMTTF (down states absorbing) of a deeper block, in one "
+               "checked episode\n(banded GTH, the same elimination as "
                "the stationary solve):\n";
   {
     const auto model = rascad::mg::generate(deep_block(2400, 1), g);
@@ -280,16 +261,15 @@ int main(int argc, char** argv) {
 
   std::cout << "\nexpected shape: states grow linearly in N-K; generation is\n"
                "microseconds; the banded direct solve grows linearly too\n"
-               "(the RCM bandwidth stays ~9 at every depth) and beats SOR\n"
-               "at every size. The width table's identical copies collapse\n"
-               "to one solve + W-1 memo hits when a solve cache is attached.\n";
+               "(the RCM bandwidth stays ~9 at every depth). The width\n"
+               "table's identical copies collapse to one solve + W-1 memo\n"
+               "hits when a solve cache is attached.\n";
 
   json.restore();
   rascad::obs::BenchMetricsLine("scalability")
       .metric("deep_n128_states", deep_max_states)
       .metric("deep_n128_gen_ms", deep_max_gen_ms)
       .metric("deep_n128_solve_ms", deep_max_solve_ms)
-      .metric("sor_n128_iterations", sor_iterations)
       .metric("deep_n2400_mttf_ms", deep_n2400_mttf_ms)
       .metric("wide_w100_states", wide_max_states)
       .metric("wide_w100_build_ms", wide_max_ms)

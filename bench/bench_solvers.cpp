@@ -1,8 +1,8 @@
-// E10 — numerical-method ablation ("solved using numerical methods",
-// Section 1): google-benchmark timings of the four steady-state solvers on
-// generated chains of growing size, plus uniformization cost vs horizon.
-// Accuracy agreement across methods is asserted by the test suite; this
-// binary measures cost.
+// E10 — numerical-method cost ("solved using numerical methods",
+// Section 1): google-benchmark timings of generation and of the one
+// steady-state solver (banded GTH) on generated chains of growing size,
+// plus uniformization cost vs horizon. Accuracy is asserted by the test
+// suite; this binary measures cost.
 #include <benchmark/benchmark.h>
 
 #include "markov/steady_state.hpp"
@@ -34,19 +34,6 @@ rascad::mg::GeneratedModel chain_of_depth(unsigned n) {
   return rascad::mg::generate(b, g);
 }
 
-void solve_with(benchmark::State& state,
-                rascad::markov::SteadyStateMethod method) {
-  const auto model = chain_of_depth(static_cast<unsigned>(state.range(0)));
-  rascad::markov::SteadyStateOptions opts;
-  opts.method = method;
-  opts.tolerance = 1e-12;
-  for (auto _ : state) {
-    auto result = rascad::markov::solve_steady_state(model.chain, opts);
-    benchmark::DoNotOptimize(result.pi.data());
-  }
-  state.counters["states"] = static_cast<double>(model.chain.size());
-}
-
 void BM_Generate(benchmark::State& state) {
   rascad::spec::GlobalParams g;
   rascad::spec::BlockSpec b;
@@ -67,21 +54,14 @@ void BM_Generate(benchmark::State& state) {
 BENCHMARK(BM_Generate)->Arg(2)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_SolveDirect(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kDirect);
-}
-void BM_SolveSor(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kSor);
-}
-void BM_SolvePower(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kPower);
-}
-void BM_SolveBiCgStab(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kBiCgStab);
+  const auto model = chain_of_depth(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    auto result = rascad::markov::solve_steady_state(model.chain);
+    benchmark::DoNotOptimize(result.pi.data());
+  }
+  state.counters["states"] = static_cast<double>(model.chain.size());
 }
 BENCHMARK(BM_SolveDirect)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
-BENCHMARK(BM_SolveSor)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
-BENCHMARK(BM_SolvePower)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
-BENCHMARK(BM_SolveBiCgStab)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_Uniformization(benchmark::State& state) {
   const auto model = chain_of_depth(4);

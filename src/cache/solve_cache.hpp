@@ -16,10 +16,10 @@
 // content, so determinism is unaffected (only the hit/miss counters are
 // scheduling-dependent).
 //
-// Interaction with the resilience ladder: a cached entry stores the
-// SolveTrace of the ladder episode that produced it, so resilience
+// Interaction with the resilience layer: a cached entry stores the
+// SolveTrace of the solve episode that produced it, so resilience
 // reporting stays honest — consumers re-label the trace's provenance
-// (SolveSource::kCacheHit) without discarding the original attempts.
+// (SolveSource::kCacheHit) without discarding the original episode record.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,7 @@ struct CachedBlockSolve {
   std::shared_ptr<const linalg::Vector> pi;  // stationary vector
   double availability = 1.0;
   double eq_failure_rate = 0.0;
-  /// Ladder episode of the solve that filled this entry.
+  /// Episode of the solve that filled this entry.
   resilience::SolveTrace trace;
 };
 

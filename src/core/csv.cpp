@@ -132,7 +132,7 @@ void write_sweep_csv(std::ostream& os, const std::vector<SweepPoint>& points) {
     os << p.value << ',' << p.availability << ',' << p.yearly_downtime_min
        << ',' << p.eq_failure_rate << ',' << csv_field(p.solve_source) << ','
        << p.fresh_blocks << ',' << p.cached_blocks << ',' << p.reused_blocks
-       << ',' << p.solve_iterations << ','
+       << ",0,"  // solve_iterations: the exact elimination never iterates
        << csv_field(robust::to_string(p.status)) << ','
        << csv_field(p.status_detail) << '\n';
   }
@@ -164,7 +164,7 @@ std::vector<SweepPoint> read_sweep_csv(std::istream& is) {
     p.fresh_blocks = parse_size(f[5], "read_sweep_csv");
     p.cached_blocks = parse_size(f[6], "read_sweep_csv");
     p.reused_blocks = parse_size(f[7], "read_sweep_csv");
-    p.solve_iterations = parse_size(f[8], "read_sweep_csv");
+    // f[8] is solve_iterations, always 0 (see write_sweep_csv).
     p.status = parse_status(f[9], "read_sweep_csv");
     p.status_detail = f[10];
     out.push_back(std::move(p));
@@ -212,8 +212,8 @@ void write_blocks_csv(std::ostream& os, const mg::SystemModel& system) {
        << b.block.quantity << ',' << b.block.min_quantity << ','
        << csv_field(mg::to_string(b.type)) << ',' << b.chain->size() << ','
        << b.availability << ',' << b.yearly_downtime_min << ','
-       << csv_field(resilience::to_string(b.solve_trace.source)) << ','
-       << b.solve_trace.total_iterations() << '\n';
+       << csv_field(resilience::to_string(b.solve_trace.source))
+       << ",0\n";  // solve_iterations: the exact elimination never iterates
   }
 }
 

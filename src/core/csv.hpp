@@ -25,7 +25,7 @@ std::string sweep_csv(const std::vector<SweepPoint>& points);
 /// unescaped; embedded newlines inside quotes are not supported). Throws
 /// std::invalid_argument on malformed input. Together with write_sweep_csv
 /// this round-trips every field of SweepPoint, including the per-point
-/// degradation status.
+/// degradation status; the constant solve_iterations column is skipped.
 std::vector<SweepPoint> read_sweep_csv(std::istream& is);
 std::vector<SweepPoint> read_sweep_csv(const std::string& csv);
 
@@ -48,8 +48,8 @@ void write_importance_csv(std::ostream& os,
 std::string importance_csv(const std::vector<BlockImportance>& imps);
 
 /// Parses write_importance_csv output back; same contract as
-/// read_sweep_csv (fields not serialized — yearly_downtime_min,
-/// solve_iterations — come back default-initialized).
+/// read_sweep_csv (yearly_downtime_min is not serialized and comes back
+/// default-initialized).
 std::vector<BlockImportance> read_importance_csv(std::istream& is);
 std::vector<BlockImportance> read_importance_csv(const std::string& csv);
 

@@ -36,7 +36,6 @@ std::vector<BlockImportance> block_importance(const mg::SystemModel& system,
     imp.availability = entry.availability;
     imp.yearly_downtime_min = entry.yearly_downtime_min;
     imp.solve_source = resilience::to_string(entry.solve_trace.source);
-    imp.solve_iterations = entry.solve_trace.total_iterations();
     const double a_perfect = system.availability_with_override(
         entry.diagram, entry.block.name, 1.0);
     const double a_failed = system.availability_with_override(
@@ -111,14 +110,12 @@ std::vector<ParameterSensitivity> parameter_sensitivity(
   // Perturbed probes go through the same memoized block solver the system
   // build used: symmetric perturbations shared across blocks (and repeat
   // sensitivity runs) hit the memo table instead of re-solving, and every
-  // probe is solved by the identical resilience ladder, so elasticities
+  // probe is solved by the identical checked episode, so elasticities
   // are bit-identical with and without the cache.
   const mg::SystemModel::Options& mopts = system.options();
-  resilience::ResilienceConfig probe_config =
-      mopts.resilience ? *mopts.resilience
-                       : resilience::config_from(mopts.steady);
+  resilience::ResilienceConfig probe_config = mopts.resilience;
   // The loop token fans into the probe solves too, so a cancelled
-  // sensitivity run stops inside the ladder instead of finishing a doomed
+  // sensitivity run stops inside the solve instead of finishing a doomed
   // probe. Tokens are not part of the solver signature, so memo keys (and
   // the numbers) are unchanged.
   if (!probe_config.cancel.valid()) probe_config.cancel = par.cancel;

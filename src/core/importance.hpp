@@ -36,8 +36,6 @@ struct BlockImportance {
   /// Provenance of the block's steady-state solve in the analysed system
   /// ("fresh", "cache-hit", or "baseline-reuse") — see resilience::SolveSource.
   std::string solve_source = "fresh";
-  /// Solver iterations the producing ladder episode spent on this block.
-  std::size_t solve_iterations = 0;
   /// Graceful-degradation outcome: kOk unless `par.cancel` carried a token
   /// and this block's what-if evaluation was skipped or failed. Degraded
   /// rows keep their identity (diagram/block) but zero measures.

@@ -87,15 +87,14 @@ void write_report(std::ostream& os, const mg::SystemModel& system,
           "|\n|---|---|---|---|---|---|\n";
     for (const auto& b : system.blocks()) {
       const resilience::SolveTrace& t = b.solve_trace;
-      const std::string rung =
-          t.success ? resilience::to_string(t.final_rung) : "(failed)";
       std::ostringstream residual;
-      if (!t.attempts.empty()) {
+      if (t.ran) {
         residual << std::scientific << std::setprecision(2)
-                 << t.attempts.back().residual_check;
+                 << t.residual_check;
       }
-      os << "| " << b.diagram << " | " << b.block.name << " | " << rung
-         << " | " << t.attempts.size() << " | " << residual.str() << " | "
+      os << "| " << b.diagram << " | " << b.block.name << " | "
+         << (t.success ? "direct" : "(failed)") << " | "
+         << (t.ran ? 1 : 0) << " | " << residual.str() << " | "
          << t.summary() << " |\n";
     }
   }

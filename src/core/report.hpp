@@ -15,8 +15,8 @@ struct ReportOptions {
   bool include_block_table = true;
   bool include_chain_dumps = false;  // full state/transition listings
   bool include_transient = true;     // interval availability / reliability
-  /// Per-block solver resilience section: which ladder rung produced each
-  /// block's stationary solution and why earlier rungs were rejected.
+  /// Per-block solver resilience section: each block's solve episode, its
+  /// residual check and its outcome.
   bool include_solver_trace = true;
   /// Horizon for the interval/reliability section; 0 uses the model's
   /// mission time.

@@ -28,7 +28,6 @@ SweepPoint summarize(const mg::SystemModel& system, double value) {
     switch (entry.solve_trace.source) {
       case resilience::SolveSource::kFresh:
         ++p.fresh_blocks;
-        p.solve_iterations += entry.solve_trace.total_iterations();
         break;
       case resilience::SolveSource::kCacheHit:
         ++p.cached_blocks;

@@ -28,9 +28,6 @@ struct SweepPoint {
   std::size_t fresh_blocks = 0;   // generated + solved this point
   std::size_t cached_blocks = 0;  // served from the memo table
   std::size_t reused_blocks = 0;  // carried over from the baseline model
-  /// Total solver iterations actually spent on this point (sum over the
-  /// fresh solves' ladder attempts; 0 for a fully reused point).
-  std::size_t solve_iterations = 0;
   /// Graceful-degradation outcome. Always kOk on the strict paths (no
   /// request token in SweepOptions::parallel); under a cancel/deadline
   /// token a point that never completed carries the reason here, keeps NaN
@@ -45,7 +42,7 @@ struct SweepPoint {
 };
 
 /// Knobs for the sweep drivers. `model` flows into every SystemModel
-/// build/rebuild (solver ladder, curve steps, memo cache); `incremental`
+/// build/rebuild (solver config, curve steps, memo cache); `incremental`
 /// selects the rebuild path: solve the base spec once, then re-solve only
 /// the blocks each sweep value actually dirties. Both paths produce
 /// bit-identical series — incremental only changes how much work is done.

@@ -58,9 +58,7 @@ double Workspace::availability(const std::string& name) const {
   const auto cached = availability_cache_.find(name);
   if (cached != availability_cache_.end()) return cached->second;
   const ModelEntry& e = entry(name);
-  const resilience::ResilienceConfig config =
-      resilience_config ? *resilience_config
-                        : resilience::config_from(steady_options);
+  const resilience::ResilienceConfig& config = resilience_config;
   double a = 1.0;
   if (const auto* m = std::get_if<MarkovEntry>(&e)) {
     resilience::ResilientResult solved =
@@ -100,10 +98,7 @@ double Workspace::mttf_h(const std::string& name) const {
         "Workspace::mttf_h: '" + name + "' is not a Markov model");
   }
   if (m->chain.down_states().empty()) return 0.0;
-  const resilience::ResilienceConfig config =
-      resilience_config ? *resilience_config
-                        : resilience::config_from(steady_options);
-  return resilience::mttf_resilient(m->chain, m->initial, config);
+  return resilience::mttf_resilient(m->chain, m->initial, resilience_config);
 }
 
 rbd::RbdNodePtr Workspace::ref_leaf(const std::string& referenced_model) const {

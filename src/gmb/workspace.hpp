@@ -12,7 +12,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -59,12 +58,12 @@ class Workspace {
   const ModelEntry& entry(const std::string& name) const;
 
   /// Steady-state availability of the named model (solves on demand,
-  /// memoizes). Markov and semi-Markov entries are solved through the
-  /// resilience ladder; the episode is recorded and retrievable via
+  /// memoizes). Markov and semi-Markov entries are solved in one checked
+  /// episode; the episode is recorded and retrievable via
   /// `solve_trace`. RBD leaves created via `ref_leaf` resolve recursively.
   double availability(const std::string& name) const;
 
-  /// Ladder episode of the last `availability` solve for `name`, or
+  /// Solve episode of the last `availability` solve for `name`, or
   /// nullptr if the model has not been solved (or is an RBD, which needs
   /// no numerical solve of its own).
   const resilience::SolveTrace* solve_trace(const std::string& name) const;
@@ -80,10 +79,8 @@ class Workspace {
   /// another model in this workspace — the hierarchical-composition hook.
   rbd::RbdNodePtr ref_leaf(const std::string& referenced_model) const;
 
-  markov::SteadyStateOptions steady_options;
-  /// Resilience-ladder override for on-demand solves. When unset, a config
-  /// derived from `steady_options` is used.
-  std::optional<resilience::ResilienceConfig> resilience_config;
+  /// Budgets, health checks and faults of the on-demand solves.
+  resilience::ResilienceConfig resilience_config;
 
  private:
   std::map<std::string, ModelEntry> models_;

@@ -210,16 +210,6 @@ CsrMatrix CsrMatrix::transposed() const {
   return t;
 }
 
-DenseMatrix CsrMatrix::to_dense() const {
-  DenseMatrix m(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      m(r, col_idx_[k]) = values_[k];
-    }
-  }
-  return m;
-}
-
 Vector CsrMatrix::row_sums() const {
   Vector s(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {

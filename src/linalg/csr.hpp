@@ -2,10 +2,10 @@
 // numerical core.
 //
 // Generated Markov chains are sparse (a handful of outgoing arcs per
-// state), so the iterative steady-state solvers and the uniformization
-// transient solver operate on CSR. Storage is structure-of-arrays: three
-// flat std::vector arrays (row pointers, column indices, values) with
-// 32-bit indices, which halves index bandwidth. Matrices are assembled
+// state), so the GTH elimination and the uniformization transient solver
+// read CSR. Storage is structure-of-arrays: three flat std::vector arrays
+// (row pointers, column indices, values) with 32-bit indices, which halves
+// index bandwidth. Matrices are assembled
 // through CsrBuilder, which stages triplets and scatters them by a
 // counting sort into row buckets, or straight from row buckets with
 // CsrMatrix::from_rows (see docs/numerics.md); duplicates are summed in
@@ -93,7 +93,6 @@ class CsrMatrix {
   /// A^T by a counting transpose: rows are visited in order, so every
   /// output row comes out sorted by column.
   CsrMatrix transposed() const;
-  DenseMatrix to_dense() const;
 
   /// Row iteration support: columns/values of row r as parallel spans.
   struct RowView {

@@ -1,12 +1,9 @@
 #include "markov/dtmc.hpp"
 
-#include "resilience/solve_error.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/iterative.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/steady_state.hpp"
 
@@ -63,18 +60,9 @@ std::optional<std::size_t> Dtmc::find_state(const std::string& name) const {
                      [&](std::size_t i) -> auto& { return names_[i]; });
 }
 
-linalg::Vector Dtmc::stationary(bool direct) const {
+linalg::Vector Dtmc::stationary() const {
   if (size() == 1) return {1.0};
-  if (direct) return gth_stationary(p_);
-  linalg::IterativeOptions opts;
-  const linalg::IterativeResult r = linalg::power_stationary(p_, opts);
-  if (!r.converged) {
-    throw resilience::SolveError(resilience::SolveCause::kNonConverged,
-                                 "Dtmc::stationary",
-                                 "power iteration diverged", r.iterations,
-                                 r.residual);
-  }
-  return r.solution;
+  return gth_stationary(p_);
 }
 
 bool Dtmc::is_absorbing(std::size_t i) const {

@@ -47,13 +47,11 @@ class Dtmc {
   const std::string& state_name(std::size_t i) const { return names_.at(i); }
   std::optional<std::size_t> find_state(const std::string& name) const;
 
-  /// Stationary distribution pi = pi P.
-  /// `direct` runs the exact banded GTH elimination (gth_stationary in
-  /// steady_state.hpp; self-loops are ignored, as pi P = pi iff
-  /// pi (P - I) = 0); otherwise power iteration is used. Throws
-  /// resilience::SolveError on a reducible chain (kInvalidInput, direct)
-  /// or periodic/reducible non-convergence (kNonConverged, power).
-  linalg::Vector stationary(bool direct = true) const;
+  /// Stationary distribution pi = pi P by the exact banded GTH
+  /// elimination (gth_stationary in steady_state.hpp; self-loops are
+  /// ignored, as pi P = pi iff pi (P - I) = 0). Throws
+  /// resilience::SolveError(kInvalidInput) on a reducible chain.
+  linalg::Vector stationary() const;
 
   /// n-step distribution from `start`.
   linalg::Vector evolve(const linalg::Vector& start, std::size_t steps) const;

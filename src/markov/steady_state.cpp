@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/iterative.hpp"
 #include "resilience/solve_error.hpp"
 
 namespace rascad::markov {
@@ -23,9 +22,9 @@ double stationarity_residual(const Ctmc& chain, const linalg::Vector& pi) {
   return linalg::norm_inf(r);
 }
 
-/// Per-iteration cooperative checkpoint for the solver loops owned by this
-/// translation unit (the linalg-backed methods get theirs via
-/// IterativeOptions). Throw-only: uncancelled runs stay bitwise identical.
+/// Cooperative checkpoint of the ordering and elimination loops, every
+/// cancel_check_interval states. Throw-only: uncancelled runs stay bitwise
+/// identical.
 inline void checkpoint(const SteadyStateOptions& opts, std::size_t it,
                        const char* who) {
   if (!opts.cancel.valid()) return;
@@ -35,22 +34,15 @@ inline void checkpoint(const SteadyStateOptions& opts, std::size_t it,
   robust::throw_if_stopped(opts.cancel, who, it - 1);
 }
 
-linalg::IterativeOptions iterative_options_from(
-    const SteadyStateOptions& opts) {
-  linalg::IterativeOptions iopts;
-  iopts.tolerance = opts.tolerance;
-  iopts.max_iterations = opts.max_iterations;
-  iopts.cancel = opts.cancel;
-  iopts.cancel_check_interval = opts.cancel_check_interval;
-  return iopts;
-}
-
 /// Reverse Cuthill-McKee order of the symmetrized pattern of `w`:
 /// order[k] is the state placed at position k. Each connected component is
 /// swept breadth-first, neighbours by increasing degree, from the far end
 /// of a first sweep, so a level-structured chain comes out with a
-/// bandwidth of about one level's width.
-std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w) {
+/// bandwidth of about one level's width. Polls opts.cancel like the
+/// elimination, once per cancel_check_interval visited states.
+std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w,
+                                     const SteadyStateOptions& opts,
+                                     const char* who) {
   const std::size_t n = w.rows();
   const linalg::CsrMatrix wt = w.transposed();
   // Arcs in either direction; repeats and the diagonal are harmless.
@@ -59,11 +51,13 @@ std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w) {
   };
   std::vector<std::uint32_t> mark(n, 0);  // last sweep to reach a state
   std::uint32_t epoch = 0;
+  std::size_t visited = 0;
   const auto sweep = [&](std::uint32_t root, std::vector<std::uint32_t>& out) {
     const std::size_t begin = out.size();
     out.push_back(root);
     mark[root] = ++epoch;
     for (std::size_t h = begin; h < out.size(); ++h) {
+      checkpoint(opts, ++visited, who);
       const std::size_t first = out.size();
       for (const linalg::CsrMatrix* m : {&w, &wt}) {
         const auto row = m->row(out[h]);
@@ -100,7 +94,9 @@ std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w) {
 /// point pays for it. The key is the pattern itself, compared element by
 /// element (no hash), so a reused order is exactly the order rcm_order
 /// would return. The memo holds one pattern: O(n + nnz) indices a thread.
-std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w) {
+std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w,
+                                          const SteadyStateOptions& opts,
+                                          const char* who) {
   struct Memo {
     std::size_t cols = 0;
     std::vector<std::uint32_t> row_ptr;
@@ -113,7 +109,7 @@ std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w) {
     // Invalidate first: a throw below must not pair an old pattern with
     // a new order or the other way round.
     memo.order.clear();
-    std::vector<std::uint32_t> order = rcm_order(w);
+    std::vector<std::uint32_t> order = rcm_order(w, opts, who);
     memo.cols = w.cols();
     memo.row_ptr = w.row_ptr();
     memo.col_idx = w.col_idx();
@@ -133,13 +129,14 @@ struct Band {
   double& at(std::size_t i, std::size_t j) { return w[2 * b * i + b + j]; }
 };
 
-Band band_of(const linalg::CsrMatrix& weights, const char* who) {
+Band band_of(const linalg::CsrMatrix& weights,
+             const SteadyStateOptions& opts, const char* who) {
   const std::size_t n = weights.rows();
   if (n == 0) {
     throw SolveError(SolveCause::kInvalidInput, who, "empty chain");
   }
   Band band;
-  band.order = memo_rcm_order(weights);
+  band.order = memo_rcm_order(weights, opts, who);
   std::vector<std::uint32_t> pos(n);
   for (std::size_t k = 0; k < n; ++k) {
     pos[band.order[k]] = static_cast<std::uint32_t>(k);
@@ -218,135 +215,14 @@ std::vector<double> gth_eliminate(Band& band, std::size_t last,
   return out;
 }
 
-SteadyStateResult solve_sor(const Ctmc& chain, const SteadyStateOptions& opts) {
-  // Gauss-Seidel on the fixed point pi_i = sum_{j != i} pi_j q_ji / (-q_ii),
-  // renormalizing each sweep. Requires every state to have an exit rate.
-  const std::size_t n = chain.size();
-  const linalg::CsrMatrix qt = chain.generator().transposed();
-  linalg::Vector diag(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    diag[i] = chain.exit_rate(i);
-    if (!(diag[i] > 0.0)) {
-      throw SolveError(SolveCause::kInvalidInput, "solve_steady_state(SOR)",
-                       "absorbing state in chain");
-    }
-  }
-  linalg::Vector pi(n, 1.0 / static_cast<double>(n));
-  SteadyStateResult result;
-  for (std::size_t it = 1; it <= opts.max_iterations; ++it) {
-    checkpoint(opts, it, "solve_steady_state(SOR)");
-    double change = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double inflow = 0.0;
-      const auto row = qt.row(i);  // row i of Q^T: arcs j -> i
-      for (std::size_t k = 0; k < row.size; ++k) {
-        if (row.cols[k] != i) inflow += row.values[k] * pi[row.cols[k]];
-      }
-      const double gs = inflow / diag[i];
-      const double updated = pi[i] + opts.relaxation * (gs - pi[i]);
-      change = std::max(change, std::abs(updated - pi[i]));
-      pi[i] = updated;
-    }
-    linalg::normalize_sum(pi);
-    result.iterations = it;
-    if (change < opts.tolerance) break;
-  }
-  result.pi = std::move(pi);
-  result.residual = stationarity_residual(chain, result.pi);
-  if (result.iterations >= opts.max_iterations &&
-      result.residual > 1e3 * opts.tolerance) {
-    throw SolveError(SolveCause::kNonConverged, "solve_steady_state(SOR)",
-                     "did not converge", result.iterations, result.residual);
-  }
-  return result;
-}
-
-SteadyStateResult solve_power(const Ctmc& chain,
-                              const SteadyStateOptions& opts) {
-  const auto [p, q] = chain.uniformized();
-  (void)q;
-  const linalg::IterativeResult r =
-      linalg::power_stationary(p, iterative_options_from(opts));
-  if (!r.converged) {
-    throw SolveError(SolveCause::kNonConverged, "solve_steady_state(power)",
-                     "did not converge", r.iterations, r.residual);
-  }
-  SteadyStateResult result;
-  result.pi = r.solution;
-  result.iterations = r.iterations;
-  result.residual = stationarity_residual(chain, result.pi);
-  return result;
-}
-
-SteadyStateResult solve_bicgstab(const Ctmc& chain,
-                                 const SteadyStateOptions& opts) {
-  const std::size_t n = chain.size();
-  // Same replaced-row formulation as the direct method, in sparse form,
-  // with Jacobi (diagonal) row scaling: generated chains mix rates that
-  // span many orders of magnitude (failures per 1e5 h vs reboots per
-  // 0.1 h), and unpreconditioned BiCGSTAB stalls on that spread.
-  const linalg::CsrMatrix qt = chain.generator().transposed();
-  linalg::CsrBuilder ab(n, n);
-  for (std::size_t r = 0; r < n - 1; ++r) {
-    const auto row = qt.row(r);
-    double diag = 0.0;
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] == r) diag = row.values[k];
-    }
-    if (diag == 0.0) {
-      throw SolveError(SolveCause::kInvalidInput,
-                       "solve_steady_state(bicgstab)",
-                       "absorbing state in chain");
-    }
-    for (std::size_t k = 0; k < row.size; ++k) {
-      ab.add(r, row.cols[k], row.values[k] / diag);
-    }
-  }
-  for (std::size_t c = 0; c < n; ++c) ab.add(n - 1, c, 1.0);
-  linalg::Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  const linalg::IterativeResult r =
-      linalg::bicgstab_solve(ab.build(), b, iterative_options_from(opts));
-  if (!r.converged) {
-    throw SolveError(SolveCause::kNonConverged,
-                     "solve_steady_state(bicgstab)", "did not converge",
-                     r.iterations, r.residual);
-  }
-  SteadyStateResult result;
-  result.pi = r.solution;
-  for (double& x : result.pi) {
-    if (x < 0.0 && x > -1e-10) x = 0.0;
-  }
-  linalg::normalize_sum(result.pi);
-  result.iterations = r.iterations;
-  result.residual = stationarity_residual(chain, result.pi);
-  return result;
-}
-
 }  // namespace
 
 SteadyStateResult solve_steady_state(const Ctmc& chain,
                                      const SteadyStateOptions& opts) {
-  if (chain.size() == 1) {
-    SteadyStateResult r;
-    r.pi = {1.0};
-    return r;
-  }
-  switch (opts.method) {
-    case SteadyStateMethod::kDirect: {
-      SteadyStateResult r;
-      r.pi = gth_stationary(chain.generator(), opts);
-      r.residual = stationarity_residual(chain, r.pi);
-      return r;
-    }
-    case SteadyStateMethod::kSor:
-      return solve_sor(chain, opts);
-    case SteadyStateMethod::kPower:
-      return solve_power(chain, opts);
-    case SteadyStateMethod::kBiCgStab:
-      return solve_bicgstab(chain, opts);
-  }
-  throw std::logic_error("solve_steady_state: unknown method");
+  SteadyStateResult r;
+  r.pi = gth_stationary(chain.generator(), opts);
+  r.residual = stationarity_residual(chain, r.pi);
+  return r;
 }
 
 linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
@@ -354,22 +230,11 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
                               std::size_t* bandwidth) {
   static constexpr const char* kWho = "solve_steady_state(direct)";
   const std::size_t n = weights.rows();
-  // Whether elimination would reach an absorbing state with others still
-  // alive depends on the order; refuse it up front instead.
-  for (std::size_t r = 0; r < n && n > 1; ++r) {
-    const auto row = weights.row(r);
-    bool exits = false;
-    for (std::size_t k = 0; k < row.size; ++k) {
-      exits = exits || (row.cols[k] != r && row.values[k] != 0.0);
-    }
-    if (!exits) {
-      throw SolveError(SolveCause::kInvalidInput, kWho,
-                       "absorbing state " + std::to_string(r) + " in chain");
-    }
-  }
-  Band band = band_of(weights, kWho);
+  Band band = band_of(weights, opts, kWho);
   if (bandwidth) *bandwidth = band.b;
   if (n == 1) return {1.0};
+  // Completing the elimination proves that every state reaches the one at
+  // position 0: each eliminated state had outflow to the survivors.
   std::vector<double> none;
   (void)gth_eliminate(band, 1, none, none, opts, kWho,
                       " has no outflow to surviving states (reducible chain)");
@@ -398,9 +263,19 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
       scale += e;
     }
   }
+  // mass[k] is positive exactly when position 0 reaches position k, so a
+  // zero mass is a state no recurrent state leads to: a transient state of
+  // a unichain, or the rest of a chain with an absorbing state.
   int top = 0;  // mass[0] * 2^shift[0] stays exactly 1
   for (std::size_t k = 0; k < n; ++k) {
-    if (mass[k] > 0.0) top = std::max(top, std::ilogb(mass[k]) + shift[k]);
+    if (!(mass[k] > 0.0)) {
+      throw SolveError(SolveCause::kInvalidInput, kWho,
+                       "state " + std::to_string(band.order[k]) +
+                           " is unreachable from state " +
+                           std::to_string(band.order[0]) +
+                           " (reducible chain)");
+    }
+    top = std::max(top, std::ilogb(mass[k]) + shift[k]);
   }
   linalg::Vector pi(n);
   double total = 0.0;
@@ -423,7 +298,7 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
     throw SolveError(SolveCause::kInvalidInput, kWho,
                      "exit and cost vectors must match the weights");
   }
-  Band band = band_of(weights, kWho);
+  Band band = band_of(weights, opts, kWho);
   if (bandwidth) *bandwidth = band.b;
   std::vector<double> e(n);
   std::vector<double> c(n);

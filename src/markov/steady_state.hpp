@@ -1,10 +1,12 @@
 // Steady-state solution of CTMCs: pi Q = 0, sum(pi) = 1.
 //
-// Four methods are provided; Direct (banded GTH elimination, exact and
-// subtraction-free) is the default for generated availability chains, the
-// iterative methods are the fallbacks of the resilience ladder and the
-// subject of the solver-ablation bench (E10). The same GTH elimination
-// also solves mean times to absorption (gth_absorption_times).
+// One method: banded GTH elimination, exact and subtraction-free. The
+// contract is irreducibility (availability chains from the generator
+// always are irreducible): a chain that is not is refused by policy. Only
+// several closed classes make the stationary vector ambiguous; a unichain
+// or a chain with one absorbing state every state reaches has a unique
+// one, but lies outside the contract. The same GTH elimination also
+// solves mean times to absorption (gth_absorption_times).
 #pragma once
 
 #include <cstddef>
@@ -16,69 +18,50 @@
 
 namespace rascad::markov {
 
-enum class SteadyStateMethod {
-  kDirect,    // banded GTH elimination after an RCM reordering
-  kSor,       // Gauss-Seidel/SOR sweeps on pi Q = 0 with renormalization
-  kPower,     // power iteration on the uniformized DTMC
-  kBiCgStab,  // Krylov solve of the replaced-row system
-};
-
 struct SteadyStateOptions {
-  SteadyStateMethod method = SteadyStateMethod::kDirect;
-  double tolerance = 1e-13;
-  std::size_t max_iterations = 500'000;
-  double relaxation = 1.0;  // SOR omega
-  /// Cooperative stop, forwarded into every solver loop (checked every
-  /// cancel_check_interval iterations, or eliminated states for the direct
-  /// method; see linalg::IterativeOptions). A stopped token raises
-  /// SolveError(kCancelled / kDeadlineExceeded); an uncancelled run is
-  /// bitwise identical to one without a token.
+  /// Cooperative stop, polled every cancel_check_interval states the RCM
+  /// ordering visits or the elimination removes. A stopped token raises SolveError(kCancelled /
+  /// kDeadlineExceeded); an uncancelled run is bitwise identical to one
+  /// without a token.
   robust::CancelToken cancel;
   std::size_t cancel_check_interval = 64;
 };
 
 struct SteadyStateResult {
   linalg::Vector pi;
-  std::size_t iterations = 0;  // 0 for the direct method
-  double residual = 0.0;       // infinity norm of pi Q
+  double residual = 0.0;  // infinity norm of pi Q
 };
 
-/// Computes the stationary distribution. The chain must be irreducible
-/// (availability chains from the generator always are). Failures raise
-/// resilience::SolveError (is-a std::runtime_error) with a cause code,
-/// per method:
+/// Computes the stationary distribution with gth_stationary. Failures
+/// raise resilience::SolveError (is-a std::runtime_error) with a cause:
 ///
-///   kDirect    kInvalidInput   absorbing state, or a state with no
-///                              outflow left during elimination
-///                              (reducible chain)
-///              kBudgetExceeded banded workspace does not fit in memory
-///   kSor       kInvalidInput   absorbing state (no exit rate)
-///              kNonConverged   iteration budget exhausted
-///   kPower     kNonConverged   iteration budget exhausted
-///   kBiCgStab  kInvalidInput   absorbing state (zero diagonal)
-///              kNonConverged   iteration budget exhausted or breakdown
+///   kInvalidInput    reducible chain: an absorbing state, two closed
+///                    classes, or a state no other state can reach
+///   kBudgetExceeded  banded workspace does not fit in memory
+///   kCancelled / kDeadlineExceeded   opts.cancel stopped
 ///
-/// (Before the taxonomy these were bare std::domain_error for the
-/// structural cases and std::runtime_error for non-convergence; SolveError
-/// keeps catch-compatibility with the latter.) Callers who want automatic
-/// escalation instead of an exception should use
-/// resilience::solve_steady_state_resilient.
+/// resilience::solve_steady_state_resilient adds the budgets and the
+/// independent health check on top.
 SteadyStateResult solve_steady_state(const Ctmc& chain,
                                      const SteadyStateOptions& opts = {});
 
-/// The one exact stationary solver (kDirect, Dtmc::stationary, the ladders'
-/// direct rung): Grassmann-Taksar-Heyman elimination on the non-negative
+/// The one exact stationary solver (solve_steady_state, Dtmc::stationary
+/// and the resilient episodes): Grassmann-Taksar-Heyman elimination on the non-negative
 /// off-diagonal `weights` (rates or probabilities; diagonal ignored). It
 /// never subtracts, so every mass is accurate componentwise however many
 /// decades the masses span. States go in reverse Cuthill-McKee order and
 /// the weights in a band of half-width b: O(n b^2) time, O(n b) memory.
-/// Polls opts.cancel every cancel_check_interval eliminated states; errors
-/// as for kDirect above. `bandwidth`, if given, receives b.
+/// Polls opts.cancel every cancel_check_interval ordered and eliminated
+/// states; errors
+/// as for solve_steady_state above. A chain is irreducible exactly when the
+/// elimination never runs out of outflow and every back-substituted mass is
+/// positive, so the reducibility check costs nothing extra. `bandwidth`, if
+/// given, receives b.
 linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
                               const SteadyStateOptions& opts = {},
                               std::size_t* bandwidth = nullptr);
 
-/// The one exact absorbing solver (mttf_resilient's direct rung,
+/// The one exact absorbing solver (mttf_resilient,
 /// AbsorbingAnalysis, Dtmc::expected_steps_to_absorption and
 /// SemiMarkovProcess::mean_time_to_absorption): the same banded GTH
 /// elimination, with a second back-substitution. Over the transient states

@@ -18,9 +18,7 @@ BlockMeasures compute_measures(const GeneratedModel& model,
                                const MeasureOptions& opts) {
   BlockMeasures m;
   const markov::Ctmc& chain = model.chain;
-  const resilience::ResilienceConfig config =
-      opts.resilience ? *opts.resilience
-                      : resilience::config_from(opts.steady);
+  const resilience::ResilienceConfig& config = opts.resilience;
   resilience::ResilientResult solved =
       resilience::solve_steady_state_resilient(chain, config);
   m.solve_trace = std::move(solved.trace);

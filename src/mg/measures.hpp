@@ -4,9 +4,6 @@
 // hazard rate over a time increment).
 #pragma once
 
-#include <optional>
-
-#include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "resilience/resilience.hpp"
 #include "spec/ast.hpp"
@@ -17,13 +14,12 @@ namespace rascad::mg {
 double yearly_downtime_minutes(double availability);
 
 struct MeasureOptions {
-  markov::SteadyStateOptions steady;
   bool include_transient = true;  // interval availability at mission time
   bool include_reliability = true;  // MTTF, R(T), hazard
   double hazard_dt_h = 1.0;         // increment for the hazard estimate
-  /// Resilience-ladder override. When unset, a config derived from
-  /// `steady` is used (requested method first, remaining rungs appended).
-  std::optional<resilience::ResilienceConfig> resilience;
+  /// Budgets, health checks and faults of the steady-state and MTTF
+  /// solves.
+  resilience::ResilienceConfig resilience;
 };
 
 struct BlockMeasures {
@@ -45,14 +41,13 @@ struct BlockMeasures {
   double interval_failure_rate = 0.0;  // -ln R(T) / T
   double hazard_rate_at_mission = 0.0;
 
-  /// Which steady-state ladder rung produced the numbers and why earlier
-  /// rungs (if any) were rejected.
+  /// The checked steady-state solve episode behind the numbers.
   resilience::SolveTrace solve_trace;
 };
 
-/// Solves the chain through the resilience ladder and assembles the
-/// measure set. Throws resilience::SolveError only when every ladder rung
-/// fails (structurally unusable chain or exhausted budget).
+/// Solves the chain in one checked episode and assembles the measure set.
+/// Throws resilience::SolveError when the solve fails (reducible chain or
+/// exhausted budget).
 BlockMeasures compute_measures(const GeneratedModel& model,
                                const spec::GlobalParams& globals,
                                const MeasureOptions& opts = {});

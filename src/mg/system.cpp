@@ -120,12 +120,10 @@ rbd::RbdNodePtr compose_tree(const spec::ModelSpec& spec,
 }
 
 resilience::ResilienceConfig resolve_config(const SystemModel::Options& opts) {
-  resilience::ResilienceConfig config =
-      opts.resilience ? *opts.resilience
-                      : resilience::config_from(opts.steady);
-  // The loop-level stop token also fans into every ladder episode, so one
-  // request token cancels both the parallel_for scheduling and the solver
-  // iterations it already started. An explicit config token wins.
+  resilience::ResilienceConfig config = opts.resilience;
+  // The loop-level stop token also fans into every solve episode, so one
+  // request token cancels both the parallel_for scheduling and the
+  // eliminations it already started. An explicit config token wins.
   if (!config.cancel.valid()) config.cancel = opts.parallel.cancel;
   return config;
 }
@@ -180,31 +178,18 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
 
 cache::Signature solver_signature(const resilience::ResilienceConfig& config) {
   cache::Signature s;
-  s.append_word(config.rungs.size());
-  for (resilience::Rung r : config.rungs) {
-    s.append_word(static_cast<std::uint64_t>(r));
-  }
-  s.append_word(static_cast<std::uint64_t>(config.base.method));
-  s.append_double(config.base.tolerance);
-  s.append_word(config.base.max_iterations);
-  s.append_double(config.base.relaxation);
+  // The cancel token and the stall budget are deliberately NOT keyed: they
+  // never change the accepted numbers, only when (or whether) the episode
+  // is allowed to finish.
   s.append_word(config.max_states);
   s.append_double(config.deadline_ms);
-  // Per-rung budgets and transient retries change which rung can succeed,
-  // so they are part of the configuration a cached solve vouches for. The
-  // cancel token, backoff timing, and jitter seed are deliberately NOT
-  // keyed: they never change the accepted numbers, only when (or whether)
-  // the episode is allowed to finish.
-  s.append_double(config.rung_deadline_ms);
-  s.append_word(config.transient_retries);
   s.append_double(config.health.clamp_tolerance);
-  s.append_double(config.health.residual_factor);
+  s.append_double(config.health.residual_bound);
   // Injected faults change results by design; keying on the plan keeps
   // fault-injection runs from contaminating (or consuming) healthy entries.
-  for (const auto& [rung, entry] : config.fault_plan.faults) {
-    s.append_word(static_cast<std::uint64_t>(rung));
-    s.append_word(static_cast<std::uint64_t>(entry.kind));
-    s.append_word(static_cast<std::uint64_t>(entry.initial));
+  if (config.fault_plan.active()) {
+    s.append_word(static_cast<std::uint64_t>(config.fault_plan.kind));
+    s.append_word(static_cast<std::uint64_t>(config.fault_plan.initial));
   }
   return s;
 }

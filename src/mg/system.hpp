@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include <optional>
 
 #include "cache/signature.hpp"
 #include "cache/solve_cache.hpp"
@@ -29,14 +28,13 @@ namespace rascad::mg {
 class SystemModel {
  public:
   struct Options {
-    markov::SteadyStateOptions steady;
     /// Grid resolution for transient composition (interval availability,
     /// reliability): per-block reward curves are sampled on this many
     /// segments over the queried horizon, then composed through the RBD.
     std::size_t curve_steps = 256;
-    /// Resilience-ladder override for the per-block steady-state solves.
-    /// When unset, a config derived from `steady` is used.
-    std::optional<resilience::ResilienceConfig> resilience;
+    /// Budgets, health checks and faults of the per-block steady-state
+    /// solves.
+    resilience::ResilienceConfig resilience;
     /// Thread-count / chunking control for the per-block solves and curve
     /// sampling. Block order, measures, and every SolveTrace are
     /// bit-identical for any thread count.
@@ -58,7 +56,7 @@ class SystemModel {
     double availability = 1.0;
     double yearly_downtime_min = 0.0;
     double eq_failure_rate = 0.0;
-    /// Ladder episode that produced this block's stationary solution; its
+    /// Solve episode that produced this block's stationary solution; its
     /// `source` records whether the numbers came from a fresh solve, the
     /// memo cache, or baseline reuse during an incremental rebuild.
     resilience::SolveTrace solve_trace;
@@ -146,7 +144,7 @@ class SystemModel {
 /// depend bit-exactly on the solver settings.
 cache::Signature solver_signature(const resilience::ResilienceConfig& config);
 
-/// Generates and solves one block through the resilience ladder,
+/// Generates and solves one block in one checked episode,
 /// consulting `cache` (may be null). The shared primitive behind
 /// SystemModel::build / rebuild and the memoized sensitivity probes.
 SystemModel::BlockEntry solve_block_cached(

@@ -17,9 +17,7 @@ void corrupt_result(linalg::Vector& pi, FaultKind kind) {
       pi[pi.size() / 2] -= 0.5;  // far beyond any clamp tolerance
       break;
     case FaultKind::kNone:
-    case FaultKind::kThrowSingular:
     case FaultKind::kThrowNonConverged:
-    case FaultKind::kThrowTransient:
     case FaultKind::kTimeout:
     case FaultKind::kStall:
       break;
@@ -28,7 +26,7 @@ void corrupt_result(linalg::Vector& pi, FaultKind kind) {
 
 namespace {
 
-/// kTimeout: burn wall-clock until the attempt's token stops, so the
+/// kTimeout: burn wall-clock until the episode's token stops, so the
 /// injected slowness is proportional to the configured budget. Polling in
 /// 0.2 ms naps keeps cancellation latency small while the cap bounds
 /// plans that carry no deadline at all.
@@ -43,20 +41,14 @@ void burn_until_stopped(const robust::CancelToken& token, double cap_ms) {
 
 }  // namespace
 
-void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi,
+void apply_fault(const FaultPlan& plan, linalg::Vector& pi,
                  const robust::CancelToken& token) {
-  switch (plan.take_fault(rung)) {
+  switch (plan.take_fault()) {
     case FaultKind::kNone:
       return;
-    case FaultKind::kThrowSingular:
-      throw SolveError(SolveCause::kSingular, to_string(rung),
-                       "injected singular-system failure");
     case FaultKind::kThrowNonConverged:
-      throw SolveError(SolveCause::kNonConverged, to_string(rung),
+      throw SolveError(SolveCause::kNonConverged, "direct",
                        "injected convergence failure");
-    case FaultKind::kThrowTransient:
-      throw SolveError(SolveCause::kTransient, to_string(rung),
-                       "injected transient failure");
     case FaultKind::kNanResult:
       corrupt_result(pi, FaultKind::kNanResult);
       return;
@@ -65,12 +57,12 @@ void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi,
       return;
     case FaultKind::kTimeout:
       burn_until_stopped(token, plan.timeout_cap_ms);
-      throw SolveError(SolveCause::kDeadlineExceeded, to_string(rung),
+      throw SolveError(SolveCause::kDeadlineExceeded, "direct",
                        "injected timeout");
     case FaultKind::kStall:
       // Deliberately ignores the token: models a solve stuck inside a
       // kernel with no checkpoint. The result stays intact, so once the
-      // stall ends the rung still succeeds — only the watchdog notices.
+      // stall ends the solve still succeeds; only the watchdog notices.
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(plan.stall_ms));
       return;
@@ -131,10 +123,8 @@ markov::Ctmc ill_conditioned_chain(std::size_t pairs, double spread) {
   // Birth-death chain with alternating stiffness direction: even links push
   // forward at rate `spread` against a rate-1 return, odd links the
   // reverse. Detailed balance makes the stationary masses oscillate across
-  // a dynamic range of `spread`, the uniformization constant is ~spread
-  // while the slowest transitions have rate 1 (so power iteration needs
-  // O(spread) steps), and the replaced-row system's conditioning degrades
-  // with `spread`.
+  // a dynamic range of `spread`, and the uniformization constant is
+  // ~spread while the slowest transitions have rate 1.
   for (std::size_t i = 0; i + 1 < n; ++i) {
     if (i % 2 == 0) {
       builder.add_transition(i, i + 1, spread);

@@ -53,8 +53,7 @@ HealthReport check_distribution(linalg::Vector& pi,
 }
 
 HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
-                              const HealthCheckConfig& config,
-                              double tolerance) {
+                              const HealthCheckConfig& config) {
   if (pi.size() != chain.size()) {
     HealthReport report;
     report.ok = false;
@@ -72,7 +71,7 @@ HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
   report.residual_inf = linalg::norm_inf(r);
   report.residual_l1 = linalg::norm1(r);
   const double scale = std::max(1.0, chain.generator().max_abs_diagonal());
-  const double bound = config.residual_factor * tolerance * scale;
+  const double bound = config.residual_bound * scale;
   if (!(report.residual_inf <= bound)) {
     report.ok = false;
     report.failure = SolveCause::kNonConverged;
@@ -87,8 +86,7 @@ HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
 
 HealthReport check_absorption_times(const linalg::CsrMatrix& a,
                                     const linalg::Vector& tau,
-                                    const HealthCheckConfig& config,
-                                    double tolerance) {
+                                    const HealthCheckConfig& config) {
   HealthReport report;
   if (tau.size() != a.rows()) {
     report.ok = false;
@@ -122,7 +120,7 @@ HealthReport check_absorption_times(const linalg::CsrMatrix& a,
     report.residual_inf =
         std::max(report.residual_inf, std::abs(residual) / scale);
   }
-  const double bound = config.residual_factor * tolerance;
+  const double bound = config.residual_bound;
   if (!(report.residual_inf <= bound)) {
     report.ok = false;
     report.failure = SolveCause::kNonConverged;

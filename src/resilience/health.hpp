@@ -1,6 +1,6 @@
 // Numerical health verification for solver outputs.
 //
-// Every ladder rung's result passes through these checks before it is
+// Every solve episode's result passes through these checks before it is
 // accepted: a NaN/Inf scan, negative-probability clamping with tolerance
 // accounting, and a residual re-check computed independently of whatever
 // metric the solver itself reported. Stationary vectors are judged by
@@ -24,10 +24,10 @@ struct HealthCheckConfig {
   /// round-off.
   double clamp_tolerance = 1e-9;
   /// The independent residual re-check accepts
-  /// ||pi Q||_inf <= residual_factor * tolerance * max(1, max exit rate);
+  /// ||pi Q||_inf <= residual_bound * max(1, max exit rate);
   /// the rate scaling keeps the bound meaningful for stiff chains whose
   /// generator entries span many orders of magnitude.
-  double residual_factor = 1e4;
+  double residual_bound = 1e-9;
 };
 
 /// Outcome of verifying one candidate vector.
@@ -57,19 +57,17 @@ HealthReport check_distribution(linalg::Vector& pi,
 /// place (clamping + renormalization) only when the checks pass far enough
 /// to make that meaningful.
 HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
-                              const HealthCheckConfig& config,
-                              double tolerance);
+                              const HealthCheckConfig& config);
 
 /// Verifies candidate mean times to absorption `tau` against the
 /// fundamental system a tau = 1, where a = -Q_TT is the generator
 /// restricted to the transient states: NaN/Inf and negative-value scans,
 /// then the componentwise backward error
-///   max_i |a tau - 1|_i / (|a| |tau| + 1)_i <= residual_factor * tolerance.
+///   max_i |a tau - 1|_i / (|a| |tau| + 1)_i <= residual_bound.
 /// Round-off in a tau grows with |a| |tau|, so an absolute bound on
 /// ||a tau - 1|| would reject exact answers once tau reaches ~1e9.
 HealthReport check_absorption_times(const linalg::CsrMatrix& a,
                                     const linalg::Vector& tau,
-                                    const HealthCheckConfig& config,
-                                    double tolerance);
+                                    const HealthCheckConfig& config);
 
 }  // namespace rascad::resilience

@@ -1,8 +1,9 @@
 // Structured solver-failure taxonomy shared by every numerical entry point.
 //
 // RAScad's contract is that a non-expert always gets availability numbers
-// back, so the analysis stack must fail in a machine-readable way that the
-// resilience ladder (resilience.hpp) can act on. SolveError replaces the
+// back or a reason why not, so the analysis stack fails in a machine-
+// readable way that the checked solve episodes (resilience.hpp), the serve
+// daemon and the sweep status columns can report. SolveError replaces the
 // bare std::runtime_error / std::domain_error throws of the numeric layers:
 // it is-a std::runtime_error (existing catch sites keep working) but carries
 // a cause code, the method that failed, and the iteration/residual state at
@@ -19,51 +20,26 @@
 
 namespace rascad::resilience {
 
-/// Why a solve failed. The ladder records these in SolveTrace and uses them
-/// to decide whether escalating to the next rung can help.
+/// Why a solve failed. Episodes record these in SolveTrace.
 enum class SolveCause {
-  kSingular,          // singular / pivot-breakdown linear system
   kNonConverged,      // iteration budget exhausted before the tolerance
   kNanOrInf,          // non-finite values or invalid probability mass
   kBudgetExceeded,    // state-space / term / step budget exceeded
-  kDeadlineExceeded,  // deadline token expired (request or rung budget)
+  kDeadlineExceeded,  // deadline token expired
   kInvalidInput,      // structurally unusable input (e.g. absorbing state
                       // or reducible chain handed to a stationary solver,
                       // or a transient state that cannot reach absorption)
   kCancelled,         // cooperative cancel token observed mid-solve
-  kTransient,         // transient fault worth retrying on the same rung
 };
 
 inline const char* to_string(SolveCause cause) {
   switch (cause) {
-    case SolveCause::kSingular: return "singular";
     case SolveCause::kNonConverged: return "non-converged";
     case SolveCause::kNanOrInf: return "nan-or-inf";
     case SolveCause::kBudgetExceeded: return "budget-exceeded";
     case SolveCause::kDeadlineExceeded: return "deadline-exceeded";
     case SolveCause::kInvalidInput: return "invalid-input";
     case SolveCause::kCancelled: return "cancelled";
-    case SolveCause::kTransient: return "transient";
-  }
-  return "unknown";
-}
-
-/// Identity of a solver rung across the resilience ladders (steady state,
-/// DTMC stationary, MTTF).
-enum class Rung {
-  kDirect,     // exact banded GTH elimination (stationary vectors and
-               // mean times to absorption)
-  kBiCgStab,   // preconditioned Krylov solve
-  kSor,        // Gauss-Seidel / SOR sweeps
-  kPower,      // power iteration on the uniformized DTMC
-};
-
-inline const char* to_string(Rung rung) {
-  switch (rung) {
-    case Rung::kDirect: return "direct";
-    case Rung::kBiCgStab: return "bicgstab";
-    case Rung::kSor: return "sor";
-    case Rung::kPower: return "power";
   }
   return "unknown";
 }

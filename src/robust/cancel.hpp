@@ -1,8 +1,8 @@
 // Cooperative cancellation and deadlines for the whole solve stack.
 //
 // A CancelToken is a copyable handle onto shared atomic stop state. Work
-// loops poll stop_requested() at checkpoints (every N iterations in the
-// linalg solvers, between rungs in the resilience ladder, between chunks in
+// loops poll stop_requested() at checkpoints (every N eliminated states in
+// the GTH solvers, every N steps in the transient engine, between chunks in
 // exec::parallel_for) and throw SolveError(kCancelled / kDeadlineExceeded)
 // when it fires. Three properties the stack relies on:
 //
@@ -12,10 +12,10 @@
 //  * Monotonic-clock deadlines. Expiry is evaluated lazily against
 //    steady_clock at the checkpoints themselves — no timer thread, immune
 //    to wall-clock jumps.
-//  * Parent -> child linking. A request token fans out to per-phase /
-//    per-rung children (optionally with their own tighter deadline); a
-//    child observes its parent's stop but never stops the parent, so a
-//    rung budget can expire without killing the request.
+//  * Parent -> child linking. A request token fans out to per-phase
+//    children (optionally with their own tighter deadline); a child
+//    observes its parent's stop but never stops the parent, so a phase
+//    budget can expire without killing the request.
 //
 // Checkpoints only ever *throw*; they never alter arithmetic. A run that is
 // not cancelled is therefore bitwise identical to a run with no token at
@@ -161,7 +161,7 @@ class CancelToken {
   }
 
   /// Child with its own deadline `deadline_ms` from now — the shape of a
-  /// per-rung budget charged against the request token.
+  /// per-episode budget charged against the request token.
   static CancelToken child_of(const CancelToken& parent, double deadline_ms) {
     CancelToken child = with_deadline_ms(deadline_ms);
     child.state_->parent = parent.state_;

@@ -192,7 +192,7 @@ TEST(SolveCache, ClearDropsEntriesAndCounters) {
 
 TEST(SolveBlockCached, SecondSolveIsACacheHitWithIdenticalNumbers) {
   const ModelSpec m = small_model();
-  const auto config = rascad::resilience::config_from({});
+  const auto config = rascad::resilience::ResilienceConfig{};
   const Signature solver_sig = rascad::mg::solver_signature(config);
   SolveCache cache;
 
@@ -206,9 +206,9 @@ TEST(SolveBlockCached, SecondSolveIsACacheHitWithIdenticalNumbers) {
   EXPECT_EQ(second.availability, first.availability);
   EXPECT_EQ(second.eq_failure_rate, first.eq_failure_rate);
   EXPECT_EQ(second.yearly_downtime_min, first.yearly_downtime_min);
-  // The cached entry carries the producing episode's ladder attempts.
-  EXPECT_EQ(second.solve_trace.attempts.size(),
-            first.solve_trace.attempts.size());
+  // The cached entry carries the producing episode's record.
+  EXPECT_TRUE(second.solve_trace.ran);
+  EXPECT_EQ(second.solve_trace.message, first.solve_trace.message);
   // Both entries share the one generated chain.
   EXPECT_EQ(second.chain.get(), first.chain.get());
   EXPECT_EQ(cache.block_counters().hits, 1u);
@@ -216,7 +216,7 @@ TEST(SolveBlockCached, SecondSolveIsACacheHitWithIdenticalNumbers) {
 
 TEST(SolveBlockCached, NullCacheSolvesFreshWithIdenticalNumbers) {
   const ModelSpec m = small_model();
-  const auto config = rascad::resilience::config_from({});
+  const auto config = rascad::resilience::ResilienceConfig{};
   const Signature solver_sig = rascad::mg::solver_signature(config);
   SolveCache cache;
   const auto cached = rascad::mg::solve_block_cached(
@@ -406,7 +406,6 @@ TEST(SweepCache, WarmSweepIsServedFromTheCacheBitwise) {
   expect_bitwise_equal(cold, warm);
   for (const auto& p : warm) {
     EXPECT_EQ(p.fresh_blocks, 0u) << p.value;
-    EXPECT_EQ(p.solve_iterations, 0u) << p.value;
     EXPECT_TRUE(p.solve_source == "cache" || p.solve_source == "baseline")
         << p.solve_source;
   }

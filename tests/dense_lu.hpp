@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/dense.hpp"
+#include "dense_matrix.hpp"
 
 namespace rascad::testing {
 

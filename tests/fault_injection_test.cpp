@@ -1,6 +1,6 @@
-// Fault-injection harness: every rung-to-rung transition of the ladders is
-// forced and the recorded causes checked; corrupt-result faults must be
-// caught by the health layer (not the solvers' own error paths).
+// Fault-injection harness: every fault kind is forced on the checked solve
+// episodes and the recorded causes checked; corrupt-result faults must be
+// caught by the health layer (not the solver's own error paths).
 #include <cmath>
 #include <string>
 
@@ -42,13 +42,20 @@ TEST(FaultPrimitives, CorruptResultNegative) {
   EXPECT_LT(pi[1], 0.0);
 }
 
-TEST(FaultPrimitives, PlanLookup) {
+TEST(FaultPrimitives, PlanBudgetIsSharedByCopies) {
   FaultPlan plan;
   EXPECT_FALSE(plan.active());
-  plan.fail(Rung::kSor, FaultKind::kThrowSingular);
+  EXPECT_EQ(plan.take_fault(), FaultKind::kNone);
+  plan.fail_times(FaultKind::kNanResult, 2);
   EXPECT_TRUE(plan.active());
-  EXPECT_EQ(plan.fault_for(Rung::kSor), FaultKind::kThrowSingular);
-  EXPECT_EQ(plan.fault_for(Rung::kDirect), FaultKind::kNone);
+  const FaultPlan copy = plan;
+  EXPECT_EQ(plan.take_fault(), FaultKind::kNanResult);
+  EXPECT_EQ(copy.take_fault(), FaultKind::kNanResult);
+  EXPECT_EQ(plan.take_fault(), FaultKind::kNone);
+  EXPECT_EQ(plan.initial, 2);
+  plan.fail(FaultKind::kStall);
+  EXPECT_EQ(plan.take_fault(), FaultKind::kStall);
+  EXPECT_EQ(plan.take_fault(), FaultKind::kStall);
 }
 
 TEST(FaultPrimitives, ScaledRatesPreserveAvailability) {
@@ -73,98 +80,79 @@ TEST(FaultPrimitives, ZeroedTransitionMakesStateAbsorbing) {
   }
 }
 
-// -------------------------------------------------- rung transitions ----
+// ---------------------------------------------------- injected faults ----
 
-/// Forces the first k rungs of the default ladder to fail and checks that
-/// the episode recovers at rung k+1 with every failure cause recorded —
-/// the acceptance criterion for the harness.
-TEST(RungTransitions, EveryEscalationStepFires) {
-  const Ctmc chain = repair_chain();
-  const ResilienceConfig defaults;
-  ASSERT_EQ(defaults.rungs.size(), 4u);
-  for (std::size_t k = 0; k + 1 < defaults.rungs.size(); ++k) {
-    ResilienceConfig config;
-    for (std::size_t j = 0; j <= k; ++j) {
-      config.fault_plan.fail(config.rungs[j], FaultKind::kThrowNonConverged);
-    }
-    const ResilientResult r = solve_steady_state_resilient(chain, config);
-    EXPECT_TRUE(r.trace.success) << "k=" << k;
-    EXPECT_EQ(r.trace.final_rung, config.rungs[k + 1]) << "k=" << k;
-    ASSERT_EQ(r.trace.attempts.size(), k + 2) << "k=" << k;
-    for (std::size_t j = 0; j <= k; ++j) {
-      EXPECT_FALSE(r.trace.attempts[j].success);
-      EXPECT_EQ(r.trace.attempts[j].cause, SolveCause::kNonConverged);
-      EXPECT_EQ(r.trace.attempts[j].rung, config.rungs[j]);
-    }
-    EXPECT_TRUE(r.trace.attempts[k + 1].success);
-    EXPECT_NEAR(r.result.pi[0] + r.result.pi[1] + r.result.pi[2], 1.0, 1e-9);
+/// Runs `solve` expecting a SolveError with `cause` whose message names the
+/// failed attempt.
+void expect_failure(const auto& solve, SolveCause cause,
+                    const std::string& needle) {
+  try {
+    solve();
+    FAIL() << "expected SolveError";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), cause) << e.what();
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
   }
 }
 
-TEST(RungTransitions, SingularFaultCauseIsRecorded) {
+TEST(InjectedFaults, ThrownFaultFailsTheEpisode) {
   ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowSingular);
-  const ResilientResult r = solve_steady_state_resilient(repair_chain(), config);
-  EXPECT_TRUE(r.trace.success);
-  ASSERT_GE(r.trace.attempts.size(), 2u);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kSingular);
-  EXPECT_NE(r.trace.summary().find("direct failed (singular)"),
-            std::string::npos);
+  config.fault_plan.fail(FaultKind::kThrowNonConverged);
+  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+                 SolveCause::kNonConverged, "direct failed (non-converged)");
 }
 
 // Corrupt-result faults bypass the solver's own error handling entirely;
 // only the health layer can catch them.
-TEST(RungTransitions, NanResultCaughtByHealthLayer) {
+TEST(InjectedFaults, NanResultCaughtByHealthLayer) {
   ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kNanResult);
+  config.fault_plan.fail(FaultKind::kNanResult);
+  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+                 SolveCause::kNanOrInf, "direct failed (nan-or-inf)");
+}
+
+TEST(InjectedFaults, NegativeResultCaughtByHealthLayer) {
+  ResilienceConfig config;
+  config.fault_plan.fail(FaultKind::kNegativeResult);
+  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+                 SolveCause::kNanOrInf, "direct failed (nan-or-inf)");
+}
+
+TEST(InjectedFaults, SpentBudgetLetsLaterSolvesSucceed) {
+  ResilienceConfig config;
+  config.fault_plan.fail_times(FaultKind::kThrowNonConverged, 1);
+  EXPECT_THROW(solve_steady_state_resilient(repair_chain(), config),
+               SolveError);
   const ResilientResult r = solve_steady_state_resilient(repair_chain(), config);
   EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kBiCgStab);
-  ASSERT_GE(r.trace.attempts.size(), 2u);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kNanOrInf);
+  EXPECT_EQ(r.result.pi, solve_steady_state_resilient(repair_chain()).result.pi);
 }
 
-TEST(RungTransitions, NegativeResultCaughtByHealthLayer) {
+TEST(InjectedFaults, TimeoutWithoutDeadlineIsCapped) {
   ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kNegativeResult);
-  const ResilientResult r = solve_steady_state_resilient(repair_chain(), config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kBiCgStab);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kNanOrInf);
-  EXPECT_GT(r.trace.attempts[0].clamped_mass, 0.0);
+  config.fault_plan.fail(FaultKind::kTimeout);
+  config.fault_plan.timeout_cap_ms = 1.0;
+  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+                 SolveCause::kDeadlineExceeded,
+                 "direct failed (deadline-exceeded)");
 }
 
-TEST(RungTransitions, AllRungsFailingThrowsWithLastCause) {
-  ResilienceConfig config;
-  for (const Rung rung : config.rungs) {
-    config.fault_plan.fail(rung, FaultKind::kThrowNonConverged);
-  }
-  try {
-    solve_steady_state_resilient(repair_chain(), config);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-    EXPECT_NE(std::string(e.what()).find("all rungs failed"),
-              std::string::npos);
-  }
-}
-
-TEST(RungTransitions, DtmcLadderEscalates) {
+TEST(InjectedFaults, DtmcEpisodeReportsFault) {
   rascad::markov::DtmcBuilder b;
   b.add_state("a");
   b.add_state("b");
   b.add_transition(0, 1, 1.0);
   b.add_transition(1, 0, 0.5);
   b.add_transition(1, 1, 0.5);
+  const rascad::markov::Dtmc dtmc = b.build();
   ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowSingular);
-  const ResilientResult r = stationary_resilient(b.build(), config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_NE(r.trace.final_rung, Rung::kDirect);
-  EXPECT_NEAR(r.result.pi[0] + r.result.pi[1], 1.0, 1e-12);
+  config.fault_plan.fail(FaultKind::kNanResult);
+  expect_failure([&] { stationary_resilient(dtmc, config); },
+                 SolveCause::kNanOrInf, "stationary_resilient");
 }
 
-TEST(RungTransitions, MttfLadderEscalates) {
+TEST(InjectedFaults, MttfEpisodeRecordsFailedAttempt) {
   CtmcBuilder b;
   const auto up = b.add_state("up", 1.0);
   const auto down = b.add_state("down", 0.0);
@@ -172,12 +160,14 @@ TEST(RungTransitions, MttfLadderEscalates) {
   b.add_transition(down, up, 10.0);
   const Ctmc chain = b.build();
   ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowSingular);
+  config.fault_plan.fail(FaultKind::kNanResult);
   SolveTrace trace;
-  const double mttf = mttf_resilient(chain, 0, config, &trace);
-  EXPECT_TRUE(trace.success);
-  EXPECT_NE(trace.final_rung, Rung::kDirect);
-  EXPECT_NEAR(mttf, 2.0, 1e-8);
+  expect_failure([&] { mttf_resilient(chain, 0, config, &trace); },
+                 SolveCause::kNanOrInf, "mttf_resilient");
+  EXPECT_FALSE(trace.success);
+  EXPECT_TRUE(trace.ran);
+  EXPECT_EQ(trace.cause, SolveCause::kNanOrInf);
+  EXPECT_NEAR(mttf_resilient(chain, 0), 2.0, 1e-14);
 }
 
 }  // namespace

@@ -140,18 +140,6 @@ TEST(Validation, DatacenterEndToEnd) {
   }
 }
 
-TEST(Validation, SolverChoiceDoesNotChangeAnswers) {
-  const auto model = rascad::core::library::midrange_server();
-  SystemModel::Options direct;
-  direct.steady.method = rascad::markov::SteadyStateMethod::kDirect;
-  SystemModel::Options sor;
-  sor.steady.method = rascad::markov::SteadyStateMethod::kSor;
-  sor.steady.tolerance = 1e-14;
-  const double a1 = SystemModel::build(model, direct).availability();
-  const double a2 = SystemModel::build(model, sor).availability();
-  EXPECT_LT(relative_error(1.0 - a1, 1.0 - a2), 1e-6);
-}
-
 TEST(Validation, MissionTimeFlowsThroughProject) {
   auto spec = rascad::core::library::entry_server();
   spec.globals.mission_time_h = 1000.0;

@@ -1,5 +1,5 @@
-// Tests for the CTMC engine: construction, steady-state solvers (against
-// closed forms and each other), transient analysis by uniformization
+// Tests for the CTMC engine: construction, the steady-state solver (against
+// closed forms and a dense oracle), transient analysis by uniformization
 // (against the two-state closed form), and absorbing-chain analysis.
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <string>
 
 #include "baselines/baselines.hpp"
+#include "dense_lu.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
@@ -18,8 +19,6 @@ namespace {
 
 using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
-using rascad::markov::SteadyStateMethod;
-using rascad::markov::SteadyStateOptions;
 
 Ctmc two_state_chain(double lambda, double mu) {
   CtmcBuilder b;
@@ -148,27 +147,23 @@ TEST(SteadyState, TwoStateMatchesClosedForm) {
               1e-12);
 }
 
-class SteadyStateMethodsTest
-    : public ::testing::TestWithParam<SteadyStateMethod> {};
-
-TEST_P(SteadyStateMethodsTest, AllMethodsAgreeOnFixture) {
+TEST(SteadyState, FixtureMatchesDenseOracle) {
+  // pi Q = 0 with the last equation replaced by sum(pi) = 1, solved by the
+  // test-local dense LU.
   const Ctmc chain = five_state_chain();
-  const auto reference = rascad::markov::solve_steady_state(chain);
-  SteadyStateOptions opts;
-  opts.method = GetParam();
-  opts.tolerance = 1e-13;
-  const auto result = rascad::markov::solve_steady_state(chain, opts);
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    EXPECT_NEAR(result.pi[i], reference.pi[i], 1e-8) << "state " << i;
+  rascad::linalg::DenseMatrix a =
+      rascad::linalg::to_dense(chain.generator().transposed());
+  const std::size_t n = chain.size();
+  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
+  rascad::linalg::Vector rhs(n, 0.0);
+  rhs[n - 1] = 1.0;
+  const auto oracle = rascad::testing::dense_lu_solve(a, rhs);
+  const auto result = rascad::markov::solve_steady_state(chain);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(result.pi[i], oracle[i], 1e-14) << "state " << i;
   }
-  EXPECT_LT(result.residual, 1e-8);
+  EXPECT_LT(result.residual, 1e-14);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllMethods, SteadyStateMethodsTest,
-                         ::testing::Values(SteadyStateMethod::kDirect,
-                                           SteadyStateMethod::kSor,
-                                           SteadyStateMethod::kPower,
-                                           SteadyStateMethod::kBiCgStab));
 
 TEST(SteadyState, BirthDeathMatchesBaseline) {
   // 3 units, repair rate mu, failure rate lambda each; compare the chain
@@ -384,10 +379,9 @@ TEST(Dtmc, StationaryMatchesHandComputation) {
   b.add_transition(c, a, 0.5);
   b.add_transition(c, c, 0.5);
   const auto chain = b.build();
-  const auto direct = chain.stationary(true);
-  const auto power = chain.stationary(false);
-  EXPECT_NEAR(direct[0], 5.0 / 6.0, 1e-12);
-  EXPECT_NEAR(power[0], 5.0 / 6.0, 1e-9);
+  const auto pi = chain.stationary();
+  EXPECT_NEAR(pi[0], 5.0 / 6.0, 1e-12);
+  EXPECT_NEAR(pi[1], 1.0 / 6.0, 1e-12);
 }
 
 TEST(Dtmc, BuildRejectsBadRows) {

@@ -1,6 +1,6 @@
-// Solver resilience layer: exact GTH solver, health checks, ladder
-// behaviour (budgets, deadlines, escalation on genuinely sick inputs),
-// and the documented per-method SolveError causes.
+// Solver resilience layer: exact GTH solver, health checks, the checked
+// solve episode (budgets, deadlines, refusal of reducible chains), and the
+// documented SolveError causes.
 #include <cmath>
 #include <string>
 #include <vector>
@@ -22,8 +22,6 @@ using rascad::linalg::Vector;
 using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
 using rascad::markov::gth_stationary;
-using rascad::markov::SteadyStateMethod;
-using rascad::markov::SteadyStateOptions;
 using namespace rascad::resilience;
 
 /// Two-state up/down availability chain: pi = (mu, lambda) / (lambda + mu).
@@ -61,6 +59,19 @@ Ctmc disconnected_chain() {
   b.add_transition(a1, a0, 2.0);
   b.add_transition(b0, b1, 3.0);
   b.add_transition(b1, b0, 4.0);
+  return b.build();
+}
+
+/// Unichain whose initial state is transient: "boot" leads into the closed
+/// class {up, down} and is never re-entered.
+Ctmc transient_start_chain() {
+  CtmcBuilder b;
+  const auto boot = b.add_state("boot", 0.0);
+  const auto up = b.add_state("up", 1.0);
+  const auto down = b.add_state("down", 0.0);
+  b.add_transition(boot, up, 4.0);
+  b.add_transition(up, down, 1.0);
+  b.add_transition(down, up, 3.0);
   return b.build();
 }
 
@@ -191,8 +202,7 @@ TEST(Health, RejectsNan) {
 TEST(Health, ResidualRecheckCatchesWrongDistribution) {
   const Ctmc chain = up_down_chain(1.0, 9.0);
   Vector wrong{0.5, 0.5};  // valid distribution, not stationary
-  const HealthReport r =
-      check_stationary(chain, wrong, HealthCheckConfig{}, 1e-13);
+  const HealthReport r = check_stationary(chain, wrong, HealthCheckConfig{});
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.failure.has_value());
   EXPECT_EQ(*r.failure, SolveCause::kNonConverged);
@@ -203,7 +213,7 @@ TEST(Health, ResidualRecheckAcceptsTrueStationary) {
   const Ctmc chain = up_down_chain(1.0, 9.0);
   Vector pi{0.9, 0.1};
   const HealthReport r =
-      check_stationary(chain, pi, HealthCheckConfig{}, 1e-13);
+      check_stationary(chain, pi, HealthCheckConfig{});
   EXPECT_TRUE(r.ok) << r.detail;
 }
 
@@ -245,8 +255,8 @@ TEST(Health, AbsorptionCheckAcceptsExactLargeTimes) {
   // round-off in a tau alone is ~eps * |a| |tau| ~ 1e-9.
   const OneOfFour sys = one_of_four();
   ASSERT_GT(sys.tau[0], 1e9);
-  const HealthReport r = check_absorption_times(sys.a, sys.tau,
-                                                HealthCheckConfig{}, 1e-13);
+  const HealthReport r =
+      check_absorption_times(sys.a, sys.tau, HealthCheckConfig{});
   EXPECT_TRUE(r.ok) << r.detail;
   EXPECT_LT(r.residual_inf, 1e-15);
 }
@@ -255,8 +265,8 @@ TEST(Health, AbsorptionCheckRejectsPerturbedTimes) {
   OneOfFour sys = one_of_four();
   const double signs[] = {1.0, -1.0, -1.0, 1.0};
   for (std::size_t i = 0; i < 4; ++i) sys.tau[i] *= 1.0 + 1e-6 * signs[i];
-  const HealthReport r = check_absorption_times(sys.a, sys.tau,
-                                                HealthCheckConfig{}, 1e-13);
+  const HealthReport r =
+      check_absorption_times(sys.a, sys.tau, HealthCheckConfig{});
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.failure.has_value());
   EXPECT_EQ(*r.failure, SolveCause::kNonConverged);
@@ -267,68 +277,49 @@ TEST(Health, AbsorptionCheckRejectsNanAndNegative) {
   OneOfFour sys = one_of_four();
   Vector nan_tau = sys.tau;
   nan_tau[2] = std::nan("");
-  EXPECT_EQ(check_absorption_times(sys.a, nan_tau, HealthCheckConfig{}, 1e-13)
-                .failure,
+  EXPECT_EQ(check_absorption_times(sys.a, nan_tau, HealthCheckConfig{}).failure,
             SolveCause::kNanOrInf);
   sys.tau[1] = -1.0;
-  EXPECT_EQ(check_absorption_times(sys.a, sys.tau, HealthCheckConfig{}, 1e-13)
-                .failure,
+  EXPECT_EQ(check_absorption_times(sys.a, sys.tau, HealthCheckConfig{}).failure,
             SolveCause::kNanOrInf);
 }
 
-// --------------------------------------------------------------- ladder ----
+// ------------------------------------------------------------- episode ----
 
-TEST(Ladder, HealthyPathIsSingleDirectAttempt) {
+TEST(Episode, HealthyPathIsSingleDirectAttempt) {
   const ResilientResult r =
       solve_steady_state_resilient(up_down_chain(1.0, 9.0));
   EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
-  ASSERT_EQ(r.trace.attempts.size(), 1u);
-  EXPECT_EQ(r.trace.escalations(), 0u);
-  EXPECT_EQ(r.trace.attempts[0].message, "n=2 bw=1");
+  EXPECT_TRUE(r.trace.ran);
+  EXPECT_EQ(r.trace.message, "n=2 bw=1");
   EXPECT_NEAR(r.result.pi[0], 0.9, 1e-12);
-  EXPECT_NE(r.trace.summary().find("direct ok"), std::string::npos);
+  EXPECT_NE(r.trace.summary().find("direct ok [1 attempt, "),
+            std::string::npos);
 }
 
-// The tentpole acceptance scenario: under a capped iteration budget both
-// SOR (needs ~590 sweeps on this 17-state chain) and Power (step size
-// ~1/spread on the uniformized DTMC) genuinely fail to converge; GTH
-// recovers on the direct rung with the exact answer.
-TEST(Ladder, IterativeRungsFailOnStiffChainGthRecovers) {
-  const Ctmc chain = ill_conditioned_chain(8, 1e9);
-  ResilienceConfig config;
-  config.rungs = {Rung::kSor, Rung::kPower, Rung::kDirect};
-  config.base.max_iterations = 300;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
+// Masses spanning 1e9 per level, 17 states: the one attempt is exact.
+TEST(Episode, StiffChainSolvedExactlyInOneAttempt) {
+  const ResilientResult r =
+      solve_steady_state_resilient(ill_conditioned_chain(8, 1e9));
   EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
-  ASSERT_EQ(r.trace.attempts.size(), 3u);
-  EXPECT_FALSE(r.trace.attempts[0].success);
-  EXPECT_FALSE(r.trace.attempts[1].success);
-  EXPECT_TRUE(r.trace.attempts[2].success);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kNonConverged);
-  EXPECT_EQ(r.trace.attempts[1].cause, SolveCause::kNonConverged);
-
   EXPECT_LT(max_rel_err(r.result.pi, ill_conditioned_exact(8, 1e9)), 1e-12);
 }
 
-TEST(Ladder, StructurallyUnusableInputFailsAllRungs) {
-  // A chain with an absorbing state has no unique stationary distribution;
-  // GTH detects the missing outflow, so a direct-only ladder fails outright
-  // with a structured error that embeds the episode.
-  ResilienceConfig config;
-  config.rungs = {Rung::kDirect};
+// Also the single-absorbing-state case of the reducibility contract.
+TEST(Episode, FailedSolveThrowsWithTrace) {
   try {
-    solve_steady_state_resilient(absorbing_chain(), config);
+    solve_steady_state_resilient(absorbing_chain());
     FAIL() << "expected SolveError";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
-    EXPECT_NE(std::string(e.what()).find("all rungs failed"),
-              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("solve failed: direct failed "
+                                         "(invalid-input) [1 attempt, "),
+              std::string::npos)
+        << e.what();
   }
 }
 
-TEST(Ladder, StateBudgetRefusedUpFront) {
+TEST(Episode, StateBudgetRefusedUpFront) {
   ResilienceConfig config;
   config.max_states = 2;
   try {
@@ -339,10 +330,9 @@ TEST(Ladder, StateBudgetRefusedUpFront) {
   }
 }
 
-TEST(Ladder, DeadlineCheckedBetweenRungs) {
+TEST(Episode, ExpiredDeadlineObservedInsideTheSolve) {
   ResilienceConfig config;
-  config.deadline_ms = 1e-9;  // expires during the first rung
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowNonConverged);
+  config.deadline_ms = 1e-9;  // expires before the first checkpoint
   try {
     solve_steady_state_resilient(repair_chain(), config);
     FAIL() << "expected SolveError";
@@ -351,18 +341,7 @@ TEST(Ladder, DeadlineCheckedBetweenRungs) {
   }
 }
 
-TEST(Ladder, ConfigFromPutsRequestedMethodFirst) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kSor;
-  const ResilienceConfig config = config_from(opts);
-  ASSERT_FALSE(config.rungs.empty());
-  EXPECT_EQ(config.rungs.front(), Rung::kSor);
-  // The remaining default rungs are still behind it, ending in Power.
-  EXPECT_EQ(config.rungs.back(), Rung::kPower);
-  EXPECT_EQ(config.rungs.size(), 4u);
-}
-
-TEST(Ladder, SingleStateChainTrivialEpisode) {
+TEST(Episode, SingleStateChainTrivialEpisode) {
   CtmcBuilder b;
   b.add_state("only", 1.0);
   const ResilientResult r = solve_steady_state_resilient(b.build());
@@ -371,83 +350,62 @@ TEST(Ladder, SingleStateChainTrivialEpisode) {
   EXPECT_DOUBLE_EQ(r.result.pi[0], 1.0);
 }
 
-// ------------------------------------------- documented method causes ----
+// ---------------------------------------------------- reducible chains ----
 
-TEST(SteadyStateCauses, DirectSingularOnDisconnectedChain) {
-  // GTH runs out of outflow when it reaches the first state of a component.
+// The contract is irreducibility, so every entry point refuses a chain
+// that is not irreducible. Only several closed classes make the answer
+// ambiguous; a transient-start unichain or a single absorbing state has a
+// unique stationary vector, and is refused by policy all the same.
+void expect_invalid_input(const auto& solve) {
   try {
-    rascad::markov::solve_steady_state(disconnected_chain());
-    FAIL() << "expected SolveError";
+    solve();
+    FAIL() << "expected SolveError(kInvalidInput)";
   } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
+    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput) << e.what();
   }
 }
 
-TEST(SteadyStateCauses, SorInvalidInputOnAbsorbingState) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kSor;
-  try {
-    rascad::markov::solve_steady_state(absorbing_chain(), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
+TEST(Reducible, TwoClosedClassesRefused) {
+  expect_invalid_input(
+      [] { solve_steady_state_resilient(disconnected_chain()); });
+  expect_invalid_input(
+      [] { rascad::markov::solve_steady_state(disconnected_chain()); });
+}
+
+TEST(Reducible, TransientInitialStateRefused) {
+  expect_invalid_input(
+      [] { solve_steady_state_resilient(transient_start_chain()); });
+}
+
+// The elimination order decides whether GTH meets a transient state
+// before or after the closed class; either way it is refused.
+TEST(Reducible, TransientStateRefusedInEveryPosition) {
+  for (std::size_t t = 0; t < 4; ++t) {
+    CtmcBuilder b;
+    for (std::size_t i = 0; i < 4; ++i) {
+      b.add_state("s" + std::to_string(i), 1.0);
+    }
+    const std::size_t c0 = (t + 1) % 4, c1 = (t + 2) % 4, c2 = (t + 3) % 4;
+    b.add_transition(t, c0, 1.0);
+    b.add_transition(c0, c1, 2.0);
+    b.add_transition(c1, c2, 3.0);
+    b.add_transition(c2, c0, 4.0);
+    const Ctmc chain = b.build();
+    expect_invalid_input([&] { gth_stationary(chain.generator()); });
   }
 }
 
-TEST(SteadyStateCauses, SorNonConvergedWhenBudgetTiny) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kSor;
-  opts.max_iterations = 2;
-  try {
-    rascad::markov::solve_steady_state(ill_conditioned_chain(3, 1e8), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-    EXPECT_EQ(e.iterations(), 2u);
-  }
-}
-
-TEST(SteadyStateCauses, PowerNonConvergedWhenBudgetTiny) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kPower;
-  opts.max_iterations = 1;
-  try {
-    rascad::markov::solve_steady_state(repair_chain(), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-  }
-}
-
-TEST(SteadyStateCauses, BiCgStabInvalidInputOnAbsorbingState) {
-  // The absorbing state must not be the last one: the replaced
-  // normalization row would otherwise hide its zero diagonal.
-  CtmcBuilder b;
-  const auto up = b.add_state("up", 1.0);
-  const auto dead = b.add_state("dead", 0.0);
-  const auto spare = b.add_state("spare", 1.0);
-  b.add_transition(up, dead, 1.0);
-  b.add_transition(spare, up, 1.0);
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kBiCgStab;
-  try {
-    rascad::markov::solve_steady_state(b.build(), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
-  }
-}
-
-TEST(SteadyStateCauses, BiCgStabNonConvergedWhenBudgetTiny) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kBiCgStab;
-  opts.max_iterations = 1;
-  try {
-    rascad::markov::solve_steady_state(ill_conditioned_chain(4, 1e8), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-  }
+TEST(Reducible, DtmcWithTwoClosedClassesRefused) {
+  rascad::markov::DtmcBuilder b;
+  for (const char* name : {"a0", "a1", "b0", "b1"}) b.add_state(name);
+  b.add_transition(0, 1, 1.0);
+  b.add_transition(1, 0, 1.0);
+  b.add_transition(2, 3, 0.5);
+  b.add_transition(2, 2, 0.5);
+  b.add_transition(3, 2, 1.0);
+  const rascad::markov::Dtmc dtmc = b.build();
+  expect_invalid_input([&] { stationary_resilient(dtmc); });
+  expect_invalid_input([&] { (void)dtmc.stationary(); });
 }
 
 // ------------------------------------------------------ other wrappers ----

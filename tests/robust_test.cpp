@@ -97,10 +97,10 @@ TEST(CancelToken, ChildObservesParentStopButNotViceVersa) {
 
 TEST(CancelToken, ChildDeadlineExpiresWithoutStoppingParent) {
   const CancelToken request = CancelToken::manual();
-  const CancelToken rung = CancelToken::child_of(request, 5.0);
+  const CancelToken episode = CancelToken::child_of(request, 5.0);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_TRUE(rung.stop_requested());
-  EXPECT_EQ(rung.reason(), StopReason::kDeadlineExceeded);
+  EXPECT_TRUE(episode.stop_requested());
+  EXPECT_EQ(episode.reason(), StopReason::kDeadlineExceeded);
   EXPECT_FALSE(request.stop_requested());
 }
 
@@ -169,17 +169,38 @@ TEST(PointStatusTaxonomy, StringRoundTripAndExceptionFolding) {
   EXPECT_NE(generic.second.find("boom"), std::string::npos);
 }
 
-// ------------------------------------------------------------- ladder ----
+// ------------------------------------------------------------ episode ----
 
-TEST(Ladder, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
-  const Ctmc chain = ill_conditioned_chain(20, 1e4);
-  ResilienceConfig bare;
-  bare.rungs = {Rung::kPower};
-  bare.base.tolerance = 1e-12;
-  bare.base.max_iterations = 10'000'000;
-  const ResilientResult a = solve_steady_state_resilient(chain, bare);
+/// A k x k grid availability chain (moves right/down at rate 1, back at
+/// rate 2): irreducible, and its reverse Cuthill-McKee band is about k
+/// wide, so GTH spends O(k^4) work and passes many checkpoints. k = 100
+/// takes tens of milliseconds.
+Ctmc grid_chain(std::size_t k) {
+  CtmcBuilder b;
+  for (std::size_t i = 0; i < k * k; ++i) {
+    b.add_state("g" + std::to_string(i), (i / k + i % k) % 2 ? 0.0 : 1.0);
+  }
+  for (std::size_t r = 0; r < k; ++r) {
+    for (std::size_t c = 0; c < k; ++c) {
+      const std::size_t at = r * k + c;
+      if (c + 1 < k) {
+        b.add_transition(at, at + 1, 1.0);
+        b.add_transition(at + 1, at, 2.0);
+      }
+      if (r + 1 < k) {
+        b.add_transition(at, at + k, 1.0);
+        b.add_transition(at + k, at, 2.0);
+      }
+    }
+  }
+  return b.build();
+}
 
-  ResilienceConfig armed = bare;
+TEST(Episode, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
+  const Ctmc chain = grid_chain(30);
+  const ResilientResult a = solve_steady_state_resilient(chain);
+
+  ResilienceConfig armed;
   armed.cancel = CancelToken::with_deadline_ms(1e9);  // never fires
   const ResilientResult b = solve_steady_state_resilient(chain, armed);
 
@@ -187,16 +208,12 @@ TEST(Ladder, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
   for (std::size_t i = 0; i < a.result.pi.size(); ++i) {
     EXPECT_EQ(a.result.pi[i], b.result.pi[i]) << "state " << i;
   }
-  EXPECT_EQ(a.result.iterations, b.result.iterations);
   EXPECT_EQ(a.result.residual, b.result.residual);
 }
 
-TEST(Ladder, CancelledMidSolveThrowsCancelled) {
-  const Ctmc chain = ill_conditioned_chain(100, 1e7);
+TEST(Episode, CancelledMidSolveThrowsCancelled) {
+  const Ctmc chain = grid_chain(100);
   ResilienceConfig config;
-  config.rungs = {Rung::kPower};
-  config.base.tolerance = 1e-16;  // unreachable: runs until cancelled
-  config.base.max_iterations = 500'000'000;
   config.cancel = CancelToken::manual();
   std::thread canceller([token = config.cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -210,73 +227,42 @@ TEST(Ladder, CancelledMidSolveThrowsCancelled) {
     canceller.join();
     EXPECT_EQ(e.cause(), SolveCause::kCancelled);
   }
-  // The iteration-loop checkpoint observed the stop promptly.
+  // The elimination checkpoint observed the stop promptly.
   EXPECT_TRUE(config.cancel.observed());
   EXPECT_GE(config.cancel.observed_latency_ms(), 0.0);
   EXPECT_LT(config.cancel.observed_latency_ms(), 250.0);
 }
 
-TEST(Ladder, DeadlineExpiryMidLadderAbortsWithDeadlineCause) {
-  // The episode deadline (not just a rung budget) fires while a stiff
-  // power solve is running: the ladder must abort with kDeadlineExceeded
-  // instead of escalating to the remaining rungs.
-  const Ctmc chain = ill_conditioned_chain(100, 1e7);
+TEST(Episode, DeadlineExpiryMidSolveAbortsWithDeadlineCause) {
   ResilienceConfig config;
-  config.rungs = {Rung::kPower, Rung::kDirect};
-  config.base.tolerance = 1e-16;
-  config.base.max_iterations = 500'000'000;
-  config.deadline_ms = 10.0;
+  config.deadline_ms = 5.0;
   try {
-    (void)solve_steady_state_resilient(chain, config);
+    (void)solve_steady_state_resilient(grid_chain(100), config);
+    FAIL() << "expected SolveError(kDeadlineExceeded)";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
+    EXPECT_NE(std::string(e.what()).find("episode stopped"),
+              std::string::npos);
+  }
+}
+
+TEST(Episode, InjectedTimeoutEndsAtTheDeadline) {
+  ResilienceConfig config;
+  config.fault_plan.fail(FaultKind::kTimeout);
+  config.fault_plan.timeout_cap_ms = 10'000.0;
+  config.deadline_ms = 2.0;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)solve_steady_state_resilient(repair_chain(), config);
     FAIL() << "expected SolveError(kDeadlineExceeded)";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
   }
-}
-
-TEST(Ladder, RungBudgetExpiryEscalatesInsteadOfAborting) {
-  // A per-rung budget blows on the injected-timeout rung; the episode has
-  // plenty of deadline left, so the ladder escalates and succeeds.
-  const Ctmc chain = repair_chain();
-  ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kSor};
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kTimeout);
-  config.rung_deadline_ms = 2.0;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kSor);
-  ASSERT_EQ(r.trace.attempts.size(), 2u);
-  EXPECT_FALSE(r.trace.attempts[0].success);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kDeadlineExceeded);
-}
-
-TEST(Ladder, TransientFaultRetriedOnSameRung) {
-  const Ctmc chain = repair_chain();
-  ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kSor};
-  config.fault_plan.fail_times(Rung::kDirect, FaultKind::kThrowTransient, 2);
-  config.transient_retries = 3;
-  config.retry_backoff_ms = 0.01;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
-  EXPECT_TRUE(r.trace.success);
-  // Two transient failures, then the same rung succeeds — no escalation.
-  EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
-  ASSERT_EQ(r.trace.attempts.size(), 3u);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kTransient);
-  EXPECT_EQ(r.trace.attempts[1].cause, SolveCause::kTransient);
-  EXPECT_TRUE(r.trace.attempts[2].success);
-}
-
-TEST(Ladder, TransientRetriesExhaustedEscalates) {
-  const Ctmc chain = repair_chain();
-  ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kSor};
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowTransient);
-  config.transient_retries = 1;
-  config.retry_backoff_ms = 0.01;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kSor);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_GE(ms, 2.0);
+  EXPECT_LT(ms, 1'000.0);
 }
 
 // ----------------------------------------------------- parallel loops ----
@@ -348,11 +334,10 @@ TEST(DegradedSweep, DeadlineBoundedSweepReturnsCompletedPrefix) {
   rascad::mg::SystemModel::Options model_opts;
   model_opts.cache = &cache;
   model_opts.parallel.threads = 1;
-  ResilienceConfig faulted;
-  faulted.fault_plan.fail(Rung::kDirect, FaultKind::kTimeout);
-  faulted.rung_deadline_ms = 2.0;
-  model_opts.resilience = faulted;
-  // Pre-warm the baseline so each point costs one injected-timeout solve.
+  // Every solve stalls 2 ms (ignoring the token) and then succeeds.
+  model_opts.resilience.fault_plan.fail(FaultKind::kStall);
+  model_opts.resilience.fault_plan.stall_ms = 2.0;
+  // Pre-warm the baseline so each point costs one stalled solve.
   (void)rascad::mg::SystemModel::build(spec, model_opts);
 
   rascad::core::SweepOptions opts;
@@ -406,7 +391,6 @@ TEST(DegradedSweep, UncancelledTokenSweepMatchesTokenFreeSweep) {
   for (std::size_t i = 0; i < bare.size(); ++i) {
     EXPECT_EQ(bare[i].availability, armed[i].availability) << i;
     EXPECT_EQ(bare[i].yearly_downtime_min, armed[i].yearly_downtime_min) << i;
-    EXPECT_EQ(bare[i].solve_iterations, armed[i].solve_iterations) << i;
     EXPECT_TRUE(armed[i].ok()) << i;
   }
 }
@@ -521,7 +505,6 @@ TEST(CsvRoundTrip, SweepStatusColumnsSurviveReadBack) {
   points[0].fresh_blocks = 5;
   points[0].cached_blocks = 1;
   points[0].reused_blocks = 2;
-  points[0].solve_iterations = 37;
   points[1].value = 2.0e5;
   points[1].availability = std::nan("");
   points[1].yearly_downtime_min = std::nan("");
@@ -550,7 +533,6 @@ TEST(CsvRoundTrip, SweepStatusColumnsSurviveReadBack) {
     }
     EXPECT_EQ(back[i].solve_source, points[i].solve_source);
     EXPECT_EQ(back[i].fresh_blocks, points[i].fresh_blocks);
-    EXPECT_EQ(back[i].solve_iterations, points[i].solve_iterations);
     EXPECT_EQ(back[i].status, points[i].status);
     EXPECT_EQ(back[i].status_detail, points[i].status_detail);
   }

@@ -74,9 +74,7 @@ TEST(Extremes, HugeRedundancyDepth) {
   b.repair = Transparency::kTransparent;
   const auto model = rascad::mg::generate(b, globals());
   EXPECT_GT(model.chain.size(), 100u);
-  rascad::markov::SteadyStateOptions opts;
-  opts.method = rascad::markov::SteadyStateMethod::kSor;
-  const auto r = rascad::markov::solve_steady_state(model.chain, opts);
+  const auto r = rascad::markov::solve_steady_state(model.chain);
   EXPECT_NEAR(rascad::linalg::sum(r.pi), 1.0, 1e-9);
 }
 

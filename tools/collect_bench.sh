@@ -11,9 +11,12 @@
 # script still exits nonzero listing the failed gates.
 #
 # With --append, every collected line is ALSO appended to BENCH_history.jsonl
-# wrapped with a UTC timestamp and the current commit:
+# wrapped with a UTC timestamp and the tree it measured:
 #   {"ts":"2026-08-07T12:00:00Z","commit":"abc1234","bench":...,"metrics":...}
-# so trends survive the per-bench snapshot files being overwritten.
+# so trends survive the per-bench snapshot files being overwritten. The
+# stamp is `git describe --always --dirty`: a line collected from a tree
+# with uncommitted changes reads "abc1234-dirty" (abc1234 being the commit
+# those changes sit on), never passing as that commit itself.
 #
 # Usage: tools/collect_bench.sh [--append] [build-dir]   (default: ./build)
 set -euo pipefail
@@ -30,7 +33,7 @@ done
 
 history="$root/BENCH_history.jsonl"
 ts="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-commit="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+commit="$(git -C "$root" describe --always --dirty 2>/dev/null || echo unknown)"
 
 failed=()
 for name in scalability cache robust obs serve sim; do
