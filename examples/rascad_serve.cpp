@@ -61,9 +61,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--deadline") {
       cfg.default_deadline_ms = std::atof(value());
     } else if (arg == "--cache") {
-      const auto n = static_cast<std::size_t>(std::atoll(value()));
-      cfg.cache_block_capacity = n;
-      cfg.cache_curve_capacity = n;
+      cfg.cache_capacity = static_cast<std::size_t>(std::atoll(value()));
     } else if (arg == "--obs-append") {
       cfg.obs_append_path = value();
     } else if (arg == "--run-for") {

@@ -100,11 +100,10 @@ void SolveCache::Table<Value>::clear() {
   }
 }
 
-SolveCache::SolveCache(std::size_t block_capacity, std::size_t curve_capacity)
-    : block_capacity_(std::max<std::size_t>(block_capacity, 1)),
-      curve_capacity_(std::max<std::size_t>(curve_capacity, 1)) {
-  blocks_.set_capacity(std::max<std::size_t>(1, block_capacity_ / kShards));
-  curves_.set_capacity(std::max<std::size_t>(1, curve_capacity_ / kShards));
+SolveCache::SolveCache(std::size_t capacity) {
+  const std::size_t per_shard = std::max<std::size_t>(1, capacity / kShards);
+  blocks_.set_capacity(per_shard);
+  curves_.set_capacity(per_shard);
   blocks_.bind_metrics("cache.block");
   curves_.bind_metrics("cache.curve");
 }

@@ -74,16 +74,16 @@ class SolveCache {
   static constexpr std::size_t kShards = 16;
   static constexpr std::size_t kDefaultCapacity = 4096;
 
-  /// Capacities are totals across shards (floored at one entry per shard).
-  explicit SolveCache(std::size_t block_capacity = kDefaultCapacity,
-                      std::size_t curve_capacity = kDefaultCapacity);
+  /// `capacity` bounds each table (block solves and sampled curves); it is
+  /// a total across shards, floored at one entry per shard.
+  explicit SolveCache(std::size_t capacity = kDefaultCapacity);
 
   /// Block-solve table. find_block marks the entry most-recently-used.
   std::optional<CachedBlockSolve> find_block(const Signature& key);
   void put_block(const Signature& key, const CachedBlockSolve& value);
 
   /// Sampled-curve table (reward / survival curves keyed by chain
-  /// signature + curve kind + horizon + step count).
+  /// signature + curve kind + horizon).
   std::shared_ptr<const linalg::Vector> find_curve(const Signature& key);
   void put_curve(const Signature& key,
                  std::shared_ptr<const linalg::Vector> curve);
@@ -99,9 +99,6 @@ class SolveCache {
 
   /// Drops every entry; counters are reset too.
   void clear();
-
-  std::size_t block_capacity() const noexcept { return block_capacity_; }
-  std::size_t curve_capacity() const noexcept { return curve_capacity_; }
 
   /// Process-global instance used by default SystemModel options.
   static SolveCache& global();
@@ -150,8 +147,6 @@ class SolveCache {
     obs::Counter* evictions_metric_ = nullptr;
   };
 
-  std::size_t block_capacity_;
-  std::size_t curve_capacity_;
   Table<CachedBlockSolve> blocks_;
   Table<std::shared_ptr<const linalg::Vector>> curves_;
 };

@@ -44,59 +44,50 @@ void write_report(std::ostream& os, const mg::SystemModel& system,
   os << "| expected outages per year | "
      << fmt(system.eq_failure_rate() * system.availability() * 8760.0, 3)
      << " |\n";
-  if (opts.include_transient) {
-    const double horizon =
-        opts.horizon_h > 0.0 ? opts.horizon_h : model.globals.mission_time_h;
-    os << "| interval availability (0, " << fmt(horizon, 0) << " h) | "
-       << fmt_availability(system.interval_availability(horizon)) << " |\n";
-    os << "| reliability at " << fmt(horizon, 0) << " h | "
-       << fmt_availability(system.reliability(horizon)) << " |\n";
-  }
+  const double horizon = model.globals.mission_time_h;
+  os << "| interval availability (0, " << fmt(horizon, 0) << " h) | "
+     << fmt_availability(system.interval_availability(horizon)) << " |\n";
+  os << "| reliability at " << fmt(horizon, 0) << " h | "
+     << fmt_availability(system.reliability(horizon)) << " |\n";
   os << "| generated chain states | " << system.total_states() << " |\n";
   os << "| generated chain transitions | " << system.total_transitions()
      << " |\n";
 
-  if (opts.include_globals) {
-    heading(os, "Global parameters");
-    os << "| parameter | value |\n|---|---|\n";
-    os << "| reboot time | " << fmt(model.globals.reboot_time_h * 60.0, 1)
-       << " min |\n";
-    os << "| MTTM (service restriction) | " << fmt(model.globals.mttm_h, 1)
-       << " h |\n";
-    os << "| MTTRFID | " << fmt(model.globals.mttrfid_h, 1) << " h |\n";
-    os << "| mission time | " << fmt(model.globals.mission_time_h, 0)
-       << " h |\n";
+  heading(os, "Global parameters");
+  os << "| parameter | value |\n|---|---|\n";
+  os << "| reboot time | " << fmt(model.globals.reboot_time_h * 60.0, 1)
+     << " min |\n";
+  os << "| MTTM (service restriction) | " << fmt(model.globals.mttm_h, 1)
+     << " h |\n";
+  os << "| MTTRFID | " << fmt(model.globals.mttrfid_h, 1) << " h |\n";
+  os << "| mission time | " << fmt(model.globals.mission_time_h, 0)
+     << " h |\n";
+
+  heading(os, "Generated block models");
+  os << "| diagram | block | N | K | model type | states | availability | "
+        "yearly downtime (min) |\n|---|---|---|---|---|---|---|---|\n";
+  for (const auto& b : system.blocks()) {
+    os << "| " << b.diagram << " | " << b.block.name << " | "
+       << b.block.quantity << " | " << b.block.min_quantity << " | "
+       << mg::to_string(b.type) << " | " << b.chain->size() << " | "
+       << fmt_availability(b.availability) << " | "
+       << fmt(b.yearly_downtime_min) << " |\n";
   }
 
-  if (opts.include_block_table) {
-    heading(os, "Generated block models");
-    os << "| diagram | block | N | K | model type | states | availability | "
-          "yearly downtime (min) |\n|---|---|---|---|---|---|---|---|\n";
-    for (const auto& b : system.blocks()) {
-      os << "| " << b.diagram << " | " << b.block.name << " | "
-         << b.block.quantity << " | " << b.block.min_quantity << " | "
-         << mg::to_string(b.type) << " | " << b.chain->size() << " | "
-         << fmt_availability(b.availability) << " | "
-         << fmt(b.yearly_downtime_min) << " |\n";
+  heading(os, "Solver resilience");
+  os << "| diagram | block | rung | attempts | residual check | episode "
+        "|\n|---|---|---|---|---|---|\n";
+  for (const auto& b : system.blocks()) {
+    const resilience::SolveTrace& t = b.solve_trace;
+    std::ostringstream residual;
+    if (t.ran) {
+      residual << std::scientific << std::setprecision(2)
+               << t.residual_check;
     }
-  }
-
-  if (opts.include_solver_trace) {
-    heading(os, "Solver resilience");
-    os << "| diagram | block | rung | attempts | residual check | episode "
-          "|\n|---|---|---|---|---|---|\n";
-    for (const auto& b : system.blocks()) {
-      const resilience::SolveTrace& t = b.solve_trace;
-      std::ostringstream residual;
-      if (t.ran) {
-        residual << std::scientific << std::setprecision(2)
-                 << t.residual_check;
-      }
-      os << "| " << b.diagram << " | " << b.block.name << " | "
-         << (t.success ? "direct" : "(failed)") << " | "
-         << (t.ran ? 1 : 0) << " | " << residual.str() << " | "
-         << t.summary() << " |\n";
-    }
+    os << "| " << b.diagram << " | " << b.block.name << " | "
+       << (t.success ? "direct" : "(failed)") << " | "
+       << (t.ran ? 1 : 0) << " | " << residual.str() << " | "
+       << t.summary() << " |\n";
   }
 
   if (opts.include_chain_dumps) {

@@ -10,17 +10,12 @@
 
 namespace rascad::core {
 
+/// The report always carries the system measures (interval availability
+/// and reliability at the model's mission time), the global parameters,
+/// the block table, the per-block solver resilience section and the
+/// diagram structure.
 struct ReportOptions {
-  bool include_globals = true;
-  bool include_block_table = true;
   bool include_chain_dumps = false;  // full state/transition listings
-  bool include_transient = true;     // interval availability / reliability
-  /// Per-block solver resilience section: each block's solve episode, its
-  /// residual check and its outcome.
-  bool include_solver_trace = true;
-  /// Horizon for the interval/reliability section; 0 uses the model's
-  /// mission time.
-  double horizon_h = 0.0;
 };
 
 void write_report(std::ostream& os, const mg::SystemModel& system,

@@ -58,16 +58,15 @@ double Workspace::availability(const std::string& name) const {
   const auto cached = availability_cache_.find(name);
   if (cached != availability_cache_.end()) return cached->second;
   const ModelEntry& e = entry(name);
-  const resilience::ResilienceConfig& config = resilience_config;
   double a = 1.0;
   if (const auto* m = std::get_if<MarkovEntry>(&e)) {
     resilience::ResilientResult solved =
-        resilience::solve_steady_state_resilient(m->chain, config);
+        resilience::solve_steady_state_resilient(m->chain);
     a = markov::expected_reward(m->chain, solved.result.pi);
     trace_cache_[name] = std::move(solved.trace);
   } else if (const auto* s = std::get_if<SemiMarkovEntry>(&e)) {
     resilience::ResilientResult solved =
-        resilience::smp_steady_state_resilient(s->process, config);
+        resilience::smp_steady_state_resilient(s->process);
     a = 0.0;
     for (std::size_t i = 0; i < solved.result.pi.size(); ++i) {
       a += solved.result.pi[i] * s->process.reward(i);
@@ -98,7 +97,7 @@ double Workspace::mttf_h(const std::string& name) const {
         "Workspace::mttf_h: '" + name + "' is not a Markov model");
   }
   if (m->chain.down_states().empty()) return 0.0;
-  return resilience::mttf_resilient(m->chain, m->initial, resilience_config);
+  return resilience::mttf_resilient(m->chain, m->initial);
 }
 
 rbd::RbdNodePtr Workspace::ref_leaf(const std::string& referenced_model) const {

@@ -79,9 +79,6 @@ class Workspace {
   /// another model in this workspace — the hierarchical-composition hook.
   rbd::RbdNodePtr ref_leaf(const std::string& referenced_model) const;
 
-  /// Budgets, health checks and faults of the on-demand solves.
-  resilience::ResilienceConfig resilience_config;
-
  private:
   std::map<std::string, ModelEntry> models_;
   mutable std::map<std::string, double> availability_cache_;

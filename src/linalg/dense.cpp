@@ -11,12 +11,6 @@ double dot(const Vector& a, const Vector& b) {
   return std::inner_product(a.begin(), a.end(), b.begin(), 0.0);
 }
 
-double norm1(const Vector& v) noexcept {
-  double s = 0.0;
-  for (double x : v) s += std::abs(x);
-  return s;
-}
-
 double norm2(const Vector& v) noexcept {
   double s = 0.0;
   for (double x : v) s += x * x;

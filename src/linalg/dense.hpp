@@ -14,7 +14,6 @@ namespace rascad::linalg {
 using Vector = std::vector<double>;
 
 double dot(const Vector& a, const Vector& b);
-double norm1(const Vector& v) noexcept;
 double norm2(const Vector& v) noexcept;
 double norm_inf(const Vector& v) noexcept;
 double sum(const Vector& v) noexcept;

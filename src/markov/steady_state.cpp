@@ -16,6 +16,10 @@ using resilience::SolveError;
 
 namespace {
 
+/// States the GTH ordering and elimination handle between two
+/// cancellation checkpoints.
+constexpr std::size_t kCancelCheckInterval = 64;
+
 /// Residual ||pi Q||_inf, a direct measure of stationarity.
 double stationarity_residual(const Ctmc& chain, const linalg::Vector& pi) {
   const linalg::Vector r = chain.generator().mul_transpose(pi);
@@ -23,25 +27,23 @@ double stationarity_residual(const Ctmc& chain, const linalg::Vector& pi) {
 }
 
 /// Cooperative checkpoint of the ordering and elimination loops, every
-/// cancel_check_interval states. Throw-only: uncancelled runs stay bitwise
+/// kCancelCheckInterval states. Throw-only: uncancelled runs stay bitwise
 /// identical.
-inline void checkpoint(const SteadyStateOptions& opts, std::size_t it,
+inline void checkpoint(const robust::CancelToken& cancel, std::size_t it,
                        const char* who) {
-  if (!opts.cancel.valid()) return;
-  const std::size_t interval =
-      opts.cancel_check_interval > 0 ? opts.cancel_check_interval : 1;
-  if (it != 1 && it % interval != 0) return;
-  robust::throw_if_stopped(opts.cancel, who, it - 1);
+  if (!cancel.valid()) return;
+  if (it != 1 && it % kCancelCheckInterval != 0) return;
+  robust::throw_if_stopped(cancel, who, it - 1);
 }
 
 /// Reverse Cuthill-McKee order of the symmetrized pattern of `w`:
 /// order[k] is the state placed at position k. Each connected component is
 /// swept breadth-first, neighbours by increasing degree, from the far end
 /// of a first sweep, so a level-structured chain comes out with a
-/// bandwidth of about one level's width. Polls opts.cancel like the
-/// elimination, once per cancel_check_interval visited states.
+/// bandwidth of about one level's width. Polls `cancel` like the
+/// elimination, once per kCancelCheckInterval visited states.
 std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w,
-                                     const SteadyStateOptions& opts,
+                                     const robust::CancelToken& cancel,
                                      const char* who) {
   const std::size_t n = w.rows();
   const linalg::CsrMatrix wt = w.transposed();
@@ -57,7 +59,7 @@ std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w,
     out.push_back(root);
     mark[root] = ++epoch;
     for (std::size_t h = begin; h < out.size(); ++h) {
-      checkpoint(opts, ++visited, who);
+      checkpoint(cancel, ++visited, who);
       const std::size_t first = out.size();
       for (const linalg::CsrMatrix* m : {&w, &wt}) {
         const auto row = m->row(out[h]);
@@ -95,7 +97,7 @@ std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w,
 /// element (no hash), so a reused order is exactly the order rcm_order
 /// would return. The memo holds one pattern: O(n + nnz) indices a thread.
 std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w,
-                                          const SteadyStateOptions& opts,
+                                          const robust::CancelToken& cancel,
                                           const char* who) {
   struct Memo {
     std::size_t cols = 0;
@@ -109,7 +111,7 @@ std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w,
     // Invalidate first: a throw below must not pair an old pattern with
     // a new order or the other way round.
     memo.order.clear();
-    std::vector<std::uint32_t> order = rcm_order(w, opts, who);
+    std::vector<std::uint32_t> order = rcm_order(w, cancel, who);
     memo.cols = w.cols();
     memo.row_ptr = w.row_ptr();
     memo.col_idx = w.col_idx();
@@ -130,13 +132,13 @@ struct Band {
 };
 
 Band band_of(const linalg::CsrMatrix& weights,
-             const SteadyStateOptions& opts, const char* who) {
+             const robust::CancelToken& cancel, const char* who) {
   const std::size_t n = weights.rows();
   if (n == 0) {
     throw SolveError(SolveCause::kInvalidInput, who, "empty chain");
   }
   Band band;
-  band.order = memo_rcm_order(weights, opts, who);
+  band.order = memo_rcm_order(weights, cancel, who);
   std::vector<std::uint32_t> pos(n);
   for (std::size_t k = 0; k < n; ++k) {
     pos[band.order[k]] = static_cast<std::uint32_t>(k);
@@ -184,13 +186,13 @@ Band band_of(const linalg::CsrMatrix& weights,
 std::vector<double> gth_eliminate(Band& band, std::size_t last,
                                   std::vector<double>& exits,
                                   std::vector<double>& costs,
-                                  const SteadyStateOptions& opts,
+                                  const robust::CancelToken& cancel,
                                   const char* who, const char* stuck) {
   const std::size_t n = band.order.size();
   const std::size_t b = band.b;
   std::vector<double> out(n, 0.0);
   for (std::size_t m = n; m-- > last;) {
-    checkpoint(opts, n - m, who);
+    checkpoint(cancel, n - m, who);
     const std::size_t lo = m > b ? m - b : 0;
     double total = exits.empty() ? 0.0 : exits[m];
     for (std::size_t j = lo; j < m; ++j) total += band.at(m, j);
@@ -218,25 +220,25 @@ std::vector<double> gth_eliminate(Band& band, std::size_t last,
 }  // namespace
 
 SteadyStateResult solve_steady_state(const Ctmc& chain,
-                                     const SteadyStateOptions& opts) {
+                                     const robust::CancelToken& cancel) {
   SteadyStateResult r;
-  r.pi = gth_stationary(chain.generator(), opts);
+  r.pi = gth_stationary(chain.generator(), cancel);
   r.residual = stationarity_residual(chain, r.pi);
   return r;
 }
 
 linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
-                              const SteadyStateOptions& opts,
+                              const robust::CancelToken& cancel,
                               std::size_t* bandwidth) {
   static constexpr const char* kWho = "solve_steady_state(direct)";
   const std::size_t n = weights.rows();
-  Band band = band_of(weights, opts, kWho);
+  Band band = band_of(weights, cancel, kWho);
   if (bandwidth) *bandwidth = band.b;
   if (n == 1) return {1.0};
   // Completing the elimination proves that every state reaches the one at
   // position 0: each eliminated state had outflow to the survivors.
   std::vector<double> none;
-  (void)gth_eliminate(band, 1, none, none, opts, kWho,
+  (void)gth_eliminate(band, 1, none, none, cancel, kWho,
                       " has no outflow to surviving states (reducible chain)");
 
   // Back-substitution from an unnormalized mass(0) = 1. The true masses
@@ -290,7 +292,7 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
 linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
                                     const linalg::Vector& exits,
                                     const linalg::Vector& costs,
-                                    const SteadyStateOptions& opts,
+                                    const robust::CancelToken& cancel,
                                     std::size_t* bandwidth) {
   static constexpr const char* kWho = "gth_absorption_times";
   const std::size_t n = weights.rows();
@@ -298,7 +300,7 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
     throw SolveError(SolveCause::kInvalidInput, kWho,
                      "exit and cost vectors must match the weights");
   }
-  Band band = band_of(weights, opts, kWho);
+  Band band = band_of(weights, cancel, kWho);
   if (bandwidth) *bandwidth = band.b;
   std::vector<double> e(n);
   std::vector<double> c(n);
@@ -307,7 +309,7 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
     c[k] = costs[band.order[k]];
   }
   const std::vector<double> out =
-      gth_eliminate(band, 0, e, c, opts, kWho, " cannot reach absorption");
+      gth_eliminate(band, 0, e, c, cancel, kWho, " cannot reach absorption");
   // Position 0 was eliminated last, against its exit alone; each later
   // position reads the times already known below it.
   std::vector<double> tau_pos(n);

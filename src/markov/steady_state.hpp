@@ -18,15 +18,6 @@
 
 namespace rascad::markov {
 
-struct SteadyStateOptions {
-  /// Cooperative stop, polled every cancel_check_interval states the RCM
-  /// ordering visits or the elimination removes. A stopped token raises SolveError(kCancelled /
-  /// kDeadlineExceeded); an uncancelled run is bitwise identical to one
-  /// without a token.
-  robust::CancelToken cancel;
-  std::size_t cancel_check_interval = 64;
-};
-
 struct SteadyStateResult {
   linalg::Vector pi;
   double residual = 0.0;  // infinity norm of pi Q
@@ -38,12 +29,12 @@ struct SteadyStateResult {
 ///   kInvalidInput    reducible chain: an absorbing state, two closed
 ///                    classes, or a state no other state can reach
 ///   kBudgetExceeded  banded workspace does not fit in memory
-///   kCancelled / kDeadlineExceeded   opts.cancel stopped
+///   kCancelled / kDeadlineExceeded   `cancel` stopped
 ///
 /// resilience::solve_steady_state_resilient adds the budgets and the
 /// independent health check on top.
 SteadyStateResult solve_steady_state(const Ctmc& chain,
-                                     const SteadyStateOptions& opts = {});
+                                     const robust::CancelToken& cancel = {});
 
 /// The one exact stationary solver (solve_steady_state, Dtmc::stationary
 /// and the resilient episodes): Grassmann-Taksar-Heyman elimination on the non-negative
@@ -51,14 +42,16 @@ SteadyStateResult solve_steady_state(const Ctmc& chain,
 /// never subtracts, so every mass is accurate componentwise however many
 /// decades the masses span. States go in reverse Cuthill-McKee order and
 /// the weights in a band of half-width b: O(n b^2) time, O(n b) memory.
-/// Polls opts.cancel every cancel_check_interval ordered and eliminated
-/// states; errors
-/// as for solve_steady_state above. A chain is irreducible exactly when the
+/// Polls `cancel` every 64 states the RCM ordering visits or the
+/// elimination removes; a stopped token raises
+/// SolveError(kCancelled / kDeadlineExceeded), an uncancelled run is
+/// bitwise identical to one without a token. Other errors as for
+/// solve_steady_state above. A chain is irreducible exactly when the
 /// elimination never runs out of outflow and every back-substituted mass is
 /// positive, so the reducibility check costs nothing extra. `bandwidth`, if
 /// given, receives b.
 linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
-                              const SteadyStateOptions& opts = {},
+                              const robust::CancelToken& cancel = {},
                               std::size_t* bandwidth = nullptr);
 
 /// The one exact absorbing solver (mttf_resilient,
@@ -80,7 +73,7 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
 linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
                                     const linalg::Vector& exits,
                                     const linalg::Vector& costs,
-                                    const SteadyStateOptions& opts = {},
+                                    const robust::CancelToken& cancel = {},
                                     std::size_t* bandwidth = nullptr);
 
 /// Expected steady-state reward rate: sum_i pi_i * reward_i. For a 0/1

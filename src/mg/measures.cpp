@@ -8,19 +8,24 @@
 
 namespace rascad::mg {
 
+namespace {
+
+/// Time increment of the hazard-rate estimate at the mission time (hours).
+constexpr double kHazardDtH = 1.0;
+
+}  // namespace
+
 double yearly_downtime_minutes(double availability) {
   // 365 days * 24 h * 60 min.
   return (1.0 - availability) * 525'600.0;
 }
 
 BlockMeasures compute_measures(const GeneratedModel& model,
-                               const spec::GlobalParams& globals,
-                               const MeasureOptions& opts) {
+                               const spec::GlobalParams& globals) {
   BlockMeasures m;
   const markov::Ctmc& chain = model.chain;
-  const resilience::ResilienceConfig& config = opts.resilience;
   resilience::ResilientResult solved =
-      resilience::solve_steady_state_resilient(chain, config);
+      resilience::solve_steady_state_resilient(chain);
   m.solve_trace = std::move(solved.trace);
   const markov::SteadyStateResult& steady = solved.result;
   m.availability = markov::expected_reward(chain, steady.pi);
@@ -33,22 +38,19 @@ BlockMeasures compute_measures(const GeneratedModel& model,
   const double mission = globals.mission_time_h;
   const linalg::Vector pi0 = markov::point_mass(chain, model.initial);
 
-  markov::TransientOptions transient;
-  transient.cancel = config.cancel;
-  if (opts.include_transient && can_fail && mission > 0.0) {
+  if (can_fail && mission > 0.0) {
     const markov::IntervalMeasures interval =
-        markov::interval_measures(chain, pi0, mission, transient);
+        markov::interval_measures(chain, pi0, mission);
     m.interval_availability = interval.availability;
     m.interval_eq_failure_rate = interval.failure_rate;
     m.interval_eq_recovery_rate = interval.recovery_rate;
   }
 
-  if (opts.include_reliability && can_fail) {
+  if (can_fail) {
     const markov::Ctmc rel = markov::make_down_states_absorbing(chain);
-    m.mttf_h = resilience::mttf_resilient(chain, model.initial, config);
+    m.mttf_h = resilience::mttf_resilient(chain, model.initial);
     if (mission > 0.0) {
-      m.reliability_at_mission =
-          markov::reliability_at(rel, pi0, mission, transient);
+      m.reliability_at_mission = markov::reliability_at(rel, pi0, mission);
       if (m.reliability_at_mission > 0.0) {
         m.interval_failure_rate =
             -std::log(m.reliability_at_mission) / mission;
@@ -56,8 +58,8 @@ BlockMeasures compute_measures(const GeneratedModel& model,
         m.interval_failure_rate =
             m.mttf_h > 0.0 ? 1.0 / m.mttf_h : 0.0;
       }
-      m.hazard_rate_at_mission = markov::hazard_rate(
-          rel, pi0, mission, opts.hazard_dt_h, transient);
+      m.hazard_rate_at_mission =
+          markov::hazard_rate(rel, pi0, mission, kHazardDtH);
     }
   }
   return m;

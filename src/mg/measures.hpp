@@ -13,15 +13,6 @@ namespace rascad::mg {
 /// Minutes of downtime per year implied by an availability.
 double yearly_downtime_minutes(double availability);
 
-struct MeasureOptions {
-  bool include_transient = true;  // interval availability at mission time
-  bool include_reliability = true;  // MTTF, R(T), hazard
-  double hazard_dt_h = 1.0;         // increment for the hazard estimate
-  /// Budgets, health checks and faults of the steady-state and MTTF
-  /// solves.
-  resilience::ResilienceConfig resilience;
-};
-
 struct BlockMeasures {
   double availability = 1.0;
   double yearly_downtime_min = 0.0;
@@ -45,11 +36,10 @@ struct BlockMeasures {
   resilience::SolveTrace solve_trace;
 };
 
-/// Solves the chain in one checked episode and assembles the measure set.
-/// Throws resilience::SolveError when the solve fails (reducible chain or
-/// exhausted budget).
+/// Solves the chain in one checked episode (default ResilienceConfig) and
+/// assembles the measure set. Throws resilience::SolveError when the solve
+/// fails (reducible chain or exhausted budget).
 BlockMeasures compute_measures(const GeneratedModel& model,
-                               const spec::GlobalParams& globals,
-                               const MeasureOptions& opts = {});
+                               const spec::GlobalParams& globals);
 
 }  // namespace rascad::mg

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -32,10 +31,6 @@ rbd::TimeFunction interpolate(std::shared_ptr<const linalg::Vector> curve,
     const double frac = pos - static_cast<double>(lo);
     return c[lo] * (1.0 - frac) + c[lo + 1] * frac;
   };
-}
-
-std::string block_key(const std::string& diagram, const std::string& block) {
-  return diagram + "\x1f" + block;
 }
 
 /// Recursive tree construction shared by the steady-state build and the
@@ -106,17 +101,27 @@ void collect_chain_blocks(
   }
 }
 
-/// Composes the serial RBD from the solved block table in visit order.
-rbd::RbdNodePtr compose_tree(const spec::ModelSpec& spec,
-                             const std::vector<SystemModel::BlockEntry>& blocks) {
+/// Composes the serial RBD with `leaf(i, block)` as the leaf of the i-th
+/// chain-bearing block in visit order, the order of the solved block
+/// table. Validation guarantees a tree, so every block is visited once.
+template <typename LeafFn>
+rbd::RbdNodePtr compose_leaves(const spec::ModelSpec& spec, LeafFn&& leaf) {
   std::size_t cursor = 0;
   TreeBuilder builder(
-      spec, [&blocks, &cursor](const spec::DiagramSpec&,
-                               const spec::BlockSpec& block) -> rbd::RbdNodePtr {
-        const SystemModel::BlockEntry& entry = blocks.at(cursor++);
-        return rbd::RbdNode::leaf(block.name, entry.availability);
+      spec, [&](const spec::DiagramSpec&,
+                const spec::BlockSpec& block) -> rbd::RbdNodePtr {
+        return leaf(cursor++, block);
       });
   return builder.build(spec.root());
+}
+
+/// The steady-state RBD of a solved block table.
+rbd::RbdNodePtr compose_tree(
+    const spec::ModelSpec& spec,
+    const std::vector<SystemModel::BlockEntry>& blocks) {
+  return compose_leaves(spec, [&](std::size_t i, const spec::BlockSpec& b) {
+    return rbd::RbdNode::leaf(b.name, blocks.at(i).availability);
+  });
 }
 
 resilience::ResilienceConfig resolve_config(const SystemModel::Options& opts) {
@@ -136,27 +141,25 @@ constexpr std::uint64_t kCurveAvailability = 1;
 constexpr std::uint64_t kCurveReliability = 2;
 
 cache::Signature curve_key(const cache::Signature& block_sig,
-                           std::uint64_t kind, double horizon,
-                           std::size_t steps) {
+                           std::uint64_t kind, double horizon) {
   cache::Signature key = block_sig;
   key.append_word(kind);
   key.append_double(horizon);
-  key.append_word(steps);
   return key;
 }
 
 /// Memoized sampling of one block curve: consult `cache` (may be null),
 /// otherwise run `sample(stop_step)` and insert the result. The span
 /// detail of a sampled curve names the grid step where it became
-/// stationary (`stop=<steps>` when it never did).
+/// stationary (`stop=<kCurveSteps>` when it never did).
 template <typename SampleFn>
 std::shared_ptr<const linalg::Vector> sample_curve_cached(
     const SystemModel::BlockEntry& block, std::uint64_t kind, double horizon,
-    std::size_t steps, cache::SolveCache* cache, SampleFn&& sample) {
+    cache::SolveCache* cache, SampleFn&& sample) {
   obs::Span span("curve.sample");
   cache::Signature key;
   if (cache) {
-    key = curve_key(block.signature, kind, horizon, steps);
+    key = curve_key(block.signature, kind, horizon);
     if (std::shared_ptr<const linalg::Vector> hit = cache->find_curve(key)) {
       if (span.active()) {
         span.set_detail(block.diagram + "/" + block.block.name + " hit");
@@ -164,7 +167,7 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
       return hit;
     }
   }
-  std::size_t stop_step = steps;
+  std::size_t stop_step = SystemModel::kCurveSteps;
   auto curve = std::make_shared<const linalg::Vector>(sample(stop_step));
   if (span.active()) {
     span.set_detail(block.diagram + "/" + block.block.name +
@@ -178,13 +181,10 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
 
 cache::Signature solver_signature(const resilience::ResilienceConfig& config) {
   cache::Signature s;
-  // The cancel token and the stall budget are deliberately NOT keyed: they
-  // never change the accepted numbers, only when (or whether) the episode
+  // The cancel token (and any deadline it carries) is deliberately NOT
+  // keyed: it never changes the accepted numbers, only whether the episode
   // is allowed to finish.
   s.append_word(config.max_states);
-  s.append_double(config.deadline_ms);
-  s.append_double(config.health.clamp_tolerance);
-  s.append_double(config.health.residual_bound);
   // Injected faults change results by design; keying on the plan keeps
   // fault-injection runs from contaminating (or consuming) healthy entries.
   if (config.fault_plan.active()) {
@@ -448,36 +448,21 @@ double SystemModel::interval_availability(double horizon) const {
       [&](std::size_t i) {
         const auto& b = blocks_[i];
         sampled[i] = sample_curve_cached(
-            b, kCurveAvailability, horizon, opts_.curve_steps, opts_.cache,
+            b, kCurveAvailability, horizon, opts_.cache,
             [&](std::size_t& stop_step) {
               const linalg::Vector pi0 =
                   markov::point_mass(*b.chain, b.initial);
               return markov::reward_curve(*b.chain, pi0, horizon,
-                                          opts_.curve_steps, transient,
-                                          &stop_step);
+                                          kCurveSteps, transient, &stop_step);
             });
       },
       opts_.parallel);
-  std::unordered_map<std::string, std::shared_ptr<const linalg::Vector>>
-      curves;
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    curves.emplace(block_key(blocks_[i].diagram, blocks_[i].block.name),
-                   sampled[i]);
-  }
-  TreeBuilder builder(
-      spec_, [&](const spec::DiagramSpec& diagram,
-                 const spec::BlockSpec& block) -> rbd::RbdNodePtr {
-        const auto it = curves.find(block_key(diagram.name, block.name));
-        if (it == curves.end()) {
-          throw std::logic_error("SystemModel: missing curve for block '" +
-                                 block.name + "'");
-        }
-        const double steady = (*it->second).back();
-        return rbd::RbdNode::leaf(block.name, steady,
-                                  interpolate(it->second, horizon));
+  const rbd::RbdNodePtr tree = compose_leaves(
+      spec_, [&](std::size_t i, const spec::BlockSpec& block) {
+        return rbd::RbdNode::leaf(block.name, sampled.at(i)->back(),
+                                  interpolate(sampled.at(i), horizon));
       });
-  const rbd::RbdNodePtr tree = builder.build(spec_.root());
-  return tree->interval_availability(horizon, opts_.curve_steps);
+  return tree->interval_availability(horizon, kCurveSteps);
 }
 
 namespace {
@@ -485,8 +470,8 @@ namespace {
 rbd::RbdNodePtr reliability_tree(
     const spec::ModelSpec& model,
     const std::vector<SystemModel::BlockEntry>& blocks, double horizon,
-    std::size_t steps, const exec::ParallelOptions& par,
-    cache::SolveCache* cache) {
+    const exec::ParallelOptions& par, cache::SolveCache* cache) {
+  constexpr std::size_t steps = SystemModel::kCurveSteps;
   std::vector<std::shared_ptr<const linalg::Vector>> sampled(blocks.size());
   markov::TransientOptions transient;
   transient.cancel = par.cancel;
@@ -495,7 +480,7 @@ rbd::RbdNodePtr reliability_tree(
       [&](std::size_t i) {
         const auto& b = blocks[i];
         sampled[i] = sample_curve_cached(
-            b, kCurveReliability, horizon, steps, cache,
+            b, kCurveReliability, horizon, cache,
             [&](std::size_t& stop_step) {
               const markov::Ctmc rel =
                   markov::make_down_states_absorbing(*b.chain);
@@ -512,23 +497,10 @@ rbd::RbdNodePtr reliability_tree(
             });
       },
       par);
-  std::unordered_map<std::string, std::shared_ptr<const linalg::Vector>>
-      curves;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    curves.emplace(block_key(blocks[i].diagram, blocks[i].block.name),
-                   sampled[i]);
-  }
-  TreeBuilder builder(
-      model, [&](const spec::DiagramSpec& diagram,
-                 const spec::BlockSpec& block) -> rbd::RbdNodePtr {
-        const auto it = curves.find(block_key(diagram.name, block.name));
-        if (it == curves.end()) {
-          throw std::logic_error("SystemModel: missing reliability curve");
-        }
-        return rbd::RbdNode::leaf(block.name, 1.0, nullptr,
-                                  interpolate(it->second, horizon));
-      });
-  return builder.build(model.root());
+  return compose_leaves(model, [&](std::size_t i, const spec::BlockSpec& b) {
+    return rbd::RbdNode::leaf(b.name, 1.0, nullptr,
+                              interpolate(sampled.at(i), horizon));
+  });
 }
 
 }  // namespace
@@ -539,8 +511,8 @@ double SystemModel::reliability(double horizon) const {
     throw std::invalid_argument(
         "SystemModel::reliability: horizon must be positive");
   }
-  return reliability_tree(spec_, blocks_, horizon, opts_.curve_steps,
-                          opts_.parallel, opts_.cache)
+  return reliability_tree(spec_, blocks_, horizon, opts_.parallel,
+                          opts_.cache)
       ->reliability(horizon);
 }
 
@@ -559,22 +531,15 @@ double SystemModel::availability_with_override(const std::string& diagram,
     throw std::invalid_argument("availability_with_override: no block '" +
                                 block + "' in diagram '" + diagram + "'");
   }
-  TreeBuilder builder(
-      spec_, [&](const spec::DiagramSpec& d,
-                 const spec::BlockSpec& blk) -> rbd::RbdNodePtr {
-        if (d.name == diagram && blk.name == block) {
-          return rbd::RbdNode::leaf(blk.name, value);
-        }
-        for (const auto& entry : blocks_) {
-          if (entry.diagram == d.name && entry.block.name == blk.name) {
-            return rbd::RbdNode::leaf(blk.name, entry.availability);
-          }
-        }
-        throw std::logic_error(
-            "availability_with_override: missing solved block '" + blk.name +
-            "'");
-      });
-  return builder.build(spec_.root())->availability();
+  return compose_leaves(spec_,
+                        [&](std::size_t i, const spec::BlockSpec& blk) {
+                          const BlockEntry& entry = blocks_.at(i);
+                          const bool target = entry.diagram == diagram &&
+                                              entry.block.name == block;
+                          return rbd::RbdNode::leaf(
+                              blk.name, target ? value : entry.availability);
+                        })
+      ->availability();
 }
 
 std::size_t SystemModel::total_states() const {

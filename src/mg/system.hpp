@@ -27,12 +27,13 @@ namespace rascad::mg {
 /// A fully generated and solved system model.
 class SystemModel {
  public:
+  /// Grid resolution for transient composition (interval availability,
+  /// reliability): per-block reward curves are sampled on this many
+  /// segments over the queried horizon, then composed through the RBD.
+  static constexpr std::size_t kCurveSteps = 256;
+
   struct Options {
-    /// Grid resolution for transient composition (interval availability,
-    /// reliability): per-block reward curves are sampled on this many
-    /// segments over the queried horizon, then composed through the RBD.
-    std::size_t curve_steps = 256;
-    /// Budgets, health checks and faults of the per-block steady-state
+    /// State budget, stop token and faults of the per-block steady-state
     /// solves.
     resilience::ResilienceConfig resilience;
     /// Thread-count / chunking control for the per-block solves and curve
@@ -139,9 +140,10 @@ class SystemModel {
   cache::Signature solver_sig_;
 };
 
-/// Signature words of a resilience configuration. Appended to a chain
-/// signature to form the block-solve memo key, because the solved numbers
-/// depend bit-exactly on the solver settings.
+/// Signature words of a resilience configuration: the state budget and
+/// the fault plan, the only settings that can change a block solve's
+/// outcome. Appended to a chain signature to form the block-solve memo
+/// key.
 cache::Signature solver_signature(const resilience::ResilienceConfig& config);
 
 /// Generates and solves one block in one checked episode,

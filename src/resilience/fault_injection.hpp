@@ -36,7 +36,8 @@ enum class FaultKind {
                        // kDeadlineExceeded: a solve that blows its budget
   kStall,              // sleep stall_ms while *ignoring* the token, then
                        // return the result intact: a solve that never
-                       // reaches a checkpoint; watchdog fodder
+                       // reaches a checkpoint (a serve request's stall
+                       // watchdog guard flags it)
 };
 
 /// Fault schedule: one kind plus an optional consumable budget.

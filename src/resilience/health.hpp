@@ -18,17 +18,16 @@
 
 namespace rascad::resilience {
 
-struct HealthCheckConfig {
-  /// Largest total negative probability mass clamped to zero without
-  /// failing the check. Mass beyond this indicates a wrong answer, not
-  /// round-off.
-  double clamp_tolerance = 1e-9;
-  /// The independent residual re-check accepts
-  /// ||pi Q||_inf <= residual_bound * max(1, max exit rate);
-  /// the rate scaling keeps the bound meaningful for stiff chains whose
-  /// generator entries span many orders of magnitude.
-  double residual_bound = 1e-9;
-};
+/// Largest total negative probability mass clamped to zero without
+/// failing the check. Mass beyond this indicates a wrong answer, not
+/// round-off.
+inline constexpr double kClampTolerance = 1e-9;
+/// The independent residual re-check accepts
+/// ||pi Q||_inf <= kResidualBound * max(1, max exit rate);
+/// the rate scaling keeps the bound meaningful for stiff chains whose
+/// generator entries span many orders of magnitude. Absorption times and
+/// DTMC fixed points are held to kResidualBound unscaled.
+inline constexpr double kResidualBound = 1e-9;
 
 /// Outcome of verifying one candidate vector.
 struct HealthReport {
@@ -38,7 +37,6 @@ struct HealthReport {
   double clamped_mass = 0.0;   // negative mass clamped (absolute value)
   double residual_inf = 0.0;   // independently recomputed ||pi Q||_inf
                                // (backward error for absorption times)
-  double residual_l1 = 0.0;    // independently recomputed ||pi Q||_1
 };
 
 /// True iff every entry is finite.
@@ -48,26 +46,23 @@ bool all_finite(const linalg::Vector& v) noexcept;
 /// clamp-and-account of negative entries, renormalization in place. Used
 /// by the DTMC/SMP/transient paths whose residual metric differs from
 /// ||pi Q||.
-HealthReport check_distribution(linalg::Vector& pi,
-                                const HealthCheckConfig& config);
+HealthReport check_distribution(linalg::Vector& pi);
 
 /// Verifies (and repairs, where legitimate) a candidate stationary vector:
 /// NaN/Inf scan, clamp-and-account of negative entries, renormalization,
-/// then a residual re-check of ||pi Q|| in two norms. `pi` is modified in
+/// then a residual re-check of ||pi Q||_inf. `pi` is modified in
 /// place (clamping + renormalization) only when the checks pass far enough
 /// to make that meaningful.
-HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
-                              const HealthCheckConfig& config);
+HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi);
 
 /// Verifies candidate mean times to absorption `tau` against the
 /// fundamental system a tau = 1, where a = -Q_TT is the generator
 /// restricted to the transient states: NaN/Inf and negative-value scans,
 /// then the componentwise backward error
-///   max_i |a tau - 1|_i / (|a| |tau| + 1)_i <= residual_bound.
+///   max_i |a tau - 1|_i / (|a| |tau| + 1)_i <= kResidualBound.
 /// Round-off in a tau grows with |a| |tau|, so an absolute bound on
 /// ||a tau - 1|| would reject exact answers once tau reaches ~1e9.
 HealthReport check_absorption_times(const linalg::CsrMatrix& a,
-                                    const linalg::Vector& tau,
-                                    const HealthCheckConfig& config);
+                                    const linalg::Vector& tau);
 
 }  // namespace rascad::resilience

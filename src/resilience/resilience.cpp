@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "robust/robust.hpp"
-#include "robust/watchdog.hpp"
 
 namespace rascad::resilience {
 
@@ -21,12 +20,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-/// Stationarity residual ||pi Q||_inf (the solver-independent metric).
-double stationarity_residual(const markov::Ctmc& chain,
-                             const linalg::Vector& pi) {
-  return linalg::norm_inf(chain.generator().mul_transpose(pi));
-}
-
 /// Classifies an escape from the solve into a (cause, message) pair.
 std::pair<SolveCause, std::string> classify(const std::exception& e) {
   if (const auto* se = dynamic_cast<const SolveError*>(&e)) {
@@ -35,23 +28,9 @@ std::pair<SolveCause, std::string> classify(const std::exception& e) {
   return {SolveCause::kInvalidInput, e.what()};
 }
 
-/// The episode's stop token: request cancellation (config.cancel) plus the
-/// episode deadline, realized as a deadline child so the deadline is also
-/// observed *inside* the elimination at its checkpoints. Invalid when the
-/// config asks for neither, so the healthy path stays token-free.
-robust::CancelToken episode_token(const ResilienceConfig& config) {
-  if (config.deadline_ms > 0.0) {
-    return config.cancel.valid()
-               ? robust::CancelToken::child_of(config.cancel,
-                                               config.deadline_ms)
-               : robust::CancelToken::with_deadline_ms(config.deadline_ms);
-  }
-  return config.cancel;
-}
-
-/// One checked solve episode: `solve(options, trace)` runs under the
-/// episode token, then the fault plan gets its turn, then `verify` checks
-/// (and may repair) the candidate. The outcome and the timing land in
+/// One checked solve episode: `solve(cancel, trace)` runs under the
+/// config's stop token, then the fault plan gets its turn, then `verify`
+/// checks (and may repair) the candidate. The outcome and the timing land in
 /// `trace`; any failure throws SolveError with the trace in its message.
 template <typename SolveFn, typename VerifyFn>
 linalg::Vector run_episode(const ResilienceConfig& config,
@@ -60,15 +39,7 @@ linalg::Vector run_episode(const ResilienceConfig& config,
   obs::Span episode_span("ladder.episode");
   if (episode_span.active()) episode_span.set_detail(episode_name);
   const auto start = Clock::now();
-  const robust::CancelToken episode = episode_token(config);
-  robust::StallWatchdog::Guard stall_guard;
-  if (episode.valid() && config.stall_budget_ms > 0.0) {
-    stall_guard = robust::StallWatchdog::global().watch(
-        episode, config.stall_budget_ms, episode_name);
-  }
-  markov::SteadyStateOptions opts;
-  opts.cancel = episode;
-  opts.cancel_check_interval = config.cancel_check_interval;
+  const robust::CancelToken& episode = config.cancel;
 
   // A caller's trace may hold an earlier episode; only provenance carries.
   const SolveSource source = trace.source;
@@ -97,7 +68,7 @@ linalg::Vector run_episode(const ResilienceConfig& config,
     attempt_ms.observe_ms(trace.total_ms);
   };
   try {
-    linalg::Vector candidate = solve(opts, trace);
+    linalg::Vector candidate = solve(episode, trace);
     apply_fault(config.fault_plan, candidate, episode);
     const HealthReport health = verify(candidate);
     trace.clamped_mass = health.clamped_mass;
@@ -150,10 +121,10 @@ void note_band(SolveTrace& trace, std::size_t n, std::size_t bandwidth) {
 /// The stationary solve of both chain kinds: banded GTH on the chain's
 /// off-diagonal weights.
 linalg::Vector stationary(const linalg::CsrMatrix& weights,
-                          const markov::SteadyStateOptions& opts,
+                          const robust::CancelToken& cancel,
                           SolveTrace& trace) {
   std::size_t bandwidth = 0;
-  linalg::Vector pi = markov::gth_stationary(weights, opts, &bandwidth);
+  linalg::Vector pi = markov::gth_stationary(weights, cancel, &bandwidth);
   note_band(trace, weights.rows(), bandwidth);
   return pi;
 }
@@ -190,13 +161,12 @@ ResilientResult solve_steady_state_resilient(const markov::Ctmc& chain,
   }
   out.result.pi = run_episode(
       config, "solve_steady_state_resilient", out.trace,
-      [&](const markov::SteadyStateOptions& opts, SolveTrace& trace) {
-        return stationary(chain.generator(), opts, trace);
+      [&](const robust::CancelToken& cancel, SolveTrace& trace) {
+        return stationary(chain.generator(), cancel, trace);
       },
-      [&](linalg::Vector& pi) {
-        return check_stationary(chain, pi, config.health);
-      });
-  out.result.residual = stationarity_residual(chain, out.result.pi);
+      [&](linalg::Vector& pi) { return check_stationary(chain, pi); });
+  // check_stationary measured ||pi Q||_inf on this very vector.
+  out.result.residual = out.trace.residual_check;
   return out;
 }
 
@@ -206,25 +176,23 @@ ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
   check_budget(dtmc.size(), config, "stationary_resilient");
   out.result.pi = run_episode(
       config, "stationary_resilient", out.trace,
-      [&](const markov::SteadyStateOptions& opts, SolveTrace& trace) {
-        return stationary(dtmc.transition_matrix(), opts, trace);
+      [&](const robust::CancelToken& cancel, SolveTrace& trace) {
+        return stationary(dtmc.transition_matrix(), cancel, trace);
       },
       [&](linalg::Vector& pi) {
-        HealthReport report = check_distribution(pi, config.health);
+        HealthReport report = check_distribution(pi);
         if (!report.ok) return report;
         // Independent fixed-point residual ||pi P - pi||_inf; P is
         // row-stochastic so no rate scaling is needed.
         linalg::Vector r = dtmc.transition_matrix().mul_transpose(pi);
         for (std::size_t i = 0; i < r.size(); ++i) r[i] -= pi[i];
         report.residual_inf = linalg::norm_inf(r);
-        report.residual_l1 = linalg::norm1(r);
-        const double bound = config.health.residual_bound;
-        if (!(report.residual_inf <= bound)) {
+        if (!(report.residual_inf <= kResidualBound)) {
           report.ok = false;
           report.failure = SolveCause::kNonConverged;
           std::ostringstream os;
           os << "independent residual " << report.residual_inf
-             << " exceeds bound " << bound;
+             << " exceeds bound " << kResidualBound;
           report.detail = os.str();
         }
         return report;
@@ -248,7 +216,7 @@ ResilientResult smp_steady_state_resilient(
   for (std::size_t i = 0; i < process.size(); ++i) {
     pi[i] *= process.mean_sojourn(i);
   }
-  const HealthReport report = check_distribution(pi, config.health);
+  const HealthReport report = check_distribution(pi);
   if (!report.ok) {
     obs::emit_event("health.check_failed",
                     {{"episode", "smp_steady_state_resilient"},
@@ -289,15 +257,15 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
   SolveTrace local_trace;
   const linalg::Vector tau = run_episode(
       config, "mttf_resilient", trace ? *trace : local_trace,
-      [&](const markov::SteadyStateOptions& opts, SolveTrace& episode) {
+      [&](const robust::CancelToken& cancel, SolveTrace& episode) {
         std::size_t bandwidth = 0;
         linalg::Vector times = markov::gth_absorption_times(
-            split.weights, split.exits, ones, opts, &bandwidth);
+            split.weights, split.exits, ones, cancel, &bandwidth);
         note_band(episode, m, bandwidth);
         return times;
       },
       [&](linalg::Vector& times) {
-        return check_absorption_times(a, times, config.health);
+        return check_absorption_times(a, times);
       });
   return tau[static_cast<std::size_t>(split.position[initial])];
 }

@@ -13,9 +13,10 @@
 // stationary vector ambiguous; a unichain has one, but it lies outside the
 // contract all the same.
 //
-// Budgets (state count, wall-clock deadline, cancellation) live in
-// ResilienceConfig; the FaultPlan member is the test hook that corrupts or
-// delays the solve (fault_injection.hpp).
+// ResilienceConfig holds the state-count budget and the stop token (which
+// carries any deadline); the FaultPlan member is the test hook that
+// corrupts or delays the solve (fault_injection.hpp). Tolerances are the
+// constants of health.hpp.
 #pragma once
 
 #include <cstddef>
@@ -36,20 +37,11 @@ struct ResilienceConfig {
   /// SolveError(kBudgetExceeded). GTH needs O(n b) memory at bandwidth b,
   /// so generated chains solve exactly up to the budget.
   std::size_t max_states = 200'000;
-  /// Wall-clock deadline over the episode in milliseconds, realized as a
-  /// deadline child token of `cancel`, so the elimination observes it at
-  /// its checkpoints. 0 disables.
-  double deadline_ms = 0.0;
-  /// Cooperative cancellation for the episode; a stopped token aborts it
-  /// with SolveError(kCancelled / kDeadlineExceeded). Inert by default.
+  /// Cooperative cancellation for the episode, observed inside the
+  /// elimination at its checkpoints; a stopped token aborts it with
+  /// SolveError(kCancelled / kDeadlineExceeded). A deadline is a token
+  /// from CancelToken::with_deadline_ms / child_of. Inert by default.
   robust::CancelToken cancel;
-  /// Eliminated states between two cancellation checkpoints.
-  std::size_t cancel_check_interval = 64;
-  /// When > 0 and the episode carries a token, the episode registers with
-  /// the stall watchdog: a stop the solve fails to observe within this
-  /// many milliseconds bumps robust.stalled. 0 disables.
-  double stall_budget_ms = 0.0;
-  HealthCheckConfig health;
   /// Test-only deterministic fault injection; inert when empty.
   FaultPlan fault_plan;
 };

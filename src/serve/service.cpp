@@ -36,6 +36,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Frames buffered per connection between workers and the writer thread.
+constexpr std::size_t kRingCapacity = 256;
+/// Stall budget of the per-request watchdog guard.
+constexpr double kWatchdogBudgetMs = 1000.0;
+
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -177,7 +182,7 @@ obs::Counter& scrapes_counter() {
 /// this connection's requests are counted so the ring closes only after
 /// the last producer is done with it.
 struct Service::Session {
-  explicit Session(std::size_t ring_capacity) : ring(ring_capacity) {}
+  Session() : ring(kRingCapacity) {}
 
   int fd = -1;
   FrameRing ring;
@@ -205,9 +210,8 @@ struct Service::Session {
 
 Service::Service(ServiceConfig config)
     : cfg_(std::move(config)),
-      cache_(cfg_.cache_block_capacity, cfg_.cache_curve_capacity) {
+      cache_(cfg_.cache_capacity) {
   if (cfg_.queue_capacity == 0) cfg_.queue_capacity = 1;
-  if (cfg_.ring_capacity < 2) cfg_.ring_capacity = 2;
   cache_.bind_metrics("serve.cache.block", "serve.cache.curve");
 }
 
@@ -361,7 +365,7 @@ void Service::accept_loop() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
     reap_finished_sessions();
-    auto session = std::make_shared<Session>(cfg_.ring_capacity);
+    auto session = std::make_shared<Session>();
     session->fd = fd;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -548,7 +552,7 @@ void Service::run_request(const std::shared_ptr<Session>& session,
       deadline_ms > 0.0 ? robust::CancelToken::child_of(lifetime_, deadline_ms)
                         : robust::CancelToken::child_of(lifetime_);
   const auto watchdog = robust::StallWatchdog::global().watch(
-      token, cfg_.watchdog_budget_ms,
+      token, kWatchdogBudgetMs,
       std::string("serve.") + to_string(frame.type) + " req=" +
           std::to_string(frame.request_id));
 

@@ -56,13 +56,9 @@ struct ServiceConfig {
   double retry_after_ms = 25.0;
   /// Deadline applied to requests that do not carry their own (0 = none).
   double default_deadline_ms = 0.0;
-  /// Shared-across-requests SolveCache capacities.
-  std::size_t cache_block_capacity = cache::SolveCache::kDefaultCapacity;
-  std::size_t cache_curve_capacity = cache::SolveCache::kDefaultCapacity;
-  /// Frames buffered per connection between workers and the writer thread.
-  std::size_t ring_capacity = 256;
-  /// Stall budget for the per-request watchdog guard.
-  double watchdog_budget_ms = 1000.0;
+  /// Capacity of each table (block solves, sampled curves) of the
+  /// shared-across-requests SolveCache.
+  std::size_t cache_capacity = cache::SolveCache::kDefaultCapacity;
   /// When non-empty and observability is enabled, the trace is drained and
   /// appended here after every request — the per-request dump path, safe
   /// only because dump/drain no longer clobbers concurrent recording.

@@ -141,6 +141,33 @@ Signature word_key(std::uint64_t w) {
   return s;
 }
 
+// The solver words of the memo key: a stop token, manual or carrying a
+// deadline, never changes an accepted answer and is not keyed; the state
+// budget and an injected fault can change the outcome and are.
+TEST(SolverSignature, KeysOnlyTheBudgetAndTheFaultPlan) {
+  using rascad::resilience::ResilienceConfig;
+  using rascad::robust::CancelToken;
+  const Signature base = rascad::mg::solver_signature(ResilienceConfig{});
+
+  ResilienceConfig manual;
+  manual.cancel = CancelToken::manual();
+  EXPECT_EQ(rascad::mg::solver_signature(manual), base);
+  ResilienceConfig deadline;
+  deadline.cancel = CancelToken::with_deadline_ms(50.0);
+  EXPECT_EQ(rascad::mg::solver_signature(deadline), base);
+
+  ResilienceConfig budget;
+  budget.max_states = 1'000;
+  EXPECT_NE(rascad::mg::solver_signature(budget), base);
+  ResilienceConfig faulty;
+  faulty.fault_plan.fail(rascad::resilience::FaultKind::kNanResult);
+  EXPECT_NE(rascad::mg::solver_signature(faulty), base);
+  ResilienceConfig once;
+  once.fault_plan.fail_times(rascad::resilience::FaultKind::kNanResult, 1);
+  EXPECT_NE(rascad::mg::solver_signature(once),
+            rascad::mg::solver_signature(faulty));
+}
+
 TEST(SolveCache, HitAndMissCountersTrackLookups) {
   SolveCache cache;
   CachedBlockSolve value;
@@ -161,7 +188,7 @@ TEST(SolveCache, HitAndMissCountersTrackLookups) {
 TEST(SolveCache, LruBoundsTheEntryCountAndEvicts) {
   // Capacity is floored at one entry per shard, so the tightest total
   // bound is max(kShards, capacity).
-  SolveCache cache(SolveCache::kShards, SolveCache::kShards);
+  SolveCache cache(SolveCache::kShards);
   CachedBlockSolve value;
   for (std::uint64_t i = 0; i < 64; ++i) {
     cache.put_block(word_key(i), value);

@@ -73,7 +73,6 @@ TEST(DenseMatrix, MatrixProduct) {
 
 TEST(DenseVectorOps, NormsAndDot) {
   const Vector v{3.0, -4.0};
-  EXPECT_DOUBLE_EQ(rascad::linalg::norm1(v), 7.0);
   EXPECT_DOUBLE_EQ(rascad::linalg::norm2(v), 5.0);
   EXPECT_DOUBLE_EQ(rascad::linalg::norm_inf(v), 4.0);
   EXPECT_DOUBLE_EQ(rascad::linalg::dot(v, v), 25.0);

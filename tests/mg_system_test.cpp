@@ -257,17 +257,4 @@ TEST(Report, ContainsKeySections) {
   EXPECT_NE(md.find("Diagram structure"), std::string::npos);
 }
 
-TEST(Report, MinimalOptions) {
-  const SystemModel system =
-      SystemModel::build(parse_model(kTwoLevelModel));
-  rascad::core::ReportOptions opts;
-  opts.include_globals = false;
-  opts.include_block_table = false;
-  opts.include_transient = false;
-  const std::string md = rascad::core::report_markdown(system, opts);
-  EXPECT_EQ(md.find("Global parameters"), std::string::npos);
-  EXPECT_EQ(md.find("Generated block models"), std::string::npos);
-  EXPECT_NE(md.find("System measures"), std::string::npos);
-}
-
 }  // namespace

@@ -176,7 +176,7 @@ TEST(Health, AllFinite) {
 
 TEST(Health, ClampsRoundoffNegativesAndRenormalizes) {
   Vector pi{0.6, 0.4 + 1e-12, -1e-12};
-  const HealthReport r = check_distribution(pi, HealthCheckConfig{});
+  const HealthReport r = check_distribution(pi);
   EXPECT_TRUE(r.ok);
   EXPECT_NEAR(r.clamped_mass, 1e-12, 1e-15);
   EXPECT_DOUBLE_EQ(pi[2], 0.0);
@@ -185,7 +185,7 @@ TEST(Health, ClampsRoundoffNegativesAndRenormalizes) {
 
 TEST(Health, RejectsLargeNegativeMass) {
   Vector pi{0.9, 0.6, -0.5};
-  const HealthReport r = check_distribution(pi, HealthCheckConfig{});
+  const HealthReport r = check_distribution(pi);
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.failure.has_value());
   EXPECT_EQ(*r.failure, SolveCause::kNanOrInf);
@@ -193,7 +193,7 @@ TEST(Health, RejectsLargeNegativeMass) {
 
 TEST(Health, RejectsNan) {
   Vector pi{0.5, std::nan("")};
-  const HealthReport r = check_distribution(pi, HealthCheckConfig{});
+  const HealthReport r = check_distribution(pi);
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.failure.has_value());
   EXPECT_EQ(*r.failure, SolveCause::kNanOrInf);
@@ -202,7 +202,7 @@ TEST(Health, RejectsNan) {
 TEST(Health, ResidualRecheckCatchesWrongDistribution) {
   const Ctmc chain = up_down_chain(1.0, 9.0);
   Vector wrong{0.5, 0.5};  // valid distribution, not stationary
-  const HealthReport r = check_stationary(chain, wrong, HealthCheckConfig{});
+  const HealthReport r = check_stationary(chain, wrong);
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.failure.has_value());
   EXPECT_EQ(*r.failure, SolveCause::kNonConverged);
@@ -212,8 +212,7 @@ TEST(Health, ResidualRecheckCatchesWrongDistribution) {
 TEST(Health, ResidualRecheckAcceptsTrueStationary) {
   const Ctmc chain = up_down_chain(1.0, 9.0);
   Vector pi{0.9, 0.1};
-  const HealthReport r =
-      check_stationary(chain, pi, HealthCheckConfig{});
+  const HealthReport r = check_stationary(chain, pi);
   EXPECT_TRUE(r.ok) << r.detail;
 }
 
@@ -255,8 +254,7 @@ TEST(Health, AbsorptionCheckAcceptsExactLargeTimes) {
   // round-off in a tau alone is ~eps * |a| |tau| ~ 1e-9.
   const OneOfFour sys = one_of_four();
   ASSERT_GT(sys.tau[0], 1e9);
-  const HealthReport r =
-      check_absorption_times(sys.a, sys.tau, HealthCheckConfig{});
+  const HealthReport r = check_absorption_times(sys.a, sys.tau);
   EXPECT_TRUE(r.ok) << r.detail;
   EXPECT_LT(r.residual_inf, 1e-15);
 }
@@ -265,8 +263,7 @@ TEST(Health, AbsorptionCheckRejectsPerturbedTimes) {
   OneOfFour sys = one_of_four();
   const double signs[] = {1.0, -1.0, -1.0, 1.0};
   for (std::size_t i = 0; i < 4; ++i) sys.tau[i] *= 1.0 + 1e-6 * signs[i];
-  const HealthReport r =
-      check_absorption_times(sys.a, sys.tau, HealthCheckConfig{});
+  const HealthReport r = check_absorption_times(sys.a, sys.tau);
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.failure.has_value());
   EXPECT_EQ(*r.failure, SolveCause::kNonConverged);
@@ -277,10 +274,10 @@ TEST(Health, AbsorptionCheckRejectsNanAndNegative) {
   OneOfFour sys = one_of_four();
   Vector nan_tau = sys.tau;
   nan_tau[2] = std::nan("");
-  EXPECT_EQ(check_absorption_times(sys.a, nan_tau, HealthCheckConfig{}).failure,
+  EXPECT_EQ(check_absorption_times(sys.a, nan_tau).failure,
             SolveCause::kNanOrInf);
   sys.tau[1] = -1.0;
-  EXPECT_EQ(check_absorption_times(sys.a, sys.tau, HealthCheckConfig{}).failure,
+  EXPECT_EQ(check_absorption_times(sys.a, sys.tau).failure,
             SolveCause::kNanOrInf);
 }
 
@@ -303,6 +300,20 @@ TEST(Episode, StiffChainSolvedExactlyInOneAttempt) {
       solve_steady_state_resilient(ill_conditioned_chain(8, 1e9));
   EXPECT_TRUE(r.trace.success);
   EXPECT_LT(max_rel_err(r.result.pi, ill_conditioned_exact(8, 1e9)), 1e-12);
+}
+
+// The reported residual is the health check's own ||pi Q||_inf, bit for
+// bit the value a fresh product with the accepted vector gives.
+TEST(Episode, ResidualIsTheHealthCheckResidual) {
+  for (const Ctmc& chain : {up_down_chain(1.0, 9.0), repair_chain(),
+                            ill_conditioned_chain(8, 1e9)}) {
+    const ResilientResult r = solve_steady_state_resilient(chain);
+    ASSERT_TRUE(r.trace.success) << r.trace.summary();
+    EXPECT_EQ(r.result.residual, r.trace.residual_check);
+    EXPECT_EQ(r.result.residual,
+              rascad::linalg::norm_inf(
+                  chain.generator().mul_transpose(r.result.pi)));
+  }
 }
 
 // Also the single-absorbing-state case of the reducibility contract.
@@ -332,7 +343,8 @@ TEST(Episode, StateBudgetRefusedUpFront) {
 
 TEST(Episode, ExpiredDeadlineObservedInsideTheSolve) {
   ResilienceConfig config;
-  config.deadline_ms = 1e-9;  // expires before the first checkpoint
+  // Expires before the first checkpoint.
+  config.cancel = rascad::robust::CancelToken::with_deadline_ms(1e-9);
   try {
     solve_steady_state_resilient(repair_chain(), config);
     FAIL() << "expected SolveError";

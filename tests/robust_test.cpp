@@ -234,10 +234,11 @@ TEST(Episode, CancelledMidSolveThrowsCancelled) {
 }
 
 TEST(Episode, DeadlineExpiryMidSolveAbortsWithDeadlineCause) {
+  const auto chain = grid_chain(100);
   ResilienceConfig config;
-  config.deadline_ms = 5.0;
+  config.cancel = CancelToken::with_deadline_ms(5.0);
   try {
-    (void)solve_steady_state_resilient(grid_chain(100), config);
+    (void)solve_steady_state_resilient(chain, config);
     FAIL() << "expected SolveError(kDeadlineExceeded)";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
@@ -250,8 +251,8 @@ TEST(Episode, InjectedTimeoutEndsAtTheDeadline) {
   ResilienceConfig config;
   config.fault_plan.fail(FaultKind::kTimeout);
   config.fault_plan.timeout_cap_ms = 10'000.0;
-  config.deadline_ms = 2.0;
   const auto start = std::chrono::steady_clock::now();
+  config.cancel = CancelToken::with_deadline_ms(2.0);
   try {
     (void)solve_steady_state_resilient(repair_chain(), config);
     FAIL() << "expected SolveError(kDeadlineExceeded)";

@@ -600,11 +600,10 @@ TEST(ExactScale, Type4BlockWith50kStatesIsOneDirectAttempt) {
 
 TEST(ExactScale, PreCancelledTokenStopsStationarySolve) {
   const Ctmc& chain = chain_50k();
-  rascad::markov::SteadyStateOptions opts;
-  opts.cancel = rascad::robust::CancelToken::manual();
-  opts.cancel.request_cancel();
+  const auto cancel = rascad::robust::CancelToken::manual();
+  cancel.request_cancel();
   try {
-    (void)rascad::markov::solve_steady_state(chain, opts);
+    (void)rascad::markov::solve_steady_state(chain, cancel);
     FAIL() << "expected SolveError(kCancelled)";
   } catch (const rascad::resilience::SolveError& e) {
     EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kCancelled);
@@ -631,12 +630,11 @@ TEST(ExactScale, PreCancelledTokenStopsAbsorbingSolve) {
   }
   const rascad::markov::TransientSplit split =
       rascad::markov::split_transient(chain.generator(), down);
-  rascad::markov::SteadyStateOptions opts;
-  opts.cancel = rascad::robust::CancelToken::manual();
-  opts.cancel.request_cancel();
+  const auto cancel = rascad::robust::CancelToken::manual();
+  cancel.request_cancel();
   try {
     (void)rascad::markov::gth_absorption_times(
-        split.weights, split.exits, Vector(split.states.size(), 1.0), opts);
+        split.weights, split.exits, Vector(split.states.size(), 1.0), cancel);
     FAIL() << "expected SolveError(kCancelled)";
   } catch (const rascad::resilience::SolveError& e) {
     EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kCancelled);
