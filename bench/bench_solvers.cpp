@@ -1,8 +1,9 @@
 // E10 — numerical-method cost ("solved using numerical methods",
 // Section 1): google-benchmark timings of generation and of the one
 // steady-state solver (banded GTH) on generated chains of growing size,
-// plus uniformization cost vs horizon. Accuracy is asserted by the test
-// suite; this binary measures cost.
+// plus the Krylov transient engine's cost vs horizon and curve
+// resolution. Accuracy is asserted by the test suite; this binary
+// measures cost.
 #include <benchmark/benchmark.h>
 
 #include "markov/steady_state.hpp"
@@ -63,7 +64,7 @@ void BM_SolveDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveDirect)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_Uniformization(benchmark::State& state) {
+void BM_IntervalAvailability(benchmark::State& state) {
   const auto model = chain_of_depth(4);
   const auto pi0 = rascad::markov::point_mass(model.chain, model.initial);
   const double horizon = static_cast<double>(state.range(0));
@@ -74,9 +75,9 @@ void BM_Uniformization(benchmark::State& state) {
   }
   state.counters["horizon_h"] = horizon;
 }
-BENCHMARK(BM_Uniformization)->Arg(24)->Arg(720)->Arg(8760);
+BENCHMARK(BM_IntervalAvailability)->Arg(24)->Arg(720)->Arg(8760);
 
-void BM_TransientUniformization(benchmark::State& state) {
+void BM_TransientDistribution(benchmark::State& state) {
   const auto model = chain_of_depth(4);
   const auto pi0 = rascad::markov::point_mass(model.chain, model.initial);
   const double horizon = static_cast<double>(state.range(0));
@@ -86,7 +87,7 @@ void BM_TransientUniformization(benchmark::State& state) {
     benchmark::DoNotOptimize(pit.data());
   }
 }
-BENCHMARK(BM_TransientUniformization)->Arg(24)->Arg(720);
+BENCHMARK(BM_TransientDistribution)->Arg(24)->Arg(720);
 
 void BM_RewardCurve(benchmark::State& state) {
   const auto model = chain_of_depth(4);

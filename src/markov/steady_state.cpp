@@ -6,6 +6,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "resilience/solve_error.hpp"
 
@@ -169,23 +170,23 @@ Band band_of(const linalg::CsrMatrix& weights,
   return band;
 }
 
-/// The one GTH elimination loop, shared by the stationary and the
-/// absorbing back-substitution. Eliminates positions n-1 down to `last`.
+/// The one GTH elimination loop, shared by the stationary solve, the
+/// absorbing solve and GthFactor. Eliminates positions n-1 down to `last`.
 /// Eliminating m censors the chain to the surviving states: the weight
 /// from i to j becomes w(i, j) + w(i, m) * w(m, j) / out(m), where out(m)
 /// is m's total outflow to the survivors plus its exit (absorbing chains
-/// only). An exit and a cost fold like any other weight,
-///   e(i) += w(i, m) / out(m) * e(m),  c(i) += w(i, m) / out(m) * c(m),
+/// only). An exit folds like any other weight,
+///   e(i) += w(i, m) / out(m) * e(m),
 /// so only non-negative terms are ever added, which is the whole point of
 /// GTH. The division is folded into column m, row m is kept as it was, and
-/// out(m) is returned, so both back-substitution identities hold:
-///   pi(m)  = sum_{i < m} pi(i) * w(i, m)                    (stationary)
-///   tau(m) = (c(m) + sum_{j < m} w(m, j) * tau(j)) / out(m)  (absorbing)
-/// `exits` and `costs` are indexed by position, and empty for a stationary
-/// solve. The diagonal accumulates junk that is never read.
+/// out(m) is returned, so the eliminated band still holds every factor a
+/// right-hand side needs (fold_costs, GthFactor::solve_row) and the
+/// stationary back-substitution reads
+///   pi(m) = sum_{i < m} pi(i) * w(i, m).
+/// `exits` is indexed by position, and empty for a stationary solve. The
+/// diagonal accumulates junk that is never read.
 std::vector<double> gth_eliminate(Band& band, std::size_t last,
                                   std::vector<double>& exits,
-                                  std::vector<double>& costs,
                                   const robust::CancelToken& cancel,
                                   const char* who, const char* stuck) {
   const std::size_t n = band.order.size();
@@ -208,13 +209,26 @@ std::vector<double> gth_eliminate(Band& band, std::size_t last,
       if (into_m == 0.0) continue;
       double* wi = &band.at(i, lo);
       for (std::size_t j = 0; j < m - lo; ++j) wi[j] += into_m * wm[j];
-      if (!exits.empty()) {
-        exits[i] += into_m * exits[m];
-        costs[i] += into_m * costs[m];
-      }
+      if (!exits.empty()) exits[i] += into_m * exits[m];
     }
   }
   return out;
+}
+
+/// The cost half of the absorbing elimination, run on the eliminated band:
+/// c(i) += w(i, m) / out(m) * c(m) for m from n-1 down, the same terms in
+/// the same order as folding them inside gth_eliminate. `c` is indexed by
+/// position.
+void fold_costs(Band& band, std::vector<double>& c) {
+  const std::size_t b = band.b;
+  for (std::size_t m = band.order.size(); m-- > 0;) {
+    const std::size_t lo = m > b ? m - b : 0;
+    for (std::size_t i = lo; i < m; ++i) {
+      const double into_m = band.at(i, m);
+      if (into_m == 0.0) continue;
+      c[i] += into_m * c[m];
+    }
+  }
 }
 
 }  // namespace
@@ -238,7 +252,7 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
   // Completing the elimination proves that every state reaches the one at
   // position 0: each eliminated state had outflow to the survivors.
   std::vector<double> none;
-  (void)gth_eliminate(band, 1, none, none, cancel, kWho,
+  (void)gth_eliminate(band, 1, none, cancel, kWho,
                       " has no outflow to surviving states (reducible chain)");
 
   // Back-substitution from an unnormalized mass(0) = 1. The true masses
@@ -309,7 +323,8 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
     c[k] = costs[band.order[k]];
   }
   const std::vector<double> out =
-      gth_eliminate(band, 0, e, c, cancel, kWho, " cannot reach absorption");
+      gth_eliminate(band, 0, e, cancel, kWho, " cannot reach absorption");
+  fold_costs(band, c);
   // Position 0 was eliminated last, against its exit alone; each later
   // position reads the times already known below it.
   std::vector<double> tau_pos(n);
@@ -322,6 +337,48 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
     tau[band.order[m]] = tau_pos[m];
   }
   return tau;
+}
+
+GthFactor::GthFactor(const linalg::CsrMatrix& weights,
+                     const linalg::Vector& exits,
+                     const robust::CancelToken& cancel) {
+  static constexpr const char* kWho = "GthFactor";
+  const std::size_t n = weights.rows();
+  if (exits.size() != n) {
+    throw SolveError(SolveCause::kInvalidInput, kWho,
+                     "exit vector must match the weights");
+  }
+  Band band = band_of(weights, cancel, kWho);
+  std::vector<double> e(n);
+  for (std::size_t k = 0; k < n; ++k) e[k] = exits[band.order[k]];
+  out_ = gth_eliminate(band, 0, e, cancel, kWho, " has no exit");
+  order_ = std::move(band.order);
+  b_ = band.b;
+  w_ = std::move(band.w);
+}
+
+void GthFactor::solve_row(linalg::Vector& x) const {
+  const std::size_t n = order_.size();
+  const std::size_t b = b_;
+  std::vector<double> y(n);
+  for (std::size_t k = 0; k < n; ++k) y[k] = x[order_[k]];
+  // Censoring state m moves its right-hand side onto the survivors along
+  // its row: b(j) += b(m) * w(m, j) / out(m).
+  for (std::size_t m = n; m-- > 0;) {
+    const std::size_t lo = m > b ? m - b : 0;
+    const double f = y[m] / out_[m];
+    y[m] = f;
+    const double* wm = &w_[2 * b * m + b + lo];
+    for (std::size_t j = 0; j < m - lo; ++j) y[lo + j] += f * wm[j];
+  }
+  // x(m) = b(m) / out(m) + sum_{i < m} x(i) * w(i, m) / out(m).
+  for (std::size_t m = 1; m < n; ++m) {
+    const std::size_t lo = m > b ? m - b : 0;
+    double acc = y[m];
+    for (std::size_t i = lo; i < m; ++i) acc += y[i] * w_[2 * b * i + b + m];
+    y[m] = acc;
+  }
+  for (std::size_t k = 0; k < n; ++k) x[order_[k]] = y[k];
 }
 
 double expected_reward(const Ctmc& chain, const linalg::Vector& pi) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/dense.hpp"
@@ -75,6 +76,32 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
                                     const linalg::Vector& costs,
                                     const robust::CancelToken& cancel = {},
                                     std::size_t* bandwidth = nullptr);
+
+/// The banded GTH elimination of an absorbing system, kept for repeated
+/// solves against row right-hand sides. With the non-negative weights W
+/// (diagonal ignored) and exits e of gth_absorption_times it factors
+/// L = diag(out) - W, out_i = sum_j W_ij + e_i, once: the same RCM order,
+/// band and elimination loop, O(n b^2). solve_row then gives x L = b in
+/// O(n b): b folds along each eliminated row, w(m, j) / out(m), and the
+/// stationary back-substitution runs with b(m) / out(m) added. The
+/// transient engine factors (1/gamma) I - Q this way: the generator's rates
+/// with an exit of 1/gamma out of every state. Every exit must be positive.
+/// Cancellation and kBudgetExceeded as for gth_stationary.
+class GthFactor {
+ public:
+  GthFactor(const linalg::CsrMatrix& weights, const linalg::Vector& exits,
+            const robust::CancelToken& cancel = {});
+
+  /// x <- x L^{-1}: replaces the row vector b (state order) by the x with
+  /// x L = b.
+  void solve_row(linalg::Vector& x) const;
+
+ private:
+  std::vector<std::uint32_t> order_;  // order_[k]: the state at position k
+  std::size_t b_ = 0;
+  std::vector<double> w_;    // eliminated band, w(i, j) at w_[2b i + b + j]
+  std::vector<double> out_;  // out(m) by position
+};
 
 /// Expected steady-state reward rate: sum_i pi_i * reward_i. For a 0/1
 /// reward structure this is the steady-state availability.

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "markov/absorbing.hpp"
+#include "markov/steady_state.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "resilience/solve_error.hpp"
@@ -15,6 +18,31 @@
 namespace rascad::markov {
 
 namespace {
+
+using resilience::SolveCause;
+using resilience::SolveError;
+
+/// Largest Krylov dimension. A chain whose residual bound is still above
+/// `tolerance` at this dimension is refused with kBudgetExceeded.
+constexpr std::size_t kMaxDim = 128;
+
+/// The residual bound is evaluated every this many Arnoldi steps, and at
+/// a breakdown or the last possible step.
+constexpr std::size_t kBoundEvery = 8;
+
+/// An Arnoldi step that keeps at most this fraction of the solved vector
+/// after orthogonalization has (nearly) broken down: a direction grown
+/// from what is left would be mostly rounding.
+constexpr double kBreakdown = 1e-6;
+
+/// The shift gamma of (I - gamma Q)^{-1}, in hours. A shift far below a
+/// chain's slow time scales leaves those modes nearly degenerate in the
+/// shift-inverted operator, and rounding then gives A_m unstable modes:
+/// a tenth of the horizon failed on library blocks at horizons of 1 and
+/// 24 h. 50 h passes every library and generated block at horizons from
+/// 0.1 h to ten years, and on a year's curve of the generated chains it
+/// needs the fewest Arnoldi steps.
+constexpr double kShiftH = 50.0;
 
 void check_inputs(const Ctmc& chain, const linalg::Vector& pi0, double t) {
   if (pi0.size() != chain.size()) {
@@ -29,188 +57,626 @@ void check_inputs(const Ctmc& chain, const linalg::Vector& pi0, double t) {
   }
 }
 
-/// glibc's lgamma writes the global `signgam`, which races when reward
-/// curves are sampled on the thread pool; lgamma_r keeps the sign local.
-double log_gamma(double x) {
-#if defined(__GLIBC__)
-  int sign = 0;
-  return lgamma_r(x, &sign);
-#else
-  return std::lgamma(x);
-#endif
-}
+// ---- The small space ------------------------------------------------------
 
-/// Poisson(a) pmf at k, computed in log space so that large a is safe.
-double poisson_pmf(double a, std::size_t k) {
-  return std::exp(-a + static_cast<double>(k) * std::log(a) -
-                  log_gamma(static_cast<double>(k) + 1.0));
-}
-
-/// Hard truncation point: the Poisson(a) mass beyond a + 12 sqrt(a) + 64
-/// is far below double precision, so reaching this index means the summed
-/// CDF has numerically saturated (rounding noise), not that mass is
-/// missing. Used as a secondary stop after the tolerance test.
-std::size_t poisson_cutoff(double a) {
-  return static_cast<std::size_t>(a + 12.0 * std::sqrt(a) + 64.0);
-}
-
-/// Largest Poisson mean q * h one engine step covers. A longer step is
-/// split into equal substeps, which bounds the weight tables and lets the
-/// stationarity stop fire inside a long horizon.
-constexpr double kMaxStepMean = 4096.0;
-
-/// The request token is polled at the start of every substep and then
-/// every this many terms within it.
-constexpr std::size_t kCancelPollTerms = 64;
-
-/// The one uniformization engine. For a chain and a step length h it
-/// builds P^T and the Poisson weights of a = q h once; step() then
-/// advances pi by h as often as asked, reusing its buffers, and integrates
-/// any rate vectors it is given over the step. Once one substep moves pi
-/// by at most `tolerance` in the 1-norm (and no more than the substep
-/// before), pi is taken as stationary and stepping costs no more terms.
-class Engine {
- public:
-  Engine(const Ctmc& chain, double h, const TransientOptions& opts,
-         const char* who)
-      : opts_(opts), who_(who) {
-    const auto [p, q] = chain.uniformized();
-    pt_ = p.transposed();
-    substeps_ = std::max(1.0, std::ceil(q * h / kMaxStepMean));
-    h_ = h / substeps_;
-    const double a = q * h_;
-    // Weights of pi(h) = sum_k pmf_k v_k and of the integral
-    // int_0^h r . pi(u) du = sum_k (1 - CDF_k) / q * r . v_k, each
-    // truncated by its own tolerance test; the dropped tail is folded into
-    // the last kept vector.
-    const std::size_t cutoff = poisson_cutoff(a);
-    double cumulative = 0.0;
-    double weight_sum = 0.0;
-    bool pmf_done = false;
-    bool integral_done = false;
-    for (std::size_t k = 0; !(pmf_done && integral_done); ++k) {
-      const double w = poisson_pmf(a, k);
-      cumulative += w;
-      const bool past_mean = static_cast<double>(k) >= a;
-      if (!pmf_done) {
-        pmf_.push_back(w);
-        if ((cumulative >= 1.0 - opts.tolerance && past_mean) ||
-            k >= cutoff) {
-          pmf_fold_ = 1.0 - cumulative;
-          pmf_done = true;
-        }
-      }
-      if (!integral_done) {
-        const double iw = (1.0 - cumulative) / q;
-        integral_.push_back(iw);
-        if (iw > 0.0) weight_sum += iw;
-        if ((h_ - weight_sum <= opts.tolerance * h_ && past_mean) ||
-            k >= cutoff) {
-          integral_fold_ = h_ - weight_sum;
-          integral_done = true;
-        }
-      }
-    }
-  }
-
-  /// pi <- pi(h). With `rates`, also adds int_0^h rates[j] . pi(u) du to
-  /// acc[j].
-  void step(linalg::Vector& pi, const std::vector<linalg::Vector>& rates = {},
-            double* acc = nullptr) {
-    for (double s = 0.0; s < substeps_; ++s) {
-      if (stationary_) {
-        const double rest = h_ * (substeps_ - s);
-        for (std::size_t j = 0; j < rates.size(); ++j) {
-          acc[j] += linalg::dot(rates[j], pi) * rest;
-        }
-        return;
-      }
-      substep(pi, rates, acc);
-    }
-  }
-
-  bool stationary() const noexcept { return stationary_; }
-
- private:
-  void substep(linalg::Vector& pi, const std::vector<linalg::Vector>& rates,
-               double* acc) {
-    const std::size_t last_pmf = pmf_.size() - 1;
-    const std::size_t last_integral = integral_.size() - 1;
-    const std::size_t last =
-        rates.empty() ? last_pmf : std::max(last_pmf, last_integral);
-    if (terms_ + last > opts_.max_terms) {
-      throw resilience::SolveError(
-          resilience::SolveCause::kBudgetExceeded, who_,
-          "term budget of " + std::to_string(opts_.max_terms) +
-              " spent before the distribution became stationary (increase "
-              "max_terms or reduce the horizon)",
-          terms_);
-    }
-    v_ = pi;  // v_k = pi P^k
-    out_.assign(pi.size(), 0.0);
-    sums_.assign(rates.size(), 0.0);
-    for (std::size_t k = 0;; ++k) {
-      if (k % kCancelPollTerms == 0) {
-        robust::throw_if_stopped(opts_.cancel, who_, terms_);
-      }
-      if (k <= last_pmf) {
-        if (pmf_[k] > 0.0) linalg::axpy(pmf_[k], v_, out_);
-        if (k == last_pmf) linalg::axpy(pmf_fold_, v_, out_);
-      }
-      if (k <= last_integral) {
-        for (std::size_t j = 0; j < rates.size(); ++j) {
-          const double rv = linalg::dot(rates[j], v_);
-          if (integral_[k] > 0.0) sums_[j] += integral_[k] * rv;
-          if (k == last_integral) sums_[j] += integral_fold_ * rv;
-        }
-      }
-      if (k == last) break;
-      pt_.mul(v_, next_);
-      v_.swap(next_);
-      ++terms_;
-    }
-    if (obs::enabled()) {
-      static obs::Counter& spmvs =
-          obs::Registry::global().counter("transient.terms");
-      spmvs.inc(last);
-    }
-    for (std::size_t j = 0; j < rates.size(); ++j) acc[j] += sums_[j];
-    double change = 0.0;
-    for (std::size_t i = 0; i < pi.size(); ++i) {
-      change += std::abs(out_[i] - pi[i]);
-    }
-    stationary_ = change <= opts_.tolerance && change <= last_change_;
-    last_change_ = change;
-    pi.swap(out_);
-  }
-
-  const TransientOptions& opts_;
-  const char* who_;
-  linalg::CsrMatrix pt_;
-  double substeps_ = 1.0;  // equal substeps per step, each of length h_
-  double h_ = 0.0;
-  std::vector<double> pmf_;       // Poisson(q h_) pmf up to its truncation
-  double pmf_fold_ = 0.0;         // tail mass folded into the last term
-  std::vector<double> integral_;  // (1 - CDF_k) / q up to its truncation
-  double integral_fold_ = 0.0;    // residual integral weight, last term
-  linalg::Vector v_, next_, out_, sums_;
-  std::size_t terms_ = 0;  // SpMVs applied so far
-  double last_change_ = std::numeric_limits<double>::infinity();
-  bool stationary_ = false;
+/// A row-major square matrix of the Krylov space (dimension <= kMaxDim+2).
+struct Small {
+  std::size_t n = 0;
+  std::vector<double> a;
+  explicit Small(std::size_t size = 0) : n(size), a(size * size, 0.0) {}
+  double& operator()(std::size_t i, std::size_t j) { return a[i * n + j]; }
+  double operator()(std::size_t i, std::size_t j) const { return a[i * n + j]; }
 };
 
-/// Integrals over (0, t) of rates[j] . pi(u) du, in one engine pass.
-linalg::Vector integrate_rates(const Ctmc& chain, const linalg::Vector& pi0,
-                               double t,
-                               const std::vector<linalg::Vector>& rates,
-                               const TransientOptions& opts, const char* who) {
-  linalg::Vector acc(rates.size(), 0.0);
-  if (t == 0.0) return acc;
-  Engine engine(chain, t, opts, who);
-  linalg::Vector pi = pi0;
-  engine.step(pi, rates, acc.data());
-  return acc;
+/// Magnitudes below this are set to 0 in the small space. Stiff modes
+/// decay into the subnormal range within a few grid steps, and subnormal
+/// arithmetic is ~100 times slower; 1e-200 is far below any tolerance.
+constexpr double kNegligible = 1e-200;
+
+double flush(double v) { return std::abs(v) < kNegligible ? 0.0 : v; }
+
+Small identity(std::size_t n) {
+  Small x(n);
+  for (std::size_t i = 0; i < n; ++i) x(i, i) = 1.0;
+  return x;
 }
+
+Small multiply(const Small& x, const Small& y) {
+  Small z(x.n);
+  for (std::size_t i = 0; i < x.n; ++i) {
+    for (std::size_t k = 0; k < x.n; ++k) {
+      const double xik = x(i, k);
+      if (xik == 0.0) continue;
+      for (std::size_t j = 0; j < x.n; ++j) z(i, j) += xik * y(k, j);
+    }
+  }
+  for (double& v : z.a) v = flush(v);
+  return z;
+}
+
+/// y <- (I + f) y over the leading y.size() rows and columns of f;
+/// `scratch` keeps the steps of a grid free of allocations.
+void step(const Small& f, std::vector<double>& y, std::vector<double>& scratch) {
+  scratch.resize(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const double* row = &f.a[i * f.n];
+    double acc = 0.0;
+    for (std::size_t j = 0; j < y.size(); ++j) acc += row[j] * y[j];
+    scratch[i] = flush(y[i] + acc);
+  }
+  y.swap(scratch);
+}
+
+/// Solves x z = rhs in place of rhs (every column), by Gaussian
+/// elimination with partial pivoting on a copy of x.
+void solve(Small x, Small& rhs) {
+  const std::size_t n = x.n;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t p = k;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (std::abs(x(i, k)) > std::abs(x(p, k))) p = i;
+    }
+    if (p != k) {
+      for (std::size_t j = 0; j < n; ++j) {
+        std::swap(x(k, j), x(p, j));
+        std::swap(rhs(k, j), rhs(p, j));
+      }
+    }
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double f = x(i, k) / x(k, k);
+      if (f == 0.0) continue;
+      for (std::size_t j = k; j < n; ++j) x(i, j) -= f * x(k, j);
+      for (std::size_t j = 0; j < n; ++j) rhs(i, j) -= f * rhs(k, j);
+    }
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = rhs(k, j);
+      for (std::size_t i = k + 1; i < n; ++i) acc -= x(k, i) * rhs(i, j);
+      rhs(k, j) = acc / x(k, k);
+    }
+  }
+}
+
+/// exp(x) - I by the (6, 6) Pade approximant, for ||x||_1 <= 1/2. With
+/// exp(x) = d^{-1} n, n = v + u and d = v - u for the even part v and the
+/// odd part u, exp(x) - I = d^{-1} (2 u): no cancellation against the
+/// identity, so a slow mode keeps its digits.
+Small pade_minus_identity(const Small& x) {
+  static constexpr double c[] = {1.0,         1.0 / 2,     5.0 / 44,
+                                 1.0 / 66,    1.0 / 792,   1.0 / 15840,
+                                 1.0 / 665280};
+  const std::size_t n = x.n;
+  const Small x2 = multiply(x, x);
+  const Small x4 = multiply(x2, x2);
+  const Small x6 = multiply(x4, x2);
+  Small even(n);  // c0 + c2 x^2 + c4 x^4 + c6 x^6
+  Small odd(n);   // c1 + c3 x^2 + c5 x^4, times x below
+  for (std::size_t k = 0; k < n * n; ++k) {
+    even.a[k] = c[2] * x2.a[k] + c[4] * x4.a[k] + c[6] * x6.a[k];
+    odd.a[k] = c[3] * x2.a[k] + c[5] * x4.a[k];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    even(i, i) += c[0];
+    odd(i, i) += c[1];
+  }
+  const Small u = multiply(x, odd);
+  Small twice_u(n);
+  Small den(n);
+  for (std::size_t k = 0; k < n * n; ++k) {
+    twice_u.a[k] = 2 * u.a[k];
+    den.a[k] = even.a[k] - u.a[k];
+  }
+  solve(den, twice_u);
+  return twice_u;
+}
+
+/// f <- (I + f)^2 - I = f f + 2 f: squaring exp(x) while carrying exp(x) - I,
+/// which keeps the absolute error of a near-identity mode at rounding
+/// level instead of growing by 2 at every squaring.
+void square_minus_identity(Small& f) {
+  Small z = multiply(f, f);
+  for (std::size_t k = 0; k < z.a.size(); ++k) z.a[k] = flush(z.a[k] + 2 * f.a[k]);
+  f = std::move(z);
+}
+
+double norm1(const Small& x) {
+  double best = 0.0;
+  for (std::size_t j = 0; j < x.n; ++j) {
+    double col = 0.0;
+    for (std::size_t i = 0; i < x.n; ++i) col += std::abs(x(i, j));
+    best = std::max(best, col);
+  }
+  return best;
+}
+
+/// Number of halvings that bring ||s x||_1 to at most 1 (the Pade step
+/// then runs on half of that).
+int halvings(const Small& x, double s) {
+  const double norm = norm1(x) * s;
+  return norm > 1.0 ? static_cast<int>(std::ceil(std::log2(norm))) : 0;
+}
+
+Small scaled(const Small& x, double s) {
+  Small y = x;
+  for (double& v : y.a) v *= s;
+  return y;
+}
+
+/// The augmented generator [[a, v, 0], [0, 0, 1], [0, 0, 0]] of the small
+/// space. exp(s aug) holds e^{s a} in its leading block; its column m is
+/// [int_0^s e^{u a} v du; 1; 0] and its column m+1 is [the double
+/// integral; s; 1], so one exponential gives a state, its integral and the
+/// integral of that, with no quadrature.
+Small augment(const Small& a, const std::vector<double>& v) {
+  const std::size_t m = a.n;
+  Small aug(m + 2);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) aug(i, j) = a(i, j);
+    aug(i, m) = v[i];
+  }
+  aug(m, m + 1) = 1.0;
+  return aug;
+}
+
+/// Column j of x, leading `rows` entries.
+std::vector<double> column(const Small& x, std::size_t j, std::size_t rows) {
+  std::vector<double> c(rows);
+  for (std::size_t i = 0; i < rows; ++i) c[i] = x(i, j);
+  return c;
+}
+
+/// (I + f)' c over the leading m x m block of f.
+std::vector<double> product_transpose(const Small& f, const std::vector<double>& c) {
+  const std::size_t m = c.size();
+  std::vector<double> z = c;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) z[j] += f(i, j) * c[i];
+  }
+  return z;
+}
+
+/// y' g y for y of g.n entries (clamped at 0 against rounding).
+double quadratic(const Small& g, const double* y) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < g.n; ++i) {
+    const double* row = &g.a[i * g.n];
+    double gy = 0.0;
+    for (std::size_t j = 0; j < g.n; ++j) gy += row[j] * y[j];
+    acc += y[i] * gy;
+  }
+  return std::max(0.0, acc);
+}
+
+/// g + e' g e with e = I + f, over the leading g.n x g.n block of f.
+void grow_gramian(Small& g, const Small& f) {
+  const std::size_t m = g.n;
+  Small ge = g;  // g e = g + g f
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < m; ++k) {
+      const double gik = g(i, k);
+      if (gik == 0.0) continue;
+      for (std::size_t j = 0; j < m; ++j) ge(i, j) += gik * f(k, j);
+    }
+  }
+  for (std::size_t k = 0; k < m * m; ++k) g.a[k] += ge.a[k];  // + I' g e
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const double fki = f(k, i);
+      if (fki == 0.0) continue;
+      for (std::size_t j = 0; j < m; ++j) g(i, j) += fki * ge(k, j);
+    }
+  }
+  for (double& v : g.a) v = flush(v);
+}
+
+/// The small system y' = a y, y(0) = y0, over `cells` cells of length dt.
+struct Propagation {
+  Small f;                 // exp(dt augment(a, y0)) - I
+  std::vector<double> ys;  // y at every grid point, m entries each
+  double integral = 0.0;   // bound on int_0^{cells dt} |c . y(s)| ds
+};
+
+/// Steps the small system over the grid and, given `c`, bounds
+/// int_0^{cells dt} |c . y(s)| ds from above. By Cauchy-Schwarz a cell of
+/// length l that starts at y contributes at most sqrt(l y' G(l) y), with
+/// the Gramian G(l) = int_0^l e^{s a'} c c' e^{s a} ds. G doubles along
+/// with the exponential, G(2l) = G(l) + e^{l a'} G(l) e^{l a}, from
+/// Simpson's rule on the short cell the Pade approximant starts on. The
+/// first cell is split at every doubling, so a mode that dies out within a
+/// fraction of it is charged on its own short cells.
+Propagation propagate(const Small& a, const std::vector<double>& y0,
+                      double dt, std::size_t cells,
+                      const std::vector<double>* c) {
+  const std::size_t m = a.n;
+  const Small aug = augment(a, y0);
+  const int k = halvings(aug, dt);
+  double tau = std::ldexp(dt, -k);
+  // The Pade approximant on half the first cell; one squaring gives the
+  // cell, and Simpson's rule reads both.
+  Propagation out;
+  out.f = pade_minus_identity(scaled(aug, tau / 2));
+  Small& f = out.f;
+  Small g(m);
+  std::vector<double> y = y0;
+  std::vector<double> scratch;
+  std::vector<double> mid;
+  if (c) mid = product_transpose(f, *c);
+  square_minus_identity(f);
+  if (c) {
+    const std::vector<double> end = product_transpose(f, *c);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        g(i, j) = tau / 6 *
+                  ((*c)[i] * (*c)[j] + 4 * mid[i] * mid[j] + end[i] * end[j]);
+      }
+    }
+    out.integral += std::sqrt(tau * quadratic(g, y.data()));  // [0, tau]
+    step(f, y, scratch);
+  }
+  for (int i = 0; i < k; ++i) {
+    if (c) {
+      out.integral += std::sqrt(tau * quadratic(g, y.data()));  // [tau, 2 tau]
+      step(f, y, scratch);
+      grow_gramian(g, f);
+    }
+    square_minus_identity(f);
+    tau *= 2;
+  }
+  // The grid: y_k = e^{dt a} y_{k-1}, and each later cell's share of the
+  // bound, in one allocation-free pass.
+  out.ys.resize((cells + 1) * m);
+  std::copy(y0.begin(), y0.end(), out.ys.begin());
+  for (std::size_t cell = 1; cell <= cells; ++cell) {
+    const double* prev = &out.ys[(cell - 1) * m];
+    double* cur = &out.ys[cell * m];
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* row = &f.a[i * f.n];
+      double acc = 0.0;
+      for (std::size_t j = 0; j < m; ++j) acc += row[j] * prev[j];
+      cur[i] = flush(prev[i] + acc);
+    }
+    if (c && cell < cells) out.integral += std::sqrt(dt * quadratic(g, cur));
+  }
+  return out;
+}
+
+// ---- The engine -----------------------------------------------------------
+
+/// x . y with four partial sums: Gram-Schmidt spends its time here, and
+/// one running sum would serialize every add behind the one before.
+double dot4(const linalg::Vector& x, const linalg::Vector& y) {
+  const std::size_t n = x.size();
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    s0 += x[k] * y[k];
+    s1 += x[k + 1] * y[k + 1];
+    s2 += x[k + 2] * y[k + 2];
+    s3 += x[k + 3] * y[k + 3];
+  }
+  for (; k < n; ++k) s0 += x[k] * y[k];
+  return (s0 + s1) + (s2 + s3);
+}
+
+/// The one transient engine: shift-and-invert Arnoldi on
+/// (I - gamma Q')^{-1}, certified over [0, horizon].
+///
+/// States with no exit (absorbing) drop out: the engine steps the others
+/// under the sub-generator and recovers the absorbed mass from the
+/// integrated flux into each absorbing state. When every state has an
+/// exit and the chain is irreducible, it steps the deviation
+/// delta = pi - pi_inf from the GTH stationary vector, which every
+/// Krylov approximation leaves exact at t = infinity. The basis V_m spans
+/// delta_0 = beta v_1 and the shift-inverted generator's images of it;
+/// delta(t) ~ V_m y(t) with y' = A_m y, y(0) = beta e_1, and A_m =
+/// I/gamma - H_m^{-1} from the Arnoldi Hessenberg H_m of the factored
+/// operator. The Arnoldi relation makes the residual
+/// R = Q'V_m - V_m A_m rank one, h_{m+1,m} (I/gamma - Q') v_{m+1}
+/// e_m' H_m^{-1}, and e^{Qt} is a contraction in the 1-norm, so the error
+/// of pi(t) is at most int_0^t ||R y(s)||_1 ds for every t <= horizon. The
+/// dimension grows until that bound meets `tolerance`.
+class Engine {
+ public:
+  Engine(const Ctmc& chain, const linalg::Vector& pi0, double horizon,
+         std::size_t cells, const TransientOptions& opts, const char* who)
+      : chain_(chain), pi0_(pi0), cells_(cells), dt_(horizon / cells) {
+    const std::size_t n = chain.size();
+    std::vector<bool> absorbing(n);
+    for (StateIndex i = 0; i < n; ++i) {
+      absorbing[i] = chain.exit_rate(i) == 0.0;
+      if (absorbing[i]) absorbed_.push_back(i);
+    }
+    TransientSplit split;  // the sub-generator, with absorbing states
+    const linalg::CsrMatrix* weights = &chain.generator();
+    linalg::Vector exits(n, 0.0);
+    bool deviation = false;  // stepping pi - pi_inf
+    if (absorbed_.empty()) {
+      active_.resize(n);
+      for (StateIndex i = 0; i < n; ++i) active_[i] = i;
+      try {
+        pi_inf_ = gth_stationary(chain.generator(), opts.cancel);
+        deviation = true;
+      } catch (const SolveError& e) {
+        // Reducible: no unique pi_inf to step the deviation from.
+        if (e.cause() != SolveCause::kInvalidInput) throw;
+        pi_inf_.assign(n, 0.0);
+      }
+    } else {
+      split = split_transient(chain.generator(), absorbing);
+      active_ = split.states;
+      weights = &split.weights;
+      exits = split.exits;
+      pi_inf_.assign(active_.size(), 0.0);
+    }
+    const std::size_t na = active_.size();
+    linalg::Vector delta(na);
+    for (std::size_t k = 0; k < na; ++k) delta[k] = pi0[active_[k]] - pi_inf_[k];
+    if (deviation) drop_stationary(delta);
+    const double beta = linalg::norm2(delta);
+    if (na == 0 || beta == 0.0 || horizon == 0.0) return;  // pi is constant
+
+    const double gamma = kShiftH;
+    // out_i of the stepped states, for the residual's (I/gamma - Q') v.
+    linalg::Vector out = exits;
+    for (std::size_t r = 0; r < na; ++r) {
+      const auto row = weights->row(r);
+      for (std::size_t k = 0; k < row.size; ++k) {
+        if (row.cols[k] != r) out[r] += row.values[k];
+      }
+    }
+    for (double& e : exits) e += 1.0 / gamma;
+    const GthFactor factor(*weights, exits, opts.cancel);
+
+    // The dimension of the space delta can reach: the zero-sum vectors in
+    // deviation form (pi - pi_inf always sums to 0), everything otherwise.
+    // A basis grown past it would take in pi_inf's direction, whose
+    // eigenvalue 0 rounding moves off.
+    const std::size_t space = deviation ? na - 1 : na;
+    linalg::scale(delta, 1.0 / beta);
+    basis_.push_back(std::move(delta));
+    std::vector<std::vector<double>> h;  // h[j]: column j of H, j + 2 rows
+    for (std::size_t j = 0;; ++j) {
+      robust::throw_if_stopped(opts.cancel, who, j);
+      linalg::Vector x = basis_[j];
+      factor.solve_row(x);
+      ++solves_;
+      if (deviation) drop_stationary(x);
+      const double solved = linalg::norm2(x);
+      // Classical Gram-Schmidt, twice: one pass loses the orthogonality
+      // the residual bound rests on.
+      std::vector<double> col(j + 2, 0.0);
+      std::vector<double> p(j + 1);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i <= j; ++i) p[i] = dot4(basis_[i], x);
+        for (std::size_t i = 0; i <= j; ++i) {
+          linalg::axpy(-p[i], basis_[i], x);
+          col[i] += p[i];
+        }
+      }
+      col[j + 1] = linalg::norm2(x);
+      const std::size_t m = j + 1;
+      // Near a breakdown the basis (nearly) spans an invariant subspace
+      // and the next direction would be mostly rounding: certify here. The
+      // space delta can reach is spanned once m is its dimension.
+      const bool breakdown = col[j + 1] <= kBreakdown * solved;
+      const bool last = m == space || m == kMaxDim;
+      if (col[j + 1] > 0.0) linalg::scale(x, 1.0 / col[j + 1]);
+      h.push_back(std::move(col));
+      if (breakdown || last || m % kBoundEvery == 0) {
+        if (certify(h, m, gamma, beta, x, out, *weights, opts)) break;
+        if (last) {
+          std::ostringstream os;
+          os << "residual bound " << bound_ << " above tolerance "
+             << opts.tolerance << " at Krylov dimension " << m;
+          throw SolveError(SolveCause::kBudgetExceeded, who, os.str(),
+                           solves_, bound_);
+        }
+      }
+      basis_.push_back(std::move(x));
+    }
+    basis_.resize(dim_);
+
+    if (obs::enabled()) {
+      static obs::Counter& dims =
+          obs::Registry::global().counter("transient.krylov_dim");
+      static obs::Counter& solves =
+          obs::Registry::global().counter("transient.banded_solves");
+      static obs::Histogram& bounds =
+          obs::Registry::global().histogram("transient.error_bound");
+      dims.inc(dim_);
+      solves.inc(solves_);
+      bounds.observe_ms(bound_ / opts.tolerance);
+    }
+  }
+
+  std::size_t dim() const noexcept { return dim_; }
+  double bound() const noexcept { return bound_; }
+
+  /// r . pi(k dt) for k = 0..cells.
+  linalg::Vector curve(const linalg::Vector& r) const {
+    const std::size_t m = dim_;
+    // r . pi(t) = r . pi_inf + r_abs . pi0_abs + u . y(t) + g . z(t), with
+    // u = V' r and g = V' (the reward-weighted flux into absorbing states).
+    double base = 0.0;
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+      base += pi_inf_[k] * r[active_[k]];
+    }
+    for (const StateIndex a : absorbed_) base += pi0_[a] * r[a];
+    linalg::Vector curve(cells_ + 1, base);
+    curve[0] = linalg::dot(r, pi0_);
+    if (m == 0) return curve;
+    std::vector<double> u(m);
+    std::vector<double> g(m);
+    const linalg::Vector flux = absorbed_flux(r);
+    bool any_flux = false;
+    for (const double f : flux) any_flux = any_flux || f != 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < active_.size(); ++k) {
+        acc += basis_[i][k] * r[active_[k]];
+      }
+      u[i] = acc;
+      g[i] = any_flux ? linalg::dot(basis_[i], flux) : 0.0;
+    }
+    // y on the grid comes from the bound's pass; the integral steps as
+    // the augmented column [z; 1; 0].
+    std::vector<double> z(m + 2, 0.0);
+    std::vector<double> scratch;
+    z[m] = 1.0;
+    for (std::size_t k = 1; k <= cells_; ++k) {
+      const double* y = &small_.ys[k * m];
+      if (any_flux) step(small_.f, z, scratch);
+      double acc = base;
+      for (std::size_t i = 0; i < m; ++i) acc += u[i] * y[i];
+      if (any_flux) {
+        for (std::size_t i = 0; i < m; ++i) acc += g[i] * z[i];
+      }
+      curve[k] = acc;
+    }
+    return curve;
+  }
+
+  /// pi(horizon) (`integrated` false) or int_0^horizon pi(u) du (true),
+  /// over one cell.
+  linalg::Vector distribution(bool integrated) const {
+    const double t = dt_;
+    const std::size_t m = dim_;
+    linalg::Vector pi(chain_.size(), 0.0);
+    const double w = integrated ? t : 1.0;
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+      pi[active_[k]] = pi_inf_[k] * w;
+    }
+    for (const StateIndex a : absorbed_) pi[a] = pi0_[a] * w;
+    if (m == 0) {
+      if (!integrated) pi = pi0_;
+      return pi;
+    }
+    // Active part: V times y (point) or z (integral); absorbed part: the
+    // flux into each absorbing state, integrated once (point) or twice.
+    // exp(dt aug) - I holds y(dt) / beta - e_1 in column 0 and z(dt) in
+    // column m.
+    std::vector<double> state = column(small_.f, integrated ? m : 0, m);
+    if (!integrated) {
+      state[0] += 1.0;
+      for (double& v : state) v *= beta_;
+    }
+    const std::vector<double> inflow =
+        integrated ? column(small_.f, m + 1, m) : column(small_.f, m, m);
+    linalg::Vector active(active_.size(), 0.0);
+    for (std::size_t i = 0; i < m; ++i) linalg::axpy(state[i], basis_[i], active);
+    for (std::size_t k = 0; k < active_.size(); ++k) pi[active_[k]] += active[k];
+    if (!absorbed_.empty()) {
+      linalg::Vector mass(active_.size(), 0.0);
+      for (std::size_t i = 0; i < m; ++i) {
+        linalg::axpy(inflow[i], basis_[i], mass);
+      }
+      const auto& q = chain_.generator();
+      for (std::size_t k = 0; k < active_.size(); ++k) {
+        const auto row = q.row(active_[k]);
+        for (std::size_t e = 0; e < row.size; ++e) {
+          if (chain_.exit_rate(row.cols[e]) == 0.0) {
+            pi[row.cols[e]] += row.values[e] * mass[k];
+          }
+        }
+      }
+    }
+    return pi;
+  }
+
+ private:
+  /// x <- x - (1'x) pi_inf: the spectral projection onto the zero-sum
+  /// vectors, which commutes with Q'. delta(t) has no pi_inf component;
+  /// rounding gives its Krylov vectors one that the shift-inverted
+  /// operator (largest eigenvalue gamma, along pi_inf) would grow.
+  void drop_stationary(linalg::Vector& x) const {
+    const double mass = linalg::sum(x);
+    linalg::axpy(-mass, pi_inf_, x);
+  }
+
+  /// Per stepped state: sum over its arcs into absorbing states of rate
+  /// times that state's reward.
+  linalg::Vector absorbed_flux(const linalg::Vector& r) const {
+    linalg::Vector flux(active_.size(), 0.0);
+    if (absorbed_.empty()) return flux;
+    const auto& q = chain_.generator();
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+      const auto row = q.row(active_[k]);
+      for (std::size_t e = 0; e < row.size; ++e) {
+        if (chain_.exit_rate(row.cols[e]) == 0.0) {
+          flux[k] += row.values[e] * r[row.cols[e]];
+        }
+      }
+    }
+    return flux;
+  }
+
+  /// Forms A_m and the residual bound at dimension m; keeps them and
+  /// returns true when the bound meets the tolerance.
+  bool certify(const std::vector<std::vector<double>>& h, std::size_t m,
+               double gamma, double beta, const linalg::Vector& next,
+               const linalg::Vector& out, const linalg::CsrMatrix& weights,
+               const TransientOptions& opts) {
+    Small hm(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      for (std::size_t i = 0; i < std::min(m, j + 2); ++i) hm(i, j) = h[j][i];
+    }
+    Small inv = identity(m);
+    solve(hm, inv);
+    Small a(m);
+    for (std::size_t k = 0; k < m * m; ++k) a.a[k] = -inv.a[k];
+    for (std::size_t i = 0; i < m; ++i) a(i, i) += 1.0 / gamma;
+    // c = H_m^{-T} e_m: the last row of H_m^{-1}.
+    std::vector<double> c(m);
+    for (std::size_t j = 0; j < m; ++j) c[j] = inv(m - 1, j);
+    // rho = h_{m+1,m} || (I/gamma - Q') v_{m+1} ||_1, the 1-norm of R
+    // over |c . y|.
+    const double hnext = h[m - 1][m];
+    double rho = 0.0;
+    if (hnext > 0.0) {
+      linalg::Vector qv(next.size(), 0.0);  // Q' v
+      for (std::size_t r = 0; r < next.size(); ++r) {
+        const auto row = weights.row(r);
+        for (std::size_t k = 0; k < row.size; ++k) {
+          if (row.cols[k] != r) qv[row.cols[k]] += row.values[k] * next[r];
+        }
+        qv[r] -= out[r] * next[r];
+      }
+      for (std::size_t r = 0; r < next.size(); ++r) {
+        rho += std::abs(next[r] / gamma - qv[r]);
+      }
+      rho *= hnext;
+    }
+    std::vector<double> y0(m, 0.0);
+    y0[0] = beta;
+    Propagation p = propagate(a, y0, dt_, cells_, rho > 0.0 ? &c : nullptr);
+    bound_ = rho * p.integral;
+    // A non-finite exponential (a basis gone bad in rounding) certifies
+    // nothing.
+    for (const double v : p.f.a) {
+      if (!std::isfinite(v)) bound_ = std::numeric_limits<double>::infinity();
+    }
+    if (!(bound_ <= opts.tolerance)) return false;
+    dim_ = m;
+    small_ = std::move(p);
+    beta_ = beta;
+    return true;
+  }
+
+  const Ctmc& chain_;
+  const linalg::Vector& pi0_;
+  std::size_t cells_;
+  double dt_;
+  std::vector<StateIndex> active_;    // stepped states
+  std::vector<StateIndex> absorbed_;  // states with no exit
+  linalg::Vector pi_inf_;             // on the stepped states; 0 without one
+  std::vector<linalg::Vector> basis_;
+  std::size_t dim_ = 0;  // m (0 while pi is constant)
+  Propagation small_;    // A_m's exponential and y on the grid
+  double beta_ = 0.0;
+  double bound_ = 0.0;
+  std::size_t solves_ = 0;
+};
 
 /// Flow rate out of each source-class state into the other class: the
 /// integrand of the expected up->down (or down->up) crossings.
@@ -231,17 +697,30 @@ linalg::Vector crossing_flow(const Ctmc& chain, bool up_to_down) {
   return flow;
 }
 
+/// Integrals over (0, t) of rates[j] . pi(u) du, from one engine.
+linalg::Vector integrate_rates(const Ctmc& chain, const linalg::Vector& pi0,
+                               double t,
+                               const std::vector<linalg::Vector>& rates,
+                               const TransientOptions& opts, const char* who) {
+  linalg::Vector acc(rates.size(), 0.0);
+  if (t == 0.0) return acc;
+  const Engine engine(chain, pi0, t, 1, opts, who);
+  const linalg::Vector occupancy = engine.distribution(true);
+  for (std::size_t j = 0; j < rates.size(); ++j) {
+    acc[j] = linalg::dot(rates[j], occupancy);
+  }
+  return acc;
+}
+
 }  // namespace
 
 linalg::Vector transient_distribution(const Ctmc& chain,
                                       const linalg::Vector& pi0, double t,
                                       const TransientOptions& opts) {
   check_inputs(chain, pi0, t);
-  linalg::Vector pi = pi0;
-  if (t == 0.0) return pi;
-  Engine engine(chain, t, opts, "transient_distribution");
-  engine.step(pi);
-  return pi;
+  if (t == 0.0) return pi0;
+  return Engine(chain, pi0, t, 1, opts, "transient_distribution")
+      .distribution(false);
 }
 
 double accumulated_reward(const Ctmc& chain, const linalg::Vector& pi0,
@@ -315,32 +794,14 @@ double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
 linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
                             double horizon, std::size_t steps,
                             const TransientOptions& opts,
-                            std::size_t* stop_step) {
+                            TransientStats* stats) {
   check_inputs(chain, pi0, horizon);
   if (!(horizon > 0.0) || steps == 0) {
     throw std::invalid_argument("reward_curve: need positive horizon/steps");
   }
-  Engine engine(chain, horizon / static_cast<double>(steps), opts,
-                "reward_curve");
-  const linalg::Vector r = chain.reward_vector();
-  linalg::Vector curve(steps + 1);
-  linalg::Vector pi = pi0;
-  curve[0] = linalg::dot(r, pi);
-  std::size_t k = 0;
-  while (k < steps && !engine.stationary()) {
-    engine.step(pi);
-    curve[++k] = linalg::dot(r, pi);
-  }
-  // Stationary from grid point k on: every later point repeats it.
-  std::fill(curve.begin() + static_cast<std::ptrdiff_t>(k) + 1, curve.end(),
-            curve[k]);
-  if (stop_step) *stop_step = k;
-  if (obs::enabled() && k < steps) {
-    static obs::Counter& skipped =
-        obs::Registry::global().counter("transient.steps_skipped");
-    skipped.inc(steps - k);
-  }
-  return curve;
+  const Engine engine(chain, pi0, horizon, steps, opts, "reward_curve");
+  if (stats) *stats = {engine.dim(), engine.bound()};
+  return engine.curve(chain.reward_vector());
 }
 
 linalg::Vector point_mass(const Ctmc& chain, StateIndex state) {

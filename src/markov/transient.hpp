@@ -1,12 +1,15 @@
-// Transient analysis of CTMCs by uniformization (Jensen's method), the
-// standard numerically robust approach (Reibman/Trivedi 1989 — reference
-// [6] of the paper). Provides point-in-time state probabilities and the
-// time-averaged accumulated reward, i.e. interval availability over (0, T).
+// Transient analysis of CTMCs: point-in-time state probabilities, the
+// time-averaged accumulated reward (interval availability over (0, T)),
+// crossing counts and reward curves. Stiff transient solution is the hard
+// part of availability modelling (Reibman/Trivedi 1989, reference [6] of
+// the paper).
 //
-// Every function here runs on one engine: for a chain and a step length it
-// builds P^T and the Poisson weights once, then advances pi step by step
-// and stops stepping once pi is stationary (docs/numerics.md states the
-// test and its error bound).
+// Every function here runs on one engine: shift-and-invert Krylov. Per
+// call it factors I - gamma Q once with the banded GTH code, builds one
+// Arnoldi basis from pi0 - pi_inf (pi_inf from GTH) and evaluates every
+// requested time through a small matrix exponential; the basis grows until
+// a residual bound certifies the whole horizon (docs/numerics.md states
+// the method and the bound).
 #pragma once
 
 #include <cstddef>
@@ -18,22 +21,28 @@
 namespace rascad::markov {
 
 struct TransientOptions {
-  /// Admissible Poisson truncation mass per step; also the stationarity
-  /// threshold: stepping stops once one step moves pi by at most this
-  /// much in the 1-norm.
+  /// Bound on the 1-norm error of pi(t) over the whole horizon: the Krylov
+  /// dimension grows until its residual bound meets it.
   double tolerance = 1e-12;
-  /// Hard cap on Poisson terms (sparse matrix-vector products) per call.
-  std::size_t max_terms = 20'000'000;
-  /// Request token, polled at every step and every 64 terms within it;
-  /// when it fires the call throws SolveError(kCancelled /
-  /// kDeadlineExceeded). An inert token never changes a result.
+  /// Request token, polled at every banded solve and Arnoldi step (and
+  /// every 64 states of the factorization); when it fires the call throws
+  /// SolveError(kCancelled / kDeadlineExceeded). An inert token never
+  /// changes a result.
   robust::CancelToken cancel;
+};
+
+/// The work one engine did: its Krylov dimension (0 when pi is constant)
+/// and the certified bound on the 1-norm error of pi(t) over the horizon.
+struct TransientStats {
+  std::size_t krylov_dim = 0;
+  double error_bound = 0.0;
 };
 
 /// State-probability vector at time t, starting from distribution pi0.
 /// Throws std::invalid_argument for negative t / bad pi0, and
 /// resilience::SolveError(kBudgetExceeded) — an is-a std::runtime_error —
-/// if max_terms is exceeded before pi is stationary or t is reached.
+/// if the residual bound is still above `tolerance` at the largest Krylov
+/// dimension (128).
 linalg::Vector transient_distribution(const Ctmc& chain,
                                       const linalg::Vector& pi0, double t,
                                       const TransientOptions& opts = {});
@@ -86,15 +95,12 @@ double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
 linalg::Vector point_mass(const Ctmc& chain, StateIndex state);
 
 /// Expected reward at each grid point k * (horizon / steps), k = 0..steps.
-/// One engine steps pi from grid point to grid point, so the whole curve
-/// costs one uniformization pass (the curves feed hierarchical RBD
-/// composition, which samples every block on a shared grid). Once pi is
-/// stationary the remaining points repeat the last value; `stop_step`
-/// (optional) receives the grid index where that happened, or `steps`
-/// when every point was stepped.
+/// One Krylov basis serves the whole grid (the curves feed hierarchical RBD
+/// composition, which samples every block on a shared grid); each point is
+/// one small-space step. `stats` (optional) receives the engine's work.
 linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
                             double horizon, std::size_t steps,
                             const TransientOptions& opts = {},
-                            std::size_t* stop_step = nullptr);
+                            TransientStats* stats = nullptr);
 
 }  // namespace rascad::markov

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -136,22 +137,26 @@ resilience::ResilienceConfig resolve_config(const SystemModel::Options& opts) {
 
 // Curve-kind discriminants for the sampled-curve memo key. A curve is a
 // pure function of the generated chain, so the chain signature (without
-// the solver words) plus these fully determines the sampled values.
+// the solver words) plus these fully determines the sampled values. The
+// version word changes whenever the engine's arithmetic does, so a cache
+// that outlives a process never serves values from another engine.
+constexpr std::uint64_t kCurveKeyVersion = 2;  // 2: shift-and-invert Krylov
 constexpr std::uint64_t kCurveAvailability = 1;
-constexpr std::uint64_t kCurveReliability = 2;
+constexpr std::uint64_t kReliabilityAtHorizon = 3;
 
 cache::Signature curve_key(const cache::Signature& block_sig,
                            std::uint64_t kind, double horizon) {
   cache::Signature key = block_sig;
+  key.append_word(kCurveKeyVersion);
   key.append_word(kind);
   key.append_double(horizon);
   return key;
 }
 
-/// Memoized sampling of one block curve: consult `cache` (may be null),
-/// otherwise run `sample(stop_step)` and insert the result. The span
-/// detail of a sampled curve names the grid step where it became
-/// stationary (`stop=<kCurveSteps>` when it never did).
+/// Memoized sampling of one block curve (or single value): consult
+/// `cache` (may be null), otherwise run `sample(stats)` and insert the
+/// result. The span detail of a sampled curve names the engine's Krylov
+/// dimension and error bound.
 template <typename SampleFn>
 std::shared_ptr<const linalg::Vector> sample_curve_cached(
     const SystemModel::BlockEntry& block, std::uint64_t kind, double horizon,
@@ -167,11 +172,14 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
       return hit;
     }
   }
-  std::size_t stop_step = SystemModel::kCurveSteps;
-  auto curve = std::make_shared<const linalg::Vector>(sample(stop_step));
+  markov::TransientStats stats;
+  auto curve = std::make_shared<const linalg::Vector>(sample(stats));
   if (span.active()) {
+    char bound[32];
+    std::snprintf(bound, sizeof bound, "%.3g", stats.error_bound);
     span.set_detail(block.diagram + "/" + block.block.name +
-                    " sampled stop=" + std::to_string(stop_step));
+                    " m=" + std::to_string(stats.krylov_dim) +
+                    " bound=" + bound);
   }
   if (cache) cache->put_curve(key, curve);
   return curve;
@@ -449,11 +457,11 @@ double SystemModel::interval_availability(double horizon) const {
         const auto& b = blocks_[i];
         sampled[i] = sample_curve_cached(
             b, kCurveAvailability, horizon, opts_.cache,
-            [&](std::size_t& stop_step) {
+            [&](markov::TransientStats& stats) {
               const linalg::Vector pi0 =
                   markov::point_mass(*b.chain, b.initial);
               return markov::reward_curve(*b.chain, pi0, horizon,
-                                          kCurveSteps, transient, &stop_step);
+                                          kCurveSteps, transient, &stats);
             });
       },
       opts_.parallel);
@@ -465,55 +473,41 @@ double SystemModel::interval_availability(double horizon) const {
   return tree->interval_availability(horizon, kCurveSteps);
 }
 
-namespace {
-
-rbd::RbdNodePtr reliability_tree(
-    const spec::ModelSpec& model,
-    const std::vector<SystemModel::BlockEntry>& blocks, double horizon,
-    const exec::ParallelOptions& par, cache::SolveCache* cache) {
-  constexpr std::size_t steps = SystemModel::kCurveSteps;
-  std::vector<std::shared_ptr<const linalg::Vector>> sampled(blocks.size());
-  markov::TransientOptions transient;
-  transient.cancel = par.cancel;
-  exec::parallel_for(
-      blocks.size(),
-      [&](std::size_t i) {
-        const auto& b = blocks[i];
-        sampled[i] = sample_curve_cached(
-            b, kCurveReliability, horizon, cache,
-            [&](std::size_t& stop_step) {
-              const markov::Ctmc rel =
-                  markov::make_down_states_absorbing(*b.chain);
-              if (rel.down_states().empty()) {
-                // Block cannot fail; survival is identically 1.
-                return linalg::Vector(steps + 1, 1.0);
-              }
-              const linalg::Vector pi0 = markov::point_mass(rel, b.initial);
-              // Survival = probability mass on transient states; reward 1 on
-              // up transient states equals survival because absorbed states
-              // are down.
-              return markov::reward_curve(rel, pi0, horizon, steps,
-                                          transient, &stop_step);
-            });
-      },
-      par);
-  return compose_leaves(model, [&](std::size_t i, const spec::BlockSpec& b) {
-    return rbd::RbdNode::leaf(b.name, 1.0, nullptr,
-                              interpolate(sampled.at(i), horizon));
-  });
-}
-
-}  // namespace
-
 double SystemModel::reliability(double horizon) const {
   obs::Span span("system.reliability");
   if (!(horizon > 0.0)) {
     throw std::invalid_argument(
         "SystemModel::reliability: horizon must be positive");
   }
-  return reliability_tree(spec_, blocks_, horizon, opts_.parallel,
-                          opts_.cache)
-      ->reliability(horizon);
+  // Each block's R_i(horizon), read once from the engine on its absorbing
+  // chain (down states absorbing), then composed like availabilities.
+  std::vector<double> at_horizon(blocks_.size());
+  markov::TransientOptions transient;
+  transient.cancel = opts_.parallel.cancel;
+  exec::parallel_for(
+      blocks_.size(),
+      [&](std::size_t i) {
+        const auto& b = blocks_[i];
+        at_horizon[i] = sample_curve_cached(
+            b, kReliabilityAtHorizon, horizon, opts_.cache,
+            [&](markov::TransientStats& stats) {
+              const markov::Ctmc rel =
+                  markov::make_down_states_absorbing(*b.chain);
+              // A block that cannot fail survives with certainty.
+              if (rel.down_states().empty()) return linalg::Vector{1.0};
+              // Reward 1 on the up (stepped) states and 0 on the absorbed
+              // down states: the reward at the horizon is the survival.
+              const linalg::Vector pi0 = markov::point_mass(rel, b.initial);
+              return linalg::Vector{markov::reward_curve(
+                  rel, pi0, horizon, 1, transient, &stats)[1]};
+            })->front();
+      },
+      opts_.parallel);
+  return compose_leaves(spec_,
+                        [&](std::size_t i, const spec::BlockSpec& b) {
+                          return rbd::RbdNode::leaf(b.name, at_horizon[i]);
+                        })
+      ->availability();
 }
 
 double SystemModel::availability_with_override(const std::string& diagram,

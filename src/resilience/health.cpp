@@ -47,7 +47,9 @@ HealthReport check_distribution(linalg::Vector& pi) {
     report.detail = "probability vector has no positive mass";
     return report;
   }
-  linalg::scale(pi, 1.0 / total);
+  // Only a clamp moves the mass: a solver's normalized vector is kept bit
+  // for bit, so an episode's pi is the solver's pi.
+  if (negative_mass > 0.0) linalg::scale(pi, 1.0 / total);
   return report;
 }
 

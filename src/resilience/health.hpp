@@ -43,14 +43,15 @@ struct HealthReport {
 bool all_finite(const linalg::Vector& v) noexcept;
 
 /// Distribution-only verification (no generator residual): NaN/Inf scan,
-/// clamp-and-account of negative entries, renormalization in place. Used
-/// by the DTMC/SMP/transient paths whose residual metric differs from
-/// ||pi Q||.
+/// clamp-and-account of negative entries, and renormalization in place
+/// when (and only when) negative mass was clamped: an unclamped vector is
+/// kept bit for bit. Used by the DTMC/SMP paths whose residual metric
+/// differs from ||pi Q||.
 HealthReport check_distribution(linalg::Vector& pi);
 
 /// Verifies (and repairs, where legitimate) a candidate stationary vector:
-/// NaN/Inf scan, clamp-and-account of negative entries, renormalization,
-/// then a residual re-check of ||pi Q||_inf. `pi` is modified in
+/// NaN/Inf scan, clamp-and-account of negative entries, renormalization
+/// after a clamp, then a residual re-check of ||pi Q||_inf. `pi` is modified in
 /// place (clamping + renormalization) only when the checks pass far enough
 /// to make that meaningful.
 HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi);

@@ -1,6 +1,7 @@
 #include "resilience/resilience.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -216,6 +217,8 @@ ResilientResult smp_steady_state_resilient(
   for (std::size_t i = 0; i < process.size(); ++i) {
     pi[i] *= process.mean_sojourn(i);
   }
+  const double time = linalg::sum(pi);
+  if (time > 0.0 && std::isfinite(time)) linalg::scale(pi, 1.0 / time);
   const HealthReport report = check_distribution(pi);
   if (!report.ok) {
     obs::emit_event("health.check_failed",

@@ -337,11 +337,12 @@ TEST(ServeEndToEnd, ClientDeadlineCutsRequestShort) {
 }
 
 TEST(ServeEndToEnd, SolveDeadlineReachesTheBlockCurves) {
-  // One Type 4 block of 480 units (3,357 states): its availability curve
-  // runs for seconds, so a 200 ms deadline has to stop it mid-curve.
+  // One Type 4 block of 1440 units (10,077 states): its availability
+  // curve takes ~70 Arnoldi steps and well over 100 ms, so a 50 ms
+  // deadline has to stop it mid-curve.
   rascad::spec::BlockSpec b;
   b.name = "deep";
-  b.quantity = 480;
+  b.quantity = 1440;
   b.min_quantity = 1;
   b.mtbf_h = 100'000.0;
   b.transient_fit = 2'000.0;
@@ -365,7 +366,7 @@ TEST(ServeEndToEnd, SolveDeadlineReachesTheBlockCurves) {
   Client client;
   client.connect_retry(server.service.config().socket_path, 2000.0);
   const auto start = std::chrono::steady_clock::now();
-  const Reply reply = client.solve(text, /*deadline_ms=*/200);
+  const Reply reply = client.solve(text, /*deadline_ms=*/50);
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)

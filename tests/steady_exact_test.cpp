@@ -387,6 +387,44 @@ TEST(ExactOracle, EveryGeneratedFamilyMatchesDenseLu) {
   }
 }
 
+TEST(ExactOracle, GthFactorRowSolveMatchesDenseLu) {
+  // The transient engine's factorization: x ((1/gamma) I - Q) = b, the
+  // generator's rates with an exit of 1/gamma out of every state, against
+  // the dense LU of the transposed system.
+  const double gamma = 50.0;
+  for (const unsigned n : {1u, 2u, 8u, 48u}) {
+    const rascad::mg::GeneratedModel model = rascad::mg::generate(
+        full_block(n, 1, Transparency::kNontransparent,
+                   Transparency::kTransparent),
+        globals());
+    const auto& q = model.chain.generator();
+    const std::size_t size = q.rows();
+    const rascad::markov::GthFactor factor(q, Vector(size, 1.0 / gamma));
+    rascad::linalg::DenseMatrix lt(size, size);  // ((1/gamma) I - Q)'
+    for (std::size_t r = 0; r < size; ++r) {
+      const auto row = q.row(r);
+      for (std::size_t k = 0; k < row.size; ++k) {
+        lt(row.cols[k], r) -= row.values[k];
+      }
+      lt(r, r) += 1.0 / gamma;
+    }
+    std::mt19937_64 rng(n);
+    std::uniform_real_distribution<double> draw(-1.0, 1.0);
+    Vector b(size);
+    for (double& v : b) v = draw(rng);
+    Vector x = b;
+    factor.solve_row(x);
+    const Vector ref = rascad::testing::dense_lu_solve(lt, b);
+    double err = 0.0;
+    double scale = 0.0;
+    for (std::size_t i = 0; i < size; ++i) {
+      err = std::max(err, std::abs(x[i] - ref[i]));
+      scale = std::max(scale, std::abs(ref[i]));
+    }
+    EXPECT_LT(err, 1e-12 * scale) << "N=" << n;
+  }
+}
+
 TEST(ExactOracle, PermutedChainGivesSameAnswer) {
   std::vector<double> birth;
   std::vector<double> death;
