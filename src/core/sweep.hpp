@@ -47,7 +47,7 @@ struct SweepPoint {
 /// the blocks each sweep value actually dirties. Both paths produce
 /// bit-identical series — incremental only changes how much work is done.
 struct SweepOptions {
-  /// Thread count / grain for the point loop. Setting `parallel.cancel`
+  /// Thread count for the point loop. Setting `parallel.cancel`
   /// additionally opts the sweep into graceful degradation: the token fans
   /// into every build/rebuild (down to the solver iteration loops), and a
   /// stop no longer throws — unfinished points are returned with their

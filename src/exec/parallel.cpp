@@ -156,11 +156,9 @@ ParallelStatus run_parallel(std::size_t n,
   ParallelStatus status;
   if (n == 0) return status;
   if (!fn) throw std::invalid_argument("parallel_for: null function");
-  const std::size_t grain = std::max<std::size_t>(opts.grain, 1);
-  const std::size_t max_chunks = (n + grain - 1) / grain;
   std::size_t threads =
       opts.threads != 0 ? opts.threads : default_thread_count();
-  threads = std::min(threads, max_chunks);
+  threads = std::min(threads, n);
   obs::Span loop_span("exec.parallel_for");
   if (loop_span.active()) {
     loop_span.set_detail("n=" + std::to_string(n) +
@@ -193,7 +191,6 @@ ParallelStatus run_parallel(std::size_t n,
   batch->n = n;
   batch->chunk_size =
       (n + threads * kChunksPerThread - 1) / (threads * kChunksPerThread);
-  batch->chunk_size = std::max(batch->chunk_size, grain);
   batch->chunks = (n + batch->chunk_size - 1) / batch->chunk_size;
   batch->fn = &fn;
   batch->trace_parent = loop_span.id();

@@ -22,7 +22,7 @@
 //
 // Cancellation: when ParallelOptions::cancel carries a token, workers
 // stop claiming chunks once it fires — already-started chunk bodies run
-// to completion (bodies poll their own child tokens for finer grain), and
+// to completion (bodies poll their own child tokens to stop sooner), and
 // the skipped-index count plus the stop reason land in ParallelStatus.
 // parallel_for turns a partial loop into SolveError(kCancelled /
 // kDeadlineExceeded); parallel_for_status returns it for graceful
@@ -33,7 +33,6 @@
 #include <exception>
 #include <functional>
 #include <limits>
-#include <vector>
 
 #include "exec/thread_pool.hpp"
 #include "robust/cancel.hpp"
@@ -44,9 +43,6 @@ struct ParallelOptions {
   /// Worker threads to aim for; 0 means default_thread_count(). 1 forces
   /// the serial inline path.
   std::size_t threads = 0;
-  /// Minimum indices per chunk — a load-balancing knob for very cheap
-  /// bodies. Never affects results, only scheduling.
-  std::size_t grain = 1;
   /// Cooperative stop for the loop itself: once fired, no further chunk is
   /// claimed. Inert by default. Forward the same token (or a child) into
   /// the body's solves for intra-chunk cancellation.
@@ -91,15 +87,5 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
 ParallelStatus parallel_for_status(
     std::size_t n, const std::function<void(std::size_t)>& fn,
     const ParallelOptions& opts = {});
-
-/// parallel_for writing fn(i) into slot i of a pre-sized vector.
-template <typename T, typename Fn>
-std::vector<T> parallel_map(std::size_t n, Fn&& fn,
-                            const ParallelOptions& opts = {}) {
-  std::vector<T> out(n);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = fn(i); }, opts);
-  return out;
-}
 
 }  // namespace rascad::exec

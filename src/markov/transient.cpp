@@ -493,8 +493,9 @@ class Engine {
   std::size_t dim() const noexcept { return dim_; }
   double bound() const noexcept { return bound_; }
 
-  /// r . pi(k dt) for k = 0..cells.
-  linalg::Vector curve(const linalg::Vector& r) const {
+  /// r . pi(k dt) for k = 0..cells; `average` (optional) receives the
+  /// time average of r . pi over [0, cells dt] from the same exponential.
+  linalg::Vector curve(const linalg::Vector& r, double* average) const {
     const std::size_t m = dim_;
     // r . pi(t) = r . pi_inf + r_abs . pi0_abs + u . y(t) + g . z(t), with
     // u = V' r and g = V' (the reward-weighted flux into absorbing states).
@@ -505,6 +506,7 @@ class Engine {
     for (const StateIndex a : absorbed_) base += pi0_[a] * r[a];
     linalg::Vector curve(cells_ + 1, base);
     curve[0] = linalg::dot(r, pi0_);
+    if (average) *average = base;
     if (m == 0) return curve;
     std::vector<double> u(m);
     std::vector<double> g(m);
@@ -519,20 +521,30 @@ class Engine {
       u[i] = acc;
       g[i] = any_flux ? linalg::dot(basis_[i], flux) : 0.0;
     }
-    // y on the grid comes from the bound's pass; the integral steps as
-    // the augmented column [z; 1; 0].
+    // y on the grid comes from the bound's pass; its integral z steps as
+    // the augmented column [z; 1; 0], and the integral of z as [w; t; 1].
+    const bool integrate = any_flux || average;
     std::vector<double> z(m + 2, 0.0);
+    std::vector<double> w(m + 2, 0.0);
     std::vector<double> scratch;
     z[m] = 1.0;
+    w[m + 1] = 1.0;
     for (std::size_t k = 1; k <= cells_; ++k) {
       const double* y = &small_.ys[k * m];
-      if (any_flux) step(small_.f, z, scratch);
+      if (integrate) step(small_.f, z, scratch);
+      if (average && any_flux) step(small_.f, w, scratch);
       double acc = base;
       for (std::size_t i = 0; i < m; ++i) acc += u[i] * y[i];
       if (any_flux) {
         for (std::size_t i = 0; i < m; ++i) acc += g[i] * z[i];
       }
       curve[k] = acc;
+    }
+    if (average) {
+      // int_0^T r . pi = T base + u . z(T) + g . w(T).
+      double acc = 0.0;
+      for (std::size_t i = 0; i < m; ++i) acc += u[i] * z[i] + g[i] * w[i];
+      *average = base + acc / (dt_ * static_cast<double>(cells_));
     }
     return curve;
   }
@@ -794,14 +806,14 @@ double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
 linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
                             double horizon, std::size_t steps,
                             const TransientOptions& opts,
-                            TransientStats* stats) {
+                            TransientStats* stats, double* average) {
   check_inputs(chain, pi0, horizon);
   if (!(horizon > 0.0) || steps == 0) {
     throw std::invalid_argument("reward_curve: need positive horizon/steps");
   }
   const Engine engine(chain, pi0, horizon, steps, opts, "reward_curve");
   if (stats) *stats = {engine.dim(), engine.bound()};
-  return engine.curve(chain.reward_vector());
+  return engine.curve(chain.reward_vector(), average);
 }
 
 linalg::Vector point_mass(const Ctmc& chain, StateIndex state) {

@@ -95,12 +95,15 @@ double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
 linalg::Vector point_mass(const Ctmc& chain, StateIndex state);
 
 /// Expected reward at each grid point k * (horizon / steps), k = 0..steps.
-/// One Krylov basis serves the whole grid (the curves feed hierarchical RBD
-/// composition, which samples every block on a shared grid); each point is
-/// one small-space step. `stats` (optional) receives the engine's work.
+/// One Krylov basis serves the whole grid (SystemModel samples every block
+/// on a shared grid); each point is one small-space step. `stats`
+/// (optional) receives the engine's work; `average` (optional) receives
+/// the time-averaged reward over (0, horizon), integrated exactly by the
+/// augmented exponential that steps the grid, not by quadrature.
 linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
                             double horizon, std::size_t steps,
                             const TransientOptions& opts = {},
-                            TransientStats* stats = nullptr);
+                            TransientStats* stats = nullptr,
+                            double* average = nullptr);
 
 }  // namespace rascad::markov

@@ -18,111 +18,90 @@ namespace rascad::mg {
 
 namespace {
 
-/// Piecewise-linear interpolation of a sampled curve over [0, horizon];
-/// clamps outside the range.
-rbd::TimeFunction interpolate(std::shared_ptr<const linalg::Vector> curve,
-                              double horizon) {
-  return [curve = std::move(curve), horizon](double t) {
-    const auto& c = *curve;
-    if (t <= 0.0) return c.front();
-    if (t >= horizon) return c.back();
-    const double pos =
-        t / horizon * static_cast<double>(c.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(lo);
-    return c[lo] * (1.0 - frac) + c[lo + 1] * frac;
-  };
-}
+using PendingBlocks =
+    std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>;
 
-/// Recursive tree construction shared by the steady-state build and the
-/// per-query transient/reliability rebuilds: the leaf factory decides what
-/// each block's own chain contributes.
-class TreeBuilder {
- public:
-  using LeafFactory = std::function<rbd::RbdNodePtr(
-      const spec::DiagramSpec&, const spec::BlockSpec&)>;
-
-  TreeBuilder(const spec::ModelSpec& model, LeafFactory factory)
-      : model_(model), factory_(std::move(factory)) {}
-
-  rbd::RbdNodePtr build(const spec::DiagramSpec& diagram) {
-    std::vector<rbd::RbdNodePtr> children;
-    children.reserve(diagram.blocks.size());
-    for (const auto& block : diagram.blocks) {
-      rbd::RbdNodePtr own;
-      if (block.has_own_failures()) {
-        own = factory_(diagram, block);
-      }
-      rbd::RbdNodePtr sub;
-      if (block.subdiagram) {
-        const spec::DiagramSpec* d = model_.find_diagram(*block.subdiagram);
-        if (!d) {
-          throw std::invalid_argument("SystemModel: dangling subdiagram '" +
-                                      *block.subdiagram + "'");
-        }
-        sub = build(*d);
-      }
-      if (own && sub) {
-        children.push_back(
-            rbd::RbdNode::series(block.name, {std::move(own), std::move(sub)}));
-      } else if (own) {
-        children.push_back(std::move(own));
-      } else if (sub) {
-        children.push_back(std::move(sub));
-      } else {
-        throw std::invalid_argument("SystemModel: block '" + block.name +
-                                    "' contributes nothing");
-      }
-    }
-    return rbd::RbdNode::series(diagram.name, std::move(children));
-  }
-
- private:
-  const spec::ModelSpec& model_;
-  LeafFactory factory_;
-};
-
-/// Collects the chain-bearing blocks in the exact order TreeBuilder's leaf
-/// factory visits them (own chain first, then the subdiagram's blocks), so
-/// a pre-solved vector can be consumed by a running cursor.
-void collect_chain_blocks(
-    const spec::ModelSpec& model, const spec::DiagramSpec& diagram,
-    std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>&
-        out) {
+/// The one walk of the diagram hierarchy (paper Section 4): a diagram is
+/// the series of its blocks, and a block with both a chain of its own and a
+/// subdiagram is the series of the two. `leaf(diagram, block)` gives the
+/// value of a block's own chain and is called in visit order (own chain
+/// first, then the subdiagram's blocks), the order of the solved block
+/// table; `series(name, parts)` combines. Validation guarantees a tree,
+/// so every block is visited once.
+template <typename T, typename Leaf, typename Series>
+T walk(const spec::ModelSpec& model, const spec::DiagramSpec& diagram,
+       Leaf& leaf, Series& series) {
+  std::vector<T> children;
+  children.reserve(diagram.blocks.size());
   for (const auto& block : diagram.blocks) {
-    if (block.has_own_failures()) out.emplace_back(&diagram, &block);
+    const spec::DiagramSpec* sub = nullptr;
     if (block.subdiagram) {
-      const spec::DiagramSpec* sub = model.find_diagram(*block.subdiagram);
+      sub = model.find_diagram(*block.subdiagram);
       if (!sub) {
         throw std::invalid_argument("SystemModel: dangling subdiagram '" +
                                     *block.subdiagram + "'");
       }
-      collect_chain_blocks(model, *sub, out);
+    }
+    if (block.has_own_failures() && sub) {
+      // A braced list runs its elements in order: the own chain first.
+      children.push_back(series(block.name,
+                                {leaf(diagram, block),
+                                 walk<T>(model, *sub, leaf, series)}));
+    } else if (block.has_own_failures()) {
+      children.push_back(leaf(diagram, block));
+    } else if (sub) {
+      children.push_back(walk<T>(model, *sub, leaf, series));
+    } else {
+      throw std::invalid_argument("SystemModel: block '" + block.name +
+                                  "' contributes nothing");
     }
   }
+  return series(diagram.name, std::move(children));
 }
 
-/// Composes the serial RBD with `leaf(i, block)` as the leaf of the i-th
-/// chain-bearing block in visit order, the order of the solved block
-/// table. Validation guarantees a tree, so every block is visited once.
-template <typename LeafFn>
-rbd::RbdNodePtr compose_leaves(const spec::ModelSpec& spec, LeafFn&& leaf) {
+/// The chain-bearing blocks in visit order.
+PendingBlocks chain_blocks(const spec::ModelSpec& model) {
+  PendingBlocks out;
+  auto leaf = [&](const spec::DiagramSpec& d, const spec::BlockSpec& b) {
+    out.emplace_back(&d, &b);
+    return 0;
+  };
+  auto series = [](const std::string&, std::vector<int>) { return 0; };
+  walk<int>(model, model.root(), leaf, series);
+  return out;
+}
+
+/// The system probability of a series hierarchy whose i-th chain-bearing
+/// block has probability `value(i)`. Products are taken in the diagram
+/// tree's own association, left to right from 1, so the result is the one
+/// the printed RbdNode tree evaluates, bit for bit.
+template <typename ValueFn>
+double series_product(const spec::ModelSpec& model, ValueFn&& value) {
   std::size_t cursor = 0;
-  TreeBuilder builder(
-      spec, [&](const spec::DiagramSpec&,
-                const spec::BlockSpec& block) -> rbd::RbdNodePtr {
-        return leaf(cursor++, block);
-      });
-  return builder.build(spec.root());
+  auto leaf = [&](const spec::DiagramSpec&, const spec::BlockSpec&) {
+    return rbd::checked_probability(value(cursor++), "SystemModel");
+  };
+  auto series = [](const std::string&, const std::vector<double>& parts) {
+    double acc = 1.0;
+    for (const double p : parts) acc *= p;
+    return acc;
+  };
+  return walk<double>(model, model.root(), leaf, series);
 }
 
-/// The steady-state RBD of a solved block table.
+/// The steady-state RBD of a solved block table, for printing.
 rbd::RbdNodePtr compose_tree(
-    const spec::ModelSpec& spec,
+    const spec::ModelSpec& model,
     const std::vector<SystemModel::BlockEntry>& blocks) {
-  return compose_leaves(spec, [&](std::size_t i, const spec::BlockSpec& b) {
-    return rbd::RbdNode::leaf(b.name, blocks.at(i).availability);
-  });
+  std::size_t cursor = 0;
+  auto leaf = [&](const spec::DiagramSpec&, const spec::BlockSpec& b) {
+    return rbd::RbdNode::leaf(b.name, blocks.at(cursor++).availability);
+  };
+  auto series = [](const std::string& name,
+                   std::vector<rbd::RbdNodePtr> parts) {
+    return rbd::RbdNode::series(name, std::move(parts));
+  };
+  return walk<rbd::RbdNodePtr>(model, model.root(), leaf, series);
 }
 
 resilience::ResilienceConfig resolve_config(const SystemModel::Options& opts) {
@@ -134,14 +113,21 @@ resilience::ResilienceConfig resolve_config(const SystemModel::Options& opts) {
   return config;
 }
 
+/// Grid resolution of interval availability: every block's point
+/// availability is sampled on this many segments of the horizon.
+constexpr std::size_t kCurveSteps = 256;
 
 // Curve-kind discriminants for the sampled-curve memo key. A curve is a
 // pure function of the generated chain, so the chain signature (without
 // the solver words) plus these fully determines the sampled values. The
-// version word changes whenever the engine's arithmetic does, so a cache
-// that outlives a process never serves values from another engine.
-constexpr std::uint64_t kCurveKeyVersion = 2;  // 2: shift-and-invert Krylov
+// version word changes whenever the engine's arithmetic or the layout of
+// a value does, so a cache that outlives a process never serves values
+// from another engine.
+constexpr std::uint64_t kCurveKeyVersion = 3;  // 3: exact average appended
+// The kCurveSteps + 1 samples of A(t), then the exact average of A over
+// the horizon.
 constexpr std::uint64_t kCurveAvailability = 1;
+// The single value R(horizon).
 constexpr std::uint64_t kReliabilityAtHorizon = 3;
 
 cache::Signature curve_key(const cache::Signature& block_sig,
@@ -271,9 +257,6 @@ SystemModel::BlockEntry solve_block_cached(
 
 namespace {
 
-using PendingBlocks =
-    std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>;
-
 /// Solves the blocks at `indices` into `out` through solve_block_cached.
 /// With a cache, the first block of each chain signature is solved before
 /// any repeat of it, so the repeats are cache hits whatever the thread
@@ -334,8 +317,7 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   // by visit index, so the block table — and each entry's SolveTrace —
   // is identical to the serial build's. Parameter-identical blocks share
   // one memo entry (and one Ctmc) through opts.cache.
-  PendingBlocks pending;
-  collect_chain_blocks(sm.spec_, sm.spec_.root(), pending);
+  const PendingBlocks pending = chain_blocks(sm.spec_);
   if (build_span.active()) {
     build_span.set_detail("blocks=" + std::to_string(pending.size()));
   }
@@ -364,8 +346,7 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
   // The diff pairs blocks by visit index, so the hierarchy must match the
   // baseline block-for-block (and the solver settings must match, or the
   // baseline's numbers would vouch for a different configuration).
-  PendingBlocks pending;
-  collect_chain_blocks(sm.spec_, sm.spec_.root(), pending);
+  const PendingBlocks pending = chain_blocks(sm.spec_);
   bool compatible = pending.size() == base.blocks_.size() &&
                     solver_sig == base.solver_sig_;
   for (std::size_t i = 0; compatible && i < pending.size(); ++i) {
@@ -446,13 +427,15 @@ double SystemModel::interval_availability(double horizon) const {
     throw std::invalid_argument(
         "SystemModel::interval_availability: horizon must be positive");
   }
-  // Precompute each block's point-availability curve on a shared grid; the
-  // transient solves are independent, so they run in parallel by index.
-  std::vector<std::shared_ptr<const linalg::Vector>> sampled(blocks_.size());
+  // Each block's point availability on a shared grid plus its exact
+  // average; the transient solves are independent, so they run in
+  // parallel by index.
+  const std::size_t n = blocks_.size();
+  std::vector<std::shared_ptr<const linalg::Vector>> sampled(n);
   markov::TransientOptions transient;
   transient.cancel = opts_.parallel.cancel;
   exec::parallel_for(
-      blocks_.size(),
+      n,
       [&](std::size_t i) {
         const auto& b = blocks_[i];
         sampled[i] = sample_curve_cached(
@@ -460,17 +443,60 @@ double SystemModel::interval_availability(double horizon) const {
             [&](markov::TransientStats& stats) {
               const linalg::Vector pi0 =
                   markov::point_mass(*b.chain, b.initial);
-              return markov::reward_curve(*b.chain, pi0, horizon,
-                                          kCurveSteps, transient, &stats);
+              double average = 0.0;
+              linalg::Vector curve =
+                  markov::reward_curve(*b.chain, pi0, horizon, kCurveSteps,
+                                       transient, &stats, &average);
+              curve.push_back(average);
+              return curve;
             });
       },
       opts_.parallel);
-  const rbd::RbdNodePtr tree = compose_leaves(
-      spec_, [&](std::size_t i, const spec::BlockSpec& block) {
-        return rbd::RbdNode::leaf(block.name, sampled.at(i)->back(),
-                                  interpolate(sampled.at(i), horizon));
-      });
-  return tree->interval_availability(horizon, kCurveSteps);
+  // Composite Simpson over the composed samples. Its error is corrected to
+  // first order: block i enters A_sys(t) = prod_j (A_j + d_j(t)) with
+  // weight W_i = prod_{j != i} A_j, so adding W_i (IA_i - S_i), block i's
+  // exact average less its Simpson average, leaves Simpson only the
+  // second-order remainder (docs/numerics.md). The product runs over whole
+  // sample vectors in the tree's association, one walk for the grid.
+  const auto simpson = [](const linalg::Vector& f) {
+    double acc = f[0] + f[kCurveSteps];
+    for (std::size_t k = 1; k < kCurveSteps; ++k) {
+      acc += f[k] * (k % 2 == 1 ? 4.0 : 2.0);
+    }
+    return acc / (3.0 * static_cast<double>(kCurveSteps));
+  };
+  std::vector<double> correction(n);
+  std::size_t cursor = 0;
+  auto leaf = [&](const spec::DiagramSpec&, const spec::BlockSpec&) {
+    const linalg::Vector& curve = *sampled[cursor];
+    linalg::Vector samples(kCurveSteps + 1);
+    for (std::size_t k = 0; k <= kCurveSteps; ++k) {
+      samples[k] = rbd::checked_probability(curve[k], "SystemModel");
+    }
+    correction[cursor++] = curve.back() - simpson(samples);
+    return samples;
+  };
+  auto series = [](const std::string&,
+                   const std::vector<linalg::Vector>& parts) {
+    linalg::Vector acc(kCurveSteps + 1, 1.0);
+    for (const linalg::Vector& p : parts) {
+      for (std::size_t k = 0; k <= kCurveSteps; ++k) acc[k] *= p[k];
+    }
+    return acc;
+  };
+  double result =
+      simpson(walk<linalg::Vector>(spec_, spec_.root(), leaf, series));
+  // W_i from prefix and suffix products of the limits A_j.
+  std::vector<double> suffix(n + 1, 1.0);
+  for (std::size_t i = n; i-- > 0;) {
+    suffix[i] = suffix[i + 1] * blocks_[i].availability;
+  }
+  double prefix = 1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    result += prefix * suffix[i + 1] * correction[i];
+    prefix *= blocks_[i].availability;
+  }
+  return result;
 }
 
 double SystemModel::reliability(double horizon) const {
@@ -503,11 +529,12 @@ double SystemModel::reliability(double horizon) const {
             })->front();
       },
       opts_.parallel);
-  return compose_leaves(spec_,
-                        [&](std::size_t i, const spec::BlockSpec& b) {
-                          return rbd::RbdNode::leaf(b.name, at_horizon[i]);
-                        })
-      ->availability();
+  return series_product(spec_, [&](std::size_t i) { return at_horizon[i]; });
+}
+
+double SystemModel::availability() const {
+  return series_product(spec_,
+                        [&](std::size_t i) { return blocks_[i].availability; });
 }
 
 double SystemModel::availability_with_override(const std::string& diagram,
@@ -525,15 +552,11 @@ double SystemModel::availability_with_override(const std::string& diagram,
     throw std::invalid_argument("availability_with_override: no block '" +
                                 block + "' in diagram '" + diagram + "'");
   }
-  return compose_leaves(spec_,
-                        [&](std::size_t i, const spec::BlockSpec& blk) {
-                          const BlockEntry& entry = blocks_.at(i);
-                          const bool target = entry.diagram == diagram &&
-                                              entry.block.name == block;
-                          return rbd::RbdNode::leaf(
-                              blk.name, target ? value : entry.availability);
-                        })
-      ->availability();
+  return series_product(spec_, [&](std::size_t i) {
+    const BlockEntry& entry = blocks_[i];
+    const bool target = entry.diagram == diagram && entry.block.name == block;
+    return target ? value : entry.availability;
+  });
 }
 
 std::size_t SystemModel::total_states() const {

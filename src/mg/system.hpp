@@ -2,7 +2,8 @@
 // each MG diagram becomes a serial RBD over its blocks, each block a
 // generated Markov chain, blocks with subdiagrams compose their own chain
 // (if any) in series with the subdiagram's RBD. The overall model is a
-// hierarchy of RBDs and Markov chains, solved bottom-up.
+// hierarchy of RBDs and Markov chains, solved bottom-up: every system
+// measure is a product over the solved block table.
 #pragma once
 
 #include <cstddef>
@@ -27,16 +28,11 @@ namespace rascad::mg {
 /// A fully generated and solved system model.
 class SystemModel {
  public:
-  /// Grid resolution for transient composition (interval availability,
-  /// reliability): per-block reward curves are sampled on this many
-  /// segments over the queried horizon, then composed through the RBD.
-  static constexpr std::size_t kCurveSteps = 256;
-
   struct Options {
     /// State budget, stop token and faults of the per-block steady-state
     /// solves.
     resilience::ResilienceConfig resilience;
-    /// Thread-count / chunking control for the per-block solves and curve
+    /// Thread-count control for the per-block solves and curve
     /// sampling. Block order, measures, and every SolveTrace are
     /// bit-identical for any thread count.
     exec::ParallelOptions parallel;
@@ -91,7 +87,7 @@ class SystemModel {
   }
 
   /// Steady-state system availability (product over the serial hierarchy).
-  double availability() const { return root_->availability(); }
+  double availability() const;
   double yearly_downtime_min() const {
     return mg::yearly_downtime_minutes(availability());
   }
@@ -103,12 +99,13 @@ class SystemModel {
   /// System MTBF implied by the equivalent failure rate (hours).
   double mtbf_h() const;
 
-  /// Interval availability over (0, horizon): per-block point-availability
-  /// curves composed through the RBD and integrated by Simpson's rule.
+  /// Interval availability over (0, horizon): composite Simpson over the
+  /// product of the per-block point-availability samples on a 256-segment
+  /// grid, corrected to first order by each block's exact average.
   double interval_availability(double horizon) const;
 
-  /// System reliability at `horizon`: per-block absorbing-chain survival
-  /// curves composed through the RBD.
+  /// System reliability at `horizon`: the product of the per-block
+  /// absorbing-chain survivals R_i(horizon).
   double reliability(double horizon) const;
 
   /// System availability with one block's availability forced to `value`
@@ -119,6 +116,9 @@ class SystemModel {
                                     const std::string& block,
                                     double value) const;
 
+  /// The steady-state RBD of the hierarchy, for printing. Every measure
+  /// above is a product over the block table, taken in this tree's
+  /// association; the tree itself does not integrate.
   const rbd::RbdNodePtr& root() const noexcept { return root_; }
   const std::vector<BlockEntry>& blocks() const noexcept { return blocks_; }
   const spec::ModelSpec& spec() const noexcept { return spec_; }

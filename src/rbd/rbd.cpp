@@ -7,17 +7,13 @@
 
 namespace rascad::rbd {
 
-namespace {
-
-double clamp_probability(double p, const char* what) {
+double checked_probability(double p, const char* what) {
   if (std::isnan(p) || p < -1e-12 || p > 1.0 + 1e-12) {
     throw std::invalid_argument(std::string(what) +
                                 ": probability outside [0, 1]");
   }
   return std::min(1.0, std::max(0.0, p));
 }
-
-}  // namespace
 
 double at_least_k_of(const std::vector<double>& p, std::size_t k) {
   if (k > p.size()) return 0.0;
@@ -28,7 +24,7 @@ double at_least_k_of(const std::vector<double>& p, std::size_t k) {
   dist[0] = 1.0;
   std::size_t seen = 0;
   for (double pi : p) {
-    clamp_probability(pi, "at_least_k_of");
+    checked_probability(pi, "at_least_k_of");
     ++seen;
     for (std::size_t j = seen; j-- > 0;) {
       dist[j + 1] += dist[j] * pi;
@@ -40,15 +36,11 @@ double at_least_k_of(const std::vector<double>& p, std::size_t k) {
   return std::min(1.0, acc);
 }
 
-RbdNodePtr RbdNode::leaf(std::string name, double availability,
-                         TimeFunction point_availability,
-                         TimeFunction reliability) {
+RbdNodePtr RbdNode::leaf(std::string name, double availability) {
   auto node = std::shared_ptr<RbdNode>(new RbdNode());
   node->kind_ = RbdKind::kLeaf;
   node->name_ = std::move(name);
-  node->availability_ = clamp_probability(availability, "RbdNode::leaf");
-  node->point_availability_ = std::move(point_availability);
-  node->reliability_ = std::move(reliability);
+  node->availability_ = checked_probability(availability, "RbdNode::leaf");
   return node;
 }
 
@@ -120,49 +112,13 @@ double RbdNode::combine(const std::vector<double>& child_probs) const {
   throw std::logic_error("RbdNode::combine: unknown kind");
 }
 
-double RbdNode::evaluate(
-    const std::function<double(const RbdNode&)>& leaf_value) const {
-  if (kind_ == RbdKind::kLeaf) {
-    return clamp_probability(leaf_value(*this), "RbdNode::evaluate");
-  }
+double RbdNode::availability() const {
+  // Leaf values are clamped on construction.
+  if (kind_ == RbdKind::kLeaf) return availability_;
   std::vector<double> probs;
   probs.reserve(children_.size());
-  for (const auto& c : children_) probs.push_back(c->evaluate(leaf_value));
+  for (const auto& c : children_) probs.push_back(c->availability());
   return combine(probs);
-}
-
-double RbdNode::availability() const {
-  return evaluate([](const RbdNode& leaf) { return leaf.availability_; });
-}
-
-double RbdNode::point_availability(double t) const {
-  return evaluate([t](const RbdNode& leaf) {
-    return leaf.point_availability_ ? leaf.point_availability_(t)
-                                    : leaf.availability_;
-  });
-}
-
-double RbdNode::reliability(double t) const {
-  return evaluate([t](const RbdNode& leaf) {
-    return leaf.reliability_ ? leaf.reliability_(t) : 1.0;
-  });
-}
-
-double RbdNode::interval_availability(double horizon,
-                                      std::size_t intervals) const {
-  if (!(horizon > 0.0)) {
-    throw std::invalid_argument(
-        "RbdNode::interval_availability: horizon must be positive");
-  }
-  if (intervals < 2) intervals = 2;
-  if (intervals % 2 != 0) ++intervals;  // Simpson needs an even count
-  const double h = horizon / static_cast<double>(intervals);
-  double acc = point_availability(0.0) + point_availability(horizon);
-  for (std::size_t i = 1; i < intervals; ++i) {
-    const double t = h * static_cast<double>(i);
-    acc += point_availability(t) * (i % 2 == 1 ? 4.0 : 2.0);
-  }
-  return acc * h / 3.0 / horizon;
 }
 
 std::size_t RbdNode::leaf_count() const {

@@ -5,14 +5,13 @@
 // are assumed independent (the paper's stated modeling assumption), so
 // structure probabilities compose by products and convolutions.
 //
-// A leaf carries a steady-state availability plus optional time-dependent
-// point-availability and reliability functions (typically closures over a
-// solved Markov model), so the same tree answers steady-state, transient,
-// and reliability queries.
+// A leaf carries a probability (an MG block's steady-state availability, a
+// GMB leaf's value). The tree answers steady-state structure queries; it
+// does not integrate: MG's time-dependent system measures are products
+// over the solved block table (mg::SystemModel).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -23,18 +22,12 @@ namespace rascad::rbd {
 class RbdNode;
 using RbdNodePtr = std::shared_ptr<const RbdNode>;
 
-/// Time-dependent probability (point availability or reliability at t).
-using TimeFunction = std::function<double(double)>;
-
 enum class RbdKind { kLeaf, kSeries, kParallel, kKofN };
 
 class RbdNode {
  public:
-  /// Leaf with a constant steady-state availability and optional
-  /// time-dependent curves. Probabilities must lie in [0, 1].
-  static RbdNodePtr leaf(std::string name, double availability,
-                         TimeFunction point_availability = nullptr,
-                         TimeFunction reliability = nullptr);
+  /// Leaf with a steady-state availability in [0, 1].
+  static RbdNodePtr leaf(std::string name, double availability);
 
   /// All children required (the MG diagram structure).
   static RbdNodePtr series(std::string name, std::vector<RbdNodePtr> children);
@@ -56,19 +49,6 @@ class RbdNode {
   /// Steady-state availability of the subtree.
   double availability() const;
 
-  /// Point availability at time t. Leaves without a point-availability
-  /// curve fall back to their steady-state value.
-  double point_availability(double t) const;
-
-  /// Reliability at time t (no-repair survival). Leaves without a
-  /// reliability curve are treated as perfectly reliable; the callers that
-  /// need strict semantics should set curves on every leaf.
-  double reliability(double t) const;
-
-  /// Interval availability over (0, horizon): numeric integration
-  /// (composite Simpson) of the composed point availability.
-  double interval_availability(double horizon, std::size_t intervals = 512) const;
-
   /// Total number of leaves in the subtree.
   std::size_t leaf_count() const;
 
@@ -78,20 +58,21 @@ class RbdNode {
  private:
   RbdNode() = default;
 
-  /// Generic structure evaluation given per-child probabilities.
+  /// Structure function given per-child probabilities.
   double combine(const std::vector<double>& child_probs) const;
-  double evaluate(const std::function<double(const RbdNode&)>& leaf_value) const;
 
   RbdKind kind_ = RbdKind::kLeaf;
   std::string name_;
   std::vector<RbdNodePtr> children_;
   std::size_t k_ = 0;  // for kKofN
   double availability_ = 1.0;
-  TimeFunction point_availability_;
-  TimeFunction reliability_;
 };
 
 std::ostream& operator<<(std::ostream& os, const RbdNode& node);
+
+/// `p` clamped into [0, 1]; throws std::invalid_argument naming `what`
+/// when it is NaN or outside by more than 1e-12.
+double checked_probability(double p, const char* what);
 
 /// P(at least k of the independent events with probabilities p occur),
 /// by exact convolution of the up-count distribution. Exposed for tests

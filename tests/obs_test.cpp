@@ -186,7 +186,6 @@ TEST_F(ObsTest, ParallelForPropagatesParentAcrossThreads) {
     root_id = root.id();
     rascad::exec::ParallelOptions par;
     par.threads = 4;
-    par.grain = 1;
     rascad::exec::parallel_for(
         16, [](std::size_t) { Span leaf("test.leaf"); }, par);
   }

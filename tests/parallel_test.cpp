@@ -106,26 +106,6 @@ TEST(ParallelFor, NestedLoopsComplete) {
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(sums[i].load(), 100);
 }
 
-TEST(ParallelFor, GrainCoarsensChunksWithoutChangingResults) {
-  constexpr std::size_t n = 1000;
-  ParallelOptions coarse = threads(8);
-  coarse.grain = 128;
-  std::vector<int> out(n, 0);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = static_cast<int>(i); }, coarse);
-  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], static_cast<int>(i));
-}
-
-TEST(ParallelMap, ProducesIndexOrderedValues) {
-  const auto squares = rascad::exec::parallel_map<double>(
-      100, [](std::size_t i) { return static_cast<double>(i * i); },
-      threads(8));
-  ASSERT_EQ(squares.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(squares[i], static_cast<double>(i * i));
-  }
-}
-
 TEST(ParallelFor, ConcurrentWritersOnSharedCounter) {
   // A deliberately contended counter: this is the test the TSan preset
   // targets to prove the pool's synchronization is sound.

@@ -1,5 +1,5 @@
 // Tests for the RBD engine: structure algebra against the baselines
-// module, k-of-n convolution properties, and numeric integration.
+// module and k-of-n convolution properties.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,35 +85,6 @@ TEST(RbdNode, ConstructionErrors) {
                std::invalid_argument);
   EXPECT_THROW(RbdNode::leaf("bad", 1.5), std::invalid_argument);
   EXPECT_THROW(RbdNode::series("s", {nullptr}), std::invalid_argument);
-}
-
-TEST(RbdNode, PointAvailabilityFallsBackToSteady) {
-  const auto leaf = RbdNode::leaf("a", 0.95);
-  EXPECT_DOUBLE_EQ(leaf->point_availability(123.0), 0.95);
-}
-
-TEST(RbdNode, TimeFunctionsCompose) {
-  const auto decaying = [](double t) { return std::exp(-0.1 * t); };
-  const auto tree = RbdNode::series(
-      "sys", {RbdNode::leaf("a", 1.0, decaying, decaying),
-              RbdNode::leaf("b", 1.0, decaying, decaying)});
-  EXPECT_NEAR(tree->point_availability(5.0), std::exp(-1.0), 1e-12);
-  EXPECT_NEAR(tree->reliability(5.0), std::exp(-1.0), 1e-12);
-}
-
-TEST(RbdNode, IntervalAvailabilityIntegratesCorrectly) {
-  // Leaf A(t) = exp(-t): integral over (0, 2) = (1 - e^-2)/2.
-  const auto tree =
-      RbdNode::series("sys", {RbdNode::leaf("a", 1.0, [](double t) {
-                        return std::exp(-t);
-                      })});
-  const double expected = (1.0 - std::exp(-2.0)) / 2.0;
-  EXPECT_NEAR(tree->interval_availability(2.0, 512), expected, 1e-8);
-}
-
-TEST(RbdNode, ReliabilityDefaultsToPerfect) {
-  const auto tree = RbdNode::series("sys", {RbdNode::leaf("a", 0.9)});
-  EXPECT_DOUBLE_EQ(tree->reliability(1000.0), 1.0);
 }
 
 TEST(RbdNode, AvailabilityMonotoneInLeafValue) {

@@ -385,6 +385,52 @@ TEST(TransientEngine, ReducibleChainWithoutAbsorbingStatesMatchesOracle) {
   }
 }
 
+/// The time average reward_curve integrates along with its grid against
+/// the one-cell interval_availability of the same chain.
+void expect_curve_average_matches(const Ctmc& chain, const Vector& pi0,
+                                  double horizon, const std::string& what) {
+  double average = -1.0;
+  rascad::markov::reward_curve(chain, pi0, horizon, kSteps, {}, nullptr,
+                               &average);
+  EXPECT_NEAR(average,
+              rascad::markov::interval_availability(chain, pi0, horizon),
+              1e-13)
+      << what << " T=" << horizon;
+}
+
+TEST(TransientEngine, CurveAverageIsTheIntervalAvailability) {
+  const auto system = web_shop();
+  for (const auto& b : system.blocks()) {
+    for (const double t : {1.0, 24.0, kHorizon}) {
+      expect_curve_average_matches(
+          *b.chain, rascad::markov::point_mass(*b.chain, b.initial), t,
+          b.block.name);
+    }
+  }
+  // Reward held in an absorbing state: the average integrates the
+  // absorbed flux twice. The closed form is the competing-risks one above.
+  const double l1 = 0.3;
+  const double l2 = 0.1;
+  const double l = l1 + l2;
+  CtmcBuilder b;
+  const auto s = b.add_state("S", 0.0);
+  const auto a1 = b.add_state("A1", 0.0);
+  const auto a2 = b.add_state("A2", 1.0);
+  b.add_transition(s, a1, l1);
+  b.add_transition(s, a2, l2);
+  const Ctmc chain = b.build();
+  const Vector pi0 = rascad::markov::point_mass(chain, s);
+  for (const double t : {0.5, 5.0, 50.0}) {
+    expect_curve_average_matches(chain, pi0, t, "competing risks");
+    double average = -1.0;
+    rascad::markov::reward_curve(chain, pi0, t, kSteps, {}, nullptr,
+                                 &average);
+    EXPECT_NEAR(average, l2 / l * (1.0 + std::expm1(-l * t) / (l * t)),
+                1e-13)
+        << t;
+  }
+}
+
 TEST(TransientEngine, DimensionCapThrowsBudgetExceeded) {
   // No basis of at most 128 vectors meets a bound of 1e-300.
   const auto model =
