@@ -26,6 +26,12 @@ using resilience::SolveError;
 /// `tolerance` at this dimension is refused with kBudgetExceeded.
 constexpr std::size_t kMaxDim = 128;
 
+/// Largest stepped space written down directly instead of grown by
+/// Arnoldi. Up to here the dense exponential of the whole space costs less
+/// than factoring, growing and certifying a Krylov basis on the generated
+/// families (docs/numerics.md has the measurement).
+constexpr std::size_t kExactMax = 12;
+
 /// The residual bound is evaluated every this many Arnoldi steps, and at
 /// a breakdown or the last possible step.
 constexpr std::size_t kBoundEvery = 8;
@@ -81,8 +87,10 @@ Small identity(std::size_t n) {
   return x;
 }
 
-Small multiply(const Small& x, const Small& y) {
-  Small z(x.n);
+/// z <- x y, flushed; z may not alias x or y.
+void multiply(const Small& x, const Small& y, Small& z) {
+  z.n = x.n;
+  z.a.assign(x.a.size(), 0.0);
   for (std::size_t i = 0; i < x.n; ++i) {
     for (std::size_t k = 0; k < x.n; ++k) {
       const double xik = x(i, k);
@@ -91,6 +99,11 @@ Small multiply(const Small& x, const Small& y) {
     }
   }
   for (double& v : z.a) v = flush(v);
+}
+
+Small multiply(const Small& x, const Small& y) {
+  Small z;
+  multiply(x, y, z);
   return z;
 }
 
@@ -173,11 +186,39 @@ Small pade_minus_identity(const Small& x) {
 
 /// f <- (I + f)^2 - I = f f + 2 f: squaring exp(x) while carrying exp(x) - I,
 /// which keeps the absolute error of a near-identity mode at rounding
-/// level instead of growing by 2 at every squaring.
-void square_minus_identity(Small& f) {
-  Small z = multiply(f, f);
-  for (std::size_t k = 0; k < z.a.size(); ++k) z.a[k] = flush(z.a[k] + 2 * f.a[k]);
-  f = std::move(z);
+/// level instead of growing by 2 at every squaring. `scratch` keeps the
+/// squarings free of allocations.
+void square_minus_identity(Small& f, Small& scratch) {
+  multiply(f, f, scratch);
+  for (std::size_t k = 0; k < f.a.size(); ++k) {
+    scratch.a[k] = flush(scratch.a[k] + 2 * f.a[k]);
+  }
+  std::swap(f, scratch);
+}
+
+/// (I + f)^count - I, by binary powering in the same carried form:
+/// (I + p)(I + q) - I = p + q + p q. A cell's exponential raised to the
+/// number of cells is the whole horizon's, with no per-cell stepping;
+/// `count` is at least 1.
+Small power_minus_identity(Small f, std::size_t count) {
+  Small result;  // empty while the product is still I
+  Small scratch;
+  for (;;) {
+    if (count & 1) {
+      if (result.n == 0) {
+        result = f;
+      } else {
+        multiply(result, f, scratch);
+        for (std::size_t k = 0; k < f.a.size(); ++k) {
+          scratch.a[k] = flush(scratch.a[k] + result.a[k] + f.a[k]);
+        }
+        std::swap(result, scratch);
+      }
+    }
+    count >>= 1;
+    if (count == 0) return result;
+    square_minus_identity(f, scratch);
+  }
 }
 
 double norm1(const Small& x) {
@@ -272,37 +313,40 @@ void grow_gramian(Small& g, const Small& f) {
 
 /// The small system y' = a y, y(0) = y0, over `cells` cells of length dt.
 struct Propagation {
-  Small f;                 // exp(dt augment(a, y0)) - I
+  Small f;                 // exp(dt a) - I, or exp(dt augment(a, y0)) - I
   std::vector<double> ys;  // y at every grid point, m entries each
   double integral = 0.0;   // bound on int_0^{cells dt} |c . y(s)| ds
 };
 
 /// Steps the small system over the grid and, given `c`, bounds
-/// int_0^{cells dt} |c . y(s)| ds from above. By Cauchy-Schwarz a cell of
-/// length l that starts at y contributes at most sqrt(l y' G(l) y), with
-/// the Gramian G(l) = int_0^l e^{s a'} c c' e^{s a} ds. G doubles along
-/// with the exponential, G(2l) = G(l) + e^{l a'} G(l) e^{l a}, from
-/// Simpson's rule on the short cell the Pade approximant starts on. The
-/// first cell is split at every doubling, so a mode that dies out within a
-/// fraction of it is charged on its own short cells.
+/// int_0^{cells dt} |c . y(s)| ds from above. `augmented` exponentiates
+/// augment(a, y0), whose last two columns integrate y; otherwise the plain
+/// m x m a. By Cauchy-Schwarz a cell of length l that starts at y
+/// contributes at most sqrt(l y' G(l) y), with the Gramian
+/// G(l) = int_0^l e^{s a'} c c' e^{s a} ds. G doubles along with the
+/// exponential, G(2l) = G(l) + e^{l a'} G(l) e^{l a}, from Simpson's rule
+/// on the short cell the Pade approximant starts on. The first cell is
+/// split at every doubling, so a mode that dies out within a fraction of
+/// it is charged on its own short cells.
 Propagation propagate(const Small& a, const std::vector<double>& y0,
                       double dt, std::size_t cells,
-                      const std::vector<double>* c) {
+                      const std::vector<double>* c, bool augmented) {
   const std::size_t m = a.n;
-  const Small aug = augment(a, y0);
-  const int k = halvings(aug, dt);
+  Propagation out;
+  const Small x = augmented ? augment(a, y0) : a;
+  const int k = halvings(x, dt);
   double tau = std::ldexp(dt, -k);
   // The Pade approximant on half the first cell; one squaring gives the
   // cell, and Simpson's rule reads both.
-  Propagation out;
-  out.f = pade_minus_identity(scaled(aug, tau / 2));
+  out.f = pade_minus_identity(scaled(x, tau / 2));
   Small& f = out.f;
   Small g(m);
   std::vector<double> y = y0;
   std::vector<double> scratch;
+  Small square;
   std::vector<double> mid;
   if (c) mid = product_transpose(f, *c);
-  square_minus_identity(f);
+  square_minus_identity(f, square);
   if (c) {
     const std::vector<double> end = product_transpose(f, *c);
     for (std::size_t i = 0; i < m; ++i) {
@@ -320,7 +364,7 @@ Propagation propagate(const Small& a, const std::vector<double>& y0,
       step(f, y, scratch);
       grow_gramian(g, f);
     }
-    square_minus_identity(f);
+    square_minus_identity(f, square);
     tau *= 2;
   }
   // The grid: y_k = e^{dt a} y_{k-1}, and each later cell's share of the
@@ -359,27 +403,41 @@ double dot4(const linalg::Vector& x, const linalg::Vector& y) {
   return (s0 + s1) + (s2 + s3);
 }
 
-/// The one transient engine: shift-and-invert Arnoldi on
-/// (I - gamma Q')^{-1}, certified over [0, horizon].
+/// The one transient engine: delta(t) ~ V y(t), y' = A y, on a basis V of
+/// the space the stepped vector moves in, stepped over [0, horizon].
 ///
 /// States with no exit (absorbing) drop out: the engine steps the others
-/// under the sub-generator and recovers the absorbed mass from the
+/// under the sub-generator W and recovers the absorbed mass from the
 /// integrated flux into each absorbing state. When every state has an
 /// exit and the chain is irreducible, it steps the deviation
-/// delta = pi - pi_inf from the GTH stationary vector, which every
-/// Krylov approximation leaves exact at t = infinity. The basis V_m spans
-/// delta_0 = beta v_1 and the shift-inverted generator's images of it;
-/// delta(t) ~ V_m y(t) with y' = A_m y, y(0) = beta e_1, and A_m =
+/// delta = pi - pi_inf from the GTH stationary vector, which leaves
+/// t = infinity exact. A stepped space of dimension at most kExactMax is
+/// written down directly: in deviation form the zero-sum vectors
+/// e_k - e_ref (ref the state of largest pi_inf), with A = P Q' V for P
+/// the rows k != ref, and otherwise the unit vectors, with A = W' (Q' for
+/// a reducible chain). There Q'V = V A holds exactly and the error bound
+/// is 0. A larger space takes shift-and-invert Arnoldi on
+/// (I - gamma Q')^{-1}: V_m spans delta_0 = beta v_1 and the
+/// shift-inverted generator's images of it, y(0) = beta e_1, and A_m =
 /// I/gamma - H_m^{-1} from the Arnoldi Hessenberg H_m of the factored
-/// operator. The Arnoldi relation makes the residual
-/// R = Q'V_m - V_m A_m rank one, h_{m+1,m} (I/gamma - Q') v_{m+1}
-/// e_m' H_m^{-1}, and e^{Qt} is a contraction in the 1-norm, so the error
-/// of pi(t) is at most int_0^t ||R y(s)||_1 ds for every t <= horizon. The
-/// dimension grows until that bound meets `tolerance`.
+/// operator. The Arnoldi relation makes the residual R = Q'V_m - V_m A_m
+/// rank one, h_{m+1,m} (I/gamma - Q') v_{m+1} e_m' H_m^{-1}, and e^{Qt} is
+/// a contraction in the 1-norm, so the error of pi(t) is at most
+/// int_0^t ||R y(s)||_1 ds for every t <= horizon. The dimension grows
+/// until that bound meets `tolerance`.
+///
+/// `integrals` says whether the caller reads int y (interval measures,
+/// absorbed mass, an average). Only then is the exponential taken of the
+/// augmented matrix, whose last two columns integrate y once and twice;
+/// the horizon's integrals come from that cell's exponential raised to
+/// the number of cells. They are never formed as A^{-1} (y(t) - y(0)):
+/// that difference carries rounding of the size of y(0), which the solve
+/// divides by A's slowest eigenvalue.
 class Engine {
  public:
   Engine(const Ctmc& chain, const linalg::Vector& pi0, double horizon,
-         std::size_t cells, const TransientOptions& opts, const char* who)
+         std::size_t cells, const TransientOptions& opts, const char* who,
+         bool integrals)
       : chain_(chain), pi0_(pi0), cells_(cells), dt_(horizon / cells) {
     const std::size_t n = chain.size();
     std::vector<bool> absorbing(n);
@@ -390,13 +448,12 @@ class Engine {
     TransientSplit split;  // the sub-generator, with absorbing states
     const linalg::CsrMatrix* weights = &chain.generator();
     linalg::Vector exits(n, 0.0);
-    bool deviation = false;  // stepping pi - pi_inf
     if (absorbed_.empty()) {
       active_.resize(n);
       for (StateIndex i = 0; i < n; ++i) active_[i] = i;
       try {
         pi_inf_ = gth_stationary(chain.generator(), opts.cancel);
-        deviation = true;
+        deviation_ = true;
       } catch (const SolveError& e) {
         // Reducible: no unique pi_inf to step the deviation from.
         if (e.cause() != SolveCause::kInvalidInput) throw;
@@ -409,15 +466,16 @@ class Engine {
       exits = split.exits;
       pi_inf_.assign(active_.size(), 0.0);
     }
+    augmented_ = integrals;
     const std::size_t na = active_.size();
     linalg::Vector delta(na);
     for (std::size_t k = 0; k < na; ++k) delta[k] = pi0[active_[k]] - pi_inf_[k];
-    if (deviation) drop_stationary(delta);
-    const double beta = linalg::norm2(delta);
-    if (na == 0 || beta == 0.0 || horizon == 0.0) return;  // pi is constant
+    if (deviation_) drop_stationary(delta);
+    if (na == 0 || linalg::norm2(delta) == 0.0 || horizon == 0.0) {
+      return;  // pi is constant
+    }
 
-    const double gamma = kShiftH;
-    // out_i of the stepped states, for the residual's (I/gamma - Q') v.
+    // out_i of the stepped states: the diagonal of -W.
     linalg::Vector out = exits;
     for (std::size_t r = 0; r < na; ++r) {
       const auto row = weights->row(r);
@@ -425,73 +483,35 @@ class Engine {
         if (row.cols[k] != r) out[r] += row.values[k];
       }
     }
-    for (double& e : exits) e += 1.0 / gamma;
-    const GthFactor factor(*weights, exits, opts.cancel);
-
     // The dimension of the space delta can reach: the zero-sum vectors in
     // deviation form (pi - pi_inf always sums to 0), everything otherwise.
-    // A basis grown past it would take in pi_inf's direction, whose
-    // eigenvalue 0 rounding moves off.
-    const std::size_t space = deviation ? na - 1 : na;
-    linalg::scale(delta, 1.0 / beta);
-    basis_.push_back(std::move(delta));
-    std::vector<std::vector<double>> h;  // h[j]: column j of H, j + 2 rows
-    for (std::size_t j = 0;; ++j) {
-      robust::throw_if_stopped(opts.cancel, who, j);
-      linalg::Vector x = basis_[j];
-      factor.solve_row(x);
-      ++solves_;
-      if (deviation) drop_stationary(x);
-      const double solved = linalg::norm2(x);
-      // Classical Gram-Schmidt, twice: one pass loses the orthogonality
-      // the residual bound rests on.
-      std::vector<double> col(j + 2, 0.0);
-      std::vector<double> p(j + 1);
-      for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t i = 0; i <= j; ++i) p[i] = dot4(basis_[i], x);
-        for (std::size_t i = 0; i <= j; ++i) {
-          linalg::axpy(-p[i], basis_[i], x);
-          col[i] += p[i];
-        }
-      }
-      col[j + 1] = linalg::norm2(x);
-      const std::size_t m = j + 1;
-      // Near a breakdown the basis (nearly) spans an invariant subspace
-      // and the next direction would be mostly rounding: certify here. The
-      // space delta can reach is spanned once m is its dimension.
-      const bool breakdown = col[j + 1] <= kBreakdown * solved;
-      const bool last = m == space || m == kMaxDim;
-      if (col[j + 1] > 0.0) linalg::scale(x, 1.0 / col[j + 1]);
-      h.push_back(std::move(col));
-      if (breakdown || last || m % kBoundEvery == 0) {
-        if (certify(h, m, gamma, beta, x, out, *weights, opts)) break;
-        if (last) {
-          std::ostringstream os;
-          os << "residual bound " << bound_ << " above tolerance "
-             << opts.tolerance << " at Krylov dimension " << m;
-          throw SolveError(SolveCause::kBudgetExceeded, who, os.str(),
-                           solves_, bound_);
-        }
-      }
-      basis_.push_back(std::move(x));
+    const std::size_t space = deviation_ ? na - 1 : na;
+    if (space <= kExactMax) {
+      write_basis(delta, out, *weights, opts, who);
+    } else {
+      grow_basis(std::move(delta), std::move(exits), out, *weights, opts, who,
+                 space);
     }
-    basis_.resize(dim_);
 
     if (obs::enabled()) {
       static obs::Counter& dims =
           obs::Registry::global().counter("transient.krylov_dim");
       static obs::Counter& solves =
           obs::Registry::global().counter("transient.banded_solves");
+      static obs::Counter& exact =
+          obs::Registry::global().counter("transient.exact_basis");
       static obs::Histogram& bounds =
           obs::Registry::global().histogram("transient.error_bound");
       dims.inc(dim_);
       solves.inc(solves_);
+      if (exact_) exact.inc();
       bounds.observe_ms(bound_ / opts.tolerance);
     }
   }
 
   std::size_t dim() const noexcept { return dim_; }
   double bound() const noexcept { return bound_; }
+  bool exact() const noexcept { return exact_; }
 
   /// r . pi(k dt) for k = 0..cells; `average` (optional) receives the
   /// time average of r . pi over [0, cells dt] from the same exponential.
@@ -508,31 +528,20 @@ class Engine {
     curve[0] = linalg::dot(r, pi0_);
     if (average) *average = base;
     if (m == 0) return curve;
-    std::vector<double> u(m);
-    std::vector<double> g(m);
+    const std::vector<double> u = coordinates(r);
+    std::vector<double> g(m, 0.0);
     const linalg::Vector flux = absorbed_flux(r);
     bool any_flux = false;
     for (const double f : flux) any_flux = any_flux || f != 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < active_.size(); ++k) {
-        acc += basis_[i][k] * r[active_[k]];
-      }
-      u[i] = acc;
-      g[i] = any_flux ? linalg::dot(basis_[i], flux) : 0.0;
-    }
-    // y on the grid comes from the bound's pass; its integral z steps as
-    // the augmented column [z; 1; 0], and the integral of z as [w; t; 1].
-    const bool integrate = any_flux || average;
+    if (any_flux) g = coordinates(flux);
+    // y on the grid comes from the propagation; with absorbed flux its
+    // integral z steps as the augmented column [z; 1; 0].
     std::vector<double> z(m + 2, 0.0);
-    std::vector<double> w(m + 2, 0.0);
     std::vector<double> scratch;
     z[m] = 1.0;
-    w[m + 1] = 1.0;
     for (std::size_t k = 1; k <= cells_; ++k) {
       const double* y = &small_.ys[k * m];
-      if (integrate) step(small_.f, z, scratch);
-      if (average && any_flux) step(small_.f, w, scratch);
+      if (any_flux) step(small_.f, z, scratch);
       double acc = base;
       for (std::size_t i = 0; i < m; ++i) acc += u[i] * y[i];
       if (any_flux) {
@@ -541,9 +550,13 @@ class Engine {
       curve[k] = acc;
     }
     if (average) {
-      // int_0^T r . pi = T base + u . z(T) + g . w(T).
+      // int_0^T r . pi = T base + u . z(T) + g . w(T), with z(T) and w(T)
+      // in columns m and m + 1 of the horizon's exponential.
+      const Small whole = power_minus_identity(small_.f, cells_);
       double acc = 0.0;
-      for (std::size_t i = 0; i < m; ++i) acc += u[i] * z[i] + g[i] * w[i];
+      for (std::size_t i = 0; i < m; ++i) {
+        acc += u[i] * whole(i, m) + g[i] * whole(i, m + 1);
+      }
       *average = base + acc / (dt_ * static_cast<double>(cells_));
     }
     return curve;
@@ -566,19 +579,17 @@ class Engine {
     }
     // Active part: V times y (point) or z (integral); absorbed part: the
     // flux into each absorbing state, integrated once (point) or twice.
-    // exp(dt aug) - I holds y(dt) / beta - e_1 in column 0 and z(dt) in
-    // column m.
-    std::vector<double> state = column(small_.f, integrated ? m : 0, m);
-    if (!integrated) {
-      state[0] += 1.0;
-      for (double& v : state) v *= beta_;
-    }
-    const std::vector<double> inflow =
-        integrated ? column(small_.f, m + 1, m) : column(small_.f, m, m);
+    // exp(dt aug) - I holds z(dt) in column m and the integral of z in
+    // column m + 1.
+    const std::vector<double> state =
+        integrated ? column(small_.f, m, m)
+                   : std::vector<double>(small_.ys.begin() + m,
+                                         small_.ys.begin() + 2 * m);
     linalg::Vector active(active_.size(), 0.0);
     for (std::size_t i = 0; i < m; ++i) linalg::axpy(state[i], basis_[i], active);
     for (std::size_t k = 0; k < active_.size(); ++k) pi[active_[k]] += active[k];
     if (!absorbed_.empty()) {
+      const std::vector<double> inflow = column(small_.f, integrated ? m + 1 : m, m);
       linalg::Vector mass(active_.size(), 0.0);
       for (std::size_t i = 0; i < m; ++i) {
         linalg::axpy(inflow[i], basis_[i], mass);
@@ -606,21 +617,139 @@ class Engine {
     linalg::axpy(-mass, pi_inf_, x);
   }
 
+  /// V' x over the stepped states of x (a vector over every state).
+  std::vector<double> coordinates(const linalg::Vector& x) const {
+    std::vector<double> c(dim_);
+    for (std::size_t i = 0; i < dim_; ++i) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < active_.size(); ++k) {
+        acc += basis_[i][k] * x[active_[k]];
+      }
+      c[i] = acc;
+    }
+    return c;
+  }
+
   /// Per stepped state: sum over its arcs into absorbing states of rate
   /// times that state's reward.
   linalg::Vector absorbed_flux(const linalg::Vector& r) const {
-    linalg::Vector flux(active_.size(), 0.0);
+    linalg::Vector flux(chain_.size(), 0.0);
     if (absorbed_.empty()) return flux;
     const auto& q = chain_.generator();
-    for (std::size_t k = 0; k < active_.size(); ++k) {
-      const auto row = q.row(active_[k]);
+    for (const StateIndex s : active_) {
+      const auto row = q.row(s);
       for (std::size_t e = 0; e < row.size; ++e) {
         if (chain_.exit_rate(row.cols[e]) == 0.0) {
-          flux[k] += row.values[e] * r[row.cols[e]];
+          flux[s] += row.values[e] * r[row.cols[e]];
         }
       }
     }
     return flux;
+  }
+
+  /// The basis written down: zero-sum coordinates e_k - e_ref in deviation
+  /// form, unit vectors otherwise, and A = P Q' V from the generator's
+  /// entries. No factorization, no Arnoldi and no bound.
+  void write_basis(const linalg::Vector& delta, const linalg::Vector& out,
+                   const linalg::CsrMatrix& weights,
+                   const TransientOptions& opts, const char* who) {
+    robust::throw_if_stopped(opts.cancel, who, 0);
+    const std::size_t na = active_.size();
+    std::size_t ref = na;  // no reference state outside deviation form
+    if (deviation_) {
+      ref = static_cast<std::size_t>(
+          std::max_element(pi_inf_.begin(), pi_inf_.end()) - pi_inf_.begin());
+    }
+    Small qt(na);  // Q' on the stepped states
+    for (std::size_t r = 0; r < na; ++r) {
+      const auto row = weights.row(r);
+      for (std::size_t k = 0; k < row.size; ++k) {
+        if (row.cols[k] != r) qt(row.cols[k], r) += row.values[k];
+      }
+      qt(r, r) = -out[r];
+    }
+    std::vector<std::size_t> keep;
+    for (std::size_t k = 0; k < na; ++k) {
+      if (k != ref) keep.push_back(k);
+    }
+    const std::size_t m = keep.size();
+    Small a(m);
+    std::vector<double> y0(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      y0[i] = delta[keep[i]];
+      for (std::size_t j = 0; j < m; ++j) {
+        a(i, j) = qt(keep[i], keep[j]);
+        if (deviation_) a(i, j) -= qt(keep[i], ref);
+      }
+      linalg::Vector v(na, 0.0);
+      v[keep[i]] = 1.0;
+      if (deviation_) v[ref] = -1.0;
+      basis_.push_back(std::move(v));
+    }
+    dim_ = m;
+    exact_ = true;
+    small_ = propagate(a, y0, dt_, cells_, nullptr, augmented_);
+  }
+
+  /// Grows the Arnoldi basis from delta until certify accepts it.
+  void grow_basis(linalg::Vector delta, linalg::Vector exits,
+                  const linalg::Vector& out, const linalg::CsrMatrix& weights,
+                  const TransientOptions& opts, const char* who,
+                  std::size_t space) {
+    const double gamma = kShiftH;
+    for (double& e : exits) e += 1.0 / gamma;
+    const GthFactor factor(weights, exits, opts.cancel);
+
+    // A basis grown past the reachable space would take in pi_inf's
+    // direction, whose eigenvalue 0 rounding moves off.
+    const double beta = linalg::norm2(delta);
+    linalg::scale(delta, 1.0 / beta);
+    basis_.push_back(std::move(delta));
+    std::vector<std::vector<double>> h;  // h[j]: column j of H, j + 2 rows
+    for (std::size_t j = 0;; ++j) {
+      robust::throw_if_stopped(opts.cancel, who, j);
+      linalg::Vector x = basis_[j];
+      factor.solve_row(x);
+      ++solves_;
+      if (deviation_) drop_stationary(x);
+      const double solved = linalg::norm2(x);
+      // Classical Gram-Schmidt, twice: one pass loses the orthogonality
+      // the residual bound rests on.
+      std::vector<double> col(j + 2, 0.0);
+      std::vector<double> p(j + 1);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i <= j; ++i) p[i] = dot4(basis_[i], x);
+        for (std::size_t i = 0; i <= j; ++i) {
+          linalg::axpy(-p[i], basis_[i], x);
+          col[i] += p[i];
+        }
+      }
+      col[j + 1] = linalg::norm2(x);
+      const std::size_t m = j + 1;
+      // Near a breakdown the basis (nearly) spans an invariant subspace
+      // and the next direction would be mostly rounding: certify here. The
+      // space delta can reach is spanned once m is its dimension.
+      const bool breakdown = col[j + 1] <= kBreakdown * solved;
+      const bool last = m == space || m == kMaxDim;
+      if (col[j + 1] > 0.0) linalg::scale(x, 1.0 / col[j + 1]);
+      // Normalizing a small remainder scales up the rounding it carries
+      // along pi_inf; left in, it compounds through the next steps'
+      // Gram-Schmidt until the basis leaves the zero-sum space.
+      if (deviation_) drop_stationary(x);
+      h.push_back(std::move(col));
+      if (breakdown || last || m % kBoundEvery == 0) {
+        if (certify(h, m, gamma, beta, x, out, weights, opts)) break;
+        if (last) {
+          std::ostringstream os;
+          os << "residual bound " << bound_ << " above tolerance "
+             << opts.tolerance << " at Krylov dimension " << m;
+          throw SolveError(SolveCause::kBudgetExceeded, who, os.str(),
+                           solves_, bound_);
+        }
+      }
+      basis_.push_back(std::move(x));
+    }
+    basis_.resize(dim_);
   }
 
   /// Forms A_m and the residual bound at dimension m; keeps them and
@@ -661,7 +790,8 @@ class Engine {
     }
     std::vector<double> y0(m, 0.0);
     y0[0] = beta;
-    Propagation p = propagate(a, y0, dt_, cells_, rho > 0.0 ? &c : nullptr);
+    Propagation p =
+        propagate(a, y0, dt_, cells_, rho > 0.0 ? &c : nullptr, augmented_);
     bound_ = rho * p.integral;
     // A non-finite exponential (a basis gone bad in rounding) certifies
     // nothing.
@@ -671,7 +801,6 @@ class Engine {
     if (!(bound_ <= opts.tolerance)) return false;
     dim_ = m;
     small_ = std::move(p);
-    beta_ = beta;
     return true;
   }
 
@@ -682,10 +811,12 @@ class Engine {
   std::vector<StateIndex> active_;    // stepped states
   std::vector<StateIndex> absorbed_;  // states with no exit
   linalg::Vector pi_inf_;             // on the stepped states; 0 without one
+  bool deviation_ = false;  // stepping pi - pi_inf
+  bool augmented_ = false;  // integrals read: augment(a, y0) exponentiated
   std::vector<linalg::Vector> basis_;
   std::size_t dim_ = 0;  // m (0 while pi is constant)
-  Propagation small_;    // A_m's exponential and y on the grid
-  double beta_ = 0.0;
+  bool exact_ = false;   // basis written down, not grown
+  Propagation small_;    // A's exponential and y on the grid
   double bound_ = 0.0;
   std::size_t solves_ = 0;
 };
@@ -716,7 +847,7 @@ linalg::Vector integrate_rates(const Ctmc& chain, const linalg::Vector& pi0,
                                const TransientOptions& opts, const char* who) {
   linalg::Vector acc(rates.size(), 0.0);
   if (t == 0.0) return acc;
-  const Engine engine(chain, pi0, t, 1, opts, who);
+  const Engine engine(chain, pi0, t, 1, opts, who, true);
   const linalg::Vector occupancy = engine.distribution(true);
   for (std::size_t j = 0; j < rates.size(); ++j) {
     acc[j] = linalg::dot(rates[j], occupancy);
@@ -731,7 +862,12 @@ linalg::Vector transient_distribution(const Ctmc& chain,
                                       const TransientOptions& opts) {
   check_inputs(chain, pi0, t);
   if (t == 0.0) return pi0;
-  return Engine(chain, pi0, t, 1, opts, "transient_distribution")
+  // Absorbed mass is the integrated flux into the absorbing states.
+  bool absorbing = false;
+  for (StateIndex i = 0; i < chain.size(); ++i) {
+    absorbing = absorbing || chain.exit_rate(i) == 0.0;
+  }
+  return Engine(chain, pi0, t, 1, opts, "transient_distribution", absorbing)
       .distribution(false);
 }
 
@@ -811,8 +947,15 @@ linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
   if (!(horizon > 0.0) || steps == 0) {
     throw std::invalid_argument("reward_curve: need positive horizon/steps");
   }
-  const Engine engine(chain, pi0, horizon, steps, opts, "reward_curve");
-  if (stats) *stats = {engine.dim(), engine.bound()};
+  // Reward held in an absorbing state accrues with the integrated flux.
+  bool absorbed_reward = false;
+  for (StateIndex i = 0; i < chain.size(); ++i) {
+    absorbed_reward = absorbed_reward ||
+                      (chain.exit_rate(i) == 0.0 && chain.reward(i) != 0.0);
+  }
+  const Engine engine(chain, pi0, horizon, steps, opts, "reward_curve",
+                      average != nullptr || absorbed_reward);
+  if (stats) *stats = {engine.dim(), engine.bound(), engine.exact()};
   return engine.curve(chain.reward_vector(), average);
 }
 

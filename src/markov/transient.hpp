@@ -4,12 +4,13 @@
 // part of availability modelling (Reibman/Trivedi 1989, reference [6] of
 // the paper).
 //
-// Every function here runs on one engine: shift-and-invert Krylov. Per
-// call it factors I - gamma Q once with the banded GTH code, builds one
-// Arnoldi basis from pi0 - pi_inf (pi_inf from GTH) and evaluates every
-// requested time through a small matrix exponential; the basis grows until
-// a residual bound certifies the whole horizon (docs/numerics.md states
-// the method and the bound).
+// Every function here runs on one engine: pi0 - pi_inf (pi_inf from GTH)
+// stepped on a small basis through one small matrix exponential per call.
+// A chain whose stepped space has at most 12 dimensions takes zero-sum
+// (or unit) coordinates of that whole space, which are exact; a larger
+// one factors I - gamma Q once with the banded GTH code and grows a
+// shift-and-invert Arnoldi basis until a residual bound certifies the
+// whole horizon (docs/numerics.md states the method and the bound).
 #pragma once
 
 #include <cstddef>
@@ -24,25 +25,28 @@ struct TransientOptions {
   /// Bound on the 1-norm error of pi(t) over the whole horizon: the Krylov
   /// dimension grows until its residual bound meets it.
   double tolerance = 1e-12;
-  /// Request token, polled at every banded solve and Arnoldi step (and
-  /// every 64 states of the factorization); when it fires the call throws
+  /// Request token, polled once on the exact basis, and at every banded
+  /// solve and Arnoldi step (and every 64 states of the factorization) on
+  /// the Krylov path; when it fires the call throws
   /// SolveError(kCancelled / kDeadlineExceeded). An inert token never
   /// changes a result.
   robust::CancelToken cancel;
 };
 
-/// The work one engine did: its Krylov dimension (0 when pi is constant)
-/// and the certified bound on the 1-norm error of pi(t) over the horizon.
+/// The work one engine did: its basis dimension (0 when pi is constant),
+/// the certified bound on the 1-norm error of pi(t) over the horizon, and
+/// whether the basis was written down exactly (bound 0, no Arnoldi).
 struct TransientStats {
   std::size_t krylov_dim = 0;
   double error_bound = 0.0;
+  bool exact_basis = false;
 };
 
 /// State-probability vector at time t, starting from distribution pi0.
 /// Throws std::invalid_argument for negative t / bad pi0, and
 /// resilience::SolveError(kBudgetExceeded) — an is-a std::runtime_error —
-/// if the residual bound is still above `tolerance` at the largest Krylov
-/// dimension (128).
+/// if, on the Krylov path, the residual bound is still above `tolerance`
+/// at the largest Krylov dimension (128).
 linalg::Vector transient_distribution(const Ctmc& chain,
                                       const linalg::Vector& pi0, double t,
                                       const TransientOptions& opts = {});
@@ -95,11 +99,12 @@ double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
 linalg::Vector point_mass(const Ctmc& chain, StateIndex state);
 
 /// Expected reward at each grid point k * (horizon / steps), k = 0..steps.
-/// One Krylov basis serves the whole grid (SystemModel samples every block
-/// on a shared grid); each point is one small-space step. `stats`
-/// (optional) receives the engine's work; `average` (optional) receives
-/// the time-averaged reward over (0, horizon), integrated exactly by the
-/// augmented exponential that steps the grid, not by quadrature.
+/// One basis serves the whole grid (SystemModel samples every block on a
+/// shared grid); each point is one small-space step. `stats` (optional)
+/// receives the engine's work; `average` (optional) receives the
+/// time-averaged reward over (0, horizon), integrated exactly by the
+/// augmented exponential of the small space raised from one grid step to
+/// the horizon, not by quadrature.
 linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
                             double horizon, std::size_t steps,
                             const TransientOptions& opts = {},

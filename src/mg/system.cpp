@@ -123,7 +123,9 @@ constexpr std::size_t kCurveSteps = 256;
 // version word changes whenever the engine's arithmetic or the layout of
 // a value does, so a cache that outlives a process never serves values
 // from another engine.
-constexpr std::uint64_t kCurveKeyVersion = 3;  // 3: exact average appended
+// 4: small chains on the exact zero-sum basis, the average from the
+// augmented exponential raised to the horizon.
+constexpr std::uint64_t kCurveKeyVersion = 4;
 // The kCurveSteps + 1 samples of A(t), then the exact average of A over
 // the horizon.
 constexpr std::uint64_t kCurveAvailability = 1;
@@ -141,8 +143,8 @@ cache::Signature curve_key(const cache::Signature& block_sig,
 
 /// Memoized sampling of one block curve (or single value): consult
 /// `cache` (may be null), otherwise run `sample(stats)` and insert the
-/// result. The span detail of a sampled curve names the engine's Krylov
-/// dimension and error bound.
+/// result. The span detail of a sampled curve names the engine's basis
+/// dimension and its error bound, or `exact` for a basis written down.
 template <typename SampleFn>
 std::shared_ptr<const linalg::Vector> sample_curve_cached(
     const SystemModel::BlockEntry& block, std::uint64_t kind, double horizon,
@@ -161,11 +163,12 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
   markov::TransientStats stats;
   auto curve = std::make_shared<const linalg::Vector>(sample(stats));
   if (span.active()) {
-    char bound[32];
-    std::snprintf(bound, sizeof bound, "%.3g", stats.error_bound);
+    char bound[40] = "exact";
+    if (!stats.exact_basis) {
+      std::snprintf(bound, sizeof bound, "bound=%.3g", stats.error_bound);
+    }
     span.set_detail(block.diagram + "/" + block.block.name +
-                    " m=" + std::to_string(stats.krylov_dim) +
-                    " bound=" + bound);
+                    " m=" + std::to_string(stats.krylov_dim) + " " + bound);
   }
   if (cache) cache->put_curve(key, curve);
   return curve;

@@ -15,6 +15,7 @@
 #include "markov/transient.hpp"
 #include "mg/system.hpp"
 #include "spec/parser.hpp"
+#include "product_chain.hpp"
 
 namespace {
 
@@ -92,60 +93,19 @@ TEST(SystemModel, IntervalAvailabilityNearSteadyForLongHorizon) {
   EXPECT_LT(a_interval - a_steady, 1e-4);
 }
 
-/// The Kronecker product of a series model's block chains: one state per
-/// tuple of block states, each block moving on its own. Its reward, the
-/// product of the 0/1 block rewards, is the system's availability under
-/// the independence the RBD assumes, so its interval availability is an
-/// exact oracle for the composed one.
-struct ProductChain {
-  rascad::markov::Ctmc chain;
-  rascad::markov::StateIndex initial = 0;
-};
-
-ProductChain product_chain(const SystemModel& system) {
-  const auto& blocks = system.blocks();
-  // Mixed radix: block i's state is digit i, with stride[i] its weight.
-  std::vector<std::size_t> stride(blocks.size() + 1, 1);
-  for (std::size_t i = blocks.size(); i-- > 0;) {
-    stride[i] = stride[i + 1] * blocks[i].chain->size();
-  }
-  rascad::markov::CtmcBuilder builder;
-  ProductChain out;
-  for (std::size_t s = 0; s < stride[0]; ++s) {
-    double reward = 1.0;
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      const double r = blocks[i].chain->reward(s / stride[i + 1] %
-                                               blocks[i].chain->size());
-      EXPECT_TRUE(r == 0.0 || r == 1.0) << blocks[i].block.name;
-      reward *= r;
-    }
-    builder.add_state("s" + std::to_string(s), reward);
-  }
-  for (std::size_t s = 0; s < stride[0]; ++s) {
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      const std::size_t digit = s / stride[i + 1] % blocks[i].chain->size();
-      const auto row = blocks[i].chain->generator().row(digit);
-      for (std::size_t k = 0; k < row.size; ++k) {
-        if (row.cols[k] == digit) continue;
-        builder.add_transition(
-            s, s - digit * stride[i + 1] + row.cols[k] * stride[i + 1],
-            row.values[k]);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    out.initial += blocks[i].initial * stride[i + 1];
-  }
-  out.chain = builder.build();
-  return out;
-}
-
 /// The system interval availability against the product chain's, relative
 /// in U, at horizons from an hour to a year.
 void expect_interval_matches_product_chain(const SystemModel& system,
                                            std::size_t states,
                                            double relative_u) {
-  const ProductChain product = product_chain(system);
+  for (const auto& b : system.blocks()) {
+    for (std::size_t i = 0; i < b.chain->size(); ++i) {
+      const double r = b.chain->reward(i);
+      EXPECT_TRUE(r == 0.0 || r == 1.0) << b.block.name;
+    }
+  }
+  const rascad::testing::ProductChain product =
+      rascad::testing::product_chain(system);
   ASSERT_EQ(product.chain.size(), states);
   const rascad::linalg::Vector pi0 =
       rascad::markov::point_mass(product.chain, product.initial);

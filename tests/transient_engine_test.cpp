@@ -2,13 +2,16 @@
 // against the uniformization oracle and the closed forms: block curves on
 // web_shop.rsc, the generated families and a stiff failover chain, the end
 // of every stationary curve at the GTH availability, the dimension cap,
-// cancellation, the one-pass interval measures, one pi per chain and the
-// solver-work metrics.
+// cancellation, the one-pass interval measures, one pi per chain, the
+// solver-work metrics and tight-tolerance curves on either side of the
+// exact basis's size limit.
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,11 +24,13 @@
 #include "mg/system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "resilience/resilience.hpp"
 #include "resilience/solve_error.hpp"
 #include "robust/cancel.hpp"
 #include "spec/ast.hpp"
 #include "spec/parser.hpp"
+#include "product_chain.hpp"
 #include "uniformization_oracle.hpp"
 
 namespace {
@@ -337,6 +342,69 @@ TEST(TransientEngine, NeverMixingChainMatchesClosedForm) {
   EXPECT_NEAR(pi[a] + pi[c] + pi[d], 1.0, 1e-15);
 }
 
+/// (expm1(x) - x) / x^2, by its series where the formula would cancel.
+double phi2(double x) {
+  if (std::abs(x) > 0.1) return (std::expm1(x) - x) / (x * x);
+  double term = 0.5;
+  double sum = 0.0;
+  for (int k = 3; term != 0.0 && k < 40; ++k) {
+    sum += term;
+    term *= x / k;
+  }
+  return sum;
+}
+
+/// Interval availability and the curve's average both against `want`,
+/// to a few units in the last place of 1.
+void expect_interval_availability(const Ctmc& chain, const Vector& pi0,
+                                  double t, double want,
+                                  const std::string& what) {
+  EXPECT_NEAR(rascad::markov::interval_availability(chain, pi0, t), want,
+              1e-15)
+      << what << " T=" << t;
+  double average = -1.0;
+  rascad::markov::reward_curve(chain, pi0, t, kSteps, {}, nullptr, &average);
+  EXPECT_NEAR(average, want, 1e-15) << what << " (curve average) T=" << t;
+}
+
+TEST(TransientEngine, SlowModeIntervalAvailabilityKeepsItsDigits) {
+  // A mode of 1e-9/h against a horizon of hours: its integral must not
+  // come from the difference of two nearly equal states. Both closed
+  // forms are written so that nothing cancels: for the two-state chain
+  // U(T) = lambda T phi2(-s T) with s = lambda + mu, and for the
+  // never-mixing chain (down state C, pi_C(0) = pi_C'(0) = 0, slow and
+  // fast eigenvalues l1, l2 with l1 l2 = s2) int_0^T pi_C =
+  // pi_C(inf) T^2 s2 (phi2(l2 T) - phi2(l1 T)) / (l2 - l1).
+  for (const double t : {1.0, 24.0, kHorizon}) {
+    const double lambda = 1e-6;
+    const Ctmc pair = two_state_chain(lambda, lambda);
+    expect_interval_availability(
+        pair, rascad::markov::point_mass(pair, 0), t,
+        1.0 - lambda * t * phi2(-2 * lambda * t), "two-state");
+
+    const double a = 100.0;
+    const double e = 1e-9;
+    CtmcBuilder b;
+    const auto sa = b.add_state("A", 1.0);
+    const auto sb = b.add_state("B", 1.0);
+    const auto sc = b.add_state("C", 0.0);
+    b.add_transition(sa, sb, a);
+    b.add_transition(sb, sa, a);
+    b.add_transition(sb, sc, e);
+    b.add_transition(sc, sa, e);
+    const Ctmc chain = b.build();
+    const double s1 = 2 * a + 2 * e;
+    const double s2 = 3 * a * e + e * e;
+    const double root = std::sqrt(s1 * s1 - 4 * s2);
+    const double l2 = -(s1 + root) / 2;
+    const double l1 = s2 / l2;
+    const double down = 1.0 / (3.0 + e / a) * t * s2 *
+                        (phi2(l2 * t) - phi2(l1 * t)) / (l2 - l1);
+    expect_interval_availability(chain, rascad::markov::point_mass(chain, sa),
+                                 t, 1.0 - down, "never mixing");
+  }
+}
+
 TEST(TransientEngine, AbsorbedMassComesFromTheIntegratedFlux) {
   // Competing risks: state S leaves to A1 at l1 and to A2 at l2, both
   // absorbing; A2 carries reward 1. P(A1 by t) = l1/l (1 - e^{-lt}) and
@@ -595,24 +663,149 @@ TEST(TransientEngine, LibraryBlocksHaveOnePi) {
 }
 
 TEST(TransientEngine, MetricsRecordKrylovWork) {
+  // A 53-state generated block: its stepped space is above the exact
+  // basis's limit, so the engine grows and certifies a Krylov basis.
+  const auto model =
+      rascad::mg::generate(full_block(8, 1, Transparency::kNontransparent,
+                                      Transparency::kNontransparent),
+                           rascad::spec::GlobalParams{});
+  ASSERT_GT(model.chain.size(), 13u);  // more than 12 zero-sum dimensions
   rascad::obs::set_enabled(true);
   auto& registry = rascad::obs::Registry::global();
   auto& dims = registry.counter("transient.krylov_dim");
   auto& solves = registry.counter("transient.banded_solves");
+  auto& exact = registry.counter("transient.exact_basis");
   auto& bounds = registry.histogram("transient.error_bound");
   const std::uint64_t dims_before = dims.value();
   const std::uint64_t solves_before = solves.value();
+  const std::uint64_t exact_before = exact.value();
   const std::uint64_t bounds_before = bounds.snapshot().count;
+  TransientStats stats;
+  rascad::markov::reward_curve(
+      model.chain, rascad::markov::point_mass(model.chain, model.initial),
+      kHorizon, kSteps, {}, &stats);
+  rascad::obs::set_enabled(false);
+  EXPECT_FALSE(stats.exact_basis);
+  EXPECT_EQ(dims.value() - dims_before, stats.krylov_dim);
+  EXPECT_GE(solves.value() - solves_before, stats.krylov_dim);
+  EXPECT_EQ(exact.value() - exact_before, 0u);
+  EXPECT_EQ(bounds.snapshot().count - bounds_before, 1u);
+  EXPECT_LE(stats.error_bound, TransientOptions{}.tolerance);
+}
+
+TEST(TransientEngine, MetricsRecordExactBasis) {
+  // Two states: the one zero-sum coordinate e_0 - e_1, no banded solve,
+  // a bound of 0.
+  rascad::obs::set_enabled(true);
+  auto& registry = rascad::obs::Registry::global();
+  auto& dims = registry.counter("transient.krylov_dim");
+  auto& solves = registry.counter("transient.banded_solves");
+  auto& exact = registry.counter("transient.exact_basis");
+  auto& bounds = registry.histogram("transient.error_bound");
+  const std::uint64_t dims_before = dims.value();
+  const std::uint64_t solves_before = solves.value();
+  const std::uint64_t exact_before = exact.value();
+  const auto bounds_before = bounds.snapshot();
   const Ctmc chain = two_state_chain(0.05, 2.0);
   TransientStats stats;
   rascad::markov::reward_curve(chain, rascad::markov::point_mass(chain, 0),
                                100.0, 50, {}, &stats);
+  const auto bounds_after = bounds.snapshot();
   rascad::obs::set_enabled(false);
-  EXPECT_EQ(dims.value() - dims_before, stats.krylov_dim);
-  EXPECT_EQ(stats.krylov_dim, 1u);  // the zero-sum space of two states
-  EXPECT_GE(solves.value() - solves_before, stats.krylov_dim);
-  EXPECT_EQ(bounds.snapshot().count - bounds_before, 1u);
-  EXPECT_LE(stats.error_bound, TransientOptions{}.tolerance);
+  EXPECT_TRUE(stats.exact_basis);
+  EXPECT_EQ(stats.krylov_dim, 1u);
+  EXPECT_EQ(stats.error_bound, 0.0);
+  EXPECT_EQ(dims.value() - dims_before, 1u);
+  EXPECT_EQ(solves.value() - solves_before, 0u);
+  EXPECT_EQ(exact.value() - exact_before, 1u);
+  EXPECT_EQ(bounds_after.count - bounds_before.count, 1u);
+  EXPECT_EQ(bounds_after.sum_ms, bounds_before.sum_ms);
+}
+
+TEST(TransientEngine, CurveSpanNamesTheExactBasis) {
+  rascad::mg::SystemModel::Options opts;
+  opts.cache = nullptr;
+  const auto system = rascad::mg::SystemModel::build(
+      rascad::spec::parse_model_file(RASCAD_EXAMPLES_DIR "/web_shop.rsc"),
+      opts);
+  rascad::obs::set_enabled(true);
+  rascad::obs::clear_trace();
+  system.interval_availability(kHorizon);
+  const auto dump = rascad::obs::drain_trace();
+  rascad::obs::set_enabled(false);
+  std::size_t curves = 0;
+  for (const auto& span : dump.spans) {
+    if (std::string(span.name) != "curve.sample") continue;
+    ++curves;
+    EXPECT_EQ(span.detail.substr(span.detail.size() - 6), " exact")
+        << span.detail;
+  }
+  EXPECT_EQ(curves, system.blocks().size());
+}
+
+TEST(TransientEngine, TightToleranceCurvesMatchOracleAcrossTheExactLimit) {
+  // A 12-state generated block takes the exact basis; a 14-state one sits
+  // just above its limit and takes Krylov. On Krylov, web_shop's Chassis x
+  // DB Node Pair (24 states, at 1e-14) and a 16-state generated block (at
+  // any tolerance) were refused with an infinite bound at m = n - 1: the
+  // rounding each normalized basis vector carried along pi_inf compounded
+  // until the basis left the zero-sum space.
+  const auto system = web_shop();
+  std::vector<const rascad::mg::SystemModel::BlockEntry*> pair;
+  for (const auto& b : system.blocks()) {
+    if (b.block.name == "Chassis" || b.block.name == "DB Node Pair") {
+      pair.push_back(&b);
+    }
+  }
+  ASSERT_EQ(pair.size(), 2u);
+  const rascad::testing::ProductChain product =
+      rascad::testing::product_chain(pair);
+  const auto below = rascad::mg::generate(
+      full_block(3, 1, Transparency::kTransparent, Transparency::kTransparent),
+      rascad::spec::GlobalParams{});
+  const auto above = rascad::mg::generate(
+      full_block(3, 1, Transparency::kTransparent,
+                 Transparency::kNontransparent),
+      rascad::spec::GlobalParams{});
+  const auto refused = rascad::mg::generate(
+      full_block(4, 2, Transparency::kNontransparent,
+                 Transparency::kTransparent),
+      rascad::spec::GlobalParams{});
+  struct Case {
+    const Ctmc& chain;
+    rascad::markov::StateIndex initial;
+    std::size_t states;
+    bool exact;
+  };
+  TransientOptions tight;
+  tight.tolerance = 1e-14;
+  for (const Case& c : {Case{below.chain, below.initial, 12, true},
+                        Case{above.chain, above.initial, 14, false},
+                        Case{refused.chain, refused.initial, 16, false},
+                        Case{product.chain, product.initial, 24, false}}) {
+    ASSERT_EQ(c.chain.size(), c.states);
+    const Vector pi0 = rascad::markov::point_mass(c.chain, c.initial);
+    const Vector pi_inf = rascad::markov::solve_steady_state(c.chain).pi;
+    for (const double t : {0.25, 1.0, 24.0, kHorizon}) {
+      const std::string what = std::to_string(c.chain.size()) +
+                               " states, T=" + std::to_string(t);
+      TransientStats stats;
+      Vector got;
+      try {
+        got = rascad::markov::reward_curve(c.chain, pi0, t, kSteps, tight,
+                                           &stats);
+      } catch (const SolveError& e) {
+        ADD_FAILURE() << what << ": " << e.what();
+        continue;
+      }
+      EXPECT_EQ(stats.exact_basis, c.exact) << what;
+      const Vector want = rascad::testing::oracle_deviation_curve(
+          c.chain, pi0, pi_inf, t, kSteps);
+      for (std::size_t k = 0; k <= kSteps; ++k) {
+        EXPECT_LE(std::abs(got[k] - want[k]), 1e-13) << what << " k=" << k;
+      }
+    }
+  }
 }
 
 }  // namespace

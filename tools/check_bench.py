@@ -52,6 +52,7 @@ GATES = {
     "scalability": [
         ("deep_n128_solve_ms", "lower", 40.0),
         ("web_shop_interval_ms", "lower", 1.0),
+        ("web_shop_reliability_ms", "lower", 0.03),
         ("deep_n48_sweep64_ms", "lower", 2.0),
         ("deep_n480_curve_ms", "lower", 20.0),
         ("deep_n1440_solve_ms", "lower", 60.0),
