@@ -1,20 +1,22 @@
-// Overhead of the checked solve episode.
+// Cost of the checked solve.
 //
-// The healthy-path comparison (bare GTH solve vs the full episode with
-// health checks) is the fixed cost every MG block solve pays on top of the
-// banded elimination: a residual re-check, the health scan and the trace
-// bookkeeping, all O(n). The failure benchmark measures what a refused
-// answer costs: the elimination, the failed check and the thrown error.
+// One case per chain: markov::solve_steady_state, the banded GTH
+// elimination plus its O(n) health check (residual re-check, distribution
+// scan, trace bookkeeping), on a generated block chain and on a 201-state
+// birth-death chain where the elimination is cheap enough (bandwidth 1)
+// that the check is a visible fraction. The refusal case measures what a
+// refused answer costs: the elimination, a NaN seeded through the
+// post-solve test seam, the failed check and the thrown error.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
 
+#include "markov/health.hpp"
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "obs/bench_json.hpp"
-#include "resilience/fault_injection.hpp"
-#include "resilience/resilience.hpp"
+#include "fault_seam.hpp"
 
 namespace {
 
@@ -37,60 +39,39 @@ markov::Ctmc block_chain() {
   return mg::generate(block, spec::GlobalParams{}).chain;
 }
 
-void BM_DirectBare(benchmark::State& state) {
+/// 201 states, bandwidth 1 after RCM.
+markov::Ctmc large_chain() { return testing::ill_conditioned_chain(100, 2.0); }
+
+void BM_CheckedSolve(benchmark::State& state) {
   const markov::Ctmc chain = block_chain();
   for (auto _ : state) {
     benchmark::DoNotOptimize(markov::solve_steady_state(chain));
   }
 }
-BENCHMARK(BM_DirectBare);
+BENCHMARK(BM_CheckedSolve);
 
-void BM_EpisodeHealthyPath(benchmark::State& state) {
-  const markov::Ctmc chain = block_chain();
-  const resilience::ResilienceConfig config;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resilience::solve_steady_state_resilient(chain, config));
-  }
-}
-BENCHMARK(BM_EpisodeHealthyPath);
-
-/// Healthy path on a 201-state chain. The elimination is O(n b^2) with
-/// b = 1 here, so the episode's O(n) checks are a visible fraction of it.
-void BM_DirectBareLarge(benchmark::State& state) {
-  const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
+void BM_CheckedSolveLarge(benchmark::State& state) {
+  const markov::Ctmc chain = large_chain();
   for (auto _ : state) {
     benchmark::DoNotOptimize(markov::solve_steady_state(chain));
   }
 }
-BENCHMARK(BM_DirectBareLarge);
-
-void BM_EpisodeHealthyPathLarge(benchmark::State& state) {
-  const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
-  const resilience::ResilienceConfig config;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resilience::solve_steady_state_resilient(chain, config));
-  }
-}
-BENCHMARK(BM_EpisodeHealthyPathLarge);
+BENCHMARK(BM_CheckedSolveLarge);
 
 /// Failure latency: a health-check failure on every solve (a NaN seeded
 /// into the answer), caught and reported as SolveError(kNanOrInf).
-void BM_EpisodeRefusedAnswer(benchmark::State& state) {
+void BM_RefusedAnswer(benchmark::State& state) {
   const markov::Ctmc chain = block_chain();
-  resilience::ResilienceConfig config;
-  config.fault_plan.fail(resilience::FaultKind::kNanResult);
+  const markov::ScopedPostSolveHook seam(testing::nan_hook());
   for (auto _ : state) {
     try {
-      benchmark::DoNotOptimize(
-          resilience::solve_steady_state_resilient(chain, config));
-    } catch (const resilience::SolveError& e) {
+      benchmark::DoNotOptimize(markov::solve_steady_state(chain));
+    } catch (const robust::SolveError& e) {
       benchmark::DoNotOptimize(e.cause());
     }
   }
 }
-BENCHMARK(BM_EpisodeRefusedAnswer);
+BENCHMARK(BM_RefusedAnswer);
 
 }  // namespace
 
@@ -103,33 +84,34 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Direct timing of the headline comparison — bare solve vs full episode
-  // on the 201-state chain.
+  // Direct timing of the large chain's checked solve and of a refusal.
   using Clock = std::chrono::steady_clock;
-  const markov::Ctmc chain = resilience::ill_conditioned_chain(100, 2.0);
-  const resilience::ResilienceConfig config;
+  const markov::Ctmc chain = large_chain();
   constexpr int kIters = 50;
   const auto t0 = Clock::now();
   for (int i = 0; i < kIters; ++i) {
     benchmark::DoNotOptimize(markov::solve_steady_state(chain));
   }
   const auto t1 = Clock::now();
-  for (int i = 0; i < kIters; ++i) {
-    benchmark::DoNotOptimize(
-        resilience::solve_steady_state_resilient(chain, config));
+  {
+    const markov::ScopedPostSolveHook seam(testing::nan_hook());
+    for (int i = 0; i < kIters; ++i) {
+      try {
+        benchmark::DoNotOptimize(markov::solve_steady_state(chain));
+      } catch (const robust::SolveError& e) {
+        benchmark::DoNotOptimize(e.cause());
+      }
+    }
   }
   const auto t2 = Clock::now();
-  const double bare_ms =
+  const double solve_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count() / kIters;
-  const double episode_ms =
+  const double refused_ms =
       std::chrono::duration<double, std::milli>(t2 - t1).count() / kIters;
-  const double overhead_pct =
-      bare_ms > 0.0 ? (episode_ms - bare_ms) / bare_ms * 100.0 : 0.0;
 
   rascad::obs::BenchMetricsLine("resilience")
-      .metric("direct_bare_ms", bare_ms)
-      .metric("episode_healthy_ms", episode_ms)
-      .metric("healthy_overhead_pct", overhead_pct)
+      .metric("checked_solve_ms", solve_ms)
+      .metric("refused_answer_ms", refused_ms)
       .write(std::cout);
   return 0;
 }

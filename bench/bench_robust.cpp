@@ -16,8 +16,9 @@
 //      throw, never perturb arithmetic.
 //
 //   2. Graceful degradation under a deadline (gate). A 64-point
-//      single-threaded sweep runs with an injected kStall fault (each fresh
-//      solve sleeps 2 ms, ignoring its token, then succeeds) under a
+//      single-threaded sweep runs with a stall hook on the post-solve test
+//      seam (each fresh solve sleeps 2 ms, ignoring its token, then
+//      succeeds) under a
 //      request deadline sized so only a prefix of the points can finish.
 //      The gate: at least one point completes, at least one does not, the
 //      completed points form a prefix, and every unfinished point reports
@@ -41,6 +42,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,11 +52,13 @@
 #include "core/sweep.hpp"
 #include "mg/generator.hpp"
 #include "mg/system.hpp"
+#include "markov/health.hpp"
+#include "markov/steady_state.hpp"
 #include "obs/bench_json.hpp"
-#include "resilience/fault_injection.hpp"
-#include "resilience/resilience.hpp"
 #include "robust/cancel.hpp"
+#include "robust/solve_error.hpp"
 #include "spec/ast.hpp"
+#include "fault_seam.hpp"
 
 namespace {
 
@@ -175,27 +179,23 @@ int main(int argc, char** argv) {
   // The overhead workload: a GTH solve of ~50k states with a cancellation
   // checkpoint every 64 eliminated states.
   const rascad::markov::Ctmc large = large_type4_chain();
-  rascad::resilience::ResilienceConfig solve_cfg;
   double baseline_ms = 0.0;
-  rascad::resilience::ResilientResult base_solve;
+  rascad::markov::SteadyStateResult base_solve;
   for (int run = 0; run < 3; ++run) {  // best of 3 against scheduler noise
     const auto t0 = Clock::now();
-    base_solve = rascad::resilience::solve_steady_state_resilient(large,
-                                                                  solve_cfg);
+    base_solve = rascad::markov::solve_steady_state(large);
     const double ms = ms_since(t0);
     if (run == 0 || ms < baseline_ms) baseline_ms = ms;
   }
-  solve_cfg.cancel = far_deadline;
   const auto t1 = Clock::now();
-  const rascad::resilience::ResilientResult token_solve =
-      rascad::resilience::solve_steady_state_resilient(large, solve_cfg);
+  const rascad::markov::SteadyStateResult token_solve =
+      rascad::markov::solve_steady_state(large, far_deadline);
   const double token_ms = ms_since(t1);
 
-  bool identical =
-      base_solve.result.residual == token_solve.result.residual &&
-      base_solve.result.pi.size() == token_solve.result.pi.size();
-  for (std::size_t i = 0; identical && i < base_solve.result.pi.size(); ++i) {
-    identical = base_solve.result.pi[i] == token_solve.result.pi[i];
+  bool identical = base_solve.residual == token_solve.residual &&
+                   base_solve.pi.size() == token_solve.pi.size();
+  for (std::size_t i = 0; identical && i < base_solve.pi.size(); ++i) {
+    identical = base_solve.pi[i] == token_solve.pi[i];
   }
 
   // The same token threaded through a full sweep (build + solve + memo
@@ -249,8 +249,8 @@ int main(int argc, char** argv) {
   rascad::mg::SystemModel::Options warm_opts;
   // Every fresh solve stalls 2 ms without polling its token and then
   // succeeds, charging real wall-clock against the request deadline.
-  warm_opts.resilience.fault_plan.fail(rascad::resilience::FaultKind::kStall);
-  warm_opts.resilience.fault_plan.stall_ms = 2.0;
+  std::optional<rascad::markov::ScopedPostSolveHook> stall(
+      std::in_place, rascad::testing::stall_hook(2.0));
   warm_opts.cache = &deadline_cache;
   warm_opts.parallel.threads = 1;
   // Warm the memo cache so the sweep's baseline build is cheap and every
@@ -269,6 +269,7 @@ int main(int argc, char** argv) {
           [](rascad::spec::BlockSpec& b, double v) { b.mtbf_h = v; },
           rascad::core::linspace(1e5, 4e5, kDeadlinePoints), dopts);
   const double degraded_ms = ms_since(d0);
+  stall.reset();
 
   std::size_t ok_points = 0;
   bool prefix = true;
@@ -298,20 +299,18 @@ int main(int argc, char** argv) {
 
   // --- 3. cancellation latency (report only) ----------------------------
   const rascad::markov::Ctmc grid = grid_chain(80, 80);
-  (void)rascad::resilience::solve_steady_state_resilient(grid);
+  (void)rascad::markov::solve_steady_state(grid);
   std::vector<double> latencies;
   for (int episode = 0; episode < 20; ++episode) {
     const CancelToken token = CancelToken::manual();
-    rascad::resilience::ResilienceConfig config;
-    config.cancel = token;
     std::thread canceller([&token] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       token.request_cancel();
     });
     bool cancelled = false;
     try {
-      (void)rascad::resilience::solve_steady_state_resilient(grid, config);
-    } catch (const rascad::resilience::SolveError&) {
+      (void)rascad::markov::solve_steady_state(grid, token);
+    } catch (const rascad::robust::SolveError&) {
       cancelled = true;
     }
     canceller.join();

@@ -13,12 +13,12 @@
 #include "cache/solve_cache.hpp"
 #include "core/library.hpp"
 #include "core/sweep.hpp"
+#include "markov/absorbing.hpp"
 #include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
 #include "obs/bench_json.hpp"
 #include "mg/generator.hpp"
 #include "mg/system.hpp"
-#include "resilience/resilience.hpp"
 #include "spec/ast.hpp"
 #include "spec/parser.hpp"
 
@@ -134,10 +134,10 @@ int main(int argc, char** argv) {
                "the stationary solve):\n";
   {
     const auto model = rascad::mg::generate(deep_block(2400, 1), g);
-    rascad::resilience::SolveTrace trace;
+    rascad::markov::SolveTrace trace;
     const auto t0 = Clock::now();
-    const double mttf = rascad::resilience::mttf_resilient(
-        model.chain, model.initial, {}, &trace);
+    const double mttf =
+        rascad::markov::mttf(model.chain, model.initial, {}, &trace);
     deep_n2400_mttf_ms = ms_since(t0);
     std::cout << "  N=2400, " << model.chain.size() << " states: "
               << std::fixed << std::setprecision(3) << deep_n2400_mttf_ms

@@ -16,8 +16,8 @@
 // content, so determinism is unaffected (only the hit/miss counters are
 // scheduling-dependent).
 //
-// Interaction with the resilience layer: a cached entry stores the
-// SolveTrace of the solve episode that produced it, so resilience
+// Interaction with the checked solves: a cached entry stores the
+// SolveTrace of the solve episode that produced it, so solve
 // reporting stays honest — consumers re-label the trace's provenance
 // (SolveSource::kCacheHit) without discarding the original episode record.
 #pragma once
@@ -32,7 +32,7 @@
 #include "cache/signature.hpp"
 #include "linalg/dense.hpp"
 #include "markov/ctmc.hpp"
-#include "resilience/resilience.hpp"
+#include "markov/health.hpp"
 
 namespace rascad::obs {
 class Counter;
@@ -49,7 +49,7 @@ struct CachedBlockSolve {
   double availability = 1.0;
   double eq_failure_rate = 0.0;
   /// Episode of the solve that filled this entry.
-  resilience::SolveTrace trace;
+  markov::SolveTrace trace;
 };
 
 /// Aggregate counters for one table (blocks or curves). Produced by

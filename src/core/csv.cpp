@@ -212,7 +212,7 @@ void write_blocks_csv(std::ostream& os, const mg::SystemModel& system) {
        << b.block.quantity << ',' << b.block.min_quantity << ','
        << csv_field(mg::to_string(b.type)) << ',' << b.chain->size() << ','
        << b.availability << ',' << b.yearly_downtime_min << ','
-       << csv_field(resilience::to_string(b.solve_trace.source))
+       << csv_field(markov::to_string(b.solve_trace.source))
        << ",0\n";  // solve_iterations: the exact elimination never iterates
   }
 }

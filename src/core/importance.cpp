@@ -35,7 +35,7 @@ std::vector<BlockImportance> block_importance(const mg::SystemModel& system,
     imp.block = entry.block.name;
     imp.availability = entry.availability;
     imp.yearly_downtime_min = entry.yearly_downtime_min;
-    imp.solve_source = resilience::to_string(entry.solve_trace.source);
+    imp.solve_source = markov::to_string(entry.solve_trace.source);
     const double a_perfect = system.availability_with_override(
         entry.diagram, entry.block.name, 1.0);
     const double a_failed = system.availability_with_override(
@@ -112,18 +112,15 @@ std::vector<ParameterSensitivity> parameter_sensitivity(
   // sensitivity runs) hit the memo table instead of re-solving, and every
   // probe is solved by the identical checked episode, so elasticities
   // are bit-identical with and without the cache.
-  const mg::SystemModel::Options& mopts = system.options();
-  resilience::ResilienceConfig probe_config = mopts.resilience;
   // The loop token fans into the probe solves too, so a cancelled
   // sensitivity run stops inside the solve instead of finishing a doomed
-  // probe. Tokens are not part of the solver signature, so memo keys (and
-  // the numbers) are unchanged.
-  if (!probe_config.cancel.valid()) probe_config.cancel = par.cancel;
-  const cache::Signature probe_solver_sig = mg::solver_signature(probe_config);
+  // probe. Tokens are not keyed, so memo keys (and the numbers) are
+  // unchanged.
+  cache::SolveCache* const probe_cache = system.options().cache;
   const auto block_availability = [&](const std::string& diagram,
                                       const spec::BlockSpec& block) {
-    return mg::solve_block_cached(diagram, block, globals, probe_config,
-                                  probe_solver_sig, mopts.cache)
+    return mg::solve_block_cached(diagram, block, globals, par.cancel,
+                                  probe_cache)
         .availability;
   };
 

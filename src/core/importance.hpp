@@ -34,7 +34,7 @@ struct BlockImportance {
   /// The block's own yearly downtime contribution (minutes).
   double yearly_downtime_min = 0.0;
   /// Provenance of the block's steady-state solve in the analysed system
-  /// ("fresh", "cache-hit", or "baseline-reuse") — see resilience::SolveSource.
+  /// ("fresh", "cache-hit", or "baseline-reuse") — see markov::SolveSource.
   std::string solve_source = "fresh";
   /// Graceful-degradation outcome: kOk unless `par.cancel` carried a token
   /// and this block's what-if evaluation was skipped or failed. Degraded

@@ -78,7 +78,7 @@ void write_report(std::ostream& os, const mg::SystemModel& system,
   os << "| diagram | block | rung | attempts | residual check | episode "
         "|\n|---|---|---|---|---|---|\n";
   for (const auto& b : system.blocks()) {
-    const resilience::SolveTrace& t = b.solve_trace;
+    const markov::SolveTrace& t = b.solve_trace;
     std::ostringstream residual;
     if (t.ran) {
       residual << std::scientific << std::setprecision(2)

@@ -26,13 +26,13 @@ SweepPoint summarize(const mg::SystemModel& system, double value) {
   p.eq_failure_rate = system.eq_failure_rate();
   for (const auto& entry : system.blocks()) {
     switch (entry.solve_trace.source) {
-      case resilience::SolveSource::kFresh:
+      case markov::SolveSource::kFresh:
         ++p.fresh_blocks;
         break;
-      case resilience::SolveSource::kCacheHit:
+      case markov::SolveSource::kCacheHit:
         ++p.cached_blocks;
         break;
-      case resilience::SolveSource::kBaselineReuse:
+      case markov::SolveSource::kBaselineReuse:
         ++p.reused_blocks;
         break;
     }

@@ -15,7 +15,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "resilience/solve_error.hpp"
+#include "robust/solve_error.hpp"
 
 namespace rascad::exec {
 
@@ -228,7 +228,7 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   // reporting (lowest failed index) is unchanged by adding a token.
   if (status.first_error) std::rethrow_exception(status.first_error);
   if (status.skipped > 0) {
-    throw resilience::SolveError(
+    throw robust::SolveError(
         robust::cause_from(status.stop), "parallel_for",
         std::to_string(status.skipped) + " of " + std::to_string(n) +
             " indices skipped (" + robust::to_string(status.stop) + ")");

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "markov/absorbing.hpp"
 #include "mg/measures.hpp"
 
 namespace rascad::gmb {
@@ -60,18 +61,19 @@ double Workspace::availability(const std::string& name) const {
   const ModelEntry& e = entry(name);
   double a = 1.0;
   if (const auto* m = std::get_if<MarkovEntry>(&e)) {
-    resilience::ResilientResult solved =
-        resilience::solve_steady_state_resilient(m->chain);
-    a = markov::expected_reward(m->chain, solved.result.pi);
-    trace_cache_[name] = std::move(solved.trace);
+    markov::SolveTrace trace;
+    const markov::SteadyStateResult steady =
+        markov::solve_steady_state(m->chain, {}, &trace);
+    a = markov::expected_reward(m->chain, steady.pi);
+    trace_cache_[name] = std::move(trace);
   } else if (const auto* s = std::get_if<SemiMarkovEntry>(&e)) {
-    resilience::ResilientResult solved =
-        resilience::smp_steady_state_resilient(s->process);
+    markov::SolveTrace trace;
+    const linalg::Vector pi = s->process.steady_state({}, &trace);
     a = 0.0;
-    for (std::size_t i = 0; i < solved.result.pi.size(); ++i) {
-      a += solved.result.pi[i] * s->process.reward(i);
+    for (std::size_t i = 0; i < pi.size(); ++i) {
+      a += pi[i] * s->process.reward(i);
     }
-    trace_cache_[name] = std::move(solved.trace);
+    trace_cache_[name] = std::move(trace);
   } else if (const auto* r = std::get_if<RbdEntry>(&e)) {
     a = r->tree->availability();
   }
@@ -79,7 +81,7 @@ double Workspace::availability(const std::string& name) const {
   return a;
 }
 
-const resilience::SolveTrace* Workspace::solve_trace(
+const markov::SolveTrace* Workspace::solve_trace(
     const std::string& name) const {
   const auto it = trace_cache_.find(name);
   return it == trace_cache_.end() ? nullptr : &it->second;
@@ -97,7 +99,7 @@ double Workspace::mttf_h(const std::string& name) const {
         "Workspace::mttf_h: '" + name + "' is not a Markov model");
   }
   if (m->chain.down_states().empty()) return 0.0;
-  return resilience::mttf_resilient(m->chain, m->initial);
+  return markov::mttf(m->chain, m->initial);
 }
 
 rbd::RbdNodePtr Workspace::ref_leaf(const std::string& referenced_model) const {

@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "markov/ctmc.hpp"
+#include "markov/health.hpp"
 #include "markov/steady_state.hpp"
 #include "rbd/rbd.hpp"
-#include "resilience/resilience.hpp"
 #include "semimarkov/smp.hpp"
 
 namespace rascad::gmb {
@@ -66,7 +66,7 @@ class Workspace {
   /// Solve episode of the last `availability` solve for `name`, or
   /// nullptr if the model has not been solved (or is an RBD, which needs
   /// no numerical solve of its own).
-  const resilience::SolveTrace* solve_trace(const std::string& name) const;
+  const markov::SolveTrace* solve_trace(const std::string& name) const;
 
   /// Yearly downtime in minutes of the named model.
   double yearly_downtime_min(const std::string& name) const;
@@ -82,7 +82,7 @@ class Workspace {
  private:
   std::map<std::string, ModelEntry> models_;
   mutable std::map<std::string, double> availability_cache_;
-  mutable std::map<std::string, resilience::SolveTrace> trace_cache_;
+  mutable std::map<std::string, markov::SolveTrace> trace_cache_;
 };
 
 }  // namespace rascad::gmb

@@ -68,79 +68,40 @@ TransientSplit split_transient(const linalg::CsrMatrix& weights,
   return split;
 }
 
-AbsorbingAnalysis::AbsorbingAnalysis(const Ctmc& chain) : chain_(chain) {
-  std::vector<bool> absorbing(chain.size());
-  for (StateIndex i = 0; i < chain.size(); ++i) {
-    absorbing[i] = chain.exit_rate(i) == 0.0;
-    if (absorbing[i]) absorbing_.push_back(i);
-  }
-  if (absorbing_.empty()) {
-    throw std::invalid_argument("AbsorbingAnalysis: no absorbing states");
-  }
-  if (absorbing_.size() == chain.size()) {
-    throw std::invalid_argument("AbsorbingAnalysis: no transient states");
-  }
-  split_ = split_transient(chain.generator(), absorbing);
-  tau_ = gth_absorption_times(split_.weights, split_.exits,
-                              linalg::Vector(split_.states.size(), 1.0));
-}
+double mttf(const Ctmc& chain, StateIndex initial,
+            const robust::CancelToken& cancel, SolveTrace* trace) {
+  const std::vector<StateIndex> down = chain.down_states();
+  if (down.empty() || chain.reward(initial) <= 0.0) return 0.0;
 
-double AbsorbingAnalysis::mean_time_to_absorption(
-    const linalg::Vector& initial) const {
-  if (initial.size() != chain_.size()) {
-    throw std::invalid_argument(
-        "mean_time_to_absorption: initial size mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t k = 0; k < split_.states.size(); ++k) {
-    acc += initial[split_.states[k]] * tau_[k];
-  }
-  return acc;
-}
+  // Up states are transient and every arc into a down state is an exit:
+  // the solve's weights come straight from the generator.
+  std::vector<bool> absorbing(chain.size(), false);
+  for (StateIndex i : down) absorbing[i] = true;
+  const TransientSplit split = split_transient(chain.generator(), absorbing);
+  const std::size_t m = split.states.size();
 
-double AbsorbingAnalysis::mean_time_to_absorption(StateIndex start) const {
-  if (start >= chain_.size()) {
-    throw std::out_of_range("mean_time_to_absorption: state out of range");
+  // (-Q_TT) tau = 1 in sparse form, for the independent check.
+  linalg::CsrBuilder builder(m, m);
+  for (std::size_t r = 0; r < m; ++r) {
+    double out = split.exits[r];
+    const auto row = split.weights.row(r);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      builder.add(r, row.cols[k], -row.values[k]);
+      out += row.values[k];
+    }
+    builder.add(r, r, out);
   }
-  const std::ptrdiff_t pos = split_.position[start];
-  if (pos < 0) return 0.0;  // already absorbed
-  return tau_[static_cast<std::size_t>(pos)];
-}
+  const linalg::CsrMatrix a = builder.build();
 
-double AbsorbingAnalysis::absorption_probability(StateIndex start,
-                                                 StateIndex target) const {
-  if (start >= chain_.size() || target >= chain_.size()) {
-    throw std::out_of_range("absorption_probability: state out of range");
-  }
-  if (chain_.exit_rate(target) != 0.0) {
-    throw std::invalid_argument(
-        "absorption_probability: target is not absorbing");
-  }
-  const std::ptrdiff_t spos = split_.position[start];
-  if (spos < 0) return start == target ? 1.0 : 0.0;
-  // Cost rate of transient state k: its rate into `target`. Accrued until
-  // absorption, it adds up to the probability of landing there.
-  linalg::Vector into_target(split_.states.size());
-  for (std::size_t k = 0; k < split_.states.size(); ++k) {
-    into_target[k] = chain_.generator().at(split_.states[k], target);
-  }
-  return gth_absorption_times(split_.weights, split_.exits,
-                              into_target)[static_cast<std::size_t>(spos)];
-}
-
-double AbsorbingAnalysis::expected_visit_time(StateIndex start,
-                                              StateIndex j) const {
-  if (start >= chain_.size() || j >= chain_.size()) {
-    throw std::out_of_range("expected_visit_time: state out of range");
-  }
-  const std::ptrdiff_t spos = split_.position[start];
-  const std::ptrdiff_t jpos = split_.position[j];
-  if (spos < 0 || jpos < 0) return 0.0;
-  // Cost rate 1 in j and 0 elsewhere accrues the time spent in j.
-  linalg::Vector in_j(split_.states.size(), 0.0);
-  in_j[static_cast<std::size_t>(jpos)] = 1.0;
-  return gth_absorption_times(split_.weights, split_.exits,
-                              in_j)[static_cast<std::size_t>(spos)];
+  const linalg::Vector tau = checked_solve(
+      "mttf", m, cancel, trace,
+      [&](std::size_t& bandwidth) {
+        return gth_absorption_times(split.weights, split.exits,
+                                    linalg::Vector(m, 1.0), cancel,
+                                    &bandwidth);
+      },
+      [&](linalg::Vector& times) { return check_absorption_times(a, times); });
+  return tau[static_cast<std::size_t>(split.position[initial])];
 }
 
 namespace {

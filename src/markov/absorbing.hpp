@@ -11,7 +11,9 @@
 
 #include "linalg/csr.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/health.hpp"
 #include "markov/transient.hpp"
+#include "robust/cancel.hpp"
 
 namespace rascad::markov {
 
@@ -37,48 +39,16 @@ struct TransientSplit {
 TransientSplit split_transient(const linalg::CsrMatrix& weights,
                                const std::vector<bool>& absorbing);
 
-/// Analysis of a chain that has at least one absorbing state reachable from
-/// the transient class. Every query is one banded GTH solve
-/// (gth_absorption_times) with its own cost vector; only the mean times to
-/// absorption are kept.
-class AbsorbingAnalysis {
- public:
-  /// Identifies absorbing states as those with zero exit rate. Throws
-  /// std::invalid_argument if there are none, and
-  /// resilience::SolveError(kInvalidInput) if a transient state cannot
-  /// reach one.
-  explicit AbsorbingAnalysis(const Ctmc& chain);
-
-  /// Mean time to absorption starting from `initial` (a distribution over
-  /// all states; mass on absorbing states contributes zero time).
-  double mean_time_to_absorption(const linalg::Vector& initial) const;
-
-  /// Mean time to absorption from a single starting state.
-  double mean_time_to_absorption(StateIndex start) const;
-
-  /// Probability of being absorbed in `target` (an absorbing state) when
-  /// starting from `start`. Throws std::invalid_argument if target is not
-  /// absorbing.
-  double absorption_probability(StateIndex start, StateIndex target) const;
-
-  /// Expected total time spent in transient state `j` before absorption,
-  /// starting from `start`.
-  double expected_visit_time(StateIndex start, StateIndex j) const;
-
-  const std::vector<StateIndex>& absorbing_states() const noexcept {
-    return absorbing_;
-  }
-  const std::vector<StateIndex>& transient_states() const noexcept {
-    return split_.states;
-  }
-
- private:
-  Ctmc chain_;  // owned copy: the analysis outlives the caller's chain
-  std::vector<StateIndex> absorbing_;
-  TransientSplit split_;
-  // tau_[k] = expected time to absorption from split_.states[k].
-  linalg::Vector tau_;
-};
+/// Mean time to failure of an availability chain from `initial`, with its
+/// down (reward-0) states absorbing: gth_absorption_times over the up
+/// states in one checked solve (checked_solve in health.hpp), checked by
+/// check_absorption_times against (-Q_TT) tau = 1. Returns 0 when the chain
+/// cannot fail or `initial` is down. Throws robust::SolveError
+/// (kInvalidInput when an up state cannot reach a down one); `trace`, if
+/// given, receives the episode.
+double mttf(const Ctmc& chain, StateIndex initial,
+            const robust::CancelToken& cancel = {},
+            SolveTrace* trace = nullptr);
 
 /// Reliability R(t): probability the chain (with absorbing failure states)
 /// has not been absorbed by time t, starting from `initial`.

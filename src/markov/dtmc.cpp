@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "markov/absorbing.hpp"
@@ -60,9 +61,31 @@ std::optional<std::size_t> Dtmc::find_state(const std::string& name) const {
                      [&](std::size_t i) -> auto& { return names_[i]; });
 }
 
-linalg::Vector Dtmc::stationary() const {
-  if (size() == 1) return {1.0};
-  return gth_stationary(p_);
+linalg::Vector Dtmc::stationary(const robust::CancelToken& cancel,
+                                SolveTrace* trace) const {
+  return checked_solve(
+      "Dtmc::stationary", size(), cancel, trace,
+      [&](std::size_t& bandwidth) {
+        return gth_stationary(p_, cancel, &bandwidth);
+      },
+      [&](linalg::Vector& pi) {
+        HealthReport report = check_distribution(pi);
+        if (!report.ok) return report;
+        // Independent fixed-point residual ||pi P - pi||_inf; P is
+        // row-stochastic so no rate scaling is needed.
+        linalg::Vector r = p_.mul_transpose(pi);
+        for (std::size_t i = 0; i < r.size(); ++i) r[i] -= pi[i];
+        report.residual_inf = linalg::norm_inf(r);
+        if (!(report.residual_inf <= kResidualBound)) {
+          report.ok = false;
+          report.failure = robust::SolveCause::kNonConverged;
+          std::ostringstream os;
+          os << "independent residual " << report.residual_inf
+             << " exceeds bound " << kResidualBound;
+          report.detail = os.str();
+        }
+        return report;
+      });
 }
 
 bool Dtmc::is_absorbing(std::size_t i) const {

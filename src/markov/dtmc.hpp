@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "linalg/csr.hpp"
+#include "markov/health.hpp"
 #include "markov/name_index.hpp"
+#include "robust/cancel.hpp"
 
 namespace rascad::markov {
 
@@ -47,11 +49,15 @@ class Dtmc {
   const std::string& state_name(std::size_t i) const { return names_.at(i); }
   std::optional<std::size_t> find_state(const std::string& name) const;
 
-  /// Stationary distribution pi = pi P by the exact banded GTH
-  /// elimination (gth_stationary in steady_state.hpp; self-loops are
-  /// ignored, as pi P = pi iff pi (P - I) = 0). Throws
-  /// resilience::SolveError(kInvalidInput) on a reducible chain.
-  linalg::Vector stationary() const;
+  /// Stationary distribution pi = pi P in one checked solve
+  /// (checked_solve in health.hpp): the exact banded GTH elimination
+  /// (gth_stationary in steady_state.hpp; self-loops are ignored, as
+  /// pi P = pi iff pi (P - I) = 0), checked by the distribution scan and
+  /// the fixed-point residual ||pi P - pi||_inf <= kResidualBound. Throws
+  /// robust::SolveError (kInvalidInput on a reducible chain); `trace`, if
+  /// given, receives the episode.
+  linalg::Vector stationary(const robust::CancelToken& cancel = {},
+                            SolveTrace* trace = nullptr) const;
 
   /// n-step distribution from `start`.
   linalg::Vector evolve(const linalg::Vector& start, std::size_t steps) const;

@@ -8,24 +8,18 @@
 #include <string>
 #include <utility>
 
-#include "resilience/solve_error.hpp"
+#include "robust/solve_error.hpp"
 
 namespace rascad::markov {
 
-using resilience::SolveCause;
-using resilience::SolveError;
+using robust::SolveCause;
+using robust::SolveError;
 
 namespace {
 
 /// States the GTH ordering and elimination handle between two
 /// cancellation checkpoints.
 constexpr std::size_t kCancelCheckInterval = 64;
-
-/// Residual ||pi Q||_inf, a direct measure of stationarity.
-double stationarity_residual(const Ctmc& chain, const linalg::Vector& pi) {
-  const linalg::Vector r = chain.generator().mul_transpose(pi);
-  return linalg::norm_inf(r);
-}
 
 /// Cooperative checkpoint of the ordering and elimination loops, every
 /// kCancelCheckInterval states. Throw-only: uncancelled runs stay bitwise
@@ -234,10 +228,19 @@ void fold_costs(Band& band, std::vector<double>& c) {
 }  // namespace
 
 SteadyStateResult solve_steady_state(const Ctmc& chain,
-                                     const robust::CancelToken& cancel) {
+                                     const robust::CancelToken& cancel,
+                                     SolveTrace* trace) {
   SteadyStateResult r;
-  r.pi = gth_stationary(chain.generator(), cancel);
-  r.residual = stationarity_residual(chain, r.pi);
+  r.pi = checked_solve(
+      "solve_steady_state", chain.size(), cancel, trace,
+      [&](std::size_t& bandwidth) {
+        return gth_stationary(chain.generator(), cancel, &bandwidth);
+      },
+      [&](linalg::Vector& pi) {
+        const HealthReport report = check_stationary(chain, pi);
+        r.residual = report.residual_inf;
+        return report;
+      });
   return r;
 }
 

@@ -1,12 +1,13 @@
 // Steady-state solution of CTMCs: pi Q = 0, sum(pi) = 1.
 //
-// One method: banded GTH elimination, exact and subtraction-free. The
-// contract is irreducibility (availability chains from the generator
-// always are irreducible): a chain that is not is refused by policy. Only
-// several closed classes make the stationary vector ambiguous; a unichain
-// or a chain with one absorbing state every state reaches has a unique
-// one, but lies outside the contract. The same GTH elimination also
-// solves mean times to absorption (gth_absorption_times).
+// One method: banded GTH elimination, exact and subtraction-free, run as a
+// checked solve (health.hpp). The contract is irreducibility (availability
+// chains from the generator always are irreducible): a chain that is not
+// is refused by policy. Only several closed classes make the stationary
+// vector ambiguous; a unichain or a chain with one absorbing state every
+// state reaches has a unique one, but lies outside the contract. The same
+// GTH elimination also solves mean times to absorption
+// (gth_absorption_times).
 #pragma once
 
 #include <cstddef>
@@ -15,31 +16,34 @@
 
 #include "linalg/dense.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/health.hpp"
 #include "robust/cancel.hpp"
 
 namespace rascad::markov {
 
 struct SteadyStateResult {
   linalg::Vector pi;
-  double residual = 0.0;  // infinity norm of pi Q
+  double residual = 0.0;  // infinity norm of pi Q, from the health check
 };
 
-/// Computes the stationary distribution with gth_stationary. Failures
-/// raise resilience::SolveError (is-a std::runtime_error) with a cause:
+/// The stationary distribution: gth_stationary in one checked solve
+/// (checked_solve in health.hpp), whose record lands in `trace` if given.
+/// `residual` is the health check's own ||pi Q||_inf. Failures raise
+/// robust::SolveError (is-a std::runtime_error) with a cause:
 ///
 ///   kInvalidInput    reducible chain: an absorbing state, two closed
 ///                    classes, or a state no other state can reach
-///   kBudgetExceeded  banded workspace does not fit in memory
+///   kBudgetExceeded  more than kMaxStates states, or the banded
+///                    workspace does not fit in memory
+///   kNanOrInf / kNonConverged   the answer failed the health check
 ///   kCancelled / kDeadlineExceeded   `cancel` stopped
-///
-/// resilience::solve_steady_state_resilient adds the budgets and the
-/// independent health check on top.
 SteadyStateResult solve_steady_state(const Ctmc& chain,
-                                     const robust::CancelToken& cancel = {});
+                                     const robust::CancelToken& cancel = {},
+                                     SolveTrace* trace = nullptr);
 
-/// The one exact stationary solver (solve_steady_state, Dtmc::stationary
-/// and the resilient episodes): Grassmann-Taksar-Heyman elimination on the non-negative
-/// off-diagonal `weights` (rates or probabilities; diagonal ignored). It
+/// The one exact stationary solver (under solve_steady_state and
+/// Dtmc::stationary): Grassmann-Taksar-Heyman elimination on the
+/// non-negative off-diagonal `weights` (rates or probabilities; diagonal ignored). It
 /// never subtracts, so every mass is accurate componentwise however many
 /// decades the masses span. States go in reverse Cuthill-McKee order and
 /// the weights in a band of half-width b: O(n b^2) time, O(n b) memory.
@@ -55,8 +59,8 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
                               const robust::CancelToken& cancel = {},
                               std::size_t* bandwidth = nullptr);
 
-/// The one exact absorbing solver (mttf_resilient,
-/// AbsorbingAnalysis, Dtmc::expected_steps_to_absorption and
+/// The one exact absorbing solver (under mttf,
+/// Dtmc::expected_steps_to_absorption and
 /// SemiMarkovProcess::mean_time_to_absorption): the same banded GTH
 /// elimination, with a second back-substitution. Over the transient states
 /// it solves

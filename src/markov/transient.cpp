@@ -13,14 +13,14 @@
 #include "markov/steady_state.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "resilience/solve_error.hpp"
+#include "robust/solve_error.hpp"
 
 namespace rascad::markov {
 
 namespace {
 
-using resilience::SolveCause;
-using resilience::SolveError;
+using robust::SolveCause;
+using robust::SolveError;
 
 /// Largest Krylov dimension. A chain whose residual bound is still above
 /// `tolerance` at this dimension is refused with kBudgetExceeded.

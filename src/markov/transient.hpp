@@ -44,7 +44,7 @@ struct TransientStats {
 
 /// State-probability vector at time t, starting from distribution pi0.
 /// Throws std::invalid_argument for negative t / bad pi0, and
-/// resilience::SolveError(kBudgetExceeded) — an is-a std::runtime_error —
+/// robust::SolveError(kBudgetExceeded) — an is-a std::runtime_error —
 /// if, on the Krylov path, the residual bound is still above `tolerance`
 /// at the largest Krylov dimension (128).
 linalg::Vector transient_distribution(const Ctmc& chain,

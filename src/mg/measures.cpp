@@ -1,9 +1,9 @@
 #include "mg/measures.hpp"
 
 #include <cmath>
-#include <utility>
 
 #include "markov/absorbing.hpp"
+#include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
 
 namespace rascad::mg {
@@ -24,10 +24,8 @@ BlockMeasures compute_measures(const GeneratedModel& model,
                                const spec::GlobalParams& globals) {
   BlockMeasures m;
   const markov::Ctmc& chain = model.chain;
-  resilience::ResilientResult solved =
-      resilience::solve_steady_state_resilient(chain);
-  m.solve_trace = std::move(solved.trace);
-  const markov::SteadyStateResult& steady = solved.result;
+  const markov::SteadyStateResult steady =
+      markov::solve_steady_state(chain, {}, &m.solve_trace);
   m.availability = markov::expected_reward(chain, steady.pi);
   m.yearly_downtime_min = yearly_downtime_minutes(m.availability);
   m.eq_failure_rate = markov::equivalent_failure_rate(chain, steady.pi);
@@ -48,7 +46,7 @@ BlockMeasures compute_measures(const GeneratedModel& model,
 
   if (can_fail) {
     const markov::Ctmc rel = markov::make_down_states_absorbing(chain);
-    m.mttf_h = resilience::mttf_resilient(chain, model.initial);
+    m.mttf_h = markov::mttf(chain, model.initial);
     if (mission > 0.0) {
       m.reliability_at_mission = markov::reliability_at(rel, pi0, mission);
       if (m.reliability_at_mission > 0.0) {

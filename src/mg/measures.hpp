@@ -4,8 +4,8 @@
 // hazard rate over a time increment).
 #pragma once
 
+#include "markov/health.hpp"
 #include "mg/generator.hpp"
-#include "resilience/resilience.hpp"
 #include "spec/ast.hpp"
 
 namespace rascad::mg {
@@ -33,12 +33,12 @@ struct BlockMeasures {
   double hazard_rate_at_mission = 0.0;
 
   /// The checked steady-state solve episode behind the numbers.
-  resilience::SolveTrace solve_trace;
+  markov::SolveTrace solve_trace;
 };
 
-/// Solves the chain in one checked episode (default ResilienceConfig) and
-/// assembles the measure set. Throws resilience::SolveError when the solve
-/// fails (reducible chain or exhausted budget).
+/// Solves the chain in one checked solve and assembles the measure set.
+/// Throws robust::SolveError when the solve fails (reducible chain or
+/// exhausted budget).
 BlockMeasures compute_measures(const GeneratedModel& model,
                                const spec::GlobalParams& globals);
 

@@ -104,25 +104,15 @@ rbd::RbdNodePtr compose_tree(
   return walk<rbd::RbdNodePtr>(model, model.root(), leaf, series);
 }
 
-resilience::ResilienceConfig resolve_config(const SystemModel::Options& opts) {
-  resilience::ResilienceConfig config = opts.resilience;
-  // The loop-level stop token also fans into every solve episode, so one
-  // request token cancels both the parallel_for scheduling and the
-  // eliminations it already started. An explicit config token wins.
-  if (!config.cancel.valid()) config.cancel = opts.parallel.cancel;
-  return config;
-}
-
 /// Grid resolution of interval availability: every block's point
 /// availability is sampled on this many segments of the horizon.
 constexpr std::size_t kCurveSteps = 256;
 
 // Curve-kind discriminants for the sampled-curve memo key. A curve is a
-// pure function of the generated chain, so the chain signature (without
-// the solver words) plus these fully determines the sampled values. The
-// version word changes whenever the engine's arithmetic or the layout of
-// a value does, so a cache that outlives a process never serves values
-// from another engine.
+// pure function of the generated chain, so the chain signature plus these
+// fully determines the sampled values. The version word changes whenever
+// the engine's arithmetic or the layout of a value does, so a cache that
+// outlives a process never serves values from another engine.
 // 4: small chains on the exact zero-sum basis, the average from the
 // augmented exponential raised to the horizon.
 constexpr std::uint64_t kCurveKeyVersion = 4;
@@ -176,36 +166,21 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
 
 }  // namespace
 
-cache::Signature solver_signature(const resilience::ResilienceConfig& config) {
-  cache::Signature s;
-  // The cancel token (and any deadline it carries) is deliberately NOT
-  // keyed: it never changes the accepted numbers, only whether the episode
-  // is allowed to finish.
-  s.append_word(config.max_states);
-  // Injected faults change results by design; keying on the plan keeps
-  // fault-injection runs from contaminating (or consuming) healthy entries.
-  if (config.fault_plan.active()) {
-    s.append_word(static_cast<std::uint64_t>(config.fault_plan.kind));
-    s.append_word(static_cast<std::uint64_t>(config.fault_plan.initial));
-  }
-  return s;
-}
-
 SystemModel::BlockEntry solve_block_cached(
     const std::string& diagram, const spec::BlockSpec& block,
-    const spec::GlobalParams& globals,
-    const resilience::ResilienceConfig& config,
-    const cache::Signature& solver_sig, cache::SolveCache* cache) {
+    const spec::GlobalParams& globals, const robust::CancelToken& cancel,
+    cache::SolveCache* cache) {
   obs::Span solve_span("block.solve");
   SystemModel::BlockEntry entry;
   entry.diagram = diagram;
   entry.block = block;
+  // The stop token is not keyed: it never changes an accepted answer, only
+  // whether the solve is allowed to finish. A failed solve inserts nothing.
   entry.signature = chain_signature(block, globals);
-  cache::Signature key = entry.signature;
-  key.append(solver_sig);
 
   if (cache) {
-    if (std::optional<cache::CachedBlockSolve> hit = cache->find_block(key)) {
+    if (std::optional<cache::CachedBlockSolve> hit =
+            cache->find_block(entry.signature)) {
       entry.chain = std::move(hit->chain);
       entry.type = classify(block);
       entry.initial = hit->initial;
@@ -213,7 +188,7 @@ SystemModel::BlockEntry solve_block_cached(
       entry.yearly_downtime_min = yearly_downtime_minutes(hit->availability);
       entry.eq_failure_rate = hit->eq_failure_rate;
       entry.solve_trace = std::move(hit->trace);
-      entry.solve_trace.source = resilience::SolveSource::kCacheHit;
+      entry.solve_trace.source = markov::SolveSource::kCacheHit;
       if (solve_span.active()) {
         solve_span.set_detail(diagram + "/" + block.name + " " +
                               to_string(entry.solve_trace.source));
@@ -227,11 +202,8 @@ SystemModel::BlockEntry solve_block_cached(
     if (gen_span.active()) gen_span.set_detail(diagram + "/" + block.name);
     return generate(block, globals);
   }();
-  resilience::ResilientResult solved =
-      resilience::solve_steady_state_resilient(generated.chain, config);
-  const markov::SteadyStateResult& steady = solved.result;
-  entry.solve_trace = std::move(solved.trace);
-  entry.solve_trace.source = resilience::SolveSource::kFresh;
+  const markov::SteadyStateResult steady =
+      markov::solve_steady_state(generated.chain, cancel, &entry.solve_trace);
   if (solve_span.active()) {
     solve_span.set_detail(diagram + "/" + block.name + " " +
                           to_string(entry.solve_trace.source));
@@ -253,7 +225,7 @@ SystemModel::BlockEntry solve_block_cached(
     value.availability = entry.availability;
     value.eq_failure_rate = entry.eq_failure_rate;
     value.trace = entry.solve_trace;  // source == kFresh: the producer
-    cache->put_block(key, value);
+    cache->put_block(entry.signature, value);
   }
   return entry;
 }
@@ -268,8 +240,6 @@ namespace {
 void solve_blocks(const std::vector<std::size_t>& indices,
                   const PendingBlocks& pending,
                   const spec::GlobalParams& globals,
-                  const resilience::ResilienceConfig& config,
-                  const cache::Signature& solver_sig,
                   const SystemModel::Options& opts,
                   std::vector<SystemModel::BlockEntry>& out) {
   const auto solve_all = [&](const std::vector<std::size_t>& which) {
@@ -278,8 +248,8 @@ void solve_blocks(const std::vector<std::size_t>& indices,
         [&](std::size_t j) {
           const std::size_t i = which[j];
           out[i] = solve_block_cached(pending[i].first->name,
-                                      *pending[i].second, globals, config,
-                                      solver_sig, opts.cache);
+                                      *pending[i].second, globals,
+                                      opts.parallel.cancel, opts.cache);
         },
         opts.parallel);
   };
@@ -313,9 +283,6 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   sm.spec_ = std::move(model);
   sm.opts_ = opts;
 
-  const resilience::ResilienceConfig solve_config = resolve_config(opts);
-  sm.solver_sig_ = solver_signature(solve_config);
-
   // Generate and solve every block chain in parallel. Entries are written
   // by visit index, so the block table — and each entry's SolveTrace —
   // is identical to the serial build's. Parameter-identical blocks share
@@ -327,8 +294,7 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   sm.blocks_.resize(pending.size());
   std::vector<std::size_t> all(pending.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  solve_blocks(all, pending, sm.spec_.globals, solve_config, sm.solver_sig_,
-               opts, sm.blocks_);
+  solve_blocks(all, pending, sm.spec_.globals, opts, sm.blocks_);
 
   sm.root_ = compose_tree(sm.spec_, sm.blocks_);
   return sm;
@@ -339,19 +305,15 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
                                  const Options& opts) {
   obs::Span rebuild_span("system.rebuild");
   spec::validate_or_throw(changed);
-  const resilience::ResilienceConfig solve_config = resolve_config(opts);
-  cache::Signature solver_sig = solver_signature(solve_config);
 
   SystemModel sm;
   sm.spec_ = std::move(changed);  // pending points into sm.spec_ below
   sm.opts_ = opts;
 
   // The diff pairs blocks by visit index, so the hierarchy must match the
-  // baseline block-for-block (and the solver settings must match, or the
-  // baseline's numbers would vouch for a different configuration).
+  // baseline block-for-block.
   const PendingBlocks pending = chain_blocks(sm.spec_);
-  bool compatible = pending.size() == base.blocks_.size() &&
-                    solver_sig == base.solver_sig_;
+  bool compatible = pending.size() == base.blocks_.size();
   for (std::size_t i = 0; compatible && i < pending.size(); ++i) {
     compatible = pending[i].first->name == base.blocks_[i].diagram &&
                  pending[i].second->name == base.blocks_[i].block.name;
@@ -363,7 +325,6 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
     return build(std::move(sm.spec_), opts);
   }
 
-  sm.solver_sig_ = std::move(solver_sig);
   sm.blocks_.resize(pending.size());
 
   // Serial diff (cheap), then only the dirty blocks re-solve — in
@@ -383,7 +344,7 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
     if (clean) {
       BlockEntry entry = base.blocks_[i];
       entry.block = *pending[i].second;  // carry spec-only edits (names ok)
-      entry.solve_trace.source = resilience::SolveSource::kBaselineReuse;
+      entry.solve_trace.source = markov::SolveSource::kBaselineReuse;
       sm.blocks_[i] = std::move(entry);
     } else {
       dirty.push_back(i);
@@ -406,8 +367,7 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
     dirty_blocks.inc(dirty.size());
     reused_blocks.inc(pending.size() - dirty.size());
   }
-  solve_blocks(dirty, pending, sm.spec_.globals, solve_config,
-               sm.solver_sig_, opts, sm.blocks_);
+  solve_blocks(dirty, pending, sm.spec_.globals, opts, sm.blocks_);
 
   sm.root_ = compose_tree(sm.spec_, sm.blocks_);
   return sm;

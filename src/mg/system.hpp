@@ -16,11 +16,11 @@
 #include "cache/signature.hpp"
 #include "cache/solve_cache.hpp"
 #include "exec/parallel.hpp"
+#include "markov/health.hpp"
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "mg/measures.hpp"
 #include "rbd/rbd.hpp"
-#include "resilience/resilience.hpp"
 #include "spec/ast.hpp"
 
 namespace rascad::mg {
@@ -29,12 +29,11 @@ namespace rascad::mg {
 class SystemModel {
  public:
   struct Options {
-    /// State budget, stop token and faults of the per-block steady-state
-    /// solves.
-    resilience::ResilienceConfig resilience;
     /// Thread-count control for the per-block solves and curve
     /// sampling. Block order, measures, and every SolveTrace are
-    /// bit-identical for any thread count.
+    /// bit-identical for any thread count. Its stop token also fans into
+    /// every block solve, so one request token cancels both the loop and
+    /// the eliminations it already started.
     exec::ParallelOptions parallel;
     /// Memo table consulted for block solves and sampled curves; nullptr
     /// disables memoization (every chain generated and solved fresh).
@@ -56,9 +55,9 @@ class SystemModel {
     /// Solve episode that produced this block's stationary solution; its
     /// `source` records whether the numbers came from a fresh solve, the
     /// memo cache, or baseline reuse during an incremental rebuild.
-    resilience::SolveTrace solve_trace;
-    /// Canonical chain signature (mg::chain_signature) — the memo key
-    /// minus the solver-configuration words.
+    markov::SolveTrace solve_trace;
+    /// Canonical chain signature (mg::chain_signature): the block-solve
+    /// memo key.
     cache::Signature signature;
   };
 
@@ -77,7 +76,7 @@ class SystemModel {
   /// actually feeds), reuses every untouched BlockEntry (sharing the
   /// chain), and recomposes the RBD. Falls back to a full build when the
   /// hierarchy structure changed (block added / removed / renamed /
-  /// reordered) or the solver configuration differs from the baseline's.
+  /// reordered).
   /// Results are bit-identical to a full build of `changed`.
   static SystemModel rebuild(const SystemModel& base, spec::ModelSpec changed,
                              const Options& opts);
@@ -135,24 +134,15 @@ class SystemModel {
   Options opts_;
   rbd::RbdNodePtr root_;
   std::vector<BlockEntry> blocks_;
-  /// Signature of the solver configuration the block solves ran under;
-  /// part of every memo key and the rebuild compatibility check.
-  cache::Signature solver_sig_;
 };
 
-/// Signature words of a resilience configuration: the state budget and
-/// the fault plan, the only settings that can change a block solve's
-/// outcome. Appended to a chain signature to form the block-solve memo
-/// key.
-cache::Signature solver_signature(const resilience::ResilienceConfig& config);
-
-/// Generates and solves one block in one checked episode,
-/// consulting `cache` (may be null). The shared primitive behind
-/// SystemModel::build / rebuild and the memoized sensitivity probes.
+/// Generates and solves one block in one checked solve under `cancel`,
+/// consulting `cache` (may be null) under the block's chain signature. The
+/// shared primitive behind SystemModel::build / rebuild and the memoized
+/// sensitivity probes.
 SystemModel::BlockEntry solve_block_cached(
     const std::string& diagram, const spec::BlockSpec& block,
-    const spec::GlobalParams& globals,
-    const resilience::ResilienceConfig& config,
-    const cache::Signature& solver_sig, cache::SolveCache* cache);
+    const spec::GlobalParams& globals, const robust::CancelToken& cancel,
+    cache::SolveCache* cache);
 
 }  // namespace rascad::mg

@@ -34,7 +34,7 @@
 #include <string>
 #include <utility>
 
-#include "resilience/solve_error.hpp"
+#include "robust/solve_error.hpp"
 
 namespace rascad::robust {
 
@@ -56,10 +56,10 @@ inline const char* to_string(StopReason reason) {
 
 /// SolveError cause corresponding to a stop reason (kNone maps to
 /// kCancelled so callers can throw unconditionally once stopped).
-inline resilience::SolveCause cause_from(StopReason reason) {
+inline SolveCause cause_from(StopReason reason) {
   return reason == StopReason::kDeadlineExceeded
-             ? resilience::SolveCause::kDeadlineExceeded
-             : resilience::SolveCause::kCancelled;
+             ? SolveCause::kDeadlineExceeded
+             : SolveCause::kCancelled;
 }
 
 namespace detail {
@@ -236,7 +236,7 @@ inline void throw_if_stopped(const CancelToken& token, const char* who,
                              double residual = 0.0) {
   if (!token.stop_requested()) return;
   const StopReason reason = token.reason();
-  throw resilience::SolveError(
+  throw SolveError(
       cause_from(reason), who,
       std::string("cooperative stop (") + to_string(reason) + ")", iterations,
       residual);
@@ -284,10 +284,10 @@ inline PointStatus point_status_from(StopReason reason) {
   return PointStatus::kCancelled;
 }
 
-inline PointStatus point_status_from(resilience::SolveCause cause) {
+inline PointStatus point_status_from(SolveCause cause) {
   switch (cause) {
-    case resilience::SolveCause::kCancelled: return PointStatus::kCancelled;
-    case resilience::SolveCause::kDeadlineExceeded:
+    case SolveCause::kCancelled: return PointStatus::kCancelled;
+    case SolveCause::kDeadlineExceeded:
       return PointStatus::kDeadlineExceeded;
     default: return PointStatus::kFailed;
   }
@@ -302,7 +302,7 @@ inline std::pair<PointStatus, std::string> point_status_from_exception(
     std::exception_ptr err) {
   try {
     std::rethrow_exception(err);
-  } catch (const resilience::SolveError& e) {
+  } catch (const SolveError& e) {
     return {point_status_from(e.cause()), e.what()};
   } catch (const std::exception& e) {
     return {PointStatus::kFailed, e.what()};

@@ -5,7 +5,7 @@
 // rascad_robust (links rascad_obs):
 //
 //   * record_stop(token, site) — called once per stopped episode by the
-//     layer that owns the token (a resilience episode, a degraded sweep).
+//     layer that owns the token (a checked solve, a degraded sweep).
 //     Bumps robust.cancelled / robust.deadline_exceeded and, when a
 //     checkpoint observed the stop, feeds robust.cancel_latency_ms.
 //   * StallWatchdog (watchdog.hpp) — flags solves that fail to observe
@@ -20,7 +20,7 @@ namespace rascad::robust {
 /// robust.cancelled or robust.deadline_exceeded (by reason), and the
 /// robust.cancel_latency_ms histogram when a checkpoint observed the stop.
 /// `site` tags a robust.stop event in the trace buffer (e.g.
-/// "mttf_resilient", "sweep"). No-op for tokens that have not stopped.
+/// "mttf", "sweep"). No-op for tokens that have not stopped.
 void record_stop(const CancelToken& token, const char* site);
 
 }  // namespace rascad::robust

@@ -2,7 +2,7 @@
 //
 // Cancellation here is cooperative — a stop request only takes effect when
 // the running code reaches a checkpoint. A solver stuck inside a kernel
-// (or an injected kStall fault) never reaches one, and the request appears
+// (or a stalling post-solve test hook) never reaches one, and the request appears
 // to hang. The watchdog makes that visible: register a token with a
 // latency budget, and a single background thread polls registered tokens;
 // any token that has stopped but remains unobserved past its budget is

@@ -1,13 +1,14 @@
 #include "semimarkov/smp.hpp"
 
-#include "resilience/solve_error.hpp"
-
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "markov/absorbing.hpp"
 #include "markov/steady_state.hpp"
+#include "obs/trace.hpp"
+#include "robust/solve_error.hpp"
 
 namespace rascad::semimarkov {
 
@@ -170,23 +171,30 @@ double SemiMarkovProcess::mean_time_to_absorption(std::size_t start) const {
   return t[static_cast<std::size_t>(split.position[start])];
 }
 
-linalg::Vector SemiMarkovProcess::steady_state() const {
-  if (!absorbing_.empty()) {
-    for (std::size_t i = 0; i < absorbing_.size(); ++i) {
-      if (absorbing_[i]) {
-        throw resilience::SolveError(
-            resilience::SolveCause::kInvalidInput,
-            "SemiMarkovProcess::steady_state",
-            "process has absorbing states");
-      }
-    }
+linalg::Vector SemiMarkovProcess::steady_state(
+    const robust::CancelToken& cancel, markov::SolveTrace* trace) const {
+  static constexpr const char* kWho = "SemiMarkovProcess::steady_state";
+  if (std::find(absorbing_.begin(), absorbing_.end(), true) !=
+      absorbing_.end()) {
+    throw robust::SolveError(robust::SolveCause::kInvalidInput, kWho,
+                             "process has absorbing states");
   }
-  const linalg::Vector nu = embedded_.stationary();
-  linalg::Vector pi(size());
+  linalg::Vector pi = embedded_.stationary(cancel, trace);
   for (std::size_t i = 0; i < size(); ++i) {
-    pi[i] = nu[i] * states_[i].sojourn->mean();
+    pi[i] *= states_[i].sojourn->mean();
   }
-  linalg::normalize_sum(pi);
+  const double time = linalg::sum(pi);
+  if (time > 0.0 && std::isfinite(time)) linalg::scale(pi, 1.0 / time);
+  // The ratio formula gets the same distribution check as the embedded
+  // chain's answer.
+  const markov::HealthReport report = markov::check_distribution(pi);
+  if (!report.ok) {
+    obs::emit_event("health.check_failed",
+                    {{"episode", kWho}, {"detail", report.detail}});
+    throw robust::SolveError(
+        report.failure.value_or(robust::SolveCause::kNanOrInf), kWho,
+        report.detail);
+  }
   return pi;
 }
 

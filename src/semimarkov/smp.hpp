@@ -17,7 +17,9 @@
 #include "dist/distribution.hpp"
 #include "linalg/dense.hpp"
 #include "markov/dtmc.hpp"
+#include "markov/health.hpp"
 #include "markov/name_index.hpp"
+#include "robust/cancel.hpp"
 
 namespace rascad::semimarkov {
 
@@ -90,10 +92,13 @@ class SemiMarkovProcess {
   /// True if state i has no outgoing probability mass.
   bool is_absorbing(std::size_t i) const;
 
-  /// Steady-state (long-run fraction of time) probabilities. Throws
-  /// resilience::SolveError(kInvalidInput) if the process has absorbing
-  /// states (historically std::domain_error).
-  linalg::Vector steady_state() const;
+  /// Steady-state (long-run fraction of time) probabilities: the embedded
+  /// chain's checked Dtmc::stationary (whose episode lands in `trace`),
+  /// then the ratio formula, whose result passes check_distribution.
+  /// Throws robust::SolveError (kInvalidInput if the process has absorbing
+  /// states).
+  linalg::Vector steady_state(const robust::CancelToken& cancel = {},
+                              markov::SolveTrace* trace = nullptr) const;
 
   /// Expected long-run reward rate (steady-state availability for 0/1
   /// rewards).

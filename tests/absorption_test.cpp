@@ -12,8 +12,9 @@
 #include "markov/absorbing.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
+#include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
-#include "resilience/solve_error.hpp"
+#include "robust/solve_error.hpp"
 #include "semimarkov/smp.hpp"
 #include "spec/ast.hpp"
 
@@ -153,7 +154,7 @@ TEST(SmpAbsorption, MatchesCtmcMttfForExponentialSojourns) {
       rascad::baselines::k_of_n_mttf_with_repair(2, 1, lambda, mu, 0);
   EXPECT_NEAR(smp.mean_time_to_absorption(s0), expected, 1e-9);
   EXPECT_DOUBLE_EQ(smp.mean_time_to_absorption(fail), 0.0);
-  EXPECT_THROW(smp.steady_state(), rascad::resilience::SolveError);
+  EXPECT_THROW(smp.steady_state(), rascad::robust::SolveError);
 }
 
 TEST(SmpAbsorption, DeterministicStagesAddUp) {
@@ -206,7 +207,7 @@ TEST(SmpAbsorption, RegularBuildHasNoAbsorbingStates) {
   EXPECT_THROW(smp.mean_time_to_absorption(up), std::invalid_argument);
 }
 
-// ------------------------------------------------ AbsorbingAnalysis ----
+// ----------------------------------------------------- absorbing CTMCs ----
 
 TEST(CtmcAbsorption, ProbabilitiesAndVisitTimesAddUp) {
   // A generated Type 4 block with its down states absorbing: from the
@@ -235,19 +236,43 @@ TEST(CtmcAbsorption, ProbabilitiesAndVisitTimesAddUp) {
   g.mttm_h = 48.0;
   g.mttrfid_h = 4.0;
   const rascad::mg::GeneratedModel model = rascad::mg::generate(b, g);
-  const rascad::markov::AbsorbingAnalysis analysis(
-      rascad::markov::make_down_states_absorbing(model.chain));
-  ASSERT_GT(analysis.absorbing_states().size(), 1u);
+  const rascad::markov::Ctmc& chain = model.chain;
+  std::vector<bool> down(chain.size());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    down[i] = chain.reward(i) <= 0.0;
+  }
+  const rascad::markov::TransientSplit split =
+      rascad::markov::split_transient(chain.generator(), down);
+  const std::size_t m = split.states.size();
+  // Mean cost accrued from the initial state until absorption.
+  const auto accrued = [&](const rascad::linalg::Vector& cost) {
+    return rascad::markov::gth_absorption_times(
+        split.weights, split.exits,
+        cost)[static_cast<std::size_t>(split.position[model.initial])];
+  };
+  // Cost rate: the rate into `target`, which accrues the probability of
+  // landing there.
+  std::size_t targets = 0;
   double absorbed = 0.0;
-  for (const std::size_t target : analysis.absorbing_states()) {
-    absorbed += analysis.absorption_probability(model.initial, target);
+  for (std::size_t target = 0; target < chain.size(); ++target) {
+    if (!down[target]) continue;
+    ++targets;
+    rascad::linalg::Vector into(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      into[k] = chain.generator().at(split.states[k], target);
+    }
+    absorbed += accrued(into);
   }
+  ASSERT_GT(targets, 1u);
   EXPECT_NEAR(absorbed, 1.0, 1e-12);
+  // Cost rate 1 in j alone accrues the time spent in j.
   double visits = 0.0;
-  for (const std::size_t j : analysis.transient_states()) {
-    visits += analysis.expected_visit_time(model.initial, j);
+  for (std::size_t j = 0; j < m; ++j) {
+    rascad::linalg::Vector in_j(m, 0.0);
+    in_j[j] = 1.0;
+    visits += accrued(in_j);
   }
-  const double tau = analysis.mean_time_to_absorption(model.initial);
+  const double tau = rascad::markov::mttf(chain, model.initial);
   EXPECT_LT(rel_err(visits, tau), 1e-12);
 }
 
@@ -264,10 +289,10 @@ TEST(CtmcAbsorption, TrappedTransientStateIsInvalidInput) {
   b.add_transition(loop_a, loop_b, 1.0);
   b.add_transition(loop_b, loop_a, 1.0);
   try {
-    const rascad::markov::AbsorbingAnalysis analysis(b.build());
+    (void)rascad::markov::mttf(b.build(), start);
     FAIL() << "expected SolveError(kInvalidInput)";
-  } catch (const rascad::resilience::SolveError& e) {
-    EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kInvalidInput);
+  } catch (const rascad::robust::SolveError& e) {
+    EXPECT_EQ(e.cause(), rascad::robust::SolveCause::kInvalidInput);
   }
 }
 

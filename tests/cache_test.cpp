@@ -4,6 +4,7 @@
 // incremental vs full rebuild, and across thread counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,8 +14,10 @@
 #include "core/library.hpp"
 #include "core/sweep.hpp"
 #include "mg/generator.hpp"
+#include "markov/health.hpp"
 #include "mg/system.hpp"
-#include "resilience/resilience.hpp"
+#include "robust/solve_error.hpp"
+#include "fault_seam.hpp"
 
 namespace {
 
@@ -25,7 +28,7 @@ using rascad::cache::SolveCache;
 using rascad::core::SweepOptions;
 using rascad::core::SweepPoint;
 using rascad::mg::SystemModel;
-using rascad::resilience::SolveSource;
+using rascad::markov::SolveSource;
 using rascad::spec::BlockSpec;
 using rascad::spec::DiagramSpec;
 using rascad::spec::ModelSpec;
@@ -141,33 +144,6 @@ Signature word_key(std::uint64_t w) {
   return s;
 }
 
-// The solver words of the memo key: a stop token, manual or carrying a
-// deadline, never changes an accepted answer and is not keyed; the state
-// budget and an injected fault can change the outcome and are.
-TEST(SolverSignature, KeysOnlyTheBudgetAndTheFaultPlan) {
-  using rascad::resilience::ResilienceConfig;
-  using rascad::robust::CancelToken;
-  const Signature base = rascad::mg::solver_signature(ResilienceConfig{});
-
-  ResilienceConfig manual;
-  manual.cancel = CancelToken::manual();
-  EXPECT_EQ(rascad::mg::solver_signature(manual), base);
-  ResilienceConfig deadline;
-  deadline.cancel = CancelToken::with_deadline_ms(50.0);
-  EXPECT_EQ(rascad::mg::solver_signature(deadline), base);
-
-  ResilienceConfig budget;
-  budget.max_states = 1'000;
-  EXPECT_NE(rascad::mg::solver_signature(budget), base);
-  ResilienceConfig faulty;
-  faulty.fault_plan.fail(rascad::resilience::FaultKind::kNanResult);
-  EXPECT_NE(rascad::mg::solver_signature(faulty), base);
-  ResilienceConfig once;
-  once.fault_plan.fail_times(rascad::resilience::FaultKind::kNanResult, 1);
-  EXPECT_NE(rascad::mg::solver_signature(once),
-            rascad::mg::solver_signature(faulty));
-}
-
 TEST(SolveCache, HitAndMissCountersTrackLookups) {
   SolveCache cache;
   CachedBlockSolve value;
@@ -219,16 +195,14 @@ TEST(SolveCache, ClearDropsEntriesAndCounters) {
 
 TEST(SolveBlockCached, SecondSolveIsACacheHitWithIdenticalNumbers) {
   const ModelSpec m = small_model();
-  const auto config = rascad::resilience::ResilienceConfig{};
-  const Signature solver_sig = rascad::mg::solver_signature(config);
   SolveCache cache;
 
   const auto first = rascad::mg::solve_block_cached(
-      "Root", m.root().blocks[1], m.globals, config, solver_sig, &cache);
+      "Root", m.root().blocks[1], m.globals, {}, &cache);
   EXPECT_EQ(first.solve_trace.source, SolveSource::kFresh);
 
   const auto second = rascad::mg::solve_block_cached(
-      "Root", m.root().blocks[1], m.globals, config, solver_sig, &cache);
+      "Root", m.root().blocks[1], m.globals, {}, &cache);
   EXPECT_EQ(second.solve_trace.source, SolveSource::kCacheHit);
   EXPECT_EQ(second.availability, first.availability);
   EXPECT_EQ(second.eq_failure_rate, first.eq_failure_rate);
@@ -243,16 +217,75 @@ TEST(SolveBlockCached, SecondSolveIsACacheHitWithIdenticalNumbers) {
 
 TEST(SolveBlockCached, NullCacheSolvesFreshWithIdenticalNumbers) {
   const ModelSpec m = small_model();
-  const auto config = rascad::resilience::ResilienceConfig{};
-  const Signature solver_sig = rascad::mg::solver_signature(config);
   SolveCache cache;
   const auto cached = rascad::mg::solve_block_cached(
-      "Root", m.root().blocks[0], m.globals, config, solver_sig, &cache);
+      "Root", m.root().blocks[0], m.globals, {}, &cache);
   const auto uncached = rascad::mg::solve_block_cached(
-      "Root", m.root().blocks[0], m.globals, config, solver_sig, nullptr);
+      "Root", m.root().blocks[0], m.globals, {}, nullptr);
   EXPECT_EQ(uncached.solve_trace.source, SolveSource::kFresh);
   EXPECT_EQ(uncached.availability, cached.availability);
   EXPECT_EQ(uncached.eq_failure_rate, cached.eq_failure_rate);
+}
+
+// The post-solve seam is in no memo key. A stalled build (the answer
+// intact, only late) fills the cache with the numbers a clean build
+// computes, so the clean build that follows hits every block and is
+// bit-identical. A NaN-hooked build is refused by the health check and
+// inserts nothing, so the next healthy build solves the block afresh.
+TEST(FaultSeam, HookedBuildsCannotPoisonTheCache) {
+  const ModelSpec spec = rascad::core::library::entry_server();
+  SolveCache cache;
+  const auto stalled = [&] {
+    const rascad::markov::ScopedPostSolveHook scope(
+        rascad::testing::stall_hook(1.0));
+    return SystemModel::build(spec, options_with(&cache));
+  }();
+  const std::uint64_t hits_before = cache.block_counters().hits;
+  const SystemModel clean = SystemModel::build(spec, options_with(&cache));
+  EXPECT_EQ(cache.block_counters().hits - hits_before,
+            clean.blocks().size());
+  ASSERT_EQ(clean.blocks().size(), stalled.blocks().size());
+  for (std::size_t i = 0; i < clean.blocks().size(); ++i) {
+    const auto& c = clean.blocks()[i];
+    const auto& s = stalled.blocks()[i];
+    EXPECT_EQ(c.solve_trace.source, SolveSource::kCacheHit) << i;
+    EXPECT_EQ(c.availability, s.availability) << i;
+    EXPECT_EQ(c.eq_failure_rate, s.eq_failure_rate) << i;
+  }
+  EXPECT_EQ(clean.availability(), stalled.availability());
+  EXPECT_EQ(stalled.availability(),
+            SystemModel::build(spec, options_with(nullptr)).availability());
+  EXPECT_EQ(clean.interval_availability(8760.0),
+            stalled.interval_availability(8760.0));
+
+  // One edited block misses the cache; its solve is poisoned.
+  ModelSpec edited = spec;
+  for (auto& d : edited.diagrams) {
+    for (auto& b : d.blocks) {
+      if (b.name == "Boot Disk") b.mtbf_h *= 1.5;
+    }
+  }
+  const std::uint64_t inserted = cache.block_counters().insertions;
+  try {
+    const rascad::markov::ScopedPostSolveHook scope(
+        rascad::testing::nan_hook());
+    (void)SystemModel::build(edited, options_with(&cache));
+    FAIL() << "expected SolveError(kNanOrInf)";
+  } catch (const rascad::robust::SolveError& e) {
+    EXPECT_EQ(e.cause(), rascad::robust::SolveCause::kNanOrInf) << e.what();
+  }
+  EXPECT_EQ(cache.block_counters().insertions, inserted);
+
+  const SystemModel healed = SystemModel::build(edited, options_with(&cache));
+  std::size_t fresh = 0;
+  for (const auto& b : healed.blocks()) {
+    EXPECT_TRUE(b.solve_trace.success);
+    EXPECT_TRUE(std::isfinite(b.availability));
+    if (b.solve_trace.source == SolveSource::kFresh) ++fresh;
+  }
+  EXPECT_GE(fresh, 1u);
+  EXPECT_EQ(healed.availability(),
+            SystemModel::build(edited, options_with(nullptr)).availability());
 }
 
 TEST(SystemModelCache, DatacenterBuildHitsOnParameterIdenticalBlocks) {

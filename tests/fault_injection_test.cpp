@@ -1,20 +1,31 @@
-// Fault-injection harness: every fault kind is forced on the checked solve
-// episodes and the recorded causes checked; corrupt-result faults must be
-// caught by the health layer (not the solver's own error paths).
+// Fault injection on the post-solve seam: every fault is forced on the
+// checked solves through markov::ScopedPostSolveHook and the recorded
+// causes checked; corrupt-result faults must be caught by the health layer
+// (not the solver's own error paths). Plus the sick-input generators.
 #include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "resilience/fault_injection.hpp"
-#include "resilience/resilience.hpp"
+#include "markov/absorbing.hpp"
+#include "markov/dtmc.hpp"
+#include "markov/health.hpp"
+#include "markov/steady_state.hpp"
+#include "robust/solve_error.hpp"
+#include "semimarkov/smp.hpp"
+#include "fault_seam.hpp"
 
 namespace {
 
 using rascad::linalg::Vector;
 using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
-using namespace rascad::resilience;
+using rascad::markov::ScopedPostSolveHook;
+using rascad::markov::solve_steady_state;
+using rascad::markov::SolveTrace;
+using rascad::robust::SolveCause;
+using rascad::robust::SolveError;
+using namespace rascad::testing;
 
 Ctmc repair_chain() {
   CtmcBuilder b;
@@ -28,41 +39,23 @@ Ctmc repair_chain() {
   return b.build();
 }
 
-// ------------------------------------------------------ fault primitives ----
-
-TEST(FaultPrimitives, CorruptResultNan) {
-  Vector pi{0.25, 0.25, 0.25, 0.25};
-  corrupt_result(pi, FaultKind::kNanResult);
-  EXPECT_TRUE(std::isnan(pi[2]));
+rascad::markov::Dtmc two_state_dtmc() {
+  rascad::markov::DtmcBuilder b;
+  b.add_state("a");
+  b.add_state("b");
+  b.add_transition(0, 1, 1.0);
+  b.add_transition(1, 0, 0.5);
+  b.add_transition(1, 1, 0.5);
+  return b.build();
 }
 
-TEST(FaultPrimitives, CorruptResultNegative) {
-  Vector pi{0.7, 0.3};
-  corrupt_result(pi, FaultKind::kNegativeResult);
-  EXPECT_LT(pi[1], 0.0);
-}
-
-TEST(FaultPrimitives, PlanBudgetIsSharedByCopies) {
-  FaultPlan plan;
-  EXPECT_FALSE(plan.active());
-  EXPECT_EQ(plan.take_fault(), FaultKind::kNone);
-  plan.fail_times(FaultKind::kNanResult, 2);
-  EXPECT_TRUE(plan.active());
-  const FaultPlan copy = plan;
-  EXPECT_EQ(plan.take_fault(), FaultKind::kNanResult);
-  EXPECT_EQ(copy.take_fault(), FaultKind::kNanResult);
-  EXPECT_EQ(plan.take_fault(), FaultKind::kNone);
-  EXPECT_EQ(plan.initial, 2);
-  plan.fail(FaultKind::kStall);
-  EXPECT_EQ(plan.take_fault(), FaultKind::kStall);
-  EXPECT_EQ(plan.take_fault(), FaultKind::kStall);
-}
+// ----------------------------------------------------- sick inputs ----
 
 TEST(FaultPrimitives, ScaledRatesPreserveAvailability) {
   const Ctmc chain = repair_chain();
   const Ctmc scaled = with_scaled_rates(chain, 1e-3);
-  const Vector a = solve_steady_state_resilient(chain).result.pi;
-  const Vector b = solve_steady_state_resilient(scaled).result.pi;
+  const Vector a = solve_steady_state(chain).pi;
+  const Vector b = solve_steady_state(scaled).pi;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i], b[i], 1e-10);
   }
@@ -82,8 +75,8 @@ TEST(FaultPrimitives, ZeroedTransitionMakesStateAbsorbing) {
 
 // ---------------------------------------------------- injected faults ----
 
-/// Runs `solve` expecting a SolveError with `cause` whose message names the
-/// failed attempt.
+/// Runs `solve` expecting a SolveError with `cause` whose message contains
+/// `needle`.
 void expect_failure(const auto& solve, SolveCause cause,
                     const std::string& needle) {
   try {
@@ -97,59 +90,80 @@ void expect_failure(const auto& solve, SolveCause cause,
 }
 
 TEST(InjectedFaults, ThrownFaultFailsTheEpisode) {
-  ResilienceConfig config;
-  config.fault_plan.fail(FaultKind::kThrowNonConverged);
-  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+  const ScopedPostSolveHook scope(throw_hook());
+  expect_failure([&] { solve_steady_state(repair_chain()); },
                  SolveCause::kNonConverged, "direct failed (non-converged)");
 }
 
 // Corrupt-result faults bypass the solver's own error handling entirely;
 // only the health layer can catch them.
 TEST(InjectedFaults, NanResultCaughtByHealthLayer) {
-  ResilienceConfig config;
-  config.fault_plan.fail(FaultKind::kNanResult);
-  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+  const ScopedPostSolveHook scope(nan_hook());
+  expect_failure([&] { solve_steady_state(repair_chain()); },
                  SolveCause::kNanOrInf, "direct failed (nan-or-inf)");
 }
 
 TEST(InjectedFaults, NegativeResultCaughtByHealthLayer) {
-  ResilienceConfig config;
-  config.fault_plan.fail(FaultKind::kNegativeResult);
-  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+  const ScopedPostSolveHook scope(negative_hook());
+  expect_failure([&] { solve_steady_state(repair_chain()); },
                  SolveCause::kNanOrInf, "direct failed (nan-or-inf)");
 }
 
-TEST(InjectedFaults, SpentBudgetLetsLaterSolvesSucceed) {
-  ResilienceConfig config;
-  config.fault_plan.fail_times(FaultKind::kThrowNonConverged, 1);
-  EXPECT_THROW(solve_steady_state_resilient(repair_chain(), config),
-               SolveError);
-  const ResilientResult r = solve_steady_state_resilient(repair_chain(), config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.result.pi, solve_steady_state_resilient(repair_chain()).result.pi);
+// The hook lives as long as its scope: the next solve is healthy and
+// bit-identical to one that never saw a hook.
+TEST(InjectedFaults, EndedScopeLetsLaterSolvesSucceed) {
+  const Vector clean = solve_steady_state(repair_chain()).pi;
+  {
+    const ScopedPostSolveHook scope(throw_hook());
+    EXPECT_THROW(solve_steady_state(repair_chain()), SolveError);
+  }
+  SolveTrace trace;
+  EXPECT_EQ(solve_steady_state(repair_chain(), {}, &trace).pi, clean);
+  EXPECT_TRUE(trace.success);
+}
+
+// Scopes nest: the inner hook replaces the outer one for its lifetime and
+// the outer one is back when it ends.
+TEST(InjectedFaults, NestedScopeRestoresTheOuterHook) {
+  const ScopedPostSolveHook outer(nan_hook());
+  {
+    const ScopedPostSolveHook inner(throw_hook());
+    expect_failure([&] { solve_steady_state(repair_chain()); },
+                   SolveCause::kNonConverged, "non-converged");
+  }
+  expect_failure([&] { solve_steady_state(repair_chain()); },
+                 SolveCause::kNanOrInf, "nan-or-inf");
 }
 
 TEST(InjectedFaults, TimeoutWithoutDeadlineIsCapped) {
-  ResilienceConfig config;
-  config.fault_plan.fail(FaultKind::kTimeout);
-  config.fault_plan.timeout_cap_ms = 1.0;
-  expect_failure([&] { solve_steady_state_resilient(repair_chain(), config); },
+  const ScopedPostSolveHook scope(timeout_hook(1.0));
+  expect_failure([&] { solve_steady_state(repair_chain()); },
                  SolveCause::kDeadlineExceeded,
                  "direct failed (deadline-exceeded)");
 }
 
 TEST(InjectedFaults, DtmcEpisodeReportsFault) {
-  rascad::markov::DtmcBuilder b;
-  b.add_state("a");
-  b.add_state("b");
-  b.add_transition(0, 1, 1.0);
-  b.add_transition(1, 0, 0.5);
-  b.add_transition(1, 1, 0.5);
-  const rascad::markov::Dtmc dtmc = b.build();
-  ResilienceConfig config;
-  config.fault_plan.fail(FaultKind::kNanResult);
-  expect_failure([&] { stationary_resilient(dtmc, config); },
-                 SolveCause::kNanOrInf, "stationary_resilient");
+  const rascad::markov::Dtmc dtmc = two_state_dtmc();
+  const ScopedPostSolveHook scope(nan_hook());
+  expect_failure([&] { (void)dtmc.stationary(); }, SolveCause::kNanOrInf,
+                 "Dtmc::stationary");
+}
+
+// The semi-Markov steady state runs its embedded chain's checked solve, so
+// a fault there surfaces through the SMP entry point with its trace.
+TEST(InjectedFaults, SmpEpisodeReportsFault) {
+  rascad::semimarkov::SmpBuilder b;
+  b.add_state("up", 1.0);
+  b.add_state("down", 0.0);
+  b.set_exponential(0, {{1, 1.0}});
+  b.set_exponential(1, {{0, 9.0}});
+  const rascad::semimarkov::SemiMarkovProcess smp = b.build();
+  const ScopedPostSolveHook scope(nan_hook());
+  SolveTrace trace;
+  expect_failure([&] { (void)smp.steady_state({}, &trace); },
+                 SolveCause::kNanOrInf, "Dtmc::stationary");
+  EXPECT_TRUE(trace.ran);
+  EXPECT_FALSE(trace.success);
 }
 
 TEST(InjectedFaults, MttfEpisodeRecordsFailedAttempt) {
@@ -159,15 +173,16 @@ TEST(InjectedFaults, MttfEpisodeRecordsFailedAttempt) {
   b.add_transition(up, down, 0.5);
   b.add_transition(down, up, 10.0);
   const Ctmc chain = b.build();
-  ResilienceConfig config;
-  config.fault_plan.fail(FaultKind::kNanResult);
   SolveTrace trace;
-  expect_failure([&] { mttf_resilient(chain, 0, config, &trace); },
-                 SolveCause::kNanOrInf, "mttf_resilient");
+  {
+    const ScopedPostSolveHook scope(nan_hook());
+    expect_failure([&] { rascad::markov::mttf(chain, 0, {}, &trace); },
+                   SolveCause::kNanOrInf, "mttf");
+  }
   EXPECT_FALSE(trace.success);
   EXPECT_TRUE(trace.ran);
   EXPECT_EQ(trace.cause, SolveCause::kNanOrInf);
-  EXPECT_NEAR(mttf_resilient(chain, 0), 2.0, 1e-14);
+  EXPECT_NEAR(rascad::markov::mttf(chain, 0), 2.0, 1e-14);
 }
 
 }  // namespace

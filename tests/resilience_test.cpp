@@ -1,20 +1,27 @@
-// Solver resilience layer: exact GTH solver, health checks, the checked
-// solve episode (budgets, deadlines, refusal of reducible chains), and the
-// documented SolveError causes.
+// The checked solves: exact GTH solver, health checks, the one checked
+// solve per measure (budget, deadlines, refusal of reducible chains), the
+// documented SolveError causes, and one answer per chain over the model
+// corpus.
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.hpp"
+#include "core/library.hpp"
+#include "gmb/workspace.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/dtmc.hpp"
+#include "markov/health.hpp"
 #include "markov/steady_state.hpp"
-#include "resilience/fault_injection.hpp"
-#include "resilience/health.hpp"
-#include "resilience/resilience.hpp"
+#include "mg/smp_generator.hpp"
+#include "mg/system.hpp"
+#include "robust/solve_error.hpp"
 #include "semimarkov/smp.hpp"
+#include "spec/parser.hpp"
+#include "fault_seam.hpp"
 
 namespace {
 
@@ -22,7 +29,14 @@ using rascad::linalg::Vector;
 using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
 using rascad::markov::gth_stationary;
-using namespace rascad::resilience;
+using rascad::markov::mttf;
+using rascad::markov::solve_steady_state;
+using rascad::markov::SolveTrace;
+using rascad::markov::SteadyStateResult;
+using rascad::robust::SolveCause;
+using rascad::robust::SolveError;
+using rascad::testing::ill_conditioned_chain;
+using namespace rascad::markov;  // the health checks
 
 /// Two-state up/down availability chain: pi = (mu, lambda) / (lambda + mu).
 Ctmc up_down_chain(double lambda, double mu) {
@@ -162,8 +176,7 @@ TEST(Gth, ComponentwiseAccurateOnIllConditionedChain) {
   const Ctmc chain = ill_conditioned_chain(3, 1e6);
   const Vector exact = ill_conditioned_exact(3, 1e6);
   EXPECT_LT(max_rel_err(gth_stationary(chain.generator()), exact), 1e-12);
-  EXPECT_LT(max_rel_err(rascad::markov::solve_steady_state(chain).pi, exact),
-            1e-12);
+  EXPECT_LT(max_rel_err(solve_steady_state(chain).pi, exact), 1e-12);
 }
 
 // ------------------------------------------------------- health checks ----
@@ -284,22 +297,24 @@ TEST(Health, AbsorptionCheckRejectsNanAndNegative) {
 // ------------------------------------------------------------- episode ----
 
 TEST(Episode, HealthyPathIsSingleDirectAttempt) {
-  const ResilientResult r =
-      solve_steady_state_resilient(up_down_chain(1.0, 9.0));
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_TRUE(r.trace.ran);
-  EXPECT_EQ(r.trace.message, "n=2 bw=1");
-  EXPECT_NEAR(r.result.pi[0], 0.9, 1e-12);
-  EXPECT_NE(r.trace.summary().find("direct ok [1 attempt, "),
+  SolveTrace trace;
+  const SteadyStateResult r =
+      solve_steady_state(up_down_chain(1.0, 9.0), {}, &trace);
+  EXPECT_TRUE(trace.success);
+  EXPECT_TRUE(trace.ran);
+  EXPECT_EQ(trace.message, "n=2 bw=1");
+  EXPECT_NEAR(r.pi[0], 0.9, 1e-12);
+  EXPECT_NE(trace.summary().find("direct ok [1 attempt, "),
             std::string::npos);
 }
 
 // Masses spanning 1e9 per level, 17 states: the one attempt is exact.
 TEST(Episode, StiffChainSolvedExactlyInOneAttempt) {
-  const ResilientResult r =
-      solve_steady_state_resilient(ill_conditioned_chain(8, 1e9));
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_LT(max_rel_err(r.result.pi, ill_conditioned_exact(8, 1e9)), 1e-12);
+  SolveTrace trace;
+  const SteadyStateResult r =
+      solve_steady_state(ill_conditioned_chain(8, 1e9), {}, &trace);
+  EXPECT_TRUE(trace.success);
+  EXPECT_LT(max_rel_err(r.pi, ill_conditioned_exact(8, 1e9)), 1e-12);
 }
 
 // The reported residual is the health check's own ||pi Q||_inf, bit for
@@ -307,19 +322,20 @@ TEST(Episode, StiffChainSolvedExactlyInOneAttempt) {
 TEST(Episode, ResidualIsTheHealthCheckResidual) {
   for (const Ctmc& chain : {up_down_chain(1.0, 9.0), repair_chain(),
                             ill_conditioned_chain(8, 1e9)}) {
-    const ResilientResult r = solve_steady_state_resilient(chain);
-    ASSERT_TRUE(r.trace.success) << r.trace.summary();
-    EXPECT_EQ(r.result.residual, r.trace.residual_check);
-    EXPECT_EQ(r.result.residual,
-              rascad::linalg::norm_inf(
-                  chain.generator().mul_transpose(r.result.pi)));
+    SolveTrace trace;
+    const SteadyStateResult r = solve_steady_state(chain, {}, &trace);
+    ASSERT_TRUE(trace.success) << trace.summary();
+    EXPECT_EQ(r.residual, trace.residual_check);
+    EXPECT_EQ(r.residual, rascad::linalg::norm_inf(
+                              chain.generator().mul_transpose(r.pi)));
   }
 }
 
 // Also the single-absorbing-state case of the reducibility contract.
 TEST(Episode, FailedSolveThrowsWithTrace) {
+  SolveTrace trace;
   try {
-    solve_steady_state_resilient(absorbing_chain());
+    solve_steady_state(absorbing_chain(), {}, &trace);
     FAIL() << "expected SolveError";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
@@ -328,25 +344,48 @@ TEST(Episode, FailedSolveThrowsWithTrace) {
               std::string::npos)
         << e.what();
   }
+  EXPECT_TRUE(trace.ran);
+  EXPECT_FALSE(trace.success);
+  EXPECT_EQ(trace.cause, SolveCause::kInvalidInput);
 }
 
+// One state over the budget is refused before any elimination: the token
+// handed in is already cancelled, so the first checkpoint of the ordering
+// would have thrown kCancelled, and the trace never records an episode.
 TEST(Episode, StateBudgetRefusedUpFront) {
-  ResilienceConfig config;
-  config.max_states = 2;
+  const std::size_t n = rascad::markov::kMaxStates + 1;
+  CtmcBuilder b;
+  for (std::size_t i = 0; i < n; ++i) {
+    b.add_state("s" + std::to_string(i), i + 1 < n ? 1.0 : 0.0);
+  }
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    b.add_transition(i, i + 1, 1e-3);
+    b.add_transition(i + 1, i, 1.0);
+  }
+  const Ctmc chain = b.build();
+  const rascad::robust::CancelToken stopped =
+      rascad::robust::CancelToken::manual();
+  stopped.request_cancel();
+  SolveTrace trace;
   try {
-    solve_steady_state_resilient(repair_chain(), config);
+    solve_steady_state(chain, stopped, &trace);
     FAIL() << "expected SolveError";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kBudgetExceeded);
+    EXPECT_NE(std::string(e.what()).find("chain has 200001 states, budget "
+                                         "is 200000"),
+              std::string::npos)
+        << e.what();
   }
+  EXPECT_FALSE(trace.ran);
+  EXPECT_FALSE(stopped.observed());
 }
 
 TEST(Episode, ExpiredDeadlineObservedInsideTheSolve) {
-  ResilienceConfig config;
   // Expires before the first checkpoint.
-  config.cancel = rascad::robust::CancelToken::with_deadline_ms(1e-9);
+  const auto deadline = rascad::robust::CancelToken::with_deadline_ms(1e-9);
   try {
-    solve_steady_state_resilient(repair_chain(), config);
+    solve_steady_state(repair_chain(), deadline);
     FAIL() << "expected SolveError";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
@@ -356,10 +395,11 @@ TEST(Episode, ExpiredDeadlineObservedInsideTheSolve) {
 TEST(Episode, SingleStateChainTrivialEpisode) {
   CtmcBuilder b;
   b.add_state("only", 1.0);
-  const ResilientResult r = solve_steady_state_resilient(b.build());
-  EXPECT_TRUE(r.trace.success);
-  ASSERT_EQ(r.result.pi.size(), 1u);
-  EXPECT_DOUBLE_EQ(r.result.pi[0], 1.0);
+  SolveTrace trace;
+  const SteadyStateResult r = solve_steady_state(b.build(), {}, &trace);
+  EXPECT_TRUE(trace.success);
+  ASSERT_EQ(r.pi.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.pi[0], 1.0);
 }
 
 // ---------------------------------------------------- reducible chains ----
@@ -378,15 +418,13 @@ void expect_invalid_input(const auto& solve) {
 }
 
 TEST(Reducible, TwoClosedClassesRefused) {
+  expect_invalid_input([] { solve_steady_state(disconnected_chain()); });
   expect_invalid_input(
-      [] { solve_steady_state_resilient(disconnected_chain()); });
-  expect_invalid_input(
-      [] { rascad::markov::solve_steady_state(disconnected_chain()); });
+      [] { gth_stationary(disconnected_chain().generator()); });
 }
 
 TEST(Reducible, TransientInitialStateRefused) {
-  expect_invalid_input(
-      [] { solve_steady_state_resilient(transient_start_chain()); });
+  expect_invalid_input([] { solve_steady_state(transient_start_chain()); });
 }
 
 // The elimination order decides whether GTH meets a transient state
@@ -416,13 +454,12 @@ TEST(Reducible, DtmcWithTwoClosedClassesRefused) {
   b.add_transition(2, 2, 0.5);
   b.add_transition(3, 2, 1.0);
   const rascad::markov::Dtmc dtmc = b.build();
-  expect_invalid_input([&] { stationary_resilient(dtmc); });
   expect_invalid_input([&] { (void)dtmc.stationary(); });
 }
 
-// ------------------------------------------------------ other wrappers ----
+// ---------------------------------------------------- other measures ----
 
-TEST(Wrappers, DtmcStationaryResilient) {
+TEST(Measures, DtmcStationaryIsCheckedGth) {
   rascad::markov::DtmcBuilder b;
   b.add_state("a");
   b.add_state("b");
@@ -430,50 +467,112 @@ TEST(Wrappers, DtmcStationaryResilient) {
   b.add_transition(1, 0, 0.5);
   b.add_transition(1, 1, 0.5);
   const rascad::markov::Dtmc dtmc = b.build();
-  const ResilientResult r = stationary_resilient(dtmc);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_LT(max_rel_err(r.result.pi, dtmc.stationary()), 1e-12);
+  SolveTrace trace;
+  const Vector pi = dtmc.stationary({}, &trace);
+  EXPECT_TRUE(trace.success);
+  EXPECT_EQ(trace.message, "n=2 bw=1");
+  EXPECT_EQ(pi, gth_stationary(dtmc.transition_matrix()));
+  EXPECT_LT(trace.residual_check, 1e-15);
 }
 
-TEST(Wrappers, SmpSteadyStateResilient) {
+TEST(Measures, SmpSteadyStateIsChecked) {
   rascad::semimarkov::SmpBuilder b;
   b.add_state("up", 1.0);
   b.add_state("down", 0.0);
   b.set_exponential(0, {{1, 1.0}});
   b.set_exponential(1, {{0, 9.0}});
   const rascad::semimarkov::SemiMarkovProcess smp = b.build();
-  const ResilientResult r = smp_steady_state_resilient(smp);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_NEAR(r.result.pi[0], smp.steady_state_reward(), 1e-12);
-  EXPECT_NEAR(r.result.pi[0] + r.result.pi[1], 1.0, 1e-12);
+  SolveTrace trace;
+  const Vector pi = smp.steady_state({}, &trace);
+  EXPECT_TRUE(trace.success);
+  EXPECT_EQ(pi[0], smp.steady_state_reward());
+  EXPECT_NEAR(pi[0], 0.9, 1e-12);
+  EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
 }
 
-TEST(Wrappers, MttfResilientMatchesAnalytic) {
+TEST(Measures, MttfMatchesAnalytic) {
   // Up -> down at rate lambda: MTTF = 1 / lambda from "up".
   const double lambda = 0.25;
   const Ctmc chain = up_down_chain(lambda, 100.0);
   SolveTrace trace;
-  const double mttf = mttf_resilient(chain, 0, ResilienceConfig{}, &trace);
+  const double got = mttf(chain, 0, {}, &trace);
   EXPECT_TRUE(trace.success);
-  EXPECT_NEAR(mttf, 1.0 / lambda, 1e-9);
+  EXPECT_EQ(trace.message, "n=1 bw=0");
+  EXPECT_NEAR(got, 1.0 / lambda, 1e-9);
 }
 
-TEST(Wrappers, MttfResilientMatchesClosedForm) {
+TEST(Measures, MttfMatchesClosedForm) {
   // ok -(2)-> degraded -(1)-> down, degraded -(5)-> ok: a birth-death
   // first passage, MTTF = 1/2 + (1 + 5 * 1/2) = 4.
   const double want = rascad::baselines::birth_death_mttf({2.0, 1.0},
                                                           {5.0, 10.0});
   EXPECT_DOUBLE_EQ(want, 4.0);
-  EXPECT_NEAR(mttf_resilient(repair_chain(), 0), want, 1e-14 * want);
+  EXPECT_NEAR(mttf(repair_chain(), 0), want, 1e-14 * want);
 }
 
-TEST(Wrappers, MttfZeroWhenChainCannotFail) {
+TEST(Measures, MttfZeroWhenChainCannotFail) {
   CtmcBuilder b;
   b.add_state("a", 1.0);
   b.add_state("b", 1.0);
   b.add_transition(0, 1, 1.0);
   b.add_transition(1, 0, 1.0);
-  EXPECT_DOUBLE_EQ(mttf_resilient(b.build(), 0), 0.0);
+  EXPECT_DOUBLE_EQ(mttf(b.build(), 0), 0.0);
+  // A down initial state has failed already.
+  EXPECT_DOUBLE_EQ(mttf(repair_chain(), 2), 0.0);
+}
+
+// ------------------------------------------------ one chain, one answer ----
+
+/// The library models and the example web shop.
+std::vector<std::pair<std::string, rascad::spec::ModelSpec>> corpus() {
+  std::vector<std::pair<std::string, rascad::spec::ModelSpec>> out;
+  for (const auto& entry : rascad::core::library::all_models()) {
+    out.emplace_back(entry.name, entry.factory());
+  }
+  out.emplace_back("web_shop",
+                   rascad::spec::parse_model_file(
+                       std::string(RASCAD_EXAMPLES_DIR) + "/web_shop.rsc"));
+  return out;
+}
+
+// A chain has one stationary answer. The checked solve hands on GTH's
+// vector bit for bit with the health check's own ||pi Q||_inf, and a
+// system block's availability is read from that vector. A block's
+// semi-Markov twin gives one availability whether it is asked through
+// mg::smp_availability or a GMB workspace.
+TEST(OneAnswer, CorpusBlocksSolveToTheGthVector) {
+  std::size_t blocks = 0;
+  std::size_t smp_blocks = 0;
+  for (const auto& [name, spec] : corpus()) {
+    rascad::mg::SystemModel::Options opts;
+    opts.cache = nullptr;
+    const auto system = rascad::mg::SystemModel::build(spec, opts);
+    for (const auto& b : system.blocks()) {
+      const std::string what = name + "/" + b.diagram + "/" + b.block.name;
+      const Ctmc& chain = *b.chain;
+      const SteadyStateResult r = solve_steady_state(chain);
+      EXPECT_EQ(r.pi, gth_stationary(chain.generator())) << what;
+      EXPECT_EQ(r.residual, rascad::linalg::norm_inf(
+                                chain.generator().mul_transpose(r.pi)))
+          << what;
+      EXPECT_EQ(b.availability, expected_reward(chain, r.pi)) << what;
+      ++blocks;
+      if (b.block.mode == rascad::spec::RedundancyMode::kPrimaryStandby) {
+        continue;  // CTMC-only
+      }
+      rascad::gmb::Workspace workspace;
+      workspace.add_semi_markov(
+          what, rascad::mg::generate_smp(b.block, spec.globals));
+      EXPECT_EQ(rascad::mg::smp_availability(b.block, spec.globals),
+                workspace.availability(what))
+          << what;
+      ASSERT_NE(workspace.solve_trace(what), nullptr) << what;
+      EXPECT_TRUE(workspace.solve_trace(what)->success) << what;
+      ++smp_blocks;
+    }
+  }
+  EXPECT_GT(blocks, 40u);
+  EXPECT_GT(smp_blocks, 0u);
 }
 
 }  // namespace

@@ -20,12 +20,14 @@
 #include "core/sweep.hpp"
 #include "exec/parallel.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/health.hpp"
+#include "markov/steady_state.hpp"
 #include "mg/system.hpp"
-#include "resilience/fault_injection.hpp"
-#include "resilience/resilience.hpp"
 #include "robust/cancel.hpp"
+#include "robust/solve_error.hpp"
 #include "robust/watchdog.hpp"
 #include "sim/streaming.hpp"
+#include "fault_seam.hpp"
 
 namespace {
 
@@ -34,7 +36,11 @@ using rascad::markov::CtmcBuilder;
 using rascad::robust::CancelToken;
 using rascad::robust::PointStatus;
 using rascad::robust::StopReason;
-using namespace rascad::resilience;
+using rascad::markov::ScopedPostSolveHook;
+using rascad::markov::solve_steady_state;
+using rascad::markov::SteadyStateResult;
+using rascad::robust::SolveCause;
+using rascad::robust::SolveError;
 
 Ctmc repair_chain() {
   CtmcBuilder b;
@@ -198,29 +204,27 @@ Ctmc grid_chain(std::size_t k) {
 
 TEST(Episode, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
   const Ctmc chain = grid_chain(30);
-  const ResilientResult a = solve_steady_state_resilient(chain);
+  const SteadyStateResult a = solve_steady_state(chain);
 
-  ResilienceConfig armed;
-  armed.cancel = CancelToken::with_deadline_ms(1e9);  // never fires
-  const ResilientResult b = solve_steady_state_resilient(chain, armed);
+  const CancelToken armed = CancelToken::with_deadline_ms(1e9);  // never fires
+  const SteadyStateResult b = solve_steady_state(chain, armed);
 
-  ASSERT_EQ(a.result.pi.size(), b.result.pi.size());
-  for (std::size_t i = 0; i < a.result.pi.size(); ++i) {
-    EXPECT_EQ(a.result.pi[i], b.result.pi[i]) << "state " << i;
+  ASSERT_EQ(a.pi.size(), b.pi.size());
+  for (std::size_t i = 0; i < a.pi.size(); ++i) {
+    EXPECT_EQ(a.pi[i], b.pi[i]) << "state " << i;
   }
-  EXPECT_EQ(a.result.residual, b.result.residual);
+  EXPECT_EQ(a.residual, b.residual);
 }
 
 TEST(Episode, CancelledMidSolveThrowsCancelled) {
   const Ctmc chain = grid_chain(100);
-  ResilienceConfig config;
-  config.cancel = CancelToken::manual();
-  std::thread canceller([token = config.cancel] {
+  const CancelToken cancel = CancelToken::manual();
+  std::thread canceller([token = cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     token.request_cancel();
   });
   try {
-    (void)solve_steady_state_resilient(chain, config);
+    (void)solve_steady_state(chain, cancel);
     canceller.join();
     FAIL() << "expected SolveError(kCancelled)";
   } catch (const SolveError& e) {
@@ -228,17 +232,15 @@ TEST(Episode, CancelledMidSolveThrowsCancelled) {
     EXPECT_EQ(e.cause(), SolveCause::kCancelled);
   }
   // The elimination checkpoint observed the stop promptly.
-  EXPECT_TRUE(config.cancel.observed());
-  EXPECT_GE(config.cancel.observed_latency_ms(), 0.0);
-  EXPECT_LT(config.cancel.observed_latency_ms(), 250.0);
+  EXPECT_TRUE(cancel.observed());
+  EXPECT_GE(cancel.observed_latency_ms(), 0.0);
+  EXPECT_LT(cancel.observed_latency_ms(), 250.0);
 }
 
 TEST(Episode, DeadlineExpiryMidSolveAbortsWithDeadlineCause) {
   const auto chain = grid_chain(100);
-  ResilienceConfig config;
-  config.cancel = CancelToken::with_deadline_ms(5.0);
   try {
-    (void)solve_steady_state_resilient(chain, config);
+    (void)solve_steady_state(chain, CancelToken::with_deadline_ms(5.0));
     FAIL() << "expected SolveError(kDeadlineExceeded)";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
@@ -248,13 +250,11 @@ TEST(Episode, DeadlineExpiryMidSolveAbortsWithDeadlineCause) {
 }
 
 TEST(Episode, InjectedTimeoutEndsAtTheDeadline) {
-  ResilienceConfig config;
-  config.fault_plan.fail(FaultKind::kTimeout);
-  config.fault_plan.timeout_cap_ms = 10'000.0;
+  const ScopedPostSolveHook scope(rascad::testing::timeout_hook(10'000.0));
   const auto start = std::chrono::steady_clock::now();
-  config.cancel = CancelToken::with_deadline_ms(2.0);
+  const CancelToken deadline = CancelToken::with_deadline_ms(2.0);
   try {
-    (void)solve_steady_state_resilient(repair_chain(), config);
+    (void)solve_steady_state(repair_chain(), deadline);
     FAIL() << "expected SolveError(kDeadlineExceeded)";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
@@ -336,8 +336,7 @@ TEST(DegradedSweep, DeadlineBoundedSweepReturnsCompletedPrefix) {
   model_opts.cache = &cache;
   model_opts.parallel.threads = 1;
   // Every solve stalls 2 ms (ignoring the token) and then succeeds.
-  model_opts.resilience.fault_plan.fail(FaultKind::kStall);
-  model_opts.resilience.fault_plan.stall_ms = 2.0;
+  const ScopedPostSolveHook stall(rascad::testing::stall_hook(2.0));
   // Pre-warm the baseline so each point costs one stalled solve.
   (void)rascad::mg::SystemModel::build(spec, model_opts);
 
@@ -463,6 +462,29 @@ TEST(Watchdog, FlagsUnobservedStopAndSparesObservedOne) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(dog.stall_count(), mid);
+}
+
+// A solve stuck where no checkpoint polls its token: the post-solve seam
+// sleeps through the cancel, the answer still passes its health check, and
+// only the watchdog notices.
+TEST(Watchdog, FlagsSolveStalledPastItsCancel) {
+  auto& dog = rascad::robust::StallWatchdog::global();
+  dog.set_poll_interval_ms(1.0);
+  const std::uint64_t before = dog.stall_count();
+  const ScopedPostSolveHook stall(rascad::testing::stall_hook(40.0));
+  const CancelToken token = CancelToken::manual();
+  std::thread canceller([token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    token.request_cancel();
+  });
+  rascad::markov::SolveTrace trace;
+  {
+    const auto guard = dog.watch(token, 5.0, "robust_test.stalled_solve");
+    (void)solve_steady_state(repair_chain(), token, &trace);
+  }
+  canceller.join();
+  EXPECT_TRUE(trace.success);
+  EXPECT_GE(dog.stall_count(), before + 1);
 }
 
 // Regression for the idle spin: with no registered guards the poll thread

@@ -1,6 +1,5 @@
-// The exact solvers (banded GTH: solve_steady_state, the resilience
-// episodes, Dtmc::stationary and the mean times to absorption behind
-// mttf_resilient and AbsorbingAnalysis) against
+// The exact solvers (banded GTH: the checked solve_steady_state,
+// Dtmc::stationary and mttf, and gth_absorption_times) against
 // independent oracles: closed-form birth-death and K-of-N solutions, a
 // test-local dense LU for every generated chain family, and themselves on
 // a randomly relabelled copy of a chain. Also the scale and cancellation
@@ -24,7 +23,6 @@
 #include "mg/generator.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "resilience/resilience.hpp"
 #include "robust/cancel.hpp"
 #include "spec/ast.hpp"
 #include "bicgstab_oracle.hpp"
@@ -150,13 +148,20 @@ Vector dense_lu_mttf(const Ctmc& chain) {
   return out;
 }
 
-/// Mean times to failure of every state, through AbsorbingAnalysis.
+/// Mean times to failure of every state in one gth_absorption_times solve
+/// over the up states (0 for the down ones).
 Vector gth_mttf(const Ctmc& chain) {
-  const rascad::markov::AbsorbingAnalysis analysis(
-      rascad::markov::make_down_states_absorbing(chain));
-  Vector out(chain.size());
+  std::vector<bool> down(chain.size());
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    out[i] = analysis.mean_time_to_absorption(i);
+    down[i] = chain.reward(i) <= 0.0;
+  }
+  const rascad::markov::TransientSplit split =
+      rascad::markov::split_transient(chain.generator(), down);
+  const Vector tau = rascad::markov::gth_absorption_times(
+      split.weights, split.exits, Vector(split.states.size(), 1.0));
+  Vector out(chain.size(), 0.0);
+  for (std::size_t k = 0; k < split.states.size(); ++k) {
+    out[split.states[k]] = tau[k];
   }
   return out;
 }
@@ -239,12 +244,11 @@ TEST(ExactOracle, BirthDeathPerStateAcross250Decades) {
   ASSERT_LT(want.back(), 1e-249);
   ASSERT_GT(want.back(), 1e-252);
   const Ctmc chain = birth_death_chain(birth, death);
-  EXPECT_LT(max_rel_err(rascad::markov::solve_steady_state(chain).pi, want),
+  rascad::markov::SolveTrace trace;
+  EXPECT_LT(max_rel_err(
+                rascad::markov::solve_steady_state(chain, {}, &trace).pi, want),
             1e-12);
-  const rascad::resilience::ResilientResult r =
-      rascad::resilience::solve_steady_state_resilient(chain);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_LT(max_rel_err(r.result.pi, want), 1e-12);
+  EXPECT_TRUE(trace.success);
 }
 
 TEST(ExactOracle, BirthDeathOscillatingMasses) {
@@ -546,8 +550,8 @@ TEST(ExactAbsorbing, GeneratedType1OneOfNMatchesClosedForm) {
     ASSERT_EQ(model.chain.size(), n + 1u);
     const double want =
         rascad::baselines::k_of_n_mttf_with_repair(n, 1, 1e-3, 1.0 / 3.0, 1);
-    rascad::resilience::SolveTrace trace;
-    const double got = rascad::resilience::mttf_resilient(
+    rascad::markov::SolveTrace trace;
+    const double got = rascad::markov::mttf(
         model.chain, model.initial, {}, &trace);
     EXPECT_LT(rel_err(got, want), 1e-13) << "1-of-" << n;
     EXPECT_TRUE(trace.success) << trace.summary();
@@ -560,8 +564,8 @@ TEST(ExactAbsorbing, BirthDeathMttfAcrossFourDecades) {
     std::vector<double> death;
     stiff_birth_death(levels, birth, death);
     const double want = rascad::baselines::birth_death_mttf(birth, death);
-    rascad::resilience::SolveTrace trace;
-    const double got = rascad::resilience::mttf_resilient(
+    rascad::markov::SolveTrace trace;
+    const double got = rascad::markov::mttf(
         birth_death_chain(birth, death), 0, {}, &trace);
     EXPECT_LT(rel_err(got, want), 1e-12) << levels << " levels";
     EXPECT_TRUE(trace.success) << trace.summary();
@@ -575,8 +579,8 @@ TEST(ExactAbsorbing, BirthDeathMttfNear1e200) {
   const std::vector<double> death(200, 1.0);
   const double want = rascad::baselines::birth_death_mttf(birth, death);
   ASSERT_GT(want, 1e195);
-  rascad::resilience::SolveTrace trace;
-  const double got = rascad::resilience::mttf_resilient(
+  rascad::markov::SolveTrace trace;
+  const double got = rascad::markov::mttf(
       birth_death_chain(birth, death), 0, {}, &trace);
   EXPECT_LT(rel_err(got, want), 1e-12);
   EXPECT_TRUE(trace.success) << trace.summary();
@@ -608,7 +612,7 @@ TEST(ExactAbsorbing, EveryGeneratedFamilyMatchesDenseLu) {
       if (ref[i] != 0.0) worst = std::max(worst, rel_err(tau[i], ref[i]));
     }
     EXPECT_LT(worst, 1e-10) << what;
-    EXPECT_LT(rel_err(rascad::resilience::mttf_resilient(model.chain,
+    EXPECT_LT(rel_err(rascad::markov::mttf(model.chain,
                                                          model.initial),
                       ref[model.initial]),
               1e-10)
@@ -628,10 +632,10 @@ const Ctmc& chain_50k() {
 TEST(ExactScale, Type4BlockWith50kStatesIsOneDirectAttempt) {
   const Ctmc& chain = chain_50k();
   ASSERT_GT(chain.size(), 50'000u);
-  const rascad::resilience::ResilientResult r =
-      rascad::resilience::solve_steady_state_resilient(chain);
-  ASSERT_TRUE(r.trace.success) << r.trace.summary();
-  const double a = rascad::markov::expected_reward(chain, r.result.pi);
+  rascad::markov::SolveTrace trace;
+  const Vector pi = rascad::markov::solve_steady_state(chain, {}, &trace).pi;
+  ASSERT_TRUE(trace.success) << trace.summary();
+  const double a = rascad::markov::expected_reward(chain, pi);
   EXPECT_GT(a, 0.99);
   EXPECT_LT(a, 1.0);
 }
@@ -643,16 +647,16 @@ TEST(ExactScale, PreCancelledTokenStopsStationarySolve) {
   try {
     (void)rascad::markov::solve_steady_state(chain, cancel);
     FAIL() << "expected SolveError(kCancelled)";
-  } catch (const rascad::resilience::SolveError& e) {
-    EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kCancelled);
+  } catch (const rascad::robust::SolveError& e) {
+    EXPECT_EQ(e.cause(), rascad::robust::SolveCause::kCancelled);
   }
 }
 
 TEST(ExactScale, Type4BlockWith50kStatesMttfIsOneDirectAttempt) {
   const Ctmc& chain = chain_50k();
-  rascad::resilience::SolveTrace trace;
+  rascad::markov::SolveTrace trace;
   const double mttf =
-      rascad::resilience::mttf_resilient(chain, 0, {}, &trace);
+      rascad::markov::mttf(chain, 0, {}, &trace);
   ASSERT_TRUE(trace.success) << trace.summary();
   EXPECT_LT(trace.residual_check, 1e-14);
   // Too large for a dense oracle; the test-local BiCGStab is an independent
@@ -674,8 +678,8 @@ TEST(ExactScale, PreCancelledTokenStopsAbsorbingSolve) {
     (void)rascad::markov::gth_absorption_times(
         split.weights, split.exits, Vector(split.states.size(), 1.0), cancel);
     FAIL() << "expected SolveError(kCancelled)";
-  } catch (const rascad::resilience::SolveError& e) {
-    EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kCancelled);
+  } catch (const rascad::robust::SolveError& e) {
+    EXPECT_EQ(e.cause(), rascad::robust::SolveCause::kCancelled);
   }
 }
 
@@ -683,7 +687,7 @@ TEST(ExactScale, AttemptSpanRecordsSizeAndBandwidth) {
   const Ctmc chain = rascad::mg::generate(type4_block(48), globals()).chain;
   rascad::obs::set_enabled(true);
   rascad::obs::clear_trace();
-  (void)rascad::resilience::solve_steady_state_resilient(chain);
+  (void)rascad::markov::solve_steady_state(chain);
   const rascad::obs::TraceDump dump = rascad::obs::drain_trace();
   rascad::obs::set_enabled(false);
   std::vector<std::string> details;

@@ -25,9 +25,8 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "resilience/resilience.hpp"
-#include "resilience/solve_error.hpp"
 #include "robust/cancel.hpp"
+#include "robust/solve_error.hpp"
 #include "spec/ast.hpp"
 #include "spec/parser.hpp"
 #include "product_chain.hpp"
@@ -40,8 +39,8 @@ using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
 using rascad::markov::TransientOptions;
 using rascad::markov::TransientStats;
-using rascad::resilience::SolveCause;
-using rascad::resilience::SolveError;
+using rascad::robust::SolveCause;
+using rascad::robust::SolveError;
 using rascad::spec::BlockSpec;
 using rascad::spec::Transparency;
 
@@ -644,22 +643,6 @@ TEST(TransientEngine, HazardRateStepsOnFromReliability) {
   EXPECT_NEAR(r0, std::exp(-0.5), 1e-15);
   EXPECT_NEAR(rascad::markov::hazard_rate(rel, pi0, 5.0, 0.5),
               -(std::log(r1) - std::log(r0)) / 0.5, 1e-10);
-}
-
-TEST(TransientEngine, LibraryBlocksHaveOnePi) {
-  // The checked episode hands on GTH's vector unchanged, so a block's
-  // availability and the engine's pi_inf come from one pi.
-  for (const auto& entry : rascad::core::library::all_models()) {
-    rascad::mg::SystemModel::Options opts;
-    opts.cache = nullptr;
-    const auto system = rascad::mg::SystemModel::build(entry.factory(), opts);
-    for (const auto& b : system.blocks()) {
-      const auto episode =
-          rascad::resilience::solve_steady_state_resilient(*b.chain, {});
-      const Vector direct = rascad::markov::solve_steady_state(*b.chain).pi;
-      EXPECT_EQ(episode.result.pi, direct) << entry.name << "/" << b.block.name;
-    }
-  }
 }
 
 TEST(TransientEngine, MetricsRecordKrylovWork) {
