@@ -102,6 +102,7 @@ int main(int argc, char** argv) {
   std::size_t deep_n480_curve_dim = 0;
   double deep_n1440_solve_ms = 0.0;
   double deep_n48_sweep64_ms = 0.0;
+  double deep_n48_generate_us = 0.0;
 
   std::cout << "=== E7: generation + solution scalability ===\n\n";
   std::cout << "Type 4 block, K=1, growing N (redundancy depth N-1):\n";
@@ -259,6 +260,30 @@ int main(int argc, char** argv) {
               << std::setprecision(12) << first.availability << '\n';
     std::cout.unsetf(std::ios::fixed);
   }
+  {
+    // One sweep point's generation: the same block with a new MTBF each
+    // call, after a first call has recorded its structure on this thread.
+    const auto spec = rascad::spec::parse_model(deep_sweep_model(40'000.0));
+    auto block = spec.diagrams.front().blocks.front();
+    (void)rascad::mg::generate(block, spec.globals);
+    std::vector<double> samples;
+    std::size_t states = 0;
+    for (int rep = 0; rep < 201; ++rep) {
+      block.mtbf_h = 40'000.0 + 100.0 * rep;
+      const auto t0 = Clock::now();
+      const auto model = rascad::mg::generate(block, spec.globals);
+      samples.push_back(
+          std::chrono::duration<double, std::micro>(Clock::now() - t0)
+              .count());
+      states = model.chain.size();
+    }
+    std::sort(samples.begin(), samples.end());
+    deep_n48_generate_us = samples[samples.size() / 2];
+    std::cout << "  generation of one point's " << states << "-state chain: "
+              << std::fixed << std::setprecision(2) << deep_n48_generate_us
+              << " us (median of 201, structure known)\n";
+    std::cout.unsetf(std::ios::fixed);
+  }
 
   std::cout << "\nhierarchy width: flat system of W copies of a Type 3 "
                "block (N=4, K=2):\n";
@@ -319,6 +344,7 @@ int main(int argc, char** argv) {
       .metric("deep_n480_curve_dim", deep_n480_curve_dim)
       .metric("deep_n1440_solve_ms", deep_n1440_solve_ms)
       .metric("deep_n48_sweep64_ms", deep_n48_sweep64_ms)
+      .metric("deep_n48_generate_us", deep_n48_generate_us)
       .write(std::cout);
   return 0;
 }

@@ -75,8 +75,7 @@ void write_report(std::ostream& os, const mg::SystemModel& system,
   }
 
   heading(os, "Solver resilience");
-  os << "| diagram | block | rung | attempts | residual check | episode "
-        "|\n|---|---|---|---|---|---|\n";
+  os << "| diagram | block | residual check | episode |\n|---|---|---|---|\n";
   for (const auto& b : system.blocks()) {
     const markov::SolveTrace& t = b.solve_trace;
     std::ostringstream residual;
@@ -85,9 +84,7 @@ void write_report(std::ostream& os, const mg::SystemModel& system,
                << t.residual_check;
     }
     os << "| " << b.diagram << " | " << b.block.name << " | "
-       << (t.success ? "direct" : "(failed)") << " | "
-       << (t.ran ? 1 : 0) << " | " << residual.str() << " | "
-       << t.summary() << " |\n";
+       << residual.str() << " | " << t.summary() << " |\n";
   }
 
   if (opts.include_chain_dumps) {

@@ -5,6 +5,8 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace rascad::linalg {
 
@@ -123,6 +125,22 @@ CsrMatrix CsrMatrix::from_rows(std::size_t cols,
   m.row_ptr_[m.rows_] = static_cast<std::uint32_t>(out);
   m.col_idx_.resize(out);
   m.values_.resize(out);
+  return m;
+}
+
+CsrMatrix CsrMatrix::with_values(std::vector<double> values) const {
+  if (values.size() != values_.size()) {
+    throw std::invalid_argument("CsrMatrix::with_values: " +
+                                std::to_string(values.size()) +
+                                " values for " + std::to_string(nnz()) +
+                                " entries");
+  }
+  CsrMatrix m;
+  m.rows_ = rows_;
+  m.cols_ = cols_;
+  m.row_ptr_ = row_ptr_;
+  m.col_idx_ = col_idx_;
+  m.values_ = std::move(values);
   return m;
 }
 

@@ -9,7 +9,8 @@
 // through CsrBuilder, which stages triplets and scatters them by a
 // counting sort into row buckets, or straight from row buckets with
 // CsrMatrix::from_rows (see docs/numerics.md); duplicates are summed in
-// insertion order.
+// insertion order. A matrix that shares another's pattern takes only its
+// values (CsrMatrix::with_values).
 #pragma once
 
 #include <cstddef>
@@ -65,6 +66,12 @@ class CsrMatrix {
                              std::vector<std::uint32_t> row_ptr,
                              std::vector<std::uint32_t> col_idx,
                              std::vector<double> values);
+
+  /// This matrix's sparsity pattern with `values` in place of its own:
+  /// values[k] is the entry at col_idx()[k]. The values are kept as given,
+  /// zeros included. Throws std::invalid_argument unless there is one
+  /// value per entry.
+  CsrMatrix with_values(std::vector<double> values) const;
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }

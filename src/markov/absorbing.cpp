@@ -1,7 +1,9 @@
 #include "markov/absorbing.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "markov/steady_state.hpp"
 
@@ -21,19 +23,36 @@ Ctmc make_absorbing(const Ctmc& chain,
   if (absorbing_count == chain.size()) {
     throw std::invalid_argument("make_absorbing: no transient states left");
   }
-  CtmcBuilder b;
-  for (StateIndex i = 0; i < chain.size(); ++i) {
-    b.add_state(chain.state_name(i), chain.reward(i));
-  }
+  // Only Q is new: each kept row's rates in column order, then its
+  // diagonal summed in that order, the buckets CtmcBuilder::build would
+  // form from the same arcs. The states are the source chain's own table.
   const auto& q = chain.generator();
-  for (StateIndex i = 0; i < chain.size(); ++i) {
-    if (is_absorbing[i]) continue;
-    const auto row = q.row(i);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] != i) b.add_transition(i, row.cols[k], row.values[k]);
+  const std::size_t n = chain.size();
+  std::vector<std::uint32_t> row_ptr(n + 1, 0);
+  std::vector<std::uint32_t> cols;
+  std::vector<double> vals;
+  cols.reserve(q.nnz());
+  vals.reserve(q.nnz());
+  for (StateIndex i = 0; i < n; ++i) {
+    if (!is_absorbing[i]) {
+      const auto row = q.row(i);
+      double exit = 0.0;
+      for (std::size_t k = 0; k < row.size; ++k) {
+        if (row.cols[k] == i) continue;
+        cols.push_back(row.cols[k]);
+        vals.push_back(row.values[k]);
+        exit += row.values[k];
+      }
+      if (exit > 0.0) {
+        cols.push_back(static_cast<std::uint32_t>(i));
+        vals.push_back(-exit);
+      }
     }
+    row_ptr[i + 1] = static_cast<std::uint32_t>(cols.size());
   }
-  return b.build();
+  return Ctmc(chain.state_table(),
+              linalg::CsrMatrix::from_rows(n, std::move(row_ptr),
+                                           std::move(cols), std::move(vals)));
 }
 
 Ctmc make_down_states_absorbing(const Ctmc& chain) {
@@ -68,19 +87,13 @@ TransientSplit split_transient(const linalg::CsrMatrix& weights,
   return split;
 }
 
-double mttf(const Ctmc& chain, StateIndex initial,
-            const robust::CancelToken& cancel, SolveTrace* trace) {
-  const std::vector<StateIndex> down = chain.down_states();
-  if (down.empty() || chain.reward(initial) <= 0.0) return 0.0;
-
-  // Up states are transient and every arc into a down state is an exit:
-  // the solve's weights come straight from the generator.
-  std::vector<bool> absorbing(chain.size(), false);
-  for (StateIndex i : down) absorbing[i] = true;
-  const TransientSplit split = split_transient(chain.generator(), absorbing);
+linalg::Vector checked_absorption_times(const char* name,
+                                        const TransientSplit& split,
+                                        const linalg::Vector& costs,
+                                        const robust::CancelToken& cancel,
+                                        SolveTrace* trace) {
+  // diag(out) - W in sparse form, for the independent check.
   const std::size_t m = split.states.size();
-
-  // (-Q_TT) tau = 1 in sparse form, for the independent check.
   linalg::CsrBuilder builder(m, m);
   for (std::size_t r = 0; r < m; ++r) {
     double out = split.exits[r];
@@ -93,14 +106,29 @@ double mttf(const Ctmc& chain, StateIndex initial,
   }
   const linalg::CsrMatrix a = builder.build();
 
-  const linalg::Vector tau = checked_solve(
-      "mttf", m, cancel, trace,
+  return checked_solve(
+      name, m, cancel, trace,
       [&](std::size_t& bandwidth) {
-        return gth_absorption_times(split.weights, split.exits,
-                                    linalg::Vector(m, 1.0), cancel,
+        return gth_absorption_times(split.weights, split.exits, costs, cancel,
                                     &bandwidth);
       },
-      [&](linalg::Vector& times) { return check_absorption_times(a, times); });
+      [&](linalg::Vector& times) {
+        return check_absorption_times(a, times, costs);
+      });
+}
+
+double mttf(const Ctmc& chain, StateIndex initial,
+            const robust::CancelToken& cancel, SolveTrace* trace) {
+  const std::vector<StateIndex> down = chain.down_states();
+  if (down.empty() || chain.reward(initial) <= 0.0) return 0.0;
+
+  // Up states are transient and every arc into a down state is an exit:
+  // the solve's weights come straight from the generator.
+  std::vector<bool> absorbing(chain.size(), false);
+  for (StateIndex i : down) absorbing[i] = true;
+  const TransientSplit split = split_transient(chain.generator(), absorbing);
+  const linalg::Vector tau = checked_absorption_times(
+      "mttf", split, linalg::Vector(split.states.size(), 1.0), cancel, trace);
   return tau[static_cast<std::size_t>(split.position[initial])];
 }
 

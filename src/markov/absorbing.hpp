@@ -39,10 +39,21 @@ struct TransientSplit {
 TransientSplit split_transient(const linalg::CsrMatrix& weights,
                                const std::vector<bool>& absorbing);
 
+/// Times to absorption over `split` with `costs` per visit (per unit time
+/// for rates, per step for probabilities), in one checked solve named
+/// `name` (checked_solve in health.hpp): gth_absorption_times, then
+/// check_absorption_times against (diag(out) - W) tau = costs with
+/// out = W 1 + e. Throws robust::SolveError; `trace`, if given, receives
+/// the episode.
+linalg::Vector checked_absorption_times(const char* name,
+                                        const TransientSplit& split,
+                                        const linalg::Vector& costs,
+                                        const robust::CancelToken& cancel,
+                                        SolveTrace* trace);
+
 /// Mean time to failure of an availability chain from `initial`, with its
-/// down (reward-0) states absorbing: gth_absorption_times over the up
-/// states in one checked solve (checked_solve in health.hpp), checked by
-/// check_absorption_times against (-Q_TT) tau = 1. Returns 0 when the chain
+/// down (reward-0) states absorbing: checked_absorption_times over the up
+/// states with unit costs, that is (-Q_TT) tau = 1. Returns 0 when the chain
 /// cannot fail or `initial` is down. Throws robust::SolveError
 /// (kInvalidInput when an up state cannot reach a down one); `trace`, if
 /// given, receives the episode.

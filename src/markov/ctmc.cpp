@@ -8,7 +8,7 @@
 
 namespace rascad::markov {
 
-StateIndex CtmcBuilder::add_state(std::string name, double reward) {
+StateIndex StateTable::add(std::string name, double reward) {
   if (reward < 0.0) {
     throw std::invalid_argument("CtmcBuilder: reward must be non-negative");
   }
@@ -20,6 +20,12 @@ StateIndex CtmcBuilder::add_state(std::string name, double reward) {
   }
   states_.push_back({std::move(name), reward});
   return states_.size() - 1;
+}
+
+std::optional<StateIndex> StateTable::find(std::string_view name) const {
+  return names_.find(name, [&](StateIndex i) -> auto& {
+    return states_[i].name;
+  });
 }
 
 void CtmcBuilder::add_transition(StateIndex from, StateIndex to, double rate) {
@@ -35,15 +41,8 @@ void CtmcBuilder::add_transition(StateIndex from, StateIndex to, double rate) {
   arcs_.push_back({from, to, rate});
 }
 
-std::optional<StateIndex> CtmcBuilder::find_state(
-    const std::string& name) const {
-  return names_.find(name, [&](StateIndex i) -> auto& {
-    return states_[i].name;
-  });
-}
-
-Ctmc CtmcBuilder::build() const {
-  if (states_.empty()) {
+Ctmc CtmcBuilder::build() {
+  if (states_.size() == 0) {
     throw std::invalid_argument("CtmcBuilder: chain has no states");
   }
   // Q in one pass over the arcs, straight into its row buckets: the arcs
@@ -72,53 +71,69 @@ Ctmc CtmcBuilder::build() const {
     cols[next[i]] = static_cast<std::uint32_t>(i);
     vals[next[i]] = -exit[i];
   }
-  Ctmc chain;
-  chain.states_ = states_;
-  chain.names_ = names_;
-  chain.q_ = linalg::CsrMatrix::from_rows(n, std::move(row_ptr),
-                                          std::move(cols), std::move(vals));
-  // Duplicate arcs merged in CSR; count distinct off-diagonal entries.
+  arcs_.clear();
+  return Ctmc(std::make_shared<const StateTable>(std::exchange(states_, {})),
+              linalg::CsrMatrix::from_rows(n, std::move(row_ptr),
+                                           std::move(cols), std::move(vals)));
+}
+
+Ctmc::Ctmc(std::shared_ptr<const StateTable> states, linalg::CsrMatrix q)
+    : states_(std::move(states)), q_(std::move(q)) {
+  if (!states_ || q_.rows() != states_->size() ||
+      q_.cols() != states_->size()) {
+    throw std::invalid_argument(
+        "Ctmc: generator size does not match the state table");
+  }
+}
+
+std::size_t Ctmc::transition_count() const noexcept {
+  // Duplicate arcs are merged in CSR; count distinct off-diagonal entries.
   std::size_t count = 0;
-  for (StateIndex i = 0; i < n; ++i) {
-    const auto row = chain.q_.row(i);
+  for (StateIndex i = 0; i < size(); ++i) {
+    const auto row = q_.row(i);
     for (std::size_t k = 0; k < row.size; ++k) {
       if (row.cols[k] != i) ++count;
     }
   }
-  chain.transition_count_ = count;
-  return chain;
+  return count;
+}
+
+const StateTable& Ctmc::table() const noexcept {
+  static const StateTable empty;
+  return states_ ? *states_ : empty;
 }
 
 linalg::Vector Ctmc::reward_vector() const {
-  linalg::Vector r(states_.size());
-  for (StateIndex i = 0; i < states_.size(); ++i) r[i] = states_[i].reward;
+  const std::vector<StateInfo>& s = states();
+  linalg::Vector r(s.size());
+  for (StateIndex i = 0; i < s.size(); ++i) r[i] = s[i].reward;
   return r;
 }
 
 std::vector<StateIndex> Ctmc::up_states() const {
+  const std::vector<StateInfo>& s = states();
   std::vector<StateIndex> up;
-  for (StateIndex i = 0; i < states_.size(); ++i) {
-    if (states_[i].reward > 0.0) up.push_back(i);
+  for (StateIndex i = 0; i < s.size(); ++i) {
+    if (s[i].reward > 0.0) up.push_back(i);
   }
   return up;
 }
 
 std::vector<StateIndex> Ctmc::down_states() const {
+  const std::vector<StateInfo>& s = states();
   std::vector<StateIndex> down;
-  for (StateIndex i = 0; i < states_.size(); ++i) {
-    if (states_[i].reward <= 0.0) down.push_back(i);
+  for (StateIndex i = 0; i < s.size(); ++i) {
+    if (s[i].reward <= 0.0) down.push_back(i);
   }
   return down;
 }
 
 std::optional<StateIndex> Ctmc::find_state(const std::string& name) const {
-  return names_.find(name, [&](StateIndex i) -> auto& {
-    return states_[i].name;
-  });
+  return table().find(name);
 }
 
 double Ctmc::exit_rate(StateIndex i) const {
-  if (i >= states_.size()) {
+  if (i >= size()) {
     throw std::out_of_range("Ctmc::exit_rate: index out of range");
   }
   return -q_.at(i, i);
@@ -150,17 +165,18 @@ std::pair<linalg::CsrMatrix, double> Ctmc::uniformized(
 }
 
 void Ctmc::print(std::ostream& os) const {
+  const std::vector<StateInfo>& s = states();
   os << "states (" << size() << "):\n";
   for (StateIndex i = 0; i < size(); ++i) {
-    os << "  [" << i << "] " << states_[i].name << "  reward="
-       << states_[i].reward << '\n';
+    os << "  [" << i << "] " << s[i].name << "  reward="
+       << s[i].reward << '\n';
   }
-  os << "transitions (" << transition_count_ << "):\n";
+  os << "transitions (" << transition_count() << "):\n";
   for (StateIndex i = 0; i < size(); ++i) {
     const auto row = q_.row(i);
     for (std::size_t k = 0; k < row.size; ++k) {
       if (row.cols[k] == i) continue;
-      os << "  " << states_[i].name << " -> " << states_[row.cols[k]].name
+      os << "  " << s[i].name << " -> " << s[row.cols[k]].name
          << "  rate=" << row.values[k] << '\n';
     }
   }

@@ -9,8 +9,11 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "linalg/csr.hpp"
@@ -25,6 +28,25 @@ struct StateInfo {
   double reward = 1.0;
 };
 
+/// A chain's states: names, rewards and the index from name to state.
+/// A chain holds its table through a shared pointer to const, so chains of
+/// one structure (every point of a sweep, an absorbing copy and its
+/// source) share one table.
+class StateTable {
+ public:
+  /// Adds a state; returns its index. Throws std::invalid_argument on a
+  /// duplicate name or negative reward.
+  StateIndex add(std::string name, double reward);
+
+  std::size_t size() const noexcept { return states_.size(); }
+  const std::vector<StateInfo>& states() const noexcept { return states_; }
+  std::optional<StateIndex> find(std::string_view name) const;
+
+ private:
+  std::vector<StateInfo> states_;
+  NameIndex names_;
+};
+
 class Ctmc;
 
 /// Incremental chain construction: states first, then transitions.
@@ -32,7 +54,9 @@ class CtmcBuilder {
  public:
   /// Adds a state; returns its index. Throws std::invalid_argument on a
   /// duplicate name or negative reward.
-  StateIndex add_state(std::string name, double reward);
+  StateIndex add_state(std::string name, double reward) {
+    return states_.add(std::move(name), reward);
+  }
 
   /// Adds a transition with the given rate (> 0). Self-loops are rejected.
   /// Multiple arcs between the same pair of states accumulate.
@@ -41,10 +65,13 @@ class CtmcBuilder {
   std::size_t state_count() const noexcept { return states_.size(); }
 
   /// Index of a previously added state by name.
-  std::optional<StateIndex> find_state(const std::string& name) const;
+  std::optional<StateIndex> find_state(const std::string& name) const {
+    return states_.find(name);
+  }
 
-  /// Finalizes the chain. Throws std::invalid_argument if empty.
-  Ctmc build() const;
+  /// Finalizes the chain, moving the states into it: the builder is empty
+  /// afterwards. Throws std::invalid_argument if empty.
+  Ctmc build();
 
  private:
   struct Arc {
@@ -52,8 +79,7 @@ class CtmcBuilder {
     StateIndex to;
     double rate;
   };
-  std::vector<StateInfo> states_;
-  NameIndex names_;
+  StateTable states_;
   std::vector<Arc> arcs_;
 };
 
@@ -61,12 +87,27 @@ class CtmcBuilder {
 /// state metadata, and reward vector.
 class Ctmc {
  public:
-  std::size_t size() const noexcept { return states_.size(); }
+  Ctmc() = default;
+
+  /// The chain over `states` with generator `q` (one row and column per
+  /// state; each diagonal the negated sum of its row's rates). Throws
+  /// std::invalid_argument when `states` is null or the sizes disagree.
+  Ctmc(std::shared_ptr<const StateTable> states, linalg::CsrMatrix q);
+
+  std::size_t size() const noexcept { return q_.rows(); }
 
   const linalg::CsrMatrix& generator() const noexcept { return q_; }
-  const std::vector<StateInfo>& states() const noexcept { return states_; }
-  const std::string& state_name(StateIndex i) const { return states_.at(i).name; }
-  double reward(StateIndex i) const { return states_.at(i).reward; }
+  const std::vector<StateInfo>& states() const noexcept {
+    return table().states();
+  }
+  /// The shared state table (null on a default-constructed chain).
+  const std::shared_ptr<const StateTable>& state_table() const noexcept {
+    return states_;
+  }
+  const std::string& state_name(StateIndex i) const {
+    return states().at(i).name;
+  }
+  double reward(StateIndex i) const { return states().at(i).reward; }
 
   /// Reward rates as a vector aligned with state indices.
   linalg::Vector reward_vector() const;
@@ -81,8 +122,8 @@ class Ctmc {
   /// Total outgoing rate of state i (== -Q(i,i)).
   double exit_rate(StateIndex i) const;
 
-  /// Number of (off-diagonal) transitions.
-  std::size_t transition_count() const noexcept { return transition_count_; }
+  /// Number of (off-diagonal) transitions, counted in Q on each call.
+  std::size_t transition_count() const noexcept;
 
   /// Uniformized DTMC P = I + Q/q with q >= max |Q(i,i)|; returns the pair
   /// (P, q). `rate_factor` > 1 pads q for strict substochasticity margins.
@@ -93,11 +134,10 @@ class Ctmc {
   void print(std::ostream& os) const;
 
  private:
-  friend class CtmcBuilder;
-  std::vector<StateInfo> states_;
-  NameIndex names_;
+  const StateTable& table() const noexcept;
+
+  std::shared_ptr<const StateTable> states_;
   linalg::CsrMatrix q_;
-  std::size_t transition_count_ = 0;
 };
 
 std::ostream& operator<<(std::ostream& os, const Ctmc& chain);

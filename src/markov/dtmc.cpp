@@ -110,8 +110,9 @@ double Dtmc::expected_steps_to_absorption(std::size_t start) const {
   if (absorbing[start]) return 0.0;
   // One step per stay: tau_i = 1 + sum_j P_ij tau_j over transient states.
   const TransientSplit split = split_transient(p_, absorbing);
-  const linalg::Vector tau = gth_absorption_times(
-      split.weights, split.exits, linalg::Vector(split.states.size(), 1.0));
+  const linalg::Vector tau = checked_absorption_times(
+      "Dtmc::expected_steps_to_absorption", split,
+      linalg::Vector(split.states.size(), 1.0), {}, nullptr);
   return tau[static_cast<std::size_t>(split.position[start])];
 }
 

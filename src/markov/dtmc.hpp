@@ -65,8 +65,10 @@ class Dtmc {
   /// True if state i is absorbing (all its probability mass self-loops).
   bool is_absorbing(std::size_t i) const;
 
-  /// Expected number of steps to reach any absorbing state from `start`.
-  /// Throws std::invalid_argument if the chain has no absorbing states.
+  /// Expected number of steps to reach any absorbing state from `start`,
+  /// in one checked solve (checked_absorption_times, one step per visit).
+  /// Throws std::invalid_argument if the chain has no absorbing states and
+  /// robust::SolveError if the solve or its check fails.
   double expected_steps_to_absorption(std::size_t start) const;
 
  private:

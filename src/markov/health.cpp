@@ -110,9 +110,10 @@ HealthReport check_stationary(const Ctmc& chain, linalg::Vector& pi) {
 }
 
 HealthReport check_absorption_times(const linalg::CsrMatrix& a,
-                                    const linalg::Vector& tau) {
+                                    const linalg::Vector& tau,
+                                    const linalg::Vector& costs) {
   HealthReport report;
-  if (tau.size() != a.rows()) {
+  if (tau.size() != a.rows() || costs.size() != a.rows()) {
     report.ok = false;
     report.failure = SolveCause::kInvalidInput;
     report.detail = "absorption time vector size mismatch";
@@ -134,8 +135,8 @@ HealthReport check_absorption_times(const linalg::CsrMatrix& a,
   }
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const auto row = a.row(i);
-    double residual = -1.0;
-    double scale = 1.0;
+    double residual = -costs[i];
+    double scale = std::abs(costs[i]);
     for (std::size_t k = 0; k < row.size; ++k) {
       const double term = row.values[k] * tau[row.cols[k]];
       residual += term;

@@ -1,15 +1,17 @@
 // The checked solve: one banded GTH elimination, then a health check.
 //
-// Every stationary and MTTF measure of the analysis stack
-// (solve_steady_state, Dtmc::stationary, SemiMarkovProcess::steady_state
-// and mttf) runs as one episode of checked_solve: the GTH elimination under
-// the caller's stop token, then the checks below (NaN/Inf scan,
-// negative-mass clamping, a residual re-check computed independently of
-// the solver). Any failure is a typed robust::SolveError, and the episode
-// lands in a SolveTrace that callers and reports can inspect. Stationary
-// vectors are judged by ||pi Q||; mean times to absorption by their
-// componentwise backward error, which stays meaningful however large the
-// times get.
+// Every stationary and absorption measure of the analysis stack
+// (solve_steady_state, Dtmc::stationary, SemiMarkovProcess::steady_state,
+// and, through checked_absorption_times in absorbing.hpp, mttf,
+// Dtmc::expected_steps_to_absorption and
+// SemiMarkovProcess::mean_time_to_absorption) runs as one episode of
+// checked_solve: the GTH elimination under the caller's stop token, then
+// the checks below (NaN/Inf scan, negative-mass clamping, a residual
+// re-check computed independently of the solver). Any failure is a typed
+// robust::SolveError, and the episode lands in a SolveTrace that callers
+// and reports can inspect. Stationary vectors are judged by ||pi Q||;
+// times to absorption by their componentwise backward error, which stays
+// meaningful however large the times get.
 //
 // The contract is irreducibility, which every generated availability chain
 // meets: a chain that is not irreducible (absorbing state, transient
@@ -72,15 +74,18 @@ HealthReport check_distribution(linalg::Vector& pi);
 /// to make that meaningful.
 HealthReport check_stationary(const Ctmc& chain, linalg::Vector& pi);
 
-/// Verifies candidate mean times to absorption `tau` against the
-/// fundamental system a tau = 1, where a = -Q_TT is the generator
-/// restricted to the transient states: NaN/Inf and negative-value scans,
-/// then the componentwise backward error
-///   max_i |a tau - 1|_i / (|a| |tau| + 1)_i <= kResidualBound.
+/// Verifies candidate times to absorption `tau` against the fundamental
+/// system a tau = c, where a = diag(out) - W is the transient part of the
+/// chain (a = -Q_TT for a CTMC, I - P_TT for a DTMC) and c the caller's
+/// costs per visit (1 for mean times and steps, the mean sojourns for a
+/// semi-Markov process): NaN/Inf and negative-value scans, then the
+/// componentwise backward error
+///   max_i |a tau - c|_i / (|a| |tau| + |c|)_i <= kResidualBound.
 /// Round-off in a tau grows with |a| |tau|, so an absolute bound on
-/// ||a tau - 1|| would reject exact answers once tau reaches ~1e9.
+/// ||a tau - c|| would reject exact answers once tau reaches ~1e9.
 HealthReport check_absorption_times(const linalg::CsrMatrix& a,
-                                    const linalg::Vector& tau);
+                                    const linalg::Vector& tau,
+                                    const linalg::Vector& costs);
 
 /// Where a solution came from, now that block solves can be memoized or
 /// reused from a baseline model. A non-fresh trace still carries the

@@ -17,10 +17,6 @@ using robust::SolveError;
 
 namespace {
 
-/// States the GTH ordering and elimination handle between two
-/// cancellation checkpoints.
-constexpr std::size_t kCancelCheckInterval = 64;
-
 /// Cooperative checkpoint of the ordering and elimination loops, every
 /// kCancelCheckInterval states. Throw-only: uncancelled runs stay bitwise
 /// identical.

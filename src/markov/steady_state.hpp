@@ -21,6 +21,11 @@
 
 namespace rascad::markov {
 
+/// States a loop handles between two polls of its stop token: the GTH
+/// ordering and elimination, and the state pass of mg::generate. Each
+/// loop also polls at its first state.
+inline constexpr std::size_t kCancelCheckInterval = 64;
+
 struct SteadyStateResult {
   linalg::Vector pi;
   double residual = 0.0;  // infinity norm of pi Q, from the health check

@@ -1,13 +1,20 @@
 #include "mg/generator.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "markov/steady_state.hpp"
 
 namespace rascad::mg {
 
-using markov::CtmcBuilder;
 using markov::StateIndex;
 using spec::BlockSpec;
 using spec::GlobalParams;
@@ -19,8 +26,208 @@ namespace {
 constexpr double kUp = 1.0;
 constexpr double kDown = 0.0;
 
-std::string level_name(const char* prefix, unsigned level) {
-  return std::string(prefix) + std::to_string(level);
+/// The state families of the generated chains, in kFamilyNames order. A
+/// state is named by its family, followed by its level for the families
+/// that repeat per degradation level.
+enum class Family : std::uint32_t {
+  kOk, kPF, kLatent, kAR, kSPF, kTF, kSE, kReint, kLogisticWait, kRepair,
+  kServiceError, kDegraded, kStandbyDown, kBothDown, kFailover,
+  kFailoverStuck, kTFExposed, kFailback, kTFDegraded,
+};
+
+constexpr const char* kFamilyNames[] = {
+    "Ok",           "PF",       "Latent",      "AR",
+    "SPF",          "TF",       "SE",          "Reint",
+    "LogisticWait", "Repair",   "ServiceError", "Degraded",
+    "StandbyDown",  "BothDown", "Failover",    "FailoverStuck",
+    "TFExposed",    "Failback", "TFDegraded",
+};
+
+/// The level of a state named by its family alone.
+constexpr std::uint32_t kNoLevel = std::numeric_limits<std::uint32_t>::max();
+
+/// One generate's control flow, recorded: each state as a tag (family and
+/// level) and a reward, each arc as its ends and rate, in insertion order.
+/// Tags, rewards and ends are the chain's structure; the rates are the
+/// values of one point. Each thread reuses one tape.
+struct Tape {
+  std::vector<std::uint64_t> tags;     // family << 32 | level
+  std::vector<std::uint64_t> rewards;  // bit patterns
+  std::vector<std::uint64_t> ends;     // from << 32 | to
+  std::vector<double> rates;
+  robust::CancelToken cancel;
+
+  void start(const robust::CancelToken& token) {
+    tags.clear();
+    rewards.clear();
+    ends.clear();
+    rates.clear();
+    cancel = token;
+  }
+
+  /// Adds a state; returns its index. Polls the stop token at the first
+  /// state and every markov::kCancelCheckInterval states after it. The
+  /// poll only throws, so an uncancelled run records the same tape.
+  StateIndex add_state(Family family, double reward,
+                       std::uint32_t level = kNoLevel) {
+    const std::size_t n = tags.size();
+    if (n % markov::kCancelCheckInterval == 0) {
+      robust::throw_if_stopped(cancel, "mg::generate", n);
+    }
+    if (n >= kNoLevel) {
+      throw std::length_error("generate: state index exceeds 32 bits");
+    }
+    tags.push_back(std::uint64_t{static_cast<std::uint32_t>(family)} << 32 |
+                   level);
+    rewards.push_back(std::bit_cast<std::uint64_t>(reward));
+    return n;
+  }
+
+  /// Adds an arc, with CtmcBuilder::add_transition's checks.
+  void add_transition(StateIndex from, StateIndex to, double rate) {
+    if (from >= tags.size() || to >= tags.size()) {
+      throw std::out_of_range("generate: transition endpoint out of range");
+    }
+    if (from == to) {
+      throw std::invalid_argument("generate: self-loops are not allowed");
+    }
+    if (!(rate > 0.0)) {
+      throw std::invalid_argument("generate: rate must be positive");
+    }
+    ends.push_back(std::uint64_t{from} << 32 | to);
+    rates.push_back(rate);
+  }
+};
+
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+/// Everything a tape's pattern determines, recorded once: the state table
+/// (names formatted here only), the sparsity pattern of Q, and the entry of
+/// Q each arc and each row's diagonal lands in. Immutable; every chain of
+/// the structure shares its state table.
+struct ChainStructure {
+  // The pattern it was recorded from, which is its memo key.
+  std::vector<std::uint64_t> tags;
+  std::vector<std::uint64_t> rewards;
+  std::vector<std::uint64_t> ends;
+
+  std::shared_ptr<const markov::StateTable> states;
+  linalg::CsrMatrix pattern;             // Q's pattern; its values unused
+  std::vector<std::uint32_t> arc_slot;   // arc k's entry of Q
+  std::vector<std::uint32_t> diag_slot;  // row i's diagonal, or kNoSlot
+};
+
+std::shared_ptr<const ChainStructure> record(const Tape& tape) {
+  auto s = std::make_shared<ChainStructure>();
+  s->tags = tape.tags;
+  s->rewards = tape.rewards;
+  s->ends = tape.ends;
+  const std::size_t n = tape.tags.size();
+
+  markov::StateTable table;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string name = kFamilyNames[tape.tags[i] >> 32];
+    const auto level = static_cast<std::uint32_t>(tape.tags[i]);
+    if (level != kNoLevel) name += std::to_string(level);
+    table.add(std::move(name), std::bit_cast<double>(tape.rewards[i]));
+  }
+  s->states = std::make_shared<const markov::StateTable>(std::move(table));
+
+  // Row buckets as CtmcBuilder::build forms them: a row's arc targets, then
+  // its diagonal if it has an arc. Sorted and deduplicated, they are the
+  // pattern of Q.
+  std::vector<std::uint32_t> bucket(n + 1, 0);
+  for (const std::uint64_t e : tape.ends) ++bucket[(e >> 32) + 1];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t arcs = bucket[i + 1];
+    bucket[i + 1] = bucket[i] + arcs + (arcs > 0 ? 1 : 0);
+  }
+  std::vector<std::uint32_t> next(bucket.begin(), bucket.end() - 1);
+  std::vector<std::uint32_t> cols(bucket[n]);
+  for (const std::uint64_t e : tape.ends) {
+    cols[next[e >> 32]++] = static_cast<std::uint32_t>(e);
+  }
+  std::vector<std::uint32_t> row_ptr(n + 1, 0);
+  std::vector<std::uint32_t> col_idx;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (next[i] != bucket[i + 1]) cols[next[i]] = static_cast<std::uint32_t>(i);
+    const auto first = cols.begin() + bucket[i];
+    const auto last = cols.begin() + bucket[i + 1];
+    std::sort(first, last);
+    col_idx.insert(col_idx.end(), first, std::unique(first, last));
+    row_ptr[i + 1] = static_cast<std::uint32_t>(col_idx.size());
+  }
+
+  const auto slot = [&](std::size_t row, std::uint32_t col) {
+    const auto first = col_idx.begin() + row_ptr[row];
+    const auto last = col_idx.begin() + row_ptr[row + 1];
+    return static_cast<std::uint32_t>(std::lower_bound(first, last, col) -
+                                      col_idx.begin());
+  };
+  s->arc_slot.reserve(tape.ends.size());
+  for (const std::uint64_t e : tape.ends) {
+    s->arc_slot.push_back(slot(e >> 32, static_cast<std::uint32_t>(e)));
+  }
+  s->diag_slot.assign(n, kNoSlot);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bucket[i + 1] != bucket[i]) {
+      s->diag_slot[i] = slot(i, static_cast<std::uint32_t>(i));
+    }
+  }
+  const std::size_t nnz = col_idx.size();
+  s->pattern = linalg::CsrMatrix::from_rows(n, std::move(row_ptr),
+                                            std::move(col_idx),
+                                            std::vector<double>(nnz, 1.0));
+  return s;
+}
+
+/// Structures a thread remembers. Chains repeat a handful of structures
+/// (the block families of a system, the one block of a sweep), and a
+/// structure of the 333-state sweep block holds about 55 KB.
+constexpr std::size_t kMemoSlots = 8;
+
+/// The structure of the tape's chain, recorded on the first sight of its
+/// pattern and remembered per thread. An entry is found by comparing its
+/// whole pattern with the tape's, element by element (no hash), so a chain
+/// is only ever filled into the structure recorded from its own pattern.
+const ChainStructure& structure_of(const Tape& tape) {
+  struct Memo {
+    std::array<std::shared_ptr<const ChainStructure>, kMemoSlots> slots;
+    std::size_t next = 0;  // the slot the next miss refills
+  };
+  thread_local Memo memo;
+  for (const auto& entry : memo.slots) {
+    if (entry && entry->tags == tape.tags && entry->rewards == tape.rewards &&
+        entry->ends == tape.ends) {
+      return *entry;
+    }
+  }
+  std::shared_ptr<const ChainStructure>& entry = memo.slots[memo.next];
+  memo.next = (memo.next + 1) % kMemoSlots;
+  // Invalidate first: a throw while recording must leave the slot empty,
+  // not holding the structure of another pattern.
+  entry.reset();
+  entry = record(tape);
+  return *entry;
+}
+
+/// The chain of the tape: its rates scattered into the structure's
+/// pattern in arc order, so repeated arcs sum in insertion order, and
+/// each diagonal the negated sum of its row's rates in arc order. These
+/// are CtmcBuilder::build's sums in its order, and none is zero (every
+/// rate is positive), so Q has the bits from_rows would give it.
+markov::Ctmc fill(const ChainStructure& s, const Tape& tape) {
+  const std::size_t n = s.diag_slot.size();
+  std::vector<double> values(s.pattern.nnz(), 0.0);
+  std::vector<double> exit(n, 0.0);
+  for (std::size_t k = 0; k < tape.rates.size(); ++k) {
+    values[s.arc_slot[k]] += tape.rates[k];
+    exit[tape.ends[k] >> 32] += tape.rates[k];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (s.diag_slot[i] != kNoSlot) values[s.diag_slot[i]] = -exit[i];
+  }
+  return markov::Ctmc(s.states, s.pattern.with_values(std::move(values)));
 }
 
 /// Generator for one symmetric redundant block (Types 1-4). The chain
@@ -29,9 +236,10 @@ std::string level_name(const char* prefix, unsigned level) {
 /// settings produce the smallest equivalent chain.
 class RedundantChainBuilder {
  public:
-  RedundantChainBuilder(const BlockSpec& block, const DerivedRates& d,
-                        RewardKind reward)
-      : block_(block),
+  RedundantChainBuilder(Tape& tape, const BlockSpec& block,
+                        const DerivedRates& d, RewardKind reward)
+      : tape_(tape),
+        block_(block),
         d_(d),
         reward_(reward),
         levels_(block.quantity - block.min_quantity),
@@ -43,17 +251,13 @@ class RedundantChainBuilder {
         has_spf_(block.p_spf > 0.0),
         imperfect_(has_perm_ && block.p_correct_diagnosis < 1.0) {}
 
-  GeneratedModel build() {
+  /// Records the chain; returns its initial (fully-up) state.
+  StateIndex record() {
     create_states();
     add_failure_transitions();
     add_recovery_transitions();
     add_repair_transitions();
-    GeneratedModel model;
-    model.chain = builder_.build();
-    model.type = classify(block_);
-    model.initial = pf_[0];
-    model.block_name = block_.name;
-    return model;
+    return pf_[0];
   }
 
  private:
@@ -68,52 +272,52 @@ class RedundantChainBuilder {
   void create_states() {
     const unsigned m = levels_;
     pf_.resize(m + 1);
-    pf_[0] = builder_.add_state("Ok", kUp);
+    pf_[0] = tape_.add_state(Family::kOk, kUp);
     for (unsigned i = 1; i <= m; ++i) {
-      pf_[i] = builder_.add_state(level_name("PF", i), level_reward(i));
+      pf_[i] = tape_.add_state(Family::kPF, level_reward(i), i);
     }
     if (has_perm_) {
-      pf_down_ = builder_.add_state(level_name("PF", m + 1), kDown);
+      pf_down_ = tape_.add_state(Family::kPF, kDown, m + 1);
     }
     if (has_latent_) {
       latent_.assign(m + 1, 0);
       for (unsigned i = 1; i <= m; ++i) {
         latent_[i] =
-            builder_.add_state(level_name("Latent", i), level_reward(i));
+            tape_.add_state(Family::kLatent, level_reward(i), i);
       }
     }
     if (has_perm_ && !transparent_recovery_) {
       ar_.assign(m + 1, 0);
       for (unsigned i = 1; i <= m; ++i) {
-        ar_[i] = builder_.add_state(level_name("AR", i), kDown);
+        ar_[i] = tape_.add_state(Family::kAR, kDown, i);
       }
     }
     if (has_spf_) {
       spf_.assign(m + 1, 0);
       for (unsigned i = 1; i <= m; ++i) {
-        spf_[i] = builder_.add_state(level_name("SPF", i), kDown);
+        spf_[i] = tape_.add_state(Family::kSPF, kDown, i);
       }
     }
     if (has_trans_ && !transparent_recovery_) {
       tf_.assign(m + 1, 0);
       for (unsigned i = 1; i <= m; ++i) {
-        tf_[i] = builder_.add_state(level_name("TF", i), kDown);
+        tf_[i] = tape_.add_state(Family::kTF, kDown, i);
       }
     }
     if (has_trans_) {
-      tf_down_ = builder_.add_state(level_name("TF", m + 1), kDown);
+      tf_down_ = tape_.add_state(Family::kTF, kDown, m + 1);
     }
     if (imperfect_) {
       se_.assign(m + 1, 0);
       for (unsigned i = 1; i <= m; ++i) {
-        se_[i] = builder_.add_state(level_name("SE", i), kDown);
+        se_[i] = tape_.add_state(Family::kSE, kDown, i);
       }
-      se_down_ = builder_.add_state(level_name("SE", m + 1), kDown);
+      se_down_ = tape_.add_state(Family::kSE, kDown, m + 1);
     }
     if (has_perm_ && !transparent_repair_) {
       reint_.assign(m + 1, 0);
       for (unsigned i = 1; i <= m; ++i) {
-        reint_[i] = builder_.add_state(level_name("Reint", i), kDown);
+        reint_[i] = tape_.add_state(Family::kReint, kDown, i);
       }
     }
   }
@@ -125,13 +329,13 @@ class RedundantChainBuilder {
     if (transparent_recovery_) {
       const double p_spf = has_spf_ ? block_.p_spf : 0.0;
       if (rate * (1.0 - p_spf) > 0.0) {
-        builder_.add_transition(from, pf_[i + 1], rate * (1.0 - p_spf));
+        tape_.add_transition(from, pf_[i + 1], rate * (1.0 - p_spf));
       }
       if (has_spf_ && rate * p_spf > 0.0) {
-        builder_.add_transition(from, spf_[i + 1], rate * p_spf);
+        tape_.add_transition(from, spf_[i + 1], rate * p_spf);
       }
     } else {
-      builder_.add_transition(from, ar_[i + 1], rate);
+      tape_.add_transition(from, ar_[i + 1], rate);
     }
   }
 
@@ -150,11 +354,11 @@ class RedundantChainBuilder {
         if (i == m) {
           // No redundancy left: the block goes down regardless of
           // detection (paper: PF1 -> PF2 in Figure 4).
-          builder_.add_transition(pf_[i], pf_down_, perm_rate);
+          tape_.add_transition(pf_[i], pf_down_, perm_rate);
         } else {
           route_detected_fault(pf_[i], i, perm_rate * (1.0 - plf));
           if (has_latent_) {
-            builder_.add_transition(pf_[i], latent_[i + 1], perm_rate * plf);
+            tape_.add_transition(pf_[i], latent_[i + 1], perm_rate * plf);
           }
         }
       }
@@ -162,13 +366,13 @@ class RedundantChainBuilder {
       // Transient faults from level i.
       if (has_trans_) {
         if (i == m) {
-          builder_.add_transition(pf_[i], tf_down_, trans_rate);
+          tape_.add_transition(pf_[i], tf_down_, trans_rate);
         } else if (!transparent_recovery_) {
-          builder_.add_transition(pf_[i], tf_[i + 1], trans_rate);
+          tape_.add_transition(pf_[i], tf_[i + 1], trans_rate);
         } else if (has_spf_) {
           // Transparent recovery masks the transient except for the
           // data-corruption branch that costs a redundancy level.
-          builder_.add_transition(pf_[i], spf_[i + 1],
+          tape_.add_transition(pf_[i], spf_[i + 1],
                                   trans_rate * block_.p_spf);
         }
       }
@@ -182,19 +386,19 @@ class RedundantChainBuilder {
         const double trans_rate = good * d_.lambda_t;
         if (i == m) {
           // Paper: Latent1 -> PF2 / TF2 for N=2, K=1.
-          builder_.add_transition(latent_[i], pf_down_, perm_rate);
+          tape_.add_transition(latent_[i], pf_down_, perm_rate);
           if (has_trans_) {
-            builder_.add_transition(latent_[i], tf_down_, trans_rate);
+            tape_.add_transition(latent_[i], tf_down_, trans_rate);
           }
         } else {
           route_detected_fault(latent_[i], i, perm_rate * (1.0 - plf));
-          builder_.add_transition(latent_[i], latent_[i + 1],
+          tape_.add_transition(latent_[i], latent_[i + 1],
                                   perm_rate * plf);
           if (has_trans_) {
             if (!transparent_recovery_) {
-              builder_.add_transition(latent_[i], tf_[i + 1], trans_rate);
+              tape_.add_transition(latent_[i], tf_[i + 1], trans_rate);
             } else if (has_spf_) {
-              builder_.add_transition(latent_[i], spf_[i + 1],
+              tape_.add_transition(latent_[i], spf_[i + 1],
                                       trans_rate * block_.p_spf);
             }
           }
@@ -213,10 +417,10 @@ class RedundantChainBuilder {
       const double ar_rate = 1.0 / d_.ar_time_h;
       for (unsigned i = 1; i <= m; ++i) {
         if (ar_rate * (1.0 - p_spf) > 0.0) {
-          builder_.add_transition(ar_[i], pf_[i], ar_rate * (1.0 - p_spf));
+          tape_.add_transition(ar_[i], pf_[i], ar_rate * (1.0 - p_spf));
         }
         if (has_spf_) {
-          builder_.add_transition(ar_[i], spf_[i], ar_rate * p_spf);
+          tape_.add_transition(ar_[i], spf_[i], ar_rate * p_spf);
         }
       }
     }
@@ -226,14 +430,14 @@ class RedundantChainBuilder {
       const double detect = 1.0 / d_.mttdlf_h;
       for (unsigned i = 1; i <= m; ++i) {
         if (!transparent_recovery_) {
-          builder_.add_transition(latent_[i], ar_[i], detect);
+          tape_.add_transition(latent_[i], ar_[i], detect);
         } else {
           if (detect * (1.0 - p_spf) > 0.0) {
-            builder_.add_transition(latent_[i], pf_[i],
+            tape_.add_transition(latent_[i], pf_[i],
                                     detect * (1.0 - p_spf));
           }
           if (has_spf_) {
-            builder_.add_transition(latent_[i], spf_[i], detect * p_spf);
+            tape_.add_transition(latent_[i], spf_[i], detect * p_spf);
           }
         }
       }
@@ -243,7 +447,7 @@ class RedundantChainBuilder {
     if (has_spf_) {
       const double out = 1.0 / d_.t_spf_h;
       for (unsigned i = 1; i <= m; ++i) {
-        builder_.add_transition(spf_[i], pf_[i], out);
+        tape_.add_transition(spf_[i], pf_[i], out);
       }
     }
 
@@ -254,22 +458,22 @@ class RedundantChainBuilder {
       if (!transparent_recovery_) {
         for (unsigned i = 1; i <= m; ++i) {
           if (boot * (1.0 - p_spf) > 0.0) {
-            builder_.add_transition(tf_[i], pf_[i - 1],
+            tape_.add_transition(tf_[i], pf_[i - 1],
                                     boot * (1.0 - p_spf));
           }
           if (has_spf_) {
-            builder_.add_transition(tf_[i], spf_[i], boot * p_spf);
+            tape_.add_transition(tf_[i], spf_[i], boot * p_spf);
           }
         }
       }
       // Bottom transient state exists in every type.
       if (boot * (1.0 - p_spf) > 0.0) {
-        builder_.add_transition(tf_down_, pf_[m], boot * (1.0 - p_spf));
+        tape_.add_transition(tf_down_, pf_[m], boot * (1.0 - p_spf));
       }
       if (has_spf_ && m >= 1) {
-        builder_.add_transition(tf_down_, spf_[m], boot * p_spf);
+        tape_.add_transition(tf_down_, spf_[m], boot * p_spf);
       } else if (has_spf_) {
-        builder_.add_transition(tf_down_, pf_[m], boot * p_spf);
+        tape_.add_transition(tf_down_, pf_[m], boot * p_spf);
       }
     }
   }
@@ -287,20 +491,20 @@ class RedundantChainBuilder {
       const StateIndex success_target =
           transparent_repair_ ? pf_[i - 1] : reint_[i];
       if (deferred * pcd > 0.0) {
-        builder_.add_transition(pf_[i], success_target, deferred * pcd);
+        tape_.add_transition(pf_[i], success_target, deferred * pcd);
       }
       if (imperfect_) {
-        builder_.add_transition(pf_[i], se_[i], deferred * (1.0 - pcd));
+        tape_.add_transition(pf_[i], se_[i], deferred * (1.0 - pcd));
       }
       // Repair of the older, already-detected faults while the newest
       // fault is still latent (only meaningful at depth >= 2).
       if (has_latent_ && i >= 2) {
         if (deferred * pcd > 0.0) {
-          builder_.add_transition(latent_[i], latent_[i - 1],
+          tape_.add_transition(latent_[i], latent_[i - 1],
                                   deferred * pcd);
         }
         if (imperfect_) {
-          builder_.add_transition(latent_[i], se_[i], deferred * (1.0 - pcd));
+          tape_.add_transition(latent_[i], se_[i], deferred * (1.0 - pcd));
         }
       }
     }
@@ -309,7 +513,7 @@ class RedundantChainBuilder {
     if (!transparent_repair_) {
       const double out = 1.0 / d_.reint_h;
       for (unsigned i = 1; i <= m; ++i) {
-        builder_.add_transition(reint_[i], pf_[i - 1], out);
+        tape_.add_transition(reint_[i], pf_[i - 1], out);
       }
     }
 
@@ -318,21 +522,22 @@ class RedundantChainBuilder {
     if (imperfect_) {
       const double out = 1.0 / d_.mttrfid_h;
       for (unsigned i = 1; i <= m; ++i) {
-        builder_.add_transition(se_[i], pf_[i - 1], out);
+        tape_.add_transition(se_[i], pf_[i - 1], out);
       }
-      builder_.add_transition(se_down_, pf_[m], out);
+      tape_.add_transition(se_down_, pf_[m], out);
     }
 
     // Bottom level: immediate service call (paper: "In PF2, an immediate
     // service call is placed").
     if (immediate * pcd > 0.0) {
-      builder_.add_transition(pf_down_, pf_[m], immediate * pcd);
+      tape_.add_transition(pf_down_, pf_[m], immediate * pcd);
     }
     if (imperfect_) {
-      builder_.add_transition(pf_down_, se_down_, immediate * (1.0 - pcd));
+      tape_.add_transition(pf_down_, se_down_, immediate * (1.0 - pcd));
     }
   }
 
+  Tape& tape_;
   const BlockSpec& block_;
   const DerivedRates& d_;
   const RewardKind reward_;
@@ -345,7 +550,6 @@ class RedundantChainBuilder {
   const bool has_spf_;
   const bool imperfect_;
 
-  CtmcBuilder builder_;
   std::vector<StateIndex> pf_;      // pf_[0] == Ok
   std::vector<StateIndex> latent_;  // valid 1..M when has_latent_
   std::vector<StateIndex> ar_;      // valid 1..M, nontransparent recovery
@@ -361,21 +565,20 @@ class RedundantChainBuilder {
 /// Redundant block with only transient faults (no permanent-fault level
 /// structure): transparent recovery masks transients entirely except the
 /// SPF branch; nontransparent recovery costs a reboot per transient.
-GeneratedModel generate_transient_only_redundant(const BlockSpec& block,
-                                                 const DerivedRates& d) {
-  CtmcBuilder b;
-  const StateIndex ok = b.add_state("Ok", kUp);
+StateIndex record_transient_only_redundant(Tape& b, const BlockSpec& block,
+                                          const DerivedRates& d) {
+  const StateIndex ok = b.add_state(Family::kOk, kUp);
   const double rate = static_cast<double>(block.quantity) * d.lambda_t;
   const bool has_spf = block.p_spf > 0.0;
   StateIndex spf = 0;
   if (has_spf) {
-    spf = b.add_state("SPF1", kDown);
+    spf = b.add_state(Family::kSPF, kDown, 1);
     b.add_transition(spf, ok, 1.0 / d.t_spf_h);
   }
   if (block.recovery == Transparency::kTransparent) {
     if (has_spf) b.add_transition(ok, spf, rate * block.p_spf);
   } else {
-    const StateIndex tf = b.add_state("TF1", kDown);
+    const StateIndex tf = b.add_state(Family::kTF, kDown, 1);
     b.add_transition(ok, tf, rate);
     const double boot = 1.0 / d.t_boot_h;
     const double p_spf = has_spf ? block.p_spf : 0.0;
@@ -384,39 +587,34 @@ GeneratedModel generate_transient_only_redundant(const BlockSpec& block,
     }
     if (has_spf) b.add_transition(tf, spf, boot * p_spf);
   }
-  GeneratedModel model;
-  model.chain = b.build();
-  model.type = classify(block);
-  model.initial = ok;
-  model.block_name = block.name;
-  return model;
+  return ok;
 }
 
 /// Markov Model Type 0: no redundancy (paper Figure 3). A permanent fault
 /// downs the block and walks the logistic -> repair -> (service error)
 /// pipeline; a transient fault costs a reboot.
-GeneratedModel generate_type0(const BlockSpec& block, const DerivedRates& d) {
-  CtmcBuilder b;
-  const StateIndex ok = b.add_state("Ok", kUp);
+StateIndex record_type0(Tape& b, const BlockSpec& block,
+                        const DerivedRates& d) {
+  const StateIndex ok = b.add_state(Family::kOk, kUp);
   const double n = static_cast<double>(block.quantity);
   const bool imperfect = block.p_correct_diagnosis < 1.0;
 
   if (d.lambda_p > 0.0) {
     const double pcd = block.p_correct_diagnosis;
     StateIndex se = 0;
-    if (imperfect) se = b.add_state("ServiceError", kDown);
+    if (imperfect) se = b.add_state(Family::kServiceError, kDown);
 
     // Stage the downtime through the positive-duration phases only.
     StateIndex stage = ok;
     double entry_rate = n * d.lambda_p;
     if (d.t_resp_h > 0.0) {
-      const StateIndex wait = b.add_state("LogisticWait", kDown);
+      const StateIndex wait = b.add_state(Family::kLogisticWait, kDown);
       b.add_transition(stage, wait, entry_rate);
       stage = wait;
       entry_rate = 1.0 / d.t_resp_h;
     }
     if (d.mttr_h > 0.0) {
-      const StateIndex repair = b.add_state("Repair", kDown);
+      const StateIndex repair = b.add_state(Family::kRepair, kDown);
       b.add_transition(stage, repair, entry_rate);
       stage = repair;
       entry_rate = 1.0 / d.mttr_h;
@@ -431,24 +629,17 @@ GeneratedModel generate_type0(const BlockSpec& block, const DerivedRates& d) {
     }
   }
   if (d.lambda_t > 0.0) {
-    const StateIndex tf = b.add_state("TF", kDown);
+    const StateIndex tf = b.add_state(Family::kTF, kDown);
     b.add_transition(ok, tf, n * d.lambda_t);
     b.add_transition(tf, ok, 1.0 / d.t_boot_h);
   }
-
-  GeneratedModel model;
-  model.chain = b.build();
-  model.type = MarkovModelType::kType0;
-  model.initial = ok;
-  model.block_name = block.name;
-  return model;
+  return ok;
 }
 
 /// Primary/standby cluster (extension; the paper lists this architecture
 /// as work in progress). Asymmetric two-node failover chain.
-GeneratedModel generate_primary_standby(const BlockSpec& block,
-                                        const DerivedRates& d) {
-  CtmcBuilder b;
+StateIndex record_primary_standby(Tape& b, const BlockSpec& block,
+                                  const DerivedRates& d) {
   const double fault_rate = d.lambda_p + d.lambda_t;
   if (!(fault_rate > 0.0)) {
     throw std::invalid_argument(
@@ -459,24 +650,24 @@ GeneratedModel generate_primary_standby(const BlockSpec& block,
   const bool imperfect = has_perm && pcd < 1.0;
   const bool transparent_repair = block.repair == Transparency::kTransparent;
 
-  const StateIndex ok = b.add_state("Ok", kUp);
-  const StateIndex degraded = b.add_state("Degraded", kUp);
+  const StateIndex ok = b.add_state(Family::kOk, kUp);
+  const StateIndex degraded = b.add_state(Family::kDegraded, kUp);
   StateIndex standby_down = 0;
   StateIndex both_down = 0;
   if (has_perm) {
-    standby_down = b.add_state("StandbyDown", kUp);
-    both_down = b.add_state("BothDown", kDown);
+    standby_down = b.add_state(Family::kStandbyDown, kUp);
+    both_down = b.add_state(Family::kBothDown, kDown);
   }
 
   // Primary failure triggers failover.
   if (d.failover_h > 0.0) {
-    const StateIndex failover = b.add_state("Failover", kDown);
+    const StateIndex failover = b.add_state(Family::kFailover, kDown);
     b.add_transition(ok, failover, fault_rate);
     const double out = 1.0 / d.failover_h;
     const double p_fo = block.p_failover;
     if (out * p_fo > 0.0) b.add_transition(failover, degraded, out * p_fo);
     if (p_fo < 1.0) {
-      const StateIndex stuck = b.add_state("FailoverStuck", kDown);
+      const StateIndex stuck = b.add_state(Family::kFailoverStuck, kDown);
       b.add_transition(failover, stuck, out * (1.0 - p_fo));
       const double dwell =
           d.t_spf_h > 0.0 ? d.t_spf_h : std::max(d.t_boot_h, 1.0 / 60.0);
@@ -490,7 +681,7 @@ GeneratedModel generate_primary_standby(const BlockSpec& block,
   // deferred fix. (Standby transients self-clear on the standby's own
   // reboot with no service impact, so they do not appear here.)
   StateIndex se = 0;
-  if (imperfect) se = b.add_state("ServiceError", kDown);
+  if (imperfect) se = b.add_state(Family::kServiceError, kDown);
 
   if (has_perm) {
     const double deferred = 1.0 / d.deferred_repair_h();
@@ -508,7 +699,7 @@ GeneratedModel generate_primary_standby(const BlockSpec& block,
 
     // Primary transient while the standby is down costs a reboot.
     if (d.lambda_t > 0.0 && d.t_boot_h > 0.0) {
-      const StateIndex tf_exposed = b.add_state("TFExposed", kDown);
+      const StateIndex tf_exposed = b.add_state(Family::kTFExposed, kDown);
       b.add_transition(standby_down, tf_exposed, d.lambda_t);
       b.add_transition(tf_exposed, standby_down, 1.0 / d.t_boot_h);
     }
@@ -516,7 +707,7 @@ GeneratedModel generate_primary_standby(const BlockSpec& block,
     // Repair of the failed primary while running on the standby.
     StateIndex repair_target = ok;
     if (!transparent_repair && d.reint_h > 0.0) {
-      const StateIndex failback = b.add_state("Failback", kDown);
+      const StateIndex failback = b.add_state(Family::kFailback, kDown);
       b.add_transition(failback, ok, 1.0 / d.reint_h);
       repair_target = failback;
     }
@@ -537,17 +728,39 @@ GeneratedModel generate_primary_standby(const BlockSpec& block,
 
   // Transient on the lone active node costs a reboot.
   if (has_perm && d.lambda_t > 0.0 && d.t_boot_h > 0.0) {
-    const StateIndex tf = b.add_state("TFDegraded", kDown);
+    const StateIndex tf = b.add_state(Family::kTFDegraded, kDown);
     b.add_transition(degraded, tf, d.lambda_t);
     b.add_transition(tf, degraded, 1.0 / d.t_boot_h);
   }
+  return ok;
+}
 
-  GeneratedModel model;
-  model.chain = b.build();
-  model.type = MarkovModelType::kPrimaryStandby;
-  model.initial = ok;
-  model.block_name = block.name;
-  return model;
+/// Records a redundant symmetric chain (Types 1-4), after the parameter
+/// preconditions validation does not cover.
+StateIndex record_redundant(Tape& tape, const BlockSpec& block,
+                            const DerivedRates& d, RewardKind reward) {
+  if (block.recovery == Transparency::kNontransparent && d.lambda_p > 0.0 &&
+      d.ar_time_h <= 0.0) {
+    throw std::invalid_argument(
+        "generate: nontransparent recovery requires positive ar_time");
+  }
+  if (block.repair == Transparency::kNontransparent && d.lambda_p > 0.0 &&
+      d.reint_h <= 0.0) {
+    throw std::invalid_argument(
+        "generate: nontransparent repair requires positive "
+        "reintegration_time");
+  }
+  if (block.p_latent_fault > 0.0 && d.lambda_p > 0.0 && d.mttdlf_h <= 0.0) {
+    throw std::invalid_argument(
+        "generate: latent faults require positive mttdlf");
+  }
+  if (block.p_spf > 0.0 && d.t_spf_h <= 0.0) {
+    throw std::invalid_argument("generate: p_spf > 0 requires positive t_spf");
+  }
+  if (d.lambda_p <= 0.0) {
+    return record_transient_only_redundant(tape, block, d);
+  }
+  return RedundantChainBuilder(tape, block, d, reward).record();
 }
 
 }  // namespace
@@ -602,13 +815,9 @@ DerivedRates derive_rates(const spec::BlockSpec& block,
 }
 
 GeneratedModel generate(const spec::BlockSpec& block,
-                        const spec::GlobalParams& globals) {
-  return generate(block, globals, GenerationOptions{});
-}
-
-GeneratedModel generate(const spec::BlockSpec& block,
                         const spec::GlobalParams& globals,
-                        const GenerationOptions& options) {
+                        const GenerationOptions& options,
+                        const robust::CancelToken& cancel) {
   if (!block.has_own_failures()) {
     throw std::invalid_argument("generate: block '" + block.name +
                                 "' has no failure parameters");
@@ -627,37 +836,24 @@ GeneratedModel generate(const spec::BlockSpec& block,
     throw std::invalid_argument(
         "generate: permanent faults require MTTR and/or service response");
   }
-  switch (classify(block)) {
+  GeneratedModel model;
+  model.type = classify(block);
+  model.block_name = block.name;
+  thread_local Tape tape;
+  tape.start(cancel);
+  switch (model.type) {
     case MarkovModelType::kType0:
-      return generate_type0(block, d);
+      model.initial = record_type0(tape, block, d);
+      break;
     case MarkovModelType::kPrimaryStandby:
-      return generate_primary_standby(block, d);
+      model.initial = record_primary_standby(tape, block, d);
+      break;
     default:
+      model.initial = record_redundant(tape, block, d, options.reward);
       break;
   }
-  // Redundant symmetric chain; parameter preconditions beyond validation.
-  if (block.recovery == Transparency::kNontransparent && d.lambda_p > 0.0 &&
-      d.ar_time_h <= 0.0) {
-    throw std::invalid_argument(
-        "generate: nontransparent recovery requires positive ar_time");
-  }
-  if (block.repair == Transparency::kNontransparent && d.lambda_p > 0.0 &&
-      d.reint_h <= 0.0) {
-    throw std::invalid_argument(
-        "generate: nontransparent repair requires positive "
-        "reintegration_time");
-  }
-  if (block.p_latent_fault > 0.0 && d.lambda_p > 0.0 && d.mttdlf_h <= 0.0) {
-    throw std::invalid_argument(
-        "generate: latent faults require positive mttdlf");
-  }
-  if (block.p_spf > 0.0 && d.t_spf_h <= 0.0) {
-    throw std::invalid_argument("generate: p_spf > 0 requires positive t_spf");
-  }
-  if (d.lambda_p <= 0.0) {
-    return generate_transient_only_redundant(block, d);
-  }
-  return RedundantChainBuilder(block, d, options.reward).build();
+  model.chain = fill(structure_of(tape), tape);
+  return model;
 }
 
 cache::Signature chain_signature(const spec::BlockSpec& block,
@@ -676,13 +872,13 @@ cache::Signature chain_signature(const spec::BlockSpec& block,
   bool repair_nt = block.repair == Transparency::kNontransparent;
 
   // Mask every input the generator provably ignores for this chain family
-  // to a canonical value, mirroring the guards in the generate_* paths
+  // to a canonical value, mirroring the guards in the record_* paths
   // above. Masking an input the family *does* read would alias two
   // different chains, so each rule here corresponds to an explicit gate in
   // the generator. Keeping an unused input costs only a missed reuse.
   switch (type) {
     case MarkovModelType::kType0:
-      // generate_type0 has no redundancy structure at all.
+      // record_type0 has no redundancy structure at all.
       plf = 0.0;
       pspf = 0.0;
       pfo = 1.0;
@@ -732,7 +928,7 @@ cache::Signature chain_signature(const spec::BlockSpec& block,
       pfo = 1.0;
       d.failover_h = 0.0;
       if (!has_perm) {
-        // generate_transient_only_redundant: Ok / SPF / TF only.
+        // record_transient_only_redundant: Ok / SPF / TF only.
         pcd = 1.0;
         plf = 0.0;
         repair_nt = false;

@@ -21,6 +21,7 @@
 
 #include "cache/signature.hpp"
 #include "markov/ctmc.hpp"
+#include "robust/cancel.hpp"
 #include "spec/ast.hpp"
 
 namespace rascad::mg {
@@ -93,12 +94,19 @@ struct GenerationOptions {
 /// Generates the Markov chain for one block. The block must have its own
 /// failure behaviour (mtbf or transient_rate positive); blocks that only
 /// wrap a subdiagram are handled at the hierarchy level. Throws
-/// std::invalid_argument on specs the generator cannot express.
+/// std::invalid_argument on specs the generator cannot express, and
+/// robust::SolveError (kCancelled / kDeadlineExceeded) once `cancel` has
+/// stopped; it polls `cancel` every markov::kCancelCheckInterval states.
+///
+/// The structure of a chain (its states with their names and rewards, and
+/// the pattern of Q) is recorded once per thread and reused: a chain whose
+/// structure the thread has recently generated only has its rates filled
+/// in, and shares that structure's state table. Q has the same bits
+/// either way.
 GeneratedModel generate(const spec::BlockSpec& block,
                         const spec::GlobalParams& globals,
-                        const GenerationOptions& options);
-GeneratedModel generate(const spec::BlockSpec& block,
-                        const spec::GlobalParams& globals);
+                        const GenerationOptions& options = {},
+                        const robust::CancelToken& cancel = {});
 
 /// Canonical bit-exact signature of the chain `generate` would emit:
 /// model family, (N, K), the DerivedRates, and the branching

@@ -200,7 +200,7 @@ SystemModel::BlockEntry solve_block_cached(
   GeneratedModel generated = [&] {
     obs::Span gen_span("mg.generate");
     if (gen_span.active()) gen_span.set_detail(diagram + "/" + block.name);
-    return generate(block, globals);
+    return generate(block, globals, {}, cancel);
   }();
   const markov::SteadyStateResult steady =
       markov::solve_steady_state(generated.chain, cancel, &entry.solve_trace);

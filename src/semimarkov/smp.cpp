@@ -166,8 +166,8 @@ double SemiMarkovProcess::mean_time_to_absorption(std::size_t start) const {
   for (std::size_t k = 0; k < h.size(); ++k) {
     h[k] = states_[split.states[k]].sojourn->mean();
   }
-  const linalg::Vector t =
-      markov::gth_absorption_times(split.weights, split.exits, h);
+  const linalg::Vector t = markov::checked_absorption_times(
+      "SemiMarkovProcess::mean_time_to_absorption", split, h, {}, nullptr);
   return t[static_cast<std::size_t>(split.position[start])];
 }
 

@@ -105,8 +105,11 @@ class SemiMarkovProcess {
   double steady_state_reward() const;
 
   /// Mean time to reach any absorbing state from `start` (Markov-renewal
-  /// first passage: t_i = h_i + sum_j P_ij t_j over transient states).
-  /// Throws std::invalid_argument if the process has no absorbing state.
+  /// first passage: t_i = h_i + sum_j P_ij t_j over transient states), in
+  /// one checked solve (markov::checked_absorption_times with the mean
+  /// sojourns h as costs). Throws std::invalid_argument if the process has
+  /// no absorbing state and robust::SolveError if the solve or its check
+  /// fails.
   double mean_time_to_absorption(std::size_t start) const;
 
  private:

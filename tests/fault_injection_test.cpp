@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/distribution.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/health.hpp"
@@ -164,6 +165,56 @@ TEST(InjectedFaults, SmpEpisodeReportsFault) {
                  SolveCause::kNanOrInf, "Dtmc::stationary");
   EXPECT_TRUE(trace.ran);
   EXPECT_FALSE(trace.success);
+}
+
+// The first-passage measures run checked solves too: a NaN through the
+// seam is refused, and with no hook installed the answer is the bare GTH
+// solve's, bit for bit.
+TEST(InjectedFaults, FirstPassageEpisodesReportFault) {
+  rascad::markov::DtmcBuilder db;
+  for (int i = 0; i < 4; ++i) db.add_state("s" + std::to_string(i));
+  db.add_transition(0, 0, 0.3);
+  db.add_transition(0, 1, 0.7);
+  db.add_transition(1, 0, 0.4);
+  db.add_transition(1, 2, 0.6);
+  db.add_transition(2, 1, 0.5);
+  db.add_transition(2, 3, 0.5);
+  db.add_transition(3, 3, 1.0);
+  const rascad::markov::Dtmc dtmc = db.build();
+
+  rascad::semimarkov::SmpBuilder sb;
+  sb.add_state("up", 1.0, rascad::dist::deterministic(100.0));
+  sb.add_state("degraded", 1.0, rascad::dist::uniform(2.0, 8.0));
+  sb.add_state("failed", 0.0);
+  sb.add_transition(0, 1, 1.0);
+  sb.add_transition(1, 0, 0.9);
+  sb.add_transition(1, 2, 0.1);
+  const rascad::semimarkov::SemiMarkovProcess smp = sb.build_with_absorbing();
+
+  {
+    const ScopedPostSolveHook scope(nan_hook());
+    expect_failure([&] { (void)dtmc.expected_steps_to_absorption(0); },
+                   SolveCause::kNanOrInf, "Dtmc::expected_steps_to_absorption");
+    expect_failure([&] { (void)smp.mean_time_to_absorption(0); },
+                   SolveCause::kNanOrInf,
+                   "SemiMarkovProcess::mean_time_to_absorption");
+  }
+
+  using rascad::markov::gth_absorption_times;
+  using rascad::markov::split_transient;
+  const auto steps = split_transient(dtmc.transition_matrix(),
+                                     {false, false, false, true});
+  const Vector tau =
+      gth_absorption_times(steps.weights, steps.exits, Vector(3, 1.0));
+  EXPECT_EQ(dtmc.expected_steps_to_absorption(0), tau[0]);
+  EXPECT_EQ(dtmc.expected_steps_to_absorption(2), tau[2]);
+
+  const auto times = split_transient(smp.embedded().transition_matrix(),
+                                     {false, false, true});
+  const Vector t =
+      gth_absorption_times(times.weights, times.exits, Vector{100.0, 5.0});
+  EXPECT_EQ(smp.mean_time_to_absorption(0), t[0]);
+  EXPECT_EQ(smp.mean_time_to_absorption(1), t[1]);
 }
 
 TEST(InjectedFaults, MttfEpisodeRecordsFailedAttempt) {

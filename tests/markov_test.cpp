@@ -97,14 +97,16 @@ TEST(CtmcBuilder, NameIndexAtScale) {
     ASSERT_EQ(b.find_state("S" + std::to_string(i)), i);
   }
   EXPECT_FALSE(b.find_state("S" + std::to_string(kStates)).has_value());
+  EXPECT_THROW(b.add_state("S" + std::to_string(kStates - 1), 1.0),
+               std::invalid_argument);
+  EXPECT_EQ(b.state_count(), kStates);
   const Ctmc chain = b.build();
   for (std::size_t i = 0; i < kStates; ++i) {
     ASSERT_EQ(chain.find_state("S" + std::to_string(i)), i);
   }
   EXPECT_FALSE(chain.find_state("S").has_value());
-  EXPECT_THROW(b.add_state("S" + std::to_string(kStates - 1), 1.0),
-               std::invalid_argument);
-  EXPECT_EQ(b.state_count(), kStates);
+  // build() moves the states into the chain: the builder is spent.
+  EXPECT_EQ(b.state_count(), 0u);
 }
 
 TEST(NameIndex, DtmcAndSmpBuildersRejectDuplicatesAndFindStates) {

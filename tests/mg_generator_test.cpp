@@ -4,12 +4,21 @@
 // forms on the degenerate configurations where closed forms exist.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "baselines/baselines.hpp"
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "mg/measures.hpp"
+#include "robust/cancel.hpp"
+#include "robust/solve_error.hpp"
 
 namespace {
 
@@ -17,7 +26,9 @@ using rascad::mg::classify;
 using rascad::mg::derive_rates;
 using rascad::mg::generate;
 using rascad::mg::GeneratedModel;
+using rascad::mg::GenerationOptions;
 using rascad::mg::MarkovModelType;
+using rascad::mg::RewardKind;
 using rascad::spec::BlockSpec;
 using rascad::spec::GlobalParams;
 using rascad::spec::RedundancyMode;
@@ -444,6 +455,253 @@ TEST(PrimaryStandby, BetterFailoverIsBetter) {
     EXPECT_GT(a, prev) << p;
     prev = a;
   }
+}
+
+// ---- Structure memo -------------------------------------------------------
+
+/// A generated chain in full, rates and rewards as bit patterns.
+struct ChainDump {
+  std::vector<std::string> names;
+  std::vector<std::uint64_t> rewards;
+  std::vector<std::uint32_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<std::uint64_t> values;
+  std::size_t transitions = 0;
+  std::size_t initial = 0;
+
+  bool operator==(const ChainDump&) const = default;
+};
+
+ChainDump dump(const GeneratedModel& m) {
+  ChainDump d;
+  for (const auto& s : m.chain.states()) {
+    d.names.push_back(s.name);
+    d.rewards.push_back(std::bit_cast<std::uint64_t>(s.reward));
+  }
+  const auto& q = m.chain.generator();
+  d.row_ptr = q.row_ptr();
+  d.col_idx = q.col_idx();
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    const auto row = q.row(i);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      d.values.push_back(std::bit_cast<std::uint64_t>(row.values[k]));
+    }
+  }
+  d.transitions = m.chain.transition_count();
+  d.initial = m.initial;
+  return d;
+}
+
+/// generate on a thread of its own, whose structure memo is empty.
+GeneratedModel generate_fresh(const BlockSpec& b,
+                              const GenerationOptions& options = {}) {
+  GeneratedModel out;
+  std::thread([&] { out = generate(b, globals(), options); }).join();
+  return out;
+}
+
+struct MemoCase {
+  std::string label;
+  BlockSpec block;
+  GenerationOptions options;
+};
+
+/// Every family, and every value that decides whether an arc or a state
+/// exists, on both sides of its threshold.
+std::vector<MemoCase> memo_cases() {
+  std::vector<MemoCase> cases;
+  const auto add = [&](std::string label, const BlockSpec& b,
+                       RewardKind reward = RewardKind::kAvailability) {
+    GenerationOptions options;
+    options.reward = reward;
+    cases.push_back({std::move(label), b, options});
+  };
+  for (auto rec : {Transparency::kTransparent, Transparency::kNontransparent}) {
+    for (auto rep :
+         {Transparency::kTransparent, Transparency::kNontransparent}) {
+      for (double p_spf : {0.0, 0.01, 1.0}) {
+        for (double pcd : {0.9, 1.0}) {
+          for (double plf : {0.0, 0.05}) {
+            for (double fit : {0.0, 2'000.0}) {
+              for (auto reward :
+                   {RewardKind::kAvailability, RewardKind::kCapacity}) {
+                BlockSpec b = redundant_block(rec, rep);
+                b.quantity = 3;
+                b.p_spf = p_spf;
+                b.p_correct_diagnosis = pcd;
+                b.p_latent_fault = plf;
+                b.transient_fit = fit;
+                add("redundant rec=" + std::to_string(int(rec)) +
+                        " rep=" + std::to_string(int(rep)) +
+                        " p_spf=" + std::to_string(p_spf) +
+                        " pcd=" + std::to_string(pcd) +
+                        " plf=" + std::to_string(plf) +
+                        " fit=" + std::to_string(fit) +
+                        " reward=" + std::to_string(int(reward)),
+                    b, reward);
+              }
+            }
+          }
+        }
+      }
+      for (double p_spf : {0.0, 0.01, 1.0}) {
+        BlockSpec b = redundant_block(rec, rep);
+        b.mtbf_h = 0.0;
+        b.p_spf = p_spf;
+        add("transient-only rec=" + std::to_string(int(rec)) +
+                " p_spf=" + std::to_string(p_spf),
+            b);
+      }
+    }
+  }
+  for (double pcd : {0.9, 1.0}) {
+    for (double fit : {0.0, 2'000.0}) {
+      for (auto [response, mttr] : {std::pair{4.0, 60.0}, std::pair{0.0, 60.0},
+                                    std::pair{4.0, 0.0}}) {
+        BlockSpec b = simple_block();
+        b.p_correct_diagnosis = pcd;
+        b.transient_fit = fit;
+        b.service_response_h = response;
+        b.mttr_corrective_min = mttr;
+        add("type0 pcd=" + std::to_string(pcd) + " fit=" + std::to_string(fit) +
+                " response=" + std::to_string(response) +
+                " mttr=" + std::to_string(mttr),
+            b);
+      }
+    }
+  }
+  {
+    BlockSpec b = simple_block();
+    b.mtbf_h = 0.0;
+    b.transient_fit = 5'000.0;
+    add("type0 transient-only", b);
+  }
+  for (double failover : {0.0, 3.0}) {
+    for (double p_fo : {1.0, 0.99}) {
+      for (double pcd : {0.9, 1.0}) {
+        for (double fit : {0.0, 2'000.0}) {
+          for (auto rep :
+               {Transparency::kTransparent, Transparency::kNontransparent}) {
+            BlockSpec b = redundant_block(Transparency::kTransparent, rep);
+            b.mode = RedundancyMode::kPrimaryStandby;
+            b.failover_time_min = failover;
+            b.p_failover = p_fo;
+            b.p_correct_diagnosis = pcd;
+            b.transient_fit = fit;
+            add("standby failover=" + std::to_string(failover) +
+                    " p_fo=" + std::to_string(p_fo) +
+                    " pcd=" + std::to_string(pcd) +
+                    " fit=" + std::to_string(fit) +
+                    " rep=" + std::to_string(int(rep)),
+                b);
+          }
+        }
+      }
+    }
+  }
+  {
+    BlockSpec b = redundant_block(Transparency::kTransparent,
+                                  Transparency::kTransparent);
+    b.mode = RedundancyMode::kPrimaryStandby;
+    b.mtbf_h = 0.0;
+    add("standby transient-only", b);
+  }
+  return cases;
+}
+
+/// The same block with every rate and duration moved, and every
+/// probability moved within the side of its threshold it was on: the same
+/// structure, new values.
+BlockSpec with_new_rates(BlockSpec b) {
+  b.mtbf_h *= 1.7;
+  b.transient_fit *= 1.3;
+  b.mttr_diagnosis_min *= 1.1;
+  b.mttr_corrective_min *= 1.2;
+  b.mttr_verification_min *= 0.9;
+  b.service_response_h *= 1.25;
+  b.mttdlf_h *= 0.8;
+  b.ar_time_min *= 1.5;
+  b.t_spf_min *= 0.7;
+  b.reintegration_min *= 1.4;
+  b.failover_time_min *= 1.6;
+  if (b.p_correct_diagnosis < 1.0) b.p_correct_diagnosis = 0.85;
+  if (b.p_latent_fault > 0.0) b.p_latent_fault = 0.07;
+  if (b.p_spf > 0.0 && b.p_spf < 1.0) b.p_spf = 0.02;
+  if (b.p_failover < 1.0) b.p_failover = 0.95;
+  return b;
+}
+
+// Generate A, then B, then A with new rates on one thread: every chain
+// matches the one a thread with an empty memo generates, bit for bit, and
+// the two A chains share one state table.
+TEST(StructureMemo, RefilledChainsMatchFreshOnes) {
+  const std::vector<MemoCase> cases = memo_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const MemoCase& a = cases[i];
+    const MemoCase& b = cases[(i + 1) % cases.size()];
+    const BlockSpec moved = with_new_rates(a.block);
+    const GeneratedModel first = generate(a.block, globals(), a.options);
+    const GeneratedModel other = generate(b.block, globals(), b.options);
+    const GeneratedModel again = generate(moved, globals(), a.options);
+    EXPECT_EQ(dump(first), dump(generate_fresh(a.block, a.options)))
+        << a.label;
+    EXPECT_EQ(dump(other), dump(generate_fresh(b.block, b.options)))
+        << b.label;
+    EXPECT_EQ(dump(again), dump(generate_fresh(moved, a.options))) << a.label;
+    if (first.chain.size() > 1) {  // a lone state has no rates to move
+      EXPECT_NE(dump(again).values, dump(first).values) << a.label;
+    }
+    EXPECT_EQ(again.chain.state_table(), first.chain.state_table())
+        << a.label;
+  }
+}
+
+// A generate that throws after recording part of its tape leaves the memo
+// serving correct chains, for a known structure and for a new one.
+TEST(StructureMemo, ThrowMidTapeLeavesTheMemoCorrect) {
+  BlockSpec a = redundant_block(Transparency::kNontransparent,
+                                Transparency::kNontransparent);
+  a.quantity = 3;
+  (void)generate(a, globals());
+  BlockSpec broken = a;
+  broken.mttdlf_h = std::nan("");  // the latent-detection arcs' rate
+  EXPECT_THROW(generate(broken, globals()), std::invalid_argument);
+  const BlockSpec moved = with_new_rates(a);
+  EXPECT_EQ(dump(generate(moved, globals())), dump(generate_fresh(moved)));
+  BlockSpec wider = a;
+  wider.quantity = 5;
+  EXPECT_THROW(generate(broken, globals()), std::invalid_argument);
+  EXPECT_EQ(dump(generate(wider, globals())), dump(generate_fresh(wider)));
+}
+
+// Generation polls the stop token: one stopped before a 50,397-state
+// block is generated stops it with the token's cause; a live token changes
+// no bit.
+TEST(Generate, StoppedTokenStopsGeneration) {
+  using rascad::robust::CancelToken;
+  using rascad::robust::SolveCause;
+  using rascad::robust::SolveError;
+  BlockSpec b = redundant_block(Transparency::kNontransparent,
+                                Transparency::kNontransparent);
+  b.quantity = 7200;
+  const CancelToken cancelled = CancelToken::manual();
+  cancelled.request_cancel();
+  const CancelToken expired = CancelToken::with_deadline_ms(1e-3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  for (const auto& [token, cause] :
+       {std::pair{cancelled, SolveCause::kCancelled},
+        std::pair{expired, SolveCause::kDeadlineExceeded}}) {
+    try {
+      (void)generate(b, globals(), {}, token);
+      ADD_FAILURE() << "expected SolveError";
+    } catch (const SolveError& e) {
+      EXPECT_EQ(e.cause(), cause) << e.what();
+    }
+  }
+  const GeneratedModel plain = generate(b, globals());
+  EXPECT_EQ(plain.chain.size(), 50'397u);
+  EXPECT_EQ(dump(generate(b, globals(), {}, CancelToken::manual())),
+            dump(plain));
 }
 
 // ---- Measures -------------------------------------------------------------

@@ -267,7 +267,8 @@ TEST(Health, AbsorptionCheckAcceptsExactLargeTimes) {
   // round-off in a tau alone is ~eps * |a| |tau| ~ 1e-9.
   const OneOfFour sys = one_of_four();
   ASSERT_GT(sys.tau[0], 1e9);
-  const HealthReport r = check_absorption_times(sys.a, sys.tau);
+  const HealthReport r =
+      check_absorption_times(sys.a, sys.tau, Vector(4, 1.0));
   EXPECT_TRUE(r.ok) << r.detail;
   EXPECT_LT(r.residual_inf, 1e-15);
 }
@@ -276,7 +277,8 @@ TEST(Health, AbsorptionCheckRejectsPerturbedTimes) {
   OneOfFour sys = one_of_four();
   const double signs[] = {1.0, -1.0, -1.0, 1.0};
   for (std::size_t i = 0; i < 4; ++i) sys.tau[i] *= 1.0 + 1e-6 * signs[i];
-  const HealthReport r = check_absorption_times(sys.a, sys.tau);
+  const HealthReport r =
+      check_absorption_times(sys.a, sys.tau, Vector(4, 1.0));
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.failure.has_value());
   EXPECT_EQ(*r.failure, SolveCause::kNonConverged);
@@ -287,10 +289,10 @@ TEST(Health, AbsorptionCheckRejectsNanAndNegative) {
   OneOfFour sys = one_of_four();
   Vector nan_tau = sys.tau;
   nan_tau[2] = std::nan("");
-  EXPECT_EQ(check_absorption_times(sys.a, nan_tau).failure,
+  EXPECT_EQ(check_absorption_times(sys.a, nan_tau, Vector(4, 1.0)).failure,
             SolveCause::kNanOrInf);
   sys.tau[1] = -1.0;
-  EXPECT_EQ(check_absorption_times(sys.a, sys.tau).failure,
+  EXPECT_EQ(check_absorption_times(sys.a, sys.tau, Vector(4, 1.0)).failure,
             SolveCause::kNanOrInf);
 }
 
