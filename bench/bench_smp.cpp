@@ -10,7 +10,6 @@
 
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
-#include "mg/smp_generator.hpp"
 
 namespace {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -16,6 +17,7 @@
 namespace rascad::mg {
 
 using markov::StateIndex;
+using semimarkov::SmpBuilder;
 using spec::BlockSpec;
 using spec::GlobalParams;
 using spec::RedundancyMode;
@@ -46,15 +48,28 @@ constexpr const char* kFamilyNames[] = {
 /// The level of a state named by its family alone.
 constexpr std::uint32_t kNoLevel = std::numeric_limits<std::uint32_t>::max();
 
+/// An arc that ends a scheduled dwell: the state's dwell of `delay_h`
+/// hours ends along arc `arc` with probability `p`.
+struct Dwell {
+  std::uint32_t arc;
+  double delay_h;
+  double p;
+};
+
 /// One generate's control flow, recorded: each state as a tag (family and
 /// level) and a reward, each arc as its ends and rate, in insertion order.
 /// Tags, rewards and ends are the chain's structure; the rates are the
-/// values of one point. Each thread reuses one tape.
+/// values of one point, and so are the dwells, which only the semi-Markov
+/// refinement reads: its tape keeps them, and generate's, on the hot path
+/// of every sweep, skips them. generate and generate_smp each reuse one
+/// tape per thread.
 struct Tape {
   std::vector<std::uint64_t> tags;     // family << 32 | level
   std::vector<std::uint64_t> rewards;  // bit patterns
   std::vector<std::uint64_t> ends;     // from << 32 | to
   std::vector<double> rates;
+  std::vector<Dwell> dwells;           // in arc order, if keep_dwells
+  bool keep_dwells = false;
   robust::CancelToken cancel;
 
   void start(const robust::CancelToken& token) {
@@ -62,6 +77,7 @@ struct Tape {
     rewards.clear();
     ends.clear();
     rates.clear();
+    dwells.clear();
     cancel = token;
   }
 
@@ -96,6 +112,19 @@ struct Tape {
     }
     ends.push_back(std::uint64_t{from} << 32 | to);
     rates.push_back(rate);
+  }
+
+  /// Adds an arc that ends a scheduled dwell of `delay_h` hours with
+  /// probability `p`. The chain sees it as the exponential rate
+  /// (1 / delay_h) * p; generate_smp reads the delay and p. Inlined, so a
+  /// loop's 1 / delay_h folds into the reciprocal its guard computes.
+  [[gnu::always_inline]] void add_dwell(StateIndex from, StateIndex to,
+                                        double delay_h, double p) {
+    add_transition(from, to, (1.0 / delay_h) * p);
+    if (keep_dwells) {
+      dwells.push_back(
+          {static_cast<std::uint32_t>(rates.size() - 1), delay_h, p});
+    }
   }
 };
 
@@ -414,14 +443,13 @@ class RedundantChainBuilder {
     // AR dwell states (nontransparent recovery): success reaches the next
     // degraded level, failure is the single point of failure.
     if (has_perm_ && !transparent_recovery_) {
-      const double ar_rate = 1.0 / d_.ar_time_h;
+      const double ar_h = d_.ar_time_h;
+      const double ar_rate = 1.0 / ar_h;
       for (unsigned i = 1; i <= m; ++i) {
         if (ar_rate * (1.0 - p_spf) > 0.0) {
-          tape_.add_transition(ar_[i], pf_[i], ar_rate * (1.0 - p_spf));
+          tape_.add_dwell(ar_[i], pf_[i], ar_h, 1.0 - p_spf);
         }
-        if (has_spf_) {
-          tape_.add_transition(ar_[i], spf_[i], ar_rate * p_spf);
-        }
+        if (has_spf_) tape_.add_dwell(ar_[i], spf_[i], ar_h, p_spf);
       }
     }
 
@@ -445,36 +473,29 @@ class RedundantChainBuilder {
 
     // SPF dwell, then the system continues at the degraded level.
     if (has_spf_) {
-      const double out = 1.0 / d_.t_spf_h;
       for (unsigned i = 1; i <= m; ++i) {
-        tape_.add_transition(spf_[i], pf_[i], out);
+        tape_.add_dwell(spf_[i], pf_[i], d_.t_spf_h, 1.0);
       }
     }
 
     // Transient recovery by reboot (nontransparent): success clears the
     // fault back to the originating level; data corruption costs a level.
     if (has_trans_) {
-      const double boot = 1.0 / d_.t_boot_h;
+      const double boot_h = d_.t_boot_h;
+      const double boot = 1.0 / boot_h;
       if (!transparent_recovery_) {
         for (unsigned i = 1; i <= m; ++i) {
           if (boot * (1.0 - p_spf) > 0.0) {
-            tape_.add_transition(tf_[i], pf_[i - 1],
-                                    boot * (1.0 - p_spf));
+            tape_.add_dwell(tf_[i], pf_[i - 1], boot_h, 1.0 - p_spf);
           }
-          if (has_spf_) {
-            tape_.add_transition(tf_[i], spf_[i], boot * p_spf);
-          }
+          if (has_spf_) tape_.add_dwell(tf_[i], spf_[i], boot_h, p_spf);
         }
       }
-      // Bottom transient state exists in every type.
+      // Bottom transient state exists in every type (M >= 1 here).
       if (boot * (1.0 - p_spf) > 0.0) {
-        tape_.add_transition(tf_down_, pf_[m], boot * (1.0 - p_spf));
+        tape_.add_dwell(tf_down_, pf_[m], boot_h, 1.0 - p_spf);
       }
-      if (has_spf_ && m >= 1) {
-        tape_.add_transition(tf_down_, spf_[m], boot * p_spf);
-      } else if (has_spf_) {
-        tape_.add_transition(tf_down_, pf_[m], boot * p_spf);
-      }
+      if (has_spf_) tape_.add_dwell(tf_down_, spf_[m], boot_h, p_spf);
     }
   }
 
@@ -482,8 +503,10 @@ class RedundantChainBuilder {
     if (!has_perm_) return;
     const unsigned m = levels_;
     const double pcd = block_.p_correct_diagnosis;
-    const double deferred = 1.0 / d_.deferred_repair_h();
-    const double immediate = 1.0 / d_.immediate_repair_h();
+    const double deferred_h = d_.deferred_repair_h();
+    const double immediate_h = d_.immediate_repair_h();
+    const double deferred = 1.0 / deferred_h;
+    const double immediate = 1.0 / immediate_h;
 
     // Deferred repair of one component per service action from each
     // degraded level (paper: PF1 -> Ok after MTTM + Tresp).
@@ -491,29 +514,25 @@ class RedundantChainBuilder {
       const StateIndex success_target =
           transparent_repair_ ? pf_[i - 1] : reint_[i];
       if (deferred * pcd > 0.0) {
-        tape_.add_transition(pf_[i], success_target, deferred * pcd);
+        tape_.add_dwell(pf_[i], success_target, deferred_h, pcd);
       }
-      if (imperfect_) {
-        tape_.add_transition(pf_[i], se_[i], deferred * (1.0 - pcd));
-      }
+      if (imperfect_) tape_.add_dwell(pf_[i], se_[i], deferred_h, 1.0 - pcd);
       // Repair of the older, already-detected faults while the newest
       // fault is still latent (only meaningful at depth >= 2).
       if (has_latent_ && i >= 2) {
         if (deferred * pcd > 0.0) {
-          tape_.add_transition(latent_[i], latent_[i - 1],
-                                  deferred * pcd);
+          tape_.add_dwell(latent_[i], latent_[i - 1], deferred_h, pcd);
         }
         if (imperfect_) {
-          tape_.add_transition(latent_[i], se_[i], deferred * (1.0 - pcd));
+          tape_.add_dwell(latent_[i], se_[i], deferred_h, 1.0 - pcd);
         }
       }
     }
 
     // Nontransparent repair: reintegration restart downtime.
     if (!transparent_repair_) {
-      const double out = 1.0 / d_.reint_h;
       for (unsigned i = 1; i <= m; ++i) {
-        tape_.add_transition(reint_[i], pf_[i - 1], out);
+        tape_.add_dwell(reint_[i], pf_[i - 1], d_.reint_h, 1.0);
       }
     }
 
@@ -530,10 +549,10 @@ class RedundantChainBuilder {
     // Bottom level: immediate service call (paper: "In PF2, an immediate
     // service call is placed").
     if (immediate * pcd > 0.0) {
-      tape_.add_transition(pf_down_, pf_[m], immediate * pcd);
+      tape_.add_dwell(pf_down_, pf_[m], immediate_h, pcd);
     }
     if (imperfect_) {
-      tape_.add_transition(pf_down_, se_down_, immediate * (1.0 - pcd));
+      tape_.add_dwell(pf_down_, se_down_, immediate_h, 1.0 - pcd);
     }
   }
 
@@ -573,19 +592,18 @@ StateIndex record_transient_only_redundant(Tape& b, const BlockSpec& block,
   StateIndex spf = 0;
   if (has_spf) {
     spf = b.add_state(Family::kSPF, kDown, 1);
-    b.add_transition(spf, ok, 1.0 / d.t_spf_h);
+    b.add_dwell(spf, ok, d.t_spf_h, 1.0);
   }
   if (block.recovery == Transparency::kTransparent) {
     if (has_spf) b.add_transition(ok, spf, rate * block.p_spf);
   } else {
     const StateIndex tf = b.add_state(Family::kTF, kDown, 1);
     b.add_transition(ok, tf, rate);
-    const double boot = 1.0 / d.t_boot_h;
     const double p_spf = has_spf ? block.p_spf : 0.0;
-    if (boot * (1.0 - p_spf) > 0.0) {
-      b.add_transition(tf, ok, boot * (1.0 - p_spf));
+    if ((1.0 / d.t_boot_h) * (1.0 - p_spf) > 0.0) {
+      b.add_dwell(tf, ok, d.t_boot_h, 1.0 - p_spf);
     }
-    if (has_spf) b.add_transition(tf, spf, boot * p_spf);
+    if (has_spf) b.add_dwell(tf, spf, d.t_boot_h, p_spf);
   }
   return ok;
 }
@@ -604,34 +622,33 @@ StateIndex record_type0(Tape& b, const BlockSpec& block,
     StateIndex se = 0;
     if (imperfect) se = b.add_state(Family::kServiceError, kDown);
 
-    // Stage the downtime through the positive-duration phases only.
+    // Stage the downtime through the positive-duration phases only: the
+    // fault enters the first, and each phase's dwell ends in the next.
     StateIndex stage = ok;
-    double entry_rate = n * d.lambda_p;
-    if (d.t_resp_h > 0.0) {
-      const StateIndex wait = b.add_state(Family::kLogisticWait, kDown);
-      b.add_transition(stage, wait, entry_rate);
-      stage = wait;
-      entry_rate = 1.0 / d.t_resp_h;
-    }
-    if (d.mttr_h > 0.0) {
-      const StateIndex repair = b.add_state(Family::kRepair, kDown);
-      b.add_transition(stage, repair, entry_rate);
-      stage = repair;
-      entry_rate = 1.0 / d.mttr_h;
-    }
+    double stage_h = 0.0;  // the dwell of `stage` once it is a down phase
+    const auto enter = [&](Family phase, double dwell_h) {
+      const StateIndex next = b.add_state(phase, kDown);
+      if (stage == ok) {
+        b.add_transition(ok, next, n * d.lambda_p);
+      } else {
+        b.add_dwell(stage, next, stage_h, 1.0);
+      }
+      stage = next;
+      stage_h = dwell_h;
+    };
+    if (d.t_resp_h > 0.0) enter(Family::kLogisticWait, d.t_resp_h);
+    if (d.mttr_h > 0.0) enter(Family::kRepair, d.mttr_h);
     // `stage` is the last down phase; branch on diagnosis quality.
-    if (entry_rate * pcd > 0.0) {
-      b.add_transition(stage, ok, entry_rate * pcd);
-    }
+    if ((1.0 / stage_h) * pcd > 0.0) b.add_dwell(stage, ok, stage_h, pcd);
     if (imperfect) {
-      b.add_transition(stage, se, entry_rate * (1.0 - pcd));
+      b.add_dwell(stage, se, stage_h, 1.0 - pcd);
       b.add_transition(se, ok, 1.0 / d.mttrfid_h);
     }
   }
   if (d.lambda_t > 0.0) {
     const StateIndex tf = b.add_state(Family::kTF, kDown);
     b.add_transition(ok, tf, n * d.lambda_t);
-    b.add_transition(tf, ok, 1.0 / d.t_boot_h);
+    b.add_dwell(tf, ok, d.t_boot_h, 1.0);
   }
   return ok;
 }
@@ -763,6 +780,87 @@ StateIndex record_redundant(Tape& tape, const BlockSpec& block,
   return RedundantChainBuilder(tape, block, d, reward).record();
 }
 
+/// generate's prelude, which generate_smp shares: validates the block, then
+/// records its chain on `tape`. Returns the initial (fully-up) state.
+StateIndex record_block(Tape& tape, const BlockSpec& block,
+                        const GlobalParams& globals, RewardKind reward,
+                        const robust::CancelToken& cancel) {
+  if (!block.has_own_failures()) {
+    throw std::invalid_argument("generate: block '" + block.name +
+                                "' has no failure parameters");
+  }
+  if (block.quantity == 0 || block.min_quantity == 0 ||
+      block.min_quantity > block.quantity) {
+    throw std::invalid_argument("generate: block '" + block.name +
+                                "' has inconsistent quantities");
+  }
+  const DerivedRates d = derive_rates(block, globals);
+  if (d.lambda_t > 0.0 && d.t_boot_h <= 0.0) {
+    throw std::invalid_argument(
+        "generate: transient faults require a positive reboot_time");
+  }
+  if (d.lambda_p > 0.0 && d.immediate_repair_h() <= 0.0) {
+    throw std::invalid_argument(
+        "generate: permanent faults require MTTR and/or service response");
+  }
+  tape.start(cancel);
+  switch (classify(block)) {
+    case MarkovModelType::kType0:
+      return record_type0(tape, block, d);
+    case MarkovModelType::kPrimaryStandby:
+      return record_primary_standby(tape, block, d);
+    default:
+      return record_redundant(tape, block, d, reward);
+  }
+}
+
+/// One branch of a scheduled dwell: its target and probability.
+struct Branch {
+  std::size_t target;
+  double probability;
+};
+
+/// Sets a state of the semi-Markov refinement whose sojourn is
+/// min(deterministic D, Exp(total exponential rate)): `det_branches` fire
+/// if the deterministic event wins, `exp_arcs` (probabilities proportional
+/// to their rates) otherwise. A state without branches is exponential, one
+/// without exponential arcs a plain dwell of D. The sojourn is stored as a
+/// point mass at its exact mean; only the mean enters the steady-state
+/// ratio formula.
+void set_race(SmpBuilder& b, std::size_t state, double det_delay,
+              const std::vector<Branch>& det_branches,
+              const std::vector<std::pair<std::size_t, double>>& exp_arcs) {
+  double total_rate = 0.0;
+  for (const auto& [target, rate] : exp_arcs) total_rate += rate;
+
+  if (det_branches.empty()) {
+    if (total_rate <= 0.0) {
+      throw std::invalid_argument("generate_smp: state with no exits");
+    }
+    b.set_exponential(state, exp_arcs);
+    return;
+  }
+  if (total_rate <= 0.0) {
+    b.set_sojourn(state, dist::deterministic(det_delay));
+    for (const Branch& br : det_branches) {
+      b.add_transition(state, br.target, br.probability);
+    }
+    return;
+  }
+  const double p_det = std::exp(-total_rate * det_delay);
+  const double mean = (1.0 - p_det) / total_rate;
+  b.set_sojourn(state, dist::deterministic(mean));
+  for (const Branch& br : det_branches) {
+    if (p_det * br.probability > 0.0) {
+      b.add_transition(state, br.target, p_det * br.probability);
+    }
+  }
+  for (const auto& [target, rate] : exp_arcs) {
+    const double p = (1.0 - p_det) * rate / total_rate;
+    if (p > 0.0) b.add_transition(state, target, p);
+  }
+}
+
 }  // namespace
 
 std::string to_string(MarkovModelType type) {
@@ -818,42 +916,61 @@ GeneratedModel generate(const spec::BlockSpec& block,
                         const spec::GlobalParams& globals,
                         const GenerationOptions& options,
                         const robust::CancelToken& cancel) {
-  if (!block.has_own_failures()) {
-    throw std::invalid_argument("generate: block '" + block.name +
-                                "' has no failure parameters");
-  }
-  if (block.quantity == 0 || block.min_quantity == 0 ||
-      block.min_quantity > block.quantity) {
-    throw std::invalid_argument("generate: block '" + block.name +
-                                "' has inconsistent quantities");
-  }
-  const DerivedRates d = derive_rates(block, globals);
-  if (d.lambda_t > 0.0 && d.t_boot_h <= 0.0) {
-    throw std::invalid_argument(
-        "generate: transient faults require a positive reboot_time");
-  }
-  if (d.lambda_p > 0.0 && d.immediate_repair_h() <= 0.0) {
-    throw std::invalid_argument(
-        "generate: permanent faults require MTTR and/or service response");
-  }
+  thread_local Tape tape;
   GeneratedModel model;
+  model.initial = record_block(tape, block, globals, options.reward, cancel);
   model.type = classify(block);
   model.block_name = block.name;
-  thread_local Tape tape;
-  tape.start(cancel);
-  switch (model.type) {
-    case MarkovModelType::kType0:
-      model.initial = record_type0(tape, block, d);
-      break;
-    case MarkovModelType::kPrimaryStandby:
-      model.initial = record_primary_standby(tape, block, d);
-      break;
-    default:
-      model.initial = record_redundant(tape, block, d, options.reward);
-      break;
-  }
   model.chain = fill(structure_of(tape), tape);
   return model;
+}
+
+semimarkov::SemiMarkovProcess generate_smp(const spec::BlockSpec& block,
+                                           const spec::GlobalParams& globals) {
+  if (block.mode == RedundancyMode::kPrimaryStandby) {
+    throw std::invalid_argument(
+        "generate_smp: primary/standby blocks are CTMC-only");
+  }
+  thread_local Tape tape;
+  tape.keep_dwells = true;
+  record_block(tape, block, globals, RewardKind::kAvailability, {});
+  const std::vector<markov::StateInfo>& states =
+      structure_of(tape).states->states();
+  const std::size_t n = states.size();
+
+  // Sort each state's arcs into the branches of its scheduled dwell and
+  // its exponential arcs, in arc order.
+  std::vector<double> delay_h(n, 0.0);
+  std::vector<std::vector<Branch>> branches(n);
+  std::vector<std::vector<std::pair<std::size_t, double>>> exp_arcs(n);
+  auto dwell = tape.dwells.begin();
+  for (std::size_t k = 0; k < tape.rates.size(); ++k) {
+    const std::size_t from = tape.ends[k] >> 32;
+    const std::size_t to = static_cast<std::uint32_t>(tape.ends[k]);
+    if (dwell == tape.dwells.end() || dwell->arc != k) {
+      exp_arcs[from].emplace_back(to, tape.rates[k]);
+      continue;
+    }
+    if (!branches[from].empty() && delay_h[from] != dwell->delay_h) {
+      throw std::logic_error("generate_smp: state '" + states[from].name +
+                             "' has dwells of two lengths");
+    }
+    delay_h[from] = dwell->delay_h;
+    branches[from].push_back({to, dwell->p});
+    ++dwell;
+  }
+
+  SmpBuilder b;
+  for (const markov::StateInfo& s : states) b.add_state(s.name, s.reward);
+  for (std::size_t i = 0; i < n; ++i) {
+    set_race(b, i, delay_h[i], branches[i], exp_arcs[i]);
+  }
+  return b.build();
+}
+
+double smp_availability(const spec::BlockSpec& block,
+                        const spec::GlobalParams& globals) {
+  return generate_smp(block, globals).steady_state_reward();
 }
 
 cache::Signature chain_signature(const spec::BlockSpec& block,
@@ -870,12 +987,19 @@ cache::Signature chain_signature(const spec::BlockSpec& block,
   double pfo = block.p_failover;
   bool recovery_nt = block.recovery == Transparency::kNontransparent;
   bool repair_nt = block.repair == Transparency::kNontransparent;
+  unsigned n = block.quantity;
+  unsigned k = block.min_quantity;
+  // record_block rejects these whatever the family reads.
+  const bool quantities_ok = n != 0 && k != 0 && k <= n;
 
   // Mask every input the generator provably ignores for this chain family
   // to a canonical value, mirroring the guards in the record_* paths
-  // above. Masking an input the family *does* read would alias two
+  // above; an input that only record_block's checks read keeps what they
+  // test. Masking an input the family *does* read would alias two
   // different chains, so each rule here corresponds to an explicit gate in
   // the generator. Keeping an unused input costs only a missed reuse.
+  // cache_test's ChainSignature.EqualKeysIffBitIdenticalChains checks
+  // both: soundness on every input, missed reuse on validated specs.
   switch (type) {
     case MarkovModelType::kType0:
       // record_type0 has no redundancy structure at all.
@@ -928,7 +1052,8 @@ cache::Signature chain_signature(const spec::BlockSpec& block,
       pfo = 1.0;
       d.failover_h = 0.0;
       if (!has_perm) {
-        // record_transient_only_redundant: Ok / SPF / TF only.
+        // record_transient_only_redundant: Ok / SPF / TF only, whatever K.
+        if (quantities_ok) k = 1;
         pcd = 1.0;
         plf = 0.0;
         repair_nt = false;
@@ -940,7 +1065,16 @@ cache::Signature chain_signature(const spec::BlockSpec& block,
         d.reint_h = 0.0;
         d.mttdlf_h = 0.0;
         if (pspf <= 0.0) d.t_spf_h = 0.0;
-        if (!recovery_nt) d.t_boot_h = 0.0;  // transparent masks reboots
+        if (!recovery_nt) {
+          // Transparent recovery masks reboots: Tboot reaches only
+          // record_block's check that it is positive.
+          d.t_boot_h = d.t_boot_h <= 0.0 ? 0.0 : 1.0;
+          // Without SPF the chain is the lone Ok state.
+          if (pspf <= 0.0 && d.lambda_t > 0.0) {
+            n = 2;
+            d.lambda_t = 1.0;
+          }
+        }
       } else {
         if (plf <= 0.0) d.mttdlf_h = 0.0;
         if (!recovery_nt) d.ar_time_h = 0.0;
@@ -954,8 +1088,8 @@ cache::Signature chain_signature(const spec::BlockSpec& block,
 
   cache::Signature s;
   s.append_word(static_cast<std::uint64_t>(type));
-  s.append_word(block.quantity);
-  s.append_word(block.min_quantity);
+  s.append_word(n);
+  s.append_word(k);
   s.append_double(d.lambda_p);
   s.append_double(d.lambda_t);
   s.append_double(d.mttr_h);

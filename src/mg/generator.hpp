@@ -22,6 +22,7 @@
 #include "cache/signature.hpp"
 #include "markov/ctmc.hpp"
 #include "robust/cancel.hpp"
+#include "semimarkov/smp.hpp"
 #include "spec/ast.hpp"
 
 namespace rascad::mg {
@@ -107,6 +108,35 @@ GeneratedModel generate(const spec::BlockSpec& block,
                         const spec::GlobalParams& globals,
                         const GenerationOptions& options = {},
                         const robust::CancelToken& cancel = {});
+
+/// The semi-Markov refinement of a block's chain (extension). The CTMC
+/// takes every scheduled dwell as exponential; here each one is
+/// deterministic: a reboot takes Tboot, a failover ar_time, the deferred
+/// service window MTTM + Tresp + MTTR. It is read off the same recording
+/// `generate` fills its chain from, so it has the chain's states, names
+/// and rewards:
+///
+///  - a state left only by dwell arcs (AR, SPF, TF, Reint, the bottom PF
+///    repair, Type 0's LogisticWait and Repair) dwells deterministically
+///    and keeps its branch probabilities;
+///  - a degraded up state whose deferred repair (delay D) races
+///    exponential faults (total rate L) gets the exact competing-risk
+///    embedding: P(repair first) = exp(-L D), mean sojourn
+///    (1 - exp(-L D)) / L;
+///  - every other state (Ok, SE, ServiceError, Latent1) is exponential.
+///
+/// Steady-state availability depends only on the embedded chain and the
+/// mean sojourns, so the race states are where the exponential assumption
+/// matters (EXPERIMENTS.md E13). Throws std::invalid_argument on every
+/// spec `generate` rejects, on primary/standby blocks (CTMC-only) and on a
+/// chain with a state that has no exits (a fully masked transient-only
+/// block).
+semimarkov::SemiMarkovProcess generate_smp(const spec::BlockSpec& block,
+                                           const spec::GlobalParams& globals);
+
+/// Steady-state availability of the semi-Markov refinement.
+double smp_availability(const spec::BlockSpec& block,
+                        const spec::GlobalParams& globals);
 
 /// Canonical bit-exact signature of the chain `generate` would emit:
 /// model family, (N, K), the DerivedRates, and the branching

@@ -127,9 +127,26 @@ struct Slot {
   double downtime_min = 0.0;
   double outages = 0.0;
   std::uint64_t events = 0;
-  std::vector<double> outage_min;  // merged window lengths, cleared per use
-  EventWorkspace workspace;        // engine scratch, reused across batches
+  // Its merged window lengths: [window_begin, window_end) of its lane's
+  // outage_min.
+  std::size_t window_begin = 0;
+  std::size_t window_end = 0;
 };
+
+/// A contiguous run of a batch's slots, simulated in index order by one
+/// task: their outage windows in one buffer, and the engine scratch they
+/// share. The lanes hold every buffer the worker threads grow, so the
+/// driver's memory does not depend on how many replications run: buffers
+/// grown per slot land in the allocator arena of whichever thread ran the
+/// slot, and every arena reaches its own high-water mark.
+struct Lane {
+  std::vector<double> outage_min;
+  EventWorkspace workspace;  // engine scratch, reused across batches
+};
+
+/// Lanes per batch: enough for the pool to balance its threads, few
+/// enough that their buffers stay small. Results never depend on it.
+constexpr std::size_t kLanes = 64;
 
 }  // namespace
 
@@ -165,6 +182,7 @@ StreamingReplicationResult replicate_system_streaming(
 
   const std::size_t batch = std::max<std::size_t>(1, opts.batch);
   std::vector<Slot> slots(std::min(batch, replications));
+  std::vector<Lane> lanes(std::min(kLanes, slots.size()));
 
   // The outer loop owns cancellation: the token is polled between batches
   // so a cut lands on a batch boundary and the folded prefix stays a
@@ -184,24 +202,31 @@ StreamingReplicationResult replicate_system_streaming(
       break;
     }
     const std::size_t n = std::min(batch, replications - next);
+    const std::size_t per_lane = (n + lanes.size() - 1) / lanes.size();
     const Clock::time_point t0 = Clock::now();
 
     exec::parallel_for(
-        n,
-        [&](std::size_t i) {
-          Slot& s = slots[i];
-          s.outage_min.clear();
-          // Seeded by replication index alone, so the folded samples do
-          // not depend on batch size or thread count.
-          const std::uint64_t seed =
-              base_seed + 0x1000 * static_cast<std::uint64_t>(next + i + 1);
-          const SystemSimResult one = simulate_replication_events(
-              blocks, model.globals, horizon, seed, opts.block,
-              &s.outage_min, &s.workspace);
-          s.availability = one.availability();
-          s.downtime_min = one.downtime_minutes();
-          s.outages = static_cast<double>(one.outages);
-          s.events = one.events;
+        lanes.size(),
+        [&](std::size_t l) {
+          Lane& lane = lanes[l];
+          lane.outage_min.clear();
+          const std::size_t end = std::min(n, (l + 1) * per_lane);
+          for (std::size_t i = l * per_lane; i < end; ++i) {
+            Slot& s = slots[i];
+            // Seeded by replication index alone, so the folded samples do
+            // not depend on batch size or thread count.
+            const std::uint64_t seed =
+                base_seed + 0x1000 * static_cast<std::uint64_t>(next + i + 1);
+            s.window_begin = lane.outage_min.size();
+            const SystemSimResult one = simulate_replication_events(
+                blocks, model.globals, horizon, seed, opts.block,
+                &lane.outage_min, &lane.workspace);
+            s.window_end = lane.outage_min.size();
+            s.availability = one.availability();
+            s.downtime_min = one.downtime_minutes();
+            s.outages = static_cast<double>(one.outages);
+            s.events = one.events;
+          }
         },
         inner);
 
@@ -217,9 +242,10 @@ StreamingReplicationResult replicate_system_streaming(
       out.availability_p50.add(s.availability);
       out.availability_p99.add(s.availability);
       out.availability_p999.add(s.availability);
-      for (double m : s.outage_min) {
-        out.outage_minutes_p50.add(m);
-        out.outage_minutes_p99.add(m);
+      const std::vector<double>& windows = lanes[i / per_lane].outage_min;
+      for (std::size_t k = s.window_begin; k < s.window_end; ++k) {
+        out.outage_minutes_p50.add(windows[k]);
+        out.outage_minutes_p99.add(windows[k]);
       }
       batch_events += s.events;
       if (sink) {

@@ -4,8 +4,10 @@
 // incremental vs full rebuild, and across thread counts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "markov/health.hpp"
 #include "mg/system.hpp"
 #include "robust/solve_error.hpp"
+#include "spec/validate.hpp"
 #include "fault_seam.hpp"
 
 namespace {
@@ -133,6 +136,293 @@ TEST(ChainSignature, FullWordEqualityNotJustHash) {
   b.append_word(1);
   ASSERT_NE(a.words(), b.words());
   EXPECT_NE(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// The signature's masks against the generator
+
+/// Everything generate returns for a block, bit for bit: its states and
+/// rewards, Q's pattern and value bits, the initial state and the family
+/// (rebuild reuses an entry's family with its chain, so the key carries
+/// it), or only that it threw.
+struct GeneratedBits {
+  bool threw = false;
+  std::vector<std::string> names;
+  std::vector<std::uint64_t> rewards;
+  std::vector<std::uint32_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<std::uint64_t> values;
+  std::size_t initial = 0;
+  rascad::mg::MarkovModelType type{};
+  bool operator==(const GeneratedBits&) const = default;
+};
+
+GeneratedBits generated_bits(const BlockSpec& b,
+                             const rascad::spec::GlobalParams& g,
+                             rascad::mg::RewardKind reward) {
+  GeneratedBits out;
+  try {
+    const auto model = rascad::mg::generate(b, g, {reward});
+    const auto& q = model.chain.generator();
+    for (std::size_t i = 0; i < model.chain.size(); ++i) {
+      out.names.push_back(model.chain.state_name(i));
+      out.rewards.push_back(std::bit_cast<std::uint64_t>(model.chain.reward(i)));
+      const auto row = q.row(i);
+      for (std::size_t k = 0; k < row.size; ++k) {
+        out.values.push_back(std::bit_cast<std::uint64_t>(row.values[k]));
+      }
+    }
+    out.row_ptr = q.row_ptr();
+    out.col_idx = q.col_idx();
+    out.initial = model.initial;
+    out.type = model.type;
+  } catch (const std::invalid_argument&) {
+    out = GeneratedBits{};
+    out.threw = true;
+  }
+  return out;
+}
+
+/// One point of the signature's input space: a block, the globals and the
+/// reward kind.
+struct SignatureInput {
+  BlockSpec block;
+  rascad::spec::GlobalParams globals;
+  rascad::mg::RewardKind reward = rascad::mg::RewardKind::kAvailability;
+};
+
+/// True if a model of this one block passes spec::validate and asks for
+/// the default reward: the inputs SystemModel hands chain_signature.
+bool production_input(const SignatureInput& in) {
+  if (in.reward != rascad::mg::RewardKind::kAvailability) return false;
+  ModelSpec m;
+  m.globals = in.globals;
+  m.diagrams.push_back(DiagramSpec{"root", {in.block}});
+  return rascad::spec::validate(m).ok();
+}
+
+/// Draws every input the signature reads, each with a fair chance of the
+/// value the generator's gates test for (zero, one, or below the one-minute
+/// stuck-failover floor).
+class InputSampler {
+ public:
+  explicit InputSampler(std::uint64_t seed) : rng_(seed) {}
+
+  double uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng_);
+  }
+  /// `gate` with probability 1/k, otherwise uniform in [lo, hi).
+  double or_gate(double gate, unsigned k, double lo, double hi) {
+    return rng_() % k == 0 ? gate : uniform(lo, hi);
+  }
+  bool coin() { return rng_() % 2 == 0; }
+
+  double mtbf() { return or_gate(0.0, 4, 500.0, 2e5); }
+  double transient_fit() { return or_gate(0.0, 3, 100.0, 1e5); }
+  double mttr_part() { return or_gate(0.0, 3, 1.0, 120.0); }
+  double response() { return or_gate(0.0, 3, 0.5, 8.0); }
+  double pcd() { return or_gate(1.0, 2, 0.5, 1.0); }
+  double plf() { return or_gate(0.0, 2, 0.01, 0.5); }
+  double mttdlf() { return or_gate(0.0, 4, 1.0, 100.0); }
+  double ar_time() { return or_gate(0.0, 4, 1.0, 20.0); }
+  double pspf() { return or_gate(0.0, 2, 0.001, 0.2); }
+  double t_spf() { return or_gate(0.0, 4, 1.0, 60.0); }
+  double reint() { return or_gate(0.0, 4, 1.0, 30.0); }
+  double failover() { return or_gate(0.0, 4, 0.5, 10.0); }
+  double pfo() { return or_gate(1.0, 2, 0.5, 1.0); }
+  double reboot() {
+    return rng_() % 5 == 0 ? or_gate(0.0, 2, 0.001, 1.0 / 60.0)
+                           : uniform(0.02, 1.0);
+  }
+  double mttm() { return or_gate(0.0, 5, 1.0, 72.0); }
+  double mttrfid() { return uniform(1.0, 8.0); }
+  Transparency transparency() {
+    return coin() ? Transparency::kTransparent : Transparency::kNontransparent;
+  }
+
+  /// A block of family `family`: 0 is Type 0, 1-4 the redundant types
+  /// (recovery and repair from the family's bits) and 5 primary/standby
+  /// (N = 2, K = 1, the only pair validation admits).
+  SignatureInput draw(unsigned family) {
+    SignatureInput in;
+    BlockSpec& b = in.block;
+    b.name = "b";
+    b.quantity = 1 + static_cast<unsigned>(rng_() % 4);
+    b.min_quantity = b.quantity;
+    if (family == 5) {
+      b.quantity = 2;
+      b.min_quantity = 1;
+    }
+    if (family >= 1 && family <= 4) {
+      b.quantity += 1 + static_cast<unsigned>(rng_() % 3);
+      b.recovery =
+          family <= 2 ? Transparency::kTransparent : Transparency::kNontransparent;
+      b.repair = family % 2 == 1 ? Transparency::kTransparent
+                                 : Transparency::kNontransparent;
+    } else {
+      b.recovery = transparency();
+      b.repair = transparency();
+    }
+    if (family == 5) b.mode = rascad::spec::RedundancyMode::kPrimaryStandby;
+    b.mtbf_h = mtbf();
+    b.transient_fit = transient_fit();
+    b.mttr_diagnosis_min = mttr_part();
+    b.mttr_corrective_min = mttr_part();
+    b.mttr_verification_min = mttr_part();
+    b.service_response_h = response();
+    b.p_correct_diagnosis = pcd();
+    b.p_latent_fault = plf();
+    b.mttdlf_h = mttdlf();
+    b.ar_time_min = ar_time();
+    b.p_spf = pspf();
+    b.t_spf_min = t_spf();
+    b.reintegration_min = reint();
+    b.failover_time_min = failover();
+    b.p_failover = pfo();
+    in.globals.reboot_time_h = reboot();
+    in.globals.mttm_h = mttm();
+    in.globals.mttrfid_h = mttrfid();
+    in.reward = coin() ? rascad::mg::RewardKind::kAvailability
+                       : rascad::mg::RewardKind::kCapacity;
+    return in;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+TEST(ChainSignature, EqualKeysIffBitIdenticalChains) {
+  // Each signature input is perturbed alone, from blocks of every family.
+  // Soundness, over every input: equal keys must mean the same generate
+  // outcome (the same bits, or both rejected). Precision, over the inputs
+  // production passes (validated specs, default reward): the same bits
+  // must mean equal keys, so no mask is missing where reuse can happen.
+  using Edit = void (*)(SignatureInput&, InputSampler&);
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"quantity", [](SignatureInput& in, InputSampler&) { ++in.block.quantity; }},
+      {"min_quantity+1",
+       [](SignatureInput& in, InputSampler&) { ++in.block.min_quantity; }},
+      {"min_quantity-1",
+       [](SignatureInput& in, InputSampler&) { --in.block.min_quantity; }},
+      {"mtbf", [](SignatureInput& in, InputSampler& s) { in.block.mtbf_h = s.mtbf(); }},
+      {"transient_fit",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.transient_fit = s.transient_fit();
+       }},
+      {"mttr_diagnosis",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.mttr_diagnosis_min = s.mttr_part();
+       }},
+      {"mttr_corrective",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.mttr_corrective_min = s.mttr_part();
+       }},
+      {"mttr_verification",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.mttr_verification_min = s.mttr_part();
+       }},
+      {"service_response",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.service_response_h = s.response();
+       }},
+      {"p_correct_diagnosis",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.p_correct_diagnosis = s.pcd();
+       }},
+      {"p_latent_fault",
+       [](SignatureInput& in, InputSampler& s) { in.block.p_latent_fault = s.plf(); }},
+      {"mttdlf", [](SignatureInput& in, InputSampler& s) { in.block.mttdlf_h = s.mttdlf(); }},
+      {"recovery",
+       [](SignatureInput& in, InputSampler&) {
+         in.block.recovery = in.block.recovery == Transparency::kTransparent
+                                 ? Transparency::kNontransparent
+                                 : Transparency::kTransparent;
+       }},
+      {"ar_time",
+       [](SignatureInput& in, InputSampler& s) { in.block.ar_time_min = s.ar_time(); }},
+      {"p_spf", [](SignatureInput& in, InputSampler& s) { in.block.p_spf = s.pspf(); }},
+      {"t_spf", [](SignatureInput& in, InputSampler& s) { in.block.t_spf_min = s.t_spf(); }},
+      {"repair",
+       [](SignatureInput& in, InputSampler&) {
+         in.block.repair = in.block.repair == Transparency::kTransparent
+                               ? Transparency::kNontransparent
+                               : Transparency::kTransparent;
+       }},
+      {"reintegration",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.reintegration_min = s.reint();
+       }},
+      {"mode",
+       [](SignatureInput& in, InputSampler&) {
+         in.block.mode =
+             in.block.mode == rascad::spec::RedundancyMode::kSymmetric
+                 ? rascad::spec::RedundancyMode::kPrimaryStandby
+                 : rascad::spec::RedundancyMode::kSymmetric;
+       }},
+      {"failover_time",
+       [](SignatureInput& in, InputSampler& s) {
+         in.block.failover_time_min = s.failover();
+       }},
+      {"p_failover",
+       [](SignatureInput& in, InputSampler& s) { in.block.p_failover = s.pfo(); }},
+      {"reboot_time",
+       [](SignatureInput& in, InputSampler& s) {
+         in.globals.reboot_time_h = s.reboot();
+       }},
+      {"mttm", [](SignatureInput& in, InputSampler& s) { in.globals.mttm_h = s.mttm(); }},
+      {"mttrfid",
+       [](SignatureInput& in, InputSampler& s) { in.globals.mttrfid_h = s.mttrfid(); }},
+      {"mission_time",
+       [](SignatureInput& in, InputSampler& s) {
+         in.globals.mission_time_h = s.uniform(1.0, 1e5);
+       }},
+      {"reward",
+       [](SignatureInput& in, InputSampler&) {
+         in.reward = in.reward == rascad::mg::RewardKind::kAvailability
+                         ? rascad::mg::RewardKind::kCapacity
+                         : rascad::mg::RewardKind::kAvailability;
+       }},
+  };
+
+  InputSampler sampler(20261020);
+  std::size_t same_key = 0;
+  std::size_t new_key = 0;
+  std::size_t precision_checked = 0;
+  for (unsigned trial = 0; trial < 600; ++trial) {
+    const SignatureInput base = sampler.draw(trial % 6);
+    const Signature base_key =
+        rascad::mg::chain_signature(base.block, base.globals, {base.reward});
+    const GeneratedBits base_bits =
+        generated_bits(base.block, base.globals, base.reward);
+    const bool base_production = production_input(base);
+    for (const auto& [what, edit] : edits) {
+      SignatureInput in = base;
+      edit(in, sampler);
+      const bool equal_keys =
+          rascad::mg::chain_signature(in.block, in.globals, {in.reward}) ==
+          base_key;
+      const GeneratedBits bits = generated_bits(in.block, in.globals, in.reward);
+      const std::string where = std::string(what) + " from family " +
+                                std::to_string(trial % 6) + ", trial " +
+                                std::to_string(trial);
+      if (equal_keys) {
+        ++same_key;
+        EXPECT_TRUE(bits == base_bits) << "unsound mask: " << where;
+      } else {
+        ++new_key;
+      }
+      if (base_production && production_input(in)) {
+        ++precision_checked;
+        if (bits == base_bits) {
+          EXPECT_TRUE(equal_keys) << "missed mask: " << where;
+        }
+      }
+    }
+  }
+  // Neither side of the property is vacuous.
+  EXPECT_GT(same_key, 1000u);
+  EXPECT_GT(new_key, 1000u);
+  EXPECT_GT(precision_checked, 3000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@
 #include "markov/transient.hpp"
 #include "mg/generator.hpp"
 #include "mg/measures.hpp"
-#include "mg/smp_generator.hpp"
 #include "sim/block_sim.hpp"
 #include "sim/rng.hpp"
 #include "spec/parser.hpp"

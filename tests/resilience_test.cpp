@@ -16,7 +16,7 @@
 #include "markov/dtmc.hpp"
 #include "markov/health.hpp"
 #include "markov/steady_state.hpp"
-#include "mg/smp_generator.hpp"
+#include "mg/generator.hpp"
 #include "mg/system.hpp"
 #include "robust/solve_error.hpp"
 #include "semimarkov/smp.hpp"

@@ -8,7 +8,6 @@
 #include "markov/transient.hpp"
 #include "mg/generator.hpp"
 #include "mg/measures.hpp"
-#include "mg/smp_generator.hpp"
 
 namespace {
 
@@ -96,6 +95,17 @@ TEST(SmpGenerator, RefinementGrowsWithRaceProduct) {
   EXPECT_GT(prev_gap, 1e-4);
 }
 
+/// The SMP has the CTMC's states: the same names and rewards, in order.
+void expect_same_states(const BlockSpec& b) {
+  const auto smp = rascad::mg::generate_smp(b, globals());
+  const auto ctmc = rascad::mg::generate(b, globals());
+  ASSERT_EQ(smp.size(), ctmc.chain.size()) << b.name;
+  for (std::size_t i = 0; i < smp.size(); ++i) {
+    EXPECT_EQ(smp.state_name(i), ctmc.chain.state_name(i)) << b.name;
+    EXPECT_EQ(smp.reward(i), ctmc.chain.reward(i)) << b.name;
+  }
+}
+
 TEST(SmpGenerator, AllScenariosBuildAndSolve) {
   for (auto rec : {Transparency::kTransparent, Transparency::kNontransparent}) {
     for (auto rep :
@@ -103,16 +113,119 @@ TEST(SmpGenerator, AllScenariosBuildAndSolve) {
       for (unsigned n : {2u, 4u}) {
         BlockSpec b = redundant(rec, rep);
         b.quantity = n;
-        const auto smp = rascad::mg::generate_smp(b, globals());
-        const double a = smp.steady_state_reward();
+        const double a = rascad::mg::smp_availability(b, globals());
         EXPECT_GT(a, 0.99);
         EXPECT_LT(a, 1.0);
-        // Same state count as the CTMC version (same topology).
-        const auto ctmc = rascad::mg::generate(b, globals());
-        EXPECT_EQ(smp.size(), ctmc.chain.size());
+        expect_same_states(b);
+        // Transient-only: Ok, SPF1 and (nontransparent recovery) TF1.
+        b.mtbf_h = 0.0;
+        expect_same_states(b);
       }
     }
   }
+  // Type 0, with and without each downtime phase.
+  BlockSpec t0 = redundant(Transparency::kTransparent,
+                           Transparency::kTransparent);
+  t0.quantity = 1;
+  expect_same_states(t0);
+  t0.service_response_h = 0.0;
+  expect_same_states(t0);
+  t0.service_response_h = 4.0;
+  t0.mttr_corrective_min = 0.0;
+  expect_same_states(t0);
+  t0.p_correct_diagnosis = 1.0;
+  t0.transient_fit = 0.0;
+  expect_same_states(t0);
+}
+
+TEST(SmpGenerator, RaceStateMatchesClosedForm) {
+  // N=2, K=1, Type 1, permanent faults only: Ok -> PF1 at 2λ; PF1 races
+  // the deferred repair (deterministic D, back to Ok) against the second
+  // fault (λ, to PF2); PF2 dwells the immediate repair R back to PF1.
+  // With q = e^{-λD} the embedded visits are Ok q, PF1 1, PF2 1 - q and
+  // the mean sojourns 1/(2λ), (1 - q)/λ and R.
+  BlockSpec b = redundant(Transparency::kTransparent,
+                          Transparency::kTransparent);
+  b.transient_fit = 0.0;
+  b.p_correct_diagnosis = 1.0;
+  b.p_latent_fault = 0.0;
+  b.p_spf = 0.0;
+  b.mtbf_h = 2'000.0;
+  const rascad::mg::DerivedRates d = rascad::mg::derive_rates(b, globals());
+  const double lambda = d.lambda_p;
+  const double D = d.deferred_repair_h();
+  const double R = d.immediate_repair_h();
+  const double q = std::exp(-lambda * D);
+  const double up = q / (2.0 * lambda) + (1.0 - q) / lambda;
+  const double expected = up / (up + (1.0 - q) * R);
+
+  const auto smp = rascad::mg::generate_smp(b, globals());
+  ASSERT_EQ(smp.size(), 3u);
+  EXPECT_EQ(smp.state_name(1), "PF1");
+  EXPECT_EQ(smp.mean_sojourn(1), (1.0 - q) / lambda);
+  EXPECT_NEAR(smp.steady_state_reward() / expected, 1.0, 1e-14);
+}
+
+TEST(SmpGenerator, RejectsEverySpecTheCtmcGeneratorRejects) {
+  const BlockSpec base = redundant(Transparency::kNontransparent,
+                                   Transparency::kNontransparent);
+  BlockSpec type0 = base;
+  type0.quantity = 1;
+  const auto expect_both_reject = [](const BlockSpec& b,
+                                     const GlobalParams& g) {
+    EXPECT_THROW(rascad::mg::generate(b, g), std::invalid_argument) << b.name;
+    EXPECT_THROW(rascad::mg::generate_smp(b, g), std::invalid_argument)
+        << b.name;
+  };
+  const auto with = [](BlockSpec b, const char* name, auto edit) {
+    b.name = name;
+    edit(b);
+    return b;
+  };
+  expect_both_reject(
+      with(base, "no faults", [](BlockSpec& b) {
+        b.mtbf_h = 0.0;
+        b.transient_fit = 0.0;
+      }),
+      globals());
+  expect_both_reject(with(base, "N = 0", [](BlockSpec& b) { b.quantity = 0; }),
+                     globals());
+  expect_both_reject(
+      with(base, "K = 0", [](BlockSpec& b) { b.min_quantity = 0; }),
+      globals());
+  expect_both_reject(
+      with(base, "K > N", [](BlockSpec& b) { b.min_quantity = 3; }),
+      globals());
+  expect_both_reject(
+      with(base, "no MTTR or response", [](BlockSpec& b) {
+        b.mttr_corrective_min = 0.0;
+        b.service_response_h = 0.0;
+      }),
+      globals());
+  expect_both_reject(
+      with(type0, "Type 0 without MTTR or response", [](BlockSpec& b) {
+        b.mttr_corrective_min = 0.0;
+        b.service_response_h = 0.0;
+      }),
+      globals());
+  expect_both_reject(
+      with(base, "ar_time = 0", [](BlockSpec& b) { b.ar_time_min = 0.0; }),
+      globals());
+  expect_both_reject(with(base, "reintegration_time = 0",
+                          [](BlockSpec& b) { b.reintegration_min = 0.0; }),
+                     globals());
+  expect_both_reject(
+      with(base, "mttdlf = 0", [](BlockSpec& b) { b.mttdlf_h = 0.0; }),
+      globals());
+  expect_both_reject(
+      with(base, "t_spf = 0", [](BlockSpec& b) { b.t_spf_min = 0.0; }),
+      globals());
+  GlobalParams no_reboot = globals();
+  no_reboot.reboot_time_h = 0.0;
+  expect_both_reject(with(base, "reboot_time = 0", [](BlockSpec&) {}),
+                     no_reboot);
+  expect_both_reject(with(type0, "Type 0, reboot_time = 0", [](BlockSpec&) {}),
+                     no_reboot);
 }
 
 TEST(SmpGenerator, TransientOnlyVariants) {

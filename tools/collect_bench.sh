@@ -18,6 +18,11 @@
 # with uncommitted changes reads "abc1234-dirty" (abc1234 being the commit
 # those changes sit on), never passing as that commit itself.
 #
+# The history baselines are Release builds, so the build dir must be one:
+# the script reads CMAKE_BUILD_TYPE from its CMakeCache.txt and refuses any
+# other type (the default configure is RelWithDebInfo, which alone fails
+# the deep-solve timings), printing the configure command instead.
+#
 # Usage: tools/collect_bench.sh [--append] [build-dir]   (default: ./build)
 set -euo pipefail
 
@@ -30,6 +35,16 @@ for arg in "$@"; do
     *) build="$arg" ;;
   esac
 done
+
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "$build/CMakeCache.txt" 2>/dev/null || true)"
+if [[ "$build_type" != Release ]]; then
+  echo "$build is not a Release build (CMAKE_BUILD_TYPE '${build_type:-unset}');" \
+    "the committed snapshots are Release. Configure one with:" >&2
+  echo "  cmake -B $build -S $root -DCMAKE_BUILD_TYPE=Release &&" \
+    "cmake --build $build -j" >&2
+  exit 1
+fi
 
 history="$root/BENCH_history.jsonl"
 ts="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
