@@ -103,6 +103,8 @@ int main(int argc, char** argv) {
   double deep_n1440_solve_ms = 0.0;
   double deep_n48_sweep64_ms = 0.0;
   double deep_n48_generate_us = 0.0;
+  double deep_n48_steady_us = 0.0;
+  double deep_n48_steady_plan_ratio = 0.0;
 
   std::cout << "=== E7: generation + solution scalability ===\n\n";
   std::cout << "Type 4 block, K=1, growing N (redundancy depth N-1):\n";
@@ -284,6 +286,54 @@ int main(int argc, char** argv) {
               << " us (median of 201, structure known)\n";
     std::cout.unsetf(std::ios::fixed);
   }
+  {
+    // One sweep point's checked steady solve: the same block with a new
+    // MTBF each call, after a first solve has planned its elimination on
+    // this thread. Generation stays outside the clock. Each point is then
+    // solved again after solves of the N=40..47 blocks, whose eight plans
+    // fill the thread's eight slots, so that solve plans first. The share
+    // of it the warm solve takes is a ratio of two times taken back to
+    // back, which the host's speed does not move.
+    const auto spec = rascad::spec::parse_model(deep_sweep_model(40'000.0));
+    auto block = spec.diagrams.front().blocks.front();
+    std::vector<rascad::markov::Ctmc> evict;
+    for (unsigned less = 1; less <= 8; ++less) {
+      auto other = block;
+      other.quantity = block.quantity - less;
+      evict.push_back(rascad::mg::generate(other, spec.globals).chain);
+    }
+    (void)rascad::markov::solve_steady_state(
+        rascad::mg::generate(block, spec.globals).chain);
+    const auto solve_us = [](const rascad::markov::Ctmc& chain) {
+      const auto t0 = Clock::now();
+      (void)rascad::markov::solve_steady_state(chain);
+      return std::chrono::duration<double, std::micro>(Clock::now() - t0)
+          .count();
+    };
+    std::vector<double> samples;
+    std::vector<double> ratios;
+    for (int rep = 0; rep < 201; ++rep) {
+      block.mtbf_h = 40'000.0 + 100.0 * rep;
+      const auto model = rascad::mg::generate(block, spec.globals);
+      const double warm = solve_us(model.chain);
+      for (const auto& chain : evict) {
+        (void)rascad::markov::solve_steady_state(chain);
+      }
+      const double planning = solve_us(model.chain);
+      samples.push_back(warm);
+      ratios.push_back(warm / planning);
+    }
+    std::sort(samples.begin(), samples.end());
+    std::sort(ratios.begin(), ratios.end());
+    deep_n48_steady_us = samples[samples.size() / 2];
+    deep_n48_steady_plan_ratio = ratios[ratios.size() / 2];
+    std::cout << "  checked steady solve of one point: " << std::fixed
+              << std::setprecision(2) << deep_n48_steady_us
+              << " us (median of 201, elimination planned), "
+              << std::setprecision(3) << deep_n48_steady_plan_ratio
+              << " of a solve that plans it\n";
+    std::cout.unsetf(std::ios::fixed);
+  }
 
   std::cout << "\nhierarchy width: flat system of W copies of a Type 3 "
                "block (N=4, K=2):\n";
@@ -345,6 +395,8 @@ int main(int argc, char** argv) {
       .metric("deep_n1440_solve_ms", deep_n1440_solve_ms)
       .metric("deep_n48_sweep64_ms", deep_n48_sweep64_ms)
       .metric("deep_n48_generate_us", deep_n48_generate_us)
+      .metric("deep_n48_steady_us", deep_n48_steady_us)
+      .metric("deep_n48_steady_plan_ratio", deep_n48_steady_plan_ratio)
       .write(std::cout);
   return 0;
 }

@@ -193,15 +193,26 @@ double CsrMatrix::at(std::size_t r, std::size_t c) const {
 Vector CsrMatrix::diagonal() const {
   const std::size_t n = std::min(rows_, cols_);
   Vector d(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) d[i] = at(i, i);
+  for (std::size_t i = 0; i < n; ++i) d[i] = diagonal_entry(i);
   return d;
 }
 
 double CsrMatrix::max_abs_diagonal() const noexcept {
   double m = 0.0;
   const std::size_t n = std::min(rows_, cols_);
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::abs(at(i, i)));
+  for (std::size_t i = 0; i < n; ++i) {
+    m = std::max(m, std::abs(diagonal_entry(i)));
+  }
   return m;
+}
+
+double CsrMatrix::diagonal_entry(std::size_t i) const noexcept {
+  // A row holds a handful of entries, sorted by column: a scan from the
+  // left beats a binary search.
+  for (std::uint32_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+    if (col_idx_[k] >= i) return col_idx_[k] == i ? values_[k] : 0.0;
+  }
+  return 0.0;
 }
 
 CsrMatrix CsrMatrix::transposed() const {

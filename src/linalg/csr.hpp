@@ -123,8 +123,13 @@ class CsrMatrix {
   const std::vector<std::uint32_t>& col_idx() const noexcept {
     return col_idx_;
   }
+  /// The entries' values, aligned with col_idx().
+  const std::vector<double>& values() const noexcept { return values_; }
 
  private:
+  /// Entry (i, i), 0 when absent.
+  double diagonal_entry(std::size_t i) const noexcept;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::uint32_t> row_ptr_;  // rows_ + 1 entries

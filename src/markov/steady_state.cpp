@@ -1,9 +1,12 @@
 #include "markov/steady_state.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <new>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -81,34 +84,114 @@ std::vector<std::uint32_t> rcm_order(const linalg::CsrMatrix& w,
   return order;
 }
 
-/// rcm_order(w), remembered per thread for the last sparsity pattern it
-/// was asked for. A sweep re-solves one pattern with new values at every
-/// point, and the order depends on the pattern alone, so only the first
-/// point pays for it. The key is the pattern itself, compared element by
-/// element (no hash), so a reused order is exactly the order rcm_order
-/// would return. The memo holds one pattern: O(n + nnz) indices a thread.
-std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w,
-                                          const robust::CancelToken& cancel,
-                                          const char* who) {
+/// The symbolic half of a banded GTH elimination: everything it needs that
+/// depends on the sparsity pattern alone, found once per pattern. Values
+/// never enter it, so an entry whose value is 0 counts as present.
+struct GthPlan {
+  // The pattern it was made for, which is its memo key.
+  std::size_t cols = 0;
+  std::vector<std::uint32_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+
+  std::vector<std::uint32_t> order;  // order[k] is the state at position k
+  std::size_t b = 0;                 // the pattern's bandwidth in that order
+  // Entry k of row r at column c lands on w(pos(r), pos(c)), at band index
+  // slot[k]. A diagonal entry lands on the band's diagonal, which no loop
+  // reads.
+  std::vector<std::size_t> slot;
+  // The fill envelope. When position m is eliminated, column m above the
+  // diagonal can be nonzero only in rows ifirst[m] .. m-1, and row m left
+  // of the diagonal only in columns jfirst[m] .. m-1. Outside it every
+  // weight stays an exact +0 throughout.
+  std::vector<std::uint32_t> ifirst;
+  std::vector<std::uint32_t> jfirst;
+};
+
+/// The plan of w's pattern: the reverse Cuthill-McKee order, the band
+/// slot of every entry, and the envelope from one symbolic elimination,
+/// which treats the envelope as dense. Eliminating m fills (i, j) for i in
+/// [ifirst[m], m) and j in [jfirst[m], m), so it widens column j's upper
+/// envelope to ifirst[m] and row i's lower one to jfirst[m]. O(n b).
+GthPlan make_plan(const linalg::CsrMatrix& w,
+                  const robust::CancelToken& cancel, const char* who) {
+  const std::size_t n = w.rows();
+  GthPlan plan;
+  plan.order = rcm_order(w, cancel, who);
+  std::vector<std::uint32_t> pos(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    pos[plan.order[k]] = static_cast<std::uint32_t>(k);
+  }
+  std::vector<std::uint32_t>& ifirst = plan.ifirst;
+  std::vector<std::uint32_t>& jfirst = plan.jfirst;
+  ifirst.resize(n);
+  std::iota(ifirst.begin(), ifirst.end(), std::uint32_t{0});
+  jfirst = ifirst;
+  std::size_t b = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = w.row(r);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const std::uint32_t p = pos[r];
+      const std::uint32_t q = pos[row.cols[k]];
+      if (p < q) ifirst[q] = std::min(ifirst[q], p);
+      if (q < p) jfirst[p] = std::min(jfirst[p], q);
+      b = std::max<std::size_t>(b, p > q ? p - q : q - p);
+    }
+  }
+  plan.b = b;
+  plan.slot.resize(w.nnz());
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t first = w.row_ptr()[r];
+    const auto row = w.row(r);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      plan.slot[first + k] = 2 * b * pos[r] + b + pos[row.cols[k]];
+    }
+  }
+  for (std::size_t m = n; m-- > 1;) {
+    for (std::size_t j = jfirst[m]; j < m; ++j) {
+      ifirst[j] = std::min(ifirst[j], ifirst[m]);
+    }
+    for (std::size_t i = ifirst[m]; i < m; ++i) {
+      jfirst[i] = std::min(jfirst[i], jfirst[m]);
+    }
+  }
+  plan.cols = w.cols();
+  plan.row_ptr = w.row_ptr();
+  plan.col_idx = w.col_idx();
+  return plan;
+}
+
+/// Plans a thread remembers. Chains repeat a handful of patterns (the
+/// block families of a system, the one block of a sweep), and the plan of
+/// the 333-state sweep block holds about 20 KB.
+constexpr std::size_t kPlanSlots = 8;
+
+/// make_plan(w), remembered per thread for the last kPlanSlots patterns it
+/// planned. A sweep re-solves one pattern with new values at every point,
+/// so only the first point plans. The key is the pattern itself, compared
+/// element by element (no hash), so a chain is only ever solved with the
+/// plan made from its own pattern. A caller shares the plan, so a later
+/// miss that refills its slot cannot free it.
+std::shared_ptr<const GthPlan> plan_of(const linalg::CsrMatrix& w,
+                                       const robust::CancelToken& cancel,
+                                       const char* who) {
   struct Memo {
-    std::size_t cols = 0;
-    std::vector<std::uint32_t> row_ptr;
-    std::vector<std::uint32_t> col_idx;
-    std::vector<std::uint32_t> order;  // empty while invalid
+    std::array<std::shared_ptr<const GthPlan>, kPlanSlots> slots;
+    std::size_t next = 0;  // the slot the next miss refills
   };
   thread_local Memo memo;
-  if (memo.order.empty() || memo.cols != w.cols() ||
-      memo.row_ptr != w.row_ptr() || memo.col_idx != w.col_idx()) {
-    // Invalidate first: a throw below must not pair an old pattern with
-    // a new order or the other way round.
-    memo.order.clear();
-    std::vector<std::uint32_t> order = rcm_order(w, cancel, who);
-    memo.cols = w.cols();
-    memo.row_ptr = w.row_ptr();
-    memo.col_idx = w.col_idx();
-    memo.order = std::move(order);
+  for (const auto& entry : memo.slots) {
+    if (entry && entry->cols == w.cols() && entry->row_ptr == w.row_ptr() &&
+        entry->col_idx == w.col_idx()) {
+      return entry;
+    }
   }
-  return memo.order;
+  std::shared_ptr<const GthPlan>& entry = memo.slots[memo.next];
+  memo.next = (memo.next + 1) % kPlanSlots;
+  // Invalidate first: a throw while planning must leave the slot empty,
+  // not holding the plan of another pattern.
+  entry.reset();
+  entry = std::make_shared<const GthPlan>(make_plan(w, cancel, who));
+  return entry;
 }
 
 /// A chain's off-diagonal weights in reverse Cuthill-McKee positions,
@@ -116,7 +199,7 @@ std::vector<std::uint32_t> memo_rcm_order(const linalg::CsrMatrix& w,
 /// Eliminating a state only touches the states within b of it, so fill-in
 /// never leaves the band.
 struct Band {
-  std::vector<std::uint32_t> order;  // order[k] is the state at position k
+  std::shared_ptr<const GthPlan> plan;
   std::size_t b = 0;
   std::vector<double> w;
   double& at(std::size_t i, std::size_t j) { return w[2 * b * i + b + j]; }
@@ -129,20 +212,8 @@ Band band_of(const linalg::CsrMatrix& weights,
     throw SolveError(SolveCause::kInvalidInput, who, "empty chain");
   }
   Band band;
-  band.order = memo_rcm_order(weights, cancel, who);
-  std::vector<std::uint32_t> pos(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    pos[band.order[k]] = static_cast<std::uint32_t>(k);
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto row = weights.row(r);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] == r || row.values[k] == 0.0) continue;
-      const std::size_t p = pos[r];
-      const std::size_t q = pos[row.cols[k]];
-      band.b = std::max(band.b, p > q ? p - q : q - p);
-    }
-  }
+  band.plan = plan_of(weights, cancel, who);
+  band.b = band.plan->b;
   try {
     band.w.assign(n * (2 * band.b + 1), 0.0);
   } catch (const std::bad_alloc&) {
@@ -151,12 +222,9 @@ Band band_of(const linalg::CsrMatrix& weights,
                          " states at bandwidth " + std::to_string(band.b) +
                          " does not fit in memory");
   }
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto row = weights.row(r);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] != r) band.at(pos[r], pos[row.cols[k]]) += row.values[k];
-    }
-  }
+  const std::vector<std::size_t>& slot = band.plan->slot;
+  const std::vector<double>& values = weights.values();
+  for (std::size_t k = 0; k < slot.size(); ++k) band.w[slot[k]] += values[k];
   return band;
 }
 
@@ -173,32 +241,35 @@ Band band_of(const linalg::CsrMatrix& weights,
 /// right-hand side needs (fold_costs, GthFactor::solve_row) and the
 /// stationary back-substitution reads
 ///   pi(m) = sum_{i < m} pi(i) * w(i, m).
-/// `exits` is indexed by position, and empty for a stationary solve. The
-/// diagonal accumulates junk that is never read.
+/// Every loop runs over the plan's envelope only: a term outside it is an
+/// exact +0 added to a non-negative sum, which changes no bit. `exits` is
+/// indexed by position, and empty for a stationary solve. The diagonal
+/// accumulates junk that is never read.
 std::vector<double> gth_eliminate(Band& band, std::size_t last,
                                   std::vector<double>& exits,
                                   const robust::CancelToken& cancel,
                                   const char* who, const char* stuck) {
-  const std::size_t n = band.order.size();
-  const std::size_t b = band.b;
+  const GthPlan& plan = *band.plan;
+  const std::size_t n = plan.order.size();
   std::vector<double> out(n, 0.0);
   for (std::size_t m = n; m-- > last;) {
     checkpoint(cancel, n - m, who);
-    const std::size_t lo = m > b ? m - b : 0;
+    const std::size_t il = plan.ifirst[m];
+    const std::size_t jl = plan.jfirst[m];
     double total = exits.empty() ? 0.0 : exits[m];
-    for (std::size_t j = lo; j < m; ++j) total += band.at(m, j);
+    for (std::size_t j = jl; j < m; ++j) total += band.at(m, j);
     if (!(total > 0.0) || !std::isfinite(total)) {
       throw SolveError(SolveCause::kInvalidInput, who,
-                       "state " + std::to_string(band.order[m]) + stuck);
+                       "state " + std::to_string(plan.order[m]) + stuck);
     }
     out[m] = total;
-    for (std::size_t i = lo; i < m; ++i) band.at(i, m) /= total;
-    const double* wm = &band.at(m, lo);
-    for (std::size_t i = lo; i < m; ++i) {
+    for (std::size_t i = il; i < m; ++i) band.at(i, m) /= total;
+    const double* wm = &band.at(m, jl);
+    for (std::size_t i = il; i < m; ++i) {
       const double into_m = band.at(i, m);
       if (into_m == 0.0) continue;
-      double* wi = &band.at(i, lo);
-      for (std::size_t j = 0; j < m - lo; ++j) wi[j] += into_m * wm[j];
+      double* wi = &band.at(i, jl);
+      for (std::size_t j = 0; j < m - jl; ++j) wi[j] += into_m * wm[j];
       if (!exits.empty()) exits[i] += into_m * exits[m];
     }
   }
@@ -210,10 +281,9 @@ std::vector<double> gth_eliminate(Band& band, std::size_t last,
 /// the same order as folding them inside gth_eliminate. `c` is indexed by
 /// position.
 void fold_costs(Band& band, std::vector<double>& c) {
-  const std::size_t b = band.b;
-  for (std::size_t m = band.order.size(); m-- > 0;) {
-    const std::size_t lo = m > b ? m - b : 0;
-    for (std::size_t i = lo; i < m; ++i) {
+  const std::vector<std::uint32_t>& ifirst = band.plan->ifirst;
+  for (std::size_t m = ifirst.size(); m-- > 0;) {
+    for (std::size_t i = ifirst[m]; i < m; ++i) {
       const double into_m = band.at(i, m);
       if (into_m == 0.0) continue;
       c[i] += into_m * c[m];
@@ -258,15 +328,18 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
   // can span more than the double range (deep levels of a long chain), so
   // the mass at position k is mass[k] * 2^shift[k], and the window the
   // next step reads is rescaled whenever its newest entry drifts far from 1.
+  const GthPlan& plan = *band.plan;
   const std::size_t b = band.b;
   linalg::Vector mass(n, 0.0);
   std::vector<int> shift(n, 0);
   mass[0] = 1.0;
   int scale = 0;
+  bool rescaled = false;
   for (std::size_t m = 1; m < n; ++m) {
-    const std::size_t lo = m > b ? m - b : 0;
     double acc = 0.0;
-    for (std::size_t i = lo; i < m; ++i) acc += mass[i] * band.at(i, m);
+    for (std::size_t i = plan.ifirst[m]; i < m; ++i) {
+      acc += mass[i] * band.at(i, m);
+    }
     mass[m] = acc;
     shift[m] = scale;
     if (acc > 0x1p400 || (acc > 0.0 && acc < 0x1p-400)) {
@@ -276,27 +349,45 @@ linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
         shift[k] += e;
       }
       scale += e;
+      rescaled = true;
     }
   }
   // mass[k] is positive exactly when position 0 reaches position k, so a
   // zero mass is a state no recurrent state leads to: a transient state of
   // a unichain, or the rest of a chain with an absorbing state.
-  int top = 0;  // mass[0] * 2^shift[0] stays exactly 1
-  for (std::size_t k = 0; k < n; ++k) {
-    if (!(mass[k] > 0.0)) {
-      throw SolveError(SolveCause::kInvalidInput, kWho,
-                       "state " + std::to_string(band.order[k]) +
-                           " is unreachable from state " +
-                           std::to_string(band.order[0]) +
-                           " (reducible chain)");
-    }
-    top = std::max(top, std::ilogb(mass[k]) + shift[k]);
-  }
+  const auto unreachable = [&](std::size_t k) {
+    return SolveError(SolveCause::kInvalidInput, kWho,
+                      "state " + std::to_string(plan.order[k]) +
+                          " is unreachable from state " +
+                          std::to_string(plan.order[0]) +
+                          " (reducible chain)");
+  };
   linalg::Vector pi(n);
   double total = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    pi[band.order[k]] = std::ldexp(mass[k], shift[k] - top);
-    total += pi[band.order[k]];
+  if (!rescaled) {
+    // Every shift is 0 and every mass lies in [2^-400, 2^400], so scaling
+    // by 2^-top is exact and equals the ldexp below bit for bit. (A net
+    // scale of 0 is not enough: two rescales can cancel.)
+    double peak = 1.0;  // mass[0]
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!(mass[k] > 0.0)) throw unreachable(k);
+      peak = std::max(peak, mass[k]);
+    }
+    const double down = std::ldexp(1.0, -std::ilogb(peak));
+    for (std::size_t k = 0; k < n; ++k) {
+      pi[plan.order[k]] = mass[k] * down;
+      total += pi[plan.order[k]];
+    }
+  } else {
+    int top = 0;  // mass[0] * 2^shift[0] stays exactly 1
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!(mass[k] > 0.0)) throw unreachable(k);
+      top = std::max(top, std::ilogb(mass[k]) + shift[k]);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      pi[plan.order[k]] = std::ldexp(mass[k], shift[k] - top);
+      total += pi[plan.order[k]];
+    }
   }
   for (double& x : pi) x /= total;
   return pi;
@@ -315,11 +406,12 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
   }
   Band band = band_of(weights, cancel, kWho);
   if (bandwidth) *bandwidth = band.b;
+  const GthPlan& plan = *band.plan;
   std::vector<double> e(n);
   std::vector<double> c(n);
   for (std::size_t k = 0; k < n; ++k) {
-    e[k] = exits[band.order[k]];
-    c[k] = costs[band.order[k]];
+    e[k] = exits[plan.order[k]];
+    c[k] = costs[plan.order[k]];
   }
   const std::vector<double> out =
       gth_eliminate(band, 0, e, cancel, kWho, " cannot reach absorption");
@@ -329,11 +421,12 @@ linalg::Vector gth_absorption_times(const linalg::CsrMatrix& weights,
   std::vector<double> tau_pos(n);
   linalg::Vector tau(n);
   for (std::size_t m = 0; m < n; ++m) {
-    const std::size_t lo = m > band.b ? m - band.b : 0;
     double acc = c[m];
-    for (std::size_t j = lo; j < m; ++j) acc += band.at(m, j) * tau_pos[j];
+    for (std::size_t j = plan.jfirst[m]; j < m; ++j) {
+      acc += band.at(m, j) * tau_pos[j];
+    }
     tau_pos[m] = acc / out[m];
-    tau[band.order[m]] = tau_pos[m];
+    tau[plan.order[m]] = tau_pos[m];
   }
   return tau;
 }
@@ -349,14 +442,17 @@ GthFactor::GthFactor(const linalg::CsrMatrix& weights,
   }
   Band band = band_of(weights, cancel, kWho);
   std::vector<double> e(n);
-  for (std::size_t k = 0; k < n; ++k) e[k] = exits[band.order[k]];
+  for (std::size_t k = 0; k < n; ++k) e[k] = exits[band.plan->order[k]];
   out_ = gth_eliminate(band, 0, e, cancel, kWho, " has no exit");
-  order_ = std::move(band.order);
+  order_ = band.plan->order;
   b_ = band.b;
   w_ = std::move(band.w);
 }
 
 void GthFactor::solve_row(linalg::Vector& x) const {
+  // Right-hand sides carry either sign, so these loops span the whole band:
+  // outside the envelope a term is a zero of either sign, and -0 + +0 is
+  // +0, not -0.
   const std::size_t n = order_.size();
   const std::size_t b = b_;
   std::vector<double> y(n);
@@ -384,9 +480,10 @@ double expected_reward(const Ctmc& chain, const linalg::Vector& pi) {
   if (pi.size() != chain.size()) {
     throw std::invalid_argument("expected_reward: size mismatch");
   }
+  const std::vector<StateInfo>& states = chain.states();
   double acc = 0.0;
   for (StateIndex i = 0; i < chain.size(); ++i) {
-    acc += pi[i] * chain.reward(i);
+    acc += pi[i] * states[i].reward;
   }
   return acc;
 }
@@ -395,16 +492,17 @@ double equivalent_failure_rate(const Ctmc& chain, const linalg::Vector& pi) {
   if (pi.size() != chain.size()) {
     throw std::invalid_argument("equivalent_failure_rate: size mismatch");
   }
+  const std::vector<StateInfo>& states = chain.states();
   double up_prob = 0.0;
   double flow = 0.0;
   const auto& q = chain.generator();
   for (StateIndex i = 0; i < chain.size(); ++i) {
-    if (chain.reward(i) <= 0.0) continue;
+    if (states[i].reward <= 0.0) continue;
     up_prob += pi[i];
     const auto row = q.row(i);
     for (std::size_t k = 0; k < row.size; ++k) {
       const StateIndex j = row.cols[k];
-      if (j != i && chain.reward(j) <= 0.0) flow += pi[i] * row.values[k];
+      if (j != i && states[j].reward <= 0.0) flow += pi[i] * row.values[k];
     }
   }
   if (up_prob <= 0.0) return 0.0;
@@ -415,16 +513,17 @@ double equivalent_recovery_rate(const Ctmc& chain, const linalg::Vector& pi) {
   if (pi.size() != chain.size()) {
     throw std::invalid_argument("equivalent_recovery_rate: size mismatch");
   }
+  const std::vector<StateInfo>& states = chain.states();
   double down_prob = 0.0;
   double flow = 0.0;
   const auto& q = chain.generator();
   for (StateIndex i = 0; i < chain.size(); ++i) {
-    if (chain.reward(i) > 0.0) continue;
+    if (states[i].reward > 0.0) continue;
     down_prob += pi[i];
     const auto row = q.row(i);
     for (std::size_t k = 0; k < row.size; ++k) {
       const StateIndex j = row.cols[k];
-      if (j != i && chain.reward(j) > 0.0) flow += pi[i] * row.values[k];
+      if (j != i && states[j].reward > 0.0) flow += pi[i] * row.values[k];
     }
   }
   if (down_prob <= 0.0) return 0.0;

@@ -52,14 +52,18 @@ SteadyStateResult solve_steady_state(const Ctmc& chain,
 /// never subtracts, so every mass is accurate componentwise however many
 /// decades the masses span. States go in reverse Cuthill-McKee order and
 /// the weights in a band of half-width b: O(n b^2) time, O(n b) memory.
-/// Polls `cancel` every 64 states the RCM ordering visits or the
-/// elimination removes; a stopped token raises
+/// The order, the band layout and the fill envelope depend on the sparsity
+/// pattern alone; a thread remembers the plans of the last 8 patterns it
+/// planned (keyed by the exact pattern), and a solve on a remembered
+/// pattern is bitwise identical to one on a new thread. Polls `cancel`
+/// every 64 states the RCM ordering visits or the elimination removes; a
+/// stopped token raises
 /// SolveError(kCancelled / kDeadlineExceeded), an uncancelled run is
 /// bitwise identical to one without a token. Other errors as for
 /// solve_steady_state above. A chain is irreducible exactly when the
 /// elimination never runs out of outflow and every back-substituted mass is
 /// positive, so the reducibility check costs nothing extra. `bandwidth`, if
-/// given, receives b.
+/// given, receives b, the pattern's (an entry whose value is 0 counts).
 linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
                               const robust::CancelToken& cancel = {},
                               std::size_t* bandwidth = nullptr);

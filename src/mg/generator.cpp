@@ -363,7 +363,9 @@ class RedundantChainBuilder {
       if (has_spf_ && rate * p_spf > 0.0) {
         tape_.add_transition(from, spf_[i + 1], rate * p_spf);
       }
-    } else {
+    } else if (rate > 0.0) {
+      // p_latent_fault = 1 leaves no detected faults; the AR states are
+      // still entered through latent detection.
       tape_.add_transition(from, ar_[i + 1], rate);
     }
   }

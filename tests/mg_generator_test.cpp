@@ -405,6 +405,31 @@ TEST(Types, GeneratorRejectsInvalidSpecs) {
   EXPECT_THROW(generate(bad_quantities, globals()), std::invalid_argument);
 }
 
+TEST(Types, EveryFaultLatentWithNontransparentRecovery) {
+  // p_latent_fault = 1 leaves no detected faults, so no arc may carry the
+  // detected share; the AR states are reached through latent detection.
+  // Both measures are continuous in p_latent_fault at 1.
+  for (const auto repair :
+       {Transparency::kTransparent, Transparency::kNontransparent}) {
+    BlockSpec all_latent =
+        redundant_block(Transparency::kNontransparent, repair);
+    all_latent.p_latent_fault = 1.0;
+    BlockSpec near = all_latent;
+    near.p_latent_fault = 1.0 - 1e-9;
+    const auto model = generate(all_latent, globals());
+    EXPECT_EQ(model.chain.size(), generate(near, globals()).chain.size());
+    const double a = steady_availability(model);
+    const double a_near = steady_availability(generate(near, globals()));
+    EXPECT_LT(std::abs(a - a_near), 1e-9 * a_near);
+    EXPECT_LT(a, 1.0);
+    const double a_smp = rascad::mg::smp_availability(all_latent, globals());
+    const double a_smp_near = rascad::mg::smp_availability(near, globals());
+    EXPECT_LT(std::abs(a_smp - a_smp_near), 1e-9 * a_smp_near);
+    EXPECT_EQ(rascad::mg::generate_smp(all_latent, globals()).size(),
+              model.chain.size());
+  }
+}
+
 TEST(Types, GeneratorRowSumsVanish) {
   for (auto rec : {Transparency::kTransparent, Transparency::kNontransparent}) {
     for (auto rep :

@@ -5,7 +5,10 @@
 // a randomly relabelled copy of a chain. Also the scale and cancellation
 // contract on a ~50k-state generated block.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <exception>
 #include <numeric>
 #include <random>
 #include <string>
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.hpp"
+#include "core/library.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
@@ -25,6 +29,7 @@
 #include "obs/trace.hpp"
 #include "robust/cancel.hpp"
 #include "spec/ast.hpp"
+#include "spec/parser.hpp"
 #include "bicgstab_oracle.hpp"
 #include "dense_lu.hpp"
 #include "dense_matrix.hpp"
@@ -502,6 +507,21 @@ Ctmc with_one_arc_moved(const Ctmc& chain) {
   return b.build();
 }
 
+/// Runs f on a new thread, which starts with no plan, and rethrows here
+/// what it throws, so a solve that fails fails the test and not the suite.
+template <class F>
+void on_new_thread(F&& f) {
+  std::exception_ptr error;
+  std::thread([&] {
+    try {
+      f();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }).join();
+  if (error) std::rethrow_exception(error);
+}
+
 TEST(SteadyExact, OrderReuseIsBitIdentical) {
   // B has A's sparsity pattern and other rates; C is B with one arc moved.
   BlockSpec other = type4_block(48);
@@ -516,18 +536,18 @@ TEST(SteadyExact, OrderReuseIsBitIdentical) {
   ASSERT_NE(c.generator().col_idx(), b.generator().col_idx());
 
   // Every solve sequence runs on its own new thread, which starts with
-  // no remembered order.
+  // no remembered plan.
   const auto solve_on_fresh_thread = [](std::vector<const Ctmc*> chains) {
     std::vector<Vector> pis;
     std::vector<std::size_t> bandwidths;
-    std::thread([&] {
+    on_new_thread([&] {
       for (const Ctmc* chain : chains) {
         std::size_t bw = 0;
         pis.push_back(
             rascad::markov::gth_stationary(chain->generator(), {}, &bw));
         bandwidths.push_back(bw);
       }
-    }).join();
+    });
     return std::make_pair(pis, bandwidths);
   };
   const auto b_fresh = solve_on_fresh_thread({&b});
@@ -539,6 +559,270 @@ TEST(SteadyExact, OrderReuseIsBitIdentical) {
   EXPECT_EQ(in_turn.second[2], c_fresh.second[0]);
   EXPECT_NE(in_turn.first[0], in_turn.first[1]);
   for (const double p : c_fresh.first[0]) ASSERT_GT(p, 0.0);
+}
+
+/// The bits of every entry, so that +0 and -0 tell apart.
+std::vector<std::uint64_t> bits(const Vector& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+/// The bits of each kind of solve a GTH plan serves, on one chain: pi, the
+/// mean times to absorption in the down states (empty unless the chain has
+/// up and down states), and a GthFactor row solve of a right-hand side of
+/// either sign. The absorption times run on the up states' own pattern.
+std::vector<std::uint64_t> pi_bits(const Ctmc& chain) {
+  return bits(rascad::markov::gth_stationary(chain.generator()));
+}
+
+std::vector<std::uint64_t> tau_bits(const Ctmc& chain) {
+  const std::size_t n = chain.size();
+  std::vector<bool> down(n);
+  std::size_t downs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    down[i] = chain.reward(i) <= 0.0;
+    downs += down[i] ? 1 : 0;
+  }
+  if (downs == 0 || downs == n) return {};
+  const auto split = rascad::markov::split_transient(chain.generator(), down);
+  return bits(rascad::markov::gth_absorption_times(
+      split.weights, split.exits, Vector(split.states.size(), 1.0)));
+}
+
+std::vector<std::uint64_t> factor_bits(const Ctmc& chain) {
+  const std::size_t n = chain.size();
+  const rascad::markov::GthFactor factor(chain.generator(),
+                                         Vector(n, 1.0 / 50.0));
+  std::mt19937_64 rng(n);
+  std::uniform_real_distribution<double> draw(-1.0, 1.0);
+  Vector x(n);
+  for (double& v : x) v = draw(rng);
+  factor.solve_row(x);
+  return bits(x);
+}
+
+struct PlanOutputs {
+  std::vector<std::uint64_t> pi;
+  std::vector<std::uint64_t> tau;
+  std::vector<std::uint64_t> solve;
+  bool operator==(const PlanOutputs&) const = default;
+};
+
+PlanOutputs plan_outputs(const Ctmc& chain) {
+  return {pi_bits(chain), tau_bits(chain), factor_bits(chain)};
+}
+
+/// plan_outputs of each chain, each on a new thread: a thread starts with
+/// no plan, so each of these solves plans its own elimination.
+std::vector<PlanOutputs> outputs_on_fresh_threads(
+    const std::vector<Ctmc>& chains) {
+  std::vector<PlanOutputs> out;
+  for (const Ctmc& chain : chains) {
+    on_new_thread([&] { out.push_back(plan_outputs(chain)); });
+  }
+  return out;
+}
+
+/// `chain` with its rates redrawn: the same pattern with other values, as
+/// at the next point of a sweep.
+Ctmc rerated(const Ctmc& chain, std::uint64_t seed) {
+  const auto& q = chain.generator();
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> factor(0.25, 4.0);
+  std::vector<double> values(q.nnz());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const std::size_t first = q.row_ptr()[i];
+    const auto row = q.row(i);
+    double exit = 0.0;
+    std::size_t diag = q.nnz();
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.cols[k] == i) {
+        diag = first + k;
+        continue;
+      }
+      values[first + k] = row.values[k] * factor(rng);
+      exit += values[first + k];
+    }
+    if (diag < q.nnz()) values[diag] = -exit;
+  }
+  return Ctmc(chain.state_table(), q.with_values(std::move(values)));
+}
+
+/// The chains of every block of `spec` that has failures of its own.
+void add_blocks(const rascad::spec::ModelSpec& spec, std::vector<Ctmc>& out) {
+  for (const auto& diagram : spec.diagrams) {
+    for (const auto& block : diagram.blocks) {
+      if (!block.has_own_failures()) continue;
+      out.push_back(rascad::mg::generate(block, spec.globals).chain);
+    }
+  }
+}
+
+TEST(SteadyExact, PlanHitIsBitIdenticalOnEveryBlock) {
+  // Every library block, web_shop.rsc and deep Type 4 blocks, each next to
+  // a chain of its pattern with other rates. Solving the pair in turn on
+  // one thread serves the second from the first one's plans.
+  std::vector<Ctmc> blocks;
+  for (const auto& entry : rascad::core::library::all_models()) {
+    add_blocks(entry.factory(), blocks);
+  }
+  add_blocks(rascad::spec::parse_model_file(std::string(RASCAD_EXAMPLES_DIR) +
+                                            "/web_shop.rsc"),
+             blocks);
+  for (const unsigned n : {2u, 8u, 48u, 480u}) {
+    blocks.push_back(rascad::mg::generate(type4_block(n), globals()).chain);
+  }
+  std::vector<Ctmc> chains;
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    chains.push_back(blocks[k]);
+    chains.push_back(rerated(blocks[k], k + 1));
+  }
+  const std::vector<PlanOutputs> fresh = outputs_on_fresh_threads(chains);
+  // On a new thread the first solve of each pattern plans; here each kind
+  // runs twice in a row, so the second run, and the first on the rerated
+  // twin, reuse a plan already made.
+  on_new_thread([&] {
+    for (std::size_t k = 0; k < chains.size(); ++k) {
+      for (int rep = 0; rep < 2; ++rep) {
+        EXPECT_EQ(pi_bits(chains[k]), fresh[k].pi) << "chain " << k;
+      }
+      for (int rep = 0; rep < 2; ++rep) {
+        EXPECT_EQ(tau_bits(chains[k]), fresh[k].tau) << "chain " << k;
+      }
+      for (int rep = 0; rep < 2; ++rep) {
+        EXPECT_EQ(factor_bits(chains[k]), fresh[k].solve) << "chain " << k;
+      }
+    }
+  });
+  for (std::size_t k = 0; k < chains.size(); k += 2) {
+    EXPECT_NE(fresh[k].pi, fresh[k + 1].pi) << "chain " << k;
+  }
+}
+
+TEST(SteadyExact, ReplanningAfterOtherPatternsIsBitIdentical) {
+  // Nine blocks, each with its own generator and up-state patterns (more
+  // than the thread's eight plans), visited forward, backward and forward
+  // on one thread: most solves come after eight other patterns, so their
+  // plans were evicted and they plan again, while the turns reuse recent
+  // plans. A factor made before all of them keeps its own order and band.
+  std::vector<Ctmc> chains;
+  for (unsigned n = 2; n <= 10; ++n) {
+    chains.push_back(rascad::mg::generate(type4_block(n), globals()).chain);
+  }
+  const std::vector<PlanOutputs> fresh = outputs_on_fresh_threads(chains);
+  const Ctmc& held = chains.back();
+  on_new_thread([&] {
+    const rascad::markov::GthFactor factor(held.generator(),
+                                           Vector(held.size(), 1.0 / 50.0));
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t k = 0; k < chains.size(); ++k) {
+        const std::size_t at = round == 1 ? chains.size() - 1 - k : k;
+        EXPECT_EQ(plan_outputs(chains[at]), fresh[at])
+            << "round " << round << ", chain " << at;
+      }
+    }
+    std::mt19937_64 rng(held.size());
+    std::uniform_real_distribution<double> draw(-1.0, 1.0);
+    Vector x(held.size());
+    for (double& v : x) v = draw(rng);
+    factor.solve_row(x);
+    EXPECT_EQ(bits(x), fresh.back().solve);
+  });
+}
+
+TEST(SteadyExact, EqualSizedPatternsGetTheirOwnPlans) {
+  // b and c have as many states and entries as each other and the same
+  // row lengths; only one column index differs.
+  const Ctmc b = rascad::mg::generate(type4_block(48), globals()).chain;
+  const Ctmc c = with_one_arc_moved(b);
+  ASSERT_EQ(c.size(), b.size());
+  ASSERT_EQ(c.generator().nnz(), b.generator().nnz());
+  ASSERT_EQ(c.generator().row_ptr(), b.generator().row_ptr());
+  ASSERT_NE(c.generator().col_idx(), b.generator().col_idx());
+  const std::vector<PlanOutputs> fresh = outputs_on_fresh_threads({b, c});
+  ASSERT_NE(fresh[0].pi, fresh[1].pi);
+  for (const bool b_first : {true, false}) {
+    on_new_thread([&] {
+      const std::size_t first = b_first ? 0 : 1;
+      const Ctmc& one = b_first ? b : c;
+      const Ctmc& other = b_first ? c : b;
+      EXPECT_EQ(plan_outputs(one), fresh[first]);
+      EXPECT_EQ(plan_outputs(other), fresh[1 - first]);
+      EXPECT_EQ(plan_outputs(one), fresh[first]);
+    });
+  }
+}
+
+TEST(SteadyExact, RescalesThatCancelKeepTheSlowNormalization) {
+  // Masses fall 2^92 a level for five levels and rise 2^92 a level for
+  // five more: the back-substitution rescales down by 2^-460 at level 5
+  // and up by 2^460 at level 10, a net scale of 0 after two rescales. The
+  // bits were recorded from the exponent-by-exponent normalization (ldexp
+  // of every mass), which this chain must still take.
+  const std::vector<double> birth = {0x1.8p-92, 0x1.8p-92, 0x1.8p-93,
+                                     0x1.8p-93, 0x1.4p-92, 0x1p92,
+                                     0x1p92,    0x1p92,    0x1p92,
+                                     0x1p92};
+  const Ctmc chain =
+      birth_death_chain(birth, std::vector<double>(birth.size(), 1.0));
+  const std::vector<std::uint64_t> want = {
+      0x3fd8c9644f01efbc, 0x3a22970b3b4173cd, 0x346be290d8e22db3,
+      0x2ea4e9eca2a9a246, 0x28df5ee2f3fe736a, 0x23239b4dd87f0822,
+      0x28e39b4dd87f0822, 0x2ea39b4dd87f0822, 0x34639b4dd87f0822,
+      0x3a239b4dd87f0822, 0x3fe39b4dd87f0822};
+  std::size_t bandwidth = 0;
+  EXPECT_EQ(bits(rascad::markov::gth_stationary(chain.generator(), {},
+                                                &bandwidth)),
+            want);
+  EXPECT_EQ(bandwidth, 1u);
+  // pi(10) / pi(0) is the product of the ten level ratios, 405/256.
+  const Vector pi = rascad::markov::gth_stationary(chain.generator());
+  EXPECT_LT(rel_err(pi[10] / pi[0], 405.0 / 256.0), 1e-15);
+}
+
+/// FNV-1a over the bytes of `words`, least significant byte first.
+std::uint64_t digest(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 0xcbf29ce484222325;
+  for (const std::uint64_t w : words) {
+    for (int k = 0; k < 8; ++k) {
+      h ^= (w >> (8 * k)) & 0xff;
+      h *= 0x100000001b3;
+    }
+  }
+  return h;
+}
+
+TEST(SteadyExact, DeepBlocksKeepTheFullBandBits) {
+  // The other plan tests compare the envelope loops with themselves, which
+  // a wrong envelope passes. These digests of pi, tau and a GthFactor row
+  // solve were recorded from an elimination that ran every loop over the
+  // whole band, so skipping a term that is not an exact +0 shows here.
+  struct Want {
+    unsigned n;
+    std::size_t states;
+    std::size_t up_states;
+    std::uint64_t pi, tau, solve;
+  };
+  const Want wants[] = {
+      {2, 11, 3, 0xf35784ce760b5994, 0x1b05d1eece7f2935, 0xe6d9177cdd3385d0},
+      {8, 53, 15, 0x7bc82b94a0601401, 0x7e9caf1541053801, 0xda0214140cd1188a},
+      {48, 333, 95, 0x85f2d46b4e9fe07d, 0xcb7c1d6fb658af81,
+       0xe37bc19065585c68},
+      {480, 3357, 959, 0x00230b687e56f551, 0xc196b8f6c991d386,
+       0xb538360237f9318d},
+  };
+  for (const Want& want : wants) {
+    const Ctmc chain =
+        rascad::mg::generate(type4_block(want.n), globals()).chain;
+    const PlanOutputs got = plan_outputs(chain);
+    ASSERT_EQ(got.pi.size(), want.states) << "N = " << want.n;
+    ASSERT_EQ(got.tau.size(), want.up_states) << "N = " << want.n;
+    EXPECT_EQ(digest(got.pi), want.pi) << "N = " << want.n;
+    EXPECT_EQ(digest(got.tau), want.tau) << "N = " << want.n;
+    EXPECT_EQ(digest(got.solve), want.solve) << "N = " << want.n;
+  }
 }
 
 // ---------------------------------------------- mean time to absorption ----
