@@ -45,7 +45,6 @@ namespace rascad::cache {
 struct CachedBlockSolve {
   std::shared_ptr<const markov::Ctmc> chain;
   markov::StateIndex initial = 0;
-  std::shared_ptr<const linalg::Vector> pi;  // stationary vector
   double availability = 1.0;
   double eq_failure_rate = 0.0;
   /// Episode of the solve that filled this entry.

@@ -221,7 +221,6 @@ SystemModel::BlockEntry solve_block_cached(
     cache::CachedBlockSolve value;
     value.chain = entry.chain;
     value.initial = entry.initial;
-    value.pi = std::make_shared<const linalg::Vector>(steady.pi);
     value.availability = entry.availability;
     value.eq_failure_rate = entry.eq_failure_rate;
     value.trace = entry.solve_trace;  // source == kFresh: the producer

@@ -49,8 +49,7 @@
 //
 // Frames from concurrent requests on one connection may interleave; the
 // request_id is the demultiplexing key. Responses to a single request are
-// in order (its chunks are produced by one worker and the ring preserves
-// per-producer FIFO).
+// in order (one thread writes them all, one whole frame at a time).
 #pragma once
 
 #include <cstdint>
@@ -99,6 +98,10 @@ struct Frame {
 /// Hard cap on one frame's encoded size; a peer announcing more is treated
 /// as a protocol violation, not an allocation request.
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
+
+/// Most points one sweep request may ask for; a larger count is answered
+/// with kError before anything is allocated for it.
+inline constexpr std::size_t kMaxSweepPoints = std::size_t{1} << 16;
 
 /// Bytes of `u32 length` prefix + `u8 type` + `u64 request_id`.
 inline constexpr std::size_t kFrameOverhead = 4 + 1 + 8;

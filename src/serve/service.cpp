@@ -25,7 +25,6 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "robust/watchdog.hpp"
-#include "serve/ring.hpp"
 #include "sim/streaming.hpp"
 #include "sim/system_sim.hpp"
 #include "spec/parser.hpp"
@@ -36,8 +35,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Frames buffered per connection between workers and the writer thread.
-constexpr std::size_t kRingCapacity = 256;
 /// Stall budget of the per-request watchdog guard.
 constexpr double kWatchdogBudgetMs = 1000.0;
 
@@ -177,21 +174,20 @@ obs::Counter& scrapes_counter() {
 
 }  // namespace
 
-/// One accepted connection: the reader thread parses request frames, the
-/// writer thread drains the frame ring onto the socket; workers executing
-/// this connection's requests are counted so the ring closes only after
-/// the last producer is done with it.
+/// One accepted connection. Its reader thread parses request frames; each
+/// reply frame is written by the thread that made it (a pool worker, the
+/// reader, or a watch thread). The reader, every request it hands off and
+/// every watch stream hold the session, and the socket closes when the
+/// last of them lets go.
 struct Service::Session {
-  Session() : ring(kRingCapacity) {}
+  explicit Session(int socket) : fd(socket) {}
+  ~Session() { ::close(fd); }
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
 
-  int fd = -1;
-  FrameRing ring;
-  std::thread reader;
-  std::thread writer;
-  std::atomic<std::size_t> inflight{0};
+  const int fd;
+  /// Set when the reader stops: the client hung up or the service stops.
   std::atomic<bool> closing{false};
-  std::atomic<bool> reader_done{false};
-  std::atomic<bool> writer_done{false};
 
   /// Delta-scrape cursors for the kMetrics verb, which runs only on this
   /// connection's reader thread — per-connection state, no lock needed.
@@ -199,13 +195,29 @@ struct Service::Session {
   std::unique_ptr<obs::scrape::MetricsCursor> metrics_cursor;
   std::unique_ptr<obs::scrape::TraceCursor> trace_cursor;
 
-  bool push(const Frame& frame) { return ring.push(encode_frame(frame)); }
-
-  /// Reader saw EOF / error, or the service is stopping: close the ring
-  /// once no worker can still produce into it.
-  void close_ring_if_idle() {
-    if (inflight.load(std::memory_order_acquire) == 0) ring.close();
+  /// Writes one whole frame; the lock keeps frames made on different
+  /// threads from interleaving their bytes. After the first failed send
+  /// (peer gone, or SO_SNDTIMEO lapsed) nothing more is written and every
+  /// push returns false.
+  bool push(const Frame& frame) {
+    const std::string bytes = encode_frame(frame);
+    std::lock_guard<std::mutex> lock(write_mu_);
+    if (broken_) return false;
+    try {
+      write_all(fd, bytes.data(), bytes.size());
+      return true;
+    } catch (const std::exception&) {
+      // The stream may now end mid-frame: end it for both sides, so the
+      // client reads EOF and the reader takes no further requests.
+      broken_ = true;
+      ::shutdown(fd, SHUT_RDWR);
+      return false;
+    }
   }
+
+ private:
+  std::mutex write_mu_;
+  bool broken_ = false;  // guarded by write_mu_
 };
 
 Service::Service(ServiceConfig config)
@@ -282,8 +294,8 @@ void Service::stop() {
   ::close(listen_fd_);
   listen_fd_ = -1;
 
-  // Drain: every admitted request runs to completion and its response
-  // frames reach the rings before any connection is torn down.
+  // Drain: every admitted request runs to completion and writes its
+  // response frames before any connection is torn down.
   {
     std::unique_lock<std::mutex> lock(mu_);
     drained_cv_.wait(lock, [this] { return inflight_ == 0; });
@@ -291,28 +303,21 @@ void Service::stop() {
   // Helper tasks submitted by those requests' parallel loops reference
   // solver state; make sure none is still running either.
   exec::global_pool().drain();
-  // Scrapers next: their terminal kResult frames must be in the rings
-  // before the rings close below. They are detached threads (each owns a
-  // session shared_ptr), so the handshake is a count, not a join.
+  // Scrapers next: their terminal kResult frames must be written before
+  // the sockets are shut down below. They are detached threads (each owns
+  // a session shared_ptr), so the handshake is a count, not a join.
   {
     std::unique_lock<std::mutex> lock(scrapers_mu_);
     scrapers_cv_.wait(lock, [this] { return active_watchers_ == 0; });
   }
 
-  std::vector<std::shared_ptr<Session>> sessions;
+  // Readers last. Shutting a socket down wakes its reader out of
+  // read_frame (EOF) or out of a send to a client that stopped reading;
+  // each reader deregisters on its way out.
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    sessions.swap(sessions_);
-  }
-  for (const auto& s : sessions) {
-    ::shutdown(s->fd, SHUT_RD);  // EOF for a reader blocked in read_frame
-    s->closing.store(true, std::memory_order_release);
-    s->close_ring_if_idle();
-  }
-  for (const auto& s : sessions) {
-    if (s->reader.joinable()) s->reader.join();
-    if (s->writer.joinable()) s->writer.join();
-    ::close(s->fd);
+    std::unique_lock<std::mutex> lock(mu_);
+    for (Session* s : sessions_) ::shutdown(s->fd, SHUT_RDWR);
+    drained_cv_.wait(lock, [this] { return sessions_.empty(); });
   }
   ::unlink(cfg_.socket_path.c_str());
 }
@@ -358,43 +363,20 @@ void Service::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listen socket shut down: service is stopping
     }
-    // A stalled client must not wedge its writer thread forever; a send
-    // that cannot make progress for 30 s drops the connection instead.
+    // A stalled client must not wedge the thread writing its reply
+    // forever; a send that cannot make progress for 30 s drops the
+    // connection instead.
     timeval tv{};
     tv.tv_sec = 30;
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
-    reap_finished_sessions();
-    auto session = std::make_shared<Session>();
-    session->fd = fd;
+    auto session = std::make_shared<Session>(fd);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        ::close(fd);
-        return;
-      }
-      sessions_.push_back(session);
-      // Threads start while the session is registered, so stop() either
-      // sees this session with joinable threads or not at all.
-      session->reader = std::thread([this, session] { reader_loop(session); });
-      session->writer = std::thread([this, session] { writer_loop(session); });
+      if (stopping_) return;
+      sessions_.push_back(session.get());
     }
-  }
-}
-
-void Service::reap_finished_sessions() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < sessions_.size();) {
-    const auto& s = sessions_[i];
-    if (s->reader_done.load(std::memory_order_acquire) &&
-        s->writer_done.load(std::memory_order_acquire)) {
-      if (s->reader.joinable()) s->reader.join();
-      if (s->writer.joinable()) s->writer.join();
-      ::close(s->fd);
-      sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
+    std::thread([this, session] { reader_loop(session); }).detach();
   }
 }
 
@@ -409,28 +391,12 @@ void Service::reader_loop(const std::shared_ptr<Session>& session) {
     // Protocol violation or forced shutdown of the fd: treat as EOF.
   }
   session->closing.store(true, std::memory_order_release);
-  session->close_ring_if_idle();
-  session->reader_done.store(true, std::memory_order_release);
-}
-
-void Service::writer_loop(const std::shared_ptr<Session>& session) {
-  std::string frame;
-  while (session->ring.pop(frame)) {
-    try {
-      write_all(session->fd, frame.data(), frame.size());
-    } catch (const std::exception&) {
-      // Client is gone (or send timed out). Close and drain the ring so
-      // producers blocked on a full ring are released instead of waiting
-      // for a consumer that no longer exists.
-      session->ring.close();
-      std::string sink;
-      while (session->ring.pop(sink)) {
-      }
-      break;
-    }
-  }
-  ::shutdown(session->fd, SHUT_WR);
-  session->writer_done.store(true, std::memory_order_release);
+  // notify_all under the lock on purpose: stop() may destroy this Service
+  // the moment its sessions_.empty() wait returns, which cannot happen
+  // before this thread releases the mutex.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase(sessions_, session.get());
+  if (sessions_.empty()) drained_cv_.notify_all();
 }
 
 void Service::handle_frame(const std::shared_ptr<Session>& session,
@@ -442,9 +408,8 @@ void Service::handle_frame(const std::shared_ptr<Session>& session,
       return;
     case FrameType::kShutdown:
       // Ack BEFORE signaling: once shutdown_requested_ is observable the
-      // host may call stop(), which closes this ring — a frame already
-      // pushed survives the close (the writer drains before exiting), a
-      // frame pushed after it is dropped.
+      // host may call stop(), which shuts this socket down. push() returns
+      // only after the whole ack is written, so the ack is never cut off.
       session->push(make_result(frame.request_id, robust::PointStatus::kOk,
                                 "shutting down\n"));
       completed_.fetch_add(1, std::memory_order_relaxed);
@@ -464,11 +429,10 @@ void Service::handle_frame(const std::shared_ptr<Session>& session,
       return;
     case FrameType::kWatch: {
       // A watch stream gets a dedicated scraper thread, detached: it owns
-      // a session reference and counts in session->inflight so the
-      // connection ring cannot close under its pushes; stop() handshakes
-      // on active_watchers_ (see stop()). The stop-flag check and the
-      // increment share the mutex so no watcher can start after stop()'s
-      // active_watchers_ == 0 wait has passed.
+      // a session reference, so the socket stays open for its pushes;
+      // stop() handshakes on active_watchers_ (see stop()). The stop-flag
+      // check and the increment share the mutex so no watcher can start
+      // after stop()'s active_watchers_ == 0 wait has passed.
       {
         std::lock_guard<std::mutex> lock(scrapers_mu_);
         if (scrapers_stop_.load(std::memory_order_acquire)) {
@@ -480,7 +444,6 @@ void Service::handle_frame(const std::shared_ptr<Session>& session,
         }
         ++active_watchers_;
       }
-      session->inflight.fetch_add(1, std::memory_order_acq_rel);
       std::thread([this, session, req = std::move(frame)]() mutable {
         watch_loop(session, std::move(req));
       }).detach();
@@ -523,7 +486,6 @@ void Service::handle_frame(const std::shared_ptr<Session>& session,
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
   if (obs::enabled()) requests_counter().inc();
-  session->inflight.fetch_add(1, std::memory_order_acq_rel);
   exec::global_pool().submit(
       [this, session, req = std::move(frame)]() mutable {
         run_request(session, std::move(req));
@@ -533,8 +495,6 @@ void Service::handle_frame(const std::shared_ptr<Session>& session,
 void Service::run_request(const std::shared_ptr<Session>& session,
                           Frame frame) {
   const auto start = Clock::now();
-  const obs::SpanId parent = obs::current_span();
-  (void)parent;
   obs::Span span("serve.request");
   if (span.active()) {
     span.set_detail("req=" + std::to_string(frame.request_id) +
@@ -585,11 +545,10 @@ void Service::run_request(const std::shared_ptr<Session>& session,
     request_histogram().observe_ms(ms_since(start));
     (failed ? failed_counter() : completed_counter()).inc();
   }
-  finish_request(session, failed);
+  finish_request(failed);
 }
 
-void Service::finish_request(const std::shared_ptr<Session>& session,
-                             bool failed) {
+void Service::finish_request(bool failed) {
   (failed ? failed_ : completed_).fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -598,10 +557,6 @@ void Service::finish_request(const std::shared_ptr<Session>& session,
       admitted_gauge().set(static_cast<std::int64_t>(inflight_));
     }
     if (inflight_ == 0) drained_cv_.notify_all();
-  }
-  if (session->inflight.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      session->closing.load(std::memory_order_acquire)) {
-    session->ring.close();
   }
   if (!cfg_.obs_append_path.empty() && obs::enabled()) {
     // Per-request incremental dump. Correct only because the dump path
@@ -665,7 +620,11 @@ Frame Service::do_sweep(const std::shared_ptr<Session>& session,
   const double hi = parse_double_field(head[4], "sweep hi");
   const std::size_t n =
       static_cast<std::size_t>(parse_u64_field(head[5], "sweep points"));
-  if (n < 2) throw std::invalid_argument("serve: sweep needs >= 2 points");
+  if (n < 2 || n > kMaxSweepPoints) {
+    throw std::invalid_argument("serve: sweep needs 2 to " +
+                                std::to_string(kMaxSweepPoints) +
+                                " points, got " + std::to_string(n));
+  }
 
   const core::BlockMutator mutate = mutator_for(param);
   spec::ModelSpec model = spec::parse_model(text);
@@ -680,9 +639,9 @@ Frame Service::do_sweep(const std::shared_ptr<Session>& session,
   const std::vector<core::SweepPoint> points = core::sweep_block_parameter(
       model, diagram, block, mutate, core::linspace(lo, hi, n), opts);
 
-  // Stream the series through the connection ring in row chunks: the
-  // worker never waits for the client to read one chunk before producing
-  // the next (until the ring itself backpressures).
+  // Stream the series in row chunks, each written as it is cut: the
+  // socket buffer lets the client fall behind by what it holds before
+  // a send blocks this worker.
   const std::string csv = core::sweep_csv(points);
   std::size_t line_start = 0;
   std::size_t rows = 0;
@@ -864,7 +823,7 @@ void Service::watch_loop(std::shared_ptr<Session> session, Frame req) {
     std::ostringstream os;
     obs::scrape::write_delta_jsonl(os, metrics.collect(), trace.collect());
     if (!session->push(make_chunk(req.request_id, os.str()))) {
-      status = robust::PointStatus::kCancelled;  // ring closed under us
+      status = robust::PointStatus::kCancelled;  // the send failed
       break;
     }
     ++ticks;
@@ -885,10 +844,6 @@ void Service::watch_loop(std::shared_ptr<Session> session, Frame req) {
                             "ticks=" + std::to_string(ticks) + "\nstatus=" +
                                 robust::to_string(status) + "\n"));
   completed_.fetch_add(1, std::memory_order_relaxed);
-  if (session->inflight.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      session->closing.load(std::memory_order_acquire)) {
-    session->ring.close();
-  }
   {
     // notify_all under the lock on purpose: stop() may destroy this
     // Service the moment its active_watchers_ == 0 wait returns, and that

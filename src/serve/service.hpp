@@ -15,18 +15,16 @@
 //                       count; full ⇒ reply   CancelToken (client deadline,
 //                       kRetryAfter with a    child of the service token),
 //                       retry hint            a StallWatchdog guard, and a
-//                                             "serve.request" obs span
-//                                                   │
-//   writer thread  ◄── FrameRing  ◄──────── response frames (chunks +
-//   drains frames       (ring.hpp)           terminal) pushed by the worker
-//   onto the socket
+//                                             "serve.request" obs span;
+//                                             writes its response frames
+//                                             (chunks + terminal) itself
 //
-// Solver threads never touch the socket: they push encoded frames into the
-// connection's ring and move on; the dedicated writer thread owns all
-// socket writes (the gacspp COutput producer/consumer idiom). Backpressure
-// flows the right way at every stage — admission rejects with retry-after
-// when the service is saturated, and a full ring (slow client) blocks only
-// the request producing for that client.
+// A connection owns one thread, its reader. Every reply frame is written by
+// the thread that made it (a pool worker, the reader, or a watch thread),
+// under the connection's write lock, one whole frame per hold. The kernel
+// socket buffer is the only queue: admission rejects with retry-after when
+// the service is saturated, and a client that stops reading blocks only the
+// thread writing to it, for at most the socket's 30 s send timeout.
 #pragma once
 
 #include <atomic>
@@ -93,9 +91,9 @@ class Service {
 
   /// Graceful shutdown: stop admitting, wait for in-flight requests to
   /// finish (they are NOT cancelled — the stall watchdog flags any that
-  /// wedge), drain the exec pool, flush and close every connection ring,
-  /// join all threads, unlink the socket. Idempotent. Must not be called
-  /// from a service thread.
+  /// wedge), drain the exec pool, end the watch streams, shut every
+  /// connection down and wait for its reader, unlink the socket.
+  /// Idempotent. Must not be called from a service thread.
   void stop();
 
   bool running() const noexcept {
@@ -123,11 +121,9 @@ class Service {
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Session>& session);
-  void writer_loop(const std::shared_ptr<Session>& session);
   void handle_frame(const std::shared_ptr<Session>& session, Frame frame);
   void run_request(const std::shared_ptr<Session>& session, Frame frame);
-  void finish_request(const std::shared_ptr<Session>& session, bool failed);
-  void reap_finished_sessions();
+  void finish_request(bool failed);
 
   // Verb handlers; return the terminal frame (chunks are pushed directly).
   Frame do_ping(const Frame& req, const robust::CancelToken& token);
@@ -150,9 +146,12 @@ class Service {
   std::thread acceptor_;
 
   mutable std::mutex mu_;
-  std::condition_variable drained_cv_;
+  std::condition_variable drained_cv_;  // inflight_ or sessions_ hit zero
   std::condition_variable shutdown_cv_;
-  std::vector<std::shared_ptr<Session>> sessions_;
+  /// One entry per live reader thread. The reader holds its session and
+  /// erases the entry under mu_ before letting go, so every pointer here is
+  /// alive while mu_ is held.
+  std::vector<Session*> sessions_;
   std::size_t inflight_ = 0;
   bool stopping_ = false;
 
@@ -163,8 +162,8 @@ class Service {
   // instead of joining. scrapers_stop_ winds them down promptly (the cv
   // cuts the interval sleep short); it is separate from lifetime_ on
   // purpose: shutdown drains solve requests, it does not cancel them, and
-  // scrapers must stop *first* so their terminal frames reach the rings
-  // before the rings close.
+  // scrapers must stop *first* so their terminal frames are written before
+  // the sockets are shut down.
   mutable std::mutex scrapers_mu_;
   std::condition_variable scrapers_cv_;
   std::size_t active_watchers_ = 0;

@@ -1,8 +1,10 @@
-// Solve-service daemon: frame protocol round trips, the MPSC frame ring,
-// in-process Service + Client end-to-end (solve parity with a direct
-// build, shared warm cache across connections, admission backpressure
-// with retry-after, per-request deadlines with degraded partial results,
-// chunked sweep streaming, graceful shutdown draining in-flight work).
+// Solve-service daemon: frame protocol round trips, in-process Service +
+// Client end-to-end (solve parity with a direct build, shared warm cache
+// across connections, admission backpressure with retry-after,
+// per-request deadlines with degraded partial results, chunked sweep
+// streaming, whole frames from concurrent writers on one connection,
+// clients that hang up mid-reply, graceful shutdown draining in-flight
+// work).
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -29,7 +31,6 @@
 #include "robust/cancel.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
-#include "serve/ring.hpp"
 #include "serve/service.hpp"
 #include "spec/parser.hpp"
 #include "spec/writer.hpp"
@@ -39,7 +40,6 @@ namespace {
 using rascad::robust::PointStatus;
 using rascad::serve::Client;
 using rascad::serve::Frame;
-using rascad::serve::FrameRing;
 using rascad::serve::FrameType;
 using rascad::serve::Reply;
 using rascad::serve::Service;
@@ -69,6 +69,12 @@ struct ServerFixture {
   }
   Service service;
 };
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 ServiceConfig base_config(const char* tag) {
   ServiceConfig cfg;
@@ -128,60 +134,6 @@ TEST(ServeProtocol, ScalarCodecsAreLittleEndianAndBoundsChecked) {
   EXPECT_EQ(rascad::serve::get_u32(body, 0), 0x01020304u);
   EXPECT_EQ(rascad::serve::get_u64(body, 4), 0x1122334455667788ull);
   EXPECT_THROW(rascad::serve::get_u32(body, 9), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- ring ----
-
-TEST(FrameRingTest, FifoPerProducerAndCloseDrains) {
-  FrameRing ring(8);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(ring.push("frame-" + std::to_string(i)));
-  }
-  ring.close();
-  EXPECT_FALSE(ring.push("late"));  // rejected after close
-  std::string out;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.pop(out));  // close() never truncates accepted frames
-    EXPECT_EQ(out, "frame-" + std::to_string(i));
-  }
-  EXPECT_FALSE(ring.pop(out));  // closed and drained
-}
-
-TEST(FrameRingTest, ManyProducersOneConsumerConservesFrames) {
-  constexpr std::size_t kProducers = 6;
-  constexpr std::size_t kPerProducer = 500;
-  FrameRing ring(16);  // small: forces full-ring blocking
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (std::size_t i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(ring.push(std::to_string(p) + ":" + std::to_string(i)));
-      }
-    });
-  }
-  std::vector<std::size_t> next(kProducers, 0);
-  std::size_t popped = 0;
-  std::thread consumer([&] {
-    std::string out;
-    while (ring.pop(out)) {
-      const std::size_t colon = out.find(':');
-      ASSERT_NE(colon, std::string::npos);
-      const std::size_t p = std::stoul(out.substr(0, colon));
-      const std::size_t i = std::stoul(out.substr(colon + 1));
-      ASSERT_LT(p, kProducers);
-      EXPECT_EQ(i, next[p]) << "per-producer FIFO violated";
-      next[p] = i + 1;
-      ++popped;
-    }
-  });
-  for (auto& t : producers) t.join();
-  ring.close();
-  consumer.join();
-  EXPECT_EQ(popped, kProducers * kPerProducer);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(next[p], kPerProducer);
-  }
 }
 
 // ---------------------------------------------------------- end-to-end ----
@@ -445,6 +397,35 @@ TEST(ServeEndToEnd, SweepUnderDeadlineReturnsDegradedPrefix) {
   EXPECT_EQ(static_cast<double>(ok_rows), completed);
 }
 
+TEST(ServeEndToEnd, OversizedSweepIsRefusedBeforeItRuns) {
+  // A one-block model whose chain has two states: cheap per point, so only
+  // the count can make the request expensive.
+  const std::string text =
+      "diagram \"Sys\" {\n"
+      "  block \"Unit\" { mtbf = 1000 h  mttr_corrective = 60 min }\n"
+      "}\n";
+  ServerFixture server(base_config("sweepcap"));
+  Client client;
+  client.connect_retry(server.service.config().socket_path, 2000.0);
+  const Reply solved = client.solve(text);
+  ASSERT_TRUE(solved.ok()) << solved.text;
+  ASSERT_EQ(rascad::serve::reply_value(solved.text, "states"), 2.0);
+
+  const auto start = std::chrono::steady_clock::now();
+  const Reply reply =
+      client.sweep(text, "Sys", "Unit", "mtbf_h", 500.0, 2000.0,
+                   rascad::serve::kMaxSweepPoints + 1);
+  EXPECT_LT(ms_since(start), 2000.0) << "the sweep ran instead of failing";
+  EXPECT_EQ(reply.type, FrameType::kError) << reply.text;
+  EXPECT_EQ(reply.status, PointStatus::kFailed);
+  EXPECT_NE(reply.text.find(std::to_string(rascad::serve::kMaxSweepPoints)),
+            std::string::npos)
+      << reply.text;
+  EXPECT_TRUE(reply.stream.empty());
+  // The connection stays usable.
+  EXPECT_TRUE(client.ping().ok());
+}
+
 TEST(ServeEndToEnd, SimulatePartialUnderDeadlineKeepsCompletedStats) {
   const std::string text = datacenter_text();
   ServerFixture server(base_config("simulate"));
@@ -570,6 +551,147 @@ TEST(ServeEndToEnd, ShortBodyAnswersErrorNotOverread) {
     }
   }
   ::close(fd);
+}
+
+/// Body of a sweep request, laid out as serve::Client::sweep lays it out.
+std::string sweep_body(const std::string& model, const char* diagram,
+                       const char* block, const char* param, const char* lo,
+                       const char* hi, std::size_t points) {
+  std::string body;
+  rascad::serve::put_u32(body, 0);  // no deadline
+  body += std::string(diagram) + "\n" + block + "\n" + param + "\n" + lo +
+          "\n" + hi + "\n" + std::to_string(points) + "\n\n" + model;
+  return body;
+}
+
+Frame request(FrameType type, std::uint64_t id, std::string body = {}) {
+  Frame f;
+  f.type = type;
+  f.request_id = id;
+  f.body = std::move(body);
+  return f;
+}
+
+std::string u32s(std::initializer_list<std::uint32_t> values) {
+  std::string body;
+  for (const std::uint32_t v : values) rascad::serve::put_u32(body, v);
+  return body;
+}
+
+TEST(ServeEndToEnd, RequestsSharingAConnectionGetWholeOrderedReplies) {
+  // Five requests back to back on one socket, answered by three kinds of
+  // writer at once: pool workers (sweep, ping), the reader (metrics,
+  // stats) and a watch thread. Each frame must arrive whole and each
+  // request's chunks must precede its one terminal frame.
+  const std::string text = datacenter_text();
+  ServerFixture server(base_config("pipeline"));
+  const int fd = raw_connect(server.service.config().socket_path);
+  ASSERT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = 20;  // a lost terminal frame fails the read, not the suite
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+
+  constexpr std::size_t kPoints = 40;  // three chunks
+  enum : std::uint64_t { kSweepId = 1, kPingId, kMetricsId, kWatchId, kStatsId };
+  rascad::serve::write_frame(
+      fd, request(FrameType::kSweep, kSweepId,
+                  sweep_body(text, "Server Box", "Centerplane",
+                             "service_response_h", "0.5", "24", kPoints)));
+  rascad::serve::write_frame(fd,
+                             request(FrameType::kPing, kPingId, u32s({0, 30})));
+  rascad::serve::write_frame(fd,
+                             request(FrameType::kMetrics, kMetricsId, u32s({1})));
+  rascad::serve::write_frame(
+      fd, request(FrameType::kWatch, kWatchId, u32s({0, 10, 3})));
+  rascad::serve::write_frame(fd, request(FrameType::kStats, kStatsId));
+
+  std::vector<std::string> stream(kStatsId + 1);
+  std::vector<std::size_t> chunks(kStatsId + 1, 0);
+  std::vector<Frame> terminal(kStatsId + 1);
+  std::vector<bool> done(kStatsId + 1, false);
+  std::size_t finished = 0;
+  while (finished < kStatsId) {
+    Frame frame;
+    ASSERT_TRUE(rascad::serve::read_frame(fd, frame)) << "EOF mid-reply";
+    const std::uint64_t id = frame.request_id;
+    ASSERT_GE(id, std::uint64_t{kSweepId});
+    ASSERT_LE(id, std::uint64_t{kStatsId});
+    ASSERT_FALSE(done[id]) << "frame after the terminal of request " << id;
+    if (frame.type == FrameType::kChunk) {
+      stream[id] += frame.body;
+      ++chunks[id];
+      continue;
+    }
+    terminal[id] = std::move(frame);
+    done[id] = true;
+    ++finished;
+  }
+  ::close(fd);
+
+  ASSERT_EQ(terminal[kSweepId].type, FrameType::kResult);
+  ASSERT_FALSE(terminal[kSweepId].body.empty());
+  EXPECT_EQ(static_cast<PointStatus>(terminal[kSweepId].body[0]),
+            PointStatus::kOk);
+  EXPECT_EQ(rascad::serve::reply_value(terminal[kSweepId].body.substr(1),
+                                       "completed"),
+            static_cast<double>(kPoints));
+  EXPECT_EQ(chunks[kSweepId], 3u);
+  EXPECT_EQ(rascad::core::read_sweep_csv(stream[kSweepId]).size(), kPoints);
+  EXPECT_EQ(terminal[kPingId].type, FrameType::kPong);
+  EXPECT_EQ(terminal[kMetricsId].type, FrameType::kResult);
+  EXPECT_NE(terminal[kMetricsId].body.find("\"type\":\"metrics_delta\""),
+            std::string::npos);
+  EXPECT_EQ(chunks[kWatchId], 3u);
+  EXPECT_EQ(terminal[kWatchId].type, FrameType::kResult);
+  EXPECT_NE(terminal[kWatchId].body.find("ticks=3"), std::string::npos);
+  EXPECT_EQ(terminal[kStatsId].type, FrameType::kResult);
+  EXPECT_NE(terminal[kStatsId].body.find("accepted="), std::string::npos);
+  for (const std::uint64_t id : {kPingId, kMetricsId, kStatsId}) {
+    EXPECT_EQ(chunks[id], 0u) << "request " << id;
+  }
+}
+
+TEST(ServeEndToEnd, ClientHangingUpMidReplyLeavesTheDaemonServing) {
+  // Two clients send a request and close without reading a byte: a sweep
+  // (its worker's sends fail on the dead socket) and an unbounded watch.
+  // Both requests are still counted, nothing wedges, other connections
+  // are served and stop() stays prompt.
+  const std::string text = datacenter_text();
+  ServerFixture server(base_config("hangup"));
+  const std::string path = server.service.config().socket_path;
+  for (Frame req :
+       {request(FrameType::kSweep, 1,
+                sweep_body(text, "Server Box", "Centerplane",
+                           "service_response_h", "0.5", "24", 256)),
+        request(FrameType::kWatch, 2, u32s({0, 10, 0}))}) {
+    const int fd = raw_connect(path);
+    ASSERT_GE(fd, 0);
+    rascad::serve::write_frame(fd, req);
+    ::close(fd);
+  }
+
+  ServiceStats stats;
+  const auto settle = std::chrono::steady_clock::now();
+  while (ms_since(settle) < 10000.0) {
+    stats = server.service.stats();
+    if (stats.completed >= 2 && stats.inflight == 0 && stats.watchers == 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(stats.accepted, 1u);  // the sweep; a watch is not admitted
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.inflight, 0u);
+  EXPECT_EQ(stats.watchers, 0u);
+
+  Client other;
+  other.connect_retry(path, 2000.0);
+  EXPECT_TRUE(other.ping().ok());
+  EXPECT_TRUE(other.solve(text).ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  server.service.stop();
+  EXPECT_LT(ms_since(start), 3000.0);
 }
 
 TEST(ServeEndToEnd, ConcurrentClientsAllServed) {
