@@ -2,6 +2,7 @@
 // sweep of the paper's Data Center System, solved three ways:
 //
 //   full   every point is a from-scratch SystemModel::build, no memo table
+//          (a plain loop here; sweeps always rebuild)
 //   cold   incremental rebuild against one baseline, empty cache
 //   warm   the same sweep again on the now-populated cache
 //
@@ -15,11 +16,13 @@
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/solve_cache.hpp"
 #include "core/library.hpp"
 #include "core/sweep.hpp"
+#include "mg/system.hpp"
 #include "obs/bench_json.hpp"
 #include "spec/ast.hpp"
 
@@ -37,20 +40,44 @@ double ms_since(Clock::time_point start) {
 
 constexpr std::size_t kPoints = 64;
 
+// Centerplane service response: a single-block parameter, so the
+// incremental path re-solves exactly one of the model's 22 chains per
+// point.
+void set_tresp(rascad::spec::BlockSpec& b, double v) {
+  b.service_response_h = v;
+}
+
+std::vector<double> sweep_values() {
+  return rascad::core::linspace(0.5, 24.0, kPoints);
+}
+
 std::vector<SweepPoint> run_sweep(const rascad::spec::ModelSpec& model,
-                                  SolveCache* cache, bool incremental,
-                                  std::size_t threads) {
+                                  SolveCache* cache, std::size_t threads) {
   SweepOptions opts;
   opts.model.cache = cache;
-  opts.incremental = incremental;
   opts.parallel.threads = threads;
-  // Centerplane service response: a single-block parameter, so the
-  // incremental path re-solves exactly one of the model's 22 chains per
-  // point.
   return rascad::core::sweep_block_parameter(
-      model, "Server Box", "Centerplane",
-      [](rascad::spec::BlockSpec& b, double v) { b.service_response_h = v; },
-      rascad::core::linspace(0.5, 24.0, kPoints), opts);
+      model, "Server Box", "Centerplane", set_tresp, sweep_values(), opts);
+}
+
+/// The same series from a from-scratch, uncached build of every point.
+std::vector<SweepPoint> full_builds(const rascad::spec::ModelSpec& model) {
+  rascad::mg::SystemModel::Options opts;
+  opts.cache = nullptr;
+  std::vector<SweepPoint> out;
+  for (const double v : sweep_values()) {
+    rascad::spec::ModelSpec point = model;
+    set_tresp(*point.find_block("Server Box", "Centerplane"), v);
+    const auto system =
+        rascad::mg::SystemModel::build(std::move(point), opts);
+    SweepPoint p;
+    p.value = v;
+    p.availability = system.availability();
+    p.yearly_downtime_min = system.yearly_downtime_min();
+    p.eq_failure_rate = system.eq_failure_rate();
+    out.push_back(p);
+  }
+  return out;
 }
 
 bool bitwise_equal(const std::vector<SweepPoint>& a,
@@ -78,16 +105,16 @@ int main(int argc, char** argv) {
                "System, 1 thread:\n";
 
   auto t0 = Clock::now();
-  const auto full = run_sweep(model, nullptr, false, 1);
+  const auto full = full_builds(model);
   const double full_ms = ms_since(t0);
 
   SolveCache cache;
   t0 = Clock::now();
-  const auto cold = run_sweep(model, &cache, true, 1);
+  const auto cold = run_sweep(model, &cache, 1);
   const double cold_ms = ms_since(t0);
 
   t0 = Clock::now();
-  const auto warm = run_sweep(model, &cache, true, 1);
+  const auto warm = run_sweep(model, &cache, 1);
   const double warm_ms = ms_since(t0);
 
   const double speedup_cold = cold_ms > 0.0 ? full_ms / cold_ms : 0.0;
@@ -113,9 +140,8 @@ int main(int argc, char** argv) {
   for (std::size_t threads : {2u, 8u}) {
     SolveCache per_count;
     identical = identical &&
-                bitwise_equal(full, run_sweep(model, &per_count, true,
-                                              threads)) &&
-                bitwise_equal(full, run_sweep(model, &cache, true, threads));
+                bitwise_equal(full, run_sweep(model, &per_count, threads)) &&
+                bitwise_equal(full, run_sweep(model, &cache, threads));
   }
   std::cout << "  series bit-identical (full/cold/warm, threads 1/2/8): "
             << (identical ? "yes" : "NO") << "\n\n";

@@ -17,7 +17,7 @@ int main() {
 
   std::cout << "=== E4 / Figures 1-2: " << spec.title << " ===\n\n";
   std::cout << "diagram tree (level 1 -> level 2):\n";
-  system.root()->print(std::cout);
+  system.tree()->print(std::cout);
 
   std::cout << "\nper-block generated models:\n";
   std::cout << std::left << std::setw(22) << "block" << std::setw(6) << "N/K"

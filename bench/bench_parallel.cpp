@@ -1,6 +1,6 @@
-// Parallel-execution scaling: the three embarrassingly parallel batch
-// paths (parameter sweeps, Monte-Carlo replications, importance what-ifs)
-// timed serial vs multi-threaded, with a bit-identical-results check
+// Parallel-execution scaling: the embarrassingly parallel batch paths
+// (parameter sweeps, Monte-Carlo replications) timed serial vs
+// multi-threaded, with a bit-identical-results check
 // across thread counts {1, 2, 8}. Speedups track the machine's core
 // count; on a single-core box every configuration degenerates to ~1x
 // while the determinism checks still run.
@@ -10,12 +10,10 @@
 #include <iostream>
 #include <vector>
 
-#include "core/importance.hpp"
 #include "core/library.hpp"
 #include "core/sweep.hpp"
 #include "exec/parallel.hpp"
 #include "mg/generator.hpp"
-#include "mg/system.hpp"
 #include "obs/bench_json.hpp"
 #include "sim/chain_sim.hpp"
 
@@ -83,7 +81,6 @@ int main() {
   // Headline serial/8-thread timings per workload for the metrics line.
   double sweep_ms1 = 0.0, sweep_ms8 = 0.0;
   double sim_ms1 = 0.0, sim_ms8 = 0.0;
-  double imp_ms1 = 0.0, imp_ms8 = 0.0;
 
   // --- 64-point sweep over the midrange-server library model ------------
   {
@@ -137,29 +134,6 @@ int main() {
     sim_ms8 = ms8;
   }
 
-  // --- importance what-if solves over the datacenter model --------------
-  {
-    const auto system = rascad::mg::SystemModel::build(
-        rascad::core::library::datacenter_system());
-    const auto run = [&](std::size_t t) {
-      return rascad::core::block_importance(system, threads(t));
-    };
-    std::vector<rascad::core::BlockImportance> i1, i2, i8;
-    const double ms1 = time_ms([&] { i1 = run(1); });
-    const double ms2 = time_ms([&] { i2 = run(2); });
-    const double ms8 = time_ms([&] { i8 = run(8); });
-    bool same = i1.size() == i2.size() && i1.size() == i8.size();
-    for (std::size_t i = 0; same && i < i1.size(); ++i) {
-      same = i1[i].block == i2[i].block && i1[i].block == i8[i].block &&
-             i1[i].criticality == i2[i].criticality &&
-             i1[i].criticality == i8[i].criticality;
-    }
-    identical = identical && same;
-    print_row("importance what-ifs", ms1, ms2, ms8);
-    imp_ms1 = ms1;
-    imp_ms8 = ms8;
-  }
-
   std::cout << "\nresults bit-identical across thread counts {1, 2, 8}: "
             << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << '\n';
 
@@ -169,8 +143,6 @@ int main() {
       .metric("sweep_ms_t8", sweep_ms8)
       .metric("sim_ms_t1", sim_ms1)
       .metric("sim_ms_t8", sim_ms8)
-      .metric("importance_ms_t1", imp_ms1)
-      .metric("importance_ms_t8", imp_ms8)
       .metric("bitwise_identical", identical)
       .write(std::cout);
   return identical ? EXIT_SUCCESS : EXIT_FAILURE;

@@ -14,8 +14,8 @@
 
 namespace rascad::core {
 
-std::vector<BlockImportance> block_importance(const mg::SystemModel& system,
-                                              const exec::ParallelOptions& par) {
+std::vector<BlockImportance> block_importance(
+    const mg::SystemModel& system, const robust::CancelToken& cancel) {
   obs::Span run_span("importance.run");
   if (run_span.active()) {
     run_span.set_detail("blocks=" + std::to_string(system.blocks().size()));
@@ -48,44 +48,38 @@ std::vector<BlockImportance> block_importance(const mg::SystemModel& system,
                               : std::numeric_limits<double>::infinity();
     out[i] = imp;
   };
-  if (par.cancel.valid()) {
-    // Degraded mode: rows the token kept from completing are returned
-    // with their status instead of failing the whole ranking.
-    std::vector<char> done(blocks.size(), 0);
-    exec::parallel_for_status(
-        blocks.size(),
-        [&](std::size_t i) {
-          try {
-            evaluate_block(i);
-          } catch (...) {
-            const auto folded =
-                robust::point_status_from_exception(std::current_exception());
-            out[i] = BlockImportance{};
-            out[i].status = folded.first;
-            out[i].status_detail = folded.second;
-          }
-          done[i] = 1;
-        },
-        par);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (done[i]) continue;
-      const robust::StopReason r = par.cancel.reason();
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (!cancel.valid()) {
+      evaluate_block(i);
+      continue;
+    }
+    // Degraded mode: a row the token kept from completing is returned
+    // with its status instead of failing the whole ranking. Tokens are
+    // sticky, so once one fires every later row is skipped too.
+    if (cancel.stop_requested()) {
+      const robust::StopReason r = cancel.reason();
       out[i].status = robust::point_status_from(r);
       out[i].status_detail =
           std::string("importance skipped (") + robust::to_string(r) + ")";
+    } else {
+      try {
+        evaluate_block(i);
+      } catch (...) {
+        const auto folded =
+            robust::point_status_from_exception(std::current_exception());
+        out[i] = BlockImportance{};
+        out[i].status = folded.first;
+        out[i].status_detail = folded.second;
+      }
     }
+    if (out[i].ok()) continue;
     // Degraded rows keep their identity and zero measures.
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (out[i].ok()) continue;
-      out[i].diagram = blocks[i].diagram;
-      out[i].block = blocks[i].block.name;
-      out[i].availability = 0.0;
-      out[i].yearly_downtime_min = 0.0;
-      out[i].criticality = 0.0;
-      out[i].solve_source = "none";
-    }
-  } else {
-    exec::parallel_for(blocks.size(), evaluate_block, par);
+    out[i].diagram = blocks[i].diagram;
+    out[i].block = blocks[i].block.name;
+    out[i].availability = 0.0;
+    out[i].yearly_downtime_min = 0.0;
+    out[i].criticality = 0.0;
+    out[i].solve_source = "none";
   }
   std::sort(out.begin(), out.end(),
             [](const BlockImportance& a, const BlockImportance& b) {

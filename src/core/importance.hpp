@@ -36,9 +36,9 @@ struct BlockImportance {
   /// Provenance of the block's steady-state solve in the analysed system
   /// ("fresh", "cache-hit", or "baseline-reuse") — see markov::SolveSource.
   std::string solve_source = "fresh";
-  /// Graceful-degradation outcome: kOk unless `par.cancel` carried a token
-  /// and this block's what-if evaluation was skipped or failed. Degraded
-  /// rows keep their identity (diagram/block) but zero measures.
+  /// Graceful-degradation outcome: kOk unless `cancel` carried a token and
+  /// this block's what-if evaluation was skipped or failed. Degraded rows
+  /// keep their identity (diagram/block) but zero measures.
   robust::PointStatus status = robust::PointStatus::kOk;
   std::string status_detail;
 
@@ -46,13 +46,14 @@ struct BlockImportance {
 };
 
 /// Importance of every chain-bearing block, sorted by descending
-/// criticality. The per-block what-if solves run in parallel (`par`); the
-/// ranking is bit-identical for every thread count. When `par.cancel`
-/// carries a token the analysis degrades instead of throwing: rows the stop
-/// kept from completing are returned with their PointStatus (zero measures,
-/// so they sort after every completed row).
+/// criticality. The what-ifs run serially: each is two products over the
+/// solved block table, too little work for a pool to pay for. When
+/// `cancel` carries a token the analysis degrades instead of throwing:
+/// a token that has fired before a row skips that row and every later
+/// one, and a row that throws is folded into its PointStatus. Such rows
+/// keep zero measures, so they sort after every completed row.
 std::vector<BlockImportance> block_importance(
-    const mg::SystemModel& system, const exec::ParallelOptions& par = {});
+    const mg::SystemModel& system, const robust::CancelToken& cancel = {});
 
 struct ParameterSensitivity {
   std::string diagram;

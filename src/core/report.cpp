@@ -99,7 +99,7 @@ void write_report(std::ostream& os, const mg::SystemModel& system,
 
   heading(os, "Diagram structure");
   os << "```\n";
-  system.root()->print(os);
+  system.tree()->print(os);
   os << "```\n";
 }
 

@@ -63,26 +63,17 @@ SweepPoint degraded_point(double value, robust::PointStatus status,
 }
 
 /// Shared driver: `mutate_model` applies one sweep value to a spec copy.
+/// One full solve of the base spec; every point then re-solves only the
+/// blocks its mutation dirties (signature diff inside rebuild). The
+/// baseline is read-only, so points run in parallel.
 std::vector<SweepPoint> run_sweep(
     const spec::ModelSpec& base,
     const std::function<void(spec::ModelSpec&, double)>& mutate_model,
     const std::vector<double>& values, const SweepOptions& opts) {
   obs::Span sweep_span("sweep.run");
   if (sweep_span.active()) {
-    sweep_span.set_detail(
-        "points=" + std::to_string(values.size()) +
-        (opts.incremental ? " incremental" : " full"));
+    sweep_span.set_detail("points=" + std::to_string(values.size()));
   }
-  const auto observe_point = [](std::size_t i, const auto& body) {
-    obs::Span point_span("sweep.point");
-    if (point_span.active()) {
-      point_span.set_detail("i=" + std::to_string(i));
-      static obs::Counter& points_total =
-          obs::Registry::global().counter("sweep.points");
-      points_total.inc();
-    }
-    body();
-  };
   std::vector<SweepPoint> points(values.size());
 
   // A request token opts the sweep into graceful degradation; it also fans
@@ -95,84 +86,66 @@ std::vector<SweepPoint> run_sweep(
     model_opts.parallel.cancel = stop;
   }
 
-  /// Baseline build for the incremental path. In degraded mode a failed /
-  /// cancelled baseline marks every point instead of throwing.
-  const auto build_baseline = [&]() -> std::optional<mg::SystemModel> {
-    if (!degrade) return mg::SystemModel::build(base, model_opts);
-    try {
-      return mg::SystemModel::build(base, model_opts);
-    } catch (...) {
-      const auto folded =
-          robust::point_status_from_exception(std::current_exception());
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        points[i] = degraded_point(values[i], folded.first,
-                                   "baseline build: " + folded.second);
-      }
-      return std::nullopt;
+  // In degraded mode a failed / cancelled baseline marks every point
+  // instead of throwing.
+  std::optional<mg::SystemModel> baseline;
+  try {
+    baseline.emplace(mg::SystemModel::build(base, model_opts));
+  } catch (...) {
+    if (!degrade) throw;
+    const auto folded =
+        robust::point_status_from_exception(std::current_exception());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      points[i] = degraded_point(values[i], folded.first,
+                                 "baseline build: " + folded.second);
     }
-  };
+    return points;
+  }
 
-  /// Point loop shared by the incremental and full paths: strict mode is
-  /// the historical throwing parallel_for; degraded mode records per-point
-  /// statuses and marks indices the stop token kept from running at all.
-  const auto run_points =
-      [&](const std::function<SweepPoint(std::size_t)>& solve_one) {
-        if (!degrade) {
-          exec::parallel_for(
-              values.size(),
-              [&](std::size_t i) {
-                observe_point(i, [&] { points[i] = solve_one(i); });
-              },
-              opts.parallel);
-          return;
-        }
-        std::vector<char> done(values.size(), 0);
-        exec::parallel_for_status(
-            values.size(),
-            [&](std::size_t i) {
-              observe_point(i, [&] {
-                try {
-                  points[i] = solve_one(i);
-                } catch (...) {
-                  auto folded = robust::point_status_from_exception(
-                      std::current_exception());
-                  points[i] = degraded_point(values[i], folded.first,
-                                             std::move(folded.second));
-                }
-                done[i] = 1;
-              });
-            },
-            opts.parallel);
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          if (done[i]) continue;
+  const auto solve_point = [&](std::size_t i) {
+    obs::Span point_span("sweep.point");
+    if (point_span.active()) {
+      point_span.set_detail("i=" + std::to_string(i));
+      static obs::Counter& points_total =
+          obs::Registry::global().counter("sweep.points");
+      points_total.inc();
+    }
+    spec::ModelSpec model = base;
+    mutate_model(model, values[i]);
+    points[i] = summarize(
+        mg::SystemModel::rebuild(*baseline, std::move(model), model_opts),
+        values[i]);
+  };
+  if (!degrade) {
+    exec::parallel_for(values.size(), solve_point, opts.parallel);
+    return points;
+  }
+
+  // Degraded mode: the loop itself runs without the token. Each point
+  // checks it first, so a point the stop reaches before it starts is
+  // marked skipped, and a point that fails folds its own failure.
+  exec::ParallelOptions loop = opts.parallel;
+  loop.cancel = robust::CancelToken{};
+  exec::parallel_for(
+      values.size(),
+      [&](std::size_t i) {
+        if (stop.stop_requested()) {
           const robust::StopReason r = stop.reason();
           points[i] = degraded_point(
               values[i], robust::point_status_from(r),
               std::string("point skipped (") + robust::to_string(r) + ")");
+          return;
         }
-      };
-
-  if (opts.incremental) {
-    // One full solve of the base spec; every point then re-solves only the
-    // blocks its mutation dirties (signature diff inside rebuild). The
-    // baseline is read-only here, so points still run in parallel.
-    std::optional<mg::SystemModel> baseline = build_baseline();
-    if (!baseline) return points;
-    run_points([&](std::size_t i) {
-      spec::ModelSpec model = base;
-      mutate_model(model, values[i]);
-      return summarize(
-          mg::SystemModel::rebuild(*baseline, std::move(model), model_opts),
-          values[i]);
-    });
-  } else {
-    run_points([&](std::size_t i) {
-      spec::ModelSpec model = base;
-      mutate_model(model, values[i]);
-      return summarize(mg::SystemModel::build(std::move(model), model_opts),
-                       values[i]);
-    });
-  }
+        try {
+          solve_point(i);
+        } catch (...) {
+          auto folded =
+              robust::point_status_from_exception(std::current_exception());
+          points[i] = degraded_point(values[i], folded.first,
+                                     std::move(folded.second));
+        }
+      },
+      loop);
   return points;
 }
 

@@ -20,7 +20,7 @@ struct SweepPoint {
   double yearly_downtime_min = 0.0;
   double eq_failure_rate = 0.0;
   /// Dominant provenance of this point's block solves: "baseline" when
-  /// every block was reused from the incremental baseline, "cache" when
+  /// every block was reused from the sweep's baseline, "cache" when
   /// everything else came from the memo table, "fresh" when at least one
   /// chain was generated and solved from scratch. Informational — the
   /// numeric series above is bit-identical regardless of provenance.
@@ -41,11 +41,11 @@ struct SweepPoint {
   bool ok() const noexcept { return status == robust::PointStatus::kOk; }
 };
 
-/// Knobs for the sweep drivers. `model` flows into every SystemModel
-/// build/rebuild (solver config, curve steps, memo cache); `incremental`
-/// selects the rebuild path: solve the base spec once, then re-solve only
-/// the blocks each sweep value actually dirties. Both paths produce
-/// bit-identical series — incremental only changes how much work is done.
+/// Knobs for the sweeps. A sweep solves the base spec once, then
+/// rebuilds it per value, re-solving only the blocks that value actually
+/// dirties; `model` flows into the baseline build and every rebuild
+/// (threads, stop token, memo cache). The series is bit-identical to full
+/// builds of every point.
 struct SweepOptions {
   /// Thread count for the point loop. Setting `parallel.cancel`
   /// additionally opts the sweep into graceful degradation: the token fans
@@ -54,7 +54,6 @@ struct SweepOptions {
   /// PointStatus instead.
   exec::ParallelOptions parallel;
   mg::SystemModel::Options model;
-  bool incremental = true;
 };
 
 /// Mutator applied to the targeted block for each sweep value.
@@ -80,9 +79,9 @@ std::vector<SweepPoint> sweep_block_parameter(
     const std::vector<double>& values, const exec::ParallelOptions& par = {});
 
 /// Sweeps a global parameter over all values. Same parallelism and
-/// determinism contract as sweep_block_parameter. On the incremental path
-/// a global edit re-solves only the blocks whose derived rates it reaches
-/// (signature masking); blocks it cannot affect are baseline reuses.
+/// determinism contract as sweep_block_parameter. A global edit re-solves
+/// only the blocks whose derived rates it reaches (signature masking);
+/// blocks it cannot affect are baseline reuses.
 std::vector<SweepPoint> sweep_global_parameter(
     const spec::ModelSpec& base, const GlobalMutator& mutate,
     const std::vector<double>& values, const SweepOptions& opts);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -46,7 +45,6 @@ struct Batch {
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> pending{0};
-  std::atomic<std::size_t> failed{0};
   std::atomic<std::size_t> skipped{0};
   std::mutex mu;
   std::condition_variable done;
@@ -65,7 +63,6 @@ struct Batch {
       try {
         (*fn)(i);
       } catch (...) {
-        failed.fetch_add(1, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(mu);
         // Lowest index wins so the rethrown error does not depend on
         // timing, and the remaining indices still run.
@@ -146,15 +143,9 @@ ThreadPool& global_pool() {
   return pool;
 }
 
-namespace {
-
-/// Shared driver behind parallel_for / parallel_for_status: runs the loop
-/// and reports per-index accounting without throwing body errors.
-ParallelStatus run_parallel(std::size_t n,
-                            const std::function<void(std::size_t)>& fn,
-                            const ParallelOptions& opts) {
-  ParallelStatus status;
-  if (n == 0) return status;
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  const ParallelOptions& opts) {
+  if (n == 0) return;
   if (!fn) throw std::invalid_argument("parallel_for: null function");
   std::size_t threads =
       opts.threads != 0 ? opts.threads : default_thread_count();
@@ -164,81 +155,61 @@ ParallelStatus run_parallel(std::size_t n,
     loop_span.set_detail("n=" + std::to_string(n) +
                          " threads=" + std::to_string(threads));
   }
+  std::exception_ptr error;
+  std::size_t skipped = 0;
   if (threads <= 1) {
     // Same contract as the parallel path: every index runs (unless the
     // token fires first), and the exception from the lowest index is the
     // one that propagates.
     for (std::size_t i = 0; i < n; ++i) {
       if (opts.cancel.valid() && opts.cancel.stop_requested()) {
-        status.skipped = n - i;
-        status.stop = opts.cancel.reason();
+        skipped = n - i;
         break;
       }
       try {
         fn(i);
       } catch (...) {
-        ++status.failed;
-        if (!status.first_error) {
-          status.first_error = std::current_exception();
-          status.first_failed_index = i;
-        }
+        if (!error) error = std::current_exception();
       }
     }
-    return status;
+  } else {
+    auto batch = std::make_shared<Batch>();
+    batch->n = n;
+    batch->chunk_size =
+        (n + threads * kChunksPerThread - 1) / (threads * kChunksPerThread);
+    batch->chunks = (n + batch->chunk_size - 1) / batch->chunk_size;
+    batch->fn = &fn;
+    batch->trace_parent = loop_span.id();
+    batch->cancel = opts.cancel;
+    batch->pending.store(batch->chunks);
+
+    ThreadPool& pool = global_pool();
+    const std::size_t helpers = std::min(threads - 1, pool.worker_count());
+    for (std::size_t h = 0; h < helpers; ++h) {
+      pool.submit([batch] { batch->drain(); });
+    }
+    batch->drain();
+
+    std::unique_lock<std::mutex> lock(batch->mu);
+    batch->done.wait(lock, [&] { return batch->pending.load() == 0; });
+    skipped = batch->skipped.load();
+    // Move, don't copy: the caller must end up owning the last reference
+    // to the captured exception. Otherwise whichever pool worker destroys
+    // the final Batch ref also performs the final exception_ptr release,
+    // and that refcount lives in (uninstrumented) libstdc++ internals where
+    // TSan cannot observe the synchronization.
+    error = std::move(batch->error);
   }
-
-  auto batch = std::make_shared<Batch>();
-  batch->n = n;
-  batch->chunk_size =
-      (n + threads * kChunksPerThread - 1) / (threads * kChunksPerThread);
-  batch->chunks = (n + batch->chunk_size - 1) / batch->chunk_size;
-  batch->fn = &fn;
-  batch->trace_parent = loop_span.id();
-  batch->cancel = opts.cancel;
-  batch->pending.store(batch->chunks);
-
-  ThreadPool& pool = global_pool();
-  const std::size_t helpers = std::min(threads - 1, pool.worker_count());
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([batch] { batch->drain(); });
-  }
-  batch->drain();
-
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->done.wait(lock, [&] { return batch->pending.load() == 0; });
-  status.failed = batch->failed.load();
-  status.skipped = batch->skipped.load();
-  status.first_failed_index = batch->error_index;
-  // Move, don't copy: the caller must end up owning the last reference to
-  // the captured exception. Otherwise whichever pool worker destroys the
-  // final Batch ref also performs the final exception_ptr release, and that
-  // refcount lives in (uninstrumented) libstdc++ internals where TSan
-  // cannot observe the synchronization.
-  status.first_error = std::move(batch->error);
-  if (status.skipped > 0) status.stop = opts.cancel.reason();
-  return status;
-}
-
-}  // namespace
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  const ParallelOptions& opts) {
-  const ParallelStatus status = run_parallel(n, fn, opts);
-  // Body errors keep precedence over cancellation so existing error
-  // reporting (lowest failed index) is unchanged by adding a token.
-  if (status.first_error) std::rethrow_exception(status.first_error);
-  if (status.skipped > 0) {
+  // Body errors keep precedence over cancellation so error reporting
+  // (lowest failed index) is unchanged by adding a token.
+  if (error) std::rethrow_exception(error);
+  if (skipped > 0) {
+    const robust::StopReason stop = opts.cancel.reason();
     throw robust::SolveError(
-        robust::cause_from(status.stop), "parallel_for",
-        std::to_string(status.skipped) + " of " + std::to_string(n) +
-            " indices skipped (" + robust::to_string(status.stop) + ")");
+        robust::cause_from(stop), "parallel_for",
+        std::to_string(skipped) + " of " + std::to_string(n) +
+            " indices skipped (" + robust::to_string(stop) + ")");
   }
-}
-
-ParallelStatus parallel_for_status(std::size_t n,
-                                   const std::function<void(std::size_t)>& fn,
-                                   const ParallelOptions& opts) {
-  return run_parallel(n, fn, opts);
 }
 
 }  // namespace rascad::exec

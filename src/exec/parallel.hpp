@@ -16,23 +16,18 @@
 // Exceptions thrown by fn are captured per index and the one from the
 // lowest index is rethrown on the calling thread after the loop
 // completes (every index still runs), so error reporting is
-// deterministic too. The total number of failed indices is also counted
-// (ParallelStatus / parallel_for_status), so degraded callers can report
-// how much work was lost instead of just the first error.
+// deterministic too.
 //
 // Cancellation: when ParallelOptions::cancel carries a token, workers
 // stop claiming chunks once it fires — already-started chunk bodies run
 // to completion (bodies poll their own child tokens to stop sooner), and
-// the skipped-index count plus the stop reason land in ParallelStatus.
-// parallel_for turns a partial loop into SolveError(kCancelled /
-// kDeadlineExceeded); parallel_for_status returns it for graceful
-// degradation.
+// a loop cut short raises SolveError(kCancelled / kDeadlineExceeded).
+// Callers that degrade instead of throwing leave the token out of the
+// loop options and check it at the top of the body.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <limits>
 
 #include "exec/thread_pool.hpp"
 #include "robust/cancel.hpp"
@@ -47,20 +42,6 @@ struct ParallelOptions {
   /// claimed. Inert by default. Forward the same token (or a child) into
   /// the body's solves for intra-chunk cancellation.
   robust::CancelToken cancel;
-};
-
-/// Outcome of one parallel loop: how many indices ran, failed, or were
-/// never started. `first_error` holds the exception from the lowest failed
-/// index (the deterministic one parallel_for would rethrow).
-struct ParallelStatus {
-  std::size_t failed = 0;   // indices whose body threw
-  std::size_t skipped = 0;  // indices never run (loop cancelled first)
-  std::size_t first_failed_index = std::numeric_limits<std::size_t>::max();
-  std::exception_ptr first_error;
-  /// Why indices were skipped; kNone when the loop ran to the end.
-  robust::StopReason stop = robust::StopReason::kNone;
-
-  bool complete() const noexcept { return failed == 0 && skipped == 0; }
 };
 
 /// std::thread::hardware_concurrency(), never 0.
@@ -80,12 +61,5 @@ ThreadPool& global_pool();
 /// otherwise error-free) raises SolveError(kCancelled/kDeadlineExceeded).
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   const ParallelOptions& opts = {});
-
-/// parallel_for that never throws body errors: runs what it can and
-/// returns the per-index accounting, for callers that degrade gracefully
-/// instead of failing the whole loop.
-ParallelStatus parallel_for_status(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    const ParallelOptions& opts = {});
 
 }  // namespace rascad::exec

@@ -89,21 +89,6 @@ double series_product(const spec::ModelSpec& model, ValueFn&& value) {
   return walk<double>(model, model.root(), leaf, series);
 }
 
-/// The steady-state RBD of a solved block table, for printing.
-rbd::RbdNodePtr compose_tree(
-    const spec::ModelSpec& model,
-    const std::vector<SystemModel::BlockEntry>& blocks) {
-  std::size_t cursor = 0;
-  auto leaf = [&](const spec::DiagramSpec&, const spec::BlockSpec& b) {
-    return rbd::RbdNode::leaf(b.name, blocks.at(cursor++).availability);
-  };
-  auto series = [](const std::string& name,
-                   std::vector<rbd::RbdNodePtr> parts) {
-    return rbd::RbdNode::series(name, std::move(parts));
-  };
-  return walk<rbd::RbdNodePtr>(model, model.root(), leaf, series);
-}
-
 /// Grid resolution of interval availability: every block's point
 /// availability is sampled on this many segments of the horizon.
 constexpr std::size_t kCurveSteps = 256;
@@ -294,8 +279,6 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   std::vector<std::size_t> all(pending.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   solve_blocks(all, pending, sm.spec_.globals, opts, sm.blocks_);
-
-  sm.root_ = compose_tree(sm.spec_, sm.blocks_);
   return sm;
 }
 
@@ -367,9 +350,19 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
     reused_blocks.inc(pending.size() - dirty.size());
   }
   solve_blocks(dirty, pending, sm.spec_.globals, opts, sm.blocks_);
-
-  sm.root_ = compose_tree(sm.spec_, sm.blocks_);
   return sm;
+}
+
+rbd::RbdNodePtr SystemModel::tree() const {
+  std::size_t cursor = 0;
+  auto leaf = [&](const spec::DiagramSpec&, const spec::BlockSpec& b) {
+    return rbd::RbdNode::leaf(b.name, blocks_.at(cursor++).availability);
+  };
+  auto series = [](const std::string& name,
+                   std::vector<rbd::RbdNodePtr> parts) {
+    return rbd::RbdNode::series(name, std::move(parts));
+  };
+  return walk<rbd::RbdNodePtr>(spec_, spec_.root(), leaf, series);
 }
 
 double SystemModel::eq_failure_rate() const {

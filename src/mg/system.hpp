@@ -62,7 +62,7 @@ class SystemModel {
   };
 
   /// Validates the spec (throws std::invalid_argument on errors), then
-  /// generates and solves every block chain and composes the RBD tree.
+  /// generates and solves every block chain.
   /// Taken by value: the model is stored in the result, so callers that
   /// are done with their copy can std::move it in (sweeps do).
   static SystemModel build(spec::ModelSpec model, const Options& opts);
@@ -73,8 +73,8 @@ class SystemModel {
   /// Incremental rebuild against a solved baseline: re-generates and
   /// re-solves only the blocks whose chain signature differs from the
   /// baseline's (a global edit therefore dirties only the blocks it
-  /// actually feeds), reuses every untouched BlockEntry (sharing the
-  /// chain), and recomposes the RBD. Falls back to a full build when the
+  /// actually feeds) and reuses every untouched BlockEntry (sharing the
+  /// chain). Falls back to a full build when the
   /// hierarchy structure changed (block added / removed / renamed /
   /// reordered).
   /// Results are bit-identical to a full build of `changed`.
@@ -115,10 +115,10 @@ class SystemModel {
                                     const std::string& block,
                                     double value) const;
 
-  /// The steady-state RBD of the hierarchy, for printing. Every measure
-  /// above is a product over the block table, taken in this tree's
-  /// association; the tree itself does not integrate.
-  const rbd::RbdNodePtr& root() const noexcept { return root_; }
+  /// The steady-state RBD of the hierarchy, composed on each call for
+  /// printing. Every measure above is a product over the block table,
+  /// taken in this tree's association; the tree itself does not integrate.
+  rbd::RbdNodePtr tree() const;
   const std::vector<BlockEntry>& blocks() const noexcept { return blocks_; }
   const spec::ModelSpec& spec() const noexcept { return spec_; }
   const Options& options() const noexcept { return opts_; }
@@ -132,7 +132,6 @@ class SystemModel {
 
   spec::ModelSpec spec_;
   Options opts_;
-  rbd::RbdNodePtr root_;
   std::vector<BlockEntry> blocks_;
 };
 

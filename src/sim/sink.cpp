@@ -28,59 +28,26 @@ std::string format_record(const ReplicationSink::Record& rec) {
 
 }  // namespace
 
-ReplicationSink::ReplicationSink(const std::string& path, std::size_t capacity)
-    : out_(path, std::ios::app), capacity_(capacity == 0 ? 1 : capacity) {
+ReplicationSink::ReplicationSink(const std::string& path)
+    : path_(path), out_(path, std::ios::app) {
   if (!out_) {
     throw std::runtime_error("ReplicationSink: cannot open '" + path + "'");
   }
-  writer_ = std::thread(&ReplicationSink::run, this);
 }
 
-ReplicationSink::~ReplicationSink() { close(); }
+void ReplicationSink::push(const Record& rec) { out_ << format_record(rec); }
 
-void ReplicationSink::push(const Record& rec) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [&] { return queue_.size() < capacity_ || closing_; });
-  if (closing_) return;  // records after close() are dropped by contract
-  queue_.push_back(rec);
-  lock.unlock();
-  not_empty_.notify_one();
+void ReplicationSink::check() const {
+  if (!out_) {
+    throw std::runtime_error("ReplicationSink: write to '" + path_ +
+                             "' failed");
+  }
 }
 
 void ReplicationSink::close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closing_) {
-      // Second close: the writer is already draining or joined.
-    }
-    closing_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-  if (writer_.joinable()) writer_.join();
-  if (out_.is_open()) {
-    out_.flush();
-    out_.close();
-  }
-}
-
-std::uint64_t ReplicationSink::written() const noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  return written_;
-}
-
-void ReplicationSink::run() {
-  for (;;) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !queue_.empty() || closing_; });
-    if (queue_.empty()) return;  // closing_ and drained
-    const Record rec = queue_.front();
-    queue_.pop_front();
-    ++written_;
-    lock.unlock();
-    not_full_.notify_one();
-    out_ << format_record(rec);
-  }
+  out_.flush();
+  out_.close();
+  check();
 }
 
 }  // namespace rascad::sim

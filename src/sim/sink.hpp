@@ -1,21 +1,16 @@
-// Async buffered JSONL sink for per-replication simulator records.
+// JSONL sink for per-replication simulator records.
 //
-// The streaming fold thread must never stall on disk: records are pushed
-// into a bounded queue and a dedicated writer thread formats and appends
-// them (obs::json_number shortest-round-trip doubles, same machinery as
-// the telemetry JSONL sink). push() applies backpressure — it blocks when
-// the queue is full rather than dropping records or growing without
-// bound, preserving the flat-memory guarantee of the streaming driver.
+// replicate_system_streaming folds replications in index order on its
+// calling thread and appends each record here as it folds it, one line per
+// replication (obs::json_number shortest-round-trip doubles, same
+// machinery as the telemetry JSONL sink). Lines are buffered by the
+// stream; a failed write is reported rather than lost: check() throws
+// once the stream has failed, and close() flushes and checks.
 #pragma once
 
-#include <condition_variable>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <fstream>
-#include <mutex>
 #include <string>
-#include <thread>
 
 namespace rascad::sim {
 
@@ -29,38 +24,22 @@ class ReplicationSink {
     std::uint64_t events = 0;
   };
 
-  /// Opens `path` for appending and starts the writer thread. Throws
-  /// std::runtime_error when the file cannot be opened.
-  ReplicationSink(const std::string& path, std::size_t capacity = 4096);
-  ~ReplicationSink();
+  /// Opens `path` for appending. Throws std::runtime_error when the file
+  /// cannot be opened.
+  explicit ReplicationSink(const std::string& path);
 
-  ReplicationSink(const ReplicationSink&) = delete;
-  ReplicationSink& operator=(const ReplicationSink&) = delete;
-
-  /// Enqueue one record; blocks while the queue is at capacity.
+  /// Appends one record.
   void push(const Record& rec);
 
-  /// Drains the queue, flushes the file, and joins the writer. Idempotent;
-  /// the destructor calls it.
+  /// Throws std::runtime_error naming the path if a write has failed.
+  void check() const;
+
+  /// Flushes and closes the file, then check()s.
   void close();
 
-  /// Lines written to disk so far (exact after close()).
-  std::uint64_t written() const noexcept;
-
  private:
-  void run();
-
+  std::string path_;
   std::ofstream out_;
-  std::size_t capacity_;
-
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<Record> queue_;
-  bool closing_ = false;
-  std::uint64_t written_ = 0;
-
-  std::thread writer_;
 };
 
 }  // namespace rascad::sim

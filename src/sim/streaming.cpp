@@ -148,6 +148,10 @@ struct Lane {
 /// enough that their buffers stay small. Results never depend on it.
 constexpr std::size_t kLanes = 64;
 
+/// The early exit's CI level (95%) and the replications it waits for.
+constexpr double kCiZ = 1.96;
+constexpr std::size_t kMinReplications = 256;
+
 }  // namespace
 
 StreamingReplicationResult replicate_system_streaming(
@@ -176,8 +180,7 @@ StreamingReplicationResult replicate_system_streaming(
 
   std::unique_ptr<ReplicationSink> sink;
   if (!opts.jsonl_path.empty()) {
-    sink = std::make_unique<ReplicationSink>(opts.jsonl_path,
-                                             opts.sink_capacity);
+    sink = std::make_unique<ReplicationSink>(opts.jsonl_path);
   }
 
   const std::size_t batch = std::max<std::size_t>(1, opts.batch);
@@ -254,6 +257,7 @@ StreamingReplicationResult replicate_system_streaming(
                     s.events});
       }
     }
+    if (sink) sink->check();
     out.events += batch_events;
     out.completed += n;
     next += n;
@@ -277,9 +281,9 @@ StreamingReplicationResult replicate_system_streaming(
     }
 
     if (opts.stop_when_ci_below > 0.0 &&
-        out.completed >= opts.min_replications &&
+        out.completed >= kMinReplications &&
         out.availability.count() >= 2 &&
-        out.ci_half_width(opts.ci_z) <= opts.stop_when_ci_below) {
+        out.ci_half_width(kCiZ) <= opts.stop_when_ci_below) {
       out.early_exit = out.completed < out.requested;
       break;
     }

@@ -11,8 +11,8 @@
 //     availability and outage-duration quantiles — five markers per
 //     quantile, O(1) memory, no sample retention,
 //   * online CI half-width early exit (`stop_when_ci_below`),
-//   * an async buffered JSONL sink (sim/sink.hpp) draining
-//     per-replication records off the fold thread.
+//   * a JSONL sink (sim/sink.hpp) the fold appends each replication's
+//     record to, in index order; a failed write throws.
 //
 // Determinism contract: replications are generated in parallel into a
 // fixed batch of slots by index, then folded into every accumulator in
@@ -65,18 +65,15 @@ struct StreamingOptions {
   /// Replications generated (in parallel) per fold batch; also the
   /// cancellation grain and the memory high-water mark.
   std::size_t batch = 4096;
-  /// Early exit: stop once the availability CI half-width (at `ci_z`)
-  /// drops to or below this value. 0 disables the check.
+  /// Early exit: stop once the 95% availability CI half-width (z = 1.96)
+  /// drops to or below this value, and at least 256 replications have
+  /// run (variance estimates on tiny samples are noise). 0 disables the
+  /// check.
   double stop_when_ci_below = 0.0;
-  double ci_z = 1.96;
-  /// Early exit is never taken before this many replications (variance
-  /// estimates on tiny samples are noise).
-  std::size_t min_replications = 256;
-  /// When non-empty, every folded replication appends one JSONL record
-  /// through the async sink. Throws std::runtime_error if unwritable.
+  /// When non-empty, every folded replication appends one JSONL record.
+  /// Throws std::runtime_error if the file cannot be opened, or once a
+  /// write to it has failed.
   std::string jsonl_path;
-  /// Bounded sink queue (records) before the fold thread backpressures.
-  std::size_t sink_capacity = 4096;
   /// Threading for the per-batch generation loop. `parallel.cancel` is
   /// honored BETWEEN batches (degrade-to-prefix), never inside one.
   exec::ParallelOptions parallel;

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -716,28 +717,55 @@ void expect_bitwise_equal(const std::vector<SweepPoint>& a,
   }
 }
 
-SweepOptions sweep_options(SolveCache* cache, bool incremental,
-                           std::size_t threads) {
+SweepOptions sweep_options(SolveCache* cache, std::size_t threads) {
   SweepOptions opts;
   opts.model.cache = cache;
-  opts.incremental = incremental;
-  if (threads > 0) opts.parallel.threads = threads;
+  opts.parallel.threads = threads;
   return opts;
 }
+
+/// The reference series: a from-scratch, uncached SystemModel::build of
+/// every point.
+std::vector<SweepPoint> full_builds(
+    const ModelSpec& m, const std::function<void(ModelSpec&, double)>& mutate,
+    const std::vector<double>& values) {
+  SystemModel::Options opts;
+  opts.cache = nullptr;
+  std::vector<SweepPoint> out;
+  for (const double v : values) {
+    ModelSpec point = m;
+    mutate(point, v);
+    const SystemModel system = SystemModel::build(std::move(point), opts);
+    SweepPoint p;
+    p.value = v;
+    p.availability = system.availability();
+    p.yearly_downtime_min = system.yearly_downtime_min();
+    p.eq_failure_rate = system.eq_failure_rate();
+    out.push_back(p);
+  }
+  return out;
+}
+
+const std::vector<double> kMtbfValues =
+    rascad::core::linspace(200'000.0, 400'000.0, 16);
 
 std::vector<SweepPoint> mtbf_sweep(const ModelSpec& m,
                                    const SweepOptions& opts) {
   return rascad::core::sweep_block_parameter(
       m, "Root", "Pair",
-      [](BlockSpec& b, double v) { b.mtbf_h = v; },
-      rascad::core::linspace(200'000.0, 400'000.0, 16), opts);
+      [](BlockSpec& b, double v) { b.mtbf_h = v; }, kMtbfValues, opts);
 }
 
 TEST(SweepCache, IncrementalSeriesMatchesFullRebuildBitwise) {
   const ModelSpec m = small_model();
   SolveCache cache;
-  const auto incremental = mtbf_sweep(m, sweep_options(&cache, true, 1));
-  const auto full = mtbf_sweep(m, sweep_options(nullptr, false, 1));
+  const auto incremental = mtbf_sweep(m, sweep_options(&cache, 1));
+  const auto full = full_builds(
+      m,
+      [](ModelSpec& model, double v) {
+        model.find_block("Root", "Pair")->mtbf_h = v;
+      },
+      kMtbfValues);
   expect_bitwise_equal(incremental, full);
   // Incremental points reuse the untouched block from the baseline and
   // re-solve only the swept one.
@@ -751,8 +779,8 @@ TEST(SweepCache, IncrementalSeriesMatchesFullRebuildBitwise) {
 TEST(SweepCache, WarmSweepIsServedFromTheCacheBitwise) {
   const ModelSpec m = small_model();
   SolveCache cache;
-  const auto cold = mtbf_sweep(m, sweep_options(&cache, true, 1));
-  const auto warm = mtbf_sweep(m, sweep_options(&cache, true, 1));
+  const auto cold = mtbf_sweep(m, sweep_options(&cache, 1));
+  const auto warm = mtbf_sweep(m, sweep_options(&cache, 1));
   expect_bitwise_equal(cold, warm);
   for (const auto& p : warm) {
     EXPECT_EQ(p.fresh_blocks, 0u) << p.value;
@@ -764,13 +792,13 @@ TEST(SweepCache, WarmSweepIsServedFromTheCacheBitwise) {
 TEST(SweepCache, SeriesIsBitIdenticalAcrossThreadCounts) {
   const ModelSpec m = small_model();
   SolveCache c1, c2, c8;
-  const auto t1 = mtbf_sweep(m, sweep_options(&c1, true, 1));
-  const auto t2 = mtbf_sweep(m, sweep_options(&c2, true, 2));
-  const auto t8 = mtbf_sweep(m, sweep_options(&c8, true, 8));
+  const auto t1 = mtbf_sweep(m, sweep_options(&c1, 1));
+  const auto t2 = mtbf_sweep(m, sweep_options(&c2, 2));
+  const auto t8 = mtbf_sweep(m, sweep_options(&c8, 8));
   expect_bitwise_equal(t1, t2);
   expect_bitwise_equal(t1, t8);
   // And warm reruns at a different thread count stay on the same bits.
-  const auto warm8 = mtbf_sweep(m, sweep_options(&c1, true, 8));
+  const auto warm8 = mtbf_sweep(m, sweep_options(&c1, 8));
   expect_bitwise_equal(t1, warm8);
 }
 
@@ -783,11 +811,10 @@ TEST(SweepCache, GlobalSweepReusesBlocksTheEditCannotReach) {
   const auto points = rascad::core::sweep_global_parameter(
       m,
       [](rascad::spec::GlobalParams& g, double v) { g.reboot_time_h = v; },
-      rascad::core::linspace(0.05, 0.5, 8), sweep_options(&cache, true, 1));
-  const auto full = rascad::core::sweep_global_parameter(
-      m,
-      [](rascad::spec::GlobalParams& g, double v) { g.reboot_time_h = v; },
-      rascad::core::linspace(0.05, 0.5, 8), sweep_options(nullptr, false, 1));
+      rascad::core::linspace(0.05, 0.5, 8), sweep_options(&cache, 1));
+  const auto full = full_builds(
+      m, [](ModelSpec& model, double v) { model.globals.reboot_time_h = v; },
+      rascad::core::linspace(0.05, 0.5, 8));
   expect_bitwise_equal(points, full);
   for (const auto& p : points) {
     EXPECT_EQ(p.reused_blocks, 1u) << p.value;

@@ -105,7 +105,7 @@ TEST(DotExport, ChainContainsStatesAndRates) {
 TEST(DotExport, RbdTree) {
   const auto model = SystemModel::build(
       rascad::core::library::midrange_server());
-  const std::string dot = rascad::core::rbd_dot(*model.root());
+  const std::string dot = rascad::core::rbd_dot(*model.tree());
   EXPECT_NE(dot.find("[series]"), std::string::npos);
   EXPECT_NE(dot.find("shape=box"), std::string::npos);
 }

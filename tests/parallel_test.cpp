@@ -1,6 +1,6 @@
 // Tests for the exec parallel layer (thread pool, parallel_for) and the
 // bit-identical-across-thread-counts contract of every batch path wired
-// through it: replications, importance, and the system build itself.
+// through it: replications, sensitivities, and the system build itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -193,22 +193,6 @@ TEST(Determinism, BlockReplicationsBitIdenticalAcrossThreadCounts) {
     const auto stats = rascad::sim::replicate_block_availability(
         b, g, 50'000.0, 24, 7, {}, threads(t));
     expect_identical_stats(stats, serial);
-  }
-}
-
-TEST(Determinism, ImportanceRankingBitIdenticalAcrossThreadCounts) {
-  const auto system = rascad::mg::SystemModel::build(parallel_test_model());
-  const auto serial = rascad::core::block_importance(system, threads(1));
-  for (std::size_t t : kThreadCounts) {
-    const auto imps = rascad::core::block_importance(system, threads(t));
-    ASSERT_EQ(imps.size(), serial.size());
-    for (std::size_t i = 0; i < imps.size(); ++i) {
-      EXPECT_EQ(imps[i].block, serial[i].block);
-      EXPECT_EQ(imps[i].birnbaum, serial[i].birnbaum);
-      EXPECT_EQ(imps[i].criticality, serial[i].criticality);
-      EXPECT_EQ(imps[i].raw, serial[i].raw);
-      EXPECT_EQ(imps[i].rrw, serial[i].rrw);
-    }
   }
 }
 

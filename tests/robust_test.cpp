@@ -268,51 +268,7 @@ TEST(Episode, InjectedTimeoutEndsAtTheDeadline) {
 
 // ----------------------------------------------------- parallel loops ----
 
-TEST(ParallelStatusLoop, CountsEveryFailedIndex) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    rascad::exec::ParallelOptions par;
-    par.threads = threads;
-    std::atomic<int> ran{0};
-    const rascad::exec::ParallelStatus status =
-        rascad::exec::parallel_for_status(
-            100,
-            [&](std::size_t i) {
-              ran.fetch_add(1, std::memory_order_relaxed);
-              if (i % 10 == 3) throw std::runtime_error("bad " +
-                                                        std::to_string(i));
-            },
-            par);
-    EXPECT_EQ(ran.load(), 100) << threads;   // failures don't stop others
-    EXPECT_EQ(status.failed, 10u) << threads;
-    EXPECT_EQ(status.skipped, 0u) << threads;
-    EXPECT_EQ(status.first_failed_index, 3u) << threads;
-    ASSERT_TRUE(status.first_error != nullptr);
-    EXPECT_FALSE(status.complete());
-    try {
-      std::rethrow_exception(status.first_error);
-      FAIL();
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "bad 3");  // lowest index, deterministic
-    }
-  }
-}
-
-TEST(ParallelStatusLoop, CancelledLoopReportsSkipsAndReason) {
-  const CancelToken token = CancelToken::manual();
-  token.request_cancel();  // fires before any chunk is claimed
-  rascad::exec::ParallelOptions par;
-  par.threads = 4;
-  par.cancel = token;
-  std::atomic<int> ran{0};
-  const rascad::exec::ParallelStatus status = rascad::exec::parallel_for_status(
-      64, [&](std::size_t) { ran.fetch_add(1); }, par);
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(status.skipped, 64u);
-  EXPECT_EQ(status.stop, StopReason::kCancelled);
-  EXPECT_FALSE(status.complete());
-}
-
-TEST(ParallelStatusLoop, ThrowingVariantRaisesOnSkippedWork) {
+TEST(ParallelFor, FiredTokenRaisesOnSkippedWork) {
   const CancelToken token = CancelToken::manual();
   token.request_cancel();
   rascad::exec::ParallelOptions par;
@@ -403,12 +359,10 @@ TEST(DegradedImportance, CancelledRankingKeepsRowIdentity) {
   build_opts.parallel.threads = 1;
   const rascad::mg::SystemModel system =
       rascad::mg::SystemModel::build(spec, build_opts);
-  rascad::exec::ParallelOptions par;
-  par.threads = 1;
-  par.cancel = CancelToken::manual();
-  par.cancel.request_cancel();
+  const CancelToken cancel = CancelToken::manual();
+  cancel.request_cancel();
   const std::vector<rascad::core::BlockImportance> rows =
-      rascad::core::block_importance(system, par);
+      rascad::core::block_importance(system, cancel);
   ASSERT_FALSE(rows.empty());
   for (const auto& r : rows) {
     EXPECT_FALSE(r.ok());

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -331,16 +332,16 @@ TEST(StreamingSim, DeterministicAcrossThreadCounts) {
 TEST(StreamingSim, EarlyExitOnTightCi) {
   const auto model = test_model();
   StreamingOptions sopts;
-  sopts.batch = 10;
-  sopts.min_replications = 10;
+  sopts.batch = 64;
   sopts.stop_when_ci_below = 1.0;  // any CI satisfies this immediately
   const auto r =
       rascad::sim::replicate_system_streaming(model, 20'000.0, 1'000, 5, sopts);
+  // The exit waits for the 256-replication floor: four batches.
   EXPECT_TRUE(r.early_exit);
-  EXPECT_EQ(r.completed, 10u);
+  EXPECT_EQ(r.completed, 256u);
   EXPECT_EQ(r.requested, 1'000u);
   EXPECT_EQ(r.status, rascad::robust::PointStatus::kOk);
-  EXPECT_LE(r.ci_half_width(sopts.ci_z), 1.0);
+  EXPECT_LE(r.ci_half_width(), 1.0);
 }
 
 TEST(StreamingSim, PreCancelledTokenCompletesNothing) {
@@ -384,7 +385,6 @@ TEST(StreamingSim, SinkWritesOneLinePerReplication) {
   StreamingOptions sopts;
   sopts.batch = 9;
   sopts.jsonl_path = path;
-  sopts.sink_capacity = 4;  // force backpressure on the fold thread
   const auto r =
       rascad::sim::replicate_system_streaming(model, 20'000.0, 30, 13, sopts);
   EXPECT_EQ(r.completed, 30u);
@@ -409,9 +409,26 @@ TEST(StreamingSim, SinkWritesOneLinePerReplication) {
 }
 
 TEST(ReplicationSink, ThrowsOnUnwritablePath) {
-  EXPECT_THROW(
-      rascad::sim::ReplicationSink("/nonexistent-dir/sink.jsonl", 4),
-      std::runtime_error);
+  EXPECT_THROW(rascad::sim::ReplicationSink("/nonexistent-dir/sink.jsonl"),
+               std::runtime_error);
+}
+
+TEST(StreamingSim, FailedSinkWriteThrowsNamingThePath) {
+  // /dev/full opens but fails every write with ENOSPC: a full disk must
+  // fail the run, not lose its records silently.
+  const std::string path = "/dev/full";
+  if (!std::ifstream(path).good()) GTEST_SKIP() << path << " is absent";
+  StreamingOptions sopts;
+  sopts.batch = 9;
+  sopts.jsonl_path = path;
+  try {
+    (void)rascad::sim::replicate_system_streaming(test_model(), 20'000.0, 30,
+                                                  13, sopts);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
